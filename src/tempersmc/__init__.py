@@ -13,7 +13,6 @@ from .fk_core import (
     InitialDistribution,
     KernelFamily,
     PotentialFamily,
-    kernel_step,
     normalized_log_potential,
     u_function,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "InitialDistribution",
     "KernelFamily",
     "PotentialFamily",
-    "kernel_step",
     "normalized_log_potential",
     "u_function",
     "DiscreteMeasure",

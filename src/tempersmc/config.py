@@ -64,15 +64,16 @@ def _get(d, key, path, required=False, default=None):
     return d[key]
 
 
+def _int_at_least(val, path, lo):
+    if not isinstance(val, int) or isinstance(val, bool) or val < lo:
+        raise ConfigError(path, f"must be an integer >= {lo}")
+    return val
+
+
 def _positive_int_list(val, path):
     if not isinstance(val, list) or not val:
         raise ConfigError(path, "must be a non-empty list")
-    out = []
-    for i, x in enumerate(val):
-        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-            raise ConfigError(f"{path}[{i}]", "must be a positive integer")
-        out.append(x)
-    return tuple(out)
+    return tuple(_int_at_least(x, f"{path}[{i}]", 1) for i, x in enumerate(val))
 
 
 @dataclass(frozen=True)
@@ -390,11 +391,21 @@ def parse_config(text):
             if key not in raw:
                 raise ConfigError(key, "missing required key")
 
-    replicates = _get(raw, "replicates", "", default=0)
-    if not isinstance(replicates, int) or replicates < 0:
-        raise ConfigError("replicates", "must be a nonnegative integer")
+    replicates = _int_at_least(_get(raw, "replicates", "", default=0), "replicates", 0)
     if kind in ("n-scaling", "run") and replicates < 1:
         raise ConfigError("replicates", f"{kind} requires at least one replicate")
+
+    workers = _get(raw, "workers", "", default=None)
+    if workers is not None:
+        _int_at_least(workers, "workers", 1)
+    n_proposals = _int_at_least(_get(raw, "n_proposals", "", default=100_000), "n_proposals", 2)
+    gamma = _get(raw, "gamma", "", default=None)
+    if gamma is not None:
+        floor = build_schedule(model).gamma_floor if model else DEFAULTS["gamma_floor"]
+        if isinstance(gamma, bool) or not isinstance(gamma, (int, float)) or not (
+            floor <= gamma <= 1.0
+        ):
+            raise ConfigError("gamma", f"must be a number in [{floor}, 1]")
 
     warnings = []
     checks = _stability_checks(raw, warnings)
@@ -403,7 +414,7 @@ def parse_config(text):
         experiment=kind,
         seed=seed,
         out_dir=_get(raw, "out_dir", "", default=f"out/{kind}"),
-        workers=_get(raw, "workers", "", default=None),
+        workers=workers,
         replicates=replicates,
         grids=parsed_grids,
         alpha=float(_get(raw, "alpha", "", default=DEFAULTS["alpha"])),
@@ -413,10 +424,10 @@ def parse_config(text):
         init=_get(raw, "init", "", default=None),
         f=_get(raw, "f", "", default=None),
         radii=tuple(raw["radii"]) if raw.get("radii") else None,
-        gamma=_get(raw, "gamma", "", default=None),
+        gamma=gamma,
         epsilon=_get(raw, "epsilon", "", default=None),
         delta=_get(raw, "delta", "", default=None),
-        n_proposals=int(_get(raw, "n_proposals", "", default=100_000)),
+        n_proposals=n_proposals,
         degeneracy_floor=float(_get(raw, "degeneracy_floor", "", default=0.01)),
         warnings=tuple(warnings),
         checks=checks,

@@ -73,19 +73,12 @@ def matrix_kernel_family(matrices):
             raise ValueError(f"kernel matrix at step {k} has rows not summing to 1")
     cums = [np.cumsum(a, axis=1) for a in mats]
 
-    def sample(k, x, rng):
-        u = rng.random()
-        j = int(np.searchsorted(cums[k - 1][int(x)], u, side="right"))
-        return min(j, m - 1)
-
     def sample_batch(k, xs, rng):
         u = rng.random(len(xs))
         rows = cums[k - 1][np.asarray(xs, dtype=int)]
         return np.minimum((u[:, None] > rows).sum(axis=1), m - 1)
 
-    return KernelFamily(
-        horizon=n, sample=sample, sample_batch=sample_batch, matrix=lambda k: mats[k - 1]
-    )
+    return KernelFamily(horizon=n, sample_batch=sample_batch, matrix=lambda k: mats[k - 1])
 
 
 def _initial_from_weights(weights):

@@ -5,6 +5,7 @@ A model couples, for one fixed horizon ``n``, a family of Markov kernels
 ``G[k]`` (k = 0..n-1) bounded above by a known constant, and an initial
 distribution.  States are opaque: finite spaces use integer labels, vector
 spaces use float arrays with the leading axis indexing a batch of states.
+Kernels and potentials are always evaluated on such a batch.
 
 All potential arithmetic is carried out in the log domain; the family's
 upper bound is supplied as a log constant by the model builder.
@@ -24,7 +25,6 @@ __all__ = [
     "DriftSpec",
     "normalized_log_potential",
     "u_function",
-    "kernel_step",
 ]
 
 
@@ -76,16 +76,14 @@ class PotentialFamily:
 class KernelFamily:
     """Markov kernels ``M[k]`` for k = 1..horizon.
 
-    ``sample(k, x, rng)`` draws one transition from a single state.
-    ``sample_batch(k, xs, rng)``, when provided, advances a whole batch of
-    states with a fixed draw layout (used by the particle engine); it must
-    agree in distribution with ``sample``.  ``matrix(k)``, when provided,
-    returns the exact transition matrix (finite spaces only).
+    ``sample_batch(k, xs, rng)`` advances a whole batch of states one
+    transition of ``M[k]`` with a fixed draw layout; it is the only sampler
+    the particle engine calls.  ``matrix(k)``, when provided, returns the
+    exact transition matrix (finite spaces only).
     """
 
     horizon: int
-    sample: Callable
-    sample_batch: Optional[Callable] = None
+    sample_batch: Callable
     matrix: Optional[Callable] = None
 
 
@@ -167,11 +165,3 @@ def u_function(pf, idx, x):
     """Per-step energy ``-n * normalized_log_potential``; always >= 0."""
     idx = _as_index(idx, pf.horizon)
     return -pf.horizon * normalized_log_potential(pf, idx, x)
-
-
-def kernel_step(kf, idx, x, rng):
-    """Draw one transition from ``M[k](x, .)``; deterministic given the stream."""
-    idx = _as_index(idx, kf.horizon)
-    if not 1 <= idx.k <= kf.horizon:
-        raise ValueError(f"kernel index k={idx.k} outside [1, {kf.horizon}]")
-    return kf.sample(idx.k, x, rng)

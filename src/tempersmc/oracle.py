@@ -152,19 +152,27 @@ def flow_map(model, eta, k, l):
     return DiscreteMeasure(_propagate(model, eta, k, l))
 
 
-def future_potential_mass(model, k):
+def future_potential_mass(model):
     """Expected product of normalized weights over steps k..n-1, per start state.
 
-    Values lie in (0, 1]; the vector at k = n is identically 1.
+    Returns an (n+1, m) array whose row k is h_k = Q~[k+1] ... Q~[n] 1, all
+    rows from one backward sweep.  Values lie in (0, 1]; row n is
+    identically 1.
     """
     _require_finite(model)
-    n, m = model.horizon, model.n_states
-    if not 0 <= k <= n:
-        raise ValueError(f"step k={k} outside [0, {n}]")
-    h = np.ones(m, dtype=np.longdouble)
-    for j in range(n, k, -1):
+    n = model.horizon
+    h = np.ones(model.n_states, dtype=np.longdouble)
+    out = np.empty((n + 1, model.n_states))
+    out[n] = np.asarray(h, dtype=float)
+    for j in range(n, 0, -1):
         h = _q_tilde_matrix(model, j).astype(np.longdouble) @ h
-    return np.asarray(h, dtype=float)
+        out[j - 1] = np.asarray(h, dtype=float)
+    return out
+
+
+def _s_kernel(model, k, h_k):
+    raw = _m_matrix(model, k) * h_k[None, :]
+    return raw / raw.sum(axis=1, keepdims=True)
 
 
 def s_kernel_matrix(model, idx):
@@ -173,9 +181,7 @@ def s_kernel_matrix(model, idx):
     idx = _as_index(idx, model.horizon)
     if not 1 <= idx.k <= model.horizon:
         raise ValueError(f"index k={idx.k} outside [1, {model.horizon}]")
-    h = future_potential_mass(model, idx.k)
-    raw = _m_matrix(model, idx.k) * h[None, :]
-    return raw / raw.sum(axis=1, keepdims=True)
+    return _s_kernel(model, idx.k, future_potential_mass(model)[idx.k])
 
 
 def flow_map_via_s(model, eta, k):
@@ -188,14 +194,15 @@ def flow_map_via_s(model, eta, k):
     n = model.horizon
     if not 0 <= k <= n:
         raise ValueError(f"step k={k} outside [0, {n}]")
+    hs = future_potential_mass(model)
     w = np.asarray(weights_of(eta), dtype=np.longdouble)
-    w = w * future_potential_mass(model, k).astype(np.longdouble)
+    w = w * hs[k].astype(np.longdouble)
     tot = w.sum()
     if tot <= 0:
         raise ZeroDivisionError("flow normalizer vanished; model is degenerate")
     w = w / tot
     for j in range(k + 1, n + 1):
-        w = w @ s_kernel_matrix(model, j).astype(np.longdouble)
+        w = w @ _s_kernel(model, j, hs[j]).astype(np.longdouble)
         w = w / w.sum()
     return DiscreteMeasure(np.asarray(w, dtype=float))
 
@@ -248,68 +255,66 @@ def _check_a2(model, drift, eps, nu_w):
     return failures
 
 
-def tilted_drift_objects(model, idx, drift, minorizer):
-    """Build and verify the step-k drift/minorization data for the twisted kernels.
+def tilted_drift_objects(model, drift, minorizer):
+    """Build and verify the drift/minorization data for the twisted kernels.
 
-    ``drift`` supplies (V, lam, level_d, b_d); ``minorizer`` is the pair
-    (eps, nu) for the raw kernels on the sub-level set.  Inputs failing the
-    entrywise preconditions yield a report with ``a2_ok=False`` rather than
-    an exception.
+    Returns one ``TiltedDriftObjects`` per step k = 1..n, all built from a
+    single backward sweep.  ``drift`` supplies (V, lam, level_d, b_d);
+    ``minorizer`` is the pair (eps, nu) for the raw kernels on the
+    sub-level set.  Inputs failing the entrywise preconditions yield
+    reports with ``a2_ok=False`` rather than an exception.
     """
     _require_finite(model)
-    idx = _as_index(idx, model.horizon)
-    k = idx.k
-    if not 1 <= k <= model.horizon:
-        raise ValueError(f"index k={k} outside [1, {model.horizon}]")
+    n = model.horizon
     eps, nu = minorizer
     nu_w = weights_of(nu)
-    m = model.n_states
-    v = drift.vector(m)
+    v = drift.vector(model.n_states)
     c_mask = v <= drift.level_d * (1.0 + _INEQ_SLACK)
 
-    a2_failures = _check_a2(model, drift, eps, nu_w)
-
-    h_k = future_potential_mass(model, k)
-    h_prev = future_potential_mass(model, k - 1)
-    eps_nk = eps * float(nu_w @ h_k)
-    eps_prev = eps * float(nu_w @ h_prev)
-    nu_nk = DiscreteMeasure(nu_w * h_k / (nu_w @ h_k))
-    b_proof = drift.b_d / eps_nk
-    b_printed = drift.b_d / eps_prev
-
+    model_failures = _check_a2(model, drift, eps, nu_w)
+    hs = future_potential_mass(model)
     # V tilted at step j: V / M[j+1](h_{j+1}) for j < n, and V itself at j = n
-    def v_tilted(j):
-        if j == model.horizon:
-            return v.copy()
-        denom = _m_matrix(model, j + 1) @ future_potential_mass(model, j + 1)
-        return v / denom
+    v_tilted = [v / (_m_matrix(model, j + 1) @ hs[j + 1]) for j in range(n)] + [v.copy()]
 
-    v_nk = v_tilted(k)
-    v_prev = v_tilted(k - 1)
-    if np.any(v_nk < 1.0 - _INEQ_SLACK):
-        a2_failures.append("tilted drift function dips below 1 (model inconsistent)")
+    out = []
+    for k in range(1, n + 1):
+        a2_failures = list(model_failures)
+        h_k = hs[k]
+        eps_nk = eps * float(nu_w @ h_k)
+        eps_prev = eps * float(nu_w @ hs[k - 1])
+        nu_nk = DiscreteMeasure(nu_w * h_k / (nu_w @ h_k))
+        b_proof = drift.b_d / eps_nk
+        b_printed = drift.b_d / eps_prev
 
-    s_k = s_kernel_matrix(model, idx)
-    minor_ok = (s_k[c_mask] - eps_nk * nu_nk.w[None, :]).min(axis=1) >= -_INEQ_SLACK
-    lhs = s_k @ v_nk
-    scale = _INEQ_SLACK * np.maximum(1.0, np.abs(lhs))
-    drift_ok = lhs <= drift.lam * v_prev + b_printed * c_mask + scale
-    drift_ok_proof = lhs <= drift.lam * v_prev + b_proof * c_mask + scale
+        v_nk = v_tilted[k]
+        v_prev = v_tilted[k - 1]
+        if np.any(v_nk < 1.0 - _INEQ_SLACK):
+            a2_failures.append("tilted drift function dips below 1 (model inconsistent)")
 
-    return TiltedDriftObjects(
-        eps_nk=eps_nk,
-        b_nk=b_printed,
-        nu_nk=nu_nk,
-        v_nk=v_nk,
-        v_prev=v_prev,
-        eps_prev=eps_prev,
-        b_nk_proof=b_proof,
-        minor_ok=minor_ok,
-        drift_ok=np.asarray(drift_ok),
-        drift_ok_proof=np.asarray(drift_ok_proof),
-        a2_ok=not a2_failures,
-        a2_failures=a2_failures,
-    )
+        s_k = _s_kernel(model, k, h_k)
+        minor_ok = (s_k[c_mask] - eps_nk * nu_nk.w[None, :]).min(axis=1) >= -_INEQ_SLACK
+        lhs = s_k @ v_nk
+        scale = _INEQ_SLACK * np.maximum(1.0, np.abs(lhs))
+        drift_ok = lhs <= drift.lam * v_prev + b_printed * c_mask + scale
+        drift_ok_proof = lhs <= drift.lam * v_prev + b_proof * c_mask + scale
+
+        out.append(
+            TiltedDriftObjects(
+                eps_nk=eps_nk,
+                b_nk=b_printed,
+                nu_nk=nu_nk,
+                v_nk=v_nk,
+                v_prev=v_prev,
+                eps_prev=eps_prev,
+                b_nk_proof=b_proof,
+                minor_ok=minor_ok,
+                drift_ok=np.asarray(drift_ok),
+                drift_ok_proof=np.asarray(drift_ok_proof),
+                a2_ok=not a2_failures,
+                a2_failures=a2_failures,
+            )
+        )
+    return out
 
 
 def v_norm_distance(a, b, v, alpha=1.0):
@@ -379,7 +384,7 @@ def norm_const_lower_bound_check(model, drift, mu, u_norm_sup=None):
     c_const = sup_used * (1.0 + drift.b_d / (1.0 - drift.lam))
     mu_v = float(mu_w @ v)
     bound = float(np.exp(-c_const * mu_v))
-    per_k = np.array([float(mu_w @ future_potential_mass(model, k)) for k in range(n + 1)])
+    per_k = np.array([float(mu_w @ h_k) for h_k in future_potential_mass(model)])
     min_mass = float(per_k.min())
     return NormConstReport(
         per_k=per_k,

@@ -108,12 +108,7 @@ def smc_step(ens, model):
     ancestors = np.minimum(
         np.searchsorted(cw, u * cw[-1], side="right"), ens.n_particles - 1
     )
-    if model.kernels.sample_batch is not None:
-        new_states = model.kernels.sample_batch(k + 1, ens.states[ancestors], rng)
-    else:
-        new_states = np.asarray(
-            [model.kernels.sample(k + 1, x, rng) for x in ens.states[ancestors]]
-        )
+    new_states = model.kernels.sample_batch(k + 1, ens.states[ancestors], rng)
     return Ensemble(
         states=np.asarray(new_states),
         idx=FlowIndex(ens.idx.n, k + 1),

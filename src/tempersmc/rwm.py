@@ -20,7 +20,6 @@ __all__ = [
     "IncrementDistribution",
     "gaussian_increment",
     "uniform_ball_increment",
-    "rwm_step",
     "rwm_step_batch",
     "rwm_kernel_family",
     "drift_probe",
@@ -126,15 +125,6 @@ def rwm_step_batch(fam, gamma, q, xs, rng):
     return np.where(accept[:, None], xs + y, xs)
 
 
-def rwm_step(fam, gamma, q, x, rng):
-    """Single-chain Metropolis step; the chain stays put on rejection."""
-    lo = fam.schedule.gamma_floor
-    if not lo - 1e-12 <= gamma <= 1.0 + 1e-12:
-        raise ValueError(f"gamma={gamma} outside [{lo}, 1]")
-    x = np.asarray(x, dtype=float)
-    return rwm_step_batch(fam, gamma, q, x[None, :], rng)[0]
-
-
 def rwm_kernel_family(fam, n, q):
     """Kernels for horizon n: step k targets the schedule's temperature at k/n."""
     if n < 1:
@@ -142,7 +132,6 @@ def rwm_kernel_family(fam, n, q):
     gammas = np.asarray(fam.schedule(np.arange(n + 1) / n), dtype=float)
     return KernelFamily(
         horizon=n,
-        sample=lambda k, x, rng: rwm_step(fam, gammas[k], q, x, rng),
         sample_batch=lambda k, xs, rng: rwm_step_batch(fam, gammas[k], q, xs, rng),
     )
 

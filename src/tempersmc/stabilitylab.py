@@ -502,8 +502,7 @@ def lemma1_audit(models, drift, minorizer):
     per_n = {}
     for model in models:
         n = model.horizon
-        for k in range(1, n + 1):
-            td = oracle.tilted_drift_objects(model, k, drift, minorizer)
+        for k, td in enumerate(oracle.tilted_drift_objects(model, drift, minorizer), start=1):
             rows.append(
                 Lemma1Row(
                     n=n, k=k, eps_nk=td.eps_nk, b_printed=td.b_nk,

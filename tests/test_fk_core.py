@@ -5,9 +5,7 @@ import scipy.stats
 from tempersmc import streams
 from tempersmc.fk_core import (
     FlowIndex,
-    KernelFamily,
     PotentialFamily,
-    kernel_step,
     normalized_log_potential,
     u_function,
 )
@@ -83,26 +81,13 @@ def test_potential_index_range_errors():
         u_function(pf, FlowIndex(5, 0), 0.0)  # horizon mismatch
 
 
-def test_kernel_step_identity_kernel():
-    kf = KernelFamily(horizon=3, sample=lambda k, x, rng: x)
-    rng = streams.stream(0, 0)
-    for x in (0, 5, -2):
-        assert kernel_step(kf, FlowIndex(3, 2), x, rng) == x
-
-
-def test_kernel_step_range_errors():
-    kf = KernelFamily(horizon=3, sample=lambda k, x, rng: x)
-    rng = streams.stream(0, 0)
-    with pytest.raises(ValueError):
-        kernel_step(kf, FlowIndex(3, 0), 1, rng)
-
-
 def test_kernel_step_deterministic_given_stream():
     mats = [np.array([[0.3, 0.7], [0.6, 0.4]])] * 2
     kf = matrix_kernel_family(mats)
-    a = [kernel_step(kf, FlowIndex(2, 1), 0, streams.stream(11, i)) for i in range(20)]
-    b = [kernel_step(kf, FlowIndex(2, 1), 0, streams.stream(11, i)) for i in range(20)]
-    assert a == b
+    xs = np.array([0, 1, 0, 1, 1])
+    a = [kf.sample_batch(1, xs, streams.stream(11, i)) for i in range(20)]
+    b = [kf.sample_batch(1, xs, streams.stream(11, i)) for i in range(20)]
+    np.testing.assert_array_equal(a, b)
 
 
 def test_kernel_step_frequencies_match_matrix_row():
@@ -119,17 +104,4 @@ def test_kernel_step_frequencies_match_matrix_row():
         assert abs(counts[j] - n_draws * row[j]) < 4 * sd
     # chi-square goodness of fit must not reject at the 1e-4 level
     _, pval = scipy.stats.chisquare(counts, n_draws * row)
-    assert pval > 1e-4
-
-
-def test_single_and_batch_sampling_agree_in_distribution():
-    mats = [np.array([[0.15, 0.25, 0.6], [0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])]
-    kf = matrix_kernel_family(mats)
-    singles = np.array(
-        [kf.sample(1, 1, streams.stream(3, i)) for i in range(20_000)]
-    )
-    rng = streams.stream(3, 999)
-    batch = kf.sample_batch(1, np.ones(20_000, dtype=int), rng)
-    table = np.stack([np.bincount(singles, minlength=3), np.bincount(batch, minlength=3)])
-    _, pval, _, _ = scipy.stats.chi2_contingency(table)
     assert pval > 1e-4

@@ -170,7 +170,7 @@ def test_s_kernel_hand_computation():
     expected = M2 * h1[None, :]
     expected /= expected.sum(axis=1, keepdims=True)
     np.testing.assert_allclose(s_kernel_matrix(model, k), expected, atol=1e-14)
-    np.testing.assert_allclose(future_potential_mass(model, k), h1, atol=1e-14)
+    np.testing.assert_allclose(future_potential_mass(model)[k], h1, atol=1e-14)
 
 
 def test_s_kernel_rows_sum_to_one():
@@ -215,7 +215,7 @@ def _flat_drift_inputs(model):
 def test_tilted_drift_flat_model():
     model = flat_model(n=4, m=3)
     drift, minor = _flat_drift_inputs(model)
-    td = tilted_drift_objects(model, 2, drift, minor)
+    td = tilted_drift_objects(model, drift, minor)[1]  # k = 2
     assert td.a2_ok
     np.testing.assert_allclose(td.v_nk, 1.0, atol=1e-14)
     np.testing.assert_allclose(td.v_prev, 1.0, atol=1e-14)
@@ -231,7 +231,7 @@ def test_tilted_drift_hand_computation():
     eps = 2 * float(M2.min()) * 0.999
     nu = np.array([0.5, 0.5])
     drift = DriftSpec(v=v, lam=lam, level_d=float(v.max()), b_d=b)
-    td = tilted_drift_objects(model, 2, drift, (eps, nu))
+    td = tilted_drift_objects(model, drift, (eps, nu))[1]  # k = 2
     assert td.a2_ok
     # independent recomputation of the tilt coefficient: backward recursion
     # from the terminal step (n = 3), stopping at step 2
@@ -249,7 +249,7 @@ def test_tilted_drift_terminal_v_is_v():
     model = two_state_model(n=3)
     _, minor = _flat_drift_inputs(model)
     drift = DriftSpec(v=np.array([1.0, 2.0]), lam=0.9, level_d=2.0, b_d=3.0)
-    td = tilted_drift_objects(model, 3, drift, minor)
+    td = tilted_drift_objects(model, drift, minor)[-1]  # k = n = 3
     np.testing.assert_array_equal(td.v_nk, np.array([1.0, 2.0]))
 
 
@@ -258,9 +258,11 @@ def test_tilted_drift_reports_broken_inputs():
     v = np.array([1.0, 1.5])
     # lam declared far too small for these matrices
     drift = DriftSpec(v=v, lam=0.01, level_d=1.0, b_d=1e-6)
-    td = tilted_drift_objects(model, 1, drift, (0.9, np.array([0.5, 0.5])))
-    assert not td.a2_ok
-    assert td.a2_failures
+    tds = tilted_drift_objects(model, drift, (0.9, np.array([0.5, 0.5])))
+    assert len(tds) == 3
+    for td in tds:
+        assert not td.a2_ok
+        assert td.a2_failures
 
 
 # ---------------------------------------------------------------- v-norm
@@ -313,7 +315,7 @@ def test_norm_const_unit_potential():
 
 def test_norm_const_terminal_mass_is_one():
     model = two_state_fixture(6)
-    np.testing.assert_array_equal(future_potential_mass(model, 6), np.ones(2))
+    np.testing.assert_array_equal(future_potential_mass(model)[6], np.ones(2))
 
 
 def test_norm_const_fixture_grid():

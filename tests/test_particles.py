@@ -130,8 +130,7 @@ def test_total_degeneracy_raises():
     n, m = 2, 2
     pf = PotentialFamily(horizon=n, log_g=lambda k, x: np.full(np.asarray(x).shape, -np.inf),
                          log_g_max=0.0)
-    kf = KernelFamily(horizon=n, sample=lambda k, x, rng: x,
-                      sample_batch=lambda k, xs, rng: xs)
+    kf = KernelFamily(horizon=n, sample_batch=lambda k, xs, rng: xs)
     model = FKModel(horizon=n, kernels=kf, potentials=pf,
                     initial=InitialDistribution(sample=lambda size, rng: np.zeros(size, dtype=int)))
     ens = init_ensemble(model.initial.sample, 16, n, seed=1)
@@ -152,7 +151,7 @@ def test_step_past_terminal_rejected():
 def test_horizon_zero_returns_initial_ensemble():
     m = 2
     pf = PotentialFamily(horizon=0, log_g=lambda k, x: 0.0, log_g_max=0.0)
-    kf = KernelFamily(horizon=0, sample=lambda k, x, rng: x)
+    kf = KernelFamily(horizon=0, sample_batch=lambda k, xs, rng: xs)
     model = FKModel(horizon=0, kernels=kf, potentials=pf,
                     initial=InitialDistribution(sample=lambda size, rng: np.arange(size) % m))
     em, summaries = run_sampler(model, 10, seed=3)

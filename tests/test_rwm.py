@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,13 +6,13 @@ import pytest
 import scipy.stats
 
 from tempersmc import streams
+from tempersmc.config import ConfigError, parse_config
 from tempersmc.fk_core import DriftSpec
 from tempersmc.rwm import (
     IncrementDistribution,
     drift_probe,
     gaussian_increment,
     rwm_kernel_family,
-    rwm_step,
     rwm_step_batch,
     uniform_ball_increment,
 )
@@ -84,15 +85,20 @@ def test_zero_proposal_keeps_state():
         positivity_profile=lambda r: 1.0,
     )
     fam = std_family()
-    x = np.array([1.3])
-    out = rwm_step(fam, 0.9, null_q, x, streams.stream(3, 0))
+    x = np.array([[1.3], [-0.4]])
+    out = rwm_step_batch(fam, 0.9, null_q, x, streams.stream(3, 0))
     np.testing.assert_array_equal(out, x)
 
 
 def test_gamma_out_of_range():
-    fam = std_family(0.7)
-    with pytest.raises(ValueError):
-        rwm_step(fam, 0.5, gaussian_increment(1, 1.0), np.array([0.0]), streams.stream(4, 0))
+    # the drift probe's gamma comes only from config; the parser enforces [floor, 1]
+    for gamma in (0.5, 3.0):
+        text = json.dumps({"experiment": "drift-check", "seed": 1, "radii": [2], "gamma": gamma,
+                           "model": {"kind": "gaussian", "target": {"name": "gaussian"},
+                                     "schedule": {"name": "linear", "gamma_floor": 0.7}}})
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.path == "gamma"
 
 
 def test_rejection_returns_exact_state():

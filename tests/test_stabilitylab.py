@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from tempersmc.finite import (
 )
 from tempersmc.fk_core import DriftSpec
 from tempersmc.stabilitylab import (
+    Lemma1Row,
     bias_decay_experiment,
     eta_fg_sufficiency_check,
     lemma1_audit,
+    lemma1_audit_experiment,
     n_scaling_experiment,
     r2_counterexample,
 )
@@ -201,3 +204,24 @@ def test_lemma1_broken_inputs_flagged():
     assert not audit.all_pass
     assert audit.a2_failures
     assert any("drift fails for kernel" in msg for msg in audit.a2_failures)
+
+
+def test_lemma1_audit_golden_values():
+    # recorded from the per-step implementation that recomputed every
+    # future-mass vector; the audit draws no random numbers, so it is exact
+    text = (Path(__file__).resolve().parents[1] / "configs" / "lemma1_audit.json").read_text()
+    audit = lemma1_audit_experiment(parse_config(text))
+    assert audit.inf_eps == float.fromhex("0x1.863f1b576012dp-3")
+    assert audit.all_pass and len(audit.rows) == sum(range(2, 31))
+    x = float.fromhex
+    golden = [
+        (2, 1, x("0x1.8e598f0b5c7d2p-3"), x("0x1.53c7a2584d666p+1"), x("0x1.40886468768ebp+1")),
+        (2, 2, x("0x1.ada6612839041p-3"), x("0x1.40886468768ebp+1"), x("0x1.292e9163b9172p+1")),
+        (30, 1, x("0x1.87b147d296de5p-3"), x("0x1.4710c381b0974p+1"), x("0x1.45fb0cd38738ap+1")),
+        (30, 30, x("0x1.ada6612839041p-3"), x("0x1.2abde8b96b19dp+1"), x("0x1.292e9163b9172p+1")),
+    ]
+    rows = {(r.n, r.k): r for r in audit.rows}
+    for n, k, eps_nk, b_printed, b_proof in golden:
+        assert rows[n, k] == Lemma1Row(n=n, k=k, eps_nk=eps_nk, b_printed=b_printed,
+                                       b_proof=b_proof, minor_ok=True, drift_ok=True,
+                                       drift_ok_proof=True, a2_ok=True)
