@@ -4,11 +4,15 @@ Usage:
     tempersmc run CONFIG [--out DIR] [--workers K]
     tempersmc validate CONFIG
 
-Each run writes <out>/<experiment>.csv and <out>/<experiment>.json via a
-write-to-temp-then-rename, so a failed run leaves no partial outputs.  All
-floats are serialized with 17 significant digits; the only run-dependent
-field is the timestamp, confined to the JSON summary.  Exit codes: 0 on
-completion, 1 on precondition failure, 2 on an inconclusive experiment.
+Each run writes <out>/<experiment>.csv and <out>/<experiment>.json.  The
+JSON is rendered and written to a temp file first, then the CSV is written
+to a temp file and renamed into place, then the JSON is renamed, so a
+failure in the experiment, the rendering or the CSV write leaves the
+previous pair untouched.  All floats are
+serialized with 17 significant digits; the only run-dependent field is the
+timestamp, confined to the JSON summary.  Exit codes: 0 on completion, 1 on
+a config error (at parse time or from a builder) or a failed audit, 2 on an
+inconclusive experiment.  Any other exception is a bug and propagates.
 """
 
 import argparse
@@ -34,16 +38,20 @@ EXIT_INCONCLUSIVE = 2
 
 
 def make_mapper(workers):
-    """Order-preserving map over tasks; workers=1 stays in-process."""
+    """Order-preserving map over tasks; workers=1 stays in-process.
+
+    A pool never holds more processes than there are CPUs or tasks.
+    """
+    cpus = os.cpu_count() or 1
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = cpus
     if workers <= 1:
         return lambda fn, items: [fn(x) for x in items]
 
     def mapper(fn, items):
         if not items:
             return []
-        with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, cpus, len(items))) as pool:
             return list(pool.map(fn, items))
 
     return mapper
@@ -59,12 +67,20 @@ def _fmt(x):
     return str(x)
 
 
-def _write_atomic(path, text):
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+def _write_temp(path, text):
+    """Write ``text`` to a new temp file beside ``path``; returns the temp file's path."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return tmp
+
+
+def _rename(tmp, path):
+    try:
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -74,7 +90,7 @@ def _write_atomic(path, text):
 def write_csv(path, header, rows):
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    _write_atomic(path, "\n".join(lines) + "\n")
+    _rename(_write_temp(path, "\n".join(lines) + "\n"), path)
 
 
 def _jsonable(obj):
@@ -96,7 +112,8 @@ def _jsonable(obj):
     return obj
 
 
-def write_summary(path, cfg, status, exit_code, body):
+def render_summary(cfg, status, exit_code, body):
+    """The JSON summary document of a run, as text."""
     doc = {
         "experiment": cfg.experiment,
         "seed": cfg.seed,
@@ -107,7 +124,7 @@ def write_summary(path, cfg, status, exit_code, body):
         "summary": _jsonable(body),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _decay_rows(result):
@@ -226,28 +243,31 @@ def dispatch(cfg):
     mapper = make_mapper(cfg.workers)
     try:
         header, rows, status, code, body = _RUNNERS[cfg.experiment](cfg, mapper)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    summary = render_summary(cfg, status, code, body)
     os.makedirs(cfg.out_dir, exist_ok=True)
     stem = os.path.join(cfg.out_dir, cfg.experiment)
-    write_csv(stem + ".csv", header, rows)
-    write_summary(stem + ".json", cfg, status, code, body)
+    summary_tmp = _write_temp(stem + ".json", summary)
+    try:
+        write_csv(stem + ".csv", header, rows)
+    except BaseException:
+        os.unlink(summary_tmp)
+        raise
+    _rename(summary_tmp, stem + ".json")
     return code
 
 
 def _load_config(path, out=None, workers=None):
+    """Parse a config file; command-line overrides go through the same checks as its keys."""
     with open(path) as handle:
-        cfg = parse_config(handle.read())
-    updates = {}
-    if out is not None:
-        updates["out_dir"] = out
-    if workers is not None:
-        updates["workers"] = workers
+        text = handle.read()
+    cfg = parse_config(text)
+    updates = {key: value for key, value in (("out_dir", out), ("workers", workers))
+               if value is not None}
     if updates:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **updates)
+        cfg = parse_config(json.dumps({**json.loads(text), **updates}))
     return cfg
 
 
@@ -273,7 +293,7 @@ def main(argv=None):
         for warning in cfg.warnings:
             print(f"warning: {warning}", file=sys.stderr)
         return dispatch(cfg)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

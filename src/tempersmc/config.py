@@ -1,13 +1,18 @@
 """Experiment configuration: strict parsing and resolution of named components.
 
-Configs are JSON objects.  Unknown keys are rejected with the path to the
-offending key; all named targets, schedules, increments, initial laws and
-test functions must resolve.  Parameter combinations outside the
-guaranteed-stability region are recorded as warnings, never errors: the
-experiment still runs, labeled as out-of-theory.
+Configs are JSON objects.  ``COMPONENTS`` lists every component, the names it
+accepts, the keys each name takes and their defaults; ``_read`` is its one
+reader, and the builders take their values only from it.  The stored config
+keeps the specs as given.  Malformed input raises ``ConfigError`` with the
+path of the offending key, at parse time: ``parse_config`` checks the scalar
+keys and builds the model and the test function once.  Parameter combinations
+outside the guaranteed-stability region are recorded as warnings, never
+errors: the experiment still runs, labeled as out-of-theory.
 """
 
 import json
+import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -17,29 +22,58 @@ from .fk_core import FKModel, InitialDistribution
 from . import finite, rwm, tempering
 
 __all__ = [
-    "ConfigError",
-    "ExperimentConfig",
-    "parse_config",
-    "build_model",
-    "build_family",
-    "build_increment",
-    "build_drift",
-    "build_drift_inputs",
-    "build_f",
-    "finite_f_vector",
-    "reference_value",
-    "DEFAULTS",
+    "ConfigError", "ExperimentConfig", "COMPONENTS", "parse_config", "build_model",
+    "build_family", "build_increment", "build_drift", "build_drift_inputs", "build_f",
+    "finite_f_vector", "reference_value",
 ]
 
 KINDS = ("bias-decay", "n-scaling", "drift-check", "counterexample", "lemma1-audit", "run")
 
-DEFAULTS = {"alpha": 0.25, "p": 1.0, "s": 1.0, "gamma_floor": 0.7}
+REQUIRED = object()  # marks a key, or a selecting name, that has no default
 
-_TOP_KEYS = {
-    "experiment", "seed", "out_dir", "workers", "replicates", "grids",
-    "alpha", "p", "s", "model", "init", "f", "radii", "gamma",
-    "epsilon", "delta", "n_proposals", "degeneracy_floor",
+_TOP_LEVEL = {
+    "seed": REQUIRED, "out_dir": None, "workers": None, "replicates": 0, "grids": {},
+    "alpha": 0.25, "p": 1.0, "s": 1.0, "model": None, "init": None, "f": None,
+    "radii": None, "gamma": None, "epsilon": None, "delta": None,
+    "n_proposals": 100_000, "degeneracy_floor": 0.01,
 }
+_FLOOR = {"gamma_floor": 0.7}
+_MAX_LOG = float(np.log(np.finfo(float).max))  # larger log weights overflow the exact potentials
+
+# path -> (selecting key, default name, {name: {key: default}}).  This is the
+# only place a component key or default is spelled.  Where a constructor
+# builds the component, the keys are its keyword parameters.
+COMPONENTS = {
+    "": ("experiment", REQUIRED, dict.fromkeys(KINDS, _TOP_LEVEL)),
+    "model": ("kind", REQUIRED, {
+        "finite-tempered": {"log_weights": REQUIRED, "schedule": None, "move_prob": 0.5,
+                            "beta": 0.5, "lam": 0.6},
+        "gaussian": {"target": REQUIRED, "schedule": None, "increment": None, "beta": 0.5},
+    }),
+    "model.schedule": ("name", "linear", {
+        "linear": _FLOOR, "smoothstep": _FLOOR, "piecewise-linear": {**_FLOOR, "knots": ()},
+    }),
+    "model.target": ("name", REQUIRED, {
+        "gaussian": {"mean": (0.0,), "sigma": (1.0,)},
+        "gaussian-mixture": {"means": REQUIRED, "sigmas": REQUIRED, "weights": REQUIRED},
+    }),
+    "model.increment": ("name", "gaussian", {
+        "gaussian": {"scale": 1.0}, "uniform-ball": {"radius": 1.0},
+    }),
+    "init": ("name", "tempered-floor", {
+        "tempered-floor": {}, "dirac": {"state": 0}, "weights": {"weights": REQUIRED},
+        "gaussian": {"mean": (0.0,), "sigma": (1.0,)}, "point": {"point": (0.0,)},
+    }),
+    "f": ("name", "coordinate", {
+        "coordinate": {"axis": 0}, "indicator": {"state": 0}, "constant": {"value": 1.0},
+    }),
+}
+
+_SCHEDULES = {"linear": tempering.linear_schedule, "smoothstep": tempering.smoothstep_schedule,
+              "piecewise-linear": tempering.piecewise_linear_schedule}
+_TARGETS = {"gaussian": tempering.gaussian_target,
+            "gaussian-mixture": tempering.gaussian_mixture_target}
+_INCREMENTS = {"gaussian": rwm.gaussian_increment, "uniform-ball": rwm.uniform_ball_increment}
 
 
 class ConfigError(ValueError):
@@ -50,30 +84,81 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+def _join(path, key):
+    return f"{path}.{key}" if path else key
+
+
 def _check_keys(d, allowed, path):
     for key in d:
         if key not in allowed:
-            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
+            raise ConfigError(_join(path, key), "unknown key")
 
 
-def _get(d, key, path, required=False, default=None):
-    if key not in d:
-        if required:
-            raise ConfigError(f"{path}.{key}" if path else key, "missing required key")
-        return default
-    return d[key]
+def _read(path, spec):
+    """Selected name and parameters of the component at ``path``.
+
+    The parameters hold every key the name takes, defaults filled in from
+    ``COMPONENTS``.  A ``None`` spec reads as ``{}``: an absent component
+    takes its default name and defaults.
+    """
+    select, default, names = COMPONENTS[path]
+    spec = {} if spec is None else spec
+    if not isinstance(spec, dict):
+        raise ConfigError(path, "must be an object")
+    name = spec.get(select, default)
+    if name is REQUIRED:
+        raise ConfigError(_join(path, select), "missing required key")
+    if not isinstance(name, str) or name not in names:
+        raise ConfigError(_join(path, select),
+                          f"unknown {select} {name!r}; expected one of {tuple(names)}")
+    keys = names[name]
+    _check_keys(spec, (select, *keys), path)
+    params = {key: spec.get(key, value) for key, value in keys.items()}
+    for key, value in params.items():
+        if value is REQUIRED:
+            raise ConfigError(_join(path, key), "missing required key")
+    return name, params
 
 
-def _int_at_least(val, path, lo):
-    if not isinstance(val, int) or isinstance(val, bool) or val < lo:
-        raise ConfigError(path, f"must be an integer >= {lo}")
+@contextmanager
+def _at(path):
+    """Report a constructor's rejection of its config values as a ConfigError at ``path``."""
+    try:
+        yield
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def _floats(val, path):
+    with _at(path):
+        return np.asarray(val, dtype=float)
+
+
+def _int_at_least(val, path, lo, size=None):
+    """``val`` if it is an integer >= ``lo`` (and < ``size`` when given); bools are not."""
+    if (not isinstance(val, int) or isinstance(val, bool) or val < lo
+            or size is not None and val >= size):
+        bound = f">= {lo}" if size is None else f"in [{lo}, {size - 1}]"
+        raise ConfigError(path, f"must be an integer {bound}")
     return val
 
 
-def _positive_int_list(val, path):
+def _number(val, path, what="", ok=lambda x: True):
+    """``val`` if it is a finite JSON number (bools are not) and ``ok(val)``."""
+    if (isinstance(val, bool) or not isinstance(val, (int, float))
+            or not abs(val) <= sys.float_info.max or not ok(val)):
+        raise ConfigError(path, f"must be a finite number{what}")
+    return val
+
+
+def _positive(val, path):
+    return _number(val, path, " > 0", lambda x: x > 0)
+
+
+def _nonempty_list(val, path, item):
     if not isinstance(val, list) or not val:
         raise ConfigError(path, "must be a non-empty list")
-    return tuple(_int_at_least(x, f"{path}[{i}]", 1) for i, x in enumerate(val))
+    return tuple(item(x, f"{path}[{i}]") for i, x in enumerate(val))
 
 
 @dataclass(frozen=True)
@@ -103,114 +188,67 @@ class ExperimentConfig:
         return asdict(self)
 
 
-def _validate_model(spec):
-    if not isinstance(spec, dict):
-        raise ConfigError("model", "must be an object")
-    kind = _get(spec, "kind", "model", required=True)
+def _model(spec):
+    """Kind and parameters of a model spec; ``log_weights`` comes back as a float array."""
+    kind, params = _read("model", spec)
+    for key in ("beta", "lam"):
+        if key in params:
+            _number(params[key], f"model.{key}", " in (0, 1)", lambda x: 0 < x < 1)
     if kind == "finite-tempered":
-        _check_keys(
-            spec, {"kind", "log_weights", "schedule", "move_prob", "beta", "lam"}, "model"
-        )
-        lw = _get(spec, "log_weights", "model", required=True)
-        if not isinstance(lw, list) or len(lw) < 2:
-            raise ConfigError("model.log_weights", "need at least two states")
-    elif kind == "gaussian":
-        _check_keys(spec, {"kind", "target", "schedule", "increment", "beta"}, "model")
-        target = _get(spec, "target", "model", required=True)
-        if not isinstance(target, dict) or target.get("name") not in (
-            "gaussian",
-            "gaussian-mixture",
-        ):
-            raise ConfigError("model.target.name", "unknown target")
-    else:
-        raise ConfigError("model.kind", f"unknown model kind {kind!r}")
-    sched = _get(spec, "schedule", "model", default={"name": "linear"})
-    if not isinstance(sched, dict) or sched.get("name", "linear") not in (
-        "linear",
-        "smoothstep",
-        "piecewise-linear",
-    ):
-        raise ConfigError("model.schedule.name", "unknown schedule")
-    build_schedule(spec)  # raises ConfigError on bad parameters
+        logw = _floats(params["log_weights"], "model.log_weights")
+        if logw.ndim != 1 or logw.size < 2 or not np.all(np.isfinite(logw) & (logw <= _MAX_LOG)):
+            raise ConfigError("model.log_weights",
+                              f"need a list of at least two finite numbers <= {_MAX_LOG:.4g}")
+        params["log_weights"] = logw
+    return kind, params
 
 
-def build_schedule(model_spec):
-    sched = dict(model_spec.get("schedule") or {"name": "linear"})
-    name = sched.pop("name", "linear")
-    floor = sched.pop("gamma_floor", DEFAULTS["gamma_floor"])
-    try:
-        if name == "linear":
-            out = tempering.linear_schedule(floor)
-        elif name == "smoothstep":
-            out = tempering.smoothstep_schedule(floor)
-        else:
-            out = tempering.piecewise_linear_schedule(floor, sched.pop("knots", []))
-    except ValueError as exc:
-        raise ConfigError("model.schedule", str(exc)) from exc
-    if sched:
-        raise ConfigError(f"model.schedule.{next(iter(sched))}", "unknown key")
-    return out
+def build_schedule(spec):
+    """The tempering schedule of a ``model.schedule`` spec (``None`` for the default)."""
+    name, params = _read("model.schedule", spec)
+    with _at("model.schedule"):
+        return _SCHEDULES[name](**params)
 
 
 def build_family(model_spec):
-    target = dict(model_spec["target"])
-    name = target.pop("name")
-    if name == "gaussian":
-        t = tempering.gaussian_target(
-            mean=target.pop("mean", [0.0]), sigma=target.pop("sigma", [1.0])
-        )
-    else:
-        for key in ("means", "sigmas", "weights"):
-            if key not in target:
-                raise ConfigError(f"model.target.{key}", "missing required key")
-        t = tempering.gaussian_mixture_target(
-            means=target.pop("means"),
-            sigmas=target.pop("sigmas"),
-            weights=target.pop("weights"),
-        )
-    if target:
-        raise ConfigError(f"model.target.{next(iter(target))}", "unknown key")
-    return tempering.TemperedFamily(target=t, schedule=build_schedule(model_spec))
+    _, spec = _model(model_spec)
+    name, params = _read("model.target", spec["target"])
+    with _at("model.target"):
+        target = _TARGETS[name](**params)
+    if target.dim < 1:
+        raise ConfigError("model.target", "need at least one dimension")
+    return tempering.TemperedFamily(target=target, schedule=build_schedule(spec["schedule"]))
 
 
 def build_increment(model_spec, dim):
-    spec = dict(model_spec.get("increment") or {"name": "gaussian"})
-    name = spec.pop("name", "gaussian")
-    if name == "gaussian":
-        q = rwm.gaussian_increment(dim, scale=spec.pop("scale", 1.0))
-    elif name == "uniform-ball":
-        q = rwm.uniform_ball_increment(dim, radius=spec.pop("radius", 1.0))
-    else:
-        raise ConfigError("model.increment.name", f"unknown increment {name!r}")
-    if spec:
-        raise ConfigError(f"model.increment.{next(iter(spec))}", "unknown key")
-    return q
+    _, spec = _model(model_spec)
+    name, params = _read("model.increment", spec["increment"])
+    with _at("model.increment"):
+        return _INCREMENTS[name](dim, **params)
 
 
-def _finite_init_vector(cfg, n_states):
-    spec = dict(cfg.init or {"name": "tempered-floor"})
-    name = spec.get("name")
-    logw = np.asarray(cfg.model["log_weights"], dtype=float)
+def _finite_init_vector(cfg, logw, gamma_floor):
+    name, spec = _read("init", cfg.init)
+    n_states = logw.size
     if name == "tempered-floor":
-        return finite.tempered_stationary(logw, build_schedule(cfg.model).gamma_floor)
+        return finite.tempered_stationary(logw, gamma_floor)
     if name == "dirac":
-        state = spec.get("state", 0)
-        if not 0 <= state < n_states:
-            raise ConfigError("init.state", f"state {state} outside [0, {n_states - 1}]")
         vec = np.zeros(n_states)
-        vec[state] = 1.0
+        vec[_int_at_least(spec["state"], "init.state", 0, n_states)] = 1.0
         return vec
     if name == "weights":
-        w = np.asarray(spec.get("weights", []), dtype=float)
-        if w.size != n_states:
+        w = _floats(spec["weights"], "init.weights")
+        if w.shape != (n_states,):
             raise ConfigError("init.weights", f"need {n_states} entries")
+        with _at("init.weights"):  # the model's own probability-vector check
+            finite._initial_from_weights(w)
         return w
-    raise ConfigError("init.name", f"unknown finite initial law {name!r}")
+    raise ConfigError("init.name", f"{name!r} is not an initial law of a finite model")
 
 
 def _continuous_init(cfg, fam):
-    spec = dict(cfg.init or {"name": "tempered-floor"})
-    name = spec.get("name")
+    name, spec = _read("init", cfg.init)
+    dim = fam.target.dim
     if name == "tempered-floor":
         sampler = fam.target.tempered_sampler
         if sampler is None:
@@ -218,78 +256,84 @@ def _continuous_init(cfg, fam):
         floor = fam.schedule.gamma_floor
         return InitialDistribution(sample=lambda size, rng: sampler(floor, size, rng))
     if name == "gaussian":
-        mean = np.atleast_1d(np.asarray(spec.get("mean", [0.0]), dtype=float))
-        sigma = np.broadcast_to(
-            np.asarray(spec.get("sigma", [1.0]), dtype=float), mean.shape
-        ).copy()
-        if mean.size != fam.target.dim:
-            raise ConfigError("init.mean", f"dimension {mean.size} != target {fam.target.dim}")
+        mean = np.atleast_1d(_floats(spec["mean"], "init.mean"))
+        with _at("init.sigma"):
+            sigma = np.broadcast_to(np.asarray(spec["sigma"], dtype=float), mean.shape).copy()
+        if mean.size != dim:
+            raise ConfigError("init.mean", f"dimension {mean.size} != target {dim}")
         return InitialDistribution(
             sample=lambda size, rng: mean + sigma * rng.standard_normal((size, mean.size))
         )
     if name == "point":
-        point = np.atleast_1d(np.asarray(spec.get("point", [0.0]), dtype=float))
+        point = np.atleast_1d(_floats(spec["point"], "init.point"))
+        if point.shape != (dim,):
+            raise ConfigError("init.point", f"need {dim} coordinates")
         return InitialDistribution(sample=lambda size, rng: np.tile(point, (size, 1)))
-    raise ConfigError("init.name", f"unknown initial law {name!r}")
+    raise ConfigError("init.name", f"{name!r} is not an initial law of a continuous model")
 
 
 def build_model(cfg, n):
     """Construct the model at horizon n from a validated config."""
-    spec = cfg.model
-    if spec["kind"] == "finite-tempered":
-        logw = np.asarray(spec["log_weights"], dtype=float)
-        return finite.tempered_chain_model(
-            logw,
-            build_schedule(spec),
-            n,
-            move_prob=spec.get("move_prob", 0.5),
-            init=_finite_init_vector(cfg, logw.size),
-        )
-    fam = build_family(spec)
-    q = build_increment(spec, fam.target.dim)
-    return FKModel(
-        horizon=n,
-        kernels=rwm.rwm_kernel_family(fam, n, q),
-        potentials=tempering.build_potentials(fam, n),
-        initial=_continuous_init(cfg, fam),
-    )
+    kind, spec = _model(cfg.model)
+    if kind == "finite-tempered":
+        logw = spec["log_weights"]
+        schedule = build_schedule(spec["schedule"])
+        init = _finite_init_vector(cfg, logw, schedule.gamma_floor)
+        with _at("model"):
+            return finite.tempered_chain_model(
+                logw, schedule, n, move_prob=spec["move_prob"], init=init
+            )
+    fam = build_family(cfg.model)
+    q = build_increment(cfg.model, fam.target.dim)
+    with _at("model"):
+        kernels = rwm.rwm_kernel_family(fam, n, q)
+        potentials = tempering.build_potentials(fam, n)
+    return FKModel(horizon=n, kernels=kernels, potentials=potentials,
+                   initial=_continuous_init(cfg, fam))
 
 
 def build_drift(cfg):
-    spec = cfg.model
-    beta = spec.get("beta", 0.5)
-    if spec["kind"] == "gaussian":
-        return tempering.drift_function(build_family(spec), beta)
+    kind, spec = _model(cfg.model)
+    if kind == "gaussian":
+        return tempering.drift_function(build_family(cfg.model), spec["beta"])
     return build_drift_inputs(cfg)[0]
 
 
 def build_drift_inputs(cfg):
     """Certified (DriftSpec, (eps, nu)) pair for a finite tempered config."""
-    spec = cfg.model
-    if spec["kind"] != "finite-tempered":
+    kind, spec = _model(cfg.model)
+    if kind != "finite-tempered":
         raise ConfigError("model.kind", "drift inputs require a finite tempered model")
-    return finite.drift_inputs_for_chain(
-        np.asarray(spec["log_weights"], dtype=float),
-        gamma_floor=build_schedule(spec).gamma_floor,
-        move_prob=spec.get("move_prob", 0.5),
-        beta=spec.get("beta", 0.5),
-        lam=spec.get("lam", 0.6),
-    )
+    floor = build_schedule(spec["schedule"]).gamma_floor
+    with _at("model"):
+        return finite.drift_inputs_for_chain(
+            spec["log_weights"], gamma_floor=floor, move_prob=spec["move_prob"],
+            beta=spec["beta"], lam=spec["lam"],
+        )
 
 
 def build_f(cfg):
-    spec = dict(cfg.f or {"name": "coordinate"})
-    name = spec.get("name")
+    """The test function, vectorized over a batch of states.
+
+    A finite state counts as one coordinate, so ``coordinate`` with axis 0
+    is the state index itself.
+    """
+    name, spec = _read("f", cfg.f)
     if name == "coordinate":
-        axis = spec.get("axis", 0)
-        return lambda x: np.asarray(x, dtype=float)[..., axis]
+        kind, _ = _model(cfg.model)
+        dim = 1 if kind == "finite-tempered" else build_family(cfg.model).target.dim
+        axis = _int_at_least(spec["axis"], "f.axis", 0, dim)
+
+        def coordinate(x):
+            x = np.asarray(x, dtype=float)
+            return x.reshape(len(x), -1)[:, axis]
+
+        return coordinate
     if name == "indicator":
-        state = spec.get("state", 0)
+        state = _number(spec["state"], "f.state")
         return lambda x: (np.asarray(x) == state).astype(float)
-    if name == "constant":
-        value = float(spec.get("value", 1.0))
-        return lambda x: np.full(np.asarray(x).shape[:1], value)
-    raise ConfigError("f.name", f"unknown test function {name!r}")
+    value = float(_number(spec["value"], "f.value"))
+    return lambda x: np.full(np.asarray(x).shape[:1], value)
 
 
 def finite_f_vector(cfg, n_states):
@@ -299,79 +343,60 @@ def finite_f_vector(cfg, n_states):
 def reference_value(cfg):
     """Exact terminal-target value of f: oracle vector for finite models,
     analytic moments for Gaussian targets."""
-    spec = cfg.model
-    fspec = dict(cfg.f or {"name": "coordinate"})
-    if spec["kind"] == "finite-tempered":
-        logw = np.asarray(spec["log_weights"], dtype=float)
-        pi = finite.tempered_stationary(logw, 1.0)
-        return float(pi @ finite_f_vector(cfg, logw.size))
-    target = spec["target"]
-    if target["name"] != "gaussian":
+    kind, spec = _model(cfg.model)
+    if kind == "finite-tempered":
+        pi = finite.tempered_stationary(spec["log_weights"], 1.0)
+        return float(pi @ finite_f_vector(cfg, pi.size))
+    target, tparams = _read("model.target", spec["target"])
+    if target != "gaussian":
         raise ConfigError("f", "no analytic reference for this target")
-    if fspec.get("name") == "coordinate":
-        return float(np.atleast_1d(target.get("mean", [0.0]))[fspec.get("axis", 0)])
-    if fspec.get("name") == "constant":
-        return float(fspec.get("value", 1.0))
+    name, fparams = _read("f", cfg.f)
+    if name == "coordinate":
+        return float(np.ravel(tparams["mean"])[fparams["axis"]])
+    if name == "constant":
+        return float(fparams["value"])
     raise ConfigError("f.name", "no analytic reference for this test function")
 
 
-def _stability_checks(cfg_dict, warnings):
+def _stability_checks(alpha, p, s, floor, warnings):
     """Record the parameter trade-off checks; violations warn, never fail."""
-    model = cfg_dict.get("model")
-    checks = {}
-    if model is None:
-        return checks
-    alpha = cfg_dict.get("alpha", DEFAULTS["alpha"])
-    p = cfg_dict.get("p", DEFAULTS["p"])
-    s = cfg_dict.get("s", DEFAULTS["s"])
-    floor = (model.get("schedule") or {}).get("gamma_floor", DEFAULTS["gamma_floor"])
     t = (1.0 + s) / s
-    checks["alpha_t_p"] = alpha * t * p
-    checks["alpha_t_p_ok"] = alpha * t * p <= 1.0
-    floor_ratio = (1.0 + s) * p * (1.0 - floor) / floor
-    checks["floor_ratio"] = floor_ratio
-    checks["floor_ratio_ok"] = floor_ratio < 1.0
-    if not checks["alpha_t_p_ok"]:
-        warnings.append(
-            f"alpha*t*p = {alpha * t * p:.3g} > 1: outside the guaranteed-stability "
-            "parameter region"
-        )
-    if not checks["floor_ratio_ok"]:
-        warnings.append(
-            f"(1+s)*p*(1-gamma_floor)/gamma_floor = {floor_ratio:.3g} >= 1: outside "
-            "the guaranteed-stability parameter region"
-        )
-    return checks
+    alpha_t_p, floor_ratio = alpha * t * p, (1.0 + s) * p * (1.0 - floor) / floor
+    region = "outside the guaranteed-stability parameter region"
+    if alpha_t_p > 1.0:
+        warnings.append(f"alpha*t*p = {alpha_t_p:.3g} > 1: {region}")
+    if floor_ratio >= 1.0:
+        warnings.append(f"(1+s)*p*(1-gamma_floor)/gamma_floor = {floor_ratio:.3g} >= 1: {region}")
+    return {"alpha_t_p": alpha_t_p, "alpha_t_p_ok": alpha_t_p <= 1.0,
+            "floor_ratio": floor_ratio, "floor_ratio_ok": floor_ratio < 1.0}
 
 
 def parse_config(text):
     """Parse and validate a JSON config; raises ConfigError with a key path."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError("<json>", f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("<json>", "top level must be an object")
-    _check_keys(raw, _TOP_KEYS, "")
+    kind, top = _read("", raw)
+    seed = _int_at_least(top["seed"], "seed", 0)
 
-    kind = _get(raw, "experiment", "", required=True)
-    if kind not in KINDS:
-        raise ConfigError("experiment", f"unknown experiment {kind!r}; expected one of {KINDS}")
-    seed = _get(raw, "seed", "", required=True)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed", "must be an integer (wall-clock seeding is not allowed)")
+    grids = top["grids"]
+    if not isinstance(grids, dict):
+        raise ConfigError("grids", "must be an object")
+    _check_keys(grids, ("n", "N"), "grids")
+    parsed_grids = {
+        key: _nonempty_list(grids[key], f"grids.{key}", lambda x, at: _int_at_least(x, at, 1))
+        for key in ("n", "N") if key in grids
+    }
 
-    grids = dict(_get(raw, "grids", "", default={}))
-    _check_keys(grids, {"n", "N"}, "grids")
-    parsed_grids = {}
-    for key in ("n", "N"):
-        if key in grids:
-            parsed_grids[key] = _positive_int_list(grids[key], f"grids.{key}")
-
-    needs_model = kind != "counterexample"
-    model = _get(raw, "model", "", required=needs_model)
+    model, model_kind, schedule = top["model"], None, None
     if model is not None:
-        _validate_model(model)
+        model_kind, params = _model(model)
+        schedule = params["schedule"]
+    elif kind != "counterexample":
+        raise ConfigError("model", "missing required key")
 
     if kind in ("bias-decay", "n-scaling", "lemma1-audit", "run") and "n" not in parsed_grids:
         raise ConfigError("grids.n", "missing required key")
@@ -379,67 +404,55 @@ def parse_config(text):
         raise ConfigError("grids.N", "missing required key")
     if kind == "run" and len(parsed_grids["N"]) != 1:
         raise ConfigError("grids.N", "the run experiment takes exactly one particle count")
-    if kind in ("n-scaling", "lemma1-audit") and model["kind"] != "finite-tempered":
+    if kind in ("n-scaling", "lemma1-audit") and model_kind != "finite-tempered":
         raise ConfigError("model.kind", f"{kind} requires a finite tempered model")
-    if kind == "drift-check":
-        if model["kind"] != "gaussian":
-            raise ConfigError("model.kind", "drift-check requires a continuous model")
-        if not raw.get("radii"):
-            raise ConfigError("radii", "missing required key")
-    if kind == "counterexample":
-        for key in ("epsilon", "delta"):
-            if key not in raw:
-                raise ConfigError(key, "missing required key")
+    if kind == "drift-check" and model_kind != "gaussian":
+        raise ConfigError("model.kind", "drift-check requires a continuous model")
+    required = {"drift-check": ("radii",), "counterexample": ("epsilon", "delta")}
+    for key in required.get(kind, ()):
+        if top[key] is None:
+            raise ConfigError(key, "missing required key")
 
-    replicates = _int_at_least(_get(raw, "replicates", "", default=0), "replicates", 0)
+    replicates = _int_at_least(top["replicates"], "replicates", 0)
     if kind in ("n-scaling", "run") and replicates < 1:
         raise ConfigError("replicates", f"{kind} requires at least one replicate")
-
-    workers = _get(raw, "workers", "", default=None)
+    workers = top["workers"]
     if workers is not None:
         _int_at_least(workers, "workers", 1)
-    n_proposals = _int_at_least(_get(raw, "n_proposals", "", default=100_000), "n_proposals", 2)
-    gamma = _get(raw, "gamma", "", default=None)
+    n_proposals = _int_at_least(top["n_proposals"], "n_proposals", 2)
+    alpha, p, s = (_positive(top[key], key) for key in ("alpha", "p", "s"))
+    floor = build_schedule(schedule).gamma_floor
+    gamma = top["gamma"]
     if gamma is not None:
-        floor = build_schedule(model).gamma_floor if model else DEFAULTS["gamma_floor"]
-        if isinstance(gamma, bool) or not isinstance(gamma, (int, float)) or not (
-            floor <= gamma <= 1.0
-        ):
-            raise ConfigError("gamma", f"must be a number in [{floor}, 1]")
+        _number(gamma, "gamma", f" in [{floor}, 1]", lambda x: floor <= x <= 1.0)
+    if top["epsilon"] is not None:
+        _positive(top["epsilon"], "epsilon")
+    if top["delta"] is not None:
+        _number(top["delta"], "delta", " in [0, 1)", lambda x: 0 <= x < 1)
+    floor_frac = _number(top["degeneracy_floor"], "degeneracy_floor", " in [0, 1]",
+                         lambda x: 0 <= x <= 1)
+    radii = top["radii"]
+    if radii is not None:
+        radii = _nonempty_list(radii, "radii", _positive)
+    out_dir = f"out/{kind}" if top["out_dir"] is None else top["out_dir"]
+    if not isinstance(out_dir, str):
+        raise ConfigError("out_dir", "must be a string")
 
     warnings = []
-    checks = _stability_checks(raw, warnings)
+    checks = {} if model is None else _stability_checks(alpha, p, s, floor, warnings)
 
     cfg = ExperimentConfig(
-        experiment=kind,
-        seed=seed,
-        out_dir=_get(raw, "out_dir", "", default=f"out/{kind}"),
-        workers=workers,
-        replicates=replicates,
-        grids=parsed_grids,
-        alpha=float(_get(raw, "alpha", "", default=DEFAULTS["alpha"])),
-        p=float(_get(raw, "p", "", default=DEFAULTS["p"])),
-        s=float(_get(raw, "s", "", default=DEFAULTS["s"])),
-        model=model,
-        init=_get(raw, "init", "", default=None),
-        f=_get(raw, "f", "", default=None),
-        radii=tuple(raw["radii"]) if raw.get("radii") else None,
-        gamma=gamma,
-        epsilon=_get(raw, "epsilon", "", default=None),
-        delta=_get(raw, "delta", "", default=None),
-        n_proposals=n_proposals,
-        degeneracy_floor=float(_get(raw, "degeneracy_floor", "", default=0.01)),
-        warnings=tuple(warnings),
-        checks=checks,
+        experiment=kind, seed=seed, out_dir=out_dir, workers=workers, replicates=replicates,
+        grids=parsed_grids, alpha=float(alpha), p=float(p), s=float(s), model=model,
+        init=top["init"], f=top["f"], radii=radii, gamma=gamma, epsilon=top["epsilon"],
+        delta=top["delta"], n_proposals=n_proposals, degeneracy_floor=float(floor_frac),
+        warnings=tuple(warnings), checks=checks,
     )
-    # force resolution errors (bad names, mismatched dimensions) to parse time
-    try:
-        if cfg.model is not None:
-            build_model(cfg, n=2)
-            if cfg.f is not None:
-                build_f(cfg)
-    except ConfigError:
-        raise
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError("model", str(exc)) from exc
+    # build what the experiment resolves by name once, so bad names, keys and
+    # dimensions fail here and not in a worker
+    if model is not None:
+        build_model(cfg, n=2)
+        build_f(cfg)
+        if kind == "bias-decay":
+            reference_value(cfg)
     return cfg

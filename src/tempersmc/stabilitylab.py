@@ -290,9 +290,8 @@ def drift_check_experiment(cfg):
     q = build_increment(cfg.model, fam.target.dim)
     drift = build_drift(cfg)
     gamma = cfg.gamma if cfg.gamma is not None else fam.schedule.gamma_floor
-    radii = cfg.radii or (2.0, 4.0, 6.0)
     return rwm.drift_probe(
-        fam, gamma, q, drift, radii, n_proposals=cfg.n_proposals, seed=cfg.seed
+        fam, gamma, q, drift, cfg.radii, n_proposals=cfg.n_proposals, seed=cfg.seed
     )
 
 

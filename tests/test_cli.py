@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,8 +7,10 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tempersmc.cli import EXIT_OK, EXIT_PRECONDITION, dispatch, main
+from tempersmc import cli
+from tempersmc.cli import EXIT_OK, EXIT_PRECONDITION, dispatch, main, make_mapper
 from tempersmc.config import ConfigError, parse_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -27,9 +30,9 @@ SHIPPED = {
 }
 
 
-def _shipped(name, out_dir, **overrides):
+def _shipped(name, out, **overrides):
     raw = json.loads((CONFIGS / f"{name}.json").read_text())
-    raw.update(SHIPPED[name], out_dir=str(out_dir), **overrides)
+    raw.update({**SHIPPED[name], "out_dir": str(out), **overrides})
     return json.dumps(raw)
 
 
@@ -92,6 +95,23 @@ def test_dispatch_runs_without_scipy(tmp_path):
         ("workers", True),
         ("replicates", True),
         ("replicates", -1),
+        ("epsilon", "x"),
+        ("epsilon", True),
+        ("epsilon", 0),
+        ("delta", "x"),
+        ("delta", 1.0),
+        ("alpha", "x"),
+        ("alpha", math.inf),
+        ("p", -1.0),
+        ("s", 0),
+        ("degeneracy_floor", "x"),
+        ("degeneracy_floor", [1]),
+        ("degeneracy_floor", 1.5),
+        ("radii", 3),
+        ("radii", []),
+        ("out_dir", 5),
+        ("seed", -1),
+        ("grids", None),
     ],
 )
 def test_scalar_keys_validated_at_parse_time(key, value, tmp_path):
@@ -107,7 +127,188 @@ def test_scalar_keys_validated_at_parse_time(key, value, tmp_path):
 
 @pytest.mark.parametrize(
     "key, value", [("gamma", 0.7), ("gamma", 1), ("n_proposals", 2), ("workers", None),
-                   ("workers", 3), ("replicates", 0)]
+                   ("workers", 3), ("replicates", 0), ("epsilon", 1e-9), ("delta", 0),
+                   ("alpha", 2), ("degeneracy_floor", 0), ("degeneracy_floor", 1),
+                   ("radii", (0.5,))]
 )
 def test_scalar_keys_accept_boundary_values(key, value, tmp_path):
     assert getattr(parse_config(_shipped("drift_check", tmp_path, **{key: value})), key) == value
+
+
+# (shipped config, keys to the value, new value, path the error must carry)
+COMPONENT_CASES = [
+    ("bias_finite", ("init",), {"name": "dirac", "stat": 1}, "init.stat"),
+    ("bias_finite", ("f", "stat"), 1, "f.stat"),
+    ("bias_finite", ("f", "state"), "x", "f.state"),
+    ("bias_finite", ("f",), {"name": "coordinate", "axis": 1}, "f.axis"),
+    ("bias_finite", ("init", "state"), 1.5, "init.state"),
+    ("bias_finite", ("init", "state"), 2, "init.state"),
+    ("bias_finite", ("init",), {"name": "weights", "weights": [0.5, 0.6]}, "init.weights"),
+    ("bias_finite", ("init",), {"name": "weights", "weights": [1.0]}, "init.weights"),
+    ("bias_finite", ("init",), {"name": "weights"}, "init.weights"),
+    ("bias_finite", ("init",), {"name": "point"}, "init.name"),
+    ("bias_finite", ("model", "lam"), 1.0, "model.lam"),
+    ("bias_finite", ("model", "move_prob"), 0, "model"),
+    ("bias_finite", ("model", "log_weights"), [0.0], "model.log_weights"),
+    ("bias_finite", ("model", "log_weights"), [0.0, "x"], "model.log_weights"),
+    ("bias_finite", ("model", "log_weights"), [0.0, 1e300], "model.log_weights"),
+    ("bias_gaussian", ("init", "sigm"), 1.0, "init.sigm"),
+    ("bias_gaussian", ("init", "mean"), [1.0, 2.0], "init.mean"),
+    ("bias_gaussian", ("init", "sigma"), [1.0, 2.0], "init.sigma"),
+    ("bias_gaussian", ("init",), {"name": "point", "point": [1.0, 2.0]}, "init.point"),
+    ("bias_gaussian", ("init",), {"name": "dirac"}, "init.name"),
+    ("bias_gaussian", ("init",), [], "init"),
+    ("bias_gaussian", ("f", "axis"), 3, "f.axis"),
+    ("bias_gaussian", ("f", "axis"), -1, "f.axis"),
+    ("bias_gaussian", ("f",), {"name": "constant", "value": "x"}, "f.value"),
+    ("bias_gaussian", ("f",), {"name": "indicator"}, "f.name"),
+    ("bias_gaussian", ("model", "beta"), 2.0, "model.beta"),
+    ("bias_gaussian", ("model", "lam"), 0.5, "model.lam"),
+    ("bias_gaussian", ("model", "kind"), "x", "model.kind"),
+    ("bias_gaussian", ("model", "target", "name"), "x", "model.target.name"),
+    ("bias_gaussian", ("model", "target", "sigma"), [-1.0], "model.target"),
+    ("bias_gaussian", ("model", "target", "mean"), [], "model.target"),
+    ("bias_gaussian", ("model", "schedule", "gamma_floor"), 1.5, "model.schedule"),
+    ("bias_gaussian", ("model", "schedule", "floor"), 0.5, "model.schedule.floor"),
+    ("bias_gaussian", ("model", "increment", "scale"), "x", "model.increment"),
+    ("bias_gaussian", ("model", "increment", "name"), "x", "model.increment.name"),
+    ("drift_check", ("model", "schedule"), [], "model.schedule"),
+    ("drift_check", ("radii",), [2, -1], "radii[1]"),
+    ("drift_check", ("grids",), {"n": [2], "M": [3]}, "grids.M"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, keys, value, where", COMPONENT_CASES,
+    ids=[f"{name}:{'.'.join(keys)}={json.dumps(value)}"
+         for name, keys, value, _ in COMPONENT_CASES],
+)
+def test_component_keys_validated_at_parse_time(name, keys, value, where, tmp_path, capsys):
+    raw = json.loads(_shipped(name, tmp_path / "out"))
+    node = raw
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    text = json.dumps(raw)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.path == where
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["run", str(path)]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err.startswith(f"error: {where}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("content", [b"{\"experiment\": \"\xff\"}", b"[" * 100_000],
+                         ids=["not-utf8", "nested-too-deep"])
+def test_unreadable_config_exits_1(content, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    assert main(["validate", str(path)]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_flag_checked_like_the_key(workers, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(_shipped("counterexample", tmp_path / "out"))
+    assert main(["run", str(path), "--workers", workers]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err.startswith("error: workers: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_pool_capped_at_cpus_and_tasks(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert make_mapper(64)(abs, [-1, -2, -3, -4, -5]) == [1, 2, 3, 4, 5]
+    assert make_mapper(64)(abs, [-1, -2]) == [1, 2]
+    assert make_mapper(None)(abs, [-1, -2, -3, -4]) == [1, 2, 3, 4]
+    assert sizes == [3, 2, 3]
+
+
+@pytest.mark.parametrize("failing", ["render_summary", "write_csv"])
+def test_failed_write_leaves_previous_pair(failing, monkeypatch, tmp_path):
+    cfg = parse_config(_shipped("counterexample", tmp_path))
+    assert dispatch(cfg) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def broken(*args):
+        raise RuntimeError(f"{failing} failed")
+
+    monkeypatch.setattr(cli, failing, broken)
+    with pytest.raises(RuntimeError, match=failing):
+        dispatch(replace(cfg, epsilon=2.0))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_dispatch_maps_only_config_errors(monkeypatch, tmp_path):
+    cfg = parse_config(_shipped("counterexample", tmp_path / "out"))
+
+    def raising(exc):
+        def runner(cfg, mapper):
+            raise exc
+        return runner
+
+    monkeypatch.setitem(cli._RUNNERS, "counterexample", raising(ConfigError("f", "bad")))
+    assert dispatch(cfg) == EXIT_PRECONDITION
+    monkeypatch.setitem(cli._RUNNERS, "counterexample", raising(ValueError("a bug")))
+    with pytest.raises(ValueError, match="a bug"):
+        dispatch(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_any_one_mutation_parses_or_raises_config_error(data):
+    raw = json.loads((CONFIGS / f"{data.draw(st.sampled_from(sorted(SHIPPED)))}.json").read_text())
+    keys = data.draw(st.sampled_from(list(_paths(raw))))
+    parent, node = None, raw
+    for key in keys:
+        parent, node = node, node[key]
+    ops = ["replace"] + ["add"] * isinstance(node, dict) + ["drop"] * (parent is not None)
+    op = data.draw(st.sampled_from(ops))
+    if op == "add":
+        node[data.draw(st.text(max_size=12))] = data.draw(JSON_VALUES)
+    elif op == "drop":
+        del parent[keys[-1]]
+    elif parent is None:
+        raw = data.draw(JSON_VALUES)
+    else:
+        parent[keys[-1]] = data.draw(JSON_VALUES)
+    try:
+        parse_config(json.dumps(raw))
+    except ConfigError:
+        pass

@@ -81,7 +81,7 @@ def test_potential_index_range_errors():
         u_function(pf, FlowIndex(5, 0), 0.0)  # horizon mismatch
 
 
-def test_kernel_step_deterministic_given_stream():
+def test_sample_batch_deterministic_given_stream():
     mats = [np.array([[0.3, 0.7], [0.6, 0.4]])] * 2
     kf = matrix_kernel_family(mats)
     xs = np.array([0, 1, 0, 1, 1])
@@ -90,7 +90,7 @@ def test_kernel_step_deterministic_given_stream():
     np.testing.assert_array_equal(a, b)
 
 
-def test_kernel_step_frequencies_match_matrix_row():
+def test_sample_batch_frequencies_match_matrix_row():
     mats = [np.array([[0.15, 0.25, 0.6], [0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])]
     kf = matrix_kernel_family(mats)
     n_draws = 100_000
