@@ -9,15 +9,13 @@ error scaling, and uniform-in-horizon error.
 from .fk_core import (
     DriftSpec,
     FKModel,
-    FlowIndex,
     InitialDistribution,
     KernelFamily,
     PotentialFamily,
     normalized_log_potential,
     u_function,
 )
-from .oracle import DiscreteMeasure
-from .particles import Ensemble, EmpiricalMeasure, TotalDegeneracyError, run_sampler
+from .particles import Ensemble, TotalDegeneracyError, run_sampler
 from .streams import stream
 from .tempering import TemperedFamily, TemperingSchedule, LogTarget
 
@@ -26,15 +24,12 @@ __version__ = "0.1.0"
 __all__ = [
     "DriftSpec",
     "FKModel",
-    "FlowIndex",
     "InitialDistribution",
     "KernelFamily",
     "PotentialFamily",
     "normalized_log_potential",
     "u_function",
-    "DiscreteMeasure",
     "Ensemble",
-    "EmpiricalMeasure",
     "TotalDegeneracyError",
     "run_sampler",
     "stream",

@@ -188,7 +188,11 @@ def _run_drift_check(cfg, mapper):
 
 
 def _run_counterexample(cfg, mapper):
-    probe = stabilitylab.r2_counterexample(cfg.epsilon, cfg.delta)
+    try:
+        probe = stabilitylab.r2_counterexample(cfg.epsilon, cfg.delta)
+    except ValueError as exc:
+        # delta is range-checked at parse time, so only epsilon can be out of reach here
+        raise ConfigError("epsilon", str(exc)) from exc
     header = ["epsilon", "delta", "lhs", "rhs", "psi", "log_margin",
               "y1", "y2", "yprime1", "yprime2", "g_y", "g_yprime", "v_y", "v_yprime",
               "branch"]

@@ -435,8 +435,8 @@ def parse_config(text):
     if radii is not None:
         radii = _nonempty_list(radii, "radii", _positive)
     out_dir = f"out/{kind}" if top["out_dir"] is None else top["out_dir"]
-    if not isinstance(out_dir, str):
-        raise ConfigError("out_dir", "must be a string")
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError("out_dir", "must be a non-empty string")
 
     warnings = []
     checks = {} if model is None else _stability_checks(alpha, p, s, floor, warnings)

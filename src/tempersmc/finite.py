@@ -28,6 +28,14 @@ __all__ = [
 _ROW_TOL = 1e-12
 
 
+def _inverse_cdf(u, cum):
+    """Per uniform, the first index whose cumulative weight reaches it (clipped to the last).
+
+    ``cum`` is one cumulative weight vector or one row per uniform.
+    """
+    return np.minimum((u[:, None] > cum).sum(axis=1), cum.shape[-1] - 1)
+
+
 def finite_target(log_weights):
     """A log target over integer states, backed by a table lookup."""
     logw = np.asarray(log_weights, dtype=float)
@@ -75,8 +83,7 @@ def matrix_kernel_family(matrices):
 
     def sample_batch(k, xs, rng):
         u = rng.random(len(xs))
-        rows = cums[k - 1][np.asarray(xs, dtype=int)]
-        return np.minimum((u[:, None] > rows).sum(axis=1), m - 1)
+        return _inverse_cdf(u, cums[k - 1][np.asarray(xs, dtype=int)])
 
     return KernelFamily(horizon=n, sample_batch=sample_batch, matrix=lambda k: mats[k - 1])
 
@@ -88,8 +95,7 @@ def _initial_from_weights(weights):
     cum = np.cumsum(w)
 
     def sample(size, rng):
-        u = rng.random(size)
-        return np.minimum((u[:, None] > cum[None, :]).sum(axis=1), w.size - 1)
+        return _inverse_cdf(rng.random(size), cum)
 
     return InitialDistribution(sample=sample, weights=w)
 

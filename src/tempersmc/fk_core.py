@@ -3,9 +3,11 @@
 A model couples, for one fixed horizon ``n``, a family of Markov kernels
 ``M[k]`` (k = 1..n), a family of strictly positive weight functions
 ``G[k]`` (k = 0..n-1) bounded above by a known constant, and an initial
-distribution.  States are opaque: finite spaces use integer labels, vector
-spaces use float arrays with the leading axis indexing a batch of states.
-Kernels and potentials are always evaluated on such a batch.
+distribution.  A step index is a plain ``int`` k; the horizon lives on the
+model, and each function taking k checks it against its own range.  States
+are opaque: finite spaces use integer labels, vector spaces use float
+arrays with the leading axis indexing a batch of states.  Kernels and
+potentials are always evaluated on such a batch.
 
 All potential arithmetic is carried out in the log domain; the family's
 upper bound is supplied as a log constant by the model builder.
@@ -17,7 +19,6 @@ from typing import Callable, Optional
 import numpy as np
 
 __all__ = [
-    "FlowIndex",
     "PotentialFamily",
     "KernelFamily",
     "InitialDistribution",
@@ -26,32 +27,6 @@ __all__ = [
     "normalized_log_potential",
     "u_function",
 ]
-
-
-@dataclass(frozen=True)
-class FlowIndex:
-    """Position ``k`` within a flow of total length ``n``.
-
-    n = 0 denotes the empty flow (initial ensemble only).
-    """
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"horizon must be >= 0, got n={self.n}")
-        if not 0 <= self.k <= self.n:
-            raise ValueError(f"step k={self.k} outside [0, {self.n}]")
-
-
-def _as_index(idx, n):
-    """Accept a FlowIndex or a bare step integer for a model of horizon n."""
-    if isinstance(idx, FlowIndex):
-        if idx.n != n:
-            raise ValueError(f"index horizon {idx.n} does not match model horizon {n}")
-        return idx
-    return FlowIndex(n, int(idx))
 
 
 @dataclass(frozen=True)
@@ -153,15 +128,13 @@ class DriftSpec:
         return vec
 
 
-def normalized_log_potential(pf, idx, x):
+def normalized_log_potential(pf, k, x):
     """log of G[k](x) divided by its family upper bound; always <= 0."""
-    idx = _as_index(idx, pf.horizon)
-    if not 0 <= idx.k <= pf.horizon - 1:
-        raise ValueError(f"potential index k={idx.k} outside [0, {pf.horizon - 1}]")
-    return pf.log_g(idx.k, x) - pf.log_g_max
+    if not 0 <= k <= pf.horizon - 1:
+        raise ValueError(f"potential index k={k} outside [0, {pf.horizon - 1}]")
+    return pf.log_g(k, x) - pf.log_g_max
 
 
-def u_function(pf, idx, x):
+def u_function(pf, k, x):
     """Per-step energy ``-n * normalized_log_potential``; always >= 0."""
-    idx = _as_index(idx, pf.horizon)
-    return -pf.horizon * normalized_log_potential(pf, idx, x)
+    return -pf.horizon * normalized_log_potential(pf, k, x)

@@ -6,6 +6,10 @@ the future-mass-twisted kernels, the tilted drift/minorization data, and
 exact weighted-total-variation norms.  These values are the ground truth
 against which the particle sampler is tested.
 
+A step index is a plain ``int`` and a measure is a 1-d float array over
+the enumerated states.  Every probability vector a caller hands in is
+checked once, where it comes in; ``v_norm_distance`` takes signed arrays.
+
 Chained products are accumulated in extended precision and the flow is
 renormalized after every step, which keeps the algebraic identities tight
 to ~1e-14 over dozens of steps.
@@ -16,10 +20,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .fk_core import _as_index
-
 __all__ = [
-    "DiscreteMeasure",
     "TiltedDriftObjects",
     "NormConstReport",
     "q_matrix",
@@ -32,8 +33,6 @@ __all__ = [
     "tilted_drift_objects",
     "v_norm_distance",
     "norm_const_lower_bound_check",
-    "matrix_to_csv",
-    "matrix_from_csv",
 ]
 
 _SUM_TOL = 1e-12
@@ -41,41 +40,14 @@ _SUM_TOL = 1e-12
 _INEQ_SLACK = 1e-12
 
 
-class DiscreteMeasure:
-    """A weight vector over an enumerated finite space.
-
-    Probability form requires nonnegative entries summing to 1 within
-    1e-12; ``signed=True`` relaxes both (used for norm computations).
-    """
-
-    def __init__(self, weights, signed=False):
-        w = np.asarray(weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if not signed:
-            if np.any(w < 0):
-                raise ValueError("probability weights must be nonnegative")
-            if abs(w.sum() - 1.0) > _SUM_TOL:
-                raise ValueError(f"weights sum to {w.sum()!r}, not 1 within {_SUM_TOL}")
-        self.w = w
-        self.signed = signed
-
-    def __len__(self):
-        return self.w.size
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.w, dtype=dtype) if dtype else self.w.copy()
-
-    def __repr__(self):
-        kind = "signed " if self.signed else ""
-        return f"DiscreteMeasure({kind}{self.w!r})"
-
-
-def weights_of(m):
-    """Weight vector of a DiscreteMeasure or array-like."""
-    return np.asarray(getattr(m, "w", m), dtype=float)
+def _probability(w, name):
+    """``w`` as a float array after checking that it is a probability vector."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 1 or w.size == 0 or not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ValueError(f"{name} must be a non-empty 1-d vector of finite weights >= 0")
+    if abs(w.sum() - 1.0) > _SUM_TOL:
+        raise ValueError(f"{name} sums to {w.sum()!r}, not 1 within {_SUM_TOL}")
+    return w
 
 
 def _require_finite(model):
@@ -93,14 +65,13 @@ def _log_g_vector(model, k):
     )
 
 
-def q_matrix(model, idx):
+def q_matrix(model, k):
     """Weighted transition operator at step k: row x is G[k-1](x) * M[k](x, .)."""
     _require_finite(model)
-    idx = _as_index(idx, model.horizon)
-    if not 1 <= idx.k <= model.horizon:
-        raise ValueError(f"index k={idx.k} outside [1, {model.horizon}]")
-    g = np.exp(_log_g_vector(model, idx.k - 1))
-    return g[:, None] * _m_matrix(model, idx.k)
+    if not 1 <= k <= model.horizon:
+        raise ValueError(f"index k={k} outside [1, {model.horizon}]")
+    g = np.exp(_log_g_vector(model, k - 1))
+    return g[:, None] * _m_matrix(model, k)
 
 
 def _q_tilde_matrix(model, k):
@@ -122,7 +93,7 @@ def q_semigroup(model, k, l):
 
 def _propagate(model, w, k, l):
     """w^T Q[k+1] ... Q[l], renormalized each step; returns a unit-sum vector."""
-    v = np.asarray(weights_of(w), dtype=np.longdouble)
+    v = np.asarray(w, dtype=np.longdouble)
     for j in range(k + 1, l + 1):
         v = v @ q_matrix(model, j).astype(np.longdouble)
         tot = v.sum()
@@ -141,7 +112,7 @@ def eta_exact(model, k):
         raise ValueError("model has no exact initial weight vector")
     if not 0 <= k <= model.horizon:
         raise ValueError(f"step k={k} outside [0, {model.horizon}]")
-    return DiscreteMeasure(_propagate(model, model.initial.weights, 0, k))
+    return _propagate(model, model.initial.weights, 0, k)
 
 
 def flow_map(model, eta, k, l):
@@ -149,7 +120,7 @@ def flow_map(model, eta, k, l):
     _require_finite(model)
     if not 0 <= k <= l <= model.horizon:
         raise ValueError(f"need 0 <= k <= l <= n, got k={k}, l={l}")
-    return DiscreteMeasure(_propagate(model, eta, k, l))
+    return _propagate(model, _probability(eta, "eta"), k, l)
 
 
 def future_potential_mass(model):
@@ -175,13 +146,12 @@ def _s_kernel(model, k, h_k):
     return raw / raw.sum(axis=1, keepdims=True)
 
 
-def s_kernel_matrix(model, idx):
+def s_kernel_matrix(model, k):
     """Markov kernel at step k twisted by the future normalized weight mass."""
     _require_finite(model)
-    idx = _as_index(idx, model.horizon)
-    if not 1 <= idx.k <= model.horizon:
-        raise ValueError(f"index k={idx.k} outside [1, {model.horizon}]")
-    return _s_kernel(model, idx.k, future_potential_mass(model)[idx.k])
+    if not 1 <= k <= model.horizon:
+        raise ValueError(f"index k={k} outside [1, {model.horizon}]")
+    return _s_kernel(model, k, future_potential_mass(model)[k])
 
 
 def flow_map_via_s(model, eta, k):
@@ -195,7 +165,7 @@ def flow_map_via_s(model, eta, k):
     if not 0 <= k <= n:
         raise ValueError(f"step k={k} outside [0, {n}]")
     hs = future_potential_mass(model)
-    w = np.asarray(weights_of(eta), dtype=np.longdouble)
+    w = np.asarray(_probability(eta, "eta"), dtype=np.longdouble)
     w = w * hs[k].astype(np.longdouble)
     tot = w.sum()
     if tot <= 0:
@@ -204,7 +174,7 @@ def flow_map_via_s(model, eta, k):
     for j in range(k + 1, n + 1):
         w = w @ _s_kernel(model, j, hs[j]).astype(np.longdouble)
         w = w / w.sum()
-    return DiscreteMeasure(np.asarray(w, dtype=float))
+    return np.asarray(w, dtype=float)
 
 
 @dataclass
@@ -214,16 +184,14 @@ class TiltedDriftObjects:
     ``b_nk`` follows the printed indexing (offset divided by the step-(k-1)
     tilt mass); ``b_nk_proof`` divides by the step-k tilt mass, which is
     the constant the derivation actually produces.  The drift check is run
-    against both, and ``eps_prev`` is the step-(k-1) tilt coefficient used
-    by the printed form.
+    against both.  ``nu_nk`` is the tilted minorizing probability vector.
     """
 
     eps_nk: float
     b_nk: float
-    nu_nk: DiscreteMeasure
+    nu_nk: np.ndarray
     v_nk: np.ndarray
     v_prev: np.ndarray
-    eps_prev: float
     b_nk_proof: float
     minor_ok: np.ndarray
     drift_ok: np.ndarray
@@ -236,22 +204,31 @@ class TiltedDriftObjects:
         return self.a2_ok and bool(np.all(self.minor_ok) and np.all(self.drift_ok))
 
 
+def _small_set(drift, v):
+    """Mask of the sub-level set {V <= level_d}, with slack for float ties."""
+    return v <= drift.level_d * (1.0 + _INEQ_SLACK)
+
+
+def _raw_drift_excess(model, drift, v, k):
+    """Worst excess of M[k] V over lam V + b_d 1_C if it breaks the drift, else None."""
+    gap = (_m_matrix(model, k) @ v - (drift.lam * v + drift.b_d * _small_set(drift, v))).max()
+    return gap if gap > _INEQ_SLACK * max(1.0, drift.b_d) else None
+
+
 def _check_a2(model, drift, eps, nu_w):
     """Entrywise verification of the supplied drift and minorization inputs."""
-    m = model.n_states
-    v = drift.vector(m)
+    v = drift.vector(model.n_states)
     if np.any(v < 1.0 - _INEQ_SLACK):
         return ["drift function has entries below 1"]
-    c_mask = v <= drift.level_d * (1.0 + _INEQ_SLACK)
+    c_mask = _small_set(drift, v)
     failures = []
     for k in range(1, model.horizon + 1):
-        mk = _m_matrix(model, k)
-        minor = mk[c_mask] - eps * nu_w[None, :]
+        minor = _m_matrix(model, k)[c_mask] - eps * nu_w[None, :]
         if minor.size and minor.min() < -_INEQ_SLACK:
             failures.append(f"minorization fails for kernel k={k} (worst {minor.min():.3e})")
-        drift_gap = mk @ v - (drift.lam * v + drift.b_d * c_mask)
-        if drift_gap.max() > _INEQ_SLACK * max(1.0, drift.b_d):
-            failures.append(f"drift fails for kernel k={k} (worst +{drift_gap.max():.3e})")
+        excess = _raw_drift_excess(model, drift, v, k)
+        if excess is not None:
+            failures.append(f"drift fails for kernel k={k} (worst +{excess:.3e})")
     return failures
 
 
@@ -267,9 +244,9 @@ def tilted_drift_objects(model, drift, minorizer):
     _require_finite(model)
     n = model.horizon
     eps, nu = minorizer
-    nu_w = weights_of(nu)
+    nu_w = _probability(nu, "nu")
     v = drift.vector(model.n_states)
-    c_mask = v <= drift.level_d * (1.0 + _INEQ_SLACK)
+    c_mask = _small_set(drift, v)
 
     model_failures = _check_a2(model, drift, eps, nu_w)
     hs = future_potential_mass(model)
@@ -281,10 +258,9 @@ def tilted_drift_objects(model, drift, minorizer):
         a2_failures = list(model_failures)
         h_k = hs[k]
         eps_nk = eps * float(nu_w @ h_k)
-        eps_prev = eps * float(nu_w @ hs[k - 1])
-        nu_nk = DiscreteMeasure(nu_w * h_k / (nu_w @ h_k))
+        nu_nk = nu_w * h_k / (nu_w @ h_k)
         b_proof = drift.b_d / eps_nk
-        b_printed = drift.b_d / eps_prev
+        b_printed = drift.b_d / (eps * float(nu_w @ hs[k - 1]))
 
         v_nk = v_tilted[k]
         v_prev = v_tilted[k - 1]
@@ -292,7 +268,7 @@ def tilted_drift_objects(model, drift, minorizer):
             a2_failures.append("tilted drift function dips below 1 (model inconsistent)")
 
         s_k = _s_kernel(model, k, h_k)
-        minor_ok = (s_k[c_mask] - eps_nk * nu_nk.w[None, :]).min(axis=1) >= -_INEQ_SLACK
+        minor_ok = (s_k[c_mask] - eps_nk * nu_nk[None, :]).min(axis=1) >= -_INEQ_SLACK
         lhs = s_k @ v_nk
         scale = _INEQ_SLACK * np.maximum(1.0, np.abs(lhs))
         drift_ok = lhs <= drift.lam * v_prev + b_printed * c_mask + scale
@@ -305,7 +281,6 @@ def tilted_drift_objects(model, drift, minorizer):
                 nu_nk=nu_nk,
                 v_nk=v_nk,
                 v_prev=v_prev,
-                eps_prev=eps_prev,
                 b_nk_proof=b_proof,
                 minor_ok=minor_ok,
                 drift_ok=np.asarray(drift_ok),
@@ -329,7 +304,7 @@ def v_norm_distance(a, b, v, alpha=1.0):
     v = np.asarray(v, dtype=float)
     if np.any(v < 1.0):
         raise ValueError("weight function must be >= 1 everywhere")
-    diff = weights_of(a) - weights_of(b)
+    diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
     return float(np.sum(np.abs(diff) * v**alpha))
 
 
@@ -357,29 +332,16 @@ def norm_const_lower_bound_check(model, drift, mu, u_norm_sup=None):
     serves every model in the grid.
     """
     _require_finite(model)
-    n, m = model.horizon, model.n_states
-    mu_w = weights_of(mu)
-    v = drift.vector(m)
-    states = np.arange(m)
-
-    log_gt = np.stack(
-        [
-            np.asarray(model.potentials.log_g(k, states), dtype=float)
-            - model.potentials.log_g_max
-            for k in range(n)
-        ]
-    )
+    n = model.horizon
+    mu_w = _probability(mu, "mu")
+    v = drift.vector(model.n_states)
+    log_gt = np.stack([_log_g_vector(model, k) for k in range(n)]) - model.potentials.log_g_max
     a1_ok = bool(log_gt.max() <= _INEQ_SLACK)
     u = np.maximum(-n * log_gt, 0.0)
     u_norms = (u / v[None, :]).max(axis=1)
     sup_used = float(u_norms.max() if u_norm_sup is None else u_norm_sup)
 
-    c_mask = v <= drift.level_d * (1.0 + _INEQ_SLACK)
-    drift_ok = True
-    for k in range(1, n + 1):
-        gap = _m_matrix(model, k) @ v - (drift.lam * v + drift.b_d * c_mask)
-        if gap.max() > _INEQ_SLACK * max(1.0, drift.b_d):
-            drift_ok = False
+    drift_ok = all(_raw_drift_excess(model, drift, v, k) is None for k in range(1, n + 1))
 
     c_const = sup_used * (1.0 + drift.b_d / (1.0 - drift.lam))
     mu_v = float(mu_w @ v)
@@ -397,18 +359,3 @@ def norm_const_lower_bound_check(model, drift, mu, u_norm_sup=None):
         drift_ok=drift_ok,
         ok=bool(a1_ok and drift_ok and min_mass >= bound),
     )
-
-
-def matrix_to_csv(a):
-    """Row-major CSV text with 17 significant digits (round-trips float64)."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    return "\n".join(",".join(format(x, ".17g") for x in row) for row in a) + "\n"
-
-
-def matrix_from_csv(text):
-    rows = [
-        [float(tok) for tok in line.split(",")]
-        for line in text.strip().splitlines()
-        if line.strip()
-    ]
-    return np.asarray(rows, dtype=float)

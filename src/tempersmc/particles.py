@@ -1,5 +1,9 @@
 """Interacting particle system: init, reweight-resample-mutate steps, estimators.
 
+A particle population is its states array, the uniformly weighted
+empirical measure on those states; an ``Ensemble`` adds the step index k
+and the stream key, and the horizon is read from the model.
+
 The transition draws, for each new particle independently, an ancestor
 index proportional to the current weights and then mutates it through the
 next Markov kernel: the reweight and mutate are one fused mixture draw, and
@@ -20,11 +24,10 @@ from typing import List, Optional
 import numpy as np
 
 from . import streams
-from .fk_core import FlowIndex, normalized_log_potential
+from .fk_core import normalized_log_potential
 
 __all__ = [
     "Ensemble",
-    "EmpiricalMeasure",
     "StepSummary",
     "TotalDegeneracyError",
     "init_ensemble",
@@ -44,7 +47,7 @@ class Ensemble:
     """N particle states at one step of one replicate's flow."""
 
     states: np.ndarray
-    idx: FlowIndex
+    k: int
     seed: int
     replicate: int = 0
 
@@ -55,13 +58,6 @@ class Ensemble:
     @property
     def n_particles(self):
         return len(self.states)
-
-
-@dataclass
-class EmpiricalMeasure:
-    """Uniformly weighted empirical measure on the particle states."""
-
-    states: np.ndarray
 
 
 @dataclass
@@ -76,15 +72,13 @@ class StepSummary:
     eta_gtilde: float
 
 
-def init_ensemble(mu_sampler, n_particles, n, seed, replicate=0):
+def init_ensemble(mu_sampler, n_particles, seed, replicate=0):
     """Independent draws from the initial law; stream key uses step 0."""
-    if n_particles < 1:
-        raise ValueError("need at least one particle")
     rng = streams.stream(seed, replicate, 0)
     states = np.asarray(mu_sampler(n_particles, rng))
     if len(states) != n_particles:
         raise ValueError("initial sampler returned the wrong number of states")
-    return Ensemble(states=states, idx=FlowIndex(n, 0), seed=seed, replicate=replicate)
+    return Ensemble(states=states, k=0, seed=seed, replicate=replicate)
 
 
 def _log_weights(model, k, states):
@@ -97,8 +91,8 @@ def _log_weights(model, k, states):
 
 def smc_step(ens, model):
     """One transition: multinomial ancestor draw by weight, then mutation."""
-    k = ens.idx.k
-    if k >= ens.idx.n:
+    k = ens.k
+    if k >= model.horizon:
         raise ValueError(f"flow already at terminal step k={k}")
     lw = _log_weights(model, k, ens.states)
     w = np.exp(lw - lw.max())
@@ -111,7 +105,7 @@ def smc_step(ens, model):
     new_states = model.kernels.sample_batch(k + 1, ens.states[ancestors], rng)
     return Ensemble(
         states=np.asarray(new_states),
-        idx=FlowIndex(ens.idx.n, k + 1),
+        k=k + 1,
         seed=ens.seed,
         replicate=ens.replicate,
     )
@@ -128,9 +122,9 @@ def ess_from_log_weights(lw):
 
 
 def _summary(model, ens, drift):
-    k = ens.idx.k
+    k = ens.k
     eta_v = float(np.mean(drift.values(ens.states))) if drift is not None else math.nan
-    if k < ens.idx.n:
+    if k < model.horizon:
         lw = np.asarray(
             normalized_log_potential(model.potentials, k, ens.states), dtype=float
         )
@@ -153,8 +147,8 @@ def _summary(model, ens, drift):
 
 
 def run_sampler(model, n_particles, seed, replicate=0, drift=None, keep_summaries=True):
-    """Run the full flow; returns the terminal empirical measure and summaries."""
-    ens = init_ensemble(model.initial.sample, n_particles, model.horizon, seed, replicate)
+    """Run the full flow; returns the terminal particle states and summaries."""
+    ens = init_ensemble(model.initial.sample, n_particles, seed, replicate)
     summaries: Optional[List[StepSummary]] = [] if keep_summaries else None
     for _ in range(model.horizon):
         if summaries is not None:
@@ -162,12 +156,12 @@ def run_sampler(model, n_particles, seed, replicate=0, drift=None, keep_summarie
         ens = smc_step(ens, model)
     if summaries is not None:
         summaries.append(_summary(model, ens, drift))
-    return EmpiricalMeasure(states=ens.states), summaries
+    return ens.states, summaries
 
 
-def estimate(em, f):
-    """Plain average of f over the support; raises on non-finite values."""
-    vals = np.asarray(f(em.states), dtype=float)
+def estimate(states, f):
+    """Plain average of f over the particle states; raises on non-finite values."""
+    vals = np.asarray(f(states), dtype=float)
     bad = ~np.isfinite(vals)
     if np.any(bad):
         raise ValueError(f"test function non-finite at particle {int(np.flatnonzero(bad)[0])}")

@@ -15,6 +15,7 @@ reducer, so output is identical for any worker count.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -79,11 +80,18 @@ def _estimate_task(args):
     out = np.empty(len(rep_ids))
     for i, r in enumerate(rep_ids):
         try:
-            em, _ = run_sampler(model, n_particles, cell_seed, replicate=r, keep_summaries=False)
-            out[i] = estimate(em, f)
+            states, _ = run_sampler(model, n_particles, cell_seed, replicate=r,
+                                    keep_summaries=False)
+            out[i] = estimate(states, f)
         except TotalDegeneracyError:
             out[i] = np.nan
     return out
+
+
+def _exact_value(cfg, n):
+    """f under the exact terminal law of the horizon-n finite model."""
+    model = build_model(cfg, n)
+    return float(oracle.eta_exact(model, n) @ finite_f_vector(cfg, model.n_states))
 
 
 def _gather_cells(cfg, cells, mapper):
@@ -165,15 +173,11 @@ def bias_decay_experiment(cfg, mapper=None):
 
     exact_fit = None
     if cfg.model["kind"] == "finite-tempered":
-        cells = []
-        for n in ns:
-            model = build_model(cfg, n)
-            fvec = finite_f_vector(cfg, model.n_states)
-            eta = oracle.eta_exact(model, n)
-            cells.append(
-                BiasCell(n=n, bias=float(eta.w @ fvec) - ref, std_err=0.0,
-                         n_used=1, degenerate=0)
-            )
+        cells = [
+            BiasCell(n=n, bias=_exact_value(cfg, n) - ref, std_err=0.0, n_used=1,
+                     degenerate=0)
+            for n in ns
+        ]
         exact_fit = _fit_decay("exact", cells)
 
     particle_fit = None
@@ -230,14 +234,8 @@ def n_scaling_experiment(cfg, mapper=None):
     """
     mapper = mapper or _serial_map
     ns, n_list = cfg.grids["n"], cfg.grids["N"]
-    refs = {}
-    for n in ns:
-        if cfg.model["kind"] == "finite-tempered":
-            model = build_model(cfg, n)
-            fvec = finite_f_vector(cfg, model.n_states)
-            refs[n] = float(oracle.eta_exact(model, n).w @ fvec)
-        else:
-            refs[n] = reference_value(cfg)
+    finite = cfg.model["kind"] == "finite-tempered"
+    refs = {n: _exact_value(cfg, n) if finite else reference_value(cfg) for n in ns}
 
     cells_grid = [(n, N) for n in ns for N in n_list]
     estimates = _gather_cells(cfg, cells_grid, mapper)
@@ -421,17 +419,36 @@ class CounterexampleProbe:
         return self.log_margin > 0.0
 
 
+def _exp_or_inf(x):
+    """math.exp, reading inf where the value leaves the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _require_normal_square(x, epsilon):
+    if not sys.float_info.min <= x * x < math.inf:
+        raise ValueError(f"epsilon={epsilon!r} is too extreme: {x!r}**2 is not a normal float")
+
+
 def r2_counterexample(epsilon, delta):
     """Construct the violating two-point measure for given offset and delta.
 
     The working radius is chosen so that the pairwise ratio of the witness
     pair clears 3*delta/(2+delta); if rounding ever leaves the violation
-    non-strict the radius is grown until it is (branch = "searched").
+    non-strict the radius is grown until it is (branch = "searched").  The
+    witness is decided in the log domain; linear-scale values beyond the
+    float range read inf.  Raises ``ValueError`` when epsilon squared, or
+    the square of the largest distance used (radius plus epsilon), is not a
+    finite normal float, and when no radius resolves the violation in
+    float64 (the log-domain terms cancel for epsilon far from 1).
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must lie in [0, 1), got {delta}")
+    _require_normal_square(epsilon, epsilon)
     theta = 3.0 * delta / (2.0 + delta)
     r = max(2.0 * epsilon, epsilon + math.atanh(math.sqrt(theta)) / epsilon)
 
@@ -443,6 +460,7 @@ def r2_counterexample(epsilon, delta):
 
     branch = "direct"
     for _ in range(200):
+        _require_normal_square(r + epsilon, epsilon)
         y = (0.0, math.sqrt(r * r - epsilon * epsilon))
         y_mid = (-r, 0.0)
         lg, lgm = log_g(y), log_g(y_mid)
@@ -451,17 +469,18 @@ def r2_counterexample(epsilon, delta):
         log_eta_v = np.logaddexp(lv, lvm) - math.log(2.0)
         log_rhs = math.log1p(delta) + log_eta_v
         if log_lhs > log_rhs:
+            with np.errstate(over="ignore"):
+                lhs, rhs = float(np.exp(log_lhs)), float(np.exp(log_rhs))
             return CounterexampleProbe(
-                epsilon=epsilon, delta=delta, witness=(y, y_mid),
-                lhs=float(np.exp(log_lhs)), rhs=float(np.exp(log_rhs)),
+                epsilon=epsilon, delta=delta, witness=(y, y_mid), lhs=lhs, rhs=rhs,
                 psi_value=2.0 * epsilon, log_margin=float(log_lhs - log_rhs),
-                g_vals=(math.exp(lg), math.exp(lgm)),
-                v_vals=(math.exp(lv), math.exp(lvm)),
+                g_vals=(_exp_or_inf(lg), _exp_or_inf(lgm)),
+                v_vals=(_exp_or_inf(lv), _exp_or_inf(lvm)),
                 probe_point=y, branch=branch,
             )
         branch = "searched"
         r *= 1.25
-    raise RuntimeError("no strictly violating witness found; construction is inconsistent")
+    raise ValueError(f"epsilon={epsilon!r} is too extreme: no radius resolves a violation")
 
 
 @dataclass

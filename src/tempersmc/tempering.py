@@ -123,19 +123,16 @@ def piecewise_linear_schedule(gamma_floor, knots):
 class LogTarget:
     """Unnormalized log density with a known (or declared) supremum.
 
-    ``sup_is_declared`` marks targets whose supremum is a supplied bound
-    rather than an attained analytic value; downstream reports flag it as
-    unverified.  ``tempered_sampler(gamma, size, rng)``, when available,
-    draws exactly from the tempered law (used for references and exact
-    initialization).
+    ``sup_log_unnorm`` bounds ``log_unnorm`` above; it may be attained or
+    only a declared bound.  ``tempered_sampler(gamma, size, rng)``, when
+    available, draws exactly from the tempered law (used for references and
+    exact initialization).
     """
 
     dim: int
     log_unnorm: Callable
     sup_log_unnorm: float
-    gradient: Optional[Callable] = None
     tempered_sampler: Optional[Callable] = None
-    sup_is_declared: bool = False
     name: str = "custom"
 
 
@@ -152,10 +149,6 @@ def gaussian_target(mean=0.0, sigma=1.0):
         z = (x - mean) / sigma
         return -0.5 * np.sum(z * z, axis=-1)
 
-    def gradient(x):
-        x = np.asarray(x, dtype=float)
-        return -(x - mean) / sigma**2
-
     def tempered_sampler(gamma, size, rng):
         return mean + rng.standard_normal((size, d)) * (sigma / math.sqrt(gamma))
 
@@ -163,7 +156,6 @@ def gaussian_target(mean=0.0, sigma=1.0):
         dim=d,
         log_unnorm=log_unnorm,
         sup_log_unnorm=0.0,
-        gradient=gradient,
         tempered_sampler=tempered_sampler,
         name="gaussian",
     )
@@ -193,7 +185,6 @@ def gaussian_mixture_target(means, sigmas, weights):
         dim=d,
         log_unnorm=log_unnorm,
         sup_log_unnorm=float(np.log(weights.sum())),
-        sup_is_declared=True,
         name="gaussian-mixture",
     )
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -29,6 +30,30 @@ SHIPPED = {
     "scaling_uniform_n": {"replicates": 2, "grids": {"n": [3, 6], "N": [20]}},
 }
 
+# SHA-256 of each shrunk run (workers=1): its CSV, and its JSON without
+# `timestamp` and `config.out_dir`, re-serialized with sorted keys.  Recorded
+# on numpy 2.4.6 / x86_64.  A refactor must keep these; only a change that
+# declares in CHANGES.md that it alters the random draws or the law, and
+# proves by test that the law holds, may record them again (ROADMAP aim 2).
+GOLDEN = {
+    "bias_finite": ("767ad88dddad37a2ef88dc5e48b30bd4b2d5cf939bb254120a7f79ec0004ecc4",
+                    "44a6007fdb7f775844c86df7576a2c363d9f09c40d5644238876c65dd7c4d2cc"),
+    "bias_gaussian": ("92156fc43470156571e5b273121fd4567a34e7a847f2e1678d3f620ed3124c99",
+                      "7894fffdc1972a8389504be9baa80c023b1ba4ab2eb81f20986023cefe933d8d"),
+    "counterexample": ("b8f1cb79f347517451bac939b7f014e9c9eff5c5ec357aa6fa5a3d90edb90273",
+                       "8deb6912f616fdda6278bfb5148c17a46b50ca8b4918e60b1560d51f1bfb4bd5"),
+    "drift_check": ("972c3c5dc84fe14b8e71873fdeb4fba74b3c192bd709e8073b689f67740b193f",
+                    "11799c3ef98c4a78686597c1fa24f02b9beb465f84a42238f026278ad5c41999"),
+    "drift_monitor": ("b543fe2f9729ce88fe8bfa403f875bf9f86ed03c9217667959ac8e6b881f409f",
+                      "51c422f863fc904b1ae2e2a0f6781ec4493420fe9c0cdc826948bbb7b91050a3"),
+    "lemma1_audit": ("5634f9415799fb60cc1df47affd9ff3dcbfe358db3e7dbd4a481f0ca9908f22a",
+                     "77a034df3eaf50305c42a5f8c63849bcd0ada2fdd168cd6607f883d511739b27"),
+    "scaling_sqrt_n": ("298e3894599407b384fb99761961f377f29ca468f7c63639390597960721c9af",
+                       "02c89c2a93ed364a6527db69bc13e542f808a3f6bb70b9d67f9c06bafe7360fa"),
+    "scaling_uniform_n": ("5b8f0a25f5ee194c30098de940d7c2642d6f891154ed66c05c30246006a1a93e",
+                          "9e733b8b9f767439f114303e7bcd25fc40730a26351307d4eddbb49a3e3dd8b5"),
+}
+
 
 def _shipped(name, out, **overrides):
     raw = json.loads((CONFIGS / f"{name}.json").read_text())
@@ -37,7 +62,7 @@ def _shipped(name, out, **overrides):
 
 
 def test_shipped_config_table_is_complete():
-    assert sorted(p.stem for p in CONFIGS.glob("*.json")) == sorted(SHIPPED)
+    assert sorted(p.stem for p in CONFIGS.glob("*.json")) == sorted(SHIPPED) == sorted(GOLDEN)
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED))
@@ -45,9 +70,13 @@ def test_shipped_config_runs_shrunk(name, tmp_path):
     parse_config((CONFIGS / f"{name}.json").read_text())
     cfg = parse_config(_shipped(name, tmp_path, workers=1))
     assert dispatch(cfg) == EXIT_OK
-    assert (tmp_path / f"{cfg.experiment}.csv").is_file()
+    csv = (tmp_path / f"{cfg.experiment}.csv").read_bytes()
     doc = json.loads((tmp_path / f"{cfg.experiment}.json").read_text())
     assert doc["exit_code"] == EXIT_OK
+    del doc["timestamp"], doc["config"]["out_dir"]
+    summary = json.dumps(doc, sort_keys=True).encode()
+    digests = tuple(hashlib.sha256(data).hexdigest() for data in (csv, summary))
+    assert digests == GOLDEN[name]
 
 
 def test_csv_identical_for_any_worker_count(tmp_path):
@@ -110,6 +139,7 @@ def test_dispatch_runs_without_scipy(tmp_path):
         ("radii", 3),
         ("radii", []),
         ("out_dir", 5),
+        ("out_dir", ""),
         ("seed", -1),
         ("grids", None),
     ],
@@ -198,6 +228,49 @@ def test_component_keys_validated_at_parse_time(name, keys, value, where, tmp_pa
     assert main(["run", str(path)]) == EXIT_PRECONDITION
     assert capsys.readouterr().err.startswith(f"error: {where}: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "name, code", [("lemma1_audit", EXIT_PRECONDITION), ("scaling_sqrt_n", EXIT_OK)]
+)
+def test_zero_entry_kernels(name, code, tmp_path, capsys):
+    # move_prob 1 empties the lighter state's diagonal: the audit cannot
+    # minorize on the whole space, the particle path runs as usual
+    raw = json.loads(_shipped(name, tmp_path / "out", workers=1))
+    raw["model"]["move_prob"] = 1.0
+    cfg = parse_config(json.dumps(raw))
+    assert dispatch(cfg) == code
+    if code == EXIT_OK:
+        assert (tmp_path / "out" / f"{cfg.experiment}.csv").is_file()
+    else:
+        assert capsys.readouterr().err.startswith(
+            "error: model: chain kernels have zero entries")
+        assert not (tmp_path / "out").exists()
+
+
+def test_one_step_and_one_particle_run(tmp_path):
+    cfg = parse_config(_shipped("scaling_sqrt_n", tmp_path, workers=1, replicates=2,
+                                grids={"n": [1], "N": [1, 2]}))
+    assert dispatch(cfg) == EXIT_OK
+    assert len((tmp_path / "n-scaling.csv").read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("epsilon", [1e200, 1e-300])
+def test_counterexample_out_of_float_range_is_a_config_error(epsilon, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(_shipped("counterexample", tmp_path / "out", epsilon=epsilon, delta=0.0))
+    assert main(["run", str(path)]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err.startswith("error: epsilon: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_counterexample_overflow_written_as_inf(tmp_path):
+    cfg = parse_config(_shipped("counterexample", tmp_path, epsilon=30.0, delta=0.5))
+    assert dispatch(cfg) == EXIT_OK
+    header, row = (tmp_path / "counterexample.csv").read_text().splitlines()
+    values = dict(zip(header.split(","), row.split(",")))
+    assert values["lhs"] == values["v_y"] == "inf"
+    assert float(values["log_margin"]) > 0
 
 
 @pytest.mark.parametrize("content", [b"{\"experiment\": \"\xff\"}", b"[" * 100_000],

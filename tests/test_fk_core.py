@@ -3,25 +3,8 @@ import pytest
 import scipy.stats
 
 from tempersmc import streams
-from tempersmc.fk_core import (
-    FlowIndex,
-    PotentialFamily,
-    normalized_log_potential,
-    u_function,
-)
+from tempersmc.fk_core import PotentialFamily, normalized_log_potential, u_function
 from tempersmc.finite import matrix_kernel_family
-
-
-def test_flow_index_bounds():
-    FlowIndex(3, 0)
-    FlowIndex(3, 3)
-    FlowIndex(0, 0)
-    with pytest.raises(ValueError):
-        FlowIndex(3, 4)
-    with pytest.raises(ValueError):
-        FlowIndex(3, -1)
-    with pytest.raises(ValueError):
-        FlowIndex(-1, 0)
 
 
 def _constant_family(n, c):
@@ -33,7 +16,7 @@ def _constant_family(n, c):
 def test_normalized_log_potential_constant():
     pf = _constant_family(4, 2.5)
     for k in range(4):
-        assert normalized_log_potential(pf, FlowIndex(4, k), 0.7) == pytest.approx(0.0)
+        assert normalized_log_potential(pf, k, 0.7) == pytest.approx(0.0)
 
 
 def test_normalized_log_potential_gaussian_increment():
@@ -45,8 +28,8 @@ def test_normalized_log_potential_gaussian_increment():
         return (gamma((k + 1) / n) - gamma(k / n)) * (-np.asarray(x, dtype=float) ** 2 / 2.0)
 
     pf = PotentialFamily(horizon=n, log_g=log_g, log_g_max=0.0)
-    assert normalized_log_potential(pf, FlowIndex(n, 0), 2.0) == pytest.approx(-0.2)
-    assert u_function(pf, FlowIndex(n, 0), 2.0) == pytest.approx(2.0)
+    assert normalized_log_potential(pf, 0, 2.0) == pytest.approx(-0.2)
+    assert u_function(pf, 0, 2.0) == pytest.approx(2.0)
 
 
 def test_potential_table_cross_check():
@@ -54,7 +37,7 @@ def test_potential_table_cross_check():
     table = np.array([[0.1, -0.3], [-0.2, 0.4], [0.0, -0.1]])
     pf = PotentialFamily(horizon=3, log_g=lambda k, x: table[k][np.asarray(x, dtype=int)],
                          log_g_max=0.4)
-    got = normalized_log_potential(pf, FlowIndex(3, 1), 0)
+    got = normalized_log_potential(pf, 1, 0)
     assert got == pytest.approx(table[1, 0] - 0.4, abs=1e-15)
 
 
@@ -65,10 +48,10 @@ def test_u_function_matches_definition():
                          log_g_max=float(table.max()))
     xs = np.arange(4)
     for k in range(6):
-        nlp = normalized_log_potential(pf, FlowIndex(6, k), xs)
+        nlp = normalized_log_potential(pf, k, xs)
         assert np.all(nlp <= 1e-15)
         assert np.all(np.exp(nlp) > 0)
-        u = u_function(pf, FlowIndex(6, k), xs)
+        u = u_function(pf, k, xs)
         assert np.all(u >= -1e-12)
         np.testing.assert_allclose(u, -6 * nlp, rtol=0, atol=1e-12)
 
@@ -76,9 +59,9 @@ def test_u_function_matches_definition():
 def test_potential_index_range_errors():
     pf = _constant_family(4, 1.0)
     with pytest.raises(ValueError):
-        normalized_log_potential(pf, FlowIndex(4, 4), 0.0)
+        normalized_log_potential(pf, 4, 0.0)
     with pytest.raises(ValueError):
-        u_function(pf, FlowIndex(5, 0), 0.0)  # horizon mismatch
+        u_function(pf, -1, 0.0)
 
 
 def test_sample_batch_deterministic_given_stream():

@@ -6,13 +6,10 @@ import pytest
 from tempersmc import oracle
 from tempersmc.finite import random_finite_model, table_model, two_state_fixture
 from tempersmc.oracle import (
-    DiscreteMeasure,
     eta_exact,
     flow_map,
     flow_map_via_s,
     future_potential_mass,
-    matrix_from_csv,
-    matrix_to_csv,
     norm_const_lower_bound_check,
     q_matrix,
     q_semigroup,
@@ -42,14 +39,23 @@ def flat_model(n=4, m=3):
 
 # ---------------------------------------------------------------- measures
 
-def test_discrete_measure_validation():
-    DiscreteMeasure([0.5, 0.5])
-    with pytest.raises(ValueError):
-        DiscreteMeasure([0.5, 0.6])
-    with pytest.raises(ValueError):
-        DiscreteMeasure([-0.1, 1.1])
-    signed = DiscreteMeasure([-0.2, 0.5], signed=True)
-    assert signed.signed
+@pytest.mark.parametrize(
+    "bad",
+    [[5.0, 5.0], [2.0, 2.0], [0.5, 0.6], [-0.1, 1.1], [np.nan, 1.0], [np.inf, 0.0], [],
+     [[0.5, 0.5]], 1.0],
+)
+def test_measure_inputs_must_be_probability_vectors(bad):
+    model = two_state_model()
+    drift = DriftSpec(v=np.ones(2), lam=0.5, level_d=1.0, b_d=1.0)
+    calls = [
+        ("eta", lambda: flow_map(model, bad, 0, 2)),
+        ("eta", lambda: flow_map_via_s(model, bad, 0)),
+        ("nu", lambda: tilted_drift_objects(model, drift, (0.1, bad))),
+        ("mu", lambda: norm_const_lower_bound_check(model, drift, mu=bad)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"^{name} "):
+            call()
 
 
 # ---------------------------------------------------------------- q matrices
@@ -105,14 +111,14 @@ def test_q_semigroup_law_random_models():
 
 def test_eta_exact_step_zero_is_mu():
     model = two_state_model()
-    np.testing.assert_array_equal(eta_exact(model, 0).w, model.initial.weights)
+    np.testing.assert_array_equal(eta_exact(model, 0), model.initial.weights)
 
 
 def test_eta_exact_unit_potential_is_kernel_propagation():
     model = flat_model(n=3, m=3)
     mu = model.initial.weights
     expected = mu @ model.kernels.matrix(1) @ model.kernels.matrix(2)
-    np.testing.assert_allclose(eta_exact(model, 2).w, expected, atol=1e-14)
+    np.testing.assert_allclose(eta_exact(model, 2), expected, atol=1e-14)
 
 
 def test_eta_exact_matches_path_enumeration():
@@ -128,16 +134,16 @@ def test_eta_exact_matches_path_enumeration():
         for j in range(k):
             weight *= g[j][path[j]] * mats[j][path[j], path[j + 1]]
         raw[path[-1]] += weight
-    np.testing.assert_allclose(eta_exact(model, k).w, raw / raw.sum(), atol=1e-14)
+    np.testing.assert_allclose(eta_exact(model, k), raw / raw.sum(), atol=1e-14)
 
 
 def test_flow_map_identity_and_composition():
     rng = np.random.default_rng(5)
     model = random_finite_model(rng, m=5, n=10)
-    eta = DiscreteMeasure(rng.dirichlet(np.ones(5)))
-    np.testing.assert_array_equal(flow_map(model, eta, 4, 4).w, eta.w)
+    eta = rng.dirichlet(np.ones(5))
+    np.testing.assert_array_equal(flow_map(model, eta, 4, 4), eta)
     via_j = flow_map(model, flow_map(model, eta, 1, 6), 6, 10)
-    np.testing.assert_allclose(via_j.w, flow_map(model, eta, 1, 10).w, atol=1e-12)
+    np.testing.assert_allclose(via_j, flow_map(model, eta, 1, 10), atol=1e-12)
 
 
 def test_flow_consistency():
@@ -146,7 +152,7 @@ def test_flow_consistency():
     for k in range(10):
         for l in range(k, 10):
             got = flow_map(model, eta_exact(model, k), k, l)
-            np.testing.assert_allclose(got.w, eta_exact(model, l).w, atol=1e-12)
+            np.testing.assert_allclose(got, eta_exact(model, l), atol=1e-12)
 
 
 # ---------------------------------------------------------------- S kernels
@@ -182,22 +188,22 @@ def test_s_kernel_rows_sum_to_one():
 
 def test_flow_via_s_trivial_cases():
     model = two_state_model(n=3)
-    eta = DiscreteMeasure([0.3, 0.7])
-    np.testing.assert_allclose(flow_map_via_s(model, eta, 3).w, eta.w, atol=1e-15)
+    eta = np.array([0.3, 0.7])
+    np.testing.assert_allclose(flow_map_via_s(model, eta, 3), eta, atol=1e-15)
     flat = flat_model(n=3, m=3)
-    eta3 = DiscreteMeasure([0.2, 0.5, 0.3])
+    eta3 = np.array([0.2, 0.5, 0.3])
     expected = flow_map(flat, eta3, 0, 3)
-    np.testing.assert_allclose(flow_map_via_s(flat, eta3, 0).w, expected.w, atol=1e-12)
+    np.testing.assert_allclose(flow_map_via_s(flat, eta3, 0), expected, atol=1e-12)
 
 
 def test_dual_route_identity_random_models():
     rng = np.random.default_rng(13)
     for _ in range(100):
         model = random_finite_model(rng, m=5, n=6)
-        eta = DiscreteMeasure(rng.dirichlet(np.ones(5)))
+        eta = rng.dirichlet(np.ones(5))
         k = int(rng.integers(0, 7))
-        a = flow_map_via_s(model, eta, k).w
-        b = flow_map(model, eta, k, 6).w
+        a = flow_map_via_s(model, eta, k)
+        b = flow_map(model, eta, k, 6)
         np.testing.assert_allclose(a, b, atol=1e-10)
 
 
@@ -241,7 +247,7 @@ def test_tilted_drift_hand_computation():
     assert td.eps_nk == pytest.approx(eps * float(nu @ h2), rel=1e-13)
     assert td.b_nk_proof == pytest.approx(b / td.eps_nk, rel=1e-13)
     expected_nu = nu * h2 / (nu @ h2)
-    np.testing.assert_allclose(td.nu_nk.w, expected_nu, atol=1e-14)
+    np.testing.assert_allclose(td.nu_nk, expected_nu, atol=1e-14)
     assert td.passed
 
 
@@ -268,8 +274,8 @@ def test_tilted_drift_reports_broken_inputs():
 # ---------------------------------------------------------------- v-norm
 
 def test_v_norm_basic():
-    a = DiscreteMeasure([0.2, 0.8])
-    b = DiscreteMeasure([0.5, 0.5])
+    a = np.array([0.2, 0.8])
+    b = np.array([0.5, 0.5])
     assert v_norm_distance(a, a, np.ones(2)) == 0.0
     assert v_norm_distance(a, b, np.ones(2)) == pytest.approx(0.6)
     with pytest.raises(ValueError):
@@ -328,18 +334,3 @@ def test_norm_const_fixture_grid():
         assert rep.a1_ok and rep.drift_ok
         assert rep.min_mass >= rep.bound
 
-
-# ---------------------------------------------------------------- serialization
-
-def test_matrix_csv_round_trip():
-    rng = np.random.default_rng(31)
-    a = rng.standard_normal((4, 3)) * 10.0**rng.integers(-8, 8, size=(4, 3))
-    again = matrix_from_csv(matrix_to_csv(a))
-    np.testing.assert_array_equal(a, again)
-
-
-def test_matrix_csv_golden_two_state():
-    model = two_state_model()
-    text = matrix_to_csv(q_matrix(model, 1))
-    with open(__file__.replace("test_oracle.py", "data/q_two_state.csv")) as fh:
-        assert text == fh.read()

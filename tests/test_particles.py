@@ -18,7 +18,6 @@ from tempersmc.finite import (
     two_state_fixture,
 )
 from tempersmc.particles import (
-    EmpiricalMeasure,
     TotalDegeneracyError,
     estimate,
     ess_from_log_weights,
@@ -58,24 +57,24 @@ def gaussian_model(n, init_mean=0.0, floor=0.7):
 # ------------------------------------------------------------- initialization
 
 def test_init_dirac_all_equal():
-    ens = init_ensemble(lambda size, rng: np.full(size, 7), 100, 3, seed=1)
+    ens = init_ensemble(lambda size, rng: np.full(size, 7), 100, seed=1)
     assert np.all(ens.states == 7)
-    assert ens.idx.k == 0 and ens.idx.n == 3
+    assert ens.k == 0
 
 
 def test_init_bit_reproducible():
     sampler = lambda size, rng: rng.standard_normal((size, 2))
-    a = init_ensemble(sampler, 64, 5, seed=42, replicate=3)
-    b = init_ensemble(sampler, 64, 5, seed=42, replicate=3)
+    a = init_ensemble(sampler, 64, seed=42, replicate=3)
+    b = init_ensemble(sampler, 64, seed=42, replicate=3)
     np.testing.assert_array_equal(a.states, b.states)
-    c = init_ensemble(sampler, 64, 5, seed=42, replicate=4)
+    c = init_ensemble(sampler, 64, seed=42, replicate=4)
     assert not np.array_equal(a.states, c.states)
 
 
 def test_init_finite_frequencies():
     model = two_state_model()
     n_particles = 100_000
-    ens = init_ensemble(model.initial.sample, n_particles, 3, seed=9)
+    ens = init_ensemble(model.initial.sample, n_particles, seed=9)
     counts = np.bincount(ens.states, minlength=2)
     for j, p in enumerate(model.initial.weights):
         sd = math.sqrt(n_particles * p * (1 - p))
@@ -93,7 +92,7 @@ def test_flat_weights_resample_uniformly():
     pattern = np.array([0, 0, 1, 2, 2, 2], dtype=int)
     n_copies = 20_000
     ens = init_ensemble(lambda size, rng: np.tile(pattern, size // pattern.size),
-                        pattern.size * n_copies, n, seed=5)
+                        pattern.size * n_copies, seed=5)
     stepped = smc_step(ens, model)
     freq = np.bincount(pattern, minlength=m) / pattern.size
     expected = freq @ mats[0]
@@ -104,10 +103,10 @@ def test_flat_weights_resample_uniformly():
 
 def test_single_particle_always_mutates():
     model = two_state_model()
-    ens = init_ensemble(lambda size, rng: np.ones(size, dtype=int), 1, 3, seed=2)
+    ens = init_ensemble(lambda size, rng: np.ones(size, dtype=int), 1, seed=2)
     stepped = smc_step(ens, model)
     assert stepped.n_particles == 1
-    assert stepped.idx.k == 1
+    assert stepped.k == 1
 
 
 def test_one_step_law_matches_exact_mixture():
@@ -117,10 +116,10 @@ def test_one_step_law_matches_exact_mixture():
     pattern = np.array([0, 0, 0, 1, 1], dtype=int)
     n_copies = 20_000
     ens = init_ensemble(lambda size, rng: np.tile(pattern, size // pattern.size),
-                        pattern.size * n_copies, 3, seed=31)
+                        pattern.size * n_copies, seed=31)
     stepped = smc_step(ens, model)
     eta_pattern = np.bincount(pattern, minlength=2) / pattern.size
-    expected = oracle.flow_map(model, eta_pattern, 0, 1).w
+    expected = oracle.flow_map(model, eta_pattern, 0, 1)
     counts = np.bincount(stepped.states, minlength=2)
     _, pval = scipy.stats.chisquare(counts, expected * stepped.n_particles)
     assert pval > 1e-4
@@ -133,14 +132,14 @@ def test_total_degeneracy_raises():
     kf = KernelFamily(horizon=n, sample_batch=lambda k, xs, rng: xs)
     model = FKModel(horizon=n, kernels=kf, potentials=pf,
                     initial=InitialDistribution(sample=lambda size, rng: np.zeros(size, dtype=int)))
-    ens = init_ensemble(model.initial.sample, 16, n, seed=1)
+    ens = init_ensemble(model.initial.sample, 16, seed=1)
     with pytest.raises(TotalDegeneracyError):
         smc_step(ens, model)
 
 
 def test_step_past_terminal_rejected():
     model = two_state_model(n=1)
-    ens = init_ensemble(model.initial.sample, 8, 1, seed=1)
+    ens = init_ensemble(model.initial.sample, 8, seed=1)
     stepped = smc_step(ens, model)
     with pytest.raises(ValueError):
         smc_step(stepped, model)
@@ -154,19 +153,19 @@ def test_horizon_zero_returns_initial_ensemble():
     kf = KernelFamily(horizon=0, sample_batch=lambda k, xs, rng: xs)
     model = FKModel(horizon=0, kernels=kf, potentials=pf,
                     initial=InitialDistribution(sample=lambda size, rng: np.arange(size) % m))
-    em, summaries = run_sampler(model, 10, seed=3)
-    np.testing.assert_array_equal(em.states, np.arange(10) % m)
+    states, summaries = run_sampler(model, 10, seed=3)
+    np.testing.assert_array_equal(states, np.arange(10) % m)
     assert len(summaries) == 1 and math.isnan(summaries[0].ess)
 
 
 def test_terminal_mean_matches_oracle_over_replicates():
     model = two_state_fixture(6)
     f = lambda s: (np.asarray(s) == 1).astype(float)
-    exact = float(oracle.eta_exact(model, 6).w @ np.array([0.0, 1.0]))
+    exact = float(oracle.eta_exact(model, 6) @ np.array([0.0, 1.0]))
     vals = []
     for r in range(200):
-        em, _ = run_sampler(model, 400, seed=17, replicate=r, keep_summaries=False)
-        vals.append(estimate(em, f))
+        states, _ = run_sampler(model, 400, seed=17, replicate=r, keep_summaries=False)
+        vals.append(estimate(states, f))
     vals = np.asarray(vals)
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - exact) < 4 * se
@@ -176,8 +175,8 @@ def test_gaussian_symmetry_of_terminal_mean():
     model, _ = gaussian_model(8, init_mean=0.0)
     vals = []
     for r in range(60):
-        em, _ = run_sampler(model, 500, seed=23, replicate=r, keep_summaries=False)
-        vals.append(estimate(em, lambda x: np.asarray(x)[:, 0]))
+        states, _ = run_sampler(model, 500, seed=23, replicate=r, keep_summaries=False)
+        vals.append(estimate(states, lambda x: np.asarray(x)[:, 0]))
     vals = np.asarray(vals)
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean()) < 4 * se
@@ -208,20 +207,20 @@ def test_ess_formula():
 # ------------------------------------------------------------- estimators
 
 def test_estimate_basics():
-    em = EmpiricalMeasure(states=np.full(10, 3, dtype=int))
-    assert estimate(em, lambda s: np.ones(len(s))) == 1.0
-    assert estimate(em, lambda s: np.asarray(s, dtype=float)) == 3.0
+    states = np.full(10, 3, dtype=int)
+    assert estimate(states, lambda s: np.ones(len(s))) == 1.0
+    assert estimate(states, lambda s: np.asarray(s, dtype=float)) == 3.0
     with pytest.raises(ValueError, match="particle 0"):
-        estimate(em, lambda s: np.full(len(s), np.nan))
+        estimate(states, lambda s: np.full(len(s), np.nan))
 
 
 def test_exchangeability_of_particle_indices():
     model = two_state_fixture(3)
     picks = {0: [], 3: []}
     for r in range(400):
-        em, _ = run_sampler(model, 8, seed=41, replicate=r, keep_summaries=False)
-        picks[0].append(int(em.states[0]))
-        picks[3].append(int(em.states[3]))
+        states, _ = run_sampler(model, 8, seed=41, replicate=r, keep_summaries=False)
+        picks[0].append(int(states[0]))
+        picks[3].append(int(states[3]))
     table = np.stack([np.bincount(picks[0], minlength=2), np.bincount(picks[3], minlength=2)])
     _, pval, _, _ = scipy.stats.chi2_contingency(table)
     assert pval > 1e-3

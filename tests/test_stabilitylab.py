@@ -169,10 +169,23 @@ def test_counterexample_strict_violation(delta):
 
 
 def test_counterexample_range_errors():
-    with pytest.raises(ValueError):
-        r2_counterexample(0.0, 0.5)
-    with pytest.raises(ValueError):
-        r2_counterexample(1.0, 1.0)
+    # the last three: epsilon squared leaves the normal float range
+    for epsilon, delta in [(0.0, 0.5), (1.0, 1.0), (1e200, 0.5), (1e-300, 0.5), (1e-300, 0.0)]:
+        with pytest.raises(ValueError):
+            r2_counterexample(epsilon, delta)
+
+
+@pytest.mark.parametrize(
+    "epsilon, delta",
+    [(13.0, 0.0), (13.0, 0.5), (13.0, 0.9), (30.0, 0.0), (30.0, 0.5), (30.0, 0.9),
+     (0.03, 0.5), (0.05, 0.9)],
+)
+def test_counterexample_beyond_float_range_decided_in_log_domain(epsilon, delta):
+    # exp((r + epsilon)^2) overflows; the witness is still found in the log domain
+    probe = r2_counterexample(epsilon, delta)
+    assert probe.success and probe.log_margin > 0
+    assert max(probe.v_vals) == math.inf
+    assert all(0.0 <= g < math.inf for g in probe.g_vals)
 
 
 # ------------------------------------------------------------- lemma-1 audit
@@ -190,11 +203,13 @@ def test_lemma1_flat_model_passes():
 
 def test_lemma1_fixture_grid_passes_with_stable_eps():
     drift, minor = fixture_drift_inputs()
-    models = [two_state_fixture(n) for n in (2, 5, 10, 30)]
+    models = [two_state_fixture(n) for n in (2, 5, 10, 30, 1000)]
     audit = lemma1_audit(models, drift, minor)
     assert audit.all_pass
     assert audit.inf_eps > 0
     assert audit.eps_ratio(30, 5) >= 0.5
+    # the tilted minorization constant does not vanish at a very large horizon
+    assert audit.eps_ratio(1000, 5) >= 0.5
 
 
 def test_lemma1_broken_inputs_flagged():

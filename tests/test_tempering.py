@@ -125,6 +125,5 @@ def test_mixture_target_sup_bound_holds_on_grid():
     target = gaussian_mixture_target(
         means=[[-1.0], [2.0]], sigmas=[[0.7], [1.2]], weights=[0.4, 0.6]
     )
-    assert target.sup_is_declared
     grid = np.linspace(-6.0, 8.0, 4001)[:, None]
     assert float(target.log_unnorm(grid).max()) <= target.sup_log_unnorm + 1e-12
