@@ -400,10 +400,12 @@ def parse_config(text):
 
     if kind in ("bias-decay", "n-scaling", "lemma1-audit", "run") and "n" not in parsed_grids:
         raise ConfigError("grids.n", "missing required key")
-    if kind in ("n-scaling", "run") and "N" not in parsed_grids:
+    replicates = _int_at_least(top["replicates"], "replicates", 0)
+    particles = kind in ("n-scaling", "run") or kind == "bias-decay" and replicates > 0
+    if particles and "N" not in parsed_grids:
         raise ConfigError("grids.N", "missing required key")
-    if kind == "run" and len(parsed_grids["N"]) != 1:
-        raise ConfigError("grids.N", "the run experiment takes exactly one particle count")
+    if particles and kind != "n-scaling" and len(parsed_grids["N"]) != 1:
+        raise ConfigError("grids.N", f"the {kind} experiment takes exactly one particle count")
     if kind in ("n-scaling", "lemma1-audit") and model_kind != "finite-tempered":
         raise ConfigError("model.kind", f"{kind} requires a finite tempered model")
     if kind == "drift-check" and model_kind != "gaussian":
@@ -413,7 +415,6 @@ def parse_config(text):
         if top[key] is None:
             raise ConfigError(key, "missing required key")
 
-    replicates = _int_at_least(top["replicates"], "replicates", 0)
     if kind in ("n-scaling", "run") and replicates < 1:
         raise ConfigError("replicates", f"{kind} requires at least one replicate")
     workers = top["workers"]

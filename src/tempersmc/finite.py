@@ -1,28 +1,26 @@
-"""Finite-state model builders: tempered chains, fixtures, random test models.
+"""Finite-state models: the table-model assembler and the tempered chain.
 
 Finite models carry exact kernel matrices alongside their samplers, so the
 oracle can compute every flow quantity by matrix algebra while the particle
-engine runs the same model stochastically.  The tempered chain uses lazy
-Metropolis kernels with a uniform proposal over the other states, which are
-exactly invariant (reversible) for each tempered law.
+engine runs the same model stochastically.  ``table_model`` is the one
+assembler: kernel matrices, a log-weight table and an initial vector, with
+the table checked against its declared bound.  The tempered chain is built
+through it, with lazy Metropolis kernels over a uniform proposal on the
+other states, which are exactly invariant (reversible) for each tempered
+law.
 """
 
 import numpy as np
 
 from .fk_core import FKModel, InitialDistribution, KernelFamily, PotentialFamily, DriftSpec
-from .tempering import LogTarget, TemperedFamily, build_potentials, linear_schedule
 
 __all__ = [
-    "finite_target",
     "metropolis_matrix",
     "matrix_kernel_family",
     "table_model",
     "tempered_chain_model",
     "tempered_stationary",
-    "two_state_fixture",
     "drift_inputs_for_chain",
-    "fixture_drift_inputs",
-    "random_finite_model",
 ]
 
 _ROW_TOL = 1e-12
@@ -36,20 +34,7 @@ def _inverse_cdf(u, cum):
     return np.minimum((u[:, None] > cum).sum(axis=1), cum.shape[-1] - 1)
 
 
-def finite_target(log_weights):
-    """A log target over integer states, backed by a table lookup."""
-    logw = np.asarray(log_weights, dtype=float)
-    if logw.ndim != 1 or not np.all(np.isfinite(logw)):
-        raise ValueError("log weights must be a finite 1-d vector")
-    return LogTarget(
-        dim=1,
-        log_unnorm=lambda x: logw[np.asarray(x, dtype=int)],
-        sup_log_unnorm=float(logw.max()),
-        name="finite-table",
-    )
-
-
-def metropolis_matrix(log_weights, gamma, move_prob=0.5):
+def metropolis_matrix(log_weights, gamma, move_prob):
     """Lazy uniform-proposal Metropolis matrix targeting weights^gamma.
 
     From each state, propose one of the other m-1 states with total
@@ -137,49 +122,23 @@ def tempered_stationary(log_weights, gamma):
     return w / w.sum()
 
 
-def tempered_chain_model(log_weights, schedule, n, move_prob=0.5, init=None):
+def tempered_chain_model(log_weights, schedule, n, move_prob, init):
     """Finite tempered chain: per-step weight increments + invariant Metropolis kernels.
 
-    ``init`` defaults to the exact floor-tempered law; pass any probability
-    vector to start the flow elsewhere.
+    The step-k log weight is (gamma((k+1)/n) - gamma(k/n)) log w, bounded
+    above by max(0, L/n max log w) for the schedule's Lipschitz constant L.
+    ``init`` is the initial probability vector.
     """
+    if n < 1:
+        raise ValueError(f"horizon must be >= 1, got {n}")
     logw = np.asarray(log_weights, dtype=float)
-    fam = TemperedFamily(target=finite_target(logw), schedule=schedule)
-    potentials = build_potentials(fam, n)
     gammas = np.asarray(schedule(np.arange(n + 1) / n), dtype=float)
     matrices = [metropolis_matrix(logw, gammas[k], move_prob) for k in range(1, n + 1)]
-    kernels = matrix_kernel_family(matrices)
-    if init is None:
-        init = tempered_stationary(logw, schedule.gamma_floor)
-    return FKModel(
-        horizon=n,
-        kernels=kernels,
-        potentials=potentials,
-        initial=_initial_from_weights(init),
-        n_states=logw.size,
-    )
+    log_g_max = max(0.0, schedule.lipschitz_const / n * float(logw.max()))
+    return table_model(matrices, np.diff(gammas)[:, None] * logw, init, log_g_max=log_g_max)
 
 
-# Shipped two-state fixture: weights (1, 0.35), linear schedule from 0.7,
-# lazy flip kernels.  Small enough to hand-check, mixing slow enough that
-# initialization bias stays far above float noise over the test horizons.
-FIXTURE_LOG_WEIGHTS = (0.0, float(np.log(0.35)))
-FIXTURE_GAMMA_FLOOR = 0.7
-FIXTURE_MOVE_PROB = 0.3
-FIXTURE_BETA = 0.5
-
-
-def two_state_fixture(n, init=None, gamma_floor=FIXTURE_GAMMA_FLOOR):
-    return tempered_chain_model(
-        FIXTURE_LOG_WEIGHTS,
-        linear_schedule(gamma_floor),
-        n,
-        move_prob=FIXTURE_MOVE_PROB,
-        init=init,
-    )
-
-
-def drift_inputs_for_chain(log_weights, gamma_floor, move_prob=0.5, beta=0.5, lam=0.6):
+def drift_inputs_for_chain(log_weights, gamma_floor, move_prob, beta, lam):
     """Drift and minorization inputs holding for every kernel of a tempered chain.
 
     V is the floor-tempered weight raised to -beta, normalized to 1 at the
@@ -205,23 +164,3 @@ def drift_inputs_for_chain(log_weights, gamma_floor, move_prob=0.5, beta=0.5, la
     eps = 0.999 * m * min_entry
     nu = np.full(m, 1.0 / m)
     return drift, (eps, nu)
-
-
-def fixture_drift_inputs(beta=FIXTURE_BETA, lam=0.6, gamma_floor=FIXTURE_GAMMA_FLOOR):
-    return drift_inputs_for_chain(
-        FIXTURE_LOG_WEIGHTS,
-        gamma_floor=gamma_floor,
-        move_prob=FIXTURE_MOVE_PROB,
-        beta=beta,
-        lam=lam,
-    )
-
-
-def random_finite_model(rng, m=5, n=10):
-    """Random strictly positive model for identity and property tests."""
-    matrices = rng.dirichlet(np.ones(m), size=(n, m))
-    # keep rows comfortably inside the simplex to avoid zero entries
-    matrices = 0.9 * matrices + 0.1 / m
-    table = rng.uniform(np.log(0.2), np.log(2.0), size=(n, m))
-    mu = rng.dirichlet(np.ones(m))
-    return table_model(list(matrices), table, mu)

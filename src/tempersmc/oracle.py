@@ -1,10 +1,17 @@
 """Exact computation of the model's deterministic objects on finite spaces.
 
-Everything here is matrix algebra over enumerated state spaces: weighted
-transition operators and their products, the normalized flow of measures,
-the future-mass-twisted kernels, the tilted drift/minorization data, and
+Everything here is matrix algebra over enumerated state spaces: the
+weighted transition operators, the normalized flow of measures, the
+future-mass-twisted kernels S_k, the tilted drift/minorization data, and
 exact weighted-total-variation norms.  These values are the ground truth
 against which the particle sampler is tested.
+
+One backward sweep, ``future_potential_mass``, yields every future-mass
+vector h_k, and S_k is built from its row k.  ``flow_map`` (weighted
+operators) and ``flow_map_via_s`` (twisted kernels) transport a measure
+by two independent routes, so each cross-checks the other;
+``v_norm_distance`` and ``norm_const_lower_bound_check`` are the exact
+norm and normalizer-bound checks those cross-checks read.
 
 A step index is a plain ``int`` and a measure is a 1-d float array over
 the enumerated states.  Every probability vector a caller hands in is
@@ -16,15 +23,16 @@ to ~1e-14 over dozens of steps.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
+
+from .fk_core import u_function
 
 __all__ = [
     "TiltedDriftObjects",
     "NormConstReport",
     "q_matrix",
-    "q_semigroup",
     "eta_exact",
     "flow_map",
     "s_kernel_matrix",
@@ -79,18 +87,6 @@ def _q_tilde_matrix(model, k):
     return g[:, None] * _m_matrix(model, k)
 
 
-def q_semigroup(model, k, l):
-    """Ordered product of the weighted operators for steps k+1..l (identity at k=l)."""
-    _require_finite(model)
-    n, m = model.horizon, model.n_states
-    if not 0 <= k <= l <= n:
-        raise ValueError(f"need 0 <= k <= l <= n, got k={k}, l={l}, n={n}")
-    acc = np.eye(m, dtype=np.longdouble)
-    for j in range(k + 1, l + 1):
-        acc = acc @ q_matrix(model, j).astype(np.longdouble)
-    return np.asarray(acc, dtype=float)
-
-
 def _propagate(model, w, k, l):
     """w^T Q[k+1] ... Q[l], renormalized each step; returns a unit-sum vector."""
     v = np.asarray(w, dtype=np.longdouble)
@@ -141,17 +137,18 @@ def future_potential_mass(model):
     return out
 
 
-def _s_kernel(model, k, h_k):
-    raw = _m_matrix(model, k) * h_k[None, :]
-    return raw / raw.sum(axis=1, keepdims=True)
+def s_kernel_matrix(model, k, h_k):
+    """Markov kernel at step k twisted by the future normalized weight mass.
 
-
-def s_kernel_matrix(model, k):
-    """Markov kernel at step k twisted by the future normalized weight mass."""
+    ``h_k`` is row k of ``future_potential_mass(model)``, so a caller that
+    needs several steps runs the backward sweep once.  Row x is M[k](x, .)
+    times h_k, renormalized.
+    """
     _require_finite(model)
     if not 1 <= k <= model.horizon:
         raise ValueError(f"index k={k} outside [1, {model.horizon}]")
-    return _s_kernel(model, k, future_potential_mass(model)[k])
+    raw = _m_matrix(model, k) * h_k[None, :]
+    return raw / raw.sum(axis=1, keepdims=True)
 
 
 def flow_map_via_s(model, eta, k):
@@ -172,7 +169,7 @@ def flow_map_via_s(model, eta, k):
         raise ZeroDivisionError("flow normalizer vanished; model is degenerate")
     w = w / tot
     for j in range(k + 1, n + 1):
-        w = w @ _s_kernel(model, j, hs[j]).astype(np.longdouble)
+        w = w @ s_kernel_matrix(model, j, hs[j]).astype(np.longdouble)
         w = w / w.sum()
     return np.asarray(w, dtype=float)
 
@@ -198,10 +195,6 @@ class TiltedDriftObjects:
     drift_ok_proof: np.ndarray
     a2_ok: bool
     a2_failures: List[str] = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return self.a2_ok and bool(np.all(self.minor_ok) and np.all(self.drift_ok))
 
 
 def _small_set(drift, v):
@@ -267,7 +260,7 @@ def tilted_drift_objects(model, drift, minorizer):
         if np.any(v_nk < 1.0 - _INEQ_SLACK):
             a2_failures.append("tilted drift function dips below 1 (model inconsistent)")
 
-        s_k = _s_kernel(model, k, h_k)
+        s_k = s_kernel_matrix(model, k, h_k)
         minor_ok = (s_k[c_mask] - eps_nk * nu_nk[None, :]).min(axis=1) >= -_INEQ_SLACK
         lhs = s_k @ v_nk
         scale = _INEQ_SLACK * np.maximum(1.0, np.abs(lhs))
@@ -310,40 +303,42 @@ def v_norm_distance(a, b, v, alpha=1.0):
 
 @dataclass
 class NormConstReport:
-    """Exact per-step tilt masses against the assembled exponential lower bound."""
+    """Exact per-step tilt masses against the assembled exponential lower bound.
+
+    ``u_norm`` is the supremum over steps of the V-weighted supremum of the
+    per-step energy U.
+    """
 
     per_k: np.ndarray
     min_mass: float
     c_const: float
     bound: float
     mu_v: float
-    u_norm_sup: float
+    u_norm: float
     a1_ok: bool
     drift_ok: bool
     ok: bool
 
 
-def norm_const_lower_bound_check(model, drift, mu, u_norm_sup=None):
+def norm_const_lower_bound_check(model, drift, mu):
     """Check min_k mu(tilt mass at k) >= exp(-C mu(V)) with C assembled from the drift data.
 
     C = (sup over steps of the V-weighted sup of the per-step energy) times
-    (1 + b_d / (1 - lam)).  Passing ``u_norm_sup`` lets a driver supply a
-    supremum taken over a whole grid of horizons so that one constant
-    serves every model in the grid.
+    (1 + b_d / (1 - lam)).
     """
     _require_finite(model)
     n = model.horizon
     mu_w = _probability(mu, "mu")
     v = drift.vector(model.n_states)
-    log_gt = np.stack([_log_g_vector(model, k) for k in range(n)]) - model.potentials.log_g_max
-    a1_ok = bool(log_gt.max() <= _INEQ_SLACK)
-    u = np.maximum(-n * log_gt, 0.0)
-    u_norms = (u / v[None, :]).max(axis=1)
-    sup_used = float(u_norms.max() if u_norm_sup is None else u_norm_sup)
+    states = np.arange(model.n_states)
+    u = np.stack([u_function(model.potentials, k, states) for k in range(n)])
+    # A1 (normalized weights <= 1) is U >= 0
+    a1_ok = bool(u.min() >= -n * _INEQ_SLACK)
+    u_norm = float((np.maximum(u, 0.0) / v[None, :]).max())
 
     drift_ok = all(_raw_drift_excess(model, drift, v, k) is None for k in range(1, n + 1))
 
-    c_const = sup_used * (1.0 + drift.b_d / (1.0 - drift.lam))
+    c_const = u_norm * (1.0 + drift.b_d / (1.0 - drift.lam))
     mu_v = float(mu_w @ v)
     bound = float(np.exp(-c_const * mu_v))
     per_k = np.array([float(mu_w @ h_k) for h_k in future_potential_mass(model)])
@@ -354,7 +349,7 @@ def norm_const_lower_bound_check(model, drift, mu, u_norm_sup=None):
         c_const=c_const,
         bound=bound,
         mu_v=mu_v,
-        u_norm_sup=sup_used,
+        u_norm=u_norm,
         a1_ok=a1_ok,
         drift_ok=drift_ok,
         ok=bool(a1_ok and drift_ok and min_mass >= bound),

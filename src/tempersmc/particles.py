@@ -24,7 +24,6 @@ from typing import List, Optional
 import numpy as np
 
 from . import streams
-from .fk_core import normalized_log_potential
 
 __all__ = [
     "Ensemble",
@@ -90,7 +89,10 @@ def _log_weights(model, k, states):
 
 
 def smc_step(ens, model):
-    """One transition: multinomial ancestor draw by weight, then mutation."""
+    """One transition: multinomial ancestor draw by weight, then mutation.
+
+    Returns the next ensemble and the step-k log weights of ``ens.states``.
+    """
     k = ens.k
     if k >= model.horizon:
         raise ValueError(f"flow already at terminal step k={k}")
@@ -108,7 +110,7 @@ def smc_step(ens, model):
         k=k + 1,
         seed=ens.seed,
         replicate=ens.replicate,
-    )
+    ), lw
 
 
 def ess_from_log_weights(lw):
@@ -121,28 +123,20 @@ def ess_from_log_weights(lw):
     return float(w.sum() ** 2 / np.sum(w * w))
 
 
-def _summary(model, ens, drift):
-    k = ens.k
+def _summary(model, ens, drift, lw):
+    """Diagnostics of ``ens``; ``lw`` are its step log weights (None at the terminal step)."""
     eta_v = float(np.mean(drift.values(ens.states))) if drift is not None else math.nan
-    if k < model.horizon:
-        lw = np.asarray(
-            normalized_log_potential(model.potentials, k, ens.states), dtype=float
-        )
-        return StepSummary(
-            k=k,
-            ess=ess_from_log_weights(lw),
-            log_w_max=float(lw.max()),
-            log_w_min=float(lw.min()),
-            eta_v=eta_v,
-            eta_gtilde=float(np.mean(np.exp(lw))),
-        )
+    if lw is None:
+        return StepSummary(k=ens.k, ess=math.nan, log_w_max=math.nan, log_w_min=math.nan,
+                           eta_v=eta_v, eta_gtilde=math.nan)
+    lw = lw - model.potentials.log_g_max
     return StepSummary(
-        k=k,
-        ess=math.nan,
-        log_w_max=math.nan,
-        log_w_min=math.nan,
+        k=ens.k,
+        ess=ess_from_log_weights(lw),
+        log_w_max=float(lw.max()),
+        log_w_min=float(lw.min()),
         eta_v=eta_v,
-        eta_gtilde=math.nan,
+        eta_gtilde=float(np.mean(np.exp(lw))),
     )
 
 
@@ -151,11 +145,12 @@ def run_sampler(model, n_particles, seed, replicate=0, drift=None, keep_summarie
     ens = init_ensemble(model.initial.sample, n_particles, seed, replicate)
     summaries: Optional[List[StepSummary]] = [] if keep_summaries else None
     for _ in range(model.horizon):
+        nxt, lw = smc_step(ens, model)
         if summaries is not None:
-            summaries.append(_summary(model, ens, drift))
-        ens = smc_step(ens, model)
+            summaries.append(_summary(model, ens, drift, lw))
+        ens = nxt
     if summaries is not None:
-        summaries.append(_summary(model, ens, drift))
+        summaries.append(_summary(model, ens, drift, None))
     return ens.states, summaries
 
 

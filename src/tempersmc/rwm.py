@@ -26,6 +26,9 @@ __all__ = [
     "DriftProbeReport",
 ]
 
+# probe directions per shell in two or more dimensions
+_POINTS_PER_SHELL = 8
+
 
 @dataclass(frozen=True)
 class IncrementDistribution:
@@ -59,7 +62,7 @@ def _audit_symmetry(q, n_points=256, tol=1e-9):
         raise ValueError("increment distribution is not symmetric about the origin")
 
 
-def gaussian_increment(dim, scale=1.0):
+def gaussian_increment(dim, scale):
     if scale <= 0:
         raise ValueError("scale must be positive")
     const = -0.5 * dim * math.log(2.0 * math.pi * scale**2)
@@ -81,7 +84,7 @@ def _ball_volume(dim, radius):
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) * radius**dim
 
 
-def uniform_ball_increment(dim, radius=1.0):
+def uniform_ball_increment(dim, radius):
     """Uniform law on the centered ball; positive only up to its own radius."""
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -147,7 +150,7 @@ class DriftProbeReport:
     safe_radius: float | None
 
 
-def drift_probe(fam, gamma, q, drift, radii, n_proposals=100_000, points_per_shell=8, seed=0):
+def drift_probe(fam, gamma, q, drift, radii, n_proposals, seed=0):
     """Estimate max over each shell of E[V(next)] / V(current).
 
     Each probe point uses ``n_proposals`` Rao-Blackwellized proposals (the
@@ -164,7 +167,7 @@ def drift_probe(fam, gamma, q, drift, radii, n_proposals=100_000, points_per_she
         if d == 1:
             dirs = np.array([[1.0], [-1.0]])
         else:
-            g = streams.stream(seed, 0, i).standard_normal((points_per_shell, d))
+            g = streams.stream(seed, 0, i).standard_normal((_POINTS_PER_SHELL, d))
             dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
         worst, worst_se = -np.inf, 0.0
         for j, direction in enumerate(dirs):

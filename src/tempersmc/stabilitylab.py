@@ -4,10 +4,9 @@ Three headline behaviors are measured against exact or analytic
 references: the initialization bias decays geometrically in the number of
 tempering steps, the stochastic error scales like 1/sqrt(N), and the error
 stays bounded as the horizon grows at fixed N.  The module also houses the
-two-point product-measure machinery: a sufficiency check for the
-reweighting inequality eta(fg) <= (1+delta) eta(f) eta(g), and the
-closed-form planar construction producing a two-point measure that
-violates it for any delta < 1.
+closed-form planar construction of a two-point measure that violates the
+reweighting inequality eta(GV) <= (1+delta) eta(G) eta(V) for any
+delta < 1, and the Lemma 1 audit of the tilted drift/minorization data.
 
 Replicates and grid cells are independent tasks with a fixed decomposition
 (cells x replicate blocks); results are merged in task order by a single
@@ -15,7 +14,6 @@ reducer, so output is identical for any worker count.
 """
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -40,7 +38,6 @@ __all__ = [
     "BiasDecayResult",
     "RmseCell",
     "ScalingFit",
-    "EtaFGReport",
     "CounterexampleProbe",
     "Lemma1Row",
     "Lemma1Audit",
@@ -48,7 +45,6 @@ __all__ = [
     "n_scaling_experiment",
     "drift_check_experiment",
     "run_trajectories",
-    "eta_fg_sufficiency_check",
     "r2_counterexample",
     "lemma1_audit",
     "lemma1_audit_experiment",
@@ -165,7 +161,8 @@ def bias_decay_experiment(cfg, mapper=None):
     """Bias against the exact terminal target, per horizon, with log-linear fit.
 
     Finite tempered models always get the exact-flow table (zero Monte
-    Carlo noise); a particle table is added whenever replicates > 0.
+    Carlo noise); a particle table at the one particle count of grids.N
+    is added whenever replicates > 0.
     """
     mapper = mapper or _serial_map
     ref = reference_value(cfg)
@@ -182,7 +179,7 @@ def bias_decay_experiment(cfg, mapper=None):
 
     particle_fit = None
     if cfg.replicates > 0:
-        n_particles = cfg.grids.get("N", (1000,))[0]
+        n_particles = cfg.grids["N"][0]
         estimates = _gather_cells(cfg, [(n, n_particles) for n in ns], mapper)
         cells = []
         for n in ns:
@@ -220,7 +217,6 @@ class ScalingFit:
     ratio_n_particles: Optional[int]
     cells: List[RmseCell]
     status: str
-    warnings: tuple = ()
 
 
 def n_scaling_experiment(cfg, mapper=None):
@@ -279,7 +275,7 @@ def n_scaling_experiment(cfg, mapper=None):
     return ScalingFit(
         slope=slope, slope_n=slope_n, ratio_max_min=ratio,
         ratio_se_adjusted=ratio_adj, ratio_n_particles=ratio_np,
-        cells=cells, status=status, warnings=cfg.warnings,
+        cells=cells, status=status,
     )
 
 
@@ -317,7 +313,6 @@ class TrajectoryResult:
     min_eta_gtilde: float
     degenerate: int
     floor_ok: bool
-    status: str = "ok"
 
 
 def run_trajectories(cfg, mapper=None):
@@ -343,52 +338,6 @@ def run_trajectories(cfg, mapper=None):
         min_eta_gtilde=min_gtilde,
         degenerate=degenerate,
         floor_ok=min_gtilde >= cfg.degeneracy_floor,
-    )
-
-
-@dataclass
-class EtaFGReport:
-    condition_met: bool
-    max_pair_ratio: float
-    bound: float
-    n_measures: int
-    violations: int
-    max_gap: float
-
-
-def eta_fg_sufficiency_check(f_vals, g_vals, delta, n_measures=100, seed=0):
-    """Pairwise sufficiency check for eta(fg) <= (1+delta) eta(f) eta(g).
-
-    Checks the all-pairs ratio [f(x)-f(x')][g(x)-g(x')] over
-    [f(x)+f(x')][g(x)+g(x')] against delta/(2+delta); when it holds, the
-    product inequality is additionally verified on random discrete
-    measures over the same points.
-    """
-    f = np.asarray(f_vals, dtype=float)
-    g = np.asarray(g_vals, dtype=float)
-    if f.shape != g.shape or f.ndim != 1:
-        raise ValueError("need matching 1-d sample vectors")
-    if np.any(f <= 0) or np.any(g <= 0):
-        raise ValueError("f and g must be strictly positive")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    num = (f[:, None] - f[None, :]) * (g[:, None] - g[None, :])
-    den = (f[:, None] + f[None, :]) * (g[:, None] + g[None, :])
-    max_ratio = float((num / den).max())
-    bound = delta / (2.0 + delta)
-    condition = max_ratio <= bound
-    violations, max_gap = 0, -math.inf
-    if condition:
-        rng = streams.stream(seed, 0xF6)
-        etas = rng.dirichlet(np.ones(f.size), size=n_measures)
-        lhs = etas @ (f * g)
-        rhs = (1.0 + delta) * (etas @ f) * (etas @ g)
-        gap = lhs - rhs
-        max_gap = float(gap.max())
-        violations = int(np.sum(gap > 1e-12 * np.maximum(1.0, rhs)))
-    return EtaFGReport(
-        condition_met=condition, max_pair_ratio=max_ratio, bound=bound,
-        n_measures=n_measures if condition else 0, violations=violations, max_gap=max_gap,
     )
 
 
@@ -427,60 +376,62 @@ def _exp_or_inf(x):
         return math.inf
 
 
-def _require_normal_square(x, epsilon):
-    if not sys.float_info.min <= x * x < math.inf:
-        raise ValueError(f"epsilon={epsilon!r} is too extreme: {x!r}**2 is not a normal float")
-
-
 def r2_counterexample(epsilon, delta):
     """Construct the violating two-point measure for given offset and delta.
 
-    The working radius is chosen so that the pairwise ratio of the witness
-    pair clears 3*delta/(2+delta); if rounding ever leaves the violation
-    non-strict the radius is grown until it is (branch = "searched").  The
-    witness is decided in the log domain; linear-scale values beyond the
-    float range read inf.  Raises ``ValueError`` when epsilon squared, or
-    the square of the largest distance used (radius plus epsilon), is not a
-    finite normal float, and when no radius resolves the violation in
-    float64 (the log-domain terms cancel for epsilon far from 1).
+    The witness pair is y = (0, sqrt(r^2 - epsilon^2)) and y' = (-r, 0).
+    log G + log V is -4 x_1 epsilon at a point x: 0 at y and 4 r epsilon at
+    y'.  So the log margin of the violation has the closed form
+
+        log 2 - log1p(delta) + log1p(exp(-4 r epsilon))
+              - log1p(exp(-epsilon (2r - epsilon))) - log1p(exp(-epsilon (2r + epsilon))),
+
+    free of the size-r^2 terms that cancel, and it decides the witness.
+    Its first two terms are evaluated as log1p((1 - delta) / (1 + delta)),
+    which stays positive for every float delta < 1.
+
+    The working radius is at least 2 epsilon and 1/epsilon, and large
+    enough that the pairwise ratio of the witness pair clears
+    3*delta/(2+delta); if the margin is ever not positive the radius is
+    grown until it is (branch = "searched").  Linear-scale values beyond
+    the float range read inf (or 0).  Raises ``ValueError`` when the radius
+    leaves the float range.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must lie in [0, 1), got {delta}")
-    _require_normal_square(epsilon, epsilon)
     theta = 3.0 * delta / (2.0 + delta)
-    r = max(2.0 * epsilon, epsilon + math.atanh(math.sqrt(theta)) / epsilon)
-
-    def log_g(pt):
-        return -((pt[0] + epsilon) ** 2 + pt[1] ** 2)
-
-    def log_v(pt):
-        return (pt[0] - epsilon) ** 2 + pt[1] ** 2
-
+    r = max(2.0 * epsilon, 1.0 / epsilon, epsilon + math.atanh(math.sqrt(theta)) / epsilon)
     branch = "direct"
-    for _ in range(200):
-        _require_normal_square(r + epsilon, epsilon)
-        y = (0.0, math.sqrt(r * r - epsilon * epsilon))
-        y_mid = (-r, 0.0)
-        lg, lgm = log_g(y), log_g(y_mid)
-        lv, lvm = log_v(y), log_v(y_mid)
-        log_lhs = np.logaddexp(lg + lv, lgm + lvm) - np.logaddexp(lg, lgm)
-        log_eta_v = np.logaddexp(lv, lvm) - math.log(2.0)
-        log_rhs = math.log1p(delta) + log_eta_v
-        if log_lhs > log_rhs:
-            with np.errstate(over="ignore"):
-                lhs, rhs = float(np.exp(log_lhs)), float(np.exp(log_rhs))
-            return CounterexampleProbe(
-                epsilon=epsilon, delta=delta, witness=(y, y_mid), lhs=lhs, rhs=rhs,
-                psi_value=2.0 * epsilon, log_margin=float(log_lhs - log_rhs),
-                g_vals=(_exp_or_inf(lg), _exp_or_inf(lgm)),
-                v_vals=(_exp_or_inf(lv), _exp_or_inf(lvm)),
-                probe_point=y, branch=branch,
-            )
+    while True:
+        if not math.isfinite(r + epsilon):
+            raise ValueError(f"epsilon={epsilon!r} is too extreme: the witness radius "
+                             "leaves the float range")
+        log_margin = (math.log1p((1.0 - delta) / (1.0 + delta))
+                      + math.log1p(math.exp(-4.0 * r * epsilon))
+                      - math.log1p(math.exp(-epsilon * (2.0 * r - epsilon)))
+                      - math.log1p(math.exp(-epsilon * (2.0 * r + epsilon))))
+        if log_margin > 0.0:
+            break
         branch = "searched"
         r *= 1.25
-    raise ValueError(f"epsilon={epsilon!r} is too extreme: no radius resolves a violation")
+
+    y = (0.0, math.sqrt(r - epsilon) * math.sqrt(r + epsilon))
+    y_mid = (-r, 0.0)
+    # log G and log V at y and y'; products, not powers, so they overflow to inf
+    lg, lv = -(r * r), r * r
+    lgm, lvm = -((r - epsilon) * (r - epsilon)), (r + epsilon) * (r + epsilon)
+    log_lhs = np.logaddexp(0.0, 4.0 * r * epsilon) - np.logaddexp(lg, lgm)
+    log_rhs = math.log1p(delta) + np.logaddexp(lv, lvm) - math.log(2.0)
+    return CounterexampleProbe(
+        epsilon=epsilon, delta=delta, witness=(y, y_mid),
+        lhs=_exp_or_inf(float(log_lhs)), rhs=_exp_or_inf(float(log_rhs)),
+        psi_value=2.0 * epsilon, log_margin=log_margin,
+        g_vals=(_exp_or_inf(lg), _exp_or_inf(lgm)),
+        v_vals=(_exp_or_inf(lv), _exp_or_inf(lvm)),
+        probe_point=y, branch=branch,
+    )
 
 
 @dataclass
@@ -503,10 +454,6 @@ class Lemma1Audit:
     per_n_inf_eps: dict
     all_pass: bool
     a2_failures: List[str] = field(default_factory=list)
-
-    def eps_ratio(self, n_hi, n_lo):
-        """inf_k tilt coefficient at the larger horizon relative to the smaller."""
-        return self.per_n_inf_eps[n_hi] / self.per_n_inf_eps[n_lo]
 
 
 def lemma1_audit(models, drift, minorizer):

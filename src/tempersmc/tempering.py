@@ -25,7 +25,6 @@ __all__ = [
     "piecewise_linear_schedule",
     "gaussian_target",
     "gaussian_mixture_target",
-    "tempered_log_density",
     "build_potentials",
     "drift_function",
 ]
@@ -75,7 +74,7 @@ def _audit_schedule(s):
         )
 
 
-def linear_schedule(gamma_floor=0.7):
+def linear_schedule(gamma_floor):
     span = 1.0 - gamma_floor
     return TemperingSchedule(
         gamma_floor=gamma_floor,
@@ -85,7 +84,7 @@ def linear_schedule(gamma_floor=0.7):
     )
 
 
-def smoothstep_schedule(gamma_floor=0.7):
+def smoothstep_schedule(gamma_floor):
     span = 1.0 - gamma_floor
 
     def fn(u):
@@ -136,7 +135,7 @@ class LogTarget:
     name: str = "custom"
 
 
-def gaussian_target(mean=0.0, sigma=1.0):
+def gaussian_target(mean, sigma):
     """Isotropic-by-axis Gaussian with unit amplitude: sup of the density is 1."""
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), mean.shape).copy()
@@ -195,14 +194,6 @@ class TemperedFamily:
 
     target: LogTarget
     schedule: TemperingSchedule
-
-
-def tempered_log_density(fam, gamma, x):
-    """Unnormalized log density of the tempered law at inverse temperature gamma."""
-    lo = fam.schedule.gamma_floor
-    if not lo - 1e-12 <= gamma <= 1.0 + 1e-12:
-        raise ValueError(f"gamma={gamma} outside [{lo}, 1]")
-    return gamma * fam.target.log_unnorm(x)
 
 
 def build_potentials(fam, n):

@@ -4,19 +4,15 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from tempersmc import oracle, streams
+from finite_models import fixture_drift_inputs, two_state_fixture
+from tempersmc import oracle
 from tempersmc.fk_core import (
     FKModel,
     InitialDistribution,
     KernelFamily,
     PotentialFamily,
 )
-from tempersmc.finite import (
-    fixture_drift_inputs,
-    table_model,
-    tempered_stationary,
-    two_state_fixture,
-)
+from tempersmc.finite import table_model
 from tempersmc.particles import (
     TotalDegeneracyError,
     estimate,
@@ -93,7 +89,7 @@ def test_flat_weights_resample_uniformly():
     n_copies = 20_000
     ens = init_ensemble(lambda size, rng: np.tile(pattern, size // pattern.size),
                         pattern.size * n_copies, seed=5)
-    stepped = smc_step(ens, model)
+    stepped, _ = smc_step(ens, model)
     freq = np.bincount(pattern, minlength=m) / pattern.size
     expected = freq @ mats[0]
     counts = np.bincount(stepped.states, minlength=m)
@@ -104,7 +100,7 @@ def test_flat_weights_resample_uniformly():
 def test_single_particle_always_mutates():
     model = two_state_model()
     ens = init_ensemble(lambda size, rng: np.ones(size, dtype=int), 1, seed=2)
-    stepped = smc_step(ens, model)
+    stepped, _ = smc_step(ens, model)
     assert stepped.n_particles == 1
     assert stepped.k == 1
 
@@ -117,12 +113,20 @@ def test_one_step_law_matches_exact_mixture():
     n_copies = 20_000
     ens = init_ensemble(lambda size, rng: np.tile(pattern, size // pattern.size),
                         pattern.size * n_copies, seed=31)
-    stepped = smc_step(ens, model)
+    stepped, _ = smc_step(ens, model)
     eta_pattern = np.bincount(pattern, minlength=2) / pattern.size
     expected = oracle.flow_map(model, eta_pattern, 0, 1)
     counts = np.bincount(stepped.states, minlength=2)
     _, pval = scipy.stats.chisquare(counts, expected * stepped.n_particles)
     assert pval > 1e-4
+
+
+def test_step_returns_the_log_weights_it_resampled_by():
+    model = two_state_model()
+    ens = init_ensemble(model.initial.sample, 50, seed=4)
+    stepped, lw = smc_step(ens, model)
+    np.testing.assert_array_equal(lw, model.potentials.log_g(0, ens.states))
+    assert stepped.k == 1
 
 
 def test_total_degeneracy_raises():
@@ -140,7 +144,7 @@ def test_total_degeneracy_raises():
 def test_step_past_terminal_rejected():
     model = two_state_model(n=1)
     ens = init_ensemble(model.initial.sample, 8, seed=1)
-    stepped = smc_step(ens, model)
+    stepped, _ = smc_step(ens, model)
     with pytest.raises(ValueError):
         smc_step(stepped, model)
 

@@ -5,28 +5,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from finite_models import fixture_drift_inputs, two_state_fixture
 from tempersmc.config import parse_config
-from tempersmc.finite import (
-    fixture_drift_inputs,
-    table_model,
-    two_state_fixture,
-)
+from tempersmc.finite import table_model
 from tempersmc.fk_core import DriftSpec
 from tempersmc.stabilitylab import (
     Lemma1Row,
     bias_decay_experiment,
-    eta_fg_sufficiency_check,
     lemma1_audit,
     lemma1_audit_experiment,
     n_scaling_experiment,
     r2_counterexample,
-)
-from tempersmc.tempering import (
-    TemperedFamily,
-    build_potentials,
-    drift_function,
-    gaussian_target,
-    linear_schedule,
 )
 
 
@@ -97,44 +86,6 @@ def test_constant_f_has_zero_error():
         assert cell.rmse == 0.0
 
 
-# ------------------------------------------------------------- eta(fg) check
-
-def test_eta_fg_anti_monotone_pair_passes():
-    rng = np.random.default_rng(3)
-    f = rng.uniform(0.5, 4.0, size=12)
-    g = 1.0 / f
-    rep = eta_fg_sufficiency_check(f, g, delta=0.0, seed=1)
-    assert rep.condition_met
-    assert rep.max_pair_ratio <= 0.0
-    assert rep.violations == 0
-
-
-def test_eta_fg_equal_pair_fails_condition_and_conclusion():
-    f = np.array([1.0, 2.0])
-    rep = eta_fg_sufficiency_check(f, f, delta=0.0, seed=1)
-    assert not rep.condition_met
-    # and the two-point uniform measure indeed violates eta(f^2) <= eta(f)^2
-    eta_fg = np.mean(f * f)
-    assert eta_fg > np.mean(f) ** 2
-
-
-def test_eta_fg_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        eta_fg_sufficiency_check([1.0, -1.0], [1.0, 1.0], delta=0.1)
-
-
-def test_eta_fg_tempered_pair_negative_association():
-    fam = TemperedFamily(gaussian_target([0.0], [1.0]), linear_schedule(0.7))
-    pf = build_potentials(fam, 6)
-    drift = drift_function(fam, 0.5)
-    grid = np.linspace(-4.0, 4.0, 41)[:, None]
-    g = np.exp(pf.log_g(2, grid))
-    v = drift.values(grid)
-    rep = eta_fg_sufficiency_check(g, v, delta=0.0, seed=2)
-    assert rep.condition_met and rep.max_pair_ratio <= 0.0
-    assert rep.violations == 0
-
-
 # ------------------------------------------------------------- counterexample
 
 def test_counterexample_psi_closed_form_matches_contours():
@@ -169,10 +120,36 @@ def test_counterexample_strict_violation(delta):
 
 
 def test_counterexample_range_errors():
-    # the last three: epsilon squared leaves the normal float range
-    for epsilon, delta in [(0.0, 0.5), (1.0, 1.0), (1e200, 0.5), (1e-300, 0.5), (1e-300, 0.0)]:
+    # the last three: the witness radius (at least 2 epsilon and 1/epsilon)
+    # leaves the float range
+    for epsilon, delta in [(0.0, 0.5), (1.0, 1.0), (1e308, 0.5), (5e-324, 0.5), (1e-309, 0.0)]:
         with pytest.raises(ValueError):
             r2_counterexample(epsilon, delta)
+
+
+def test_counterexample_log_margin_closed_form_accuracy():
+    # the log margin at the shipped (epsilon, delta) = (1, 0.9), computed
+    # with 60-digit arithmetic from the four linear-scale values at the same
+    # radius
+    probe = r2_counterexample(1.0, 0.9)
+    assert abs(probe.log_margin - 0.0438603207693032403052984) < 1e-16
+
+
+@pytest.mark.parametrize("epsilon", [1e-8, 1.0, 1e8])
+def test_counterexample_largest_delta_below_one_resolves(epsilon):
+    # log 2 - log1p(delta) rounds to 0 here; log1p((1 - delta)/(1 + delta)) does not
+    probe = r2_counterexample(epsilon, 1.0 - 2.0**-53)
+    assert probe.success and probe.log_margin > 0
+
+
+@pytest.mark.parametrize("d", [-160, -100, -20, -8, 0, 8, 20, 100, 160])
+@pytest.mark.parametrize("delta", [0.0, 1e-9, 0.5, 0.999999])
+def test_counterexample_extreme_epsilon_resolves_directly(d, delta):
+    probe = r2_counterexample(10.0**d, delta)
+    assert probe.branch == "direct" and probe.log_margin > 0
+    values = (probe.lhs, probe.rhs, probe.log_margin, *probe.witness[0], *probe.witness[1],
+              *probe.g_vals, *probe.v_vals)
+    assert not any(math.isnan(x) for x in values)
 
 
 @pytest.mark.parametrize(
@@ -207,9 +184,10 @@ def test_lemma1_fixture_grid_passes_with_stable_eps():
     audit = lemma1_audit(models, drift, minor)
     assert audit.all_pass
     assert audit.inf_eps > 0
-    assert audit.eps_ratio(30, 5) >= 0.5
+    inf_eps = audit.per_n_inf_eps
+    assert inf_eps[30] / inf_eps[5] >= 0.5
     # the tilted minorization constant does not vanish at a very large horizon
-    assert audit.eps_ratio(1000, 5) >= 0.5
+    assert inf_eps[1000] / inf_eps[5] >= 0.5
 
 
 def test_lemma1_broken_inputs_flagged():

@@ -11,7 +11,6 @@ from tempersmc.tempering import (
     linear_schedule,
     piecewise_linear_schedule,
     smoothstep_schedule,
-    tempered_log_density,
 )
 
 GRID = np.linspace(0.0, 1.0, 10_001)
@@ -45,18 +44,6 @@ def test_bad_schedules_rejected():
         TemperingSchedule(gamma_floor=0.5, fn=lambda u: 0.5 + 0.5 * u, lipschitz_const=0.1)
     with pytest.raises(ValueError):
         linear_schedule(0.0)
-
-
-def test_tempered_log_density_endpoints():
-    fam = TemperedFamily(gaussian_target([0.0], [1.0]), linear_schedule(0.5))
-    x = np.array([2.0])
-    assert tempered_log_density(fam, 1.0, x) == pytest.approx(-2.0)
-    assert tempered_log_density(fam, 0.5, x) == pytest.approx(-1.0)
-    with pytest.raises(ValueError):
-        tempered_log_density(fam, 0.4, x)
-    # density below one: tempered log density decreases as gamma rises
-    vals = [tempered_log_density(fam, g, x) for g in (0.5, 0.7, 0.9, 1.0)]
-    assert np.all(np.diff(vals) < 0)
 
 
 def test_build_potentials_linear_schedule_constant_increments():
