@@ -130,8 +130,12 @@ def _at(path):
 
 
 def _floats(val, path):
+    """``val`` as a float array; every entry must be a finite number."""
     with _at(path):
-        return np.asarray(val, dtype=float)
+        arr = np.asarray(val, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(path, "entries must be finite numbers")
+    return arr
 
 
 def _int_at_least(val, path, lo, size=None):
@@ -257,8 +261,11 @@ def _continuous_init(cfg, fam):
         return InitialDistribution(sample=lambda size, rng: sampler(floor, size, rng))
     if name == "gaussian":
         mean = np.atleast_1d(_floats(spec["mean"], "init.mean"))
+        sigma = _floats(spec["sigma"], "init.sigma")
+        if not np.all(sigma > 0):
+            raise ConfigError("init.sigma", "entries must be > 0")
         with _at("init.sigma"):
-            sigma = np.broadcast_to(np.asarray(spec["sigma"], dtype=float), mean.shape).copy()
+            sigma = np.broadcast_to(sigma, mean.shape).copy()
         if mean.size != dim:
             raise ConfigError("init.mean", f"dimension {mean.size} != target {dim}")
         return InitialDistribution(

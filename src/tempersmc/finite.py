@@ -26,12 +26,18 @@ __all__ = [
 _ROW_TOL = 1e-12
 
 
-def _inverse_cdf(u, cum):
+def _inverse_cdf(u, columns):
     """Per uniform, the first index whose cumulative weight reaches it (clipped to the last).
 
-    ``cum`` is one cumulative weight vector or one row per uniform.
+    ``columns`` are the first m - 1 columns of the cumulative weights, each a
+    scalar or one entry per uniform.  Cumulative weights do not decrease, so
+    the index is the number of columns below its uniform, counted column by
+    column; the last column is left out because the index stops at m - 1.
     """
-    return np.minimum((u[:, None] > cum).sum(axis=1), cum.shape[-1] - 1)
+    idx = np.zeros(u.shape, dtype=np.intp)
+    for col in columns:
+        idx += u > col
+    return idx
 
 
 def metropolis_matrix(log_weights, gamma, move_prob):
@@ -64,20 +70,22 @@ def matrix_kernel_family(matrices):
             raise ValueError(f"kernel matrix at step {k} is not a {m}x{m} nonnegative matrix")
         if np.max(np.abs(a.sum(axis=1) - 1.0)) > _ROW_TOL:
             raise ValueError(f"kernel matrix at step {k} has rows not summing to 1")
-    cums = [np.cumsum(a, axis=1) for a in mats]
+    # column j of step k's cumulative rows as one contiguous vector over the states
+    cols = [np.cumsum(a, axis=1)[:, :-1].T.copy() for a in mats]
 
     def sample_batch(k, xs, rng):
         u = rng.random(len(xs))
-        return _inverse_cdf(u, cums[k - 1][np.asarray(xs, dtype=int)])
+        xs = np.asarray(xs, dtype=int)
+        return _inverse_cdf(u, (col[xs] for col in cols[k - 1]))
 
     return KernelFamily(horizon=n, sample_batch=sample_batch, matrix=lambda k: mats[k - 1])
 
 
 def _initial_from_weights(weights):
     w = np.asarray(weights, dtype=float)
-    if np.any(w < 0) or abs(w.sum() - 1.0) > _ROW_TOL:
+    if not np.all(w >= 0) or not abs(w.sum() - 1.0) <= _ROW_TOL:  # NaN fails both
         raise ValueError("initial weights must be a probability vector")
-    cum = np.cumsum(w)
+    cum = np.cumsum(w)[:-1]
 
     def sample(size, rng):
         return _inverse_cdf(rng.random(size), cum)

@@ -7,7 +7,10 @@ and the stream key, and the horizon is read from the model.
 The transition draws, for each new particle independently, an ancestor
 index proportional to the current weights and then mutates it through the
 next Markov kernel: the reweight and mutate are one fused mixture draw, and
-resampling is always multinomial.  Weight normalization happens in the log
+resampling is always multinomial.  Each ancestor is the plain inverse-CDF
+index of its uniform: the first index whose cumulative weight exceeds it.
+The uniforms are searched in sorted order, which keeps the binary searches
+in cache and changes no draw.  Weight normalization happens in the log
 domain with max-subtraction; a step aborts only when every weight
 underflows to zero.
 
@@ -101,9 +104,10 @@ def smc_step(ens, model):
     cw = np.cumsum(w)
     rng = streams.stream(ens.seed, ens.replicate, k + 1)
     u = rng.random(ens.n_particles)
-    ancestors = np.minimum(
-        np.searchsorted(cw, u * cw[-1], side="right"), ens.n_particles - 1
-    )
+    order = np.argsort(u)
+    ancestors = np.empty(ens.n_particles, dtype=np.intp)
+    ancestors[order] = np.searchsorted(cw, u[order] * cw[-1], side="right")
+    np.minimum(ancestors, ens.n_particles - 1, out=ancestors)
     new_states = model.kernels.sample_batch(k + 1, ens.states[ancestors], rng)
     return Ensemble(
         states=np.asarray(new_states),

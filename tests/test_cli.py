@@ -180,14 +180,22 @@ COMPONENT_CASES = [
     ("bias_finite", ("init",), {"name": "weights", "weights": [1.0]}, "init.weights"),
     ("bias_finite", ("init",), {"name": "weights"}, "init.weights"),
     ("bias_finite", ("init",), {"name": "point"}, "init.name"),
+    ("bias_finite", ("init",), {"name": "weights", "weights": [math.nan, 1.0]}, "init.weights"),
     ("bias_finite", ("model", "lam"), 1.0, "model.lam"),
     ("bias_finite", ("model", "move_prob"), 0, "model"),
     ("bias_finite", ("model", "log_weights"), [0.0], "model.log_weights"),
     ("bias_finite", ("model", "log_weights"), [0.0, "x"], "model.log_weights"),
     ("bias_finite", ("model", "log_weights"), [0.0, 1e300], "model.log_weights"),
+    ("bias_finite", ("model", "log_weights"), [0.0, math.nan], "model.log_weights"),
     ("bias_gaussian", ("init", "sigm"), 1.0, "init.sigm"),
     ("bias_gaussian", ("init", "mean"), [1.0, 2.0], "init.mean"),
     ("bias_gaussian", ("init", "sigma"), [1.0, 2.0], "init.sigma"),
+    ("bias_gaussian", ("init", "mean"), [math.nan], "init.mean"),
+    ("bias_gaussian", ("init", "mean"), [-math.inf], "init.mean"),
+    ("bias_gaussian", ("init", "sigma"), [math.nan], "init.sigma"),
+    ("bias_gaussian", ("init", "sigma"), [math.inf], "init.sigma"),
+    ("bias_gaussian", ("init", "sigma"), [0.0], "init.sigma"),
+    ("bias_gaussian", ("init", "sigma"), ["x"], "init.sigma"),
     ("bias_gaussian", ("init",), {"name": "point", "point": [1.0, 2.0]}, "init.point"),
     ("bias_gaussian", ("init",), {"name": "dirac"}, "init.name"),
     ("bias_gaussian", ("init",), [], "init"),
@@ -207,6 +215,7 @@ COMPONENT_CASES = [
     ("bias_gaussian", ("model", "increment", "name"), "x", "model.increment.name"),
     ("bias_gaussian", ("grids", "N"), [50, 5000], "grids.N"),
     ("bias_gaussian", ("grids",), {"n": [5, 10]}, "grids.N"),
+    ("drift_monitor", ("init",), {"name": "point", "point": [math.nan]}, "init.point"),
     ("drift_check", ("model", "schedule"), [], "model.schedule"),
     ("drift_check", ("radii",), [2, -1], "radii[1]"),
     ("drift_check", ("grids",), {"n": [2], "M": [3]}, "grids.M"),

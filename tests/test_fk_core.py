@@ -4,7 +4,7 @@ import scipy.stats
 
 from tempersmc import streams
 from tempersmc.fk_core import PotentialFamily, normalized_log_potential, u_function
-from tempersmc.finite import matrix_kernel_family
+from tempersmc.finite import _inverse_cdf, matrix_kernel_family, table_model
 
 
 def _constant_family(n, c):
@@ -88,3 +88,53 @@ def test_sample_batch_frequencies_match_matrix_row():
     # chi-square goodness of fit must not reject at the 1e-4 level
     _, pval = scipy.stats.chisquare(counts, n_draws * row)
     assert pval > 1e-4
+
+
+def _row_search(u, cum):
+    """The row form of the inverse CDF: compare each uniform with its whole cumulative row."""
+    return np.minimum((u[:, None] > cum).sum(axis=1), cum.shape[-1] - 1)
+
+
+def _edge_kernel(rng, m):
+    """Random kernel with zero entries and a row whose cumsum ends just below 1."""
+    a = rng.dirichlet(np.ones(m), size=m)
+    a[rng.random((m, m)) < 0.3] = 0.0
+    a[:, 0] += 1e-3  # no empty row
+    a /= a.sum(axis=1, keepdims=True)
+    a[0] = 0.0
+    a[0, m // 2] = 1.0 - 5e-13
+    return a
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_column_sampler_equals_row_sampler(m):
+    rng = np.random.default_rng(m)
+    a = _edge_kernel(rng, m)
+    cum = np.cumsum(a, axis=1)
+    assert 0 < 1.0 - cum[0, -1] < 1e-12 and np.any(a == 0.0)
+    xs = rng.integers(0, m, size=20_000)
+    xs[:m * m] = np.repeat(np.arange(m), m)
+    u = rng.random(xs.size)
+    # uniforms exactly on each cumulative weight, and past the short row's end
+    u[:m * m] = cum.ravel()
+    u[m * m:m * m + m] = np.nextafter(1.0, 0.0)
+    expected = _row_search(u, cum[xs])
+    np.testing.assert_array_equal(_inverse_cdf(u, (c[xs] for c in cum[:, :-1].T)), expected)
+    kf = matrix_kernel_family([a])
+    drawn = kf.sample_batch(1, xs, streams.stream(13, m))
+    u_stream = streams.stream(13, m).random(xs.size)
+    np.testing.assert_array_equal(drawn, _row_search(u_stream, cum[xs]))
+    # the 1-d cumsum of an initial law, through the sampler of a finite model
+    mu = a[0]
+    np.testing.assert_array_equal(_inverse_cdf(u, np.cumsum(mu)[:-1]),
+                                  _row_search(u, np.cumsum(mu)))
+    initial = table_model([a], np.zeros((1, m)), mu).initial
+    np.testing.assert_array_equal(initial.sample(xs.size, streams.stream(17, m)),
+                                  _row_search(streams.stream(17, m).random(xs.size),
+                                              np.cumsum(mu)))
+
+
+@pytest.mark.parametrize("mu", [[np.nan, 1.0], [0.5, np.nan], [-0.5, 1.5], [0.5, 0.6]])
+def test_initial_law_must_be_a_probability_vector(mu):
+    with pytest.raises(ValueError, match="probability vector"):
+        table_model([np.eye(2)], np.zeros((1, 2)), np.array(mu))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from finite_models import fixture_drift_inputs, two_state_fixture
-from tempersmc import oracle
+from finite_models import fixture_drift_inputs, random_finite_model, two_state_fixture
+from tempersmc import oracle, streams
 from tempersmc.fk_core import (
     FKModel,
     InitialDistribution,
@@ -14,6 +14,7 @@ from tempersmc.fk_core import (
 )
 from tempersmc.finite import table_model
 from tempersmc.particles import (
+    Ensemble,
     TotalDegeneracyError,
     estimate,
     ess_from_log_weights,
@@ -141,12 +142,111 @@ def test_total_degeneracy_raises():
         smc_step(ens, model)
 
 
+def _plain_search_step(ens, model):
+    """Next states by the unsorted inverse-CDF search: one binary search per uniform."""
+    k = ens.k
+    lw = np.asarray(model.potentials.log_g(k, ens.states), dtype=float)
+    cw = np.cumsum(np.exp(lw - lw.max()))
+    rng = streams.stream(ens.seed, ens.replicate, k + 1)
+    u = rng.random(ens.n_particles)
+    ancestors = np.minimum(np.searchsorted(cw, u * cw[-1], side="right"), ens.n_particles - 1)
+    return model.kernels.sample_batch(k + 1, ens.states[ancestors], rng)
+
+
+def _identity_model(log_g_table):
+    """Finite-index model whose kernels keep each state, so next states are the ancestors."""
+    table = np.asarray(log_g_table, dtype=float)
+    n = table.shape[0]
+    return FKModel(
+        horizon=n,
+        kernels=KernelFamily(horizon=n, sample_batch=lambda k, xs, rng: np.array(xs)),
+        potentials=PotentialFamily(horizon=n, log_g=lambda k, x: table[k][np.asarray(x)],
+                                   log_g_max=float(table.max())),
+        initial=InitialDistribution(sample=lambda size, rng: np.arange(size)),
+    )
+
+
+def _pin_ancestor_uniforms(monkeypatch, u):
+    """Make every step stream draw ``u`` as its ancestor uniforms (identity kernels draw nothing)."""
+
+    class Pinned:
+        def random(self, size):
+            assert size == len(u)
+            return np.array(u, dtype=float)
+
+    monkeypatch.setattr(streams, "stream", lambda seed, *path: Pinned())
+
+
+_SEARCH_MODELS = {
+    "finite": lambda: random_finite_model(np.random.default_rng(3), m=5, n=3),
+    "tied": lambda: table_model([M2] * 3, np.zeros((3, 2)), np.array([0.6, 0.4])),
+    "gaussian": lambda: gaussian_model(3)[0],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SEARCH_MODELS))
+@pytest.mark.parametrize("n_particles", [1, 2, 7, 1000, 10_000])
+def test_step_draws_what_the_plain_search_draws(kind, n_particles):
+    model = _SEARCH_MODELS[kind]()
+    ens = init_ensemble(model.initial.sample, n_particles, seed=71, replicate=2)
+    for _ in range(model.horizon):
+        expected = _plain_search_step(ens, model)
+        ens, _ = smc_step(ens, model)
+        np.testing.assert_array_equal(ens.states, expected)
+
+
+def test_uniform_on_a_cumulative_weight_draws_the_next_particle(monkeypatch):
+    # tied weights put the cumulative weights at 1..8, and u * 8 lands on them
+    # exactly; a uniform equal to a cumulative weight goes to the next particle
+    n_particles = 8
+    u = np.array([0.125, 0.25, 0.5, 0.0, np.nextafter(1.0, 0.0), 0.375, 0.875, 0.625])
+    _pin_ancestor_uniforms(monkeypatch, u)
+    model = _identity_model(np.zeros((1, n_particles)))
+    ens = Ensemble(states=np.arange(n_particles), k=0, seed=5)
+    stepped, _ = smc_step(ens, model)
+    np.testing.assert_array_equal(stepped.states, [1, 2, 4, 0, 7, 3, 7, 5])
+    np.testing.assert_array_equal(stepped.states, _plain_search_step(ens, model))
+
+
 def test_step_past_terminal_rejected():
     model = two_state_model(n=1)
     ens = init_ensemble(model.initial.sample, 8, seed=1)
     stepped, _ = smc_step(ens, model)
     with pytest.raises(ValueError):
         smc_step(stepped, model)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_underflowed_weights_are_never_drawn(seed):
+    # every third particle sits 800 below the maximum: its weight is exactly 0
+    n_particles, n = 10_000, 4
+    rng = np.random.default_rng(seed)
+    table = rng.uniform(-3.0, 0.0, size=(n, n_particles))
+    dead = np.zeros(n_particles, dtype=bool)
+    dead[seed % 3::3] = True
+    table[:, dead] = table.max() - 800.0
+    assert np.all(np.exp(table[:, dead] - table.max(axis=1, keepdims=True)) == 0.0)
+    model = _identity_model(table)
+    ens = init_ensemble(model.initial.sample, n_particles, seed=seed)
+    for _ in range(n):
+        ens, _ = smc_step(ens, model)
+        assert not np.any(dead[ens.states])
+    assert np.unique(ens.states).size > 1
+
+
+@pytest.mark.parametrize("survivor", [0, 3, 6])
+def test_single_surviving_particle_is_every_ancestor(survivor, monkeypatch):
+    # the extreme uniforms too: u = 0 skips the zero weights in front of the
+    # survivor, the largest u < 1 stops before the zero weights behind it
+    n_particles = 7
+    table = np.full((1, n_particles), -800.0)
+    table[0, survivor] = 0.0
+    u = np.linspace(0.0, 1.0, n_particles, endpoint=False)
+    u[-1] = np.nextafter(1.0, 0.0)
+    _pin_ancestor_uniforms(monkeypatch, u)
+    stepped, _ = smc_step(Ensemble(states=np.arange(n_particles), k=0, seed=3),
+                          _identity_model(table))
+    np.testing.assert_array_equal(stepped.states, np.full(n_particles, survivor))
 
 
 # ------------------------------------------------------------- full runs
