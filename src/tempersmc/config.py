@@ -23,8 +23,8 @@ from . import finite, rwm, tempering
 
 __all__ = [
     "ConfigError", "ExperimentConfig", "COMPONENTS", "parse_config", "build_model",
-    "build_family", "build_increment", "build_drift", "build_drift_inputs", "build_f",
-    "finite_f_vector", "reference_value",
+    "build_schedule", "build_family", "build_increment", "build_drift", "build_drift_inputs",
+    "build_f", "finite_f_vector", "reference_value",
 ]
 
 KINDS = ("bias-decay", "n-scaling", "drift-check", "counterexample", "lemma1-audit", "run")

@@ -44,7 +44,6 @@ class IncrementDistribution:
     sample: Callable
     log_density: Callable
     positivity_profile: Callable
-    name: str = "custom"
 
     def __post_init__(self):
         _audit_symmetry(self)
@@ -63,8 +62,8 @@ def _audit_symmetry(q, n_points=256, tol=1e-9):
 
 
 def gaussian_increment(dim, scale):
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not 0 < scale < math.inf:
+        raise ValueError("scale must be finite and positive")
     const = -0.5 * dim * math.log(2.0 * math.pi * scale**2)
 
     def log_density(y):
@@ -76,7 +75,6 @@ def gaussian_increment(dim, scale):
         sample=lambda size, rng: rng.standard_normal((size, dim)) * scale,
         log_density=log_density,
         positivity_profile=lambda r: math.exp(const - 0.5 * r**2 / scale**2),
-        name="gaussian",
     )
 
 
@@ -86,8 +84,8 @@ def _ball_volume(dim, radius):
 
 def uniform_ball_increment(dim, radius):
     """Uniform law on the centered ball; positive only up to its own radius."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError("radius must be finite and positive")
     log_dens = -math.log(_ball_volume(dim, radius))
 
     def sample(size, rng):
@@ -106,7 +104,6 @@ def uniform_ball_increment(dim, radius):
         sample=sample,
         log_density=log_density,
         positivity_profile=lambda r: math.exp(log_dens) if r <= radius else 0.0,
-        name="uniform-ball",
     )
 
 

@@ -11,16 +11,19 @@ delta < 1, and the Lemma 1 audit of the tilted drift/minorization data.
 Replicates and grid cells are independent tasks with a fixed decomposition
 (cells x replicate blocks); results are merged in task order by a single
 reducer, so output is identical for any worker count.
+
+Every experiment returns a ``Table``: its CSV header and rows, its status
+and its JSON summary body, built next to the numbers they report.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
 from . import oracle, rwm, streams
 from .config import (
+    ConfigError,
     build_drift,
     build_drift_inputs,
     build_f,
@@ -33,25 +36,38 @@ from .config import (
 from .particles import TotalDegeneracyError, estimate, run_sampler
 
 __all__ = [
+    "Table",
     "BiasCell",
     "DecayFit",
-    "BiasDecayResult",
     "RmseCell",
-    "ScalingFit",
     "CounterexampleProbe",
     "Lemma1Row",
-    "Lemma1Audit",
     "bias_decay_experiment",
     "n_scaling_experiment",
     "drift_check_experiment",
     "run_trajectories",
     "r2_counterexample",
+    "counterexample_experiment",
     "lemma1_audit",
     "lemma1_audit_experiment",
 ]
 
 _CHUNK = 25
 _EXACT_FLOOR = 1e-13
+
+
+@dataclass(frozen=True)
+class Table:
+    """An experiment's outputs: CSV header and rows, status, JSON summary body.
+
+    The status is "ok", "inconclusive" (a fit found too few usable cells)
+    or "failed" (an audited inequality does not hold).
+    """
+
+    header: tuple
+    rows: list
+    status: str
+    body: dict
 
 
 def _serial_map(fn, items):
@@ -121,20 +137,8 @@ class DecayFit:
     mode: str
     slope: float
     r_squared: float
-    cells: List[BiasCell]
+    cells: list
     status: str
-
-
-@dataclass
-class BiasDecayResult:
-    exact: Optional[DecayFit]
-    particle: Optional[DecayFit]
-    reference: float
-
-    @property
-    def status(self):
-        statuses = [f.status for f in (self.exact, self.particle) if f is not None]
-        return "ok" if statuses and all(s == "ok" for s in statuses) else "inconclusive"
 
 
 def _fit_decay(mode, cells):
@@ -162,7 +166,7 @@ def bias_decay_experiment(cfg, mapper=None):
 
     Finite tempered models always get the exact-flow table (zero Monte
     Carlo noise); a particle table at the one particle count of grids.N
-    is added whenever replicates > 0.
+    is added whenever replicates > 0.  Inconclusive unless every fit is ok.
     """
     mapper = mapper or _serial_map
     ref = reference_value(cfg)
@@ -193,7 +197,17 @@ def bias_decay_experiment(cfg, mapper=None):
             )
         particle_fit = _fit_decay("particle", cells)
 
-    return BiasDecayResult(exact=exact_fit, particle=particle_fit, reference=ref)
+    fits = [fit for fit in (exact_fit, particle_fit) if fit is not None]
+    rows = [(fit.mode, c.n, c.bias, c.abs_bias, c.std_err, c.n_used, c.degenerate,
+             c.used_in_fit) for fit in fits for c in fit.cells]
+    body = {"reference": ref}
+    for mode, fit in (("exact", exact_fit), ("particle", particle_fit)):
+        body[mode] = None if fit is None else {
+            "slope": fit.slope, "r_squared": fit.r_squared, "status": fit.status}
+    ok = fits and all(fit.status == "ok" for fit in fits)
+    return Table(header=("mode", "n", "bias", "abs_bias", "std_err", "replicates_used",
+                         "degenerate", "used_in_fit"),
+                 rows=rows, status="ok" if ok else "inconclusive", body=body)
 
 
 @dataclass
@@ -204,19 +218,6 @@ class RmseCell:
     std_err: float
     n_used: int
     degenerate: int
-
-
-@dataclass
-class ScalingFit:
-    """RMSE over an (n, N) grid with the particle-count slope and horizon ratio."""
-
-    slope: float
-    slope_n: Optional[int]
-    ratio_max_min: float
-    ratio_se_adjusted: float
-    ratio_n_particles: Optional[int]
-    cells: List[RmseCell]
-    status: str
 
 
 def n_scaling_experiment(cfg, mapper=None):
@@ -271,21 +272,34 @@ def n_scaling_experiment(cfg, mapper=None):
         ratio = hi.rmse / lo.rmse
         ratio_adj = max(hi.rmse - 2.0 * hi.std_err, 0.0) / (lo.rmse + 2.0 * lo.std_err)
 
-    status = "ok" if (slope_n is not None or ratio_np is not None) else "inconclusive"
-    return ScalingFit(
-        slope=slope, slope_n=slope_n, ratio_max_min=ratio,
-        ratio_se_adjusted=ratio_adj, ratio_n_particles=ratio_np,
-        cells=cells, status=status,
+    return Table(
+        header=("n", "n_particles", "rmse", "std_err", "replicates_used", "degenerate"),
+        rows=[(c.n, c.n_particles, c.rmse, c.std_err, c.n_used, c.degenerate)
+              for c in cells],
+        status="ok" if (slope_n is not None or ratio_np is not None) else "inconclusive",
+        body={"slope": slope, "slope_n": slope_n, "ratio_max_min": ratio,
+              "ratio_se_adjusted": ratio_adj, "ratio_n_particles": ratio_np},
     )
 
 
 def drift_check_experiment(cfg):
+    """Monte Carlo drift ratios on shells of the configured radii, numbered per radius."""
     fam = build_family(cfg.model)
     q = build_increment(cfg.model, fam.target.dim)
     drift = build_drift(cfg)
     gamma = cfg.gamma if cfg.gamma is not None else fam.schedule.gamma_floor
-    return rwm.drift_probe(
+    report = rwm.drift_probe(
         fam, gamma, q, drift, cfg.radii, n_proposals=cfg.n_proposals, seed=cfg.seed
+    )
+    rows, counters = [], {}
+    for point in report.points:
+        idx = counters.get(point["radius"], 0)
+        counters[point["radius"]] = idx + 1
+        rows.append((point["radius"], idx, point["ratio"], point["se"]))
+    return Table(
+        header=("radius", "point_index", "ratio", "std_err"), rows=rows, status="ok",
+        body={"radii": report.radii, "lambda_hat": report.lambda_hat, "band": report.band,
+              "safe_radius": report.safe_radius},
     )
 
 
@@ -306,17 +320,8 @@ def _trajectory_task(args):
     return rows, degenerate
 
 
-@dataclass
-class TrajectoryResult:
-    rows: list
-    max_eta_v: dict
-    min_eta_gtilde: float
-    degenerate: int
-    floor_ok: bool
-
-
 def run_trajectories(cfg, mapper=None):
-    """Per-step diagnostics over replicates; rows are CSV-ready tuples."""
+    """Per-step diagnostics over replicates, one row per replicate and step."""
     mapper = mapper or _serial_map
     n_particles = cfg.grids["N"][0]
     cells = [(n, n_particles) for n in cfg.grids["n"]]
@@ -332,12 +337,15 @@ def run_trajectories(cfg, mapper=None):
             max_eta_v[n] = max(max_eta_v.get(n, -math.inf), eta_v)
         if math.isfinite(eta_g):
             min_gtilde = min(min_gtilde, eta_g)
-    return TrajectoryResult(
+    return Table(
+        header=("replicate", "n", "k", "ess", "log_w_max", "log_w_min", "eta_V",
+                "eta_Gtilde"),
         rows=rows,
-        max_eta_v=max_eta_v,
-        min_eta_gtilde=min_gtilde,
-        degenerate=degenerate,
-        floor_ok=min_gtilde >= cfg.degeneracy_floor,
+        status="ok",
+        body={"max_eta_v": {str(n): v for n, v in sorted(max_eta_v.items())},
+              "min_eta_gtilde": min_gtilde, "degeneracy_floor": cfg.degeneracy_floor,
+              "floor_ok": min_gtilde >= cfg.degeneracy_floor,
+              "degenerate_replicates": degenerate},
     )
 
 
@@ -349,6 +357,11 @@ class CounterexampleProbe:
     (+epsilon, 0), G decays along circles centered at (-epsilon, 0).  The
     radial gap between the two circles through the probe point is maximal
     on the negative first axis, where it equals 2 epsilon in closed form.
+
+    ``log_margin`` decides ``success``.  ``lhs`` and ``rhs`` are rounded
+    linear-scale values, so they cannot show a relative margin below about
+    1e-16: at epsilon = 1 and delta = 1 - 2**-53 both read
+    2.291749156844082e+186 while ``log_margin`` is 3.2e-17.
     """
 
     epsilon: float
@@ -434,6 +447,25 @@ def r2_counterexample(epsilon, delta):
     )
 
 
+def counterexample_experiment(cfg):
+    """The violating two-point measure at the configured (epsilon, delta), as one row."""
+    try:
+        probe = r2_counterexample(cfg.epsilon, cfg.delta)
+    except ValueError as exc:
+        # delta is range-checked at parse time, so only epsilon can be out of reach here
+        raise ConfigError("epsilon", str(exc)) from exc
+    (y1, y2), (yp1, yp2) = probe.witness
+    return Table(
+        header=("epsilon", "delta", "lhs", "rhs", "psi", "log_margin", "y1", "y2", "yprime1",
+                "yprime2", "g_y", "g_yprime", "v_y", "v_yprime", "branch"),
+        rows=[(probe.epsilon, probe.delta, probe.lhs, probe.rhs, probe.psi_value,
+               probe.log_margin, y1, y2, yp1, yp2, *probe.g_vals, *probe.v_vals,
+               probe.branch)],
+        status="ok",
+        body=asdict(probe),
+    )
+
+
 @dataclass
 class Lemma1Row:
     n: int
@@ -447,21 +479,13 @@ class Lemma1Row:
     a2_ok: bool
 
 
-@dataclass
-class Lemma1Audit:
-    rows: List[Lemma1Row]
-    inf_eps: float
-    per_n_inf_eps: dict
-    all_pass: bool
-    a2_failures: List[str] = field(default_factory=list)
-
-
 def lemma1_audit(models, drift, minorizer):
     """Tabulate the tilted minorization/drift inequalities over an n-grid.
 
     Both indexings of the drift offset are checked (printed and
-    derivation); the printed one decides ``all_pass``.  The per-horizon
-    infimum of the tilt coefficient exhibits its non-vanishing in n.
+    derivation); the printed one decides ``all_pass`` and the status, "ok"
+    or "failed".  The per-horizon infimum of the tilt coefficient exhibits
+    its non-vanishing in n.  The CSV columns are the fields of ``Lemma1Row``.
     """
     rows, a2_failures = [], []
     per_n = {}
@@ -483,12 +507,13 @@ def lemma1_audit(models, drift, minorizer):
                     a2_failures.append(tag)
             per_n[n] = min(per_n.get(n, math.inf), td.eps_nk)
     all_pass = all(r.minor_ok and r.drift_ok and r.a2_ok for r in rows)
-    return Lemma1Audit(
-        rows=rows,
-        inf_eps=min(per_n.values()) if per_n else math.nan,
-        per_n_inf_eps=per_n,
-        all_pass=all_pass,
-        a2_failures=a2_failures,
+    return Table(
+        header=tuple(f.name for f in fields(Lemma1Row)),
+        rows=[astuple(r) for r in rows],
+        status="ok" if all_pass else "failed",
+        body={"inf_eps": min(per_n.values()) if per_n else math.nan,
+              "per_n_inf_eps": {str(n): v for n, v in sorted(per_n.items())},
+              "all_pass": all_pass, "a2_failures": a2_failures},
     )
 
 

@@ -40,7 +40,6 @@ class TemperingSchedule:
     gamma_floor: float
     fn: Callable
     lipschitz_const: float
-    name: str = "custom"
 
     def __post_init__(self):
         if not 0.0 < self.gamma_floor <= 1.0:
@@ -80,7 +79,6 @@ def linear_schedule(gamma_floor):
         gamma_floor=gamma_floor,
         fn=lambda u: gamma_floor + span * np.asarray(u, dtype=float),
         lipschitz_const=span if span > 0 else 1.0,
-        name="linear",
     )
 
 
@@ -96,7 +94,6 @@ def smoothstep_schedule(gamma_floor):
         gamma_floor=gamma_floor,
         fn=fn,
         lipschitz_const=1.5 * span if span > 0 else 1.0,
-        name="smoothstep",
     )
 
 
@@ -114,7 +111,6 @@ def piecewise_linear_schedule(gamma_floor, knots):
         gamma_floor=gamma_floor,
         fn=lambda u: np.interp(np.asarray(u, dtype=float), us, gs),
         lipschitz_const=float(slopes.max()) if slopes.max() > 0 else 1.0,
-        name="piecewise-linear",
     )
 
 
@@ -132,15 +128,16 @@ class LogTarget:
     log_unnorm: Callable
     sup_log_unnorm: float
     tempered_sampler: Optional[Callable] = None
-    name: str = "custom"
 
 
 def gaussian_target(mean, sigma):
     """Isotropic-by-axis Gaussian with unit amplitude: sup of the density is 1."""
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), mean.shape).copy()
-    if np.any(sigma <= 0):
-        raise ValueError("sigma must be positive")
+    if not np.all(np.isfinite(mean)):
+        raise ValueError("mean must be finite")
+    if not np.all((sigma > 0) & (sigma < np.inf)):  # false for NaN
+        raise ValueError("sigma must be finite and positive")
     d = mean.size
 
     def log_unnorm(x):
@@ -156,7 +153,6 @@ def gaussian_target(mean, sigma):
         log_unnorm=log_unnorm,
         sup_log_unnorm=0.0,
         tempered_sampler=tempered_sampler,
-        name="gaussian",
     )
 
 
@@ -170,8 +166,12 @@ def gaussian_mixture_target(means, sigmas, weights):
     n_comp, d = means.shape
     sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float), means.shape).copy()
     weights = np.asarray(weights, dtype=float)
-    if weights.shape != (n_comp,) or np.any(weights <= 0):
-        raise ValueError("need one positive amplitude per component")
+    if not np.all(np.isfinite(means)):
+        raise ValueError("means must be finite")
+    if not np.all((sigmas > 0) & (sigmas < np.inf)):
+        raise ValueError("sigmas must be finite and positive")
+    if weights.shape != (n_comp,) or not np.all((weights > 0) & (weights < np.inf)):
+        raise ValueError("need one finite positive amplitude per component")
 
     def log_unnorm(x):
         x = np.asarray(x, dtype=float)
@@ -184,7 +184,6 @@ def gaussian_mixture_target(means, sigmas, weights):
         dim=d,
         log_unnorm=log_unnorm,
         sup_log_unnorm=float(np.log(weights.sum())),
-        name="gaussian-mixture",
     )
 
 

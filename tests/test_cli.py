@@ -10,9 +10,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tempersmc import cli
-from tempersmc.cli import EXIT_OK, EXIT_PRECONDITION, dispatch, main, make_mapper
+from tempersmc import cli, config
+from tempersmc.cli import (
+    EXIT_INCONCLUSIVE, EXIT_OK, EXIT_PRECONDITION, dispatch, main, make_mapper,
+)
 from tempersmc.config import ConfigError, parse_config
+from tempersmc.stabilitylab import Table
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -168,6 +171,10 @@ def test_scalar_keys_accept_boundary_values(key, value, tmp_path):
     assert getattr(parse_config(_shipped("drift_check", tmp_path, **{key: value})), key) == value
 
 
+# A one-component mixture target that drift_monitor runs with (its gaussian
+# init fits any one-dimensional target); the mixture cases below spoil one entry.
+MIXTURE = {"name": "gaussian-mixture", "means": [[0.0]], "sigmas": [[1.0]], "weights": [1.0]}
+
 # (shipped config, keys to the value, new value, path the error must carry)
 COMPONENT_CASES = [
     ("bias_finite", ("init",), {"name": "dirac", "stat": 1}, "init.stat"),
@@ -209,13 +216,27 @@ COMPONENT_CASES = [
     ("bias_gaussian", ("model", "target", "name"), "x", "model.target.name"),
     ("bias_gaussian", ("model", "target", "sigma"), [-1.0], "model.target"),
     ("bias_gaussian", ("model", "target", "mean"), [], "model.target"),
+    ("bias_gaussian", ("model", "target", "mean"), [math.nan], "model.target"),
+    ("bias_gaussian", ("model", "target", "sigma"), [math.nan], "model.target"),
+    ("bias_gaussian", ("model", "target", "sigma"), [math.inf], "model.target"),
     ("bias_gaussian", ("model", "schedule", "gamma_floor"), 1.5, "model.schedule"),
     ("bias_gaussian", ("model", "schedule", "floor"), 0.5, "model.schedule.floor"),
     ("bias_gaussian", ("model", "increment", "scale"), "x", "model.increment"),
+    ("bias_gaussian", ("model", "increment", "scale"), math.nan, "model.increment"),
+    ("bias_gaussian", ("model", "increment", "scale"), math.inf, "model.increment"),
+    ("bias_gaussian", ("model", "increment"), {"name": "uniform-ball", "radius": math.nan},
+     "model.increment"),
+    ("bias_gaussian", ("model", "increment"), {"name": "uniform-ball", "radius": math.inf},
+     "model.increment"),
     ("bias_gaussian", ("model", "increment", "name"), "x", "model.increment.name"),
     ("bias_gaussian", ("grids", "N"), [50, 5000], "grids.N"),
     ("bias_gaussian", ("grids",), {"n": [5, 10]}, "grids.N"),
     ("drift_monitor", ("init",), {"name": "point", "point": [math.nan]}, "init.point"),
+    ("drift_monitor", ("model", "target"), {**MIXTURE, "sigmas": [[math.nan]]}, "model.target"),
+    ("drift_monitor", ("model", "target"), {**MIXTURE, "sigmas": [[0.0]]}, "model.target"),
+    ("drift_monitor", ("model", "target"), {**MIXTURE, "sigmas": [[-1.0]]}, "model.target"),
+    ("drift_monitor", ("model", "target"), {**MIXTURE, "means": [[math.nan]]}, "model.target"),
+    ("drift_monitor", ("model", "target"), {**MIXTURE, "weights": [math.nan]}, "model.target"),
     ("drift_check", ("model", "schedule"), [], "model.schedule"),
     ("drift_check", ("radii",), [2, -1], "radii[1]"),
     ("drift_check", ("grids",), {"n": [2], "M": [3]}, "grids.M"),
@@ -242,6 +263,39 @@ def test_component_keys_validated_at_parse_time(name, keys, value, where, tmp_pa
     assert main(["run", str(path)]) == EXIT_PRECONDITION
     assert capsys.readouterr().err.startswith(f"error: {where}: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_mixture_of_the_component_cases_parses(tmp_path):
+    raw = json.loads(_shipped("drift_monitor", tmp_path))
+    raw["model"]["target"] = MIXTURE
+    parse_config(json.dumps(raw))
+
+
+def test_every_experiment_has_a_runner():
+    assert set(cli._RUNNERS) == set(config.KINDS)
+
+
+def test_inconclusive_run_exits_2_with_both_outputs(tmp_path):
+    # the correct start leaves no exact bias above the float floor to fit
+    cfg = parse_config(_shipped("bias_finite", tmp_path, workers=1,
+                                init={"name": "tempered-floor"}))
+    assert dispatch(cfg) == EXIT_INCONCLUSIVE
+    doc = json.loads((tmp_path / "bias-decay.json").read_text())
+    assert doc["status"] == "inconclusive" and doc["exit_code"] == EXIT_INCONCLUSIVE
+    assert doc["summary"]["exact"]["status"] == "inconclusive"
+    assert len((tmp_path / "bias-decay.csv").read_text().splitlines()) == 1 + 4
+
+
+@pytest.mark.parametrize("status, code", [("ok", EXIT_OK), ("failed", EXIT_PRECONDITION),
+                                          ("inconclusive", EXIT_INCONCLUSIVE)])
+def test_exit_code_follows_the_table_status(status, code, monkeypatch, tmp_path):
+    cfg = parse_config(_shipped("counterexample", tmp_path))
+    table = Table(header=("a", "b"), rows=[(1, 0.5)], status=status, body={"x": 1.0})
+    monkeypatch.setitem(cli._RUNNERS, "counterexample", lambda cfg, mapper: table)
+    assert dispatch(cfg) == code
+    doc = json.loads((tmp_path / "counterexample.json").read_text())
+    assert (doc["status"], doc["exit_code"], doc["summary"]) == (status, code, {"x": 1.0})
+    assert (tmp_path / "counterexample.csv").read_text() == "a,b\n1,0.5\n"
 
 
 @pytest.mark.parametrize(

@@ -3,10 +3,12 @@
 A public top-level name that nothing in ``src/tempersmc`` refers to is API
 that only tests reach; it either gets a caller or goes.  The allowlist holds
 the oracle's cross-check routes, which exist to be compared against each
-other and against the engine.
+other and against the engine.  Each module's ``__all__`` lists exactly
+names that exist, and every public function and class it defines.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tempersmc"
@@ -49,3 +51,23 @@ def unreached_names():
 
 def test_public_names_are_reached_from_the_package():
     assert sorted(unreached_names()) == sorted(ALLOWED)
+
+
+def _modules():
+    """(module, parsed source) for every module of the package, ``__init__`` included."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "tempersmc" if path.stem == "__init__" else f"tempersmc.{path.stem}"
+        yield importlib.import_module(name), ast.parse(path.read_text())
+
+
+def test_every_name_in_all_exists():
+    missing = [(module.__name__, name) for module, _ in _modules()
+               for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
+
+
+def test_every_public_definition_is_in_all():
+    unlisted = [(module.__name__, node.name) for module, tree in _modules() for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_") and node.name not in module.__all__]
+    assert unlisted == []

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -40,23 +41,29 @@ def _cfg(**overrides):
 
 # ------------------------------------------------------------- bias decay
 
+def _columns(table, mode=None):
+    """The table's rows as {column: values}, only those of ``mode`` when given."""
+    rows = [r for r in table.rows if mode is None or r[0] == mode]
+    return {name: [r[i] for r in rows] for i, name in enumerate(table.header)}
+
+
 def test_exact_bias_zero_from_correct_start():
     cfg = _cfg(init={"name": "tempered-floor"})
-    res = bias_decay_experiment(cfg)
-    for cell in res.exact.cells:
-        assert abs(cell.bias) < 1e-13
-    assert res.exact.status == "inconclusive"  # nothing above the float floor
+    table = bias_decay_experiment(cfg)
+    for bias in _columns(table, "exact")["bias"]:
+        assert abs(bias) < 1e-13
+    assert table.body["exact"]["status"] == "inconclusive"  # nothing above the float floor
 
 
 def test_exact_bias_decays_geometrically():
     cfg = _cfg()
-    res = bias_decay_experiment(cfg)
-    fit = res.exact
-    assert fit.status == "ok"
-    biases = [c.abs_bias for c in fit.cells]
+    table = bias_decay_experiment(cfg)
+    fit = table.body["exact"]
+    assert fit["status"] == "ok"
+    biases = _columns(table, "exact")["abs_bias"]
     assert all(b2 < b1 for b1, b2 in zip(biases, biases[1:]))
-    assert fit.slope < 0
-    assert fit.r_squared > 0.99
+    assert fit["slope"] < 0
+    assert fit["r_squared"] > 0.99
 
 
 def test_particle_bias_noise_floor_inconclusive():
@@ -66,9 +73,9 @@ def test_particle_bias_noise_floor_inconclusive():
         grids={"n": [3, 5], "N": [50]},
         replicates=8,
     )
-    res = bias_decay_experiment(cfg)
-    assert res.particle.status == "inconclusive"
-    assert res.status == "inconclusive"
+    table = bias_decay_experiment(cfg)
+    assert table.body["particle"]["status"] == "inconclusive"
+    assert table.status == "inconclusive"
 
 
 # ------------------------------------------------------------- scaling
@@ -81,9 +88,8 @@ def test_constant_f_has_zero_error():
         grids={"n": [4], "N": [10, 100]},
         replicates=10,
     )
-    fit = n_scaling_experiment(cfg)
-    for cell in fit.cells:
-        assert cell.rmse == 0.0
+    table = n_scaling_experiment(cfg)
+    assert _columns(table)["rmse"] == [0.0, 0.0]
 
 
 # ------------------------------------------------------------- counterexample
@@ -173,39 +179,40 @@ def test_lemma1_flat_model_passes():
     model = table_model(mats, np.zeros((4, 3)), row)
     drift = DriftSpec(v=np.ones(3), lam=0.5, level_d=1.0, b_d=1.0)
     eps = 3 * 0.25
-    audit = lemma1_audit([model], drift, (eps, np.full(3, 1 / 3)))
-    assert audit.all_pass
-    np.testing.assert_allclose([r.eps_nk for r in audit.rows], eps, atol=1e-14)
+    table = lemma1_audit([model], drift, (eps, np.full(3, 1 / 3)))
+    assert table.status == "ok" and table.body["all_pass"]
+    np.testing.assert_allclose(_columns(table)["eps_nk"], eps, atol=1e-14)
 
 
 def test_lemma1_fixture_grid_passes_with_stable_eps():
     drift, minor = fixture_drift_inputs()
     models = [two_state_fixture(n) for n in (2, 5, 10, 30, 1000)]
-    audit = lemma1_audit(models, drift, minor)
-    assert audit.all_pass
-    assert audit.inf_eps > 0
-    inf_eps = audit.per_n_inf_eps
-    assert inf_eps[30] / inf_eps[5] >= 0.5
+    table = lemma1_audit(models, drift, minor)
+    assert table.status == "ok" and table.body["all_pass"]
+    assert table.body["inf_eps"] > 0
+    inf_eps = table.body["per_n_inf_eps"]
+    assert inf_eps["30"] / inf_eps["5"] >= 0.5
     # the tilted minorization constant does not vanish at a very large horizon
-    assert inf_eps[1000] / inf_eps[5] >= 0.5
+    assert inf_eps["1000"] / inf_eps["5"] >= 0.5
 
 
 def test_lemma1_broken_inputs_flagged():
     drift, minor = fixture_drift_inputs()
     broken = DriftSpec(v=drift.vector(2), lam=0.001, level_d=drift.level_d, b_d=1e-9)
-    audit = lemma1_audit([two_state_fixture(4)], broken, minor)
-    assert not audit.all_pass
-    assert audit.a2_failures
-    assert any("drift fails for kernel" in msg for msg in audit.a2_failures)
+    table = lemma1_audit([two_state_fixture(4)], broken, minor)
+    assert table.status == "failed" and not table.body["all_pass"]
+    failures = table.body["a2_failures"]
+    assert failures
+    assert any("drift fails for kernel" in msg for msg in failures)
 
 
 def test_lemma1_audit_golden_values():
     # recorded from the per-step implementation that recomputed every
     # future-mass vector; the audit draws no random numbers, so it is exact
     text = (Path(__file__).resolve().parents[1] / "configs" / "lemma1_audit.json").read_text()
-    audit = lemma1_audit_experiment(parse_config(text))
-    assert audit.inf_eps == float.fromhex("0x1.863f1b576012dp-3")
-    assert audit.all_pass and len(audit.rows) == sum(range(2, 31))
+    table = lemma1_audit_experiment(parse_config(text))
+    assert table.body["inf_eps"] == float.fromhex("0x1.863f1b576012dp-3")
+    assert table.status == "ok" and len(table.rows) == sum(range(2, 31))
     x = float.fromhex
     golden = [
         (2, 1, x("0x1.8e598f0b5c7d2p-3"), x("0x1.53c7a2584d666p+1"), x("0x1.40886468768ebp+1")),
@@ -213,8 +220,8 @@ def test_lemma1_audit_golden_values():
         (30, 1, x("0x1.87b147d296de5p-3"), x("0x1.4710c381b0974p+1"), x("0x1.45fb0cd38738ap+1")),
         (30, 30, x("0x1.ada6612839041p-3"), x("0x1.2abde8b96b19dp+1"), x("0x1.292e9163b9172p+1")),
     ]
-    rows = {(r.n, r.k): r for r in audit.rows}
+    rows = {row[:2]: row for row in table.rows}
     for n, k, eps_nk, b_printed, b_proof in golden:
-        assert rows[n, k] == Lemma1Row(n=n, k=k, eps_nk=eps_nk, b_printed=b_printed,
-                                       b_proof=b_proof, minor_ok=True, drift_ok=True,
-                                       drift_ok_proof=True, a2_ok=True)
+        assert rows[n, k] == astuple(Lemma1Row(n=n, k=k, eps_nk=eps_nk, b_printed=b_printed,
+                                               b_proof=b_proof, minor_ok=True, drift_ok=True,
+                                               drift_ok_proof=True, a2_ok=True))
