@@ -40,20 +40,20 @@ _EXIT_CODES = {"ok": EXIT_OK, "failed": EXIT_PRECONDITION, "inconclusive": EXIT_
 
 
 def make_mapper(workers):
-    """Order-preserving map over tasks; workers=1 stays in-process.
+    """Order-preserving map over tasks.
 
-    A pool never holds more processes than there are CPUs or tasks.
+    A pool never holds more processes than there are CPUs or tasks, and a
+    map that would get a single process runs in-process instead.
     """
     cpus = os.cpu_count() or 1
     if workers is None:
         workers = cpus
-    if workers <= 1:
-        return lambda fn, items: [fn(x) for x in items]
 
     def mapper(fn, items):
-        if not items:
-            return []
-        with ProcessPoolExecutor(max_workers=min(workers, cpus, len(items))) as pool:
+        size = min(workers, cpus, len(items))
+        if size <= 1:
+            return [fn(x) for x in items]
+        with ProcessPoolExecutor(max_workers=size) as pool:
             return list(pool.map(fn, items))
 
     return mapper

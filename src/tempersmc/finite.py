@@ -46,6 +46,7 @@ def metropolis_matrix(log_weights, gamma, move_prob):
     From each state, propose one of the other m-1 states with total
     probability ``move_prob`` and accept by the tempered weight ratio; the
     matrix is reversible for the tempered law, hence exactly invariant.
+    For a 1-d array of temperatures, the stack of their matrices.
     """
     logw = np.asarray(log_weights, dtype=float)
     m = logw.size
@@ -53,10 +54,12 @@ def metropolis_matrix(log_weights, gamma, move_prob):
         raise ValueError("need at least two states")
     if not 0.0 < move_prob <= 1.0:
         raise ValueError("move_prob must lie in (0, 1]")
+    gamma = np.asarray(gamma, dtype=float)[..., None, None]
     ratio = np.exp(np.minimum(0.0, gamma * (logw[None, :] - logw[:, None])))
     p = move_prob / (m - 1) * ratio
-    np.fill_diagonal(p, 0.0)
-    np.fill_diagonal(p, 1.0 - p.sum(axis=1))
+    diag = np.arange(m)
+    p[..., diag, diag] = 0.0
+    p[..., diag, diag] = 1.0 - p.sum(axis=-1)
     return p
 
 
@@ -141,7 +144,7 @@ def tempered_chain_model(log_weights, schedule, n, move_prob, init):
         raise ValueError(f"horizon must be >= 1, got {n}")
     logw = np.asarray(log_weights, dtype=float)
     gammas = np.asarray(schedule(np.arange(n + 1) / n), dtype=float)
-    matrices = [metropolis_matrix(logw, gammas[k], move_prob) for k in range(1, n + 1)]
+    matrices = list(metropolis_matrix(logw, gammas[1:], move_prob))
     log_g_max = max(0.0, schedule.lipschitz_const / n * float(logw.max()))
     return table_model(matrices, np.diff(gammas)[:, None] * logw, init, log_g_max=log_g_max)
 
@@ -159,13 +162,9 @@ def drift_inputs_for_chain(log_weights, gamma_floor, move_prob, beta, lam):
     logw = np.asarray(log_weights, dtype=float)
     m = logw.size
     v = np.exp(-beta * gamma_floor * (logw - logw.max()))
-    gammas = np.linspace(gamma_floor, 1.0, 2001)
-    b = 0.0
-    min_entry = np.inf
-    for g in gammas:
-        mk = metropolis_matrix(logw, g, move_prob)
-        b = max(b, float(np.max(mk @ v - lam * v)))
-        min_entry = min(min_entry, float(mk.min()))
+    p = metropolis_matrix(logw, np.linspace(gamma_floor, 1.0, 2001), move_prob)
+    b = max(0.0, float(np.max(p @ v - lam * v)))
+    min_entry = float(p.min())
     if min_entry <= 0:
         raise ValueError("chain kernels have zero entries; cannot minorize on the whole space")
     drift = DriftSpec(v=v, lam=lam, level_d=float(v.max()), b_d=max(1.05 * b, 1e-6))

@@ -8,9 +8,12 @@ closed-form planar construction of a two-point measure that violates the
 reweighting inequality eta(GV) <= (1+delta) eta(G) eta(V) for any
 delta < 1, and the Lemma 1 audit of the tilted drift/minorization data.
 
-Replicates and grid cells are independent tasks with a fixed decomposition
-(cells x replicate blocks); results are merged in task order by a single
-reducer, so output is identical for any worker count.
+Each grid cell is cut into contiguous blocks of replicates, sized so that a
+task holds about ``_TASK_STEPS`` particle-steps (one replicate of cell
+(n, N) costs n*N).  The blocks are a function of the config alone, and
+every replicate draws from its own stream keyed by (cell seed, replicate,
+step), so the block layout changes no draw.  Results are merged in task
+order by a single reducer, so output is identical for any worker count.
 
 Every experiment returns a ``Table``: its CSV header and rows, its status
 and its JSON summary body, built next to the numbers they report.
@@ -52,7 +55,8 @@ __all__ = [
     "lemma1_audit_experiment",
 ]
 
-_CHUNK = 25
+# particle-steps per task: enough work to cover a task's IPC and model build
+_TASK_STEPS = 1_000_000
 _EXACT_FLOOR = 1e-13
 
 
@@ -60,8 +64,9 @@ _EXACT_FLOOR = 1e-13
 class Table:
     """An experiment's outputs: CSV header and rows, status, JSON summary body.
 
-    The status is "ok", "inconclusive" (a fit found too few usable cells)
-    or "failed" (an audited inequality does not hold).
+    The status is "ok", "inconclusive" (a fit found too few usable cells,
+    or a run observed no finite eta(G~)) or "failed" (an audited inequality
+    does not hold).
     """
 
     header: tuple
@@ -75,10 +80,12 @@ def _serial_map(fn, items):
 
 
 def _replicate_tasks(cfg, cells):
+    """Cells cut into contiguous replicate blocks of about ``_TASK_STEPS`` particle-steps."""
     tasks = []
     for n, n_particles in cells:
-        for lo in range(0, cfg.replicates, _CHUNK):
-            hi = min(lo + _CHUNK, cfg.replicates)
+        size = max(1, _TASK_STEPS // (n * n_particles))
+        for lo in range(0, cfg.replicates, size):
+            hi = min(lo + size, cfg.replicates)
             tasks.append((cfg, n, n_particles, tuple(range(lo, hi))))
     return tasks
 
@@ -321,7 +328,11 @@ def _trajectory_task(args):
 
 
 def run_trajectories(cfg, mapper=None):
-    """Per-step diagnostics over replicates, one row per replicate and step."""
+    """Per-step diagnostics over replicates, one row per replicate and step.
+
+    Inconclusive when no replicate gives a finite eta(G~), so the
+    degeneracy floor was never tested.
+    """
     mapper = mapper or _serial_map
     n_particles = cfg.grids["N"][0]
     cells = [(n, n_particles) for n in cfg.grids["n"]]
@@ -337,14 +348,15 @@ def run_trajectories(cfg, mapper=None):
             max_eta_v[n] = max(max_eta_v.get(n, -math.inf), eta_v)
         if math.isfinite(eta_g):
             min_gtilde = min(min_gtilde, eta_g)
+    observed = math.isfinite(min_gtilde)
     return Table(
         header=("replicate", "n", "k", "ess", "log_w_max", "log_w_min", "eta_V",
                 "eta_Gtilde"),
         rows=rows,
-        status="ok",
+        status="ok" if observed else "inconclusive",
         body={"max_eta_v": {str(n): v for n, v in sorted(max_eta_v.items())},
               "min_eta_gtilde": min_gtilde, "degeneracy_floor": cfg.degeneracy_floor,
-              "floor_ok": min_gtilde >= cfg.degeneracy_floor,
+              "floor_ok": observed and min_gtilde >= cfg.degeneracy_floor,
               "degenerate_replicates": degenerate},
     )
 

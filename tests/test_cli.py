@@ -7,10 +7,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tempersmc import cli, config
+from tempersmc import cli, config, stabilitylab
 from tempersmc.cli import (
     EXIT_INCONCLUSIVE, EXIT_OK, EXIT_PRECONDITION, dispatch, main, make_mapper,
 )
@@ -86,16 +87,45 @@ def test_shipped_config_runs_shrunk(name, tmp_path):
 
 
 def test_csv_identical_for_any_worker_count(tmp_path):
-    # 30 replicates in blocks of 25 over two cells: four tasks to spread
+    # a cell of 250,000 particle-steps per replicate splits its 6 replicates
+    # into blocks of 4 and 2; with the one-task cell, three uneven tasks to spread
     raw = json.loads(_shipped("scaling_sqrt_n", tmp_path))
-    raw.update(replicates=30, grids={"n": [3], "N": [10, 20]})
+    raw.update(replicates=6, grids={"n": [50], "N": [10, 5000]})
     cfg = parse_config(json.dumps(raw))
+    tasks = stabilitylab._replicate_tasks(cfg, [(50, 10), (50, 5000)])
+    assert [len(reps) for *_, reps in tasks] == [6, 4, 2]
     csv = {}
     for workers in (1, 2):
         out = tmp_path / f"w{workers}"
         assert dispatch(replace(cfg, workers=workers, out_dir=str(out))) == EXIT_OK
         csv[workers] = (out / "n-scaling.csv").read_bytes()
     assert csv[1] == csv[2]
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("scaling_sqrt_n", {"replicates": 5, "grids": {"n": [2, 5], "N": [10, 40]}}),
+    ("bias_gaussian", {"replicates": 5, "grids": {"n": [3, 6], "N": [30]}}),
+    ("drift_monitor", {"replicates": 5, "grids": {"n": [3, 5], "N": [20]}}),
+])
+def test_outputs_identical_for_any_task_size(name, overrides, monkeypatch, tmp_path):
+    # one replicate per task, the default budget, and one task per cell
+    task_counts, outputs = [], []
+
+    def serial(fn, items):
+        task_counts.append(len(items))
+        return [fn(x) for x in items]
+
+    monkeypatch.setattr(cli, "make_mapper", lambda workers: serial)
+    for budget in (1, stabilitylab._TASK_STEPS, 10**12):
+        monkeypatch.setattr(stabilitylab, "_TASK_STEPS", budget)
+        out = tmp_path / str(budget)
+        cfg = parse_config(_shipped(name, out, **overrides))
+        assert dispatch(cfg) == EXIT_OK
+        doc = json.loads((out / f"{cfg.experiment}.json").read_text())
+        outputs.append(((out / f"{cfg.experiment}.csv").read_bytes(), doc["summary"]))
+    cells = len(cfg.grids["n"]) * len(cfg.grids["N"])
+    assert task_counts[0] == cells * cfg.replicates and task_counts[-1] == cells
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_dispatch_runs_without_scipy(tmp_path):
@@ -381,6 +411,27 @@ def test_pool_capped_at_cpus_and_tasks(monkeypatch):
     assert make_mapper(64)(abs, [-1, -2]) == [1, 2]
     assert make_mapper(None)(abs, [-1, -2, -3, -4]) == [1, 2, 3, 4]
     assert sizes == [3, 2, 3]
+    # a map that would get one worker runs in-process: one task, one worker or one CPU
+    assert make_mapper(64)(abs, [-7]) == [7]
+    assert make_mapper(64)(abs, []) == []
+    assert make_mapper(1)(abs, [-1, -2, -3]) == [1, 2, 3]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    assert make_mapper(None)(abs, [-1, -2]) == [1, 2]
+    assert sizes == [3, 2, 3]
+
+
+def test_run_with_every_replicate_degenerate_is_inconclusive(tmp_path):
+    # the initial log density overflows to -inf, so no replicate gives an eta(G~)
+    cfg = parse_config(_shipped("drift_monitor", tmp_path, workers=1,
+                                init={"name": "point", "point": [1e200]}))
+    with np.errstate(over="ignore"):
+        assert dispatch(cfg) == EXIT_INCONCLUSIVE
+    assert (tmp_path / "run.csv").read_text().count("\n") == 1
+    doc = json.loads((tmp_path / "run.json").read_text())
+    assert doc["status"] == "inconclusive" and doc["exit_code"] == EXIT_INCONCLUSIVE
+    summary = doc["summary"]
+    assert summary["floor_ok"] is False and summary["min_eta_gtilde"] == "inf"
+    assert summary["degenerate_replicates"] == 4
 
 
 @pytest.mark.parametrize("failing", ["render_summary", "write_csv"])

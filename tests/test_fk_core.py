@@ -4,7 +4,13 @@ import scipy.stats
 
 from tempersmc import streams
 from tempersmc.fk_core import PotentialFamily, normalized_log_potential, u_function
-from tempersmc.finite import _inverse_cdf, matrix_kernel_family, table_model
+from tempersmc.finite import (
+    _inverse_cdf,
+    drift_inputs_for_chain,
+    matrix_kernel_family,
+    metropolis_matrix,
+    table_model,
+)
 
 
 def _constant_family(n, c):
@@ -138,3 +144,43 @@ def test_column_sampler_equals_row_sampler(m):
 def test_initial_law_must_be_a_probability_vector(mu):
     with pytest.raises(ValueError, match="probability vector"):
         table_model([np.eye(2)], np.zeros((1, 2)), np.array(mu))
+
+
+def _metropolis_reference(logw, gamma, move_prob):
+    """One lazy uniform-proposal Metropolis matrix, written out for a scalar gamma."""
+    m = logw.size
+    ratio = np.exp(np.minimum(0.0, gamma * (logw[None, :] - logw[:, None])))
+    p = move_prob / (m - 1) * ratio
+    np.fill_diagonal(p, 0.0)
+    np.fill_diagonal(p, 1.0 - p.sum(axis=1))
+    return p
+
+
+def _drift_scan_per_gamma(logw, gamma_floor, move_prob, beta, lam):
+    """The temperature scan of ``drift_inputs_for_chain``, one matrix at a time."""
+    v = np.exp(-beta * gamma_floor * (logw - logw.max()))
+    b, min_entry = 0.0, np.inf
+    for g in np.linspace(gamma_floor, 1.0, 2001):
+        mk = _metropolis_reference(logw, g, move_prob)
+        b = max(b, float(np.max(mk @ v - lam * v)))
+        min_entry = min(min_entry, float(mk.min()))
+    return b, min_entry
+
+
+def test_metropolis_stack_and_drift_scan_equal_per_gamma_loop():
+    rng = np.random.default_rng(2011)
+    for _ in range(30):
+        m = int(rng.integers(2, 9))
+        logw = rng.normal(0.0, rng.choice([0.5, 3.0]), m)
+        gamma_floor, move_prob, beta, lam = rng.uniform([0.05, 0.05, 0.05, 0.05],
+                                                        [1.0, 0.95, 0.95, 0.95])
+        gammas = np.linspace(gamma_floor, 1.0, 7)
+        stack = metropolis_matrix(logw, gammas, move_prob)
+        for g, mk in zip(gammas, stack):
+            reference = _metropolis_reference(logw, g, move_prob)
+            assert np.array_equal(mk, reference)
+            assert np.array_equal(metropolis_matrix(logw, g, move_prob), reference)
+        b, min_entry = _drift_scan_per_gamma(logw, gamma_floor, move_prob, beta, lam)
+        drift, (eps, _) = drift_inputs_for_chain(logw, gamma_floor, move_prob, beta, lam)
+        assert drift.b_d == max(1.05 * b, 1e-6)
+        assert eps == 0.999 * m * min_entry

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from finite_models import fixture_drift_inputs, two_state_fixture
+from tempersmc import stabilitylab
 from tempersmc.config import parse_config
 from tempersmc.finite import table_model
 from tempersmc.fk_core import DriftSpec
@@ -37,6 +38,33 @@ def _cfg(**overrides):
     }
     base.update(overrides)
     return parse_config(json.dumps(base))
+
+
+# ------------------------------------------------------------- task layout
+
+@pytest.mark.parametrize("budget", [1, 50, 10**6, 10**12])
+def test_replicate_tasks_cover_each_replicate_once_in_order(budget, monkeypatch):
+    monkeypatch.setattr(stabilitylab, "_TASK_STEPS", budget)
+    cfg = _cfg(experiment="n-scaling", grids={"n": [3, 40], "N": [7, 1000]}, replicates=13)
+    cells = [(3, 7), (3, 1000), (40, 7), (40, 1000)]
+    tasks = stabilitylab._replicate_tasks(cfg, cells)
+    pairs = [((n, n_particles), r) for _, n, n_particles, reps in tasks for r in reps]
+    assert pairs == [(cell, r) for cell in cells for r in range(13)]
+    for _, n, n_particles, reps in tasks:
+        assert len(reps) == 1 or len(reps) * n * n_particles <= budget
+    if budget == 10**12:
+        assert len(tasks) == len(cells)
+
+
+def test_gauss_trace_sized_run_makes_three_tasks():
+    raw = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "drift_monitor.json").read_text())
+    raw["replicates"] = 10
+    cfg = parse_config(json.dumps(raw))
+    assert cfg.grids["n"] == (10, 200) and cfg.grids["N"] == (1000,)
+    tasks = stabilitylab._replicate_tasks(cfg, [(10, 1000), (200, 1000)])
+    assert [(n, reps) for _, n, _, reps in tasks] == [
+        (10, tuple(range(10))), (200, tuple(range(5))), (200, tuple(range(5, 10)))]
 
 
 # ------------------------------------------------------------- bias decay
