@@ -7,7 +7,8 @@ assembler: kernel matrices, a log-weight table and an initial vector, with
 the table checked against its declared bound.  The tempered chain is built
 through it, with lazy Metropolis kernels over a uniform proposal on the
 other states, which are exactly invariant (reversible) for each tempered
-law.
+law.  A finite model's per-particle statistic is the state label itself, so
+its potentials and drift vectors are indexed by state.
 """
 
 import numpy as np
@@ -76,10 +77,11 @@ def matrix_kernel_family(matrices):
     # column j of step k's cumulative rows as one contiguous vector over the states
     cols = [np.cumsum(a, axis=1)[:, :-1].T.copy() for a in mats]
 
-    def sample_batch(k, xs, rng):
+    def sample_batch(k, xs, stats, rng):
         u = rng.random(len(xs))
         xs = np.asarray(xs, dtype=int)
-        return _inverse_cdf(u, (col[xs] for col in cols[k - 1]))
+        new = _inverse_cdf(u, (col[xs] for col in cols[k - 1]))
+        return new, new
 
     return KernelFamily(horizon=n, sample_batch=sample_batch, matrix=lambda k: mats[k - 1])
 
@@ -115,7 +117,8 @@ def table_model(matrices, log_g_table, mu, log_g_max=None):
     if table.max() > bound + 1e-12:
         raise ValueError("potential table exceeds the declared upper bound")
     potentials = PotentialFamily(
-        horizon=n, log_g=lambda k, x: table[k][np.asarray(x, dtype=int)], log_g_max=bound
+        horizon=n, log_g=lambda k, x: table[k][np.asarray(x, dtype=int)], log_g_max=bound,
+        statistic=lambda xs: xs,
     )
     return FKModel(
         horizon=n,

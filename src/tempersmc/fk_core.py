@@ -9,6 +9,14 @@ are opaque: finite spaces use integer labels, vector spaces use float
 arrays with the leading axis indexing a batch of states.  Kernels and
 potentials are always evaluated on such a batch.
 
+The potentials read each state through a per-particle statistic, which the
+particle engine carries beside the state: the family's ``statistic(xs)`` is
+evaluated once per particle at initialization, and after that each kernel
+returns the statistic of every new state beside it.  For tempered targets
+the statistic is the log target density, so the reweight, the Metropolis
+accept and the drift monitor share one density evaluation per particle and
+step; on finite spaces it is the state label itself.
+
 All potential arithmetic is carried out in the log domain; the family's
 upper bound is supplied as a log constant by the model builder.
 """
@@ -31,16 +39,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PotentialFamily:
-    """Log weight functions ``log_g(k, x)`` for k = 0..horizon-1.
+    """Log weight functions ``log_g(k, s)`` for k = 0..horizon-1.
 
-    ``log_g`` must be vectorized over a batch of states.  ``log_g_max`` is
-    the log of a constant bounding every ``G[k]`` above; the normalized
-    family ``G[k] / exp(log_g_max)`` then takes values in (0, 1].
+    ``statistic(xs)`` maps a batch of states to their per-particle
+    statistics, and ``log_g(k, s)`` is log G[k] of the states with
+    statistics ``s``, vectorized over the batch.  ``log_g_max`` is the log
+    of a constant bounding every ``G[k]`` above; the normalized family
+    ``G[k] / exp(log_g_max)`` then takes values in (0, 1].
     """
 
     horizon: int
     log_g: Callable
     log_g_max: float
+    statistic: Callable
 
     def __post_init__(self):
         if not np.isfinite(self.log_g_max):
@@ -51,10 +62,12 @@ class PotentialFamily:
 class KernelFamily:
     """Markov kernels ``M[k]`` for k = 1..horizon.
 
-    ``sample_batch(k, xs, rng)`` advances a whole batch of states one
-    transition of ``M[k]`` with a fixed draw layout; it is the only sampler
-    the particle engine calls.  ``matrix(k)``, when provided, returns the
-    exact transition matrix (finite spaces only).
+    ``sample_batch(k, xs, stats, rng)`` advances a whole batch of states one
+    transition of ``M[k]`` with a fixed draw layout and returns the new
+    states with their statistics (see ``PotentialFamily``); ``stats`` are
+    the statistics of ``xs``.  It is the only sampler the particle engine
+    calls.  ``matrix(k)``, when provided, returns the exact transition
+    matrix (finite spaces only).
     """
 
     horizon: int
@@ -103,7 +116,9 @@ class DriftSpec:
     """Geometric drift data: function V >= 1, rate, level-set cut and offset.
 
     ``v`` is either a vector over states (finite spaces) or a callable
-    vectorized over a batch of states.  The small set is the sub-level set
+    vectorized over a batch of per-particle statistics (see
+    ``PotentialFamily``); on finite spaces the statistic is the state, so
+    ``values`` takes states there.  The small set is the sub-level set
     ``{V <= level_d}``.  ``lam``, ``level_d`` and ``b_d`` may be left unset
     when only the function itself is needed (e.g. for monitoring).
     """
@@ -113,10 +128,10 @@ class DriftSpec:
     level_d: Optional[float] = None
     b_d: Optional[float] = None
 
-    def values(self, states):
+    def values(self, stats):
         if callable(self.v):
-            return np.asarray(self.v(states), dtype=float)
-        return np.asarray(self.v, dtype=float)[states]
+            return np.asarray(self.v(stats), dtype=float)
+        return np.asarray(self.v, dtype=float)[stats]
 
     def vector(self, n_states):
         """V as an exact vector over an enumerated finite space."""
@@ -128,13 +143,13 @@ class DriftSpec:
         return vec
 
 
-def normalized_log_potential(pf, k, x):
-    """log of G[k](x) divided by its family upper bound; always <= 0."""
+def normalized_log_potential(pf, k, s):
+    """log of G[k] at statistics s divided by its family upper bound; always <= 0."""
     if not 0 <= k <= pf.horizon - 1:
         raise ValueError(f"potential index k={k} outside [0, {pf.horizon - 1}]")
-    return pf.log_g(k, x) - pf.log_g_max
+    return pf.log_g(k, s) - pf.log_g_max
 
 
-def u_function(pf, k, x):
+def u_function(pf, k, s):
     """Per-step energy ``-n * normalized_log_potential``; always >= 0."""
-    return -pf.horizon * normalized_log_potential(pf, k, x)
+    return -pf.horizon * normalized_log_potential(pf, k, s)

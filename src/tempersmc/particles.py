@@ -1,8 +1,16 @@
 """Interacting particle system: init, reweight-resample-mutate steps, estimators.
 
 A particle population is its states array, the uniformly weighted
-empirical measure on those states; an ``Ensemble`` adds the step index k
-and the stream key, and the horizon is read from the model.
+empirical measure on those states; an ``Ensemble`` adds each state's
+statistic (see ``fk_core.PotentialFamily``), the step index k and the
+stream key, and the horizon is read from the model.
+
+The statistic is evaluated once per particle at initialization and then
+carried: the step-k log weights read it, each resampled particle takes its
+ancestor's, and the kernel returns it beside every new state.  For tempered
+targets it is the log target density, so a random walk Metropolis step
+evaluates the density only at its proposals, and the drift monitor reads
+eta(V) from the same values.  Carrying it changes no draw.
 
 The transition draws, for each new particle independently, an ancestor
 index proportional to the current weights and then mutates it through the
@@ -46,9 +54,10 @@ class TotalDegeneracyError(RuntimeError):
 
 @dataclass
 class Ensemble:
-    """N particle states at one step of one replicate's flow."""
+    """N particle states and their statistics at one step of one replicate's flow."""
 
     states: np.ndarray
+    stats: np.ndarray
     k: int
     seed: int
     replicate: int = 0
@@ -56,6 +65,8 @@ class Ensemble:
     def __post_init__(self):
         if len(self.states) < 1:
             raise ValueError("ensemble must hold at least one particle")
+        if len(self.stats) != len(self.states):
+            raise ValueError("need one statistic per particle")
 
     @property
     def n_particles(self):
@@ -74,21 +85,17 @@ class StepSummary:
     eta_gtilde: float
 
 
-def init_ensemble(mu_sampler, n_particles, seed, replicate=0):
-    """Independent draws from the initial law; stream key uses step 0."""
+def init_ensemble(model, n_particles, seed, replicate=0):
+    """Independent draws from the model's initial law and their statistics.
+
+    The stream key uses step 0.
+    """
     rng = streams.stream(seed, replicate, 0)
-    states = np.asarray(mu_sampler(n_particles, rng))
+    states = np.asarray(model.initial.sample(n_particles, rng))
     if len(states) != n_particles:
         raise ValueError("initial sampler returned the wrong number of states")
-    return Ensemble(states=states, k=0, seed=seed, replicate=replicate)
-
-
-def _log_weights(model, k, states):
-    lw = np.asarray(model.potentials.log_g(k, states), dtype=float)
-    top = lw.max()
-    if not np.isfinite(top):
-        raise TotalDegeneracyError(f"all particle weights vanished at step {k}")
-    return lw
+    stats = np.asarray(model.potentials.statistic(states))
+    return Ensemble(states=states, stats=stats, k=0, seed=seed, replicate=replicate)
 
 
 def smc_step(ens, model):
@@ -99,18 +106,23 @@ def smc_step(ens, model):
     k = ens.k
     if k >= model.horizon:
         raise ValueError(f"flow already at terminal step k={k}")
-    lw = _log_weights(model, k, ens.states)
-    w = np.exp(lw - lw.max())
-    cw = np.cumsum(w)
+    lw = np.asarray(model.potentials.log_g(k, ens.stats), dtype=float)
+    top = lw.max()
+    if not np.isfinite(top):
+        raise TotalDegeneracyError(f"all particle weights vanished at step {k}")
+    cw = np.cumsum(np.exp(lw - top))
     rng = streams.stream(ens.seed, ens.replicate, k + 1)
     u = rng.random(ens.n_particles)
     order = np.argsort(u)
     ancestors = np.empty(ens.n_particles, dtype=np.intp)
     ancestors[order] = np.searchsorted(cw, u[order] * cw[-1], side="right")
     np.minimum(ancestors, ens.n_particles - 1, out=ancestors)
-    new_states = model.kernels.sample_batch(k + 1, ens.states[ancestors], rng)
+    states, stats = model.kernels.sample_batch(
+        k + 1, ens.states[ancestors], ens.stats[ancestors], rng
+    )
     return Ensemble(
-        states=np.asarray(new_states),
+        states=np.asarray(states),
+        stats=np.asarray(stats),
         k=k + 1,
         seed=ens.seed,
         replicate=ens.replicate,
@@ -127,9 +139,14 @@ def ess_from_log_weights(lw):
     return float(w.sum() ** 2 / np.sum(w * w))
 
 
+def _mean(a):
+    """``np.mean`` of a 1-d float array, to the same bits, without its overhead."""
+    return float(a.sum() / a.size)
+
+
 def _summary(model, ens, drift, lw):
     """Diagnostics of ``ens``; ``lw`` are its step log weights (None at the terminal step)."""
-    eta_v = float(np.mean(drift.values(ens.states))) if drift is not None else math.nan
+    eta_v = _mean(drift.values(ens.stats)) if drift is not None else math.nan
     if lw is None:
         return StepSummary(k=ens.k, ess=math.nan, log_w_max=math.nan, log_w_min=math.nan,
                            eta_v=eta_v, eta_gtilde=math.nan)
@@ -140,13 +157,13 @@ def _summary(model, ens, drift, lw):
         log_w_max=float(lw.max()),
         log_w_min=float(lw.min()),
         eta_v=eta_v,
-        eta_gtilde=float(np.mean(np.exp(lw))),
+        eta_gtilde=_mean(np.exp(lw)),
     )
 
 
 def run_sampler(model, n_particles, seed, replicate=0, drift=None, keep_summaries=True):
     """Run the full flow; returns the terminal particle states and summaries."""
-    ens = init_ensemble(model.initial.sample, n_particles, seed, replicate)
+    ens = init_ensemble(model, n_particles, seed, replicate)
     summaries: Optional[List[StepSummary]] = [] if keep_summaries else None
     for _ in range(model.horizon):
         nxt, lw = smc_step(ens, model)

@@ -107,22 +107,24 @@ def uniform_ball_increment(dim, radius):
     )
 
 
-def rwm_step_batch(fam, gamma, q, xs, rng):
+def rwm_step_batch(fam, gamma, q, xs, cur, rng):
     """Advance a batch of chains one Metropolis step at inverse temperature gamma.
 
-    Draw layout per call: proposals first, then one acceptance uniform per
-    chain.  Proposals with non-finite log density are rejected.
+    ``cur`` is the log target density at ``xs``; only the proposals are
+    evaluated.  Returns the new states and their log densities.  Draw layout
+    per call: proposals first, then one acceptance uniform per chain.
+    Proposals with non-finite log density are rejected.
     """
     xs = np.asarray(xs, dtype=float)
     size = xs.shape[0]
     y = q.sample(size, rng)
     u = rng.random(size)
-    cur = np.asarray(fam.target.log_unnorm(xs), dtype=float)
-    prop = np.asarray(fam.target.log_unnorm(xs + y), dtype=float)
+    moved = xs + y
+    prop = np.asarray(fam.target.log_unnorm(moved), dtype=float)
     with np.errstate(invalid="ignore"):
         log_ratio = gamma * (prop - cur)
     accept = np.isfinite(prop) & (np.log(u) < log_ratio)
-    return np.where(accept[:, None], xs + y, xs)
+    return np.where(accept[:, None], moved, xs), np.where(accept, prop, cur)
 
 
 def rwm_kernel_family(fam, n, q):
@@ -132,7 +134,7 @@ def rwm_kernel_family(fam, n, q):
     gammas = np.asarray(fam.schedule(np.arange(n + 1) / n), dtype=float)
     return KernelFamily(
         horizon=n,
-        sample_batch=lambda k, xs, rng: rwm_step_batch(fam, gammas[k], q, xs, rng),
+        sample_batch=lambda k, xs, ell, rng: rwm_step_batch(fam, gammas[k], q, xs, ell, rng),
     )
 
 
@@ -153,7 +155,8 @@ def drift_probe(fam, gamma, q, drift, radii, n_proposals, seed=0):
     Each probe point uses ``n_proposals`` Rao-Blackwellized proposals (the
     acceptance probability is integrated analytically, no accept draws).
     The per-shell band is 4 standard errors of the worst point; the safe
-    radius is the smallest shell where estimate + band < 1.
+    radius is the smallest shell where estimate + band < 1.  ``drift``
+    reads the log target density, as ``tempering.drift_function`` builds it.
     """
     d = fam.target.dim
     radii = np.asarray(sorted(radii), dtype=float)
@@ -176,8 +179,8 @@ def drift_probe(fam, gamma, q, drift, radii, n_proposals, seed=0):
             with np.errstate(invalid="ignore", over="ignore"):
                 a = np.exp(np.minimum(0.0, gamma * (prop - cur)))
             a = np.where(np.isfinite(prop), a, 0.0)
-            vx = float(drift.values(x[None, :])[0])
-            vy = drift.values(x + y)
+            vx = float(drift.values(np.array([cur]))[0])
+            vy = drift.values(prop)
             vals = (a * vy + (1.0 - a) * vx) / vx
             est = float(vals.mean())
             se = float(vals.std(ddof=1) / math.sqrt(n_proposals))

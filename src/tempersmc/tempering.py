@@ -5,7 +5,8 @@ temperature in [gamma_floor, 1], non-decreasing and Lipschitz with a
 declared constant.  A tempered family raises an unnormalized density to
 the scheduled power; the per-step potentials are the resulting density
 ratios, which flatten as the horizon grows because the total temperature
-change is fixed.
+change is fixed.  Potentials and drift functions read a particle through its
+log target density, the per-particle statistic the engine carries.
 """
 
 import math
@@ -178,7 +179,11 @@ def gaussian_mixture_target(means, sigmas, weights):
         z = (x[..., None, :] - means) / sigmas
         comp = -0.5 * np.sum(z * z, axis=-1) + np.log(weights)
         m = comp.max(axis=-1)
-        return m + np.log(np.sum(np.exp(comp - m[..., None]), axis=-1))
+        # far from every component each term is -inf: shift by 0, not by -inf,
+        # so the sum is 0 and the result -inf rather than -inf - (-inf) = NaN
+        shift = np.where(m > -np.inf, m, 0.0)
+        with np.errstate(divide="ignore"):
+            return m + np.log(np.sum(np.exp(comp - shift[..., None]), axis=-1))
 
     return LogTarget(
         dim=d,
@@ -198,9 +203,11 @@ class TemperedFamily:
 def build_potentials(fam, n):
     """Per-step potentials for horizon n: the scheduled density-ratio increments.
 
-    log G[k](x) = (gamma((k+1)/n) - gamma(k/n)) * log density(x).  The
-    family upper bound follows from the Lipschitz constant: no step can
-    change the exponent by more than C/n.
+    log G[k](x) = (gamma((k+1)/n) - gamma(k/n)) * log density(x), read from
+    the statistic ``ell`` = log density(x).  A zero increment gives log
+    weight 0 everywhere, also where the density underflowed to 0, since
+    pi^0 = 1.  The family upper bound follows from the Lipschitz constant:
+    no step can change the exponent by more than C/n.
     """
     if n < 1:
         raise ValueError(f"horizon must be >= 1, got {n}")
@@ -209,10 +216,13 @@ def build_potentials(fam, n):
     target = fam.target
     log_g_max = max(0.0, fam.schedule.lipschitz_const / n * target.sup_log_unnorm)
 
-    def log_g(k, x):
-        return deltas[k] * target.log_unnorm(x)
+    def log_g(k, ell):
+        if deltas[k] == 0.0:  # 0 * -inf is NaN: leave those entries at 0
+            return np.multiply(0.0, ell, out=np.zeros(np.shape(ell)), where=ell != -np.inf)
+        return deltas[k] * ell
 
-    return PotentialFamily(horizon=n, log_g=log_g, log_g_max=log_g_max)
+    return PotentialFamily(horizon=n, log_g=log_g, log_g_max=log_g_max,
+                           statistic=target.log_unnorm)
 
 
 def drift_function(fam, beta):
@@ -220,13 +230,14 @@ def drift_function(fam, beta):
 
     V(x) = exp(-beta * gamma_floor * (log density(x) - sup log density)),
     normalized to 1 at the density's supremum, hence V >= 1 everywhere.
+    V reads the statistic ``ell`` = log density(x), not the state.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    target = fam.target
+    sup = fam.target.sup_log_unnorm
     bg = beta * fam.schedule.gamma_floor
 
-    def v(x):
-        return np.exp(-bg * (target.log_unnorm(x) - target.sup_log_unnorm))
+    def v(ell):
+        return np.exp(-bg * (ell - sup))
 
     return DriftSpec(v=v)

@@ -434,6 +434,56 @@ def test_run_with_every_replicate_degenerate_is_inconclusive(tmp_path):
     assert summary["degenerate_replicates"] == 4
 
 
+@pytest.mark.parametrize("model", [
+    {"schedule": {"name": "piecewise-linear", "gamma_floor": 0.7, "knots": [[0.5, 0.7]]}},
+    {"target": {"name": "gaussian-mixture", "means": [[0.0], [3.0]], "sigmas": [[1.0], [0.5]],
+                "weights": [0.5, 0.5]}},
+], ids=["zero-increment", "mixture"])
+def test_particles_at_zero_density_do_not_abort_the_replicate(model, tmp_path):
+    # about a fifth of the initial particles overflow to log density -inf; a
+    # flat schedule segment (increment 0 at steps 0 and 1) must weigh them 1,
+    # and the mixture must give them -inf, not NaN
+    raw = json.loads(_shipped("drift_monitor", tmp_path, workers=1, replicates=3,
+                              grids={"n": [4], "N": [200]},
+                              init={"name": "gaussian", "sigma": [1e154]}))
+    raw["model"].update(model)
+    with np.errstate(over="ignore"):
+        assert dispatch(parse_config(json.dumps(raw))) == EXIT_OK
+    summary = json.loads((tmp_path / "run.json").read_text())["summary"]
+    assert summary["degenerate_replicates"] == 0
+    rows = (tmp_path / "run.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3 * 5
+    if "schedule" in model:
+        flat = [r.split(",") for r in rows if r.split(",")[2] in ("0", "1")]
+        assert len(flat) == 6 and all(r[3] == "200" and r[7] == "1" for r in flat)
+
+
+def test_one_density_evaluation_per_particle_step(monkeypatch, tmp_path):
+    # N evaluations per replicate at init, then N per particle-step: the proposals
+    evals = []
+    build_family = config.build_family
+
+    def counted_family(spec):
+        fam = build_family(spec)
+        log_unnorm = fam.target.log_unnorm
+
+        def counted(x):
+            evals.append(math.prod(np.shape(x)[:-1]))
+            return log_unnorm(x)
+
+        return replace(fam, target=replace(fam.target, log_unnorm=counted))
+
+    monkeypatch.setattr(config, "build_family", counted_family)
+    for name, reps, ns, n_particles in (("bias_gaussian", 3, [2, 5], 40),
+                                        ("drift_monitor", 2, [3, 7], 30)):
+        evals.clear()
+        cfg = parse_config(_shipped(name, tmp_path, workers=1, replicates=reps,
+                                    grids={"n": ns, "N": [n_particles]}))
+        assert dispatch(cfg) == EXIT_OK
+        assert set(evals) == {n_particles}
+        assert len(evals) == reps * sum(n + 1 for n in ns)
+
+
 @pytest.mark.parametrize("failing", ["render_summary", "write_csv"])
 def test_failed_write_leaves_previous_pair(failing, monkeypatch, tmp_path):
     cfg = parse_config(_shipped("counterexample", tmp_path))

@@ -16,7 +16,7 @@ from tempersmc.finite import (
 def _constant_family(n, c):
     return PotentialFamily(horizon=n, log_g=lambda k, x: np.log(c) * np.ones_like(
         np.asarray(x, dtype=float)[..., 0] if np.asarray(x).ndim > 1 else np.asarray(x, dtype=float)
-    ), log_g_max=float(np.log(c)))
+    ), log_g_max=float(np.log(c)), statistic=lambda xs: xs)
 
 
 def test_normalized_log_potential_constant():
@@ -33,7 +33,7 @@ def test_normalized_log_potential_gaussian_increment():
     def log_g(k, x):
         return (gamma((k + 1) / n) - gamma(k / n)) * (-np.asarray(x, dtype=float) ** 2 / 2.0)
 
-    pf = PotentialFamily(horizon=n, log_g=log_g, log_g_max=0.0)
+    pf = PotentialFamily(horizon=n, log_g=log_g, log_g_max=0.0, statistic=lambda xs: xs)
     assert normalized_log_potential(pf, 0, 2.0) == pytest.approx(-0.2)
     assert u_function(pf, 0, 2.0) == pytest.approx(2.0)
 
@@ -42,7 +42,7 @@ def test_potential_table_cross_check():
     # independent hand evaluation of a configured two-state table
     table = np.array([[0.1, -0.3], [-0.2, 0.4], [0.0, -0.1]])
     pf = PotentialFamily(horizon=3, log_g=lambda k, x: table[k][np.asarray(x, dtype=int)],
-                         log_g_max=0.4)
+                         log_g_max=0.4, statistic=lambda xs: xs)
     got = normalized_log_potential(pf, 1, 0)
     assert got == pytest.approx(table[1, 0] - 0.4, abs=1e-15)
 
@@ -51,7 +51,7 @@ def test_u_function_matches_definition():
     rng = np.random.default_rng(0)
     table = rng.uniform(-1.0, 0.5, size=(6, 4))
     pf = PotentialFamily(horizon=6, log_g=lambda k, x: table[k][np.asarray(x, dtype=int)],
-                         log_g_max=float(table.max()))
+                         log_g_max=float(table.max()), statistic=lambda xs: xs)
     xs = np.arange(4)
     for k in range(6):
         nlp = normalized_log_potential(pf, k, xs)
@@ -74,9 +74,11 @@ def test_sample_batch_deterministic_given_stream():
     mats = [np.array([[0.3, 0.7], [0.6, 0.4]])] * 2
     kf = matrix_kernel_family(mats)
     xs = np.array([0, 1, 0, 1, 1])
-    a = [kf.sample_batch(1, xs, streams.stream(11, i)) for i in range(20)]
-    b = [kf.sample_batch(1, xs, streams.stream(11, i)) for i in range(20)]
+    a = [kf.sample_batch(1, xs, xs, streams.stream(11, i)) for i in range(20)]
+    b = [kf.sample_batch(1, xs, xs, streams.stream(11, i)) for i in range(20)]
     np.testing.assert_array_equal(a, b)
+    # a finite state is its own statistic
+    assert all(new is stats for new, stats in a)
 
 
 def test_sample_batch_frequencies_match_matrix_row():
@@ -84,7 +86,8 @@ def test_sample_batch_frequencies_match_matrix_row():
     kf = matrix_kernel_family(mats)
     n_draws = 100_000
     rng = streams.stream(5, 0)
-    draws = kf.sample_batch(1, np.zeros(n_draws, dtype=int), rng)
+    start = np.zeros(n_draws, dtype=int)
+    draws, _ = kf.sample_batch(1, start, start, rng)
     counts = np.bincount(draws, minlength=3)
     row = mats[0][0]
     # 4-sigma binomial bands per destination state
@@ -127,7 +130,7 @@ def test_column_sampler_equals_row_sampler(m):
     expected = _row_search(u, cum[xs])
     np.testing.assert_array_equal(_inverse_cdf(u, (c[xs] for c in cum[:, :-1].T)), expected)
     kf = matrix_kernel_family([a])
-    drawn = kf.sample_batch(1, xs, streams.stream(13, m))
+    drawn, _ = kf.sample_batch(1, xs, xs, streams.stream(13, m))
     u_stream = streams.stream(13, m).random(xs.size)
     np.testing.assert_array_equal(drawn, _row_search(u_stream, cum[xs]))
     # the 1-d cumsum of an initial law, through the sampler of a finite model

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,11 +23,12 @@ from tempersmc.particles import (
     run_sampler,
     smc_step,
 )
-from tempersmc.rwm import gaussian_increment, rwm_kernel_family
+from tempersmc.rwm import gaussian_increment, rwm_kernel_family, uniform_ball_increment
 from tempersmc.tempering import (
     TemperedFamily,
     build_potentials,
     drift_function,
+    gaussian_mixture_target,
     gaussian_target,
     linear_schedule,
 )
@@ -38,6 +40,11 @@ G2 = np.array([1.0, 0.5])
 def two_state_model(n=3, mu=(0.6, 0.4)):
     table = np.tile(np.log(G2), (n, 1))
     return table_model([M2] * n, table, np.array(mu))
+
+
+def _started(model, sampler):
+    """``model`` with its initial law replaced by ``sampler``."""
+    return replace(model, initial=InitialDistribution(sample=sampler))
 
 
 def gaussian_model(n, init_mean=0.0, floor=0.7):
@@ -54,24 +61,32 @@ def gaussian_model(n, init_mean=0.0, floor=0.7):
 # ------------------------------------------------------------- initialization
 
 def test_init_dirac_all_equal():
-    ens = init_ensemble(lambda size, rng: np.full(size, 7), 100, seed=1)
-    assert np.all(ens.states == 7)
+    ens = init_ensemble(_started(two_state_model(), lambda size, rng: np.full(size, 1)), 100,
+                        seed=1)
+    assert np.all(ens.states == 1) and np.all(ens.stats == 1)
     assert ens.k == 0
 
 
 def test_init_bit_reproducible():
-    sampler = lambda size, rng: rng.standard_normal((size, 2))
-    a = init_ensemble(sampler, 64, seed=42, replicate=3)
-    b = init_ensemble(sampler, 64, seed=42, replicate=3)
+    model, fam = gaussian_model(3)
+    model = _started(model, lambda size, rng: rng.standard_normal((size, 1)))
+    a = init_ensemble(model, 64, seed=42, replicate=3)
+    b = init_ensemble(model, 64, seed=42, replicate=3)
     np.testing.assert_array_equal(a.states, b.states)
-    c = init_ensemble(sampler, 64, seed=42, replicate=4)
+    np.testing.assert_array_equal(a.stats, fam.target.log_unnorm(a.states))
+    c = init_ensemble(model, 64, seed=42, replicate=4)
     assert not np.array_equal(a.states, c.states)
+
+
+def test_ensemble_needs_one_statistic_per_particle():
+    with pytest.raises(ValueError, match="one statistic per particle"):
+        Ensemble(states=np.arange(4), stats=np.arange(3), k=0, seed=1)
 
 
 def test_init_finite_frequencies():
     model = two_state_model()
     n_particles = 100_000
-    ens = init_ensemble(model.initial.sample, n_particles, seed=9)
+    ens = init_ensemble(model, n_particles, seed=9)
     counts = np.bincount(ens.states, minlength=2)
     for j, p in enumerate(model.initial.weights):
         sd = math.sqrt(n_particles * p * (1 - p))
@@ -88,7 +103,7 @@ def test_flat_weights_resample_uniformly():
     model = table_model(mats, np.full((n, m), np.log(2.7)), np.full(m, 1 / 3))
     pattern = np.array([0, 0, 1, 2, 2, 2], dtype=int)
     n_copies = 20_000
-    ens = init_ensemble(lambda size, rng: np.tile(pattern, size // pattern.size),
+    ens = init_ensemble(_started(model, lambda size, rng: np.tile(pattern, size // pattern.size)),
                         pattern.size * n_copies, seed=5)
     stepped, _ = smc_step(ens, model)
     freq = np.bincount(pattern, minlength=m) / pattern.size
@@ -100,7 +115,7 @@ def test_flat_weights_resample_uniformly():
 
 def test_single_particle_always_mutates():
     model = two_state_model()
-    ens = init_ensemble(lambda size, rng: np.ones(size, dtype=int), 1, seed=2)
+    ens = init_ensemble(_started(model, lambda size, rng: np.ones(size, dtype=int)), 1, seed=2)
     stepped, _ = smc_step(ens, model)
     assert stepped.n_particles == 1
     assert stepped.k == 1
@@ -112,7 +127,7 @@ def test_one_step_law_matches_exact_mixture():
     model = two_state_model()
     pattern = np.array([0, 0, 0, 1, 1], dtype=int)
     n_copies = 20_000
-    ens = init_ensemble(lambda size, rng: np.tile(pattern, size // pattern.size),
+    ens = init_ensemble(_started(model, lambda size, rng: np.tile(pattern, size // pattern.size)),
                         pattern.size * n_copies, seed=31)
     stepped, _ = smc_step(ens, model)
     eta_pattern = np.bincount(pattern, minlength=2) / pattern.size
@@ -124,7 +139,7 @@ def test_one_step_law_matches_exact_mixture():
 
 def test_step_returns_the_log_weights_it_resampled_by():
     model = two_state_model()
-    ens = init_ensemble(model.initial.sample, 50, seed=4)
+    ens = init_ensemble(model, 50, seed=4)
     stepped, lw = smc_step(ens, model)
     np.testing.assert_array_equal(lw, model.potentials.log_g(0, ens.states))
     assert stepped.k == 1
@@ -133,24 +148,28 @@ def test_step_returns_the_log_weights_it_resampled_by():
 def test_total_degeneracy_raises():
     n, m = 2, 2
     pf = PotentialFamily(horizon=n, log_g=lambda k, x: np.full(np.asarray(x).shape, -np.inf),
-                         log_g_max=0.0)
-    kf = KernelFamily(horizon=n, sample_batch=lambda k, xs, rng: xs)
+                         log_g_max=0.0, statistic=lambda xs: xs)
+    kf = KernelFamily(horizon=n, sample_batch=lambda k, xs, stats, rng: (xs, stats))
     model = FKModel(horizon=n, kernels=kf, potentials=pf,
                     initial=InitialDistribution(sample=lambda size, rng: np.zeros(size, dtype=int)))
-    ens = init_ensemble(model.initial.sample, 16, seed=1)
+    ens = init_ensemble(model, 16, seed=1)
     with pytest.raises(TotalDegeneracyError):
         smc_step(ens, model)
 
 
 def _plain_search_step(ens, model):
-    """Next states by the unsorted inverse-CDF search: one binary search per uniform."""
+    """Next states by the unsorted inverse-CDF search: one binary search per uniform.
+
+    The statistics are evaluated afresh from ``ens.states``, not read from ``ens``.
+    """
     k = ens.k
-    lw = np.asarray(model.potentials.log_g(k, ens.states), dtype=float)
+    stats = np.asarray(model.potentials.statistic(ens.states))
+    lw = np.asarray(model.potentials.log_g(k, stats), dtype=float)
     cw = np.cumsum(np.exp(lw - lw.max()))
     rng = streams.stream(ens.seed, ens.replicate, k + 1)
     u = rng.random(ens.n_particles)
     ancestors = np.minimum(np.searchsorted(cw, u * cw[-1], side="right"), ens.n_particles - 1)
-    return model.kernels.sample_batch(k + 1, ens.states[ancestors], rng)
+    return model.kernels.sample_batch(k + 1, ens.states[ancestors], stats[ancestors], rng)[0]
 
 
 def _identity_model(log_g_table):
@@ -159,9 +178,10 @@ def _identity_model(log_g_table):
     n = table.shape[0]
     return FKModel(
         horizon=n,
-        kernels=KernelFamily(horizon=n, sample_batch=lambda k, xs, rng: np.array(xs)),
+        kernels=KernelFamily(horizon=n,
+                             sample_batch=lambda k, xs, stats, rng: (np.array(xs), np.array(stats))),
         potentials=PotentialFamily(horizon=n, log_g=lambda k, x: table[k][np.asarray(x)],
-                                   log_g_max=float(table.max())),
+                                   log_g_max=float(table.max()), statistic=lambda xs: xs),
         initial=InitialDistribution(sample=lambda size, rng: np.arange(size)),
     )
 
@@ -188,11 +208,44 @@ _SEARCH_MODELS = {
 @pytest.mark.parametrize("n_particles", [1, 2, 7, 1000, 10_000])
 def test_step_draws_what_the_plain_search_draws(kind, n_particles):
     model = _SEARCH_MODELS[kind]()
-    ens = init_ensemble(model.initial.sample, n_particles, seed=71, replicate=2)
+    ens = init_ensemble(model, n_particles, seed=71, replicate=2)
     for _ in range(model.horizon):
         expected = _plain_search_step(ens, model)
         ens, _ = smc_step(ens, model)
         np.testing.assert_array_equal(ens.states, expected)
+
+
+_CARRY_TARGETS = {
+    "gaussian": lambda: gaussian_target([0.0, 1.0], [1.0, 0.5]),
+    "mixture": lambda: gaussian_mixture_target([[-1.0, 0.0], [2.0, 1.0]],
+                                               [[0.7, 1.0], [1.2, 0.4]], [0.4, 0.6]),
+}
+_CARRY_INCREMENTS = {"gaussian": lambda: gaussian_increment(2, 1.5),
+                     "uniform-ball": lambda: uniform_ball_increment(2, 2.0)}
+
+
+@pytest.mark.parametrize("spread", [2.0, 1e154], ids=["near", "overflowing"])
+@pytest.mark.parametrize("increment", sorted(_CARRY_INCREMENTS))
+@pytest.mark.parametrize("target", sorted(_CARRY_TARGETS))
+def test_carried_log_density_is_the_target_density_at_every_step(target, increment, spread):
+    # from the overflowing start some particles, and all of their proposals,
+    # have log density -inf
+    n = 6
+    fam = TemperedFamily(_CARRY_TARGETS[target](), linear_schedule(0.7))
+    model = FKModel(
+        horizon=n,
+        kernels=rwm_kernel_family(fam, n, _CARRY_INCREMENTS[increment]()),
+        potentials=build_potentials(fam, n),
+        initial=InitialDistribution(sample=lambda size, rng: spread * rng.standard_normal((size, 2))),
+    )
+    with np.errstate(over="ignore"):
+        ens = init_ensemble(model, 500, seed=19)
+        assert np.isneginf(ens.stats).any() == (spread > 1e100)
+        for _ in range(n + 1):
+            np.testing.assert_array_equal(ens.stats.view(np.uint64),
+                                          fam.target.log_unnorm(ens.states).view(np.uint64))
+            if ens.k < n:
+                ens, _ = smc_step(ens, model)
 
 
 def test_uniform_on_a_cumulative_weight_draws_the_next_particle(monkeypatch):
@@ -202,7 +255,7 @@ def test_uniform_on_a_cumulative_weight_draws_the_next_particle(monkeypatch):
     u = np.array([0.125, 0.25, 0.5, 0.0, np.nextafter(1.0, 0.0), 0.375, 0.875, 0.625])
     _pin_ancestor_uniforms(monkeypatch, u)
     model = _identity_model(np.zeros((1, n_particles)))
-    ens = Ensemble(states=np.arange(n_particles), k=0, seed=5)
+    ens = Ensemble(states=np.arange(n_particles), stats=np.arange(n_particles), k=0, seed=5)
     stepped, _ = smc_step(ens, model)
     np.testing.assert_array_equal(stepped.states, [1, 2, 4, 0, 7, 3, 7, 5])
     np.testing.assert_array_equal(stepped.states, _plain_search_step(ens, model))
@@ -210,7 +263,7 @@ def test_uniform_on_a_cumulative_weight_draws_the_next_particle(monkeypatch):
 
 def test_step_past_terminal_rejected():
     model = two_state_model(n=1)
-    ens = init_ensemble(model.initial.sample, 8, seed=1)
+    ens = init_ensemble(model, 8, seed=1)
     stepped, _ = smc_step(ens, model)
     with pytest.raises(ValueError):
         smc_step(stepped, model)
@@ -227,7 +280,7 @@ def test_underflowed_weights_are_never_drawn(seed):
     table[:, dead] = table.max() - 800.0
     assert np.all(np.exp(table[:, dead] - table.max(axis=1, keepdims=True)) == 0.0)
     model = _identity_model(table)
-    ens = init_ensemble(model.initial.sample, n_particles, seed=seed)
+    ens = init_ensemble(model, n_particles, seed=seed)
     for _ in range(n):
         ens, _ = smc_step(ens, model)
         assert not np.any(dead[ens.states])
@@ -244,8 +297,8 @@ def test_single_surviving_particle_is_every_ancestor(survivor, monkeypatch):
     u = np.linspace(0.0, 1.0, n_particles, endpoint=False)
     u[-1] = np.nextafter(1.0, 0.0)
     _pin_ancestor_uniforms(monkeypatch, u)
-    stepped, _ = smc_step(Ensemble(states=np.arange(n_particles), k=0, seed=3),
-                          _identity_model(table))
+    stepped, _ = smc_step(Ensemble(states=np.arange(n_particles), stats=np.arange(n_particles),
+                                   k=0, seed=3), _identity_model(table))
     np.testing.assert_array_equal(stepped.states, np.full(n_particles, survivor))
 
 
@@ -253,8 +306,9 @@ def test_single_surviving_particle_is_every_ancestor(survivor, monkeypatch):
 
 def test_horizon_zero_returns_initial_ensemble():
     m = 2
-    pf = PotentialFamily(horizon=0, log_g=lambda k, x: 0.0, log_g_max=0.0)
-    kf = KernelFamily(horizon=0, sample_batch=lambda k, xs, rng: xs)
+    pf = PotentialFamily(horizon=0, log_g=lambda k, x: 0.0, log_g_max=0.0,
+                         statistic=lambda xs: xs)
+    kf = KernelFamily(horizon=0, sample_batch=lambda k, xs, stats, rng: (xs, stats))
     model = FKModel(horizon=0, kernels=kf, potentials=pf,
                     initial=InitialDistribution(sample=lambda size, rng: np.arange(size) % m))
     states, summaries = run_sampler(model, 10, seed=3)

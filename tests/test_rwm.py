@@ -19,6 +19,7 @@ from tempersmc.rwm import (
 from tempersmc.tempering import (
     TemperedFamily,
     drift_function,
+    gaussian_mixture_target,
     gaussian_target,
     linear_schedule,
 )
@@ -26,6 +27,11 @@ from tempersmc.tempering import (
 
 def std_family(floor=0.7):
     return TemperedFamily(gaussian_target([0.0], [1.0]), linear_schedule(floor))
+
+
+def step(fam, gamma, q, xs, rng):
+    """One Metropolis step from ``xs``, evaluating their log density first; the new states."""
+    return rwm_step_batch(fam, gamma, q, xs, fam.target.log_unnorm(xs), rng)[0]
 
 
 # ------------------------------------------------------------- increments
@@ -73,7 +79,7 @@ def test_flat_target_always_accepts():
     )  # nearly flat over the probed range
     q = gaussian_increment(1, 1.0)
     x = np.zeros((256, 1))
-    moved = rwm_step_batch(flat, 1.0, q, x, streams.stream(2, 0))
+    moved = step(flat, 1.0, q, x, streams.stream(2, 0))
     assert np.all(moved != 0.0)  # ratio ~ 1 => accept almost surely
 
 
@@ -86,7 +92,7 @@ def test_zero_proposal_keeps_state():
     )
     fam = std_family()
     x = np.array([[1.3], [-0.4]])
-    out = rwm_step_batch(fam, 0.9, null_q, x, streams.stream(3, 0))
+    out = step(fam, 0.9, null_q, x, streams.stream(3, 0))
     np.testing.assert_array_equal(out, x)
 
 
@@ -106,7 +112,7 @@ def test_rejection_returns_exact_state():
     fam = TemperedFamily(gaussian_target([0.0], [0.05]), linear_schedule(0.7))
     q = gaussian_increment(1, 50.0)
     x = np.full((512, 1), 0.012345678901234567)
-    out = rwm_step_batch(fam, 1.0, q, x, streams.stream(5, 0))
+    out = step(fam, 1.0, q, x, streams.stream(5, 0))
     stayed = out[:, 0] == x[:, 0]
     assert stayed.sum() > 400
     assert np.all((out == x) | (out != x))  # moved entries are the proposals
@@ -127,8 +133,46 @@ def test_non_finite_proposal_treated_as_rejection():
     )
     q = gaussian_increment(1, 5.0)
     x = np.zeros((2048, 1))
-    out = rwm_step_batch(spiked, 1.0, q, x, streams.stream(6, 0))
+    out = step(spiked, 1.0, q, x, streams.stream(6, 0))
     assert np.all(out[:, 0] <= 1.0)
+
+
+def _spiked(target):
+    """``target`` with log density -inf wherever the first coordinate exceeds 1."""
+    return type(target)(
+        dim=target.dim,
+        log_unnorm=lambda x: np.where(np.asarray(x)[..., 0] > 1.0, -np.inf, target.log_unnorm(x)),
+        sup_log_unnorm=target.sup_log_unnorm,
+    )
+
+
+_TARGETS_2D = {
+    "gaussian": lambda: gaussian_target([0.0, 1.0], [1.0, 0.5]),
+    "mixture": lambda: gaussian_mixture_target([[-1.0, 0.0], [2.0, 1.0]],
+                                               [[0.7, 1.0], [1.2, 0.4]], [0.4, 0.6]),
+}
+_INCREMENTS_2D = {"gaussian": lambda: gaussian_increment(2, 1.5),
+                  "uniform-ball": lambda: uniform_ball_increment(2, 2.0)}
+
+
+@pytest.mark.parametrize("spiked", [False, True], ids=["finite", "spiked"])
+@pytest.mark.parametrize("increment", sorted(_INCREMENTS_2D))
+@pytest.mark.parametrize("target", sorted(_TARGETS_2D))
+def test_step_returns_the_log_density_of_each_new_state(target, increment, spiked):
+    # accepted, rejected and -inf proposals, and -inf current states when spiked
+    base = _TARGETS_2D[target]()
+    fam = TemperedFamily(_spiked(base) if spiked else base, linear_schedule(0.7))
+    q = _INCREMENTS_2D[increment]()
+    xs = 1.5 * streams.stream(14, 0).standard_normal((2000, 2))
+    ell = fam.target.log_unnorm(xs)
+    new, new_ell = rwm_step_batch(fam, 0.85, q, xs, ell, streams.stream(14, 1))
+    np.testing.assert_array_equal(new_ell.view(np.uint64),
+                                  fam.target.log_unnorm(new).view(np.uint64))
+    stayed = np.all(new == xs, axis=1)
+    assert stayed.any() and not stayed.all()
+    # the step draws its proposals first
+    prop = fam.target.log_unnorm(xs + q.sample(xs.shape[0], streams.stream(14, 1)))
+    assert np.isneginf(prop).any() == np.isneginf(ell).any() == spiked
 
 
 def test_acceptance_invariant_under_log_constant_shift():
@@ -147,8 +191,8 @@ def test_acceptance_invariant_under_log_constant_shift():
     )
     q = gaussian_increment(1, 1.0)
     x = np.linspace(-2, 2, 64)[:, None]
-    a = rwm_step_batch(shifted, 0.8, q, x, streams.stream(7, 0))
-    b = rwm_step_batch(bumped, 0.8, q, x, streams.stream(7, 0))
+    a = step(shifted, 0.8, q, x, streams.stream(7, 0))
+    b = step(bumped, 0.8, q, x, streams.stream(7, 0))
     np.testing.assert_array_equal(a, b)
 
 
@@ -161,8 +205,8 @@ def test_long_run_moments_match_invariant_law():
     n_steps, n_chains = 2_000, 500
     xs = fam.target.tempered_sampler(1.0, n_chains, streams.stream(8, 0))
     means, sqs = [], []
-    for step in range(n_steps):
-        xs = rwm_step_batch(fam, 1.0, q, xs, streams.stream(8, 1 + step))
+    for i in range(n_steps):
+        xs = step(fam, 1.0, q, xs, streams.stream(8, 1 + i))
         means.append(xs[:, 0].mean())
         sqs.append((xs[:, 0] ** 2).mean())
     batches = np.array_split(np.array(means), 100)
@@ -183,7 +227,8 @@ def test_one_step_invariance_two_sample():
     for k in (2, n_kernel):
         gamma = fam.schedule(k / n_kernel)
         start = fam.target.tempered_sampler(gamma, 10_000, streams.stream(9, k, 0))
-        stepped = kf.sample_batch(k, start, streams.stream(9, k, 1))
+        stepped, _ = kf.sample_batch(k, start, fam.target.log_unnorm(start),
+                                     streams.stream(9, k, 1))
         fresh = fam.target.tempered_sampler(gamma, 10_000, streams.stream(9, k, 2))
         stat = scipy.stats.ks_2samp(stepped[:, 0], fresh[:, 0])
         assert stat.pvalue > 1e-3
@@ -198,9 +243,9 @@ def test_detailed_balance_flux():
     a_to_b = b_to_a = 0
     bin_a = lambda v: (v >= -0.6) & (v < 0.0)
     bin_b = lambda v: (v >= 0.0) & (v < 0.6)
-    for step in range(n_steps):
+    for i in range(n_steps):
         prev = xs
-        xs = rwm_step_batch(fam, 1.0, q, xs, streams.stream(10, 1 + step))
+        xs = step(fam, 1.0, q, xs, streams.stream(10, 1 + i))
         a_to_b += int(np.sum(bin_a(prev[:, 0]) & bin_b(xs[:, 0])))
         b_to_a += int(np.sum(bin_b(prev[:, 0]) & bin_a(xs[:, 0])))
     diff = a_to_b - b_to_a
@@ -216,10 +261,12 @@ def test_kernel_family_targets_terminal_temperature():
     # index bookkeeping: step k uses gamma(k/n); verify by matching a direct step
     x = np.linspace(-1, 1, 32)[:, None]
     for k in (1, 3, n_kernel):
+        ell = fam.target.log_unnorm(x)
         direct = rwm_step_batch(fam, fam.schedule(k / n_kernel), gaussian_increment(1, 1.0), x,
-                                streams.stream(12, k))
-        via_family = kf.sample_batch(k, x, streams.stream(12, k))
-        np.testing.assert_array_equal(direct, via_family)
+                                ell, streams.stream(12, k))
+        via_family = kf.sample_batch(k, x, ell, streams.stream(12, k))
+        np.testing.assert_array_equal(direct[0], via_family[0])
+        np.testing.assert_array_equal(direct[1], via_family[1])
     assert fam.schedule(1.0) == 1.0
 
 
