@@ -2,12 +2,14 @@
 
 Configs are JSON objects.  ``COMPONENTS`` lists every component, the names it
 accepts, the keys each name takes and their defaults; ``_read`` is its one
-reader, and the builders take their values only from it.  The stored config
-keeps the specs as given.  Malformed input raises ``ConfigError`` with the
-path of the offending key, at parse time: ``parse_config`` checks the scalar
-keys and builds the model and the test function once.  Parameter combinations
-outside the guaranteed-stability region are recorded as warnings, never
-errors: the experiment still runs, labeled as out-of-theory.
+reader, and the builders take their values only from it.  The top level is a
+component too: its name is the experiment kind, and each kind takes only the
+keys its experiment reads.  The stored config keeps the specs as given.
+Malformed input raises ``ConfigError`` with the path of the offending key, at
+parse time: ``parse_config`` checks the scalar keys and builds once what the
+kind's experiment builds, and nothing else.  Parameter combinations outside
+the guaranteed-stability region are recorded as warnings, never errors: the
+experiment still runs, labeled as out-of-theory.
 """
 
 import json
@@ -27,16 +29,25 @@ __all__ = [
     "build_f", "finite_f_vector", "reference_value",
 ]
 
-KINDS = ("bias-decay", "n-scaling", "drift-check", "counterexample", "lemma1-audit", "run")
-
 REQUIRED = object()  # marks a key, or a selecting name, that has no default
 
+# every top-level key with its default, which a kind that does not take it holds
 _TOP_LEVEL = {
     "seed": REQUIRED, "out_dir": None, "workers": None, "replicates": 0, "grids": {},
     "alpha": 0.25, "p": 1.0, "s": 1.0, "model": None, "init": None, "f": None,
     "radii": None, "gamma": None, "epsilon": None, "delta": None,
     "n_proposals": 100_000, "degeneracy_floor": 0.01,
 }
+_MODEL = ("model", "alpha", "p", "s")  # the model and the trade-off parameters checked on it
+_PARTICLES = (*_MODEL, "grids", "replicates", "init")
+
+
+def _takes(*keys, required=("model",)):
+    """A kind's key table: the keys every kind takes and ``keys``, ``required`` without default."""
+    table = {key: _TOP_LEVEL[key] for key in ("seed", "out_dir", "workers", *keys)}
+    return {**table, **dict.fromkeys(required, REQUIRED)}
+
+
 _FLOOR = {"gamma_floor": 0.7}
 _MAX_LOG = float(np.log(np.finfo(float).max))  # larger log weights overflow the exact potentials
 
@@ -44,7 +55,16 @@ _MAX_LOG = float(np.log(np.finfo(float).max))  # larger log weights overflow the
 # only place a component key or default is spelled.  Where a constructor
 # builds the component, the keys are its keyword parameters.
 COMPONENTS = {
-    "": ("experiment", REQUIRED, dict.fromkeys(KINDS, _TOP_LEVEL)),
+    # each experiment kind takes the top-level keys its experiment reads
+    "": ("experiment", REQUIRED, {
+        "bias-decay": _takes(*_PARTICLES, "f"),
+        "n-scaling": _takes(*_PARTICLES, "f"),
+        "drift-check": _takes(*_MODEL, "radii", "gamma", "n_proposals",
+                              required=("model", "radii")),
+        "counterexample": _takes("epsilon", "delta", required=("epsilon", "delta")),
+        "lemma1-audit": _takes(*_MODEL, "grids"),
+        "run": _takes(*_PARTICLES, "degeneracy_floor"),
+    }),
     "model": ("kind", REQUIRED, {
         "finite-tempered": {"log_weights": REQUIRED, "schedule": None, "move_prob": 0.5,
                             "beta": 0.5, "lam": 0.6},
@@ -68,6 +88,7 @@ COMPONENTS = {
         "coordinate": {"axis": 0}, "indicator": {"state": 0}, "constant": {"value": 1.0},
     }),
 }
+KINDS = tuple(COMPONENTS[""][2])
 
 _SCHEDULES = {"linear": tempering.linear_schedule, "smoothstep": tempering.smoothstep_schedule,
               "piecewise-linear": tempering.piecewise_linear_schedule}
@@ -77,11 +98,14 @@ _INCREMENTS = {"gaussian": rwm.gaussian_increment, "uniform-ball": rwm.uniform_b
 
 
 class ConfigError(ValueError):
-    """Invalid configuration; carries the path of the offending key."""
+    """Invalid config at key ``path``; args are ``(path, message)``, so it pickles."""
 
     def __init__(self, path, message):
+        super().__init__(path, message)
         self.path = path
-        super().__init__(f"{path}: {message}")
+
+    def __str__(self):
+        return f"{self.args[0]}: {self.args[1]}"
 
 
 def _join(path, key):
@@ -99,7 +123,8 @@ def _read(path, spec):
 
     The parameters hold every key the name takes, defaults filled in from
     ``COMPONENTS``.  A ``None`` spec reads as ``{}``: an absent component
-    takes its default name and defaults.
+    takes its default name and defaults.  A key without default given as
+    ``null`` is missing.
     """
     select, default, names = COMPONENTS[path]
     spec = {} if spec is None else spec
@@ -115,7 +140,7 @@ def _read(path, spec):
     _check_keys(spec, (select, *keys), path)
     params = {key: spec.get(key, value) for key, value in keys.items()}
     for key, value in params.items():
-        if value is REQUIRED:
+        if value is REQUIRED or value is None and keys[key] is REQUIRED:
             raise ConfigError(_join(path, key), "missing required key")
     return name, params
 
@@ -167,6 +192,8 @@ def _nonempty_list(val, path, item):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A parsed config; a field its kind does not take holds its default."""
+
     experiment: str
     seed: int
     out_dir: str
@@ -386,7 +413,8 @@ def parse_config(text):
         raise ConfigError("<json>", f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("<json>", "top level must be an object")
-    kind, top = _read("", raw)
+    kind, taken = _read("", raw)
+    top = {**_TOP_LEVEL, **taken}
     seed = _int_at_least(top["seed"], "seed", 0)
 
     grids = top["grids"]
@@ -402,10 +430,8 @@ def parse_config(text):
     if model is not None:
         model_kind, params = _model(model)
         schedule = params["schedule"]
-    elif kind != "counterexample":
-        raise ConfigError("model", "missing required key")
 
-    if kind in ("bias-decay", "n-scaling", "lemma1-audit", "run") and "n" not in parsed_grids:
+    if "grids" in taken and "n" not in parsed_grids:
         raise ConfigError("grids.n", "missing required key")
     replicates = _int_at_least(top["replicates"], "replicates", 0)
     particles = kind in ("n-scaling", "run") or kind == "bias-decay" and replicates > 0
@@ -417,10 +443,6 @@ def parse_config(text):
         raise ConfigError("model.kind", f"{kind} requires a finite tempered model")
     if kind == "drift-check" and model_kind != "gaussian":
         raise ConfigError("model.kind", "drift-check requires a continuous model")
-    required = {"drift-check": ("radii",), "counterexample": ("epsilon", "delta")}
-    for key in required.get(kind, ()):
-        if top[key] is None:
-            raise ConfigError(key, "missing required key")
 
     if kind in ("n-scaling", "run") and replicates < 1:
         raise ConfigError("replicates", f"{kind} requires at least one replicate")
@@ -456,11 +478,16 @@ def parse_config(text):
         delta=top["delta"], n_proposals=n_proposals, degeneracy_floor=float(floor_frac),
         warnings=tuple(warnings), checks=checks,
     )
-    # build what the experiment resolves by name once, so bad names, keys and
-    # dimensions fail here and not in a worker
-    if model is not None:
+    # build once what the experiment builds, and only that, so bad names, keys,
+    # dimensions and kernels fail here and not in a worker
+    if kind == "drift-check":
+        build_increment(model, build_family(model).target.dim)
+    elif model is not None:
         build_model(cfg, n=2)
+    if "f" in taken:
         build_f(cfg)
-        if kind == "bias-decay":
-            reference_value(cfg)
+    if kind == "bias-decay":
+        reference_value(cfg)
+    if kind == "run":
+        build_drift(cfg)
     return cfg

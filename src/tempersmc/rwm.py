@@ -2,9 +2,7 @@
 
 The proposal increment must be symmetric about the origin: that is exactly
 what makes the correction-free acceptance ratio leave the tempered law
-invariant, so asymmetric increments are rejected at construction.  Built-in
-increments (isotropic Gaussian, uniform ball) carry analytic positivity
-profiles: a lower bound on the density over each centered ball.
+invariant, so asymmetric increments are rejected at construction.
 """
 
 import math
@@ -32,18 +30,15 @@ _POINTS_PER_SHELL = 8
 
 @dataclass(frozen=True)
 class IncrementDistribution:
-    """Proposal increment law: sampler, log density, and positivity profile.
+    """Proposal increment law: sampler and log density.
 
     ``sample(size, rng)`` returns (size, dim) increments; ``log_density``
-    is vectorized over the leading axis; ``positivity_profile(r)`` returns
-    a strictly positive lower bound for the density on the ball of radius
-    r (0.0 where no such bound exists, e.g. beyond a bounded support).
+    is vectorized over the leading axis.
     """
 
     dim: int
     sample: Callable
     log_density: Callable
-    positivity_profile: Callable
 
     def __post_init__(self):
         _audit_symmetry(self)
@@ -74,7 +69,6 @@ def gaussian_increment(dim, scale):
         dim=dim,
         sample=lambda size, rng: rng.standard_normal((size, dim)) * scale,
         log_density=log_density,
-        positivity_profile=lambda r: math.exp(const - 0.5 * r**2 / scale**2),
     )
 
 
@@ -99,12 +93,7 @@ def uniform_ball_increment(dim, radius):
         inside = np.sum(y * y, axis=-1) <= radius**2
         return np.where(inside, log_dens, -np.inf)
 
-    return IncrementDistribution(
-        dim=dim,
-        sample=sample,
-        log_density=log_density,
-        positivity_profile=lambda r: math.exp(log_dens) if r <= radius else 0.0,
-    )
+    return IncrementDistribution(dim=dim, sample=sample, log_density=log_density)
 
 
 def rwm_step_batch(fam, gamma, q, xs, cur, rng):

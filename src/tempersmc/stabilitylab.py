@@ -75,10 +75,6 @@ class Table:
     body: dict
 
 
-def _serial_map(fn, items):
-    return [fn(x) for x in items]
-
-
 def _replicate_tasks(cfg, cells):
     """Cells cut into contiguous replicate blocks of about ``_TASK_STEPS`` particle-steps."""
     tasks = []
@@ -168,14 +164,13 @@ def _fit_decay(mode, cells):
     return DecayFit(mode=mode, slope=float(slope), r_squared=r2, cells=cells, status="ok")
 
 
-def bias_decay_experiment(cfg, mapper=None):
+def bias_decay_experiment(cfg, mapper):
     """Bias against the exact terminal target, per horizon, with log-linear fit.
 
     Finite tempered models always get the exact-flow table (zero Monte
     Carlo noise); a particle table at the one particle count of grids.N
     is added whenever replicates > 0.  Inconclusive unless every fit is ok.
     """
-    mapper = mapper or _serial_map
     ref = reference_value(cfg)
     ns = cfg.grids["n"]
 
@@ -227,7 +222,7 @@ class RmseCell:
     degenerate: int
 
 
-def n_scaling_experiment(cfg, mapper=None):
+def n_scaling_experiment(cfg, mapper):
     """RMSE against the exact per-horizon value over the (n, N) product grid.
 
     The particle-count slope is fit at the horizon carrying the most
@@ -236,7 +231,6 @@ def n_scaling_experiment(cfg, mapper=None):
     allowance on each end, so a violation claim must be statistically
     significant.
     """
-    mapper = mapper or _serial_map
     ns, n_list = cfg.grids["n"], cfg.grids["N"]
     finite = cfg.model["kind"] == "finite-tempered"
     refs = {n: _exact_value(cfg, n) if finite else reference_value(cfg) for n in ns}
@@ -327,13 +321,12 @@ def _trajectory_task(args):
     return rows, degenerate
 
 
-def run_trajectories(cfg, mapper=None):
+def run_trajectories(cfg, mapper):
     """Per-step diagnostics over replicates, one row per replicate and step.
 
     Inconclusive when no replicate gives a finite eta(G~), so the
     degeneracy floor was never tested.
     """
-    mapper = mapper or _serial_map
     n_particles = cfg.grids["N"][0]
     cells = [(n, n_particles) for n in cfg.grids["n"]]
     results = mapper(_trajectory_task, _replicate_tasks(cfg, cells))

@@ -2,9 +2,10 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -145,46 +146,53 @@ def test_dispatch_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize(
-    "key, value",
-    [
-        ("gamma", 0.5),
-        ("gamma", 3.0),
-        ("gamma", "x"),
-        ("gamma", True),
-        ("n_proposals", 0),
-        ("n_proposals", 1),
-        ("n_proposals", 2.5),
-        ("workers", "x"),
-        ("workers", 0),
-        ("workers", True),
-        ("replicates", True),
-        ("replicates", -1),
-        ("epsilon", "x"),
-        ("epsilon", True),
-        ("epsilon", 0),
-        ("delta", "x"),
-        ("delta", 1.0),
-        ("alpha", "x"),
-        ("alpha", math.inf),
-        ("p", -1.0),
-        ("s", 0),
-        ("degeneracy_floor", "x"),
-        ("degeneracy_floor", [1]),
-        ("degeneracy_floor", 1.5),
-        ("radii", 3),
-        ("radii", []),
-        ("out_dir", 5),
-        ("out_dir", ""),
-        ("seed", -1),
-        ("grids", None),
-    ],
-)
-def test_scalar_keys_validated_at_parse_time(key, value, tmp_path):
-    text = _shipped("drift_check", tmp_path / "out", **{key: value})
+# (shipped config whose kind reads the key, key, value)
+SCALAR_CASES = [
+    ("drift_check", "gamma", 0.5),
+    ("drift_check", "gamma", 3.0),
+    ("drift_check", "gamma", "x"),
+    ("drift_check", "gamma", True),
+    ("drift_check", "n_proposals", 0),
+    ("drift_check", "n_proposals", 1),
+    ("drift_check", "n_proposals", 2.5),
+    ("drift_check", "workers", "x"),
+    ("drift_check", "workers", 0),
+    ("drift_check", "workers", True),
+    ("drift_monitor", "replicates", True),
+    ("drift_monitor", "replicates", -1),
+    ("counterexample", "epsilon", "x"),
+    ("counterexample", "epsilon", True),
+    ("counterexample", "epsilon", 0),
+    ("counterexample", "delta", "x"),
+    ("counterexample", "delta", 1.0),
+    ("drift_check", "alpha", "x"),
+    ("drift_check", "alpha", math.inf),
+    ("drift_check", "p", -1.0),
+    ("drift_check", "s", 0),
+    ("drift_monitor", "degeneracy_floor", "x"),
+    ("drift_monitor", "degeneracy_floor", [1]),
+    ("drift_monitor", "degeneracy_floor", 1.5),
+    ("drift_check", "radii", 3),
+    ("drift_check", "radii", []),
+    ("drift_check", "out_dir", 5),
+    ("drift_check", "out_dir", ""),
+    ("drift_check", "seed", -1),
+    ("bias_finite", "grids", None),
+    # a key without default given as null is missing
+    ("bias_finite", "model", None),
+    ("drift_check", "radii", None),
+    ("counterexample", "epsilon", None),
+    ("counterexample", "delta", None),
+]
+
+
+@pytest.mark.parametrize("name, key, value", SCALAR_CASES)
+def test_scalar_keys_validated_at_parse_time(name, key, value, tmp_path):
+    text = _shipped(name, tmp_path / "out", **{key: value})
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert err.value.path == key
+    assert str(err.value) != f"{key}: unknown key"  # the value was checked, not the key
     path = tmp_path / "bad.json"
     path.write_text(text)
     assert main(["run", str(path)]) == EXIT_PRECONDITION
@@ -192,13 +200,47 @@ def test_scalar_keys_validated_at_parse_time(key, value, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("gamma", 0.7), ("gamma", 1), ("n_proposals", 2), ("workers", None),
-                   ("workers", 3), ("replicates", 0), ("epsilon", 1e-9), ("delta", 0),
-                   ("alpha", 2), ("degeneracy_floor", 0), ("degeneracy_floor", 1),
-                   ("radii", (0.5,))]
+    "name, key, value",
+    [("drift_check", "gamma", 0.7), ("drift_check", "gamma", 1), ("drift_check", "n_proposals", 2),
+     ("drift_check", "workers", None), ("drift_check", "workers", 3),
+     ("bias_gaussian", "replicates", 0), ("counterexample", "epsilon", 1e-9),
+     ("counterexample", "delta", 0), ("drift_check", "alpha", 2),
+     ("drift_monitor", "degeneracy_floor", 0), ("drift_monitor", "degeneracy_floor", 1),
+     ("drift_check", "radii", (0.5,))]
 )
-def test_scalar_keys_accept_boundary_values(key, value, tmp_path):
-    assert getattr(parse_config(_shipped("drift_check", tmp_path, **{key: value})), key) == value
+def test_scalar_keys_accept_boundary_values(name, key, value, tmp_path):
+    assert getattr(parse_config(_shipped(name, tmp_path, **{key: value})), key) == value
+
+
+# the shipped config of each experiment kind
+KIND_CONFIGS = {"bias-decay": "bias_finite", "n-scaling": "scaling_sqrt_n",
+                "drift-check": "drift_check", "counterexample": "counterexample",
+                "lemma1-audit": "lemma1_audit", "run": "drift_monitor"}
+UNTAKEN = [(kind, key) for kind, table in config.COMPONENTS[""][2].items()
+           for key in config._TOP_LEVEL if key not in table]
+
+
+def test_kind_tables_hold_every_config_field():
+    # no field of the config is left that no kind reads
+    tables = config.COMPONENTS[""][2]
+    assert set(tables) == set(KIND_CONFIGS) == set(config.KINDS)
+    taken = set().union(*tables.values())
+    assert taken == set(config._TOP_LEVEL) == {
+        f.name for f in fields(config.ExperimentConfig)} - {"experiment", "warnings", "checks"}
+
+
+@pytest.mark.parametrize("kind, key", UNTAKEN, ids=[f"{kind}:{key}" for kind, key in UNTAKEN])
+def test_kind_rejects_keys_it_does_not_read(kind, key, tmp_path, capsys):
+    # even the value the key holds anyway is rejected
+    text = _shipped(KIND_CONFIGS[kind], tmp_path / "out", **{key: config._TOP_LEVEL[key]})
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.path == key
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["run", str(path)]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err.startswith(f"error: {key}: unknown key")
+    assert not (tmp_path / "out").exists()
 
 
 # A one-component mixture target that drift_monitor runs with (its gaussian
@@ -269,7 +311,7 @@ COMPONENT_CASES = [
     ("drift_monitor", ("model", "target"), {**MIXTURE, "weights": [math.nan]}, "model.target"),
     ("drift_check", ("model", "schedule"), [], "model.schedule"),
     ("drift_check", ("radii",), [2, -1], "radii[1]"),
-    ("drift_check", ("grids",), {"n": [2], "M": [3]}, "grids.M"),
+    ("bias_finite", ("grids",), {"n": [2], "M": [3]}, "grids.M"),
 ]
 
 
@@ -344,6 +386,55 @@ def test_zero_entry_kernels(name, code, tmp_path, capsys):
         assert capsys.readouterr().err.startswith(
             "error: model: chain kernels have zero entries")
         assert not (tmp_path / "out").exists()
+
+
+def _zero_entry_run(out):
+    """Shrunk ``scaling_sqrt_n`` as a ``run`` whose chain kernels have zero entries."""
+    raw = json.loads(_shipped("scaling_sqrt_n", out, experiment="run", replicates=4,
+                              grids={"n": [3, 5], "N": [20]}))
+    del raw["f"]
+    raw["model"]["move_prob"] = 1.0
+    return raw
+
+
+@pytest.mark.parametrize("flags", [["--workers", "1"], ["--workers", "2"], []],
+                         ids=["w1", "w2", "default"])
+def test_run_with_zero_entry_kernels_fails_at_parse(flags, tmp_path, capsys):
+    # a worker builds the drift, which cannot certify these kernels: parsing builds it first
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_zero_entry_run(tmp_path / "out")))
+    assert main(["run", str(path), *flags]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err.startswith("error: model: chain kernels have zero entries")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_error_survives_pickling():
+    err = pickle.loads(pickle.dumps(ConfigError("model", "bad")))
+    assert type(err) is ConfigError
+    assert (err.path, str(err)) == ("model", "model: bad")
+
+
+def test_config_error_in_a_worker_exits_1(monkeypatch, tmp_path, capsys):
+    # the zero-entry run with its parse bypassed: each of its two tasks raises
+    # ConfigError in a worker, and the pool hands it back intact
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    raw = _zero_entry_run(tmp_path / "out")
+    good = parse_config(json.dumps({**raw, "model": {**raw["model"], "move_prob": 0.3}}))
+    cfg = replace(good, model=raw["model"], workers=2)
+    assert len(stabilitylab._replicate_tasks(cfg, [(3, 20), (5, 20)])) == 2
+    assert dispatch(cfg) == EXIT_PRECONDITION
+    assert capsys.readouterr().err.startswith("error: model: chain kernels have zero entries")
+    assert not (tmp_path / "out").exists()
+
+
+def test_drift_check_on_a_mixture_target(tmp_path):
+    # drift-check reads no init, so the mixture's missing tempered sampler does not matter
+    raw = json.loads(_shipped("drift_check", tmp_path, workers=1))
+    raw["model"]["target"] = {"name": "gaussian-mixture", "means": [[0.0], [3.0]],
+                              "sigmas": [[1.0], [0.5]], "weights": [0.5, 0.5]}
+    assert dispatch(parse_config(json.dumps(raw))) == EXIT_OK
+    summary = json.loads((tmp_path / "drift-check.json").read_text())["summary"]
+    assert summary["safe_radius"] == 2.0
 
 
 def test_one_step_and_one_particle_run(tmp_path):

@@ -36,16 +36,10 @@ def step(fam, gamma, q, xs, rng):
 
 # ------------------------------------------------------------- increments
 
-def test_gaussian_increment_profile_and_symmetry():
+def test_gaussian_increment_symmetry():
     q = gaussian_increment(2, scale=1.5)
     y = np.array([[0.3, -0.4], [2.0, 1.0]])
     np.testing.assert_allclose(q.log_density(y), q.log_density(-y))
-    # profile is the density at the shell radius, strictly positive
-    for r in (0.5, 2.0, 10.0):
-        assert q.positivity_profile(r) > 0
-        assert q.positivity_profile(r) == pytest.approx(
-            float(np.exp(q.log_density(np.array([[r, 0.0]]))[0]))
-        )
 
 
 def test_uniform_ball_increment():
@@ -53,8 +47,6 @@ def test_uniform_ball_increment():
     rng = streams.stream(1, 0)
     draws = q.sample(10_000, rng)
     assert np.all(np.linalg.norm(draws, axis=1) <= 1.5)
-    assert q.positivity_profile(1.0) > 0
-    assert q.positivity_profile(2.0) == 0.0
     inside = np.array([[0.5, 0.5]])
     outside = np.array([[2.0, 0.0]])
     assert np.isfinite(q.log_density(inside))
@@ -67,7 +59,6 @@ def test_asymmetric_increment_rejected():
             dim=1,
             sample=lambda size, rng: rng.standard_normal((size, 1)) + 0.5,
             log_density=lambda y: -0.5 * np.sum((np.asarray(y) - 0.5) ** 2, axis=-1),
-            positivity_profile=lambda r: 0.1,
         )
 
 
@@ -88,7 +79,6 @@ def test_zero_proposal_keeps_state():
         dim=1,
         sample=lambda size, rng: np.zeros((size, 1)),
         log_density=lambda y: np.zeros(np.asarray(y).shape[:-1]),
-        positivity_profile=lambda r: 1.0,
     )
     fam = std_family()
     x = np.array([[1.3], [-0.4]])

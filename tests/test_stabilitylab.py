@@ -8,6 +8,7 @@ import pytest
 
 from finite_models import fixture_drift_inputs, two_state_fixture
 from tempersmc import stabilitylab
+from tempersmc.cli import make_mapper
 from tempersmc.config import parse_config
 from tempersmc.finite import table_model
 from tempersmc.fk_core import DriftSpec
@@ -77,7 +78,7 @@ def _columns(table, mode=None):
 
 def test_exact_bias_zero_from_correct_start():
     cfg = _cfg(init={"name": "tempered-floor"})
-    table = bias_decay_experiment(cfg)
+    table = bias_decay_experiment(cfg, make_mapper(1))
     for bias in _columns(table, "exact")["bias"]:
         assert abs(bias) < 1e-13
     assert table.body["exact"]["status"] == "inconclusive"  # nothing above the float floor
@@ -85,7 +86,7 @@ def test_exact_bias_zero_from_correct_start():
 
 def test_exact_bias_decays_geometrically():
     cfg = _cfg()
-    table = bias_decay_experiment(cfg)
+    table = bias_decay_experiment(cfg, make_mapper(1))
     fit = table.body["exact"]
     assert fit["status"] == "ok"
     biases = _columns(table, "exact")["abs_bias"]
@@ -101,7 +102,7 @@ def test_particle_bias_noise_floor_inconclusive():
         grids={"n": [3, 5], "N": [50]},
         replicates=8,
     )
-    table = bias_decay_experiment(cfg)
+    table = bias_decay_experiment(cfg, make_mapper(1))
     assert table.body["particle"]["status"] == "inconclusive"
     assert table.status == "inconclusive"
 
@@ -116,7 +117,7 @@ def test_constant_f_has_zero_error():
         grids={"n": [4], "N": [10, 100]},
         replicates=10,
     )
-    table = n_scaling_experiment(cfg)
+    table = n_scaling_experiment(cfg, make_mapper(1))
     assert _columns(table)["rmse"] == [0.0, 0.0]
 
 
