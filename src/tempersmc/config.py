@@ -185,9 +185,16 @@ def _positive(val, path):
 
 
 def _nonempty_list(val, path, item):
+    """``val`` as a tuple of distinct entries, each checked by ``item``."""
     if not isinstance(val, list) or not val:
         raise ConfigError(path, "must be a non-empty list")
-    return tuple(item(x, f"{path}[{i}]") for i, x in enumerate(val))
+    out = []
+    for i, x in enumerate(val):
+        x = item(x, f"{path}[{i}]")
+        if x in out:
+            raise ConfigError(f"{path}[{i}]", "repeats an earlier entry")
+        out.append(x)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -444,8 +451,11 @@ def parse_config(text):
     if kind == "drift-check" and model_kind != "gaussian":
         raise ConfigError("model.kind", "drift-check requires a continuous model")
 
-    if kind in ("n-scaling", "run") and replicates < 1:
-        raise ConfigError("replicates", f"{kind} requires at least one replicate")
+    # only the exact table of a finite bias-decay needs no replicates
+    exact_only = kind == "bias-decay" and model_kind == "finite-tempered"
+    if "replicates" in taken and not exact_only and replicates < 1:
+        raise ConfigError("replicates", f"{kind} on a {model_kind} model requires at least "
+                          "one replicate")
     workers = top["workers"]
     if workers is not None:
         _int_at_least(workers, "workers", 1)
@@ -490,4 +500,6 @@ def parse_config(text):
         reference_value(cfg)
     if kind == "run":
         build_drift(cfg)
+    if kind == "lemma1-audit":
+        build_drift_inputs(cfg)
     return cfg

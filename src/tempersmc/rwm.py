@@ -129,7 +129,12 @@ def rwm_kernel_family(fam, n, q):
 
 @dataclass
 class DriftProbeReport:
-    """Monte Carlo estimates of the one-step drift ratio on spherical shells."""
+    """Monte Carlo estimates of the one-step drift ratio on spherical shells.
+
+    ``points`` holds one ``(radius, point_index, ratio, std_err)`` row per
+    probe point, shell by shell in increasing radius, with ``point_index``
+    counting the points of its shell from 0.
+    """
 
     radii: np.ndarray
     lambda_hat: np.ndarray
@@ -173,7 +178,7 @@ def drift_probe(fam, gamma, q, drift, radii, n_proposals, seed=0):
             vals = (a * vy + (1.0 - a) * vx) / vx
             est = float(vals.mean())
             se = float(vals.std(ddof=1) / math.sqrt(n_proposals))
-            rows.append({"radius": float(r), "point": x, "ratio": est, "se": se})
+            rows.append((float(r), j, est, se))
             if est > worst:
                 worst, worst_se = est, se
         lam_hat[i] = worst

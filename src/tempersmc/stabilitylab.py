@@ -15,6 +15,14 @@ every replicate draws from its own stream keyed by (cell seed, replicate,
 step), so the block layout changes no draw.  Results are merged in task
 order by a single reducer, so output is identical for any worker count.
 
+The cells of a grid are distinct: parsing rejects a repeated entry of
+grids.n or grids.N, whose cells would share a seed and pool the same
+replicates twice.  ``_gather_cells`` is the one reducer of replicate
+estimates: for each cell, in grid order, it returns the finite estimates
+and the count of degenerate replicates, those without a finite estimate (a
+replicate whose weights all vanish estimates NaN).  bias-decay and
+n-scaling build their rows and summaries from these alone.
+
 Every experiment returns a ``Table``: its CSV header and rows, its status
 and its JSON summary body, built next to the numbers they report.
 """
@@ -40,9 +48,6 @@ from .particles import TotalDegeneracyError, estimate, run_sampler
 
 __all__ = [
     "Table",
-    "BiasCell",
-    "DecayFit",
-    "RmseCell",
     "CounterexampleProbe",
     "Lemma1Row",
     "bias_decay_experiment",
@@ -110,58 +115,32 @@ def _exact_value(cfg, n):
 
 
 def _gather_cells(cfg, cells, mapper):
-    """Map tasks, then regroup per-cell estimate vectors in grid order."""
+    """Map tasks; per cell, in grid order, its finite estimates and degenerate count."""
     tasks = _replicate_tasks(cfg, cells)
     results = mapper(_estimate_task, tasks)
     per_cell = {cell: [] for cell in cells}
     for (_, n, n_particles, _), block in zip(tasks, results):
-        per_cell[(n, n_particles)].append(np.asarray(block))
-    return {cell: np.concatenate(blocks) for cell, blocks in per_cell.items()}
+        per_cell[(n, n_particles)].append(block)
+    out = []
+    for blocks in per_cell.values():
+        vals = np.concatenate(blocks)
+        good = vals[np.isfinite(vals)]
+        out.append((good, vals.size - good.size))
+    return out
 
 
-@dataclass
-class BiasCell:
-    n: int
-    bias: float
-    std_err: float
-    n_used: int
-    degenerate: int
-    used_in_fit: bool = False
-
-    @property
-    def abs_bias(self):
-        return abs(self.bias)
-
-
-@dataclass
-class DecayFit:
-    """Log-linear fit of log |bias| against the horizon."""
-
-    mode: str
-    slope: float
-    r_squared: float
-    cells: list
-    status: str
-
-
-def _fit_decay(mode, cells):
-    for c in cells:
-        if mode == "exact":
-            c.used_in_fit = c.abs_bias > _EXACT_FLOOR
-        else:
-            # fitting cells at the Monte Carlo noise floor produces garbage slopes
-            c.used_in_fit = c.n_used > 1 and c.abs_bias > 3.0 * c.std_err
-    pts = [(c.n, math.log(c.abs_bias)) for c in cells if c.used_in_fit]
+def _fit_decay(ns, biases, usable):
+    """Log-linear fit of log |bias| against the horizon over the usable cells."""
+    pts = [(n, math.log(abs(b))) for n, b, ok in zip(ns, biases, usable) if ok]
     if len(pts) < 2:
-        return DecayFit(mode=mode, slope=math.nan, r_squared=math.nan, cells=cells,
-                        status="inconclusive")
+        return {"slope": math.nan, "r_squared": math.nan, "status": "inconclusive"}
     x = np.array([p[0] for p in pts])
     y = np.array([p[1] for p in pts])
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return DecayFit(mode=mode, slope=float(slope), r_squared=r2, cells=cells, status="ok")
+    return {"slope": float(slope), "r_squared": r2, "status": "ok"}
 
 
 def bias_decay_experiment(cfg, mapper):
@@ -173,110 +152,77 @@ def bias_decay_experiment(cfg, mapper):
     """
     ref = reference_value(cfg)
     ns = cfg.grids["n"]
-
-    exact_fit = None
+    rows, body = [], {"reference": ref, "exact": None, "particle": None}
     if cfg.model["kind"] == "finite-tempered":
-        cells = [
-            BiasCell(n=n, bias=_exact_value(cfg, n) - ref, std_err=0.0, n_used=1,
-                     degenerate=0)
-            for n in ns
-        ]
-        exact_fit = _fit_decay("exact", cells)
+        biases = [_exact_value(cfg, n) - ref for n in ns]
+        usable = [abs(b) > _EXACT_FLOOR for b in biases]
+        rows += [("exact", n, b, abs(b), 0.0, 1, 0, ok) for n, b, ok in zip(ns, biases, usable)]
+        body["exact"] = _fit_decay(ns, biases, usable)
 
-    particle_fit = None
     if cfg.replicates > 0:
-        n_particles = cfg.grids["N"][0]
-        estimates = _gather_cells(cfg, [(n, n_particles) for n in ns], mapper)
-        cells = []
-        for n in ns:
-            vals = estimates[(n, n_particles)]
-            good = vals[np.isfinite(vals)]
+        cells = [(n, cfg.grids["N"][0]) for n in ns]
+        biases, usable = [], []
+        for n, (good, degenerate) in zip(ns, _gather_cells(cfg, cells, mapper)):
             bias = float(good.mean()) - ref if good.size else math.nan
             se = float(good.std(ddof=1) / math.sqrt(good.size)) if good.size > 1 else math.inf
-            cells.append(
-                BiasCell(n=n, bias=bias, std_err=se, n_used=int(good.size),
-                         degenerate=int(vals.size - good.size))
-            )
-        particle_fit = _fit_decay("particle", cells)
+            # fitting cells at the Monte Carlo noise floor produces garbage slopes
+            ok = good.size > 1 and abs(bias) > 3.0 * se
+            rows.append(("particle", n, bias, abs(bias), se, good.size, degenerate, ok))
+            biases.append(bias)
+            usable.append(ok)
+        body["particle"] = _fit_decay(ns, biases, usable)
 
-    fits = [fit for fit in (exact_fit, particle_fit) if fit is not None]
-    rows = [(fit.mode, c.n, c.bias, c.abs_bias, c.std_err, c.n_used, c.degenerate,
-             c.used_in_fit) for fit in fits for c in fit.cells]
-    body = {"reference": ref}
-    for mode, fit in (("exact", exact_fit), ("particle", particle_fit)):
-        body[mode] = None if fit is None else {
-            "slope": fit.slope, "r_squared": fit.r_squared, "status": fit.status}
-    ok = fits and all(fit.status == "ok" for fit in fits)
+    fits = [fit for fit in (body["exact"], body["particle"]) if fit is not None]
+    ok = fits and all(fit["status"] == "ok" for fit in fits)
     return Table(header=("mode", "n", "bias", "abs_bias", "std_err", "replicates_used",
                          "degenerate", "used_in_fit"),
                  rows=rows, status="ok" if ok else "inconclusive", body=body)
-
-
-@dataclass
-class RmseCell:
-    n: int
-    n_particles: int
-    rmse: float
-    std_err: float
-    n_used: int
-    degenerate: int
 
 
 def n_scaling_experiment(cfg, mapper):
     """RMSE against the exact per-horizon value over the (n, N) product grid.
 
     The particle-count slope is fit at the horizon carrying the most
-    particle counts; the horizon ratio is taken at the particle count
-    carrying the most horizons.  Ratios are also reported with a 2-sigma
+    particle counts with nonzero RMSE; the horizon ratio is taken at the
+    largest particle count.  Ratios are also reported with a 2-sigma
     allowance on each end, so a violation claim must be statistically
     significant.
     """
     ns, n_list = cfg.grids["n"], cfg.grids["N"]
-    finite = cfg.model["kind"] == "finite-tempered"
-    refs = {n: _exact_value(cfg, n) if finite else reference_value(cfg) for n in ns}
-
-    cells_grid = [(n, N) for n in ns for N in n_list]
-    estimates = _gather_cells(cfg, cells_grid, mapper)
-    cells = []
-    for n, n_particles in cells_grid:
-        vals = estimates[(n, n_particles)]
-        good = vals[np.isfinite(vals)]
+    refs = {n: _exact_value(cfg, n) for n in ns}
+    cells = [(n, N) for n in ns for N in n_list]
+    rows, rmse, std_err = [], {}, {}
+    for (n, N), (good, degenerate) in zip(cells, _gather_cells(cfg, cells, mapper)):
         sq = (good - refs[n]) ** 2
         mse = float(sq.mean()) if good.size else math.nan
-        rmse = math.sqrt(mse)
-        if good.size > 1 and rmse > 0:
-            se = float(sq.std(ddof=1) / math.sqrt(good.size)) / (2.0 * rmse)
+        r = math.sqrt(mse)
+        if good.size > 1 and r > 0:
+            se = float(sq.std(ddof=1) / math.sqrt(good.size)) / (2.0 * r)
         else:
             se = math.inf
-        cells.append(
-            RmseCell(n=n, n_particles=n_particles, rmse=rmse, std_err=se,
-                     n_used=int(good.size), degenerate=int(vals.size - good.size))
-        )
+        rmse[n, N], std_err[n, N] = r, se
+        rows.append((n, N, r, se, good.size, degenerate))
 
     slope, slope_n = math.nan, None
-    by_n = {n: [c for c in cells if c.n == n and c.rmse > 0] for n in ns}
+    by_n = {n: [N for N in n_list if rmse[n, N] > 0] for n in ns}
     candidates = [n for n in ns if len(by_n[n]) >= 2]
     if candidates:
         slope_n = max(candidates, key=lambda n: (len(by_n[n]), n))
-        xs = np.log([c.n_particles for c in by_n[slope_n]])
-        ys = np.log([c.rmse for c in by_n[slope_n]])
+        xs = np.log(by_n[slope_n])
+        ys = np.log([rmse[slope_n, N] for N in by_n[slope_n]])
         slope = float(np.polyfit(xs, ys, 1)[0])
 
     ratio, ratio_adj, ratio_np = math.nan, math.nan, None
-    by_np = {N: [c for c in cells if c.n_particles == N] for N in n_list}
-    candidates = [N for N in n_list if len(by_np[N]) >= 2]
-    if candidates:
-        ratio_np = max(candidates, key=lambda N: (len(by_np[N]), N))
-        group = by_np[ratio_np]
-        hi = max(group, key=lambda c: c.rmse)
-        lo = min(group, key=lambda c: c.rmse)
-        ratio = hi.rmse / lo.rmse
-        ratio_adj = max(hi.rmse - 2.0 * hi.std_err, 0.0) / (lo.rmse + 2.0 * lo.std_err)
+    if len(ns) >= 2:
+        ratio_np = max(n_list)
+        hi = max(((n, ratio_np) for n in ns), key=rmse.get)
+        lo = min(((n, ratio_np) for n in ns), key=rmse.get)
+        ratio = rmse[hi] / rmse[lo]
+        ratio_adj = max(rmse[hi] - 2.0 * std_err[hi], 0.0) / (rmse[lo] + 2.0 * std_err[lo])
 
     return Table(
         header=("n", "n_particles", "rmse", "std_err", "replicates_used", "degenerate"),
-        rows=[(c.n, c.n_particles, c.rmse, c.std_err, c.n_used, c.degenerate)
-              for c in cells],
+        rows=rows,
         status="ok" if (slope_n is not None or ratio_np is not None) else "inconclusive",
         body={"slope": slope, "slope_n": slope_n, "ratio_max_min": ratio,
               "ratio_se_adjusted": ratio_adj, "ratio_n_particles": ratio_np},
@@ -292,13 +238,8 @@ def drift_check_experiment(cfg):
     report = rwm.drift_probe(
         fam, gamma, q, drift, cfg.radii, n_proposals=cfg.n_proposals, seed=cfg.seed
     )
-    rows, counters = [], {}
-    for point in report.points:
-        idx = counters.get(point["radius"], 0)
-        counters[point["radius"]] = idx + 1
-        rows.append((point["radius"], idx, point["ratio"], point["se"]))
     return Table(
-        header=("radius", "point_index", "ratio", "std_err"), rows=rows, status="ok",
+        header=("radius", "point_index", "ratio", "std_err"), rows=report.points, status="ok",
         body={"radii": report.radii, "lambda_hat": report.lambda_hat, "band": report.band,
               "safe_radius": report.safe_radius},
     )

@@ -69,6 +69,15 @@ def _shipped(name, out, **overrides):
     return json.dumps(raw)
 
 
+def _digests(out, experiment):
+    """SHA-256 of a run's CSV, and of its JSON without `timestamp` and `config.out_dir`."""
+    csv = (out / f"{experiment}.csv").read_bytes()
+    doc = json.loads((out / f"{experiment}.json").read_text())
+    del doc["timestamp"], doc["config"]["out_dir"]
+    summary = json.dumps(doc, sort_keys=True).encode()
+    return tuple(hashlib.sha256(data).hexdigest() for data in (csv, summary))
+
+
 def test_shipped_config_table_is_complete():
     assert sorted(p.stem for p in CONFIGS.glob("*.json")) == sorted(SHIPPED) == sorted(GOLDEN)
 
@@ -78,13 +87,39 @@ def test_shipped_config_runs_shrunk(name, tmp_path):
     parse_config((CONFIGS / f"{name}.json").read_text())
     cfg = parse_config(_shipped(name, tmp_path, workers=1))
     assert dispatch(cfg) == EXIT_OK
-    csv = (tmp_path / f"{cfg.experiment}.csv").read_bytes()
-    doc = json.loads((tmp_path / f"{cfg.experiment}.json").read_text())
-    assert doc["exit_code"] == EXIT_OK
-    del doc["timestamp"], doc["config"]["out_dir"]
-    summary = json.dumps(doc, sort_keys=True).encode()
-    digests = tuple(hashlib.sha256(data).hexdigest() for data in (csv, summary))
-    assert digests == GOLDEN[name]
+    assert _digests(tmp_path, cfg.experiment) == GOLDEN[name]
+
+
+def test_finite_bias_decay_with_particles_keeps_its_digest(tmp_path):
+    # one CSV holds the exact rows, then the particle rows at N = 50; recorded
+    # (like GOLDEN) before the particle reductions were rewritten
+    cfg = parse_config(_shipped("bias_finite", tmp_path, workers=1, replicates=3,
+                                grids={"n": [3, 4, 6, 8], "N": [50]}))
+    assert dispatch(cfg) == EXIT_INCONCLUSIVE  # one particle cell clears its noise floor
+    assert _digests(tmp_path, cfg.experiment) == (
+        "88a8380f9e17a0bb75f8f997042c5154d1f4d8d5297be6b07afe28de918df53f",
+        "c80e0707bef5cc557df1b1a9fe8915a4e512b3762e8a0cd5f418959e93aa0da5")
+
+
+@pytest.mark.parametrize("init, used", [
+    ({"name": "gaussian", "sigma": [1e154]}, ["17", "18"]),
+    ({"name": "point", "point": [1e200]}, ["0", "0"]),
+], ids=["some", "all"])
+def test_bias_decay_counts_degenerate_replicates(init, used, tmp_path):
+    # with one particle, a replicate whose initial log density overflows to -inf degenerates
+    cfg = parse_config(_shipped("bias_gaussian", tmp_path, workers=1, replicates=20,
+                                grids={"n": [3, 6], "N": [1]}, init=init))
+    with np.errstate(over="ignore"):
+        assert dispatch(cfg) == EXIT_INCONCLUSIVE
+    header, *lines = (tmp_path / "bias-decay.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert [row["replicates_used"] for row in rows] == used
+    assert [int(row["degenerate"]) for row in rows] == [20 - int(u) for u in used]
+    assert all(row["used_in_fit"] == "0" and row["std_err"] == "inf" for row in rows)
+    if used == ["0", "0"]:
+        assert all(row["bias"] == row["abs_bias"] == "nan" for row in rows)
+    summary = json.loads((tmp_path / "bias-decay.json").read_text())["summary"]
+    assert summary["exact"] is None and summary["particle"]["status"] == "inconclusive"
 
 
 def test_csv_identical_for_any_worker_count(tmp_path):
@@ -160,6 +195,8 @@ SCALAR_CASES = [
     ("drift_check", "workers", True),
     ("drift_monitor", "replicates", True),
     ("drift_monitor", "replicates", -1),
+    # no exact table for a continuous model, so no table at all without replicates
+    ("bias_gaussian", "replicates", 0),
     ("counterexample", "epsilon", "x"),
     ("counterexample", "epsilon", True),
     ("counterexample", "epsilon", 0),
@@ -203,7 +240,7 @@ def test_scalar_keys_validated_at_parse_time(name, key, value, tmp_path):
     "name, key, value",
     [("drift_check", "gamma", 0.7), ("drift_check", "gamma", 1), ("drift_check", "n_proposals", 2),
      ("drift_check", "workers", None), ("drift_check", "workers", 3),
-     ("bias_gaussian", "replicates", 0), ("counterexample", "epsilon", 1e-9),
+     ("bias_finite", "replicates", 0), ("counterexample", "epsilon", 1e-9),
      ("counterexample", "delta", 0), ("drift_check", "alpha", 2),
      ("drift_monitor", "degeneracy_floor", 0), ("drift_monitor", "degeneracy_floor", 1),
      ("drift_check", "radii", (0.5,))]
@@ -312,6 +349,10 @@ COMPONENT_CASES = [
     ("drift_check", ("model", "schedule"), [], "model.schedule"),
     ("drift_check", ("radii",), [2, -1], "radii[1]"),
     ("bias_finite", ("grids",), {"n": [2], "M": [3]}, "grids.M"),
+    # a repeated cell shares its seed, so it would pool the same replicates twice
+    ("bias_finite", ("grids", "n"), [5, 5], "grids.n[1]"),
+    ("scaling_sqrt_n", ("grids", "N"), [20, 40, 20], "grids.N[2]"),
+    ("drift_check", ("radii",), [2, 4, 2.0], "radii[2]"),
 ]
 
 
@@ -370,22 +411,13 @@ def test_exit_code_follows_the_table_status(status, code, monkeypatch, tmp_path)
     assert (tmp_path / "counterexample.csv").read_text() == "a,b\n1,0.5\n"
 
 
-@pytest.mark.parametrize(
-    "name, code", [("lemma1_audit", EXIT_PRECONDITION), ("scaling_sqrt_n", EXIT_OK)]
-)
-def test_zero_entry_kernels(name, code, tmp_path, capsys):
-    # move_prob 1 empties the lighter state's diagonal: the audit cannot
-    # minorize on the whole space, the particle path runs as usual
-    raw = json.loads(_shipped(name, tmp_path / "out", workers=1))
+def test_zero_entry_kernels(tmp_path):
+    # move_prob 1 empties the lighter state's diagonal; the particle path runs as usual
+    raw = json.loads(_shipped("scaling_sqrt_n", tmp_path / "out", workers=1))
     raw["model"]["move_prob"] = 1.0
     cfg = parse_config(json.dumps(raw))
-    assert dispatch(cfg) == code
-    if code == EXIT_OK:
-        assert (tmp_path / "out" / f"{cfg.experiment}.csv").is_file()
-    else:
-        assert capsys.readouterr().err.startswith(
-            "error: model: chain kernels have zero entries")
-        assert not (tmp_path / "out").exists()
+    assert dispatch(cfg) == EXIT_OK
+    assert (tmp_path / "out" / f"{cfg.experiment}.csv").is_file()
 
 
 def _zero_entry_run(out):
@@ -397,13 +429,24 @@ def _zero_entry_run(out):
     return raw
 
 
-@pytest.mark.parametrize("flags", [["--workers", "1"], ["--workers", "2"], []],
-                         ids=["w1", "w2", "default"])
-def test_run_with_zero_entry_kernels_fails_at_parse(flags, tmp_path, capsys):
-    # a worker builds the drift, which cannot certify these kernels: parsing builds it first
+def _zero_entry_audit(out):
+    """Shrunk ``lemma1_audit`` whose chain kernels have zero entries."""
+    raw = json.loads(_shipped("lemma1_audit", out))
+    raw["model"]["move_prob"] = 1.0
+    return raw
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["run", "--workers", "1"],
+                                  ["run", "--workers", "2"], ["run"]],
+                         ids=["validate", "w1", "w2", "default"])
+@pytest.mark.parametrize("make", [_zero_entry_run, _zero_entry_audit], ids=["run", "audit"])
+def test_zero_entry_kernels_fail_at_parse(make, argv, tmp_path, capsys):
+    # the drift (a run's worker) and the audit cannot certify these kernels;
+    # parsing builds their inputs first, so validate and run agree
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(_zero_entry_run(tmp_path / "out")))
-    assert main(["run", str(path), *flags]) == EXIT_PRECONDITION
+    path.write_text(json.dumps(make(tmp_path / "out")))
+    command, *flags = argv
+    assert main([command, str(path), *flags]) == EXIT_PRECONDITION
     assert capsys.readouterr().err.startswith("error: model: chain kernels have zero entries")
     assert not (tmp_path / "out").exists()
 

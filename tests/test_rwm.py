@@ -268,6 +268,8 @@ def test_drift_probe_flat_v():
     rep = drift_probe(fam, 0.7, gaussian_increment(1, 1.0), drift, [2.0, 4.0],
                       n_proposals=2_000, seed=0)
     np.testing.assert_allclose(rep.lambda_hat, 1.0, atol=1e-12)
+    # one (radius, point_index, ratio, std_err) row per point, numbered per shell
+    assert [row[:2] for row in rep.points] == [(2.0, 0), (2.0, 1), (4.0, 0), (4.0, 1)]
 
 
 def test_drift_probe_gaussian_contracts():
