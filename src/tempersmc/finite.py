@@ -65,17 +65,21 @@ def metropolis_matrix(log_weights, gamma, move_prob):
 
 
 def matrix_kernel_family(matrices):
-    """Kernel family backed by explicit matrices, one per step k = 1..n."""
-    mats = [np.asarray(a, dtype=float) for a in matrices]
-    n = len(mats)
-    m = mats[0].shape[0]
-    for k, a in enumerate(mats, start=1):
-        if a.shape != (m, m) or np.any(a < 0):
-            raise ValueError(f"kernel matrix at step {k} is not a {m}x{m} nonnegative matrix")
-        if np.max(np.abs(a.sum(axis=1) - 1.0)) > _ROW_TOL:
-            raise ValueError(f"kernel matrix at step {k} has rows not summing to 1")
-    # column j of step k's cumulative rows as one contiguous vector over the states
-    cols = [np.cumsum(a, axis=1)[:, :-1].T.copy() for a in mats]
+    """Kernel family backed by an (n, m, m) stack of matrices; row k-1 is step k's."""
+    mats = np.asarray(matrices, dtype=float)
+    if mats.ndim != 3 or mats.shape[0] < 1 or mats.shape[1] != mats.shape[2]:
+        raise ValueError(f"kernel matrices have shape {mats.shape}, not an (n, m, m) stack")
+    m = mats.shape[1]
+    negative = (mats < 0).any(axis=(1, 2))
+    off_sum = ~(np.abs(mats.sum(axis=2) - 1.0).max(axis=1) <= _ROW_TOL)  # NaN is off too
+    bad = np.flatnonzero(negative | off_sum)
+    if bad.size:
+        k = bad[0]
+        if negative[k]:
+            raise ValueError(f"kernel matrix at step {k + 1} is not a {m}x{m} nonnegative matrix")
+        raise ValueError(f"kernel matrix at step {k + 1} has rows not summing to 1")
+    # cols[k - 1, j]: column j of step k's cumulative rows, one contiguous vector over the states
+    cols = np.cumsum(mats, axis=2)[:, :, :-1].transpose(0, 2, 1).copy()
 
     def sample_batch(k, xs, stats, rng):
         u = rng.random(len(xs))
@@ -83,7 +87,8 @@ def matrix_kernel_family(matrices):
         new = _inverse_cdf(u, (col[xs] for col in cols[k - 1]))
         return new, new
 
-    return KernelFamily(horizon=n, sample_batch=sample_batch, matrix=lambda k: mats[k - 1])
+    return KernelFamily(horizon=len(mats), sample_batch=sample_batch,
+                        matrix=lambda k: mats[k - 1])
 
 
 def _initial_from_weights(weights):
@@ -101,6 +106,7 @@ def _initial_from_weights(weights):
 def table_model(matrices, log_g_table, mu, log_g_max=None):
     """Assemble a finite model from kernel matrices, a log-weight table and mu.
 
+    ``matrices`` is the (n, m, m) stack of kernels, row k-1 for step k, and
     ``log_g_table`` has shape (n, m); entries must be finite (weights are
     strictly positive by construction).  The family bound defaults to the
     exact table maximum.
@@ -147,7 +153,7 @@ def tempered_chain_model(log_weights, schedule, n, move_prob, init):
         raise ValueError(f"horizon must be >= 1, got {n}")
     logw = np.asarray(log_weights, dtype=float)
     gammas = np.asarray(schedule(np.arange(n + 1) / n), dtype=float)
-    matrices = list(metropolis_matrix(logw, gammas[1:], move_prob))
+    matrices = metropolis_matrix(logw, gammas[1:], move_prob)
     log_g_max = max(0.0, schedule.lipschitz_const / n * float(logw.max()))
     return table_model(matrices, np.diff(gammas)[:, None] * logw, init, log_g_max=log_g_max)
 

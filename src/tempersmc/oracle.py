@@ -6,12 +6,19 @@ future-mass-twisted kernels S_k, the tilted drift/minorization data, and
 exact weighted-total-variation norms.  These values are the ground truth
 against which the particle sampler is tested.
 
-One backward sweep, ``future_potential_mass``, yields every future-mass
-vector h_k, and S_k is built from its row k.  ``flow_map`` (weighted
-operators) and ``flow_map_via_s`` (twisted kernels) transport a measure
-by two independent routes, so each cross-checks the other;
-``v_norm_distance`` and ``norm_const_lower_bound_check`` are the exact
-norm and normalizer-bound checks those cross-checks read.
+A model's n kernels are held as one (n, m, m) stack, row k-1 being M[k],
+and every per-step quantity is an array operation over it.  One weighted
+stack, exp(log G[k-1] - shift)(x) * M[k](x, .), gives the operators Q[k]
+(shift 0) and Q~[k] (shift log_g_max).  One backward sweep over Q~,
+``future_potential_mass``, yields every future-mass vector h_k, and
+``s_kernels`` builds the stack of every S_k from those rows at once; the
+tilted drift/minorization data and their checks are columns over the
+steps.  Only the chained products, which depend on one another, loop over
+the steps.  ``flow_map`` (weighted operators) and ``flow_map_via_s``
+(twisted kernels) transport a measure by two independent routes, so each
+cross-checks the other; ``v_norm_distance`` and
+``norm_const_lower_bound_check`` are the exact norm and normalizer-bound
+checks those cross-checks read.
 
 A step index is a plain ``int`` and a measure is a 1-d float array over
 the enumerated states.  Every probability vector a caller hands in is
@@ -22,7 +29,7 @@ renormalized after every step, which keeps the algebraic identities tight
 to ~1e-14 over dozens of steps.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np
@@ -32,10 +39,9 @@ from .fk_core import u_function
 __all__ = [
     "TiltedDriftObjects",
     "NormConstReport",
-    "q_matrix",
     "eta_exact",
     "flow_map",
-    "s_kernel_matrix",
+    "s_kernels",
     "flow_map_via_s",
     "future_potential_mass",
     "tilted_drift_objects",
@@ -63,35 +69,25 @@ def _require_finite(model):
         raise ValueError("operation requires a finite model with exact kernel matrices")
 
 
-def _m_matrix(model, k):
-    return np.asarray(model.kernels.matrix(k), dtype=float)
+def _kernel_stack(model):
+    """The (n, m, m) stack of kernel matrices; row k-1 is M[k]."""
+    return np.array([model.kernels.matrix(k) for k in range(1, model.horizon + 1)], dtype=float)
 
 
-def _log_g_vector(model, k):
-    return np.asarray(
-        model.potentials.log_g(k, np.arange(model.n_states)), dtype=float
-    )
-
-
-def q_matrix(model, k):
-    """Weighted transition operator at step k: row x is G[k-1](x) * M[k](x, .)."""
-    _require_finite(model)
-    if not 1 <= k <= model.horizon:
-        raise ValueError(f"index k={k} outside [1, {model.horizon}]")
-    g = np.exp(_log_g_vector(model, k - 1))
-    return g[:, None] * _m_matrix(model, k)
-
-
-def _q_tilde_matrix(model, k):
-    g = np.exp(_log_g_vector(model, k - 1) - model.potentials.log_g_max)
-    return g[:, None] * _m_matrix(model, k)
+def _weighted_stack(model, shift):
+    """Row k-1 is exp(log G[k-1] - shift)(x) * M[k](x, .): Q for shift 0, Q~ for log_g_max."""
+    states = np.arange(model.n_states)
+    table = np.array([model.potentials.log_g(k, states) for k in range(model.horizon)],
+                     dtype=float)
+    return np.exp(table - shift)[:, :, None] * _kernel_stack(model)
 
 
 def _propagate(model, w, k, l):
     """w^T Q[k+1] ... Q[l], renormalized each step; returns a unit-sum vector."""
+    q = _weighted_stack(model, 0.0)[k:l].astype(np.longdouble)
     v = np.asarray(w, dtype=np.longdouble)
-    for j in range(k + 1, l + 1):
-        v = v @ q_matrix(model, j).astype(np.longdouble)
+    for j, q_j in enumerate(q, start=k + 1):
+        v = v @ q_j
         tot = v.sum()
         if tot <= 0:
             raise ZeroDivisionError(
@@ -128,27 +124,23 @@ def future_potential_mass(model):
     """
     _require_finite(model)
     n = model.horizon
-    h = np.ones(model.n_states, dtype=np.longdouble)
-    out = np.empty((n + 1, model.n_states))
-    out[n] = np.asarray(h, dtype=float)
+    q_tilde = _weighted_stack(model, model.potentials.log_g_max).astype(np.longdouble)
+    h = np.ones((n + 1, model.n_states), dtype=np.longdouble)
     for j in range(n, 0, -1):
-        h = _q_tilde_matrix(model, j).astype(np.longdouble) @ h
-        out[j - 1] = np.asarray(h, dtype=float)
-    return out
+        h[j - 1] = q_tilde[j - 1] @ h[j]
+    return h.astype(float)
 
 
-def s_kernel_matrix(model, k, h_k):
-    """Markov kernel at step k twisted by the future normalized weight mass.
+def s_kernels(model, hs):
+    """Markov kernels twisted by the future normalized weight mass, as an (n, m, m) stack.
 
-    ``h_k`` is row k of ``future_potential_mass(model)``, so a caller that
-    needs several steps runs the backward sweep once.  Row x is M[k](x, .)
-    times h_k, renormalized.
+    ``hs`` is ``future_potential_mass(model)``, so the backward sweep runs
+    once for every step.  Row k-1 is S_k: row x of S_k is M[k](x, .) times
+    h_k, renormalized.
     """
     _require_finite(model)
-    if not 1 <= k <= model.horizon:
-        raise ValueError(f"index k={k} outside [1, {model.horizon}]")
-    raw = _m_matrix(model, k) * h_k[None, :]
-    return raw / raw.sum(axis=1, keepdims=True)
+    raw = _kernel_stack(model) * hs[1:, None, :]
+    return raw / raw.sum(axis=2, keepdims=True)
 
 
 def flow_map_via_s(model, eta, k):
@@ -168,33 +160,39 @@ def flow_map_via_s(model, eta, k):
     if tot <= 0:
         raise ZeroDivisionError("flow normalizer vanished; model is degenerate")
     w = w / tot
-    for j in range(k + 1, n + 1):
-        w = w @ s_kernel_matrix(model, j, hs[j]).astype(np.longdouble)
+    for s_j in s_kernels(model, hs)[k:].astype(np.longdouble):
+        w = w @ s_j
         w = w / w.sum()
     return np.asarray(w, dtype=float)
 
 
 @dataclass
 class TiltedDriftObjects:
-    """Step-k minorization/drift data for the twisted kernels, plus checks.
+    """Minorization/drift data for the twisted kernels at every step, plus checks.
 
+    Every field but ``a2_failures`` is stacked over the steps: row k-1 is
+    step k.  ``eps_nk``, ``b_nk``, ``b_nk_proof`` and ``a2_ok`` have shape
+    (n,); ``nu_nk`` (the tilted minorizing probability vector), ``v_nk``,
+    ``v_prev``, ``drift_ok`` and ``drift_ok_proof`` have shape (n, m);
+    ``minor_ok`` has shape (n, |C|), one column per state of the small set.
     ``b_nk`` follows the printed indexing (offset divided by the step-(k-1)
     tilt mass); ``b_nk_proof`` divides by the step-k tilt mass, which is
     the constant the derivation actually produces.  The drift check is run
-    against both.  ``nu_nk`` is the tilted minorizing probability vector.
+    against both.  ``a2_failures`` lists the model's failed preconditions,
+    each once.
     """
 
-    eps_nk: float
-    b_nk: float
+    eps_nk: np.ndarray
+    b_nk: np.ndarray
     nu_nk: np.ndarray
     v_nk: np.ndarray
     v_prev: np.ndarray
-    b_nk_proof: float
+    b_nk_proof: np.ndarray
     minor_ok: np.ndarray
     drift_ok: np.ndarray
     drift_ok_proof: np.ndarray
-    a2_ok: bool
-    a2_failures: List[str] = field(default_factory=list)
+    a2_ok: np.ndarray
+    a2_failures: List[str]
 
 
 def _small_set(drift, v):
@@ -202,87 +200,83 @@ def _small_set(drift, v):
     return v <= drift.level_d * (1.0 + _INEQ_SLACK)
 
 
-def _raw_drift_excess(model, drift, v, k):
-    """Worst excess of M[k] V over lam V + b_d 1_C if it breaks the drift, else None."""
-    gap = (_m_matrix(model, k) @ v - (drift.lam * v + drift.b_d * _small_set(drift, v))).max()
-    return gap if gap > _INEQ_SLACK * max(1.0, drift.b_d) else None
+def _raw_drift_excess(mats, drift, v):
+    """Per step, the worst excess of M[k] V over lam V + b_d 1_C, and whether it breaks drift."""
+    gap = (np.matmul(mats, v) - (drift.lam * v + drift.b_d * _small_set(drift, v))).max(axis=1)
+    return gap, gap > _INEQ_SLACK * max(1.0, drift.b_d)
 
 
-def _check_a2(model, drift, eps, nu_w):
+def _check_a2(mats, drift, v, eps, nu_w):
     """Entrywise verification of the supplied drift and minorization inputs."""
-    v = drift.vector(model.n_states)
     if np.any(v < 1.0 - _INEQ_SLACK):
         return ["drift function has entries below 1"]
     c_mask = _small_set(drift, v)
+    worst = (mats[:, c_mask] - eps * nu_w).min(axis=(1, 2), initial=np.inf)
+    minor_bad = worst < -_INEQ_SLACK
+    excess, drift_bad = _raw_drift_excess(mats, drift, v)
     failures = []
-    for k in range(1, model.horizon + 1):
-        minor = _m_matrix(model, k)[c_mask] - eps * nu_w[None, :]
-        if minor.size and minor.min() < -_INEQ_SLACK:
-            failures.append(f"minorization fails for kernel k={k} (worst {minor.min():.3e})")
-        excess = _raw_drift_excess(model, drift, v, k)
-        if excess is not None:
-            failures.append(f"drift fails for kernel k={k} (worst +{excess:.3e})")
+    for i in np.flatnonzero(minor_bad | drift_bad):
+        if minor_bad[i]:
+            failures.append(f"minorization fails for kernel k={i + 1} (worst {worst[i]:.3e})")
+        if drift_bad[i]:
+            failures.append(f"drift fails for kernel k={i + 1} (worst +{excess[i]:.3e})")
     return failures
 
 
 def tilted_drift_objects(model, drift, minorizer):
     """Build and verify the drift/minorization data for the twisted kernels.
 
-    Returns one ``TiltedDriftObjects`` per step k = 1..n, all built from a
-    single backward sweep.  ``drift`` supplies (V, lam, level_d, b_d);
-    ``minorizer`` is the pair (eps, nu) for the raw kernels on the
-    sub-level set.  Inputs failing the entrywise preconditions yield
-    reports with ``a2_ok=False`` rather than an exception.
+    Returns one ``TiltedDriftObjects`` whose row k-1 holds step k, for
+    k = 1..n, all built from a single backward sweep.  ``drift`` supplies
+    (V, lam, level_d, b_d); ``minorizer`` is the pair (eps, nu) for the raw
+    kernels on the sub-level set.  Inputs failing the entrywise
+    preconditions yield rows with ``a2_ok`` false rather than an exception.
     """
     _require_finite(model)
-    n = model.horizon
     eps, nu = minorizer
+    if not eps > 0:
+        raise ValueError(f"eps must be > 0, got {eps!r}")
     nu_w = _probability(nu, "nu")
     v = drift.vector(model.n_states)
     c_mask = _small_set(drift, v)
+    mats = _kernel_stack(model)
 
-    model_failures = _check_a2(model, drift, eps, nu_w)
+    failures = _check_a2(mats, drift, v, eps, nu_w)
     hs = future_potential_mass(model)
+    # row by row, the same dot product as nu . h_k (a matrix-vector product rounds differently)
+    mass = (hs[:, None, :] @ nu_w)[:, 0]
+    eps_nk = eps * mass[1:]
+    nu_nk = nu_w * hs[1:] / mass[1:, None]
+    b_proof = drift.b_d / eps_nk
+    b_printed = drift.b_d / (eps * mass[:-1])
+
     # V tilted at step j: V / M[j+1](h_{j+1}) for j < n, and V itself at j = n
-    v_tilted = [v / (_m_matrix(model, j + 1) @ hs[j + 1]) for j in range(n)] + [v.copy()]
+    v_tilted = np.vstack([v / np.matmul(mats, hs[1:, :, None])[:, :, 0], v])
+    v_nk, v_prev = v_tilted[1:], v_tilted[:-1]
+    dips = np.any(v_nk < 1.0 - _INEQ_SLACK, axis=1)
+    a2_ok = ~dips & (not failures)
+    if dips.any():
+        failures.append("tilted drift function dips below 1 (model inconsistent)")
 
-    out = []
-    for k in range(1, n + 1):
-        a2_failures = list(model_failures)
-        h_k = hs[k]
-        eps_nk = eps * float(nu_w @ h_k)
-        nu_nk = nu_w * h_k / (nu_w @ h_k)
-        b_proof = drift.b_d / eps_nk
-        b_printed = drift.b_d / (eps * float(nu_w @ hs[k - 1]))
-
-        v_nk = v_tilted[k]
-        v_prev = v_tilted[k - 1]
-        if np.any(v_nk < 1.0 - _INEQ_SLACK):
-            a2_failures.append("tilted drift function dips below 1 (model inconsistent)")
-
-        s_k = s_kernel_matrix(model, k, h_k)
-        minor_ok = (s_k[c_mask] - eps_nk * nu_nk[None, :]).min(axis=1) >= -_INEQ_SLACK
-        lhs = s_k @ v_nk
-        scale = _INEQ_SLACK * np.maximum(1.0, np.abs(lhs))
-        drift_ok = lhs <= drift.lam * v_prev + b_printed * c_mask + scale
-        drift_ok_proof = lhs <= drift.lam * v_prev + b_proof * c_mask + scale
-
-        out.append(
-            TiltedDriftObjects(
-                eps_nk=eps_nk,
-                b_nk=b_printed,
-                nu_nk=nu_nk,
-                v_nk=v_nk,
-                v_prev=v_prev,
-                b_nk_proof=b_proof,
-                minor_ok=minor_ok,
-                drift_ok=np.asarray(drift_ok),
-                drift_ok_proof=np.asarray(drift_ok_proof),
-                a2_ok=not a2_failures,
-                a2_failures=a2_failures,
-            )
-        )
-    return out
+    s = s_kernels(model, hs)
+    minor_ok = (s[:, c_mask] - (eps_nk[:, None] * nu_nk)[:, None, :]).min(axis=2) >= -_INEQ_SLACK
+    lhs = np.matmul(s, v_nk[:, :, None])[:, :, 0]
+    scale = _INEQ_SLACK * np.maximum(1.0, np.abs(lhs))
+    drift_ok = lhs <= drift.lam * v_prev + b_printed[:, None] * c_mask + scale
+    drift_ok_proof = lhs <= drift.lam * v_prev + b_proof[:, None] * c_mask + scale
+    return TiltedDriftObjects(
+        eps_nk=eps_nk,
+        b_nk=b_printed,
+        nu_nk=nu_nk,
+        v_nk=v_nk,
+        v_prev=v_prev,
+        b_nk_proof=b_proof,
+        minor_ok=minor_ok,
+        drift_ok=drift_ok,
+        drift_ok_proof=drift_ok_proof,
+        a2_ok=a2_ok,
+        a2_failures=failures,
+    )
 
 
 def v_norm_distance(a, b, v, alpha=1.0):
@@ -336,12 +330,12 @@ def norm_const_lower_bound_check(model, drift, mu):
     a1_ok = bool(u.min() >= -n * _INEQ_SLACK)
     u_norm = float((np.maximum(u, 0.0) / v[None, :]).max())
 
-    drift_ok = all(_raw_drift_excess(model, drift, v, k) is None for k in range(1, n + 1))
+    drift_ok = not _raw_drift_excess(_kernel_stack(model), drift, v)[1].any()
 
     c_const = u_norm * (1.0 + drift.b_d / (1.0 - drift.lam))
     mu_v = float(mu_w @ v)
     bound = float(np.exp(-c_const * mu_v))
-    per_k = np.array([float(mu_w @ h_k) for h_k in future_potential_mass(model)])
+    per_k = (future_potential_mass(model)[:, None, :] @ mu_w)[:, 0]
     min_mass = float(per_k.min())
     return NormConstReport(
         per_k=per_k,

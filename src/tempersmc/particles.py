@@ -117,9 +117,10 @@ def smc_step(ens, model):
     ancestors = np.empty(ens.n_particles, dtype=np.intp)
     ancestors[order] = np.searchsorted(cw, u[order] * cw[-1], side="right")
     np.minimum(ancestors, ens.n_particles - 1, out=ancestors)
-    states, stats = model.kernels.sample_batch(
-        k + 1, ens.states[ancestors], ens.stats[ancestors], rng
-    )
+    states = ens.states[ancestors]
+    # on finite models the statistic is the state array itself: gather it once
+    stats = states if ens.stats is ens.states else ens.stats[ancestors]
+    states, stats = model.kernels.sample_batch(k + 1, states, stats, rng)
     return Ensemble(
         states=np.asarray(states),
         stats=np.asarray(stats),

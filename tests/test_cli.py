@@ -115,9 +115,13 @@ def test_bias_decay_counts_degenerate_replicates(init, used, tmp_path):
     rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
     assert [row["replicates_used"] for row in rows] == used
     assert [int(row["degenerate"]) for row in rows] == [20 - int(u) for u in used]
-    assert all(row["used_in_fit"] == "0" and row["std_err"] == "inf" for row in rows)
+    assert all(row["used_in_fit"] == "0" for row in rows)
     if used == ["0", "0"]:
-        assert all(row["bias"] == row["abs_bias"] == "nan" for row in rows)
+        assert all(row["bias"] == row["abs_bias"] == "nan" and row["std_err"] == "inf"
+                   for row in rows)
+    else:
+        # estimates near 1e154 square past the float range; their spread does not
+        assert all(0.0 < float(row["std_err"]) < math.inf for row in rows)
     summary = json.loads((tmp_path / "bias-decay.json").read_text())["summary"]
     assert summary["exact"] is None and summary["particle"]["status"] == "inconclusive"
 

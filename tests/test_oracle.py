@@ -6,13 +6,13 @@ import pytest
 from finite_models import fixture_drift_inputs, random_finite_model, two_state_fixture
 from tempersmc.finite import table_model
 from tempersmc.oracle import (
+    _weighted_stack,
     eta_exact,
     flow_map,
     flow_map_via_s,
     future_potential_mass,
     norm_const_lower_bound_check,
-    q_matrix,
-    s_kernel_matrix,
+    s_kernels,
     tilted_drift_objects,
     v_norm_distance,
 )
@@ -58,6 +58,11 @@ def test_measure_inputs_must_be_probability_vectors(bad):
 
 
 # ---------------------------------------------------------------- q matrices
+
+def q_matrix(model, k):
+    """Q[k], row k-1 of the weighted stack with shift 0."""
+    return _weighted_stack(model, 0.0)[k - 1]
+
 
 def test_q_matrix_unit_potential_equals_kernel():
     model = flat_model()
@@ -129,7 +134,7 @@ def test_flow_consistency():
 # ---------------------------------------------------------------- S kernels
 
 def s_kernel(model, k):
-    return s_kernel_matrix(model, k, future_potential_mass(model)[k])
+    return s_kernels(model, future_potential_mass(model))[k - 1]
 
 
 def test_s_kernel_terminal_and_flat():
@@ -196,11 +201,12 @@ def _flat_drift_inputs(model):
 def test_tilted_drift_flat_model():
     model = flat_model(n=4, m=3)
     drift, minor = _flat_drift_inputs(model)
-    td = tilted_drift_objects(model, drift, minor)[1]  # k = 2
-    assert td.a2_ok
-    np.testing.assert_allclose(td.v_nk, 1.0, atol=1e-14)
-    np.testing.assert_allclose(td.v_prev, 1.0, atol=1e-14)
-    assert td.minor_ok.all() and td.drift_ok.all()
+    td = tilted_drift_objects(model, drift, minor)
+    i = 1  # k = 2
+    assert td.a2_ok[i]
+    np.testing.assert_allclose(td.v_nk[i], 1.0, atol=1e-14)
+    np.testing.assert_allclose(td.v_prev[i], 1.0, atol=1e-14)
+    assert td.minor_ok[i].all() and td.drift_ok[i].all()
 
 
 def test_tilted_drift_hand_computation():
@@ -212,26 +218,27 @@ def test_tilted_drift_hand_computation():
     eps = 2 * float(M2.min()) * 0.999
     nu = np.array([0.5, 0.5])
     drift = DriftSpec(v=v, lam=lam, level_d=float(v.max()), b_d=b)
-    td = tilted_drift_objects(model, drift, (eps, nu))[1]  # k = 2
-    assert td.a2_ok
+    td = tilted_drift_objects(model, drift, (eps, nu))
+    i = 1  # k = 2
+    assert td.a2_ok[i]
     # independent recomputation of the tilt coefficient: backward recursion
     # from the terminal step (n = 3), stopping at step 2
     gt = G2 / G2.max()
     h3 = np.ones(2)
     h2 = gt * (M2 @ h3)
-    assert td.eps_nk == pytest.approx(eps * float(nu @ h2), rel=1e-13)
-    assert td.b_nk_proof == pytest.approx(b / td.eps_nk, rel=1e-13)
+    assert td.eps_nk[i] == pytest.approx(eps * float(nu @ h2), rel=1e-13)
+    assert td.b_nk_proof[i] == pytest.approx(b / td.eps_nk[i], rel=1e-13)
     expected_nu = nu * h2 / (nu @ h2)
-    np.testing.assert_allclose(td.nu_nk, expected_nu, atol=1e-14)
-    assert td.minor_ok.all() and td.drift_ok.all()
+    np.testing.assert_allclose(td.nu_nk[i], expected_nu, atol=1e-14)
+    assert td.minor_ok[i].all() and td.drift_ok[i].all()
 
 
 def test_tilted_drift_terminal_v_is_v():
     model = two_state_model(n=3)
     _, minor = _flat_drift_inputs(model)
     drift = DriftSpec(v=np.array([1.0, 2.0]), lam=0.9, level_d=2.0, b_d=3.0)
-    td = tilted_drift_objects(model, drift, minor)[-1]  # k = n = 3
-    np.testing.assert_array_equal(td.v_nk, np.array([1.0, 2.0]))
+    td = tilted_drift_objects(model, drift, minor)
+    np.testing.assert_array_equal(td.v_nk[-1], np.array([1.0, 2.0]))  # k = n = 3
 
 
 def test_tilted_drift_reports_broken_inputs():
@@ -239,11 +246,18 @@ def test_tilted_drift_reports_broken_inputs():
     v = np.array([1.0, 1.5])
     # lam declared far too small for these matrices
     drift = DriftSpec(v=v, lam=0.01, level_d=1.0, b_d=1e-6)
-    tds = tilted_drift_objects(model, drift, (0.9, np.array([0.5, 0.5])))
-    assert len(tds) == 3
-    for td in tds:
-        assert not td.a2_ok
-        assert td.a2_failures
+    td = tilted_drift_objects(model, drift, (0.9, np.array([0.5, 0.5])))
+    assert td.a2_ok.shape == (3,)
+    assert not td.a2_ok.any()
+    assert td.a2_failures
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, np.nan])
+def test_tilted_drift_needs_a_positive_minorization_constant(eps):
+    model = two_state_model(n=3)
+    drift, (_, nu) = _flat_drift_inputs(model)
+    with pytest.raises(ValueError, match="^eps must be > 0"):
+        tilted_drift_objects(model, drift, (eps, nu))
 
 
 # ---------------------------------------------------------------- v-norm

@@ -213,6 +213,8 @@ def test_step_draws_what_the_plain_search_draws(kind, n_particles):
         expected = _plain_search_step(ens, model)
         ens, _ = smc_step(ens, model)
         np.testing.assert_array_equal(ens.states, expected)
+        # a finite model's statistic is the state array itself, gathered once
+        assert (ens.stats is ens.states) == model.is_finite
 
 
 _CARRY_TARGETS = {

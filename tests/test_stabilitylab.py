@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,6 @@ from tempersmc.config import parse_config
 from tempersmc.finite import table_model
 from tempersmc.fk_core import DriftSpec
 from tempersmc.stabilitylab import (
-    Lemma1Row,
     bias_decay_experiment,
     lemma1_audit,
     lemma1_audit_experiment,
@@ -105,6 +103,19 @@ def test_particle_bias_noise_floor_inconclusive():
     table = bias_decay_experiment(cfg, make_mapper(1))
     assert table.body["particle"]["status"] == "inconclusive"
     assert table.status == "inconclusive"
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e154, 1e300])
+def test_std_err_spread_survives_squares_past_the_float_range(scale):
+    # the squares of 1e154-sized deviations overflow; the spread itself does not
+    good = scale * np.array([1.0, -1.0, 0.3])
+    expected = scale * float(np.array([1.0, -1.0, 0.3]).std(ddof=1))
+    assert stabilitylab._std(good) == pytest.approx(expected, rel=1e-15)
+
+
+def test_std_err_is_the_plain_spread_where_it_is_finite():
+    good = np.random.default_rng(4).normal(size=17)
+    assert stabilitylab._std(good) == float(good.std(ddof=1))
 
 
 # ------------------------------------------------------------- scaling
@@ -225,6 +236,25 @@ def test_lemma1_fixture_grid_passes_with_stable_eps():
     assert inf_eps["1000"] / inf_eps["5"] >= 0.5
 
 
+def test_lemma1_single_step_horizon():
+    drift, minor = fixture_drift_inputs()
+    table = lemma1_audit([two_state_fixture(1)], drift, minor)
+    assert table.status == "ok" and table.body["all_pass"]
+    (row,) = table.rows
+    assert row[:2] == (1, 1) and row[5:] == (True, True, True, True)
+    assert table.body["per_n_inf_eps"] == {"1": row[2]} and table.body["inf_eps"] == row[2]
+
+
+def test_lemma1_very_large_horizon():
+    # ten thousand steps in one stack; the tilt coefficient stays where it was at n = 30
+    drift, minor = fixture_drift_inputs()
+    table = lemma1_audit([two_state_fixture(30), two_state_fixture(10_000)], drift, minor)
+    assert table.status == "ok" and table.body["all_pass"]
+    assert len(table.rows) == 10_030
+    inf_eps = table.body["per_n_inf_eps"]
+    assert inf_eps["10000"] == pytest.approx(inf_eps["30"], rel=0.01)
+
+
 def test_lemma1_broken_inputs_flagged():
     drift, minor = fixture_drift_inputs()
     broken = DriftSpec(v=drift.vector(2), lam=0.001, level_d=drift.level_d, b_d=1e-9)
@@ -251,6 +281,4 @@ def test_lemma1_audit_golden_values():
     ]
     rows = {row[:2]: row for row in table.rows}
     for n, k, eps_nk, b_printed, b_proof in golden:
-        assert rows[n, k] == astuple(Lemma1Row(n=n, k=k, eps_nk=eps_nk, b_printed=b_printed,
-                                               b_proof=b_proof, minor_ok=True, drift_ok=True,
-                                               drift_ok_proof=True, a2_ok=True))
+        assert rows[n, k] == (n, k, eps_nk, b_printed, b_proof, True, True, True, True)

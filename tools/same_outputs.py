@@ -9,7 +9,8 @@ repository is run at full size under each tree, each run in a fresh
 interpreter through ``python -m tempersmc.cli run``.  The two runs of a
 config must give the same exit code, the same CSV bytes, and the same JSON
 once ``timestamp`` and ``config.out_dir`` are removed.  One line is printed
-per config; the exit status is 1 if any config differs.  Standard library
+per config, with the wall seconds of each tree's run (interpreter start-up
+included); the exit status is 1 if any config differs.  Standard library
 only; full-size runs take minutes, so this is not part of the test suite.
 """
 
@@ -19,19 +20,25 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def run(src, config, out, workers):
-    """Run ``config`` with the package under ``src``; its exit code, CSV bytes and JSON."""
+    """Run ``config`` with the package under ``src``.
+
+    Returns the run's (exit code, {file name: CSV bytes or JSON}) and its wall seconds.
+    """
     env = dict(os.environ, PYTHONPATH=str(src))
+    start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "tempersmc.cli", "run", str(config), "--out", str(out),
          "--workers", str(workers)],
         env=env, cwd=out.parent, capture_output=True, text=True,
     )
+    wall = time.perf_counter() - start
     outputs = {}
     for path in sorted(out.glob("*")):
         if path.suffix == ".json":
@@ -41,7 +48,7 @@ def run(src, config, out, workers):
             outputs[path.name] = doc
         else:
             outputs[path.name] = path.read_bytes()
-    return proc.returncode, outputs
+    return (proc.returncode, outputs), wall
 
 
 def main(argv=None):
@@ -57,16 +64,17 @@ def main(argv=None):
     configs, differ = sorted(CONFIGS.glob("*.json")), 0
     for config in configs:
         with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
-            old = run(args.old_src.resolve(), config, Path(tmp) / "old", args.workers)
-            new = run(args.new_src.resolve(), config, Path(tmp) / "new", args.workers)
+            old, old_s = run(args.old_src.resolve(), config, Path(tmp) / "old", args.workers)
+            new, new_s = run(args.new_src.resolve(), config, Path(tmp) / "new", args.workers)
+        walls = f"wall old {old_s:.2f} s, new {new_s:.2f} s"
         if old == new:
-            print(f"identical  {config.stem}  (exit {old[0]}, files {', '.join(old[1])})")
+            print(f"identical  {config.stem}  (exit {old[0]}, files {', '.join(old[1])})  {walls}")
             continue
         differ += 1
         what = [] if old[0] == new[0] else [f"exit {old[0]} != {new[0]}"]
         what += [name for name in sorted(set(old[1]) | set(new[1]))
                  if old[1].get(name) != new[1].get(name)]
-        print(f"DIFFERS    {config.stem}  ({', '.join(what)})")
+        print(f"DIFFERS    {config.stem}  ({', '.join(what)})  {walls}")
     print(f"{differ} of {len(configs)} configs differ at --workers {args.workers}")
     return 1 if differ else 0
 
