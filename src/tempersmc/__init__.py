@@ -8,12 +8,10 @@ error scaling, and uniform-in-horizon error.
 
 from .fk_core import (
     DriftSpec,
+    FiniteArrays,
     FKModel,
-    InitialDistribution,
     KernelFamily,
     PotentialFamily,
-    normalized_log_potential,
-    u_function,
 )
 from .particles import Ensemble, TotalDegeneracyError, run_sampler
 from .streams import stream
@@ -23,12 +21,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DriftSpec",
+    "FiniteArrays",
     "FKModel",
-    "InitialDistribution",
     "KernelFamily",
     "PotentialFamily",
-    "normalized_log_potential",
-    "u_function",
     "Ensemble",
     "TotalDegeneracyError",
     "run_sampler",

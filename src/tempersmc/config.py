@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fk_core import FKModel, InitialDistribution
+from .fk_core import FKModel
 from . import finite, rwm, tempering
 
 __all__ = [
@@ -267,19 +267,19 @@ def build_increment(model_spec, dim):
 
 def _finite_init_vector(cfg, logw, gamma_floor):
     name, spec = _read("init", cfg.init)
-    n_states = logw.size
+    m = logw.size
     if name == "tempered-floor":
         return finite.tempered_stationary(logw, gamma_floor)
     if name == "dirac":
-        vec = np.zeros(n_states)
-        vec[_int_at_least(spec["state"], "init.state", 0, n_states)] = 1.0
+        vec = np.zeros(m)
+        vec[_int_at_least(spec["state"], "init.state", 0, m)] = 1.0
         return vec
     if name == "weights":
         w = _floats(spec["weights"], "init.weights")
-        if w.shape != (n_states,):
-            raise ConfigError("init.weights", f"need {n_states} entries")
+        if w.shape != (m,):
+            raise ConfigError("init.weights", f"need {m} entries")
         with _at("init.weights"):  # the model's own probability-vector check
-            finite._initial_from_weights(w)
+            finite._probability_vector(w)
         return w
     raise ConfigError("init.name", f"{name!r} is not an initial law of a finite model")
 
@@ -292,7 +292,7 @@ def _continuous_init(cfg, fam):
         if sampler is None:
             raise ConfigError("init.name", "target has no exact tempered sampler")
         floor = fam.schedule.gamma_floor
-        return InitialDistribution(sample=lambda size, rng: sampler(floor, size, rng))
+        return lambda size, rng: sampler(floor, size, rng)
     if name == "gaussian":
         mean = np.atleast_1d(_floats(spec["mean"], "init.mean"))
         sigma = _floats(spec["sigma"], "init.sigma")
@@ -302,14 +302,12 @@ def _continuous_init(cfg, fam):
             sigma = np.broadcast_to(sigma, mean.shape).copy()
         if mean.size != dim:
             raise ConfigError("init.mean", f"dimension {mean.size} != target {dim}")
-        return InitialDistribution(
-            sample=lambda size, rng: mean + sigma * rng.standard_normal((size, mean.size))
-        )
+        return lambda size, rng: mean + sigma * rng.standard_normal((size, mean.size))
     if name == "point":
         point = np.atleast_1d(_floats(spec["point"], "init.point"))
         if point.shape != (dim,):
             raise ConfigError("init.point", f"need {dim} coordinates")
-        return InitialDistribution(sample=lambda size, rng: np.tile(point, (size, 1)))
+        return lambda size, rng: np.tile(point, (size, 1))
     raise ConfigError("init.name", f"{name!r} is not an initial law of a continuous model")
 
 
@@ -377,8 +375,8 @@ def build_f(cfg):
     return lambda x: np.full(np.asarray(x).shape[:1], value)
 
 
-def finite_f_vector(cfg, n_states):
-    return np.asarray(build_f(cfg)(np.arange(n_states)), dtype=float)
+def finite_f_vector(cfg, m):
+    return np.asarray(build_f(cfg)(np.arange(m)), dtype=float)
 
 
 def reference_value(cfg):

@@ -1,10 +1,12 @@
 """Finite-state models: the table-model assembler and the tempered chain.
 
-Finite models carry exact kernel matrices alongside their samplers, so the
-oracle can compute every flow quantity by matrix algebra while the particle
-engine runs the same model stochastically.  ``table_model`` is the one
-assembler: kernel matrices, a log-weight table and an initial vector, with
-the table checked against its declared bound.  The tempered chain is built
+A finite model is its arrays: an (n, m, m) kernel stack, an (n, m)
+log-weight table and an initial vector, held on the model as one
+``fk_core.FiniteArrays`` record.  ``table_model`` is the one assembler: it
+checks the three arrays once, with the table against its declared bound,
+and builds the record and the particle engine's samplers and potentials as
+closures over those same arrays, so the oracle's matrix algebra and the
+stochastic run read one set of values.  The tempered chain is built
 through it, with lazy Metropolis kernels over a uniform proposal on the
 other states, which are exactly invariant (reversible) for each tempered
 law.  A finite model's per-particle statistic is the state label itself, so
@@ -13,11 +15,10 @@ its potentials and drift vectors are indexed by state.
 
 import numpy as np
 
-from .fk_core import FKModel, InitialDistribution, KernelFamily, PotentialFamily, DriftSpec
+from .fk_core import DriftSpec, FiniteArrays, FKModel, KernelFamily, PotentialFamily
 
 __all__ = [
     "metropolis_matrix",
-    "matrix_kernel_family",
     "table_model",
     "tempered_chain_model",
     "tempered_stationary",
@@ -25,6 +26,7 @@ __all__ = [
 ]
 
 _ROW_TOL = 1e-12
+_SCAN_FLOATS = 2**18  # kernel entries per block of the drift scan, which bounds its memory
 
 
 def _inverse_cdf(u, columns):
@@ -64,8 +66,8 @@ def metropolis_matrix(log_weights, gamma, move_prob):
     return p
 
 
-def matrix_kernel_family(matrices):
-    """Kernel family backed by an (n, m, m) stack of matrices; row k-1 is step k's."""
+def _checked_stack(matrices):
+    """``matrices`` as an (n, m, m) float stack after checking that every row is a law."""
     mats = np.asarray(matrices, dtype=float)
     if mats.ndim != 3 or mats.shape[0] < 1 or mats.shape[1] != mats.shape[2]:
         raise ValueError(f"kernel matrices have shape {mats.shape}, not an (n, m, m) stack")
@@ -78,29 +80,14 @@ def matrix_kernel_family(matrices):
         if negative[k]:
             raise ValueError(f"kernel matrix at step {k + 1} is not a {m}x{m} nonnegative matrix")
         raise ValueError(f"kernel matrix at step {k + 1} has rows not summing to 1")
-    # cols[k - 1, j]: column j of step k's cumulative rows, one contiguous vector over the states
-    cols = np.cumsum(mats, axis=2)[:, :, :-1].transpose(0, 2, 1).copy()
-
-    def sample_batch(k, xs, stats, rng):
-        u = rng.random(len(xs))
-        xs = np.asarray(xs, dtype=int)
-        new = _inverse_cdf(u, (col[xs] for col in cols[k - 1]))
-        return new, new
-
-    return KernelFamily(horizon=len(mats), sample_batch=sample_batch,
-                        matrix=lambda k: mats[k - 1])
+    return mats
 
 
-def _initial_from_weights(weights):
+def _probability_vector(weights):
     w = np.asarray(weights, dtype=float)
     if not np.all(w >= 0) or not abs(w.sum() - 1.0) <= _ROW_TOL:  # NaN fails both
         raise ValueError("initial weights must be a probability vector")
-    cum = np.cumsum(w)[:-1]
-
-    def sample(size, rng):
-        return _inverse_cdf(rng.random(size), cum)
-
-    return InitialDistribution(sample=sample, weights=w)
+    return w
 
 
 def table_model(matrices, log_g_table, mu, log_g_max=None):
@@ -109,29 +96,37 @@ def table_model(matrices, log_g_table, mu, log_g_max=None):
     ``matrices`` is the (n, m, m) stack of kernels, row k-1 for step k, and
     ``log_g_table`` has shape (n, m); entries must be finite (weights are
     strictly positive by construction).  The family bound defaults to the
-    exact table maximum.
+    exact table maximum.  The checked arrays become the model's
+    ``FiniteArrays``.
     """
     table = np.asarray(log_g_table, dtype=float)
     if not np.all(np.isfinite(table)):
         raise ValueError("potential table must be finite (weights strictly positive)")
-    kernels = matrix_kernel_family(matrices)
-    n = kernels.horizon
-    m = kernels.matrix(1).shape[0]
+    mats = _checked_stack(matrices)
+    n, m = mats.shape[:2]
     if table.shape != (n, m):
         raise ValueError(f"potential table has shape {table.shape}, expected ({n}, {m})")
     bound = float(table.max()) if log_g_max is None else float(log_g_max)
     if table.max() > bound + 1e-12:
         raise ValueError("potential table exceeds the declared upper bound")
-    potentials = PotentialFamily(
-        horizon=n, log_g=lambda k, x: table[k][np.asarray(x, dtype=int)], log_g_max=bound,
-        statistic=lambda xs: xs,
-    )
+    w = _probability_vector(mu)
+    # cols[k - 1, j]: column j of step k's cumulative rows, one contiguous vector over the states
+    cols = np.cumsum(mats, axis=2)[:, :, :-1].transpose(0, 2, 1).copy()
+    cum = np.cumsum(w)[:-1]
+
+    def sample_batch(k, xs, stats, rng):
+        u = rng.random(len(xs))
+        xs = np.asarray(xs, dtype=int)
+        new = _inverse_cdf(u, (col[xs] for col in cols[k - 1]))
+        return new, new
+
     return FKModel(
         horizon=n,
-        kernels=kernels,
-        potentials=potentials,
-        initial=_initial_from_weights(mu),
-        n_states=m,
+        kernels=KernelFamily(sample_batch=sample_batch),
+        potentials=PotentialFamily(log_g=lambda k, x: table[k][np.asarray(x, dtype=int)],
+                                   log_g_max=bound, statistic=lambda xs: xs),
+        initial=lambda size, rng: _inverse_cdf(rng.random(size), cum),
+        finite=FiniteArrays(kernels=mats, log_g=table, mu=w),
     )
 
 
@@ -165,15 +160,19 @@ def drift_inputs_for_chain(log_weights, gamma_floor, move_prob, beta, lam):
     heaviest state.  The small set is the whole space, so the drift offset
     only needs to dominate the worst one-step growth of V over the
     temperature range; both constants are computed on a dense temperature
-    grid with a small safety margin and then verified exactly per model by
-    the audit.
+    grid, scanned in blocks of at most ``_SCAN_FLOATS`` kernel entries, with
+    a small safety margin and then verified exactly per model by the audit.
     """
     logw = np.asarray(log_weights, dtype=float)
     m = logw.size
     v = np.exp(-beta * gamma_floor * (logw - logw.max()))
-    p = metropolis_matrix(logw, np.linspace(gamma_floor, 1.0, 2001), move_prob)
-    b = max(0.0, float(np.max(p @ v - lam * v)))
-    min_entry = float(p.min())
+    gammas = np.linspace(gamma_floor, 1.0, 2001)
+    block = max(1, _SCAN_FLOATS // (m * m))
+    b, min_entry = 0.0, np.inf
+    for start in range(0, gammas.size, block):  # max and min are exact over blocks
+        p = metropolis_matrix(logw, gammas[start:start + block], move_prob)
+        b = max(b, float(np.max(p @ v - lam * v)))
+        min_entry = min(min_entry, float(p.min()))
     if min_entry <= 0:
         raise ValueError("chain kernels have zero entries; cannot minorize on the whole space")
     drift = DriftSpec(v=v, lam=lam, level_d=float(v.max()), b_d=max(1.05 * b, 1e-6))

@@ -2,12 +2,13 @@
 
 A model couples, for one fixed horizon ``n``, a family of Markov kernels
 ``M[k]`` (k = 1..n), a family of strictly positive weight functions
-``G[k]`` (k = 0..n-1) bounded above by a known constant, and an initial
-distribution.  A step index is a plain ``int`` k; the horizon lives on the
-model, and each function taking k checks it against its own range.  States
-are opaque: finite spaces use integer labels, vector spaces use float
-arrays with the leading axis indexing a batch of states.  Kernels and
-potentials are always evaluated on such a batch.
+``G[k]`` (k = 0..n-1) bounded above by a known constant, and a sampler for
+the initial law.  A step index is a plain ``int`` k; the model's
+``horizon`` is the one horizon, and each function taking k checks it
+against its own range.  States are opaque: finite spaces use integer
+labels, vector spaces use float arrays with the leading axis indexing a
+batch of states.  Kernels and potentials are always evaluated on such a
+batch.
 
 The potentials read each state through a per-particle statistic, which the
 particle engine carries beside the state: the family's ``statistic(xs)`` is
@@ -16,6 +17,11 @@ returns the statistic of every new state beside it.  For tempered targets
 the statistic is the log target density, so the reweight, the Metropolis
 accept and the drift monitor share one density evaluation per particle and
 step; on finite spaces it is the state label itself.
+
+A finite model also carries its exact arrays, one ``FiniteArrays`` record:
+the (n, m, m) kernel stack, the (n, m) log-weight table and the initial
+vector.  The samplers and potentials of a finite model are closures over
+those same arrays; the exact oracle reads the record alone.
 
 All potential arithmetic is carried out in the log domain; the family's
 upper bound is supplied as a log constant by the model builder.
@@ -29,17 +35,15 @@ import numpy as np
 __all__ = [
     "PotentialFamily",
     "KernelFamily",
-    "InitialDistribution",
+    "FiniteArrays",
     "FKModel",
     "DriftSpec",
-    "normalized_log_potential",
-    "u_function",
 ]
 
 
 @dataclass(frozen=True)
 class PotentialFamily:
-    """Log weight functions ``log_g(k, s)`` for k = 0..horizon-1.
+    """Log weight functions ``log_g(k, s)`` for k = 0..n-1.
 
     ``statistic(xs)`` maps a batch of states to their per-particle
     statistics, and ``log_g(k, s)`` is log G[k] of the states with
@@ -48,7 +52,6 @@ class PotentialFamily:
     ``G[k] / exp(log_g_max)`` then takes values in (0, 1].
     """
 
-    horizon: int
     log_g: Callable
     log_g_max: float
     statistic: Callable
@@ -60,55 +63,55 @@ class PotentialFamily:
 
 @dataclass(frozen=True)
 class KernelFamily:
-    """Markov kernels ``M[k]`` for k = 1..horizon.
+    """Markov kernels ``M[k]`` for k = 1..n.
 
     ``sample_batch(k, xs, stats, rng)`` advances a whole batch of states one
     transition of ``M[k]`` with a fixed draw layout and returns the new
     states with their statistics (see ``PotentialFamily``); ``stats`` are
     the statistics of ``xs``.  It is the only sampler the particle engine
-    calls.  ``matrix(k)``, when provided, returns the exact transition
-    matrix (finite spaces only).
+    calls.
     """
 
-    horizon: int
     sample_batch: Callable
-    matrix: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
-class InitialDistribution:
-    """Sampler for the initial law, plus its exact weight vector when finite.
+class FiniteArrays:
+    """The exact arrays of a finite model with n steps and m states.
 
-    ``sample(size, rng)`` returns a batch of ``size`` independent draws.
+    ``kernels`` is the (n, m, m) stack whose row k-1 is M[k], ``log_g`` the
+    (n, m) table whose row k is log G[k], and ``mu`` the initial
+    probability vector.  ``finite.table_model`` checks them once, where it
+    builds the record.
     """
 
-    sample: Callable
-    weights: Optional[np.ndarray] = None
+    kernels: np.ndarray
+    log_g: np.ndarray
+    mu: np.ndarray
 
 
 @dataclass(frozen=True)
 class FKModel:
-    """One model instance: horizon, kernels, potentials, initial law.
+    """One model instance: horizon, kernels, potentials, initial sampler.
 
-    ``n_states`` is set for finite state spaces, in which case the kernel
-    family must expose exact matrices.
+    ``initial(size, rng)`` returns a batch of ``size`` independent draws
+    from the initial law.  ``finite`` holds the exact arrays of a finite
+    model and is None on other spaces.
     """
 
     horizon: int
     kernels: KernelFamily
     potentials: PotentialFamily
-    initial: InitialDistribution
-    n_states: Optional[int] = None
+    initial: Callable
+    finite: Optional[FiniteArrays] = None
 
     def __post_init__(self):
-        if self.kernels.horizon != self.horizon or self.potentials.horizon != self.horizon:
-            raise ValueError("kernel/potential families do not match the model horizon")
-        if self.n_states is not None and self.kernels.matrix is None:
-            raise ValueError("finite models require exact kernel matrices")
+        if self.finite is not None and len(self.finite.kernels) != self.horizon:
+            raise ValueError("finite arrays do not match the model horizon")
 
     @property
     def is_finite(self):
-        return self.n_states is not None
+        return self.finite is not None
 
 
 @dataclass(frozen=True)
@@ -133,23 +136,9 @@ class DriftSpec:
             return np.asarray(self.v(stats), dtype=float)
         return np.asarray(self.v, dtype=float)[stats]
 
-    def vector(self, n_states):
-        """V as an exact vector over an enumerated finite space."""
-        if callable(self.v):
-            return np.asarray(self.v(np.arange(n_states)), dtype=float)
-        vec = np.asarray(self.v, dtype=float)
-        if vec.shape != (n_states,):
-            raise ValueError(f"drift vector has shape {vec.shape}, expected ({n_states},)")
-        return vec
-
-
-def normalized_log_potential(pf, k, s):
-    """log of G[k] at statistics s divided by its family upper bound; always <= 0."""
-    if not 0 <= k <= pf.horizon - 1:
-        raise ValueError(f"potential index k={k} outside [0, {pf.horizon - 1}]")
-    return pf.log_g(k, s) - pf.log_g_max
-
-
-def u_function(pf, k, s):
-    """Per-step energy ``-n * normalized_log_potential``; always >= 0."""
-    return -pf.horizon * normalized_log_potential(pf, k, s)
+    def vector(self, m):
+        """V as an exact vector over an enumerated finite space; a callable V has none."""
+        vec = np.asarray(self.v)
+        if vec.shape != (m,):
+            raise ValueError(f"drift vector has shape {vec.shape}, expected ({m},)")
+        return vec.astype(float, copy=False)

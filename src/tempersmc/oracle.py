@@ -6,13 +6,16 @@ future-mass-twisted kernels S_k, the tilted drift/minorization data, and
 exact weighted-total-variation norms.  These values are the ground truth
 against which the particle sampler is tested.
 
-A model's n kernels are held as one (n, m, m) stack, row k-1 being M[k],
-and every per-step quantity is an array operation over it.  One weighted
-stack, exp(log G[k-1] - shift)(x) * M[k](x, .), gives the operators Q[k]
-(shift 0) and Q~[k] (shift log_g_max).  One backward sweep over Q~,
-``future_potential_mass``, yields every future-mass vector h_k, and
-``s_kernels`` builds the stack of every S_k from those rows at once; the
-tilted drift/minorization data and their checks are columns over the
+The oracle reads a finite model's ``FiniteArrays`` record as it stands,
+never its samplers or potential closures: the (n, m, m) kernel stack, row
+k-1 being M[k], the (n, m) log-weight table, row k being log G[k], and the
+initial vector mu; only the bound ``log_g_max`` comes from the potential
+family.  Every per-step quantity is an array operation over them.  One
+weighted stack, exp(log G[k-1] - shift)(x) * M[k](x, .), gives the
+operators Q[k] (shift 0) and Q~[k] (shift log_g_max).  One backward sweep
+over Q~, ``future_potential_mass``, yields every future-mass vector h_k,
+and ``s_kernels`` builds the stack of every S_k from those rows at once;
+the tilted drift/minorization data and their checks are columns over the
 steps.  Only the chained products, which depend on one another, loop over
 the steps.  ``flow_map`` (weighted operators) and ``flow_map_via_s``
 (twisted kernels) transport a measure by two independent routes, so each
@@ -33,8 +36,6 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-
-from .fk_core import u_function
 
 __all__ = [
     "TiltedDriftObjects",
@@ -64,22 +65,17 @@ def _probability(w, name):
     return w
 
 
-def _require_finite(model):
-    if not model.is_finite:
+def _arrays(model):
+    """The model's ``FiniteArrays``; raises on a model without them."""
+    if model.finite is None:
         raise ValueError("operation requires a finite model with exact kernel matrices")
-
-
-def _kernel_stack(model):
-    """The (n, m, m) stack of kernel matrices; row k-1 is M[k]."""
-    return np.array([model.kernels.matrix(k) for k in range(1, model.horizon + 1)], dtype=float)
+    return model.finite
 
 
 def _weighted_stack(model, shift):
     """Row k-1 is exp(log G[k-1] - shift)(x) * M[k](x, .): Q for shift 0, Q~ for log_g_max."""
-    states = np.arange(model.n_states)
-    table = np.array([model.potentials.log_g(k, states) for k in range(model.horizon)],
-                     dtype=float)
-    return np.exp(table - shift)[:, :, None] * _kernel_stack(model)
+    arrays = _arrays(model)
+    return np.exp(arrays.log_g - shift)[:, :, None] * arrays.kernels
 
 
 def _propagate(model, w, k, l):
@@ -98,18 +94,15 @@ def _propagate(model, w, k, l):
 
 
 def eta_exact(model, k):
-    """Exact normalized marginal at step k from the model's initial weights."""
-    _require_finite(model)
-    if model.initial.weights is None:
-        raise ValueError("model has no exact initial weight vector")
+    """Exact normalized marginal at step k from the model's initial vector mu."""
+    mu = _arrays(model).mu
     if not 0 <= k <= model.horizon:
         raise ValueError(f"step k={k} outside [0, {model.horizon}]")
-    return _propagate(model, model.initial.weights, 0, k)
+    return _propagate(model, mu, 0, k)
 
 
 def flow_map(model, eta, k, l):
     """Transport a measure from step k to step l through the normalized flow."""
-    _require_finite(model)
     if not 0 <= k <= l <= model.horizon:
         raise ValueError(f"need 0 <= k <= l <= n, got k={k}, l={l}")
     return _propagate(model, _probability(eta, "eta"), k, l)
@@ -122,10 +115,9 @@ def future_potential_mass(model):
     rows from one backward sweep.  Values lie in (0, 1]; row n is
     identically 1.
     """
-    _require_finite(model)
     n = model.horizon
     q_tilde = _weighted_stack(model, model.potentials.log_g_max).astype(np.longdouble)
-    h = np.ones((n + 1, model.n_states), dtype=np.longdouble)
+    h = np.ones((n + 1, q_tilde.shape[1]), dtype=np.longdouble)
     for j in range(n, 0, -1):
         h[j - 1] = q_tilde[j - 1] @ h[j]
     return h.astype(float)
@@ -138,8 +130,7 @@ def s_kernels(model, hs):
     once for every step.  Row k-1 is S_k: row x of S_k is M[k](x, .) times
     h_k, renormalized.
     """
-    _require_finite(model)
-    raw = _kernel_stack(model) * hs[1:, None, :]
+    raw = _arrays(model).kernels * hs[1:, None, :]
     return raw / raw.sum(axis=2, keepdims=True)
 
 
@@ -149,7 +140,6 @@ def flow_map_via_s(model, eta, k):
     Agrees with ``flow_map(model, eta, k, n)``; the two routes are kept as
     independent implementations so they can cross-check each other.
     """
-    _require_finite(model)
     n = model.horizon
     if not 0 <= k <= n:
         raise ValueError(f"step k={k} outside [0, {n}]")
@@ -232,14 +222,13 @@ def tilted_drift_objects(model, drift, minorizer):
     kernels on the sub-level set.  Inputs failing the entrywise
     preconditions yield rows with ``a2_ok`` false rather than an exception.
     """
-    _require_finite(model)
+    mats = _arrays(model).kernels
     eps, nu = minorizer
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps!r}")
     nu_w = _probability(nu, "nu")
-    v = drift.vector(model.n_states)
+    v = drift.vector(mats.shape[1])
     c_mask = _small_set(drift, v)
-    mats = _kernel_stack(model)
 
     failures = _check_a2(mats, drift, v, eps, nu_w)
     hs = future_potential_mass(model)
@@ -320,17 +309,16 @@ def norm_const_lower_bound_check(model, drift, mu):
     C = (sup over steps of the V-weighted sup of the per-step energy) times
     (1 + b_d / (1 - lam)).
     """
-    _require_finite(model)
+    arrays = _arrays(model)
     n = model.horizon
     mu_w = _probability(mu, "mu")
-    v = drift.vector(model.n_states)
-    states = np.arange(model.n_states)
-    u = np.stack([u_function(model.potentials, k, states) for k in range(n)])
-    # A1 (normalized weights <= 1) is U >= 0
+    v = drift.vector(arrays.mu.size)
+    # the per-step energy U = -n log(G / exp(log_g_max)); A1 (normalized weights <= 1) is U >= 0
+    u = -n * (arrays.log_g - model.potentials.log_g_max)
     a1_ok = bool(u.min() >= -n * _INEQ_SLACK)
     u_norm = float((np.maximum(u, 0.0) / v[None, :]).max())
 
-    drift_ok = not _raw_drift_excess(_kernel_stack(model), drift, v)[1].any()
+    drift_ok = not _raw_drift_excess(arrays.kernels, drift, v)[1].any()
 
     c_const = u_norm * (1.0 + drift.b_d / (1.0 - drift.lam))
     mu_v = float(mu_w @ v)

@@ -91,7 +91,7 @@ def init_ensemble(model, n_particles, seed, replicate=0):
     The stream key uses step 0.
     """
     rng = streams.stream(seed, replicate, 0)
-    states = np.asarray(model.initial.sample(n_particles, rng))
+    states = np.asarray(model.initial(n_particles, rng))
     if len(states) != n_particles:
         raise ValueError("initial sampler returned the wrong number of states")
     stats = np.asarray(model.potentials.statistic(states))

@@ -122,7 +122,6 @@ def rwm_kernel_family(fam, n, q):
         raise ValueError(f"horizon must be >= 1, got {n}")
     gammas = np.asarray(fam.schedule(np.arange(n + 1) / n), dtype=float)
     return KernelFamily(
-        horizon=n,
         sample_batch=lambda k, xs, ell, rng: rwm_step_batch(fam, gammas[k], q, xs, ell, rng),
     )
 

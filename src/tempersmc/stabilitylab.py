@@ -110,7 +110,7 @@ def _estimate_task(args):
 def _exact_value(cfg, n):
     """f under the exact terminal law of the horizon-n finite model."""
     model = build_model(cfg, n)
-    return float(oracle.eta_exact(model, n) @ finite_f_vector(cfg, model.n_states))
+    return float(oracle.eta_exact(model, n) @ finite_f_vector(cfg, model.finite.mu.size))
 
 
 def _gather_cells(cfg, cells, mapper):

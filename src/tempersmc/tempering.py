@@ -221,8 +221,7 @@ def build_potentials(fam, n):
             return np.multiply(0.0, ell, out=np.zeros(np.shape(ell)), where=ell != -np.inf)
         return deltas[k] * ell
 
-    return PotentialFamily(horizon=n, log_g=log_g, log_g_max=log_g_max,
-                           statistic=target.log_unnorm)
+    return PotentialFamily(log_g=log_g, log_g_max=log_g_max, statistic=target.log_unnorm)
 
 
 def drift_function(fam, beta):

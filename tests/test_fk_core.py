@@ -1,78 +1,29 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.stats
 
 from tempersmc import streams
-from tempersmc.fk_core import PotentialFamily, normalized_log_potential, u_function
 from tempersmc.finite import (
+    _SCAN_FLOATS,
     _inverse_cdf,
     drift_inputs_for_chain,
-    matrix_kernel_family,
     metropolis_matrix,
     table_model,
 )
 
 
-def _constant_family(n, c):
-    return PotentialFamily(horizon=n, log_g=lambda k, x: np.log(c) * np.ones_like(
-        np.asarray(x, dtype=float)[..., 0] if np.asarray(x).ndim > 1 else np.asarray(x, dtype=float)
-    ), log_g_max=float(np.log(c)), statistic=lambda xs: xs)
-
-
-def test_normalized_log_potential_constant():
-    pf = _constant_family(4, 2.5)
-    for k in range(4):
-        assert normalized_log_potential(pf, k, 0.7) == pytest.approx(0.0)
-
-
-def test_normalized_log_potential_gaussian_increment():
-    # standard Gaussian weight, identity temperature path, n=10, k=0, x=2
-    n = 10
-    gamma = lambda u: u
-
-    def log_g(k, x):
-        return (gamma((k + 1) / n) - gamma(k / n)) * (-np.asarray(x, dtype=float) ** 2 / 2.0)
-
-    pf = PotentialFamily(horizon=n, log_g=log_g, log_g_max=0.0, statistic=lambda xs: xs)
-    assert normalized_log_potential(pf, 0, 2.0) == pytest.approx(-0.2)
-    assert u_function(pf, 0, 2.0) == pytest.approx(2.0)
-
-
-def test_potential_table_cross_check():
-    # independent hand evaluation of a configured two-state table
-    table = np.array([[0.1, -0.3], [-0.2, 0.4], [0.0, -0.1]])
-    pf = PotentialFamily(horizon=3, log_g=lambda k, x: table[k][np.asarray(x, dtype=int)],
-                         log_g_max=0.4, statistic=lambda xs: xs)
-    got = normalized_log_potential(pf, 1, 0)
-    assert got == pytest.approx(table[1, 0] - 0.4, abs=1e-15)
-
-
-def test_u_function_matches_definition():
-    rng = np.random.default_rng(0)
-    table = rng.uniform(-1.0, 0.5, size=(6, 4))
-    pf = PotentialFamily(horizon=6, log_g=lambda k, x: table[k][np.asarray(x, dtype=int)],
-                         log_g_max=float(table.max()), statistic=lambda xs: xs)
-    xs = np.arange(4)
-    for k in range(6):
-        nlp = normalized_log_potential(pf, k, xs)
-        assert np.all(nlp <= 1e-15)
-        assert np.all(np.exp(nlp) > 0)
-        u = u_function(pf, k, xs)
-        assert np.all(u >= -1e-12)
-        np.testing.assert_allclose(u, -6 * nlp, rtol=0, atol=1e-12)
-
-
-def test_potential_index_range_errors():
-    pf = _constant_family(4, 1.0)
-    with pytest.raises(ValueError):
-        normalized_log_potential(pf, 4, 0.0)
-    with pytest.raises(ValueError):
-        u_function(pf, -1, 0.0)
+def _kernels(mats):
+    """The kernel family of a table model on the stack ``mats``."""
+    m = len(mats[0])
+    return table_model(mats, np.zeros((len(mats), m)), np.full(m, 1.0 / m)).kernels
 
 
 def test_sample_batch_deterministic_given_stream():
     mats = [np.array([[0.3, 0.7], [0.6, 0.4]])] * 2
-    kf = matrix_kernel_family(mats)
+    kf = _kernels(mats)
     xs = np.array([0, 1, 0, 1, 1])
     a = [kf.sample_batch(1, xs, xs, streams.stream(11, i)) for i in range(20)]
     b = [kf.sample_batch(1, xs, xs, streams.stream(11, i)) for i in range(20)]
@@ -83,7 +34,7 @@ def test_sample_batch_deterministic_given_stream():
 
 def test_sample_batch_frequencies_match_matrix_row():
     mats = [np.array([[0.15, 0.25, 0.6], [0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])]
-    kf = matrix_kernel_family(mats)
+    kf = _kernels(mats)
     n_draws = 100_000
     rng = streams.stream(5, 0)
     start = np.zeros(n_draws, dtype=int)
@@ -129,7 +80,7 @@ def test_column_sampler_equals_row_sampler(m):
     u[m * m:m * m + m] = np.nextafter(1.0, 0.0)
     expected = _row_search(u, cum[xs])
     np.testing.assert_array_equal(_inverse_cdf(u, (c[xs] for c in cum[:, :-1].T)), expected)
-    kf = matrix_kernel_family([a])
+    kf = _kernels([a])
     drawn, _ = kf.sample_batch(1, xs, xs, streams.stream(13, m))
     u_stream = streams.stream(13, m).random(xs.size)
     np.testing.assert_array_equal(drawn, _row_search(u_stream, cum[xs]))
@@ -138,15 +89,71 @@ def test_column_sampler_equals_row_sampler(m):
     np.testing.assert_array_equal(_inverse_cdf(u, np.cumsum(mu)[:-1]),
                                   _row_search(u, np.cumsum(mu)))
     initial = table_model([a], np.zeros((1, m)), mu).initial
-    np.testing.assert_array_equal(initial.sample(xs.size, streams.stream(17, m)),
+    np.testing.assert_array_equal(initial(xs.size, streams.stream(17, m)),
                                   _row_search(streams.stream(17, m).random(xs.size),
                                               np.cumsum(mu)))
 
 
-@pytest.mark.parametrize("mu", [[np.nan, 1.0], [0.5, np.nan], [-0.5, 1.5], [0.5, 0.6]])
-def test_initial_law_must_be_a_probability_vector(mu):
-    with pytest.raises(ValueError, match="probability vector"):
-        table_model([np.eye(2)], np.zeros((1, 2)), np.array(mu))
+def _valid_arrays():
+    """A kernel stack, log-weight table, initial vector and bound that ``table_model`` accepts."""
+    row = np.array([0.5, 0.25, 0.25])
+    mats = np.stack([np.stack([np.roll(row, i) for i in range(3)])] * 5)
+    mats[4] = np.eye(3)
+    table = np.log(np.linspace(0.5, 2.0, 15)).reshape(5, 3)
+    return mats, table, np.array([0.2, 0.3, 0.5]), float(table.max())
+
+
+def _set(name, *entries):
+    """A change to one of the arrays from ``_valid_arrays``: each (index, value) is written in."""
+    def change(arrays):
+        for index, value in entries:
+            arrays[name][index] = value
+    return change
+
+
+_NOT_A_LAW = "^initial weights must be a probability vector$"
+_NOT_FINITE = r"^potential table must be finite \(weights strictly positive\)$"
+
+
+@pytest.mark.parametrize("change, message", [
+    # the first bad step is named; rows still sum to 1 at step 3
+    (_set("mats", ((2, 1), [1.5, -0.25, -0.25])),
+     "^kernel matrix at step 3 is not a 3x3 nonnegative matrix$"),
+    # a later negative step is not the first bad one
+    (_set("mats", ((1, 0, 0), 0.6), ((3, 2), [1.5, -0.25, -0.25])),
+     "^kernel matrix at step 2 has rows not summing to 1$"),
+    (_set("mats", ((1, 2, 0), np.nan)), "^kernel matrix at step 2 has rows not summing to 1$"),
+    (lambda a: a.update(mats=a["mats"][0]),
+     r"^kernel matrices have shape \(3, 3\), not an \(n, m, m\) stack$"),
+    (_set("mu", (0, np.nan)), _NOT_A_LAW),
+    (_set("mu", (2, np.nan)), _NOT_A_LAW),
+    (lambda a: a.update(mu=np.array([-0.5, 1.25, 0.25])), _NOT_A_LAW),
+    (lambda a: a.update(mu=np.array([0.5, 0.6, 0.2])), _NOT_A_LAW),
+    (_set("table", ((1, 2), np.nan)), _NOT_FINITE),
+    (_set("table", ((3, 0), -np.inf)), _NOT_FINITE),
+    (lambda a: a.update(table=a["table"][:, :2]),
+     r"^potential table has shape \(5, 2\), expected \(5, 3\)$"),
+    (lambda a: a.update(bound=a["bound"] - 1e-9),
+     "^potential table exceeds the declared upper bound$"),
+])
+def test_table_model_checks_its_arrays_once(change, message):
+    mats, table, mu, bound = _valid_arrays()
+    model = table_model(mats, table, mu, log_g_max=bound)
+    # the record holds the arrays as given: row k-1 of the stack is step k's matrix
+    for got, want in zip((model.finite.kernels, model.finite.log_g, model.finite.mu),
+                         (mats, table, mu)):
+        np.testing.assert_array_equal(got, want)
+    assert model.horizon == len(model.finite.kernels) == 5
+    arrays = {"mats": mats.copy(), "table": table.copy(), "mu": mu.copy(), "bound": bound}
+    change(arrays)
+    with pytest.raises(ValueError, match=message):
+        table_model(arrays["mats"], arrays["table"], arrays["mu"], log_g_max=arrays["bound"])
+
+
+def test_finite_arrays_must_match_the_model_horizon():
+    model = table_model(*_valid_arrays()[:3])
+    with pytest.raises(ValueError, match="^finite arrays do not match the model horizon$"):
+        replace(model, horizon=4)
 
 
 def _metropolis_reference(logw, gamma, move_prob):
@@ -187,3 +194,19 @@ def test_metropolis_stack_and_drift_scan_equal_per_gamma_loop():
         drift, (eps, _) = drift_inputs_for_chain(logw, gamma_floor, move_prob, beta, lam)
         assert drift.b_d == max(1.05 * b, 1e-6)
         assert eps == 0.999 * m * min_entry
+
+    # at m = 80 the scan runs in blocks; it equals the unblocked per-kernel loop across them
+    m, gamma_floor, move_prob, beta, lam = 80, 0.3, 0.4, 0.5, 0.6
+    assert _SCAN_FLOATS // (m * m) < 2001 // 2
+    logw = rng.normal(0.0, 3.0, m)
+    b, min_entry = _drift_scan_per_gamma(logw, gamma_floor, move_prob, beta, lam)
+    tracemalloc.start()
+    try:
+        drift, (eps, _) = drift_inputs_for_chain(logw, gamma_floor, move_prob, beta, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert drift.b_d == max(1.05 * b, 1e-6)
+    assert eps == 0.999 * m * min_entry
+    # the one-stack scan peaked at about 198 MiB here
+    assert peak < 20 * 2**20

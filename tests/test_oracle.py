@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ def q_matrix(model, k):
 
 def test_q_matrix_unit_potential_equals_kernel():
     model = flat_model()
-    np.testing.assert_allclose(q_matrix(model, 2), model.kernels.matrix(2), atol=0)
+    np.testing.assert_allclose(q_matrix(model, 2), model.finite.kernels[1], atol=0)
 
 
 def test_q_matrix_hand_values():
@@ -87,13 +88,13 @@ def test_q_matrix_row_sums_equal_potential():
 
 def test_eta_exact_step_zero_is_mu():
     model = two_state_model()
-    np.testing.assert_array_equal(eta_exact(model, 0), model.initial.weights)
+    np.testing.assert_array_equal(eta_exact(model, 0), model.finite.mu)
 
 
 def test_eta_exact_unit_potential_is_kernel_propagation():
     model = flat_model(n=3, m=3)
-    mu = model.initial.weights
-    expected = mu @ model.kernels.matrix(1) @ model.kernels.matrix(2)
+    mu = model.finite.mu
+    expected = mu @ model.finite.kernels[0] @ model.finite.kernels[1]
     np.testing.assert_allclose(eta_exact(model, 2), expected, atol=1e-14)
 
 
@@ -101,9 +102,9 @@ def test_eta_exact_matches_path_enumeration():
     # brute force: sum over all paths weighted by the running products
     model = two_state_model()
     k = 2
-    mu = model.initial.weights
+    mu = model.finite.mu
     g = [np.exp(model.potentials.log_g(j, np.arange(2))) for j in range(k)]
-    mats = [model.kernels.matrix(j) for j in range(1, k + 1)]
+    mats = model.finite.kernels[:k]
     raw = np.zeros(2)
     for path in itertools.product(range(2), repeat=k + 1):
         weight = mu[path[0]]
@@ -142,7 +143,7 @@ def test_s_kernel_terminal_and_flat():
     np.testing.assert_allclose(s_kernel(model, 3), M2, atol=1e-14)
     flat = flat_model(n=4, m=3)
     for k in range(1, 5):
-        np.testing.assert_allclose(s_kernel(flat, k), flat.kernels.matrix(k), atol=1e-14)
+        np.testing.assert_allclose(s_kernel(flat, k), flat.finite.kernels[k - 1], atol=1e-14)
 
 
 def test_s_kernel_hand_computation():
@@ -190,9 +191,9 @@ def test_dual_route_identity_random_models():
 # ---------------------------------------------------------------- tilted drift
 
 def _flat_drift_inputs(model):
-    m = model.n_states
+    m = model.finite.mu.size
     v = np.ones(m)
-    eps = m * min(float(model.kernels.matrix(k).min()) for k in range(1, model.horizon + 1))
+    eps = m * float(model.finite.kernels.min())
     nu = np.full(m, 1.0 / m)
     drift = DriftSpec(v=v, lam=0.5, level_d=1.0, b_d=1.0)
     return drift, (eps, nu)
@@ -260,6 +261,15 @@ def test_tilted_drift_needs_a_positive_minorization_constant(eps):
         tilted_drift_objects(model, drift, (eps, nu))
 
 
+@pytest.mark.parametrize("v", [np.ones(3), [[1.0, 1.0]], lambda s: np.ones(len(s))],
+                         ids=["length", "matrix", "callable"])
+def test_tilted_drift_needs_a_drift_vector_over_the_states(v):
+    model = two_state_model(n=3)
+    drift, minor = _flat_drift_inputs(model)
+    with pytest.raises(ValueError, match=r"^drift vector has shape .*, expected \(2,\)$"):
+        tilted_drift_objects(model, replace(drift, v=v), minor)
+
+
 # ---------------------------------------------------------------- v-norm
 
 def test_v_norm_basic():
@@ -303,7 +313,7 @@ def test_v_norm_metric_axioms():
 def test_norm_const_unit_potential():
     model = flat_model(n=3, m=3)
     drift = DriftSpec(v=np.ones(3), lam=0.5, level_d=1.0, b_d=1.0)
-    rep = norm_const_lower_bound_check(model, drift, model.initial.weights)
+    rep = norm_const_lower_bound_check(model, drift, model.finite.mu)
     assert rep.ok
     np.testing.assert_allclose(rep.per_k, 1.0, atol=1e-14)
 
@@ -317,7 +327,42 @@ def test_norm_const_fixture_grid():
     drift, _ = fixture_drift_inputs()
     for n in range(1, 21):
         model = two_state_fixture(n)
-        rep = norm_const_lower_bound_check(model, drift, model.initial.weights)
+        rep = norm_const_lower_bound_check(model, drift, model.finite.mu)
         assert rep.a1_ok and rep.drift_ok
         assert rep.min_mass >= rep.bound
 
+
+# ---------------------------------------------------------------- arrays only
+
+def _raises(*args):
+    raise AssertionError("the oracle called a sampler or potential closure")
+
+
+def _bits(value):
+    """Every field of an oracle result as bytes, so equal bits compare equal."""
+    if is_dataclass(value):
+        return {f.name: _bits(getattr(value, f.name)) for f in fields(value)}
+    return np.asarray(value).tobytes()
+
+
+def test_oracle_reads_only_the_finite_arrays():
+    n = 12
+    intact = two_state_fixture(n)
+    stubbed = replace(
+        intact,
+        kernels=replace(intact.kernels, sample_batch=_raises),
+        potentials=replace(intact.potentials, log_g=_raises, statistic=_raises),
+        initial=_raises,
+    )
+    drift, minorizer = fixture_drift_inputs()
+    eta = np.array([0.3, 0.7])
+    calls = [
+        future_potential_mass,
+        lambda model: eta_exact(model, 7),
+        lambda model: flow_map(model, eta, 2, 9),
+        lambda model: flow_map_via_s(model, eta, 3),
+        lambda model: tilted_drift_objects(model, drift, minorizer),
+        lambda model: norm_const_lower_bound_check(model, drift, model.finite.mu),
+    ]
+    for call in calls:
+        assert _bits(call(stubbed)) == _bits(call(intact))

@@ -7,14 +7,13 @@ step's failure list deduplicated in step order.  Hypothesis draws table
 models with 2..6 states and horizons 1..40, a strict small set (level_d
 below max V), and a few chosen steps whose kernel sends every state to
 the state of largest V, where the drift fails.  The kernel stack's own
-checks, which name the first bad step, are tested at the end.
+checks are tested with the other table-model checks in test_fk_core.py.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from tempersmc.finite import matrix_kernel_family, table_model
+from tempersmc.finite import table_model
 from tempersmc.fk_core import DriftSpec
 from tempersmc.oracle import tilted_drift_objects
 
@@ -25,9 +24,9 @@ FIELDS = ("eps_nk", "b_nk", "b_nk_proof", "nu_nk", "v_nk", "v_prev", "minor_ok",
 
 def reference(model, drift, eps, nu):
     """Per step k = 1..n: a dict of the ``TiltedDriftObjects`` fields; then the failure list."""
-    n, m = model.horizon, model.n_states
+    n, m = model.horizon, model.finite.mu.size
     states = np.arange(m)
-    mats = [np.asarray(model.kernels.matrix(k), dtype=float) for k in range(1, n + 1)]
+    mats = list(model.finite.kernels)
     log_g_max = model.potentials.log_g_max
 
     hs = [None] * (n + 1)
@@ -126,7 +125,7 @@ def test_stacked_tilted_drift_matches_per_step_reference(inputs):
     model, drift, eps, nu, bad = inputs
     td = tilted_drift_objects(model, drift, (eps, nu))
     rows, failures = reference(model, drift, eps, nu)
-    n, m = model.horizon, model.n_states
+    n, m = model.horizon, model.finite.mu.size
     n_small = int(np.sum(drift.vector(m) <= drift.level_d * (1.0 + SLACK)))
     assert td.minor_ok.shape == (n, n_small) and td.nu_nk.shape == (n, m)
     assert td.eps_nk.shape == td.a2_ok.shape == (n,)
@@ -143,35 +142,3 @@ def test_stacked_tilted_drift_matches_per_step_reference(inputs):
         flagged = [msg for msg in failures if msg.startswith("drift fails for kernel k=")]
         assert {f"drift fails for kernel k={k} " for k in bad} <= {
             msg[:msg.index("(")] for msg in flagged}
-
-
-# ------------------------------------------------------------- kernel stack checks
-
-def _stack(n=5, m=3):
-    row = np.array([0.5, 0.25, 0.25])
-    return np.stack([np.stack([np.roll(row, i) for i in range(m)])] * n)
-
-
-def test_kernel_stack_names_the_first_negative_step():
-    mats = _stack()
-    mats[2, 1] = [1.5, -0.25, -0.25]  # step 3: rows still sum to 1
-    with pytest.raises(ValueError,
-                       match=r"^kernel matrix at step 3 is not a 3x3 nonnegative matrix$"):
-        matrix_kernel_family(mats)
-
-
-def test_kernel_stack_names_the_first_step_with_bad_row_sums():
-    mats = _stack()
-    mats[1, 0, 0] = 0.6  # step 2
-    mats[3, 2] = [1.5, -0.25, -0.25]  # a later negative step is not the first bad one
-    with pytest.raises(ValueError, match=r"^kernel matrix at step 2 has rows not summing to 1$"):
-        matrix_kernel_family(mats)
-
-
-def test_kernel_stack_rows_are_the_step_matrices():
-    mats = _stack()
-    mats[4] = np.eye(3)
-    family = matrix_kernel_family(mats)
-    assert family.horizon == 5
-    for k in range(1, 6):
-        np.testing.assert_array_equal(family.matrix(k), mats[k - 1])

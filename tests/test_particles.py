@@ -7,12 +7,7 @@ import scipy.stats
 
 from finite_models import fixture_drift_inputs, random_finite_model, two_state_fixture
 from tempersmc import oracle, streams
-from tempersmc.fk_core import (
-    FKModel,
-    InitialDistribution,
-    KernelFamily,
-    PotentialFamily,
-)
+from tempersmc.fk_core import FKModel, KernelFamily, PotentialFamily
 from tempersmc.finite import table_model
 from tempersmc.particles import (
     Ensemble,
@@ -44,7 +39,7 @@ def two_state_model(n=3, mu=(0.6, 0.4)):
 
 def _started(model, sampler):
     """``model`` with its initial law replaced by ``sampler``."""
-    return replace(model, initial=InitialDistribution(sample=sampler))
+    return replace(model, initial=sampler)
 
 
 def gaussian_model(n, init_mean=0.0, floor=0.7):
@@ -54,7 +49,7 @@ def gaussian_model(n, init_mean=0.0, floor=0.7):
         horizon=n,
         kernels=rwm_kernel_family(fam, n, gaussian_increment(1, 1.0)),
         potentials=build_potentials(fam, n),
-        initial=InitialDistribution(sample=sampler),
+        initial=sampler,
     ), fam
 
 
@@ -88,7 +83,7 @@ def test_init_finite_frequencies():
     n_particles = 100_000
     ens = init_ensemble(model, n_particles, seed=9)
     counts = np.bincount(ens.states, minlength=2)
-    for j, p in enumerate(model.initial.weights):
+    for j, p in enumerate(model.finite.mu):
         sd = math.sqrt(n_particles * p * (1 - p))
         assert abs(counts[j] - n_particles * p) < 4 * sd
 
@@ -147,11 +142,11 @@ def test_step_returns_the_log_weights_it_resampled_by():
 
 def test_total_degeneracy_raises():
     n, m = 2, 2
-    pf = PotentialFamily(horizon=n, log_g=lambda k, x: np.full(np.asarray(x).shape, -np.inf),
+    pf = PotentialFamily(log_g=lambda k, x: np.full(np.asarray(x).shape, -np.inf),
                          log_g_max=0.0, statistic=lambda xs: xs)
-    kf = KernelFamily(horizon=n, sample_batch=lambda k, xs, stats, rng: (xs, stats))
+    kf = KernelFamily(sample_batch=lambda k, xs, stats, rng: (xs, stats))
     model = FKModel(horizon=n, kernels=kf, potentials=pf,
-                    initial=InitialDistribution(sample=lambda size, rng: np.zeros(size, dtype=int)))
+                    initial=lambda size, rng: np.zeros(size, dtype=int))
     ens = init_ensemble(model, 16, seed=1)
     with pytest.raises(TotalDegeneracyError):
         smc_step(ens, model)
@@ -178,11 +173,11 @@ def _identity_model(log_g_table):
     n = table.shape[0]
     return FKModel(
         horizon=n,
-        kernels=KernelFamily(horizon=n,
-                             sample_batch=lambda k, xs, stats, rng: (np.array(xs), np.array(stats))),
-        potentials=PotentialFamily(horizon=n, log_g=lambda k, x: table[k][np.asarray(x)],
+        kernels=KernelFamily(
+            sample_batch=lambda k, xs, stats, rng: (np.array(xs), np.array(stats))),
+        potentials=PotentialFamily(log_g=lambda k, x: table[k][np.asarray(x)],
                                    log_g_max=float(table.max()), statistic=lambda xs: xs),
-        initial=InitialDistribution(sample=lambda size, rng: np.arange(size)),
+        initial=lambda size, rng: np.arange(size),
     )
 
 
@@ -238,7 +233,7 @@ def test_carried_log_density_is_the_target_density_at_every_step(target, increme
         horizon=n,
         kernels=rwm_kernel_family(fam, n, _CARRY_INCREMENTS[increment]()),
         potentials=build_potentials(fam, n),
-        initial=InitialDistribution(sample=lambda size, rng: spread * rng.standard_normal((size, 2))),
+        initial=lambda size, rng: spread * rng.standard_normal((size, 2)),
     )
     with np.errstate(over="ignore"):
         ens = init_ensemble(model, 500, seed=19)
@@ -308,11 +303,10 @@ def test_single_surviving_particle_is_every_ancestor(survivor, monkeypatch):
 
 def test_horizon_zero_returns_initial_ensemble():
     m = 2
-    pf = PotentialFamily(horizon=0, log_g=lambda k, x: 0.0, log_g_max=0.0,
-                         statistic=lambda xs: xs)
-    kf = KernelFamily(horizon=0, sample_batch=lambda k, xs, stats, rng: (xs, stats))
+    pf = PotentialFamily(log_g=lambda k, x: 0.0, log_g_max=0.0, statistic=lambda xs: xs)
+    kf = KernelFamily(sample_batch=lambda k, xs, stats, rng: (xs, stats))
     model = FKModel(horizon=0, kernels=kf, potentials=pf,
-                    initial=InitialDistribution(sample=lambda size, rng: np.arange(size) % m))
+                    initial=lambda size, rng: np.arange(size) % m)
     states, summaries = run_sampler(model, 10, seed=3)
     np.testing.assert_array_equal(states, np.arange(10) % m)
     assert len(summaries) == 1 and math.isnan(summaries[0].ess)

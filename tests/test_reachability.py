@@ -5,6 +5,11 @@ that only tests reach; it either gets a caller or goes.  The allowlist holds
 the oracle's cross-check routes, which exist to be compared against each
 other and against the engine.  Each module's ``__all__`` lists exactly
 names that exist, and every public function and class it defines.
+
+The same holds for dataclass fields: a field that nothing in the package
+reads as an attribute is state that only tests look at.  Classes written
+out whole through ``asdict`` are exempt, since every field reaches the
+output; the oracle's report fields that only its tests read are allowlisted.
 """
 
 import ast
@@ -18,6 +23,18 @@ ALLOWED = {
     "flow_map_via_s": "transport by the twisted kernels S_k; cross-checks flow_map",
     "v_norm_distance": "exact weighted-TV norm of the two-flow forgetting check",
     "norm_const_lower_bound_check": "exact normalizer masses against the Lemma 3 bound",
+}
+
+
+# dataclasses serialized whole through ``asdict``, so every field is output
+SERIALIZED = {"ExperimentConfig", "CounterexampleProbe"}
+
+ALLOWED_FIELDS = {
+    **{("NormConstReport", name): "report of norm_const_lower_bound_check, itself allowlisted"
+       for name in ("per_k", "min_mass", "c_const", "bound", "mu_v", "u_norm", "a1_ok", "ok")},
+    ("TiltedDriftObjects", "nu_nk"): "Lemma 1 tilted minorizing law; the oracle tests check it",
+    ("TiltedDriftObjects", "v_nk"): "Lemma 1 tilted drift function; the oracle tests check it",
+    ("TiltedDriftObjects", "v_prev"): "tilted drift one step back; the oracle tests check it",
 }
 
 
@@ -51,6 +68,29 @@ def unreached_names():
 
 def test_public_names_are_reached_from_the_package():
     assert sorted(unreached_names()) == sorted(ALLOWED)
+
+
+def _is_dataclass(node):
+    for deco in node.decorator_list:
+        fn = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(fn, ast.Name) and fn.id == "dataclass":
+            return True
+    return False
+
+
+def unread_fields():
+    """(class, field) for every dataclass field that no attribute read in the package names."""
+    trees = [ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))]
+    reads = {node.attr for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [(cls.name, stmt.target.id) for tree in trees for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls) and cls.name not in SERIALIZED
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in reads]
+
+
+def test_dataclass_fields_are_read_by_the_package():
+    assert sorted(unread_fields()) == sorted(ALLOWED_FIELDS)
 
 
 def _modules():
