@@ -24,7 +24,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -53,6 +52,9 @@ def make_mapper(workers):
         size = min(workers, cpus, len(items))
         if size <= 1:
             return [fn(x) for x in items]
+        # imported here so that a run without a pool never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=size) as pool:
             return list(pool.map(fn, items))
 

@@ -332,10 +332,16 @@ def build_model(cfg, n):
 
 
 def build_drift(cfg):
+    """The drift function V that a run monitors.
+
+    On a finite model V is read from the log weights alone; the kernel scan
+    that certifies it is ``build_drift_inputs``, run once at parse time.
+    """
     kind, spec = _model(cfg.model)
     if kind == "gaussian":
         return tempering.drift_function(build_family(cfg.model), spec["beta"])
-    return build_drift_inputs(cfg)[0]
+    floor = build_schedule(spec["schedule"]).gamma_floor
+    return finite.drift_function(spec["log_weights"], floor, spec["beta"])
 
 
 def build_drift_inputs(cfg):
@@ -498,6 +504,7 @@ def parse_config(text):
         reference_value(cfg)
     if kind == "run":
         build_drift(cfg)
-    if kind == "lemma1-audit":
+    # a finite run's tasks read V alone; its kernels are certified here, once
+    if kind == "lemma1-audit" or (kind == "run" and _model(model)[0] == "finite-tempered"):
         build_drift_inputs(cfg)
     return cfg

@@ -22,6 +22,7 @@ __all__ = [
     "table_model",
     "tempered_chain_model",
     "tempered_stationary",
+    "drift_function",
     "drift_inputs_for_chain",
 ]
 
@@ -153,19 +154,30 @@ def tempered_chain_model(log_weights, schedule, n, move_prob, init):
     return table_model(matrices, np.diff(gammas)[:, None] * logw, init, log_g_max=log_g_max)
 
 
+def drift_function(log_weights, gamma_floor, beta):
+    """Drift function of a tempered chain, read from its log weights alone.
+
+    V is the floor-tempered weight raised to -beta, normalized to 1 at the
+    heaviest state, hence V >= 1.  ``drift_inputs_for_chain`` certifies
+    this same V with its constants.
+    """
+    logw = np.asarray(log_weights, dtype=float)
+    return DriftSpec(v=np.exp(-beta * gamma_floor * (logw - logw.max())))
+
+
 def drift_inputs_for_chain(log_weights, gamma_floor, move_prob, beta, lam):
     """Drift and minorization inputs holding for every kernel of a tempered chain.
 
-    V is the floor-tempered weight raised to -beta, normalized to 1 at the
-    heaviest state.  The small set is the whole space, so the drift offset
-    only needs to dominate the worst one-step growth of V over the
-    temperature range; both constants are computed on a dense temperature
-    grid, scanned in blocks of at most ``_SCAN_FLOATS`` kernel entries, with
-    a small safety margin and then verified exactly per model by the audit.
+    V is the chain's ``drift_function``.  The small set is the whole space,
+    so the drift offset only needs to dominate the worst one-step growth of
+    V over the temperature range; both constants are computed on a dense
+    temperature grid, scanned in blocks of at most ``_SCAN_FLOATS`` kernel
+    entries, with a small safety margin and then verified exactly per model
+    by the audit.
     """
     logw = np.asarray(log_weights, dtype=float)
     m = logw.size
-    v = np.exp(-beta * gamma_floor * (logw - logw.max()))
+    v = drift_function(logw, gamma_floor, beta).v
     gammas = np.linspace(gamma_floor, 1.0, 2001)
     block = max(1, _SCAN_FLOATS // (m * m))
     b, min_entry = 0.0, np.inf

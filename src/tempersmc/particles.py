@@ -17,10 +17,18 @@ index proportional to the current weights and then mutates it through the
 next Markov kernel: the reweight and mutate are one fused mixture draw, and
 resampling is always multinomial.  Each ancestor is the plain inverse-CDF
 index of its uniform: the first index whose cumulative weight exceeds it.
-The uniforms are searched in sorted order, which keeps the binary searches
-in cache and changes no draw.  Weight normalization happens in the log
-domain with max-subtraction; a step aborts only when every weight
-underflows to zero.
+``draw_ancestors`` finds it with a guide table (Chen & Asau 1974) in place
+of a binary search: the range of the cumulative weights is cut into N equal
+buckets, and each scaled uniform starts at the first cumulative weight of
+its own bucket and steps forward over the entries of that bucket that do
+not exceed it.  The bucket of a value is its product with a positive
+constant, truncated, so it is monotone in the value: every cumulative
+weight in a lower bucket is at most the scaled uniform and every one in a
+higher bucket exceeds it, and the steps, over a nondecreasing array, stop
+at the first entry that exceeds it.  The index is therefore exactly the
+one the binary search finds, and no draw changes.  Weight normalization
+happens in the log domain with max-subtraction; a step aborts only when
+every weight underflows to zero.
 
 Randomness for step k of replicate r comes from the stream keyed by
 (seed, r, k): ancestor uniforms are drawn first, then the mutation draws,
@@ -41,6 +49,7 @@ __all__ = [
     "StepSummary",
     "TotalDegeneracyError",
     "init_ensemble",
+    "draw_ancestors",
     "smc_step",
     "run_sampler",
     "estimate",
@@ -98,6 +107,44 @@ def init_ensemble(model, n_particles, seed, replicate=0):
     return Ensemble(states=states, stats=stats, k=0, seed=seed, replicate=replicate)
 
 
+# a bucket holding more cumulative weights than this is searched, not stepped
+SPILL = 8
+
+
+def draw_ancestors(cw, u):
+    """Inverse-CDF indices of the uniforms ``u`` in the cumulative weights ``cw``.
+
+    For each uniform, the first index whose entry of ``cw`` exceeds
+    ``u * cw[-1]``, capped at ``len(cw) - 1``: exactly
+    ``np.minimum(np.searchsorted(cw, u * cw[-1], side="right"), len(cw) - 1)``.
+    ``cw`` is nondecreasing and nonnegative, with ``cw[-1] > 0``.
+
+    The guide table (see the module docstring) cuts [0, cw[-1]] into
+    N = len(cw) equal buckets; each scaled uniform starts at the first entry
+    of its own bucket and takes one step per entry of that bucket that is at
+    most the scaled uniform.  On near-flat weights a bucket holds O(1)
+    entries, so the cost is O(N) expected with no sort.  Uniforms that fall
+    in a bucket holding more than ``SPILL`` entries, as when one particle
+    carries almost all the weight, take a binary search instead, which
+    bounds the worst case at O(N log N).
+    """
+    n = cw.size
+    x = u * cw[-1]
+    scale = n / cw[-1]
+    counts = np.bincount((cw * scale).astype(np.intp), minlength=n + 1)
+    start = (x * scale).astype(np.intp)
+    ancestors = (np.cumsum(counts) - counts)[start]
+    fullest = int(counts.max())
+    # a uniform at or above every entry steps past the end; the clip reads the
+    # last entry there, and the cap below returns it to N - 1
+    for _ in range(min(fullest, SPILL)):
+        ancestors += np.take(cw, ancestors, mode="clip") <= x
+    if fullest > SPILL:
+        spill = counts[start] > SPILL
+        ancestors[spill] = np.searchsorted(cw, x[spill], side="right")
+    return np.minimum(ancestors, n - 1, out=ancestors)
+
+
 def smc_step(ens, model):
     """One transition: multinomial ancestor draw by weight, then mutation.
 
@@ -112,11 +159,7 @@ def smc_step(ens, model):
         raise TotalDegeneracyError(f"all particle weights vanished at step {k}")
     cw = np.cumsum(np.exp(lw - top))
     rng = streams.stream(ens.seed, ens.replicate, k + 1)
-    u = rng.random(ens.n_particles)
-    order = np.argsort(u)
-    ancestors = np.empty(ens.n_particles, dtype=np.intp)
-    ancestors[order] = np.searchsorted(cw, u[order] * cw[-1], side="right")
-    np.minimum(ancestors, ens.n_particles - 1, out=ancestors)
+    ancestors = draw_ancestors(cw, rng.random(ens.n_particles))
     states = ens.states[ancestors]
     # on finite models the statistic is the state array itself: gather it once
     stats = states if ens.stats is ens.states else ens.stats[ancestors]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -168,6 +169,12 @@ def test_outputs_identical_for_any_task_size(name, overrides, monkeypatch, tmp_p
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def _package_env():
+    """The environment with this checkout's sources first on the import path."""
+    paths = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+
 def test_dispatch_runs_without_scipy(tmp_path):
     script = (
         "import sys\n"
@@ -176,12 +183,18 @@ def test_dispatch_runs_without_scipy(tmp_path):
         "from tempersmc.config import parse_config\n"
         "sys.exit(dispatch(parse_config(sys.argv[1])))\n"
     )
-    paths = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     proc = subprocess.run(
         [sys.executable, "-c", script, _shipped("scaling_sqrt_n", tmp_path, workers=1)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_package_env(), capture_output=True, text=True, timeout=120,
     )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    # the process pool is imported where a pool is made, not on every start
+    script = "import sys\nimport tempersmc.cli\nsys.exit('multiprocessing' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", script], env=_package_env(),
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -424,11 +437,17 @@ def test_zero_entry_kernels(tmp_path):
     assert (tmp_path / "out" / f"{cfg.experiment}.csv").is_file()
 
 
-def _zero_entry_run(out):
-    """Shrunk ``scaling_sqrt_n`` as a ``run`` whose chain kernels have zero entries."""
+def _finite_run(out):
+    """Shrunk ``scaling_sqrt_n`` as a ``run`` of two tasks."""
     raw = json.loads(_shipped("scaling_sqrt_n", out, experiment="run", replicates=4,
                               grids={"n": [3, 5], "N": [20]}))
     del raw["f"]
+    return raw
+
+
+def _zero_entry_run(out):
+    """``_finite_run`` with chain kernels that have zero entries."""
+    raw = _finite_run(out)
     raw["model"]["move_prob"] = 1.0
     return raw
 
@@ -462,16 +481,33 @@ def test_config_error_survives_pickling():
 
 
 def test_config_error_in_a_worker_exits_1(monkeypatch, tmp_path, capsys):
-    # the zero-entry run with its parse bypassed: each of its two tasks raises
-    # ConfigError in a worker, and the pool hands it back intact
+    # a run whose move probability is out of range, with its parse bypassed:
+    # each of its two tasks raises ConfigError building its model in a
+    # worker, and the pool hands it back intact
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    raw = _zero_entry_run(tmp_path / "out")
-    good = parse_config(json.dumps({**raw, "model": {**raw["model"], "move_prob": 0.3}}))
-    cfg = replace(good, model=raw["model"], workers=2)
+    raw = _finite_run(tmp_path / "out")
+    cfg = replace(parse_config(json.dumps(raw)), model={**raw["model"], "move_prob": 1.5},
+                  workers=2)
     assert len(stabilitylab._replicate_tasks(cfg, [(3, 20), (5, 20)])) == 2
     assert dispatch(cfg) == EXIT_PRECONDITION
-    assert capsys.readouterr().err.startswith("error: model: chain kernels have zero entries")
+    assert capsys.readouterr().err.startswith("error: model: move_prob must lie in (0, 1]")
     assert not (tmp_path / "out").exists()
+
+
+def test_finite_run_scans_its_drift_once(monkeypatch, tmp_path):
+    # the kernel scan certifies the drift at parse time; each task reads V alone
+    scans = []
+    scan = config.finite.drift_inputs_for_chain
+
+    def counted(*args, **kwargs):
+        scans.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(config.finite, "drift_inputs_for_chain", counted)
+    cfg = parse_config(json.dumps({**_finite_run(tmp_path / "out"), "workers": 1}))
+    assert len(stabilitylab._replicate_tasks(cfg, [(3, 20), (5, 20)])) == 2
+    assert dispatch(cfg) == EXIT_OK
+    assert len(scans) == 1
 
 
 def test_drift_check_on_a_mixture_target(tmp_path):
@@ -543,7 +579,7 @@ def test_pool_capped_at_cpus_and_tasks(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     assert make_mapper(64)(abs, [-1, -2, -3, -4, -5]) == [1, 2, 3, 4, 5]
     assert make_mapper(64)(abs, [-1, -2]) == [1, 2]

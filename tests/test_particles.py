@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from finite_models import fixture_drift_inputs, random_finite_model, two_state_fixture
 from tempersmc import oracle, streams
@@ -12,6 +13,7 @@ from tempersmc.finite import table_model
 from tempersmc.particles import (
     Ensemble,
     TotalDegeneracyError,
+    draw_ancestors,
     estimate,
     ess_from_log_weights,
     init_ensemble,
@@ -165,6 +167,51 @@ def _plain_search_step(ens, model):
     u = rng.random(ens.n_particles)
     ancestors = np.minimum(np.searchsorted(cw, u * cw[-1], side="right"), ens.n_particles - 1)
     return model.kernels.sample_batch(k + 1, ens.states[ancestors], stats[ancestors], rng)[0]
+
+
+def _plain_search(cw, u):
+    return np.minimum(np.searchsorted(cw, u * cw[-1], side="right"), cw.size - 1)
+
+
+# log weight shapes: near-flat and spread, few-valued as on finite models, tied,
+# all but one underflowing (one bucket then holds more than SPILL entries and
+# the binary search fallback runs), and half of them underflowing
+_WEIGHT_SHAPES = {
+    "flat": lambda rng, n: rng.normal(0.0, 0.01, n),
+    "spread": lambda rng, n: rng.normal(0.0, 4.0, n),
+    "few-valued": lambda rng, n: rng.choice(rng.normal(0.0, 2.0, 3), n),
+    "tied": lambda rng, n: np.zeros(n),
+    "one-alive": lambda rng, n: np.where(np.arange(n) == rng.integers(n), 0.0, -1e300),
+    "half-vanishing": lambda rng, n: np.where(rng.random(n) < 0.5, -1e300,
+                                              rng.normal(0.0, 1.0, n)),
+}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 3000), st.sampled_from(sorted(_WEIGHT_SHAPES)), st.integers(0, 2**32 - 1))
+def test_draw_ancestors_is_the_plain_search(n, shape, seed):
+    rng = np.random.default_rng(seed)
+    lw = _WEIGHT_SHAPES[shape](rng, n)
+    cw = np.cumsum(np.exp(lw - lw.max()))
+    # uniforms on the two ends of [0, 1) and on cumulative weights themselves
+    on_weights = cw[rng.integers(n, size=min(n, 50))] / cw[-1]
+    u = np.concatenate([rng.random(n), [0.0, np.nextafter(1.0, 0.0)],
+                        on_weights[on_weights < 1.0]])
+    np.testing.assert_array_equal(draw_ancestors(cw, u), _plain_search(cw, u))
+
+
+def test_draw_ancestors_with_one_dominant_particle_at_large_n():
+    # every other weight is below 1e-300 of the dominant one, so the 60,000
+    # cumulative weights before it share the first bucket; the pinned uniforms
+    # land in that bucket, among those weights
+    n = 100_000
+    rng = np.random.default_rng(17)
+    lw = rng.normal(-700.0, 1.0, n)
+    lw[60_000] = 0.0
+    cw = np.cumsum(np.exp(lw - lw.max()))
+    pinned = [0.0, 1e-9, cw[30_000] / cw[-1], cw[59_999] / cw[-1], np.nextafter(1.0, 0.0)]
+    u = np.concatenate([rng.random(n), pinned])
+    np.testing.assert_array_equal(draw_ancestors(cw, u), _plain_search(cw, u))
 
 
 def _identity_model(log_g_table):
