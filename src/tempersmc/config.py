@@ -70,31 +70,24 @@ COMPONENTS = {
                             "beta": 0.5, "lam": 0.6},
         "gaussian": {"target": REQUIRED, "schedule": None, "increment": None, "beta": 0.5},
     }),
-    "model.schedule": ("name", "linear", {
-        "linear": _FLOOR, "smoothstep": _FLOOR, "piecewise-linear": {**_FLOOR, "knots": ()},
-    }),
+    "model.schedule": ("name", "linear", {"linear": _FLOOR, "smoothstep": _FLOOR}),
     "model.target": ("name", REQUIRED, {
         "gaussian": {"mean": (0.0,), "sigma": (1.0,)},
         "gaussian-mixture": {"means": REQUIRED, "sigmas": REQUIRED, "weights": REQUIRED},
     }),
-    "model.increment": ("name", "gaussian", {
-        "gaussian": {"scale": 1.0}, "uniform-ball": {"radius": 1.0},
-    }),
+    "model.increment": ("name", "gaussian", {"gaussian": {"scale": 1.0}}),
     "init": ("name", "tempered-floor", {
         "tempered-floor": {}, "dirac": {"state": 0}, "weights": {"weights": REQUIRED},
-        "gaussian": {"mean": (0.0,), "sigma": (1.0,)}, "point": {"point": (0.0,)},
+        "gaussian": {"mean": (0.0,), "sigma": (1.0,)},
     }),
-    "f": ("name", "coordinate", {
-        "coordinate": {"axis": 0}, "indicator": {"state": 0}, "constant": {"value": 1.0},
-    }),
+    "f": ("name", "coordinate", {"coordinate": {"axis": 0}, "indicator": {"state": 0}}),
 }
 KINDS = tuple(COMPONENTS[""][2])
 
-_SCHEDULES = {"linear": tempering.linear_schedule, "smoothstep": tempering.smoothstep_schedule,
-              "piecewise-linear": tempering.piecewise_linear_schedule}
+_SCHEDULES = {"linear": tempering.linear_schedule, "smoothstep": tempering.smoothstep_schedule}
 _TARGETS = {"gaussian": tempering.gaussian_target,
             "gaussian-mixture": tempering.gaussian_mixture_target}
-_INCREMENTS = {"gaussian": rwm.gaussian_increment, "uniform-ball": rwm.uniform_ball_increment}
+_INCREMENTS = {"gaussian": rwm.gaussian_increment}
 
 
 class ConfigError(ValueError):
@@ -303,11 +296,6 @@ def _continuous_init(cfg, fam):
         if mean.size != dim:
             raise ConfigError("init.mean", f"dimension {mean.size} != target {dim}")
         return lambda size, rng: mean + sigma * rng.standard_normal((size, mean.size))
-    if name == "point":
-        point = np.atleast_1d(_floats(spec["point"], "init.point"))
-        if point.shape != (dim,):
-            raise ConfigError("init.point", f"need {dim} coordinates")
-        return lambda size, rng: np.tile(point, (size, 1))
     raise ConfigError("init.name", f"{name!r} is not an initial law of a continuous model")
 
 
@@ -364,8 +352,8 @@ def build_f(cfg):
     is the state index itself.
     """
     name, spec = _read("f", cfg.f)
+    kind, params = _model(cfg.model)
     if name == "coordinate":
-        kind, _ = _model(cfg.model)
         dim = 1 if kind == "finite-tempered" else build_family(cfg.model).target.dim
         axis = _int_at_least(spec["axis"], "f.axis", 0, dim)
 
@@ -374,11 +362,11 @@ def build_f(cfg):
             return x.reshape(len(x), -1)[:, axis]
 
         return coordinate
-    if name == "indicator":
+    if kind == "finite-tempered":  # the indicator of one of the model's states
+        state = _int_at_least(spec["state"], "f.state", 0, params["log_weights"].size)
+    else:
         state = _number(spec["state"], "f.state")
-        return lambda x: (np.asarray(x) == state).astype(float)
-    value = float(_number(spec["value"], "f.value"))
-    return lambda x: np.full(np.asarray(x).shape[:1], value)
+    return lambda x: (np.asarray(x) == state).astype(float)
 
 
 def finite_f_vector(cfg, m):
@@ -398,8 +386,6 @@ def reference_value(cfg):
     name, fparams = _read("f", cfg.f)
     if name == "coordinate":
         return float(np.ravel(tparams["mean"])[fparams["axis"]])
-    if name == "constant":
-        return float(fparams["value"])
     raise ConfigError("f.name", "no analytic reference for this test function")
 
 

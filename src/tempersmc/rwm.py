@@ -17,7 +17,6 @@ from . import streams
 __all__ = [
     "IncrementDistribution",
     "gaussian_increment",
-    "uniform_ball_increment",
     "rwm_step_batch",
     "rwm_kernel_family",
     "drift_probe",
@@ -70,30 +69,6 @@ def gaussian_increment(dim, scale):
         sample=lambda size, rng: rng.standard_normal((size, dim)) * scale,
         log_density=log_density,
     )
-
-
-def _ball_volume(dim, radius):
-    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) * radius**dim
-
-
-def uniform_ball_increment(dim, radius):
-    """Uniform law on the centered ball; positive only up to its own radius."""
-    if not 0 < radius < math.inf:
-        raise ValueError("radius must be finite and positive")
-    log_dens = -math.log(_ball_volume(dim, radius))
-
-    def sample(size, rng):
-        z = rng.standard_normal((size, dim))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        u = rng.random(size) ** (1.0 / dim)
-        return z * (radius * u[:, None])
-
-    def log_density(y):
-        y = np.asarray(y, dtype=float)
-        inside = np.sum(y * y, axis=-1) <= radius**2
-        return np.where(inside, log_dens, -np.inf)
-
-    return IncrementDistribution(dim=dim, sample=sample, log_density=log_density)
 
 
 def rwm_step_batch(fam, gamma, q, xs, cur, rng):

@@ -195,7 +195,8 @@ def n_scaling_experiment(cfg, mapper):
     particle counts with nonzero RMSE; the horizon ratio is taken at the
     largest particle count.  Ratios are also reported with a 2-sigma
     allowance on each end, so a violation claim must be statistically
-    significant.
+    significant.  The ratio is inf when only its low end is 0, and nan when
+    both are; with neither a slope nor a finite ratio the run is inconclusive.
     """
     ns, n_list = cfg.grids["n"], cfg.grids["N"]
     refs = {n: _exact_value(cfg, n) for n in ns}
@@ -226,13 +227,14 @@ def n_scaling_experiment(cfg, mapper):
         ratio_np = max(n_list)
         hi = max(((n, ratio_np) for n in ns), key=rmse.get)
         lo = min(((n, ratio_np) for n in ns), key=rmse.get)
-        ratio = rmse[hi] / rmse[lo]
+        with np.errstate(divide="ignore", invalid="ignore"):  # an RMSE of 0 gives inf or nan
+            ratio = float(np.divide(rmse[hi], rmse[lo]))
         ratio_adj = max(rmse[hi] - 2.0 * std_err[hi], 0.0) / (rmse[lo] + 2.0 * std_err[lo])
 
     return Table(
         header=("n", "n_particles", "rmse", "std_err", "replicates_used", "degenerate"),
         rows=rows,
-        status="ok" if (slope_n is not None or ratio_np is not None) else "inconclusive",
+        status="ok" if slope_n is not None or math.isfinite(ratio) else "inconclusive",
         body={"slope": slope, "slope_n": slope_n, "ratio_max_min": ratio,
               "ratio_se_adjusted": ratio_adj, "ratio_n_particles": ratio_np},
     )

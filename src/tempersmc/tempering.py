@@ -23,7 +23,6 @@ __all__ = [
     "TemperedFamily",
     "linear_schedule",
     "smoothstep_schedule",
-    "piecewise_linear_schedule",
     "gaussian_target",
     "gaussian_mixture_target",
     "build_potentials",
@@ -95,23 +94,6 @@ def smoothstep_schedule(gamma_floor):
         gamma_floor=gamma_floor,
         fn=fn,
         lipschitz_const=1.5 * span if span > 0 else 1.0,
-    )
-
-
-def piecewise_linear_schedule(gamma_floor, knots):
-    """Schedule interpolating (u_i, gamma_i) knots; endpoints are pinned."""
-    pts = [(0.0, gamma_floor)] + [(float(u), float(g)) for u, g in knots] + [(1.0, 1.0)]
-    us = np.array([p[0] for p in pts])
-    gs = np.array([p[1] for p in pts])
-    if np.any(np.diff(us) <= 0):
-        raise ValueError("knot abscissae must be strictly increasing in (0, 1)")
-    slopes = np.diff(gs) / np.diff(us)
-    if slopes.min() < 0:
-        raise ValueError("knots must be non-decreasing")
-    return TemperingSchedule(
-        gamma_floor=gamma_floor,
-        fn=lambda u: np.interp(np.asarray(u, dtype=float), us, gs),
-        lipschitz_const=float(slopes.max()) if slopes.max() > 0 else 1.0,
     )
 
 

@@ -104,7 +104,7 @@ def test_finite_bias_decay_with_particles_keeps_its_digest(tmp_path):
 
 @pytest.mark.parametrize("init, used", [
     ({"name": "gaussian", "sigma": [1e154]}, ["17", "18"]),
-    ({"name": "point", "point": [1e200]}, ["0", "0"]),
+    ({"name": "gaussian", "mean": [1e200]}, ["0", "0"]),
 ], ids=["some", "all"])
 def test_bias_decay_counts_degenerate_replicates(init, used, tmp_path):
     # with one particle, a replicate whose initial log density overflows to -inf degenerates
@@ -306,13 +306,17 @@ COMPONENT_CASES = [
     ("bias_finite", ("init",), {"name": "dirac", "stat": 1}, "init.stat"),
     ("bias_finite", ("f", "stat"), 1, "f.stat"),
     ("bias_finite", ("f", "state"), "x", "f.state"),
+    # the indicator of a state the two-state model does not have is 0 everywhere
+    ("bias_finite", ("f", "state"), 5, "f.state"),
+    ("bias_finite", ("f", "state"), 0.5, "f.state"),
+    ("bias_finite", ("f", "state"), -1, "f.state"),
     ("bias_finite", ("f",), {"name": "coordinate", "axis": 1}, "f.axis"),
     ("bias_finite", ("init", "state"), 1.5, "init.state"),
     ("bias_finite", ("init", "state"), 2, "init.state"),
     ("bias_finite", ("init",), {"name": "weights", "weights": [0.5, 0.6]}, "init.weights"),
     ("bias_finite", ("init",), {"name": "weights", "weights": [1.0]}, "init.weights"),
     ("bias_finite", ("init",), {"name": "weights"}, "init.weights"),
-    ("bias_finite", ("init",), {"name": "point"}, "init.name"),
+    ("bias_finite", ("init",), {"name": "gaussian"}, "init.name"),
     ("bias_finite", ("init",), {"name": "weights", "weights": [math.nan, 1.0]}, "init.weights"),
     ("bias_finite", ("model", "lam"), 1.0, "model.lam"),
     ("bias_finite", ("model", "move_prob"), 0, "model"),
@@ -329,12 +333,10 @@ COMPONENT_CASES = [
     ("bias_gaussian", ("init", "sigma"), [math.inf], "init.sigma"),
     ("bias_gaussian", ("init", "sigma"), [0.0], "init.sigma"),
     ("bias_gaussian", ("init", "sigma"), ["x"], "init.sigma"),
-    ("bias_gaussian", ("init",), {"name": "point", "point": [1.0, 2.0]}, "init.point"),
     ("bias_gaussian", ("init",), {"name": "dirac"}, "init.name"),
     ("bias_gaussian", ("init",), [], "init"),
     ("bias_gaussian", ("f", "axis"), 3, "f.axis"),
     ("bias_gaussian", ("f", "axis"), -1, "f.axis"),
-    ("bias_gaussian", ("f",), {"name": "constant", "value": "x"}, "f.value"),
     ("bias_gaussian", ("f",), {"name": "indicator"}, "f.name"),
     ("bias_gaussian", ("model", "beta"), 2.0, "model.beta"),
     ("bias_gaussian", ("model", "lam"), 0.5, "model.lam"),
@@ -350,14 +352,9 @@ COMPONENT_CASES = [
     ("bias_gaussian", ("model", "increment", "scale"), "x", "model.increment"),
     ("bias_gaussian", ("model", "increment", "scale"), math.nan, "model.increment"),
     ("bias_gaussian", ("model", "increment", "scale"), math.inf, "model.increment"),
-    ("bias_gaussian", ("model", "increment"), {"name": "uniform-ball", "radius": math.nan},
-     "model.increment"),
-    ("bias_gaussian", ("model", "increment"), {"name": "uniform-ball", "radius": math.inf},
-     "model.increment"),
     ("bias_gaussian", ("model", "increment", "name"), "x", "model.increment.name"),
     ("bias_gaussian", ("grids", "N"), [50, 5000], "grids.N"),
     ("bias_gaussian", ("grids",), {"n": [5, 10]}, "grids.N"),
-    ("drift_monitor", ("init",), {"name": "point", "point": [math.nan]}, "init.point"),
     ("drift_monitor", ("model", "target"), {**MIXTURE, "sigmas": [[math.nan]]}, "model.target"),
     ("drift_monitor", ("model", "target"), {**MIXTURE, "sigmas": [[0.0]]}, "model.target"),
     ("drift_monitor", ("model", "target"), {**MIXTURE, "sigmas": [[-1.0]]}, "model.target"),
@@ -405,6 +402,33 @@ def test_every_experiment_has_a_runner():
     assert set(cli._RUNNERS) == set(config.KINDS)
 
 
+# (component path, name) pairs that no shipped config selects, each with its reason
+UNSHIPPED = {
+    ("model.schedule", "smoothstep"): "the forgetting rate depends on the schedule",
+    ("init", "weights"): "the forgetting experiment takes pairs of initial laws",
+    ("model.target", "gaussian-mixture"): "to be shipped: tempering matters most on it",
+}
+
+
+def _selected(path, spec):
+    """(path, name) of each component a config selects at or below ``path``, by name or default."""
+    select, default, names = config.COMPONENTS[path]
+    name = spec.get(select, default)
+    pairs = {(path, name)}
+    for key in names[name]:
+        child = config._join(path, key)
+        if child in config.COMPONENTS:
+            pairs |= _selected(child, spec.get(key) or {})
+    return pairs
+
+
+def test_every_component_name_is_shipped():
+    selected = set().union(*(_selected("", json.loads(p.read_text()))
+                             for p in CONFIGS.glob("*.json")))
+    every = {(path, name) for path, (_, _, names) in config.COMPONENTS.items() for name in names}
+    assert every - selected == set(UNSHIPPED)
+
+
 def test_inconclusive_run_exits_2_with_both_outputs(tmp_path):
     # the correct start leaves no exact bias above the float floor to fit
     cfg = parse_config(_shipped("bias_finite", tmp_path, workers=1,
@@ -414,6 +438,21 @@ def test_inconclusive_run_exits_2_with_both_outputs(tmp_path):
     assert doc["status"] == "inconclusive" and doc["exit_code"] == EXIT_INCONCLUSIVE
     assert doc["summary"]["exact"]["status"] == "inconclusive"
     assert len((tmp_path / "bias-decay.csv").read_text().splitlines()) == 1 + 4
+
+
+def test_n_scaling_with_zero_error_is_inconclusive(tmp_path):
+    # two equal weights and move_prob 1 swap the state at every step, so every
+    # estimate is exact: each RMSE is 0, and the horizon ratio is 0 / 0
+    raw = json.loads(_shipped("scaling_sqrt_n", tmp_path, workers=1, replicates=2,
+                              grids={"n": [3, 4], "N": [10]},
+                              init={"name": "dirac", "state": 0}))
+    raw["model"].update(log_weights=[0.0, 0.0], move_prob=1.0)
+    assert dispatch(parse_config(json.dumps(raw))) == EXIT_INCONCLUSIVE
+    header, *lines = (tmp_path / "n-scaling.csv").read_text().splitlines()
+    rmse = header.split(",").index("rmse")
+    assert len(lines) == 2 and all(float(line.split(",")[rmse]) == 0.0 for line in lines)
+    doc = json.loads((tmp_path / "n-scaling.json").read_text())
+    assert doc["status"] == "inconclusive" and doc["summary"]["ratio_max_min"] == "nan"
 
 
 @pytest.mark.parametrize("status, code", [("ok", EXIT_OK), ("failed", EXIT_PRECONDITION),
@@ -597,7 +636,7 @@ def test_pool_capped_at_cpus_and_tasks(monkeypatch):
 def test_run_with_every_replicate_degenerate_is_inconclusive(tmp_path):
     # the initial log density overflows to -inf, so no replicate gives an eta(G~)
     cfg = parse_config(_shipped("drift_monitor", tmp_path, workers=1,
-                                init={"name": "point", "point": [1e200]}))
+                                init={"name": "gaussian", "mean": [1e200]}))
     with np.errstate(over="ignore"):
         assert dispatch(cfg) == EXIT_INCONCLUSIVE
     assert (tmp_path / "run.csv").read_text().count("\n") == 1
@@ -609,14 +648,14 @@ def test_run_with_every_replicate_degenerate_is_inconclusive(tmp_path):
 
 
 @pytest.mark.parametrize("model", [
-    {"schedule": {"name": "piecewise-linear", "gamma_floor": 0.7, "knots": [[0.5, 0.7]]}},
+    {"schedule": {"name": "linear", "gamma_floor": 1.0}},
     {"target": {"name": "gaussian-mixture", "means": [[0.0], [3.0]], "sigmas": [[1.0], [0.5]],
                 "weights": [0.5, 0.5]}},
 ], ids=["zero-increment", "mixture"])
 def test_particles_at_zero_density_do_not_abort_the_replicate(model, tmp_path):
     # about a fifth of the initial particles overflow to log density -inf; a
-    # flat schedule segment (increment 0 at steps 0 and 1) must weigh them 1,
-    # and the mixture must give them -inf, not NaN
+    # flat schedule (gamma_floor 1: increment 0 at every step) must weigh them
+    # 1, and the mixture must give them -inf, not NaN
     raw = json.loads(_shipped("drift_monitor", tmp_path, workers=1, replicates=3,
                               grids={"n": [4], "N": [200]},
                               init={"name": "gaussian", "sigma": [1e154]}))
@@ -628,8 +667,8 @@ def test_particles_at_zero_density_do_not_abort_the_replicate(model, tmp_path):
     rows = (tmp_path / "run.csv").read_text().splitlines()[1:]
     assert len(rows) == 3 * 5
     if "schedule" in model:
-        flat = [r.split(",") for r in rows if r.split(",")[2] in ("0", "1")]
-        assert len(flat) == 6 and all(r[3] == "200" and r[7] == "1" for r in flat)
+        steps = [r.split(",") for r in rows if r.split(",")[2] != "4"]
+        assert len(steps) == 12 and all(r[3] == "200" and r[7] == "1" for r in steps)
 
 
 def test_one_density_evaluation_per_particle_step(monkeypatch, tmp_path):

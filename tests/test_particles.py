@@ -7,6 +7,7 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from finite_models import fixture_drift_inputs, random_finite_model, two_state_fixture
+from test_rwm import box_increment
 from tempersmc import oracle, streams
 from tempersmc.fk_core import FKModel, KernelFamily, PotentialFamily
 from tempersmc.finite import table_model
@@ -20,7 +21,7 @@ from tempersmc.particles import (
     run_sampler,
     smc_step,
 )
-from tempersmc.rwm import gaussian_increment, rwm_kernel_family, uniform_ball_increment
+from tempersmc.rwm import gaussian_increment, rwm_kernel_family
 from tempersmc.tempering import (
     TemperedFamily,
     build_potentials,
@@ -265,7 +266,7 @@ _CARRY_TARGETS = {
                                                [[0.7, 1.0], [1.2, 0.4]], [0.4, 0.6]),
 }
 _CARRY_INCREMENTS = {"gaussian": lambda: gaussian_increment(2, 1.5),
-                     "uniform-ball": lambda: uniform_ball_increment(2, 2.0)}
+                     "box": lambda: box_increment(2, 2.0)}
 
 
 @pytest.mark.parametrize("spread", [2.0, 1e154], ids=["near", "overflowing"])

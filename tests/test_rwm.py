@@ -14,7 +14,6 @@ from tempersmc.rwm import (
     gaussian_increment,
     rwm_kernel_family,
     rwm_step_batch,
-    uniform_ball_increment,
 )
 from tempersmc.tempering import (
     TemperedFamily,
@@ -42,15 +41,42 @@ def test_gaussian_increment_symmetry():
     np.testing.assert_allclose(q.log_density(y), q.log_density(-y))
 
 
-def test_uniform_ball_increment():
-    q = uniform_ball_increment(2, radius=1.5)
-    rng = streams.stream(1, 0)
-    draws = q.sample(10_000, rng)
-    assert np.all(np.linalg.norm(draws, axis=1) <= 1.5)
-    inside = np.array([[0.5, 0.5]])
-    outside = np.array([[2.0, 0.0]])
-    assert np.isfinite(q.log_density(inside))
-    assert q.log_density(outside) == -np.inf
+def box_increment(dim, half_width):
+    """Uniform increment on the cube [-half_width, half_width]^dim: bounded support."""
+    log_volume = dim * math.log(2.0 * half_width)
+
+    def log_density(y):
+        inside = np.all(np.abs(np.asarray(y, dtype=float)) <= half_width, axis=-1)
+        return np.where(inside, -log_volume, -np.inf)
+
+    return IncrementDistribution(
+        dim=dim,
+        sample=lambda size, rng: rng.uniform(-half_width, half_width, (size, dim)),
+        log_density=log_density,
+    )
+
+
+def test_bounded_increment_passes_the_symmetry_audit():
+    # most audit points fall outside the cube, where both log densities are
+    # -inf: the audit must match them as equal, not subtract them
+    q = box_increment(2, 1.5)
+    draws = q.sample(10_000, streams.stream(1, 0))
+    assert np.all(np.abs(draws) <= 1.5)
+    assert np.isfinite(q.log_density(np.array([[0.5, -0.5]]))).all()
+    assert q.log_density(np.array([[2.0, 0.0]]))[0] == -np.inf
+
+
+def test_increment_with_off_centre_support_rejected():
+    # uniform on [-1, 2]: the density is the same wherever y and -y are both
+    # inside, so only the support tells the law from its reflection
+    with pytest.raises(ValueError, match="not symmetric"):
+        IncrementDistribution(
+            dim=1,
+            sample=lambda size, rng: rng.uniform(-1.0, 2.0, (size, 1)),
+            log_density=lambda y: np.where(
+                (np.asarray(y)[..., 0] >= -1.0) & (np.asarray(y)[..., 0] <= 2.0),
+                -math.log(3.0), -np.inf),
+        )
 
 
 def test_asymmetric_increment_rejected():
@@ -142,7 +168,7 @@ _TARGETS_2D = {
                                                [[0.7, 1.0], [1.2, 0.4]], [0.4, 0.6]),
 }
 _INCREMENTS_2D = {"gaussian": lambda: gaussian_increment(2, 1.5),
-                  "uniform-ball": lambda: uniform_ball_increment(2, 2.0)}
+                  "box": lambda: box_increment(2, 2.0)}
 
 
 @pytest.mark.parametrize("spiked", [False, True], ids=["finite", "spiked"])

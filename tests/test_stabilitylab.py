@@ -15,7 +15,6 @@ from tempersmc.stabilitylab import (
     bias_decay_experiment,
     lemma1_audit,
     lemma1_audit_experiment,
-    n_scaling_experiment,
     r2_counterexample,
 )
 
@@ -116,20 +115,6 @@ def test_std_err_spread_survives_squares_past_the_float_range(scale):
 def test_std_err_is_the_plain_spread_where_it_is_finite():
     good = np.random.default_rng(4).normal(size=17)
     assert stabilitylab._std(good) == float(good.std(ddof=1))
-
-
-# ------------------------------------------------------------- scaling
-
-def test_constant_f_has_zero_error():
-    cfg = _cfg(
-        experiment="n-scaling",
-        f={"name": "constant", "value": 3.5},
-        init={"name": "tempered-floor"},
-        grids={"n": [4], "N": [10, 100]},
-        replicates=10,
-    )
-    table = n_scaling_experiment(cfg, make_mapper(1))
-    assert _columns(table)["rmse"] == [0.0, 0.0]
 
 
 # ------------------------------------------------------------- counterexample

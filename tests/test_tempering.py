@@ -9,7 +9,6 @@ from tempersmc.tempering import (
     gaussian_mixture_target,
     gaussian_target,
     linear_schedule,
-    piecewise_linear_schedule,
     smoothstep_schedule,
 )
 
@@ -21,9 +20,14 @@ GRID = np.linspace(0.0, 1.0, 10_001)
     [
         linear_schedule(0.7),
         smoothstep_schedule(0.5),
-        piecewise_linear_schedule(0.6, [(0.3, 0.7), (0.8, 0.95)]),
+        # a caller-supplied schedule with a kink at each knot
+        TemperingSchedule(
+            gamma_floor=0.6,
+            fn=lambda u: np.interp(u, [0.0, 0.3, 0.8, 1.0], [0.6, 0.7, 0.95, 1.0]),
+            lipschitz_const=0.5,
+        ),
     ],
-    ids=["linear", "smoothstep", "piecewise"],
+    ids=["linear", "smoothstep", "interpolated"],
 )
 def test_schedule_invariants_on_grid(schedule, request):
     g = np.asarray(schedule(GRID), dtype=float)
@@ -120,8 +124,11 @@ def test_mixture_target_sup_bound_holds_on_grid():
 def test_zero_increment_weighs_every_particle_one():
     # a flat schedule segment gives increment 0 at steps 0 and 1 of n = 4; pi^0 = 1
     # also where the density underflowed, and 0 * (negative) stays -0.0
-    fam = TemperedFamily(gaussian_target([0.0], [1.0]),
-                         piecewise_linear_schedule(0.7, [(0.5, 0.7)]))
+    flat_then_linear = TemperingSchedule(
+        gamma_floor=0.7, fn=lambda u: np.interp(u, [0.0, 0.5, 1.0], [0.7, 0.7, 1.0]),
+        lipschitz_const=0.6,
+    )
+    fam = TemperedFamily(gaussian_target([0.0], [1.0]), flat_then_linear)
     pf = build_potentials(fam, 4)
     ell = np.array([-np.inf, -3.0, -0.0, 0.0, -1e308])
     for k in (0, 1):
