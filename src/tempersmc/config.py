@@ -269,10 +269,8 @@ def _finite_init_vector(cfg, logw, gamma_floor):
         return vec
     if name == "weights":
         w = _floats(spec["weights"], "init.weights")
-        if w.shape != (m,):
-            raise ConfigError("init.weights", f"need {m} entries")
-        with _at("init.weights"):  # the model's own probability-vector check
-            finite._probability_vector(w)
+        with _at("init.weights"):  # the model's own shape and probability-vector check
+            finite._probability_vector(w, m)
         return w
     raise ConfigError("init.name", f"{name!r} is not an initial law of a finite model")
 
@@ -320,16 +318,21 @@ def build_model(cfg, n):
 
 
 def build_drift(cfg):
-    """The drift function V that a run monitors.
+    """The drift function V that a run monitors, over per-particle statistics.
 
-    On a finite model V is read from the log weights alone; the kernel scan
-    that certifies it is ``build_drift_inputs``, run once at parse time.
+    On a finite model the statistic is the state: V is the drift function
+    at the log weights, indexed by state, the vector that
+    ``build_drift_inputs`` certifies with a kernel scan, run once at parse time.
     """
     kind, spec = _model(cfg.model)
     if kind == "gaussian":
-        return tempering.drift_function(build_family(cfg.model), spec["beta"])
+        fam = build_family(cfg.model)
+        return tempering.drift_function(fam.target.sup_log_unnorm, fam.schedule.gamma_floor,
+                                        spec["beta"])
+    logw = spec["log_weights"]
     floor = build_schedule(spec["schedule"]).gamma_floor
-    return finite.drift_function(spec["log_weights"], floor, spec["beta"])
+    v = tempering.drift_function(logw.max(), floor, spec["beta"])(logw)
+    return lambda states: v[states]
 
 
 def build_drift_inputs(cfg):

@@ -10,19 +10,20 @@ stochastic run read one set of values.  The tempered chain is built
 through it, with lazy Metropolis kernels over a uniform proposal on the
 other states, which are exactly invariant (reversible) for each tempered
 law.  A finite model's per-particle statistic is the state label itself, so
-its potentials and drift vectors are indexed by state.
+its potentials and drift vectors are indexed by state.  A chain's drift
+vector is ``tempering.drift_function`` evaluated at its log weights.
 """
 
 import numpy as np
 
 from .fk_core import DriftSpec, FiniteArrays, FKModel, KernelFamily, PotentialFamily
+from . import tempering
 
 __all__ = [
     "metropolis_matrix",
     "table_model",
     "tempered_chain_model",
     "tempered_stationary",
-    "drift_function",
     "drift_inputs_for_chain",
 ]
 
@@ -84,8 +85,10 @@ def _checked_stack(matrices):
     return mats
 
 
-def _probability_vector(weights):
+def _probability_vector(weights, m):
     w = np.asarray(weights, dtype=float)
+    if w.shape != (m,):
+        raise ValueError(f"initial weights have shape {w.shape}, expected ({m},)")
     if not np.all(w >= 0) or not abs(w.sum() - 1.0) <= _ROW_TOL:  # NaN fails both
         raise ValueError("initial weights must be a probability vector")
     return w
@@ -96,9 +99,9 @@ def table_model(matrices, log_g_table, mu, log_g_max=None):
 
     ``matrices`` is the (n, m, m) stack of kernels, row k-1 for step k, and
     ``log_g_table`` has shape (n, m); entries must be finite (weights are
-    strictly positive by construction).  The family bound defaults to the
-    exact table maximum.  The checked arrays become the model's
-    ``FiniteArrays``.
+    strictly positive by construction).  ``mu`` is a probability vector of
+    m entries.  The family bound defaults to the exact table maximum.  The
+    checked arrays become the model's ``FiniteArrays``.
     """
     table = np.asarray(log_g_table, dtype=float)
     if not np.all(np.isfinite(table)):
@@ -110,7 +113,7 @@ def table_model(matrices, log_g_table, mu, log_g_max=None):
     bound = float(table.max()) if log_g_max is None else float(log_g_max)
     if table.max() > bound + 1e-12:
         raise ValueError("potential table exceeds the declared upper bound")
-    w = _probability_vector(mu)
+    w = _probability_vector(mu, m)
     # cols[k - 1, j]: column j of step k's cumulative rows, one contiguous vector over the states
     cols = np.cumsum(mats, axis=2)[:, :, :-1].transpose(0, 2, 1).copy()
     cum = np.cumsum(w)[:-1]
@@ -154,30 +157,19 @@ def tempered_chain_model(log_weights, schedule, n, move_prob, init):
     return table_model(matrices, np.diff(gammas)[:, None] * logw, init, log_g_max=log_g_max)
 
 
-def drift_function(log_weights, gamma_floor, beta):
-    """Drift function of a tempered chain, read from its log weights alone.
-
-    V is the floor-tempered weight raised to -beta, normalized to 1 at the
-    heaviest state, hence V >= 1.  ``drift_inputs_for_chain`` certifies
-    this same V with its constants.
-    """
-    logw = np.asarray(log_weights, dtype=float)
-    return DriftSpec(v=np.exp(-beta * gamma_floor * (logw - logw.max())))
-
-
 def drift_inputs_for_chain(log_weights, gamma_floor, move_prob, beta, lam):
     """Drift and minorization inputs holding for every kernel of a tempered chain.
 
-    V is the chain's ``drift_function``.  The small set is the whole space,
-    so the drift offset only needs to dominate the worst one-step growth of
-    V over the temperature range; both constants are computed on a dense
-    temperature grid, scanned in blocks of at most ``_SCAN_FLOATS`` kernel
-    entries, with a small safety margin and then verified exactly per model
-    by the audit.
+    V is ``tempering.drift_function`` at the log weights, the vector a
+    finite run monitors.  The small set is the whole space, so the drift
+    offset only needs to dominate the worst one-step growth of V over the
+    temperature range; both constants are computed on a dense temperature
+    grid, scanned in blocks of at most ``_SCAN_FLOATS`` kernel entries, with
+    a small safety margin and then verified exactly per model by the audit.
     """
     logw = np.asarray(log_weights, dtype=float)
     m = logw.size
-    v = drift_function(logw, gamma_floor, beta).v
+    v = tempering.drift_function(logw.max(), gamma_floor, beta)(logw)
     gammas = np.linspace(gamma_floor, 1.0, 2001)
     block = max(1, _SCAN_FLOATS // (m * m))
     b, min_entry = 0.0, np.inf

@@ -16,12 +16,14 @@ evaluated once per particle at initialization, and after that each kernel
 returns the statistic of every new state beside it.  For tempered targets
 the statistic is the log target density, so the reweight, the Metropolis
 accept and the drift monitor share one density evaluation per particle and
-step; on finite spaces it is the state label itself.
+step; on finite spaces it is the state label itself.  A monitored drift
+function V is a plain callable over a batch of those statistics.
 
 A finite model also carries its exact arrays, one ``FiniteArrays`` record:
 the (n, m, m) kernel stack, the (n, m) log-weight table and the initial
 vector.  The samplers and potentials of a finite model are closures over
-those same arrays; the exact oracle reads the record alone.
+those same arrays; the exact oracle reads the record alone, and with it a
+``DriftSpec``, the certified drift inputs over the same m states.
 
 All potential arithmetic is carried out in the log domain; the family's
 upper bound is supplied as a log constant by the model builder.
@@ -116,29 +118,14 @@ class FKModel:
 
 @dataclass(frozen=True)
 class DriftSpec:
-    """Geometric drift data: function V >= 1, rate, level-set cut and offset.
+    """Certified geometric drift data on a finite space, as the oracle audits it.
 
-    ``v`` is either a vector over states (finite spaces) or a callable
-    vectorized over a batch of per-particle statistics (see
-    ``PotentialFamily``); on finite spaces the statistic is the state, so
-    ``values`` takes states there.  The small set is the sub-level set
-    ``{V <= level_d}``.  ``lam``, ``level_d`` and ``b_d`` may be left unset
-    when only the function itself is needed (e.g. for monitoring).
+    ``v`` is the drift function V >= 1 as a float vector over the m states,
+    ``lam`` the drift rate, ``level_d`` the cut of the small set, the
+    sub-level set ``{V <= level_d}``, and ``b_d`` the drift offset.
     """
 
-    v: object
-    lam: Optional[float] = None
-    level_d: Optional[float] = None
-    b_d: Optional[float] = None
-
-    def values(self, stats):
-        if callable(self.v):
-            return np.asarray(self.v(stats), dtype=float)
-        return np.asarray(self.v, dtype=float)[stats]
-
-    def vector(self, m):
-        """V as an exact vector over an enumerated finite space; a callable V has none."""
-        vec = np.asarray(self.v)
-        if vec.shape != (m,):
-            raise ValueError(f"drift vector has shape {vec.shape}, expected ({m},)")
-        return vec.astype(float, copy=False)
+    v: np.ndarray
+    lam: float
+    level_d: float
+    b_d: float

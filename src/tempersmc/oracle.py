@@ -185,6 +185,14 @@ class TiltedDriftObjects:
     a2_failures: List[str]
 
 
+def _drift_vector(drift, m):
+    """The certified V as a float vector over the m states; anything else is refused."""
+    v = np.asarray(drift.v)
+    if v.shape != (m,):
+        raise ValueError(f"drift vector has shape {v.shape}, expected ({m},)")
+    return v.astype(float, copy=False)
+
+
 def _small_set(drift, v):
     """Mask of the sub-level set {V <= level_d}, with slack for float ties."""
     return v <= drift.level_d * (1.0 + _INEQ_SLACK)
@@ -227,7 +235,7 @@ def tilted_drift_objects(model, drift, minorizer):
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps!r}")
     nu_w = _probability(nu, "nu")
-    v = drift.vector(mats.shape[1])
+    v = _drift_vector(drift, mats.shape[1])
     c_mask = _small_set(drift, v)
 
     failures = _check_a2(mats, drift, v, eps, nu_w)
@@ -312,7 +320,7 @@ def norm_const_lower_bound_check(model, drift, mu):
     arrays = _arrays(model)
     n = model.horizon
     mu_w = _probability(mu, "mu")
-    v = drift.vector(arrays.mu.size)
+    v = _drift_vector(drift, arrays.mu.size)
     # the per-step energy U = -n log(G / exp(log_g_max)); A1 (normalized weights <= 1) is U >= 0
     u = -n * (arrays.log_g - model.potentials.log_g_max)
     a1_ok = bool(u.min() >= -n * _INEQ_SLACK)

@@ -10,7 +10,8 @@ carried: the step-k log weights read it, each resampled particle takes its
 ancestor's, and the kernel returns it beside every new state.  For tempered
 targets it is the log target density, so a random walk Metropolis step
 evaluates the density only at its proposals, and the drift monitor reads
-eta(V) from the same values.  Carrying it changes no draw.
+eta(V) from the same values: the monitored V is a plain callable over a
+batch of statistics.  Carrying it changes no draw.
 
 The transition draws, for each new particle independently, an ancestor
 index proportional to the current weights and then mutates it through the
@@ -190,7 +191,7 @@ def _mean(a):
 
 def _summary(model, ens, drift, lw):
     """Diagnostics of ``ens``; ``lw`` are its step log weights (None at the terminal step)."""
-    eta_v = _mean(drift.values(ens.stats)) if drift is not None else math.nan
+    eta_v = _mean(drift(ens.stats))
     if lw is None:
         return StepSummary(k=ens.k, ess=math.nan, log_w_max=math.nan, log_w_min=math.nan,
                            eta_v=eta_v, eta_gtilde=math.nan)
@@ -205,10 +206,10 @@ def _summary(model, ens, drift, lw):
     )
 
 
-def run_sampler(model, n_particles, seed, replicate=0, drift=None, keep_summaries=True):
-    """Run the full flow; returns the terminal particle states and summaries."""
+def run_sampler(model, n_particles, seed, replicate=0, drift=None):
+    """Run the full flow; returns the terminal states, and summaries when given a drift V."""
     ens = init_ensemble(model, n_particles, seed, replicate)
-    summaries: Optional[List[StepSummary]] = [] if keep_summaries else None
+    summaries: Optional[List[StepSummary]] = None if drift is None else []
     for _ in range(model.horizon):
         nxt, lw = smc_step(ens, model)
         if summaries is not None:

@@ -123,8 +123,11 @@ def drift_probe(fam, gamma, q, drift, radii, n_proposals, seed=0):
     Each probe point uses ``n_proposals`` Rao-Blackwellized proposals (the
     acceptance probability is integrated analytically, no accept draws).
     The per-shell band is 4 standard errors of the worst point; the safe
-    radius is the smallest shell where estimate + band < 1.  ``drift``
-    reads the log target density, as ``tempering.drift_function`` builds it.
+    radius is the smallest shell where estimate + band < 1.  A shell with a
+    non-finite ratio, as where V overflows, has no estimate: its
+    ``lambda_hat`` and band are NaN, and it is never the safe radius.
+    ``drift`` is V as a plain callable over a batch of log target
+    densities, as ``tempering.drift_function`` returns it.
     """
     d = fam.target.dim
     radii = np.asarray(sorted(radii), dtype=float)
@@ -146,14 +149,15 @@ def drift_probe(fam, gamma, q, drift, radii, n_proposals, seed=0):
             prop = np.asarray(fam.target.log_unnorm(x + y), dtype=float)
             with np.errstate(invalid="ignore", over="ignore"):
                 a = np.exp(np.minimum(0.0, gamma * (prop - cur)))
-            a = np.where(np.isfinite(prop), a, 0.0)
-            vx = float(drift.values(np.array([cur]))[0])
-            vy = drift.values(prop)
-            vals = (a * vy + (1.0 - a) * vx) / vx
-            est = float(vals.mean())
-            se = float(vals.std(ddof=1) / math.sqrt(n_proposals))
+                a = np.where(np.isfinite(prop), a, 0.0)
+                vx = float(drift(np.array([cur]))[0])
+                vals = (a * drift(prop) + (1.0 - a) * vx) / vx
+                est = float(vals.mean())
+                se = float(vals.std(ddof=1) / math.sqrt(n_proposals))
             rows.append((float(r), j, est, se))
-            if est > worst:
+            if not math.isfinite(est):
+                worst = worst_se = math.nan
+            elif est > worst:
                 worst, worst_se = est, se
         lam_hat[i] = worst
         band[i] = 4.0 * worst_se

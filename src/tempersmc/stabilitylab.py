@@ -99,8 +99,7 @@ def _estimate_task(args):
     out = np.empty(len(rep_ids))
     for i, r in enumerate(rep_ids):
         try:
-            states, _ = run_sampler(model, n_particles, cell_seed, replicate=r,
-                                    keep_summaries=False)
+            states, _ = run_sampler(model, n_particles, cell_seed, replicate=r)
             out[i] = estimate(states, f)
         except TotalDegeneracyError:
             out[i] = np.nan

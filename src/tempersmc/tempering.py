@@ -6,7 +6,9 @@ declared constant.  A tempered family raises an unnormalized density to
 the scheduled power; the per-step potentials are the resulting density
 ratios, which flatten as the horizon grows because the total temperature
 change is fixed.  Potentials and drift functions read a particle through its
-log target density, the per-particle statistic the engine carries.
+log target density, the per-particle statistic the engine carries.  The
+drift function V is a plain callable over those log densities; it is the one
+formula for V, and a finite chain evaluates it at its log weights.
 """
 
 import math
@@ -15,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fk_core import DriftSpec, PotentialFamily
+from .fk_core import PotentialFamily
 
 __all__ = [
     "TemperingSchedule",
@@ -206,19 +208,15 @@ def build_potentials(fam, n):
     return PotentialFamily(log_g=log_g, log_g_max=log_g_max, statistic=target.log_unnorm)
 
 
-def drift_function(fam, beta):
-    """Drift function matched to the family: a negative power of the floor-tempered target.
+def drift_function(sup_log, gamma_floor, beta):
+    """Drift function of a tempered family: a negative power of the floor-tempered target.
 
-    V(x) = exp(-beta * gamma_floor * (log density(x) - sup log density)),
-    normalized to 1 at the density's supremum, hence V >= 1 everywhere.
-    V reads the statistic ``ell`` = log density(x), not the state.
+    V(ell) = exp(-beta * gamma_floor * (ell - sup_log)) for a log density
+    ``ell`` bounded above by ``sup_log``, normalized to 1 at the supremum,
+    hence V >= 1.  The returned callable is vectorized over a batch of log
+    densities, the statistic the particle engine carries.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    sup = fam.target.sup_log_unnorm
-    bg = beta * fam.schedule.gamma_floor
-
-    def v(ell):
-        return np.exp(-bg * (ell - sup))
-
-    return DriftSpec(v=v)
+    bg = beta * gamma_floor
+    return lambda ell: np.exp(-bg * (ell - sup_log))

@@ -549,6 +549,31 @@ def test_finite_run_scans_its_drift_once(monkeypatch, tmp_path):
     assert len(scans) == 1
 
 
+def test_run_and_audit_read_one_drift_function(tmp_path):
+    # on the shipped two-state chain the monitored V, indexed by state, is the
+    # certified vector itself; on a continuous model it is the closed form at ell
+    cfg = parse_config(json.dumps(_finite_run(tmp_path)))
+    certified = config.build_drift_inputs(cfg)[0].v
+    assert certified.shape == (2,)
+    assert np.array_equal(config.build_drift(cfg)(np.arange(2)), certified)
+
+    cfg = parse_config(_shipped("drift_monitor", tmp_path))
+    beta, floor = cfg.model["beta"], cfg.model["schedule"]["gamma_floor"]
+    ell = np.array([0.0, -0.5, -3.25, -40.0])  # log densities of the unit-amplitude Gaussian
+    assert np.array_equal(config.build_drift(cfg)(ell), np.exp(-beta * floor * ell))
+
+
+def test_finite_run_keeps_its_digest(tmp_path):
+    # no GOLDEN pair is a finite run, the one particle path that monitors V by
+    # state; recorded (like GOLDEN) before the monitored V and its certificate split
+    cfg = parse_config(json.dumps({**_finite_run(tmp_path), "workers": 1}))
+    assert len(stabilitylab._replicate_tasks(cfg, [(3, 20), (5, 20)])) == 2
+    assert dispatch(cfg) == EXIT_OK
+    assert _digests(tmp_path, cfg.experiment) == (
+        "ec8bb78a7afdb798058376e10d9d1c5a3b0e90fb5e23dbf999a059337137c1a0",
+        "5121bb57e233ecaf040fc2078a2481d1f99b9cbfb1b5f8dc898c5a16a4f53f76")
+
+
 def test_drift_check_on_a_mixture_target(tmp_path):
     # drift-check reads no init, so the mixture's missing tempered sampler does not matter
     raw = json.loads(_shipped("drift_check", tmp_path, workers=1))
@@ -557,6 +582,18 @@ def test_drift_check_on_a_mixture_target(tmp_path):
     assert dispatch(parse_config(json.dumps(raw))) == EXIT_OK
     summary = json.loads((tmp_path / "drift-check.json").read_text())["summary"]
     assert summary["safe_radius"] == 2.0
+
+
+def test_drift_check_never_names_an_unmeasured_shell_safe(tmp_path):
+    # on the shipped model V overflows past r = 63.7, so every ratio on these
+    # shells is nan: they have no estimate, and none is the safe radius
+    cfg = parse_config(_shipped("drift_check", tmp_path, workers=1, radii=[70, 100]))
+    assert dispatch(cfg) == EXIT_OK
+    header, *lines = (tmp_path / "drift-check.csv").read_text().splitlines()
+    assert [line.split(",")[2] for line in lines] == ["nan"] * 4
+    summary = json.loads((tmp_path / "drift-check.json").read_text())["summary"]
+    assert summary["lambda_hat"] == summary["band"] == ["nan", "nan"]
+    assert summary["safe_radius"] is None
 
 
 def test_one_step_and_one_particle_run(tmp_path):

@@ -150,6 +150,13 @@ def test_table_model_checks_its_arrays_once(change, message):
         table_model(arrays["mats"], arrays["table"], arrays["mu"], log_g_max=arrays["bound"])
 
 
+@pytest.mark.parametrize("mu", [[0.5, 0.25, 0.25], [[0.5, 0.5]], [1.0]],
+                         ids=["long", "2-d", "short"])
+def test_table_model_needs_one_initial_weight_per_state(mu):
+    with pytest.raises(ValueError, match=r"^initial weights have shape \(.*\), expected \(2,\)$"):
+        table_model(np.full((1, 2, 2), 0.5), np.zeros((1, 2)), mu)
+
+
 def test_finite_arrays_must_match_the_model_horizon():
     model = table_model(*_valid_arrays()[:3])
     with pytest.raises(ValueError, match="^finite arrays do not match the model horizon$"):

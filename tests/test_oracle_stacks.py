@@ -37,7 +37,7 @@ def reference(model, drift, eps, nu):
         h = q_tilde.astype(np.longdouble) @ h
         hs[j - 1] = h.astype(float)
 
-    v = drift.vector(m)
+    v = drift.v
     c_mask = v <= drift.level_d * (1.0 + SLACK)
     model_failures = []
     if np.any(v < 1.0 - SLACK):
@@ -126,7 +126,7 @@ def test_stacked_tilted_drift_matches_per_step_reference(inputs):
     td = tilted_drift_objects(model, drift, (eps, nu))
     rows, failures = reference(model, drift, eps, nu)
     n, m = model.horizon, model.finite.mu.size
-    n_small = int(np.sum(drift.vector(m) <= drift.level_d * (1.0 + SLACK)))
+    n_small = int(np.sum(drift.v <= drift.level_d * (1.0 + SLACK)))
     assert td.minor_ok.shape == (n, n_small) and td.nu_nk.shape == (n, m)
     assert td.eps_nk.shape == td.a2_ok.shape == (n,)
     for k, row in enumerate(rows, start=1):
@@ -138,7 +138,7 @@ def test_stacked_tilted_drift_matches_per_step_reference(inputs):
                 np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15,
                                            err_msg=f"{name} at k={k}")
     assert td.a2_failures == failures
-    if drift.vector(m).min() >= 1.0:
+    if drift.v.min() >= 1.0:
         flagged = [msg for msg in failures if msg.startswith("drift fails for kernel k=")]
         assert {f"drift fails for kernel k={k} " for k in bad} <= {
             msg[:msg.index("(")] for msg in flagged}

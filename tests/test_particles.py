@@ -355,9 +355,12 @@ def test_horizon_zero_returns_initial_ensemble():
     kf = KernelFamily(sample_batch=lambda k, xs, stats, rng: (xs, stats))
     model = FKModel(horizon=0, kernels=kf, potentials=pf,
                     initial=lambda size, rng: np.arange(size) % m)
-    states, summaries = run_sampler(model, 10, seed=3)
+    states, summaries = run_sampler(model, 10, seed=3, drift=lambda s: np.ones(len(s)))
     np.testing.assert_array_equal(states, np.arange(10) % m)
     assert len(summaries) == 1 and math.isnan(summaries[0].ess)
+    assert summaries[0].eta_v == 1.0
+    # summaries are taken exactly when a drift function is given
+    assert run_sampler(model, 10, seed=3)[1] is None
 
 
 def test_terminal_mean_matches_oracle_over_replicates():
@@ -366,7 +369,7 @@ def test_terminal_mean_matches_oracle_over_replicates():
     exact = float(oracle.eta_exact(model, 6) @ np.array([0.0, 1.0]))
     vals = []
     for r in range(200):
-        states, _ = run_sampler(model, 400, seed=17, replicate=r, keep_summaries=False)
+        states, _ = run_sampler(model, 400, seed=17, replicate=r)
         vals.append(estimate(states, f))
     vals = np.asarray(vals)
     se = vals.std(ddof=1) / math.sqrt(vals.size)
@@ -377,7 +380,7 @@ def test_gaussian_symmetry_of_terminal_mean():
     model, _ = gaussian_model(8, init_mean=0.0)
     vals = []
     for r in range(60):
-        states, _ = run_sampler(model, 500, seed=23, replicate=r, keep_summaries=False)
+        states, _ = run_sampler(model, 500, seed=23, replicate=r)
         vals.append(estimate(states, lambda x: np.asarray(x)[:, 0]))
     vals = np.asarray(vals)
     se = vals.std(ddof=1) / math.sqrt(vals.size)
@@ -386,8 +389,8 @@ def test_gaussian_symmetry_of_terminal_mean():
 
 def test_summaries_schema():
     model = two_state_fixture(4)
-    drift, _ = fixture_drift_inputs()
-    _, summaries = run_sampler(model, 300, seed=5, drift=drift)
+    v = fixture_drift_inputs()[0].v
+    _, summaries = run_sampler(model, 300, seed=5, drift=lambda states: v[states])
     assert [s.k for s in summaries] == [0, 1, 2, 3, 4]
     for s in summaries[:-1]:
         assert 0 < s.ess <= 300
@@ -420,7 +423,7 @@ def test_exchangeability_of_particle_indices():
     model = two_state_fixture(3)
     picks = {0: [], 3: []}
     for r in range(400):
-        states, _ = run_sampler(model, 8, seed=41, replicate=r, keep_summaries=False)
+        states, _ = run_sampler(model, 8, seed=41, replicate=r)
         picks[0].append(int(states[0]))
         picks[3].append(int(states[3]))
     table = np.stack([np.bincount(picks[0], minlength=2), np.bincount(picks[3], minlength=2)])
@@ -432,7 +435,7 @@ def test_exchangeability_of_particle_indices():
 
 def test_particle_drift_regression_and_boundedness():
     model, fam = gaussian_model(30, init_mean=3.0)
-    drift = drift_function(fam, 0.5)
+    drift = drift_function(fam.target.sup_log_unnorm, fam.schedule.gamma_floor, 0.5)
     pairs = []
     sup_by_n = {}
     for n in (10, 30):
@@ -457,7 +460,7 @@ def test_particle_drift_regression_and_boundedness():
 
 def test_normalizer_diagnostic_bounded_away_from_zero():
     model, fam = gaussian_model(20, init_mean=3.0)
-    drift = drift_function(fam, 0.5)
+    drift = drift_function(fam.target.sup_log_unnorm, fam.schedule.gamma_floor, 0.5)
     worst = math.inf
     for r in range(20):
         _, summaries = run_sampler(model, 500, seed=61, replicate=r, drift=drift)

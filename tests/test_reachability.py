@@ -14,6 +14,7 @@ output; the oracle's report fields that only its tests read are allowlisted.
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tempersmc"
@@ -38,32 +39,33 @@ ALLOWED_FIELDS = {
 }
 
 
-def _names(nodes):
+def _names(top):
+    """Every name, attribute and imported name that appears in one top-level node."""
     out = set()
-    for top in nodes:
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                out.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
-            elif isinstance(node, ast.alias):
-                out.add(node.name)
+    for node in ast.walk(top):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
     return out
 
 
 def unreached_names():
-    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
-             if p.name != "__init__.py"}
-    unreached = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            elsewhere = [top for m, t in trees.items() for top in t.body
-                         if not (m == module and top is node)]
-            if node.name not in _names(elsewhere):
-                unreached.append(node.name)
-    return unreached
+    """Public top-level functions and classes that no other top-level node names.
+
+    Each node's name set is computed once; a definition is reached when some
+    node other than itself names it, that is, when the number of nodes that
+    name it exceeds the one count its own node may contribute.
+    """
+    tops = [top for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"
+            for top in ast.parse(p.read_text()).body]
+    names = [_names(top) for top in tops]
+    naming = Counter(name for found in names for name in found)
+    return [top.name for top, found in zip(tops, names)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_")
+            and naming[top.name] == (top.name in found)]
 
 
 def test_public_names_are_reached_from_the_package():

@@ -7,7 +7,6 @@ import scipy.stats
 
 from tempersmc import streams
 from tempersmc.config import ConfigError, parse_config
-from tempersmc.fk_core import DriftSpec
 from tempersmc.rwm import (
     IncrementDistribution,
     drift_probe,
@@ -290,7 +289,7 @@ def test_kernel_family_targets_terminal_temperature():
 
 def test_drift_probe_flat_v():
     fam = std_family()
-    drift = DriftSpec(v=lambda x: np.ones(np.asarray(x).shape[0]))
+    drift = lambda ell: np.ones(np.asarray(ell).shape[0])
     rep = drift_probe(fam, 0.7, gaussian_increment(1, 1.0), drift, [2.0, 4.0],
                       n_proposals=2_000, seed=0)
     np.testing.assert_allclose(rep.lambda_hat, 1.0, atol=1e-12)
@@ -300,7 +299,7 @@ def test_drift_probe_flat_v():
 
 def test_drift_probe_gaussian_contracts():
     fam = std_family()
-    drift = drift_function(fam, 0.5)
+    drift = drift_function(fam.target.sup_log_unnorm, fam.schedule.gamma_floor, 0.5)
     rep = drift_probe(fam, 0.7, gaussian_increment(1, 1.0), drift, [2.0, 4.0, 6.0],
                       n_proposals=100_000, seed=3)
     assert np.all(np.diff(rep.lambda_hat) < 0)

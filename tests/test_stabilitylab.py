@@ -242,7 +242,7 @@ def test_lemma1_very_large_horizon():
 
 def test_lemma1_broken_inputs_flagged():
     drift, minor = fixture_drift_inputs()
-    broken = DriftSpec(v=drift.vector(2), lam=0.001, level_d=drift.level_d, b_d=1e-9)
+    broken = DriftSpec(v=drift.v, lam=0.001, level_d=drift.level_d, b_d=1e-9)
     table = lemma1_audit([two_state_fixture(4)], broken, minor)
     assert table.status == "failed" and not table.body["all_pass"]
     failures = table.body["a2_failures"]

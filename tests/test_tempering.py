@@ -74,23 +74,23 @@ def test_build_potentials_flattening():
 
 def test_drift_function_values():
     fam = TemperedFamily(gaussian_target([0.0], [1.0]), linear_schedule(0.5))
-    drift = drift_function(fam, 0.5)
-    at = lambda x: drift.values(fam.target.log_unnorm(x))
+    drift = drift_function(fam.target.sup_log_unnorm, fam.schedule.gamma_floor, 0.5)
+    at = lambda x: drift(fam.target.log_unnorm(x))
     assert at(np.array([[0.0]]))[0] == pytest.approx(1.0)
     assert at(np.array([[2.0]]))[0] == pytest.approx(np.exp(0.5))
     grid = np.linspace(-8.0, 8.0, 10_000)[:, None]
     assert np.all(at(grid) >= 1.0)
     with pytest.raises(ValueError):
-        drift_function(fam, 1.0)
+        drift_function(fam.target.sup_log_unnorm, fam.schedule.gamma_floor, 1.0)
 
 
 def test_negative_association_of_potentials_and_drift():
     # one-step weight differences and drift differences never share a sign
     fam = TemperedFamily(gaussian_target([0.0], [1.0]), linear_schedule(0.7))
     pf = build_potentials(fam, 7)
-    drift = drift_function(fam, 0.5)
+    drift = drift_function(fam.target.sup_log_unnorm, fam.schedule.gamma_floor, 0.5)
     ell = pf.statistic(np.linspace(-5.0, 5.0, 101)[:, None])
-    v = drift.values(ell)
+    v = drift(ell)
     for k in range(7):
         g = np.exp(pf.log_g(k, ell))
         prod = (g[:, None] - g[None, :]) * (v[:, None] - v[None, :])
@@ -99,9 +99,9 @@ def test_negative_association_of_potentials_and_drift():
 
 def test_energy_norm_uniformly_bounded():
     fam = TemperedFamily(gaussian_target([0.0], [1.0]), linear_schedule(0.7))
-    drift = drift_function(fam, 0.5)
+    drift = drift_function(fam.target.sup_log_unnorm, fam.schedule.gamma_floor, 0.5)
     ell = fam.target.log_unnorm(np.linspace(-6.0, 6.0, 2001)[:, None])
-    v = drift.values(ell)
+    v = drift(ell)
     worst = []
     for n in (10, 100, 1000):
         pf = build_potentials(fam, n)
