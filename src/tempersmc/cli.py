@@ -12,9 +12,9 @@ previous pair untouched.  All floats are
 serialized with 17 significant digits; the only run-dependent field is the
 timestamp, confined to the JSON summary.  Each experiment returns its own
 table (see ``stabilitylab.Table``); the exit code follows from its status:
-0 when "ok", 1 when "failed" (an audit) or on a config error (at parse time
-or from a builder), 2 when "inconclusive".  Any other exception is a bug and
-propagates.
+0 when "ok", 1 when "failed" (an audit, or a run below its floor) or on a
+config error (at parse time or from a builder), 2 when "inconclusive".  Any
+other exception is a bug and propagates.
 """
 
 import argparse

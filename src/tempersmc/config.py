@@ -322,7 +322,8 @@ def build_drift(cfg):
 
     On a finite model the statistic is the state: V is the drift function
     at the log weights, indexed by state, the vector that
-    ``build_drift_inputs`` certifies with a kernel scan, run once at parse time.
+    ``build_drift_inputs`` certifies.  A run only monitors V, so parsing a
+    run certifies nothing; only ``lemma1-audit`` builds the certificate.
     """
     kind, spec = _model(cfg.model)
     if kind == "gaussian":
@@ -365,10 +366,10 @@ def build_f(cfg):
             return x.reshape(len(x), -1)[:, axis]
 
         return coordinate
-    if kind == "finite-tempered":  # the indicator of one of the model's states
-        state = _int_at_least(spec["state"], "f.state", 0, params["log_weights"].size)
-    else:
-        state = _number(spec["state"], "f.state")
+    if kind != "finite-tempered":
+        raise ConfigError("f.name", "the indicator of a point is 0 almost surely on a "
+                          "continuous model")
+    state = _int_at_least(spec["state"], "f.state", 0, params["log_weights"].size)
     return lambda x: (np.asarray(x) == state).astype(float)
 
 
@@ -386,10 +387,8 @@ def reference_value(cfg):
     target, tparams = _read("model.target", spec["target"])
     if target != "gaussian":
         raise ConfigError("f", "no analytic reference for this target")
-    name, fparams = _read("f", cfg.f)
-    if name == "coordinate":
-        return float(np.ravel(tparams["mean"])[fparams["axis"]])
-    raise ConfigError("f.name", "no analytic reference for this test function")
+    _, fparams = _read("f", cfg.f)  # on a continuous model ``build_f`` admits the coordinate only
+    return float(np.ravel(tparams["mean"])[fparams["axis"]])
 
 
 def _stability_checks(alpha, p, s, floor, warnings):
@@ -493,7 +492,6 @@ def parse_config(text):
         reference_value(cfg)
     if kind == "run":
         build_drift(cfg)
-    # a finite run's tasks read V alone; its kernels are certified here, once
-    if kind == "lemma1-audit" or (kind == "run" and _model(model)[0] == "finite-tempered"):
+    if kind == "lemma1-audit":
         build_drift_inputs(cfg)
     return cfg

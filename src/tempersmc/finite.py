@@ -28,7 +28,6 @@ __all__ = [
 ]
 
 _ROW_TOL = 1e-12
-_SCAN_FLOATS = 2**18  # kernel entries per block of the drift scan, which bounds its memory
 
 
 def _inverse_cdf(u, columns):
@@ -148,10 +147,8 @@ def tempered_chain_model(log_weights, schedule, n, move_prob, init):
     above by max(0, L/n max log w) for the schedule's Lipschitz constant L.
     ``init`` is the initial probability vector.
     """
-    if n < 1:
-        raise ValueError(f"horizon must be >= 1, got {n}")
     logw = np.asarray(log_weights, dtype=float)
-    gammas = np.asarray(schedule(np.arange(n + 1) / n), dtype=float)
+    gammas = schedule.ladder(n)
     matrices = metropolis_matrix(logw, gammas[1:], move_prob)
     log_g_max = max(0.0, schedule.lipschitz_const / n * float(logw.max()))
     return table_model(matrices, np.diff(gammas)[:, None] * logw, init, log_g_max=log_g_max)
@@ -160,23 +157,22 @@ def tempered_chain_model(log_weights, schedule, n, move_prob, init):
 def drift_inputs_for_chain(log_weights, gamma_floor, move_prob, beta, lam):
     """Drift and minorization inputs holding for every kernel of a tempered chain.
 
-    V is ``tempering.drift_function`` at the log weights, the vector a
-    finite run monitors.  The small set is the whole space, so the drift
-    offset only needs to dominate the worst one-step growth of V over the
-    temperature range; both constants are computed on a dense temperature
-    grid, scanned in blocks of at most ``_SCAN_FLOATS`` kernel entries, with
-    a small safety margin and then verified exactly per model by the audit.
+    V is ``tempering.drift_function`` at the log weights.  The small set is
+    the whole space, so the offset b dominates the worst one-step growth of
+    V over gamma in [gamma_floor, 1], and eps rests on the smallest entry.
+    Both extremes lie at the ends: V falls as the log weight rises, and a
+    larger gamma only lowers the chance of a move to lower weight (larger
+    V); a move to equal or higher weight keeps move_prob/(m-1).  So every
+    row of P_gamma V and off-diagonal entry is non-increasing in gamma, and
+    every diagonal entry non-decreasing.  Both constants get a small safety
+    margin and are then verified exactly per model by the audit.
     """
     logw = np.asarray(log_weights, dtype=float)
     m = logw.size
     v = tempering.drift_function(logw.max(), gamma_floor, beta)(logw)
-    gammas = np.linspace(gamma_floor, 1.0, 2001)
-    block = max(1, _SCAN_FLOATS // (m * m))
-    b, min_entry = 0.0, np.inf
-    for start in range(0, gammas.size, block):  # max and min are exact over blocks
-        p = metropolis_matrix(logw, gammas[start:start + block], move_prob)
-        b = max(b, float(np.max(p @ v - lam * v)))
-        min_entry = min(min_entry, float(p.min()))
+    p_floor, p_one = metropolis_matrix(logw, [gamma_floor, 1.0], move_prob)
+    b = max(0.0, float(np.max(p_floor @ v - lam * v)))
+    min_entry = min(float(p_floor.min()), float(p_one.min()))
     if min_entry <= 0:
         raise ValueError("chain kernels have zero entries; cannot minorize on the whole space")
     drift = DriftSpec(v=v, lam=lam, level_d=float(v.max()), b_d=max(1.05 * b, 1e-6))

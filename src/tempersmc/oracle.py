@@ -244,8 +244,9 @@ def tilted_drift_objects(model, drift, minorizer):
     mass = (hs[:, None, :] @ nu_w)[:, 0]
     eps_nk = eps * mass[1:]
     nu_nk = nu_w * hs[1:] / mass[1:, None]
-    b_proof = drift.b_d / eps_nk
-    b_printed = drift.b_d / (eps * mass[:-1])
+    with np.errstate(over="ignore"):  # a tiny tilt coefficient leaves an infinite offset
+        b_proof = drift.b_d / eps_nk
+        b_printed = drift.b_d / (eps * mass[:-1])
 
     # V tilted at step j: V / M[j+1](h_{j+1}) for j < n, and V itself at j = n
     v_tilted = np.vstack([v / np.matmul(mats, hs[1:, :, None])[:, :, 0], v])

@@ -93,9 +93,7 @@ def rwm_step_batch(fam, gamma, q, xs, cur, rng):
 
 def rwm_kernel_family(fam, n, q):
     """Kernels for horizon n: step k targets the schedule's temperature at k/n."""
-    if n < 1:
-        raise ValueError(f"horizon must be >= 1, got {n}")
-    gammas = np.asarray(fam.schedule(np.arange(n + 1) / n), dtype=float)
+    gammas = fam.schedule.ladder(n)
     return KernelFamily(
         sample_batch=lambda k, xs, ell, rng: rwm_step_batch(fam, gammas[k], q, xs, ell, rng),
     )

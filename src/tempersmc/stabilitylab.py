@@ -70,7 +70,7 @@ class Table:
 
     The status is "ok", "inconclusive" (a fit found too few usable cells,
     or a run observed no finite eta(G~)) or "failed" (an audited inequality
-    does not hold).
+    does not hold, or a run's eta(G~) fell below its degeneracy floor).
     """
 
     header: tuple
@@ -275,8 +275,8 @@ def _trajectory_task(args):
 def run_trajectories(cfg, mapper):
     """Per-step diagnostics over replicates, one row per replicate and step.
 
-    Inconclusive when no replicate gives a finite eta(G~), so the
-    degeneracy floor was never tested.
+    Inconclusive when no replicate gives a finite eta(G~), so the degeneracy
+    floor was never tested; failed when the smallest eta(G~) is below it.
     """
     n_particles = cfg.grids["N"][0]
     cells = [(n, n_particles) for n in cfg.grids["n"]]
@@ -293,14 +293,15 @@ def run_trajectories(cfg, mapper):
         if math.isfinite(eta_g):
             min_gtilde = min(min_gtilde, eta_g)
     observed = math.isfinite(min_gtilde)
+    floor_ok = observed and min_gtilde >= cfg.degeneracy_floor
     return Table(
         header=("replicate", "n", "k", "ess", "log_w_max", "log_w_min", "eta_V",
                 "eta_Gtilde"),
         rows=rows,
-        status="ok" if observed else "inconclusive",
+        status="ok" if floor_ok else "failed" if observed else "inconclusive",
         body={"max_eta_v": {str(n): v for n, v in sorted(max_eta_v.items())},
               "min_eta_gtilde": min_gtilde, "degeneracy_floor": cfg.degeneracy_floor,
-              "floor_ok": observed and min_gtilde >= cfg.degeneracy_floor,
+              "floor_ok": floor_ok,
               "degenerate_replicates": degenerate},
     )
 

@@ -51,6 +51,12 @@ class TemperingSchedule:
     def __call__(self, u):
         return self.fn(u)
 
+    def ladder(self, n):
+        """The temperatures gamma(k/n), k = 0..n, of a horizon-n run."""
+        if n < 1:
+            raise ValueError(f"horizon must be >= 1, got {n}")
+        return np.asarray(self.fn(np.arange(n + 1) / n), dtype=float)
+
 
 def _audit_schedule(s):
     """Grid audit: endpoints, monotonicity, declared Lipschitz constant.
@@ -193,10 +199,7 @@ def build_potentials(fam, n):
     pi^0 = 1.  The family upper bound follows from the Lipschitz constant:
     no step can change the exponent by more than C/n.
     """
-    if n < 1:
-        raise ValueError(f"horizon must be >= 1, got {n}")
-    gammas = np.asarray(fam.schedule(np.arange(n + 1) / n), dtype=float)
-    deltas = np.diff(gammas)
+    deltas = np.diff(fam.schedule.ladder(n))
     target = fam.target
     log_g_max = max(0.0, fam.schedule.lipschitz_const / n * target.sup_log_unnorm)
 

@@ -498,19 +498,48 @@ def _zero_entry_audit(out):
     return raw
 
 
-@pytest.mark.parametrize("argv", [["validate"], ["run", "--workers", "1"],
-                                  ["run", "--workers", "2"], ["run"]],
-                         ids=["validate", "w1", "w2", "default"])
-@pytest.mark.parametrize("make", [_zero_entry_run, _zero_entry_audit], ids=["run", "audit"])
-def test_zero_entry_kernels_fail_at_parse(make, argv, tmp_path, capsys):
-    # the drift (a run's worker) and the audit cannot certify these kernels;
-    # parsing builds their inputs first, so validate and run agree
+ZERO_ENTRY_ARGV = pytest.mark.parametrize(
+    "argv", [["validate"], ["run", "--workers", "1"], ["run", "--workers", "2"], ["run"]],
+    ids=["validate", "w1", "w2", "default"])
+
+
+@ZERO_ENTRY_ARGV
+def test_zero_entry_audit_fails_at_parse(argv, tmp_path, capsys):
+    # the audit cannot certify these kernels; parsing builds its inputs first,
+    # so validate and run agree
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(make(tmp_path / "out")))
+    path.write_text(json.dumps(_zero_entry_audit(tmp_path / "out")))
     command, *flags = argv
     assert main([command, str(path), *flags]) == EXIT_PRECONDITION
     assert capsys.readouterr().err.startswith("error: model: chain kernels have zero entries")
     assert not (tmp_path / "out").exists()
+
+
+def test_audit_offsets_overflow_to_inf_quietly(tmp_path):
+    # weights e^700 apart leave tilt coefficients near 3e-305, so b_d / eps
+    # passes the float range: the offsets read inf, with no RuntimeWarning
+    raw = json.loads(_shipped("lemma1_audit", tmp_path, grids={"n": [2, 3]}))
+    raw["model"]["log_weights"] = [0.0, 700.0]
+    assert dispatch(parse_config(json.dumps(raw))) == EXIT_OK
+    header, *lines = (tmp_path / "lemma1-audit.csv").read_text().splitlines()
+    assert header.split(",")[3:5] == ["b_printed", "b_proof"]
+    assert len(lines) == 2 + 3
+    assert all(line.split(",")[3:5] == ["inf", "inf"] for line in lines)
+
+
+@ZERO_ENTRY_ARGV
+def test_zero_entry_run_is_not_certified(argv, tmp_path):
+    # a run monitors V and certifies nothing, so kernels with zero entries run
+    # as usual and pass their floor; only the audit rejects them
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_zero_entry_run(tmp_path / "out")))
+    command, *flags = argv
+    assert main([command, str(path), *flags]) == EXIT_OK
+    if command == "validate":
+        return
+    assert (tmp_path / "out" / "run.csv").is_file()
+    doc = json.loads((tmp_path / "out" / "run.json").read_text())
+    assert doc["status"] == "ok" and doc["summary"]["floor_ok"] is True
 
 
 def test_config_error_survives_pickling():
@@ -533,20 +562,20 @@ def test_config_error_in_a_worker_exits_1(monkeypatch, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_finite_run_scans_its_drift_once(monkeypatch, tmp_path):
-    # the kernel scan certifies the drift at parse time; each task reads V alone
-    scans = []
-    scan = config.finite.drift_inputs_for_chain
+def test_finite_run_builds_no_certificate(monkeypatch, tmp_path):
+    # a run monitors V alone: neither parsing nor its tasks certify the kernels
+    calls = []
+    certify = config.finite.drift_inputs_for_chain
 
     def counted(*args, **kwargs):
-        scans.append(args)
-        return scan(*args, **kwargs)
+        calls.append(args)
+        return certify(*args, **kwargs)
 
     monkeypatch.setattr(config.finite, "drift_inputs_for_chain", counted)
     cfg = parse_config(json.dumps({**_finite_run(tmp_path / "out"), "workers": 1}))
     assert len(stabilitylab._replicate_tasks(cfg, [(3, 20), (5, 20)])) == 2
     assert dispatch(cfg) == EXIT_OK
-    assert len(scans) == 1
+    assert calls == []
 
 
 def test_run_and_audit_read_one_drift_function(tmp_path):
@@ -670,6 +699,20 @@ def test_pool_capped_at_cpus_and_tasks(monkeypatch):
     assert sizes == [3, 2, 3]
 
 
+def test_run_below_its_degeneracy_floor_fails(tmp_path):
+    # started far out in the tail, the particles' eta(G~) falls far below the
+    # floor: the run fails its one check and still writes both files
+    cfg = parse_config(_shipped("drift_monitor", tmp_path, workers=1, replicates=2,
+                                grids={"n": [3], "N": [20]},
+                                init={"name": "gaussian", "mean": [60.0]}))
+    assert dispatch(cfg) == EXIT_PRECONDITION
+    assert (tmp_path / "run.csv").read_text().count("\n") == 1 + 2 * 4
+    doc = json.loads((tmp_path / "run.json").read_text())
+    assert doc["status"] == "failed" and doc["exit_code"] == EXIT_PRECONDITION
+    summary = doc["summary"]
+    assert summary["floor_ok"] is False and summary["min_eta_gtilde"] < 1e-70
+
+
 def test_run_with_every_replicate_degenerate_is_inconclusive(tmp_path):
     # the initial log density overflows to -inf, so no replicate gives an eta(G~)
     cfg = parse_config(_shipped("drift_monitor", tmp_path, workers=1,
@@ -684,21 +727,22 @@ def test_run_with_every_replicate_degenerate_is_inconclusive(tmp_path):
     assert summary["degenerate_replicates"] == 4
 
 
-@pytest.mark.parametrize("model", [
-    {"schedule": {"name": "linear", "gamma_floor": 1.0}},
-    {"target": {"name": "gaussian-mixture", "means": [[0.0], [3.0]], "sigmas": [[1.0], [0.5]],
-                "weights": [0.5, 0.5]}},
+@pytest.mark.parametrize("model, code", [
+    ({"schedule": {"name": "linear", "gamma_floor": 1.0}}, EXIT_OK),
+    ({"target": {"name": "gaussian-mixture", "means": [[0.0], [3.0]], "sigmas": [[1.0], [0.5]],
+                 "weights": [0.5, 0.5]}}, EXIT_PRECONDITION),
 ], ids=["zero-increment", "mixture"])
-def test_particles_at_zero_density_do_not_abort_the_replicate(model, tmp_path):
+def test_particles_at_zero_density_do_not_abort_the_replicate(model, code, tmp_path):
     # about a fifth of the initial particles overflow to log density -inf; a
     # flat schedule (gamma_floor 1: increment 0 at every step) must weigh them
-    # 1, and the mixture must give them -inf, not NaN
+    # 1, and the mixture must give them -inf, not NaN.  The mixture run's
+    # smallest eta(G~) is 0, below its degeneracy floor, so it fails that check
     raw = json.loads(_shipped("drift_monitor", tmp_path, workers=1, replicates=3,
                               grids={"n": [4], "N": [200]},
                               init={"name": "gaussian", "sigma": [1e154]}))
     raw["model"].update(model)
     with np.errstate(over="ignore"):
-        assert dispatch(parse_config(json.dumps(raw))) == EXIT_OK
+        assert dispatch(parse_config(json.dumps(raw))) == code
     summary = json.loads((tmp_path / "run.json").read_text())["summary"]
     assert summary["degenerate_replicates"] == 0
     rows = (tmp_path / "run.csv").read_text().splitlines()[1:]

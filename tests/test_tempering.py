@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from tempersmc.finite import tempered_chain_model
+from tempersmc.rwm import gaussian_increment, rwm_kernel_family
 from tempersmc.tempering import (
     TemperedFamily,
     TemperingSchedule,
@@ -48,6 +50,19 @@ def test_bad_schedules_rejected():
         TemperingSchedule(gamma_floor=0.5, fn=lambda u: 0.5 + 0.5 * u, lipschitz_const=0.1)
     with pytest.raises(ValueError):
         linear_schedule(0.0)
+
+
+def test_one_temperature_ladder_per_horizon():
+    # potentials, RWM kernels and the finite chain read one ladder, which
+    # also holds their one horizon check
+    schedule = smoothstep_schedule(0.5)
+    assert np.array_equal(schedule.ladder(4), schedule(np.arange(5) / 4))
+    fam = TemperedFamily(gaussian_target([0.0], [1.0]), schedule)
+    for build in (schedule.ladder, lambda n: build_potentials(fam, n),
+                  lambda n: rwm_kernel_family(fam, n, gaussian_increment(1, 1.0)),
+                  lambda n: tempered_chain_model([0.0, -1.0], schedule, n, 0.5, [0.5, 0.5])):
+        with pytest.raises(ValueError, match="^horizon must be >= 1, got 0$"):
+            build(0)
 
 
 def test_build_potentials_linear_schedule_constant_increments():
