@@ -2,8 +2,8 @@
 
 A particle population is its states array, the uniformly weighted
 empirical measure on those states; an ``Ensemble`` adds each state's
-statistic (see ``fk_core.PotentialFamily``), the step index k and the
-stream key, and the horizon is read from the model.
+statistic (see ``fk_core.PotentialFamily``) and the step index k, and the
+horizon is read from the model.
 
 The statistic is evaluated once per particle at initialization and then
 carried: the step-k log weights read it, each resampled particle takes its
@@ -34,7 +34,13 @@ every weight underflows to zero.
 Randomness for step k of replicate r comes from the stream keyed by
 (seed, r, k): ancestor uniforms are drawn first, then the mutation draws,
 with particle i consuming the i-th slot of each vector, so results do not
-depend on how replicates are scheduled across workers.
+depend on how replicates are scheduled across workers.  ``run_sampler`` is
+the one place that maps (seed, r, k) to a stream: it takes the keys of
+every step of the replicate from ``streams.step_keys`` in one pass and
+re-keys one Philox generator before each step, which then draws exactly
+what ``streams.stream(seed, r, k)`` draws.  ``init_ensemble`` and
+``smc_step`` take that step's generator; it is valid only during its step,
+since the next step re-keys it.
 """
 
 import math
@@ -69,8 +75,6 @@ class Ensemble:
     states: np.ndarray
     stats: np.ndarray
     k: int
-    seed: int
-    replicate: int = 0
 
     def __post_init__(self):
         if len(self.states) < 1:
@@ -95,17 +99,13 @@ class StepSummary:
     eta_gtilde: float
 
 
-def init_ensemble(model, n_particles, seed, replicate=0):
-    """Independent draws from the model's initial law and their statistics.
-
-    The stream key uses step 0.
-    """
-    rng = streams.stream(seed, replicate, 0)
+def init_ensemble(model, n_particles, rng):
+    """Independent draws from the model's initial law by ``rng``, and their statistics."""
     states = np.asarray(model.initial(n_particles, rng))
     if len(states) != n_particles:
         raise ValueError("initial sampler returned the wrong number of states")
     stats = np.asarray(model.potentials.statistic(states))
-    return Ensemble(states=states, stats=stats, k=0, seed=seed, replicate=replicate)
+    return Ensemble(states=states, stats=stats, k=0)
 
 
 # a bucket holding more cumulative weights than this is searched, not stepped
@@ -146,8 +146,8 @@ def draw_ancestors(cw, u):
     return np.minimum(ancestors, n - 1, out=ancestors)
 
 
-def smc_step(ens, model):
-    """One transition: multinomial ancestor draw by weight, then mutation.
+def smc_step(ens, model, rng):
+    """One transition: multinomial ancestor draw by weight, then mutation, by ``rng``.
 
     Returns the next ensemble and the step-k log weights of ``ens.states``.
     """
@@ -159,19 +159,12 @@ def smc_step(ens, model):
     if not np.isfinite(top):
         raise TotalDegeneracyError(f"all particle weights vanished at step {k}")
     cw = np.cumsum(np.exp(lw - top))
-    rng = streams.stream(ens.seed, ens.replicate, k + 1)
     ancestors = draw_ancestors(cw, rng.random(ens.n_particles))
     states = ens.states[ancestors]
     # on finite models the statistic is the state array itself: gather it once
     stats = states if ens.stats is ens.states else ens.stats[ancestors]
     states, stats = model.kernels.sample_batch(k + 1, states, stats, rng)
-    return Ensemble(
-        states=np.asarray(states),
-        stats=np.asarray(stats),
-        k=k + 1,
-        seed=ens.seed,
-        replicate=ens.replicate,
-    ), lw
+    return Ensemble(states=np.asarray(states), stats=np.asarray(stats), k=k + 1), lw
 
 
 def ess_from_log_weights(lw):
@@ -207,11 +200,21 @@ def _summary(model, ens, drift, lw):
 
 
 def run_sampler(model, n_particles, seed, replicate=0, drift=None):
-    """Run the full flow; returns the terminal states, and summaries when given a drift V."""
-    ens = init_ensemble(model, n_particles, seed, replicate)
+    """Run the full flow; returns the terminal states, and summaries when given a drift V.
+
+    Step k draws from the stream keyed by (seed, replicate, k).
+    """
+    keys = streams.step_keys(seed, replicate, model.horizon)
+    bitgen = np.random.Philox(key=keys[0])
+    rng = np.random.Generator(bitgen)
+    # a fresh Philox: counter zero and no buffered output
+    fresh = bitgen.state
+    ens = init_ensemble(model, n_particles, rng)
     summaries: Optional[List[StepSummary]] = None if drift is None else []
-    for _ in range(model.horizon):
-        nxt, lw = smc_step(ens, model)
+    for key in keys[1:]:
+        fresh["state"]["key"] = key
+        bitgen.state = fresh
+        nxt, lw = smc_step(ens, model, rng)
         if summaries is not None:
             summaries.append(_summary(model, ens, drift, lw))
         ens = nxt
@@ -221,9 +224,6 @@ def run_sampler(model, n_particles, seed, replicate=0, drift=None):
 
 
 def estimate(states, f):
-    """Plain average of f over the particle states; raises on non-finite values."""
+    """Plain average of f over the particle states; NaN unless every value is finite."""
     vals = np.asarray(f(states), dtype=float)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        raise ValueError(f"test function non-finite at particle {int(np.flatnonzero(bad)[0])}")
-    return float(vals.mean())
+    return float(vals.mean()) if np.isfinite(vals).all() else math.nan

@@ -20,7 +20,9 @@ grids.n or grids.N, whose cells would share a seed and pool the same
 replicates twice.  ``_gather_cells`` is the one reducer of replicate
 estimates: for each cell, in grid order, it returns the finite estimates
 and the count of degenerate replicates, those without a finite estimate (a
-replicate whose weights all vanish estimates NaN).  bias-decay and
+replicate whose weights all vanish estimates NaN, and so does one whose f
+is non-finite at a terminal particle, as when a flat step keeps particles
+whose initial draw overflowed).  bias-decay and
 n-scaling build their rows and summaries from these alone.
 
 Every experiment returns a ``Table``: its CSV header and rows, its status

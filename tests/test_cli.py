@@ -127,6 +127,23 @@ def test_bias_decay_counts_degenerate_replicates(init, used, tmp_path):
     assert summary["exact"] is None and summary["particle"]["status"] == "inconclusive"
 
 
+def test_bias_decay_counts_a_non_finite_average_as_degenerate(tmp_path):
+    # the initial draws overflow to +-inf; flat steps (gamma_floor 1) weigh them
+    # 1 and keep them, so every terminal average is non-finite
+    raw = json.loads(_shipped("bias_gaussian", tmp_path, workers=1, replicates=2,
+                              grids={"n": [2, 3], "N": [20]},
+                              init={"name": "gaussian", "mean": [1e308], "sigma": [1e308]}))
+    raw["model"]["schedule"]["gamma_floor"] = 1.0
+    with np.errstate(over="ignore"):
+        code = dispatch(parse_config(json.dumps(raw)))
+    doc = json.loads((tmp_path / "bias-decay.json").read_text())
+    assert doc["status"] == "inconclusive" and code == doc["exit_code"] == EXIT_INCONCLUSIVE
+    header, *lines = (tmp_path / "bias-decay.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert [(row["n"], row["replicates_used"], row["degenerate"]) for row in rows] == [
+        ("2", "0", "2"), ("3", "0", "2")]
+
+
 def test_csv_identical_for_any_worker_count(tmp_path):
     # a cell of 250,000 particle-steps per replicate splits its 6 replicates
     # into blocks of 4 and 2; with the one-task cell, three uneven tasks to spread
@@ -141,6 +158,15 @@ def test_csv_identical_for_any_worker_count(tmp_path):
         assert dispatch(replace(cfg, workers=workers, out_dir=str(out))) == EXIT_OK
         csv[workers] = (out / "n-scaling.csv").read_bytes()
     assert csv[1] == csv[2]
+    # the continuous path: two tasks per run, each re-keying its replicates' generator
+    for name in ("bias_gaussian", "drift_monitor"):
+        csv = {}
+        for workers in (1, 2):
+            out = tmp_path / f"{name}-w{workers}"
+            cfg = parse_config(_shipped(name, out, workers=workers, replicates=4))
+            assert dispatch(cfg) == EXIT_OK
+            csv[workers] = (out / f"{cfg.experiment}.csv").read_bytes()
+        assert csv[1] == csv[2]
 
 
 @pytest.mark.parametrize("name, overrides", [

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from tempersmc.finite import table_model
 from tempersmc.particles import (
     Ensemble,
     TotalDegeneracyError,
+    _summary,
     draw_ancestors,
     estimate,
     ess_from_log_weights,
@@ -45,6 +46,16 @@ def _started(model, sampler):
     return replace(model, initial=sampler)
 
 
+def _init(model, n_particles, seed, replicate=0):
+    """The initial ensemble of replicate ``replicate``, drawn from its step-0 stream."""
+    return init_ensemble(model, n_particles, streams.stream(seed, replicate, 0))
+
+
+def _step(ens, model, seed, replicate=0):
+    """``smc_step`` of ``ens`` by the stream of its replicate's next step."""
+    return smc_step(ens, model, streams.stream(seed, replicate, ens.k + 1))
+
+
 def gaussian_model(n, init_mean=0.0, floor=0.7):
     fam = TemperedFamily(gaussian_target([0.0], [1.0]), linear_schedule(floor))
     sampler = lambda size, rng: init_mean + rng.standard_normal((size, 1))
@@ -59,8 +70,7 @@ def gaussian_model(n, init_mean=0.0, floor=0.7):
 # ------------------------------------------------------------- initialization
 
 def test_init_dirac_all_equal():
-    ens = init_ensemble(_started(two_state_model(), lambda size, rng: np.full(size, 1)), 100,
-                        seed=1)
+    ens = _init(_started(two_state_model(), lambda size, rng: np.full(size, 1)), 100, seed=1)
     assert np.all(ens.states == 1) and np.all(ens.stats == 1)
     assert ens.k == 0
 
@@ -68,23 +78,23 @@ def test_init_dirac_all_equal():
 def test_init_bit_reproducible():
     model, fam = gaussian_model(3)
     model = _started(model, lambda size, rng: rng.standard_normal((size, 1)))
-    a = init_ensemble(model, 64, seed=42, replicate=3)
-    b = init_ensemble(model, 64, seed=42, replicate=3)
+    a = _init(model, 64, seed=42, replicate=3)
+    b = _init(model, 64, seed=42, replicate=3)
     np.testing.assert_array_equal(a.states, b.states)
     np.testing.assert_array_equal(a.stats, fam.target.log_unnorm(a.states))
-    c = init_ensemble(model, 64, seed=42, replicate=4)
+    c = _init(model, 64, seed=42, replicate=4)
     assert not np.array_equal(a.states, c.states)
 
 
 def test_ensemble_needs_one_statistic_per_particle():
     with pytest.raises(ValueError, match="one statistic per particle"):
-        Ensemble(states=np.arange(4), stats=np.arange(3), k=0, seed=1)
+        Ensemble(states=np.arange(4), stats=np.arange(3), k=0)
 
 
 def test_init_finite_frequencies():
     model = two_state_model()
     n_particles = 100_000
-    ens = init_ensemble(model, n_particles, seed=9)
+    ens = _init(model, n_particles, seed=9)
     counts = np.bincount(ens.states, minlength=2)
     for j, p in enumerate(model.finite.mu):
         sd = math.sqrt(n_particles * p * (1 - p))
@@ -101,9 +111,9 @@ def test_flat_weights_resample_uniformly():
     model = table_model(mats, np.full((n, m), np.log(2.7)), np.full(m, 1 / 3))
     pattern = np.array([0, 0, 1, 2, 2, 2], dtype=int)
     n_copies = 20_000
-    ens = init_ensemble(_started(model, lambda size, rng: np.tile(pattern, size // pattern.size)),
-                        pattern.size * n_copies, seed=5)
-    stepped, _ = smc_step(ens, model)
+    ens = _init(_started(model, lambda size, rng: np.tile(pattern, size // pattern.size)),
+                pattern.size * n_copies, seed=5)
+    stepped, _ = _step(ens, model, seed=5)
     freq = np.bincount(pattern, minlength=m) / pattern.size
     expected = freq @ mats[0]
     counts = np.bincount(stepped.states, minlength=m)
@@ -113,8 +123,8 @@ def test_flat_weights_resample_uniformly():
 
 def test_single_particle_always_mutates():
     model = two_state_model()
-    ens = init_ensemble(_started(model, lambda size, rng: np.ones(size, dtype=int)), 1, seed=2)
-    stepped, _ = smc_step(ens, model)
+    ens = _init(_started(model, lambda size, rng: np.ones(size, dtype=int)), 1, seed=2)
+    stepped, _ = _step(ens, model, seed=2)
     assert stepped.n_particles == 1
     assert stepped.k == 1
 
@@ -125,9 +135,9 @@ def test_one_step_law_matches_exact_mixture():
     model = two_state_model()
     pattern = np.array([0, 0, 0, 1, 1], dtype=int)
     n_copies = 20_000
-    ens = init_ensemble(_started(model, lambda size, rng: np.tile(pattern, size // pattern.size)),
-                        pattern.size * n_copies, seed=31)
-    stepped, _ = smc_step(ens, model)
+    ens = _init(_started(model, lambda size, rng: np.tile(pattern, size // pattern.size)),
+                pattern.size * n_copies, seed=31)
+    stepped, _ = _step(ens, model, seed=31)
     eta_pattern = np.bincount(pattern, minlength=2) / pattern.size
     expected = oracle.flow_map(model, eta_pattern, 0, 1)
     counts = np.bincount(stepped.states, minlength=2)
@@ -137,8 +147,8 @@ def test_one_step_law_matches_exact_mixture():
 
 def test_step_returns_the_log_weights_it_resampled_by():
     model = two_state_model()
-    ens = init_ensemble(model, 50, seed=4)
-    stepped, lw = smc_step(ens, model)
+    ens = _init(model, 50, seed=4)
+    stepped, lw = _step(ens, model, seed=4)
     np.testing.assert_array_equal(lw, model.potentials.log_g(0, ens.states))
     assert stepped.k == 1
 
@@ -150,12 +160,12 @@ def test_total_degeneracy_raises():
     kf = KernelFamily(sample_batch=lambda k, xs, stats, rng: (xs, stats))
     model = FKModel(horizon=n, kernels=kf, potentials=pf,
                     initial=lambda size, rng: np.zeros(size, dtype=int))
-    ens = init_ensemble(model, 16, seed=1)
+    ens = _init(model, 16, seed=1)
     with pytest.raises(TotalDegeneracyError):
-        smc_step(ens, model)
+        _step(ens, model, seed=1)
 
 
-def _plain_search_step(ens, model):
+def _plain_search_step(ens, model, rng):
     """Next states by the unsorted inverse-CDF search: one binary search per uniform.
 
     The statistics are evaluated afresh from ``ens.states``, not read from ``ens``.
@@ -164,7 +174,6 @@ def _plain_search_step(ens, model):
     stats = np.asarray(model.potentials.statistic(ens.states))
     lw = np.asarray(model.potentials.log_g(k, stats), dtype=float)
     cw = np.cumsum(np.exp(lw - lw.max()))
-    rng = streams.stream(ens.seed, ens.replicate, k + 1)
     u = rng.random(ens.n_particles)
     ancestors = np.minimum(np.searchsorted(cw, u * cw[-1], side="right"), ens.n_particles - 1)
     return model.kernels.sample_batch(k + 1, ens.states[ancestors], stats[ancestors], rng)[0]
@@ -229,15 +238,15 @@ def _identity_model(log_g_table):
     )
 
 
-def _pin_ancestor_uniforms(monkeypatch, u):
-    """Make every step stream draw ``u`` as its ancestor uniforms (identity kernels draw nothing)."""
+class _Pinned:
+    """A step generator that draws ``u`` as its ancestor uniforms (identity kernels draw nothing)."""
 
-    class Pinned:
-        def random(self, size):
-            assert size == len(u)
-            return np.array(u, dtype=float)
+    def __init__(self, u):
+        self.u = u
 
-    monkeypatch.setattr(streams, "stream", lambda seed, *path: Pinned())
+    def random(self, size):
+        assert size == len(self.u)
+        return np.array(self.u, dtype=float)
 
 
 _SEARCH_MODELS = {
@@ -251,10 +260,10 @@ _SEARCH_MODELS = {
 @pytest.mark.parametrize("n_particles", [1, 2, 7, 1000, 10_000])
 def test_step_draws_what_the_plain_search_draws(kind, n_particles):
     model = _SEARCH_MODELS[kind]()
-    ens = init_ensemble(model, n_particles, seed=71, replicate=2)
+    ens = _init(model, n_particles, seed=71, replicate=2)
     for _ in range(model.horizon):
-        expected = _plain_search_step(ens, model)
-        ens, _ = smc_step(ens, model)
+        expected = _plain_search_step(ens, model, streams.stream(71, 2, ens.k + 1))
+        ens, _ = _step(ens, model, seed=71, replicate=2)
         np.testing.assert_array_equal(ens.states, expected)
         # a finite model's statistic is the state array itself, gathered once
         assert (ens.stats is ens.states) == model.is_finite
@@ -284,34 +293,33 @@ def test_carried_log_density_is_the_target_density_at_every_step(target, increme
         initial=lambda size, rng: spread * rng.standard_normal((size, 2)),
     )
     with np.errstate(over="ignore"):
-        ens = init_ensemble(model, 500, seed=19)
+        ens = _init(model, 500, seed=19)
         assert np.isneginf(ens.stats).any() == (spread > 1e100)
         for _ in range(n + 1):
             np.testing.assert_array_equal(ens.stats.view(np.uint64),
                                           fam.target.log_unnorm(ens.states).view(np.uint64))
             if ens.k < n:
-                ens, _ = smc_step(ens, model)
+                ens, _ = _step(ens, model, seed=19)
 
 
-def test_uniform_on_a_cumulative_weight_draws_the_next_particle(monkeypatch):
+def test_uniform_on_a_cumulative_weight_draws_the_next_particle():
     # tied weights put the cumulative weights at 1..8, and u * 8 lands on them
     # exactly; a uniform equal to a cumulative weight goes to the next particle
     n_particles = 8
     u = np.array([0.125, 0.25, 0.5, 0.0, np.nextafter(1.0, 0.0), 0.375, 0.875, 0.625])
-    _pin_ancestor_uniforms(monkeypatch, u)
     model = _identity_model(np.zeros((1, n_particles)))
-    ens = Ensemble(states=np.arange(n_particles), stats=np.arange(n_particles), k=0, seed=5)
-    stepped, _ = smc_step(ens, model)
+    ens = Ensemble(states=np.arange(n_particles), stats=np.arange(n_particles), k=0)
+    stepped, _ = smc_step(ens, model, _Pinned(u))
     np.testing.assert_array_equal(stepped.states, [1, 2, 4, 0, 7, 3, 7, 5])
-    np.testing.assert_array_equal(stepped.states, _plain_search_step(ens, model))
+    np.testing.assert_array_equal(stepped.states, _plain_search_step(ens, model, _Pinned(u)))
 
 
 def test_step_past_terminal_rejected():
     model = two_state_model(n=1)
-    ens = init_ensemble(model, 8, seed=1)
-    stepped, _ = smc_step(ens, model)
+    ens = _init(model, 8, seed=1)
+    stepped, _ = _step(ens, model, seed=1)
     with pytest.raises(ValueError):
-        smc_step(stepped, model)
+        _step(stepped, model, seed=1)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -325,15 +333,15 @@ def test_underflowed_weights_are_never_drawn(seed):
     table[:, dead] = table.max() - 800.0
     assert np.all(np.exp(table[:, dead] - table.max(axis=1, keepdims=True)) == 0.0)
     model = _identity_model(table)
-    ens = init_ensemble(model, n_particles, seed=seed)
+    ens = _init(model, n_particles, seed=seed)
     for _ in range(n):
-        ens, _ = smc_step(ens, model)
+        ens, _ = _step(ens, model, seed=seed)
         assert not np.any(dead[ens.states])
     assert np.unique(ens.states).size > 1
 
 
 @pytest.mark.parametrize("survivor", [0, 3, 6])
-def test_single_surviving_particle_is_every_ancestor(survivor, monkeypatch):
+def test_single_surviving_particle_is_every_ancestor(survivor):
     # the extreme uniforms too: u = 0 skips the zero weights in front of the
     # survivor, the largest u < 1 stops before the zero weights behind it
     n_particles = 7
@@ -341,9 +349,8 @@ def test_single_surviving_particle_is_every_ancestor(survivor, monkeypatch):
     table[0, survivor] = 0.0
     u = np.linspace(0.0, 1.0, n_particles, endpoint=False)
     u[-1] = np.nextafter(1.0, 0.0)
-    _pin_ancestor_uniforms(monkeypatch, u)
     stepped, _ = smc_step(Ensemble(states=np.arange(n_particles), stats=np.arange(n_particles),
-                                   k=0, seed=3), _identity_model(table))
+                                   k=0), _identity_model(table), _Pinned(u))
     np.testing.assert_array_equal(stepped.states, np.full(n_particles, survivor))
 
 
@@ -361,6 +368,70 @@ def test_horizon_zero_returns_initial_ensemble():
     assert summaries[0].eta_v == 1.0
     # summaries are taken exactly when a drift function is given
     assert run_sampler(model, 10, seed=3)[1] is None
+
+
+def _reference_run(model, n_particles, seed, replicate, drift):
+    """``run_sampler`` with each step's generator built afresh by ``streams.stream(seed, r, k)``."""
+    ens = _init(model, n_particles, seed, replicate)
+    summaries = []
+    for _ in range(model.horizon):
+        nxt, lw = _step(ens, model, seed, replicate)
+        summaries.append(_summary(model, ens, drift, lw))
+        ens = nxt
+    summaries.append(_summary(model, ens, drift, None))
+    return ens.states, summaries
+
+
+def _odd_draw_model(n):
+    """Three states; each step's kernel draws 2N + 1 uint32s, so half a Philox word is left over."""
+
+    def sample_batch(k, xs, stats, rng):
+        u = rng.integers(0, 2**32, size=2 * len(xs) + 1, dtype=np.uint32)
+        new = (xs + u[: len(xs)] % 3 + u[-1] % 2) % 3
+        return new, new
+
+    return FKModel(
+        horizon=n,
+        kernels=KernelFamily(sample_batch=sample_batch),
+        potentials=PotentialFamily(log_g=lambda k, x: -0.5 * np.asarray(x, dtype=float),
+                                   log_g_max=0.0, statistic=lambda xs: xs),
+        initial=lambda size, rng: rng.integers(0, 3, size=size),
+    )
+
+
+def _gaussian_with_drift(n):
+    model, fam = gaussian_model(n, init_mean=2.0)
+    return model, drift_function(fam.target.sup_log_unnorm, fam.schedule.gamma_floor, 0.5)
+
+
+def _bits(summaries):
+    return np.array([astuple(s) for s in summaries], dtype=float).view(np.uint64).tolist()
+
+
+_REFERENCE_MODELS = {
+    "two-state": lambda n: (two_state_model(n), lambda s: np.array([1.0, 2.5])[s]),
+    "random-finite": lambda n: (random_finite_model(np.random.default_rng(7), m=5, n=n),
+                                lambda s: 1.0 + np.asarray(s, dtype=float)),
+    "gaussian-drift": _gaussian_with_drift,
+    "odd-draws": lambda n: (_odd_draw_model(n), lambda s: np.asarray(s, dtype=float)),
+}
+
+
+@pytest.mark.parametrize("n_particles", [1, 5, 64])
+@pytest.mark.parametrize("n", [1, 6])
+@pytest.mark.parametrize("kind", sorted(_REFERENCE_MODELS))
+def test_run_sampler_draws_each_step_from_its_stream(kind, n, n_particles):
+    # one Philox re-keyed per step draws what a fresh generator per step draws:
+    # N ancestor uniforms leave part of a Philox block buffered whenever N is
+    # not a multiple of 4, and the odd-draw kernel leaves half a word
+    model, drift = _REFERENCE_MODELS[kind](n)
+    for seed, replicate in [(3, 0), (2**64 - 1, 2**32 + 5)]:
+        states, summaries = run_sampler(model, n_particles, seed, replicate, drift=drift)
+        ref_states, ref_summaries = _reference_run(model, n_particles, seed, replicate, drift)
+        np.testing.assert_array_equal(states.view(np.uint8), ref_states.view(np.uint8))
+        assert _bits(summaries) == _bits(ref_summaries)
+        np.testing.assert_array_equal(run_sampler(model, n_particles, seed, replicate)[0],
+                                      states)
 
 
 def test_terminal_mean_matches_oracle_over_replicates():
@@ -415,8 +486,9 @@ def test_estimate_basics():
     states = np.full(10, 3, dtype=int)
     assert estimate(states, lambda s: np.ones(len(s))) == 1.0
     assert estimate(states, lambda s: np.asarray(s, dtype=float)) == 3.0
-    with pytest.raises(ValueError, match="particle 0"):
-        estimate(states, lambda s: np.full(len(s), np.nan))
+    # a non-finite value anywhere leaves the replicate without a finite estimate
+    assert math.isnan(estimate(states, lambda s: np.where(np.arange(len(s)) == 4, np.inf, 1.0)))
+    assert math.isnan(estimate(states, lambda s: np.full(len(s), np.nan)))
 
 
 def test_exchangeability_of_particle_indices():

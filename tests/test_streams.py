@@ -1,4 +1,6 @@
 import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tempersmc import streams
 
@@ -36,3 +38,31 @@ def test_derived_child_independent_of_parent_streams():
     child = streams.stream(streams.derive_seed(7, 0), 0, 0).random(8)
     parent = streams.stream(7, 0, 0).random(8)
     assert not np.array_equal(child, parent)
+
+
+def _numpy_key(seed, replicate, k):
+    return np.random.SeedSequence(seed, spawn_key=(replicate, k)).generate_state(2, np.uint64)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.integers(0, 2**64 - 1),
+       st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**96)),
+       st.integers(0, 40))
+@example(seed=0, replicate=0, n=0)
+@example(seed=2**64 - 1, replicate=2**32, n=1)
+# a seed of five words: longer than the four-word pool
+@example(seed=2**130 + 12345, replicate=7, n=3)
+def test_step_keys_are_numpy_seed_sequence_keys(seed, replicate, n):
+    table = streams.step_keys(seed, replicate, n)
+    assert table.shape == (n + 1, 2) and table.dtype == np.uint64
+    for k in range(n + 1):
+        np.testing.assert_array_equal(table[k], _numpy_key(seed, replicate, k))
+
+
+def test_step_keys_key_the_stream_of_each_step():
+    table = streams.step_keys(123, 4, 6)
+    bitgen = np.random.Philox(key=table[5])
+    np.testing.assert_array_equal(np.random.Generator(bitgen).random(16),
+                                  streams.stream(123, 4, 5).random(16))
+    with pytest.raises(ValueError, match="n < 2"):
+        streams.step_keys(1, 0, 2**32)
