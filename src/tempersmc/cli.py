@@ -10,7 +10,12 @@ to a temp file and renamed into place, then the JSON is renamed, so a
 failure in the experiment, the rendering or the CSV write leaves the
 previous pair untouched.  All floats are
 serialized with 17 significant digits; the only run-dependent field is the
-timestamp, confined to the JSON summary.  Each experiment returns its own
+timestamp, confined to the JSON summary.  The CSV writer formats a row with
+one ``%`` string per tuple of value types (``%d``, ``%.17g`` or ``%s`` per
+value), built once per tuple; ``"%.17g" % x`` is the same conversion as
+``format(x, ".17g")``, nan and infinities included, and ``"%d" % True`` is
+``"1"``, so every byte is the one ``_fmt`` writes value by value.  A row
+holding any other type is written by ``_fmt``.  Each experiment returns its own
 table (see ``stabilitylab.Table``); the exit code follows from its status:
 0 when "ok", 1 when "failed" (an audit, or a run below its floor) or on a
 config error (at parse time or from a builder), 2 when "inconclusive".  Any
@@ -91,9 +96,22 @@ def _rename(tmp, path):
         raise
 
 
+# the %-conversion of each value type that gives exactly its ``_fmt`` text;
+# ``_fmt`` renders a NumPy bool by ``str``, as True or False
+_CONVERSIONS = {bool: "%d", int: "%d", np.int64: "%d", float: "%.17g", np.float64: "%.17g",
+                str: "%s", np.bool_: "%s"}
+
+
 def write_csv(path, header, rows):
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
+    formats = {}  # per tuple of value types: its row format, or None to use _fmt
+    for row in rows:
+        types = tuple(map(type, row))
+        if types not in formats:
+            conversions = [_CONVERSIONS.get(t) for t in types]
+            formats[types] = None if None in conversions else ",".join(conversions)
+        fmt = formats[types]
+        lines.append(",".join(_fmt(x) for x in row) if fmt is None else fmt % tuple(row))
     _rename(_write_temp(path, "\n".join(lines) + "\n"), path)
 
 

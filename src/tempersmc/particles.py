@@ -41,6 +41,17 @@ re-keys one Philox generator before each step, which then draws exactly
 what ``streams.stream(seed, r, k)`` draws.  ``init_ensemble`` and
 ``smc_step`` take that step's generator; it is valid only during its step,
 since the next step re-keys it.
+
+Given a drift function V, ``run_sampler`` also summarizes each step: ESS,
+the log-weight range, eta(V) and eta(G~).  It holds the statistics and
+step log weights of the last ``max(1, BLOCK_VALUES // N)`` steps and
+summarizes them at once: one stack per array, V called on the concatenated
+statistics, and each reduction taken along the rows.  A row reduction runs
+the same inner loop over the same contiguous values as the reduction of
+that step's own array, V acts value by value, and the ESS squares its sum
+by the scalar ``** 2`` of one step at a time, so every summary has the bits
+it would have step by step.  The budget keeps each block's temporaries
+(64 KiB per array) below the size at which the allocator maps fresh pages.
 """
 
 import math
@@ -60,7 +71,6 @@ __all__ = [
     "smc_step",
     "run_sampler",
     "estimate",
-    "ess_from_log_weights",
 ]
 
 
@@ -100,11 +110,16 @@ class StepSummary:
 
 
 def init_ensemble(model, n_particles, rng):
-    """Independent draws from the model's initial law by ``rng``, and their statistics."""
-    states = np.asarray(model.initial(n_particles, rng))
-    if len(states) != n_particles:
-        raise ValueError("initial sampler returned the wrong number of states")
-    stats = np.asarray(model.potentials.statistic(states))
+    """Independent draws from the model's initial law by ``rng``, and their statistics.
+
+    A draw or statistic that overflows reads inf, without a warning: its
+    particle then has weight 0, or the replicate degenerates.
+    """
+    with np.errstate(over="ignore"):
+        states = np.asarray(model.initial(n_particles, rng))
+        if len(states) != n_particles:
+            raise ValueError("initial sampler returned the wrong number of states")
+        stats = np.asarray(model.potentials.statistic(states))
     return Ensemble(states=states, stats=stats, k=0)
 
 
@@ -167,36 +182,39 @@ def smc_step(ens, model, rng):
     return Ensemble(states=np.asarray(states), stats=np.asarray(stats), k=k + 1), lw
 
 
-def ess_from_log_weights(lw):
-    """(sum w)^2 / sum w^2 from unnormalized log weights."""
-    lw = np.asarray(lw, dtype=float)
-    top = lw.max()
-    if not np.isfinite(top):
-        return 0.0
-    w = np.exp(lw - top)
-    return float(w.sum() ** 2 / np.sum(w * w))
+# the monitor holds at most this many values of each array before it summarizes them
+BLOCK_VALUES = 2**13
 
 
-def _mean(a):
-    """``np.mean`` of a 1-d float array, to the same bits, without its overhead."""
-    return float(a.sum() / a.size)
+def _summaries(model, drift, k0, stats, lws):
+    """Diagnostics of the held steps k0, k0 + 1, ...: one per statistic array in ``stats``.
 
-
-def _summary(model, ens, drift, lw):
-    """Diagnostics of ``ens``; ``lw`` are its step log weights (None at the terminal step)."""
-    eta_v = _mean(drift(ens.stats))
-    if lw is None:
-        return StepSummary(k=ens.k, ess=math.nan, log_w_max=math.nan, log_w_min=math.nan,
-                           eta_v=eta_v, eta_gtilde=math.nan)
-    lw = lw - model.potentials.log_g_max
-    return StepSummary(
-        k=ens.k,
-        ess=ess_from_log_weights(lw),
-        log_w_max=float(lw.max()),
-        log_w_min=float(lw.min()),
-        eta_v=eta_v,
-        eta_gtilde=_mean(np.exp(lw)),
-    )
+    ``lws`` are the step log weights of the first ``len(lws)`` of them; one
+    more statistic array, without log weights, is the terminal step.
+    """
+    steps = len(stats)
+    # V overflows to inf far out; a row shifted past the float range has ESS 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta_v = (drift(np.concatenate(stats)).reshape(steps, -1).sum(axis=1)
+                 / len(stats[0])).tolist()
+        if lws:
+            lw = np.stack(lws) - model.potentials.log_g_max
+            top = lw.max(axis=1)
+            w = np.exp(lw - top[:, None])
+            sums = w.sum(axis=1).tolist()
+            squares = (w * w).sum(axis=1).tolist()
+            eta_g = (np.exp(lw).sum(axis=1) / lw.shape[1]).tolist()
+            top, bottom = top.tolist(), lw.min(axis=1).tolist()
+    out = []
+    for i in range(len(lws)):
+        # a Python float ** 2 is the C pow of the scalar formula, not the product w * w
+        ess = sums[i] ** 2 / squares[i] if math.isfinite(top[i]) else 0.0
+        out.append(StepSummary(k=k0 + i, ess=ess, log_w_max=top[i], log_w_min=bottom[i],
+                               eta_v=eta_v[i], eta_gtilde=eta_g[i]))
+    if steps > len(lws):
+        out.append(StepSummary(k=k0 + steps - 1, ess=math.nan, log_w_max=math.nan,
+                               log_w_min=math.nan, eta_v=eta_v[-1], eta_gtilde=math.nan))
+    return out
 
 
 def run_sampler(model, n_particles, seed, replicate=0, drift=None):
@@ -211,15 +229,22 @@ def run_sampler(model, n_particles, seed, replicate=0, drift=None):
     fresh = bitgen.state
     ens = init_ensemble(model, n_particles, rng)
     summaries: Optional[List[StepSummary]] = None if drift is None else []
+    block = max(1, BLOCK_VALUES // n_particles)
+    stats, lws = [], []
     for key in keys[1:]:
         fresh["state"]["key"] = key
         bitgen.state = fresh
         nxt, lw = smc_step(ens, model, rng)
         if summaries is not None:
-            summaries.append(_summary(model, ens, drift, lw))
+            stats.append(ens.stats)
+            lws.append(lw)
+            if len(lws) == block:
+                summaries.extend(_summaries(model, drift, nxt.k - block, stats, lws))
+                stats, lws = [], []
         ens = nxt
     if summaries is not None:
-        summaries.append(_summary(model, ens, drift, None))
+        stats.append(ens.stats)
+        summaries.extend(_summaries(model, drift, ens.k - len(lws), stats, lws))
     return ens.states, summaries
 
 

@@ -83,9 +83,10 @@ def rwm_step_batch(fam, gamma, q, xs, cur, rng):
     size = xs.shape[0]
     y = q.sample(size, rng)
     u = rng.random(size)
-    moved = xs + y
-    prop = np.asarray(fam.target.log_unnorm(moved), dtype=float)
-    with np.errstate(invalid="ignore"):
+    # a proposal far out overflows to log density -inf and is rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        moved = xs + y
+        prop = np.asarray(fam.target.log_unnorm(moved), dtype=float)
         log_ratio = gamma * (prop - cur)
     accept = np.isfinite(prop) & (np.log(u) < log_ratio)
     return np.where(accept[:, None], moved, xs), np.where(accept, prop, cur)

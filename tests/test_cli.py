@@ -110,8 +110,7 @@ def test_bias_decay_counts_degenerate_replicates(init, used, tmp_path):
     # with one particle, a replicate whose initial log density overflows to -inf degenerates
     cfg = parse_config(_shipped("bias_gaussian", tmp_path, workers=1, replicates=20,
                                 grids={"n": [3, 6], "N": [1]}, init=init))
-    with np.errstate(over="ignore"):
-        assert dispatch(cfg) == EXIT_INCONCLUSIVE
+    assert dispatch(cfg) == EXIT_INCONCLUSIVE
     header, *lines = (tmp_path / "bias-decay.csv").read_text().splitlines()
     rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
     assert [row["replicates_used"] for row in rows] == used
@@ -134,8 +133,7 @@ def test_bias_decay_counts_a_non_finite_average_as_degenerate(tmp_path):
                               grids={"n": [2, 3], "N": [20]},
                               init={"name": "gaussian", "mean": [1e308], "sigma": [1e308]}))
     raw["model"]["schedule"]["gamma_floor"] = 1.0
-    with np.errstate(over="ignore"):
-        code = dispatch(parse_config(json.dumps(raw)))
+    code = dispatch(parse_config(json.dumps(raw)))
     doc = json.loads((tmp_path / "bias-decay.json").read_text())
     assert doc["status"] == "inconclusive" and code == doc["exit_code"] == EXIT_INCONCLUSIVE
     header, *lines = (tmp_path / "bias-decay.csv").read_text().splitlines()
@@ -193,6 +191,25 @@ def test_outputs_identical_for_any_task_size(name, overrides, monkeypatch, tmp_p
     cells = len(cfg.grids["n"]) * len(cfg.grids["N"])
     assert task_counts[0] == cells * cfg.replicates and task_counts[-1] == cells
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("n, n_particles", [(1, 1), (10_000, 2)])
+def test_run_rows_at_the_monitor_block_edges(n, n_particles, monkeypatch, tmp_path):
+    # one particle, one step: a block of one row and the terminal row; two
+    # particles over 10^4 steps: two full blocks of 4096 steps and a partial
+    # one.  One task per replicate, so two workers both take one
+    monkeypatch.setattr(stabilitylab, "_TASK_STEPS", n * n_particles)
+    csv = {}
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        cfg = parse_config(_shipped("drift_monitor", out, workers=workers, replicates=2,
+                                    grids={"n": [n], "N": [n_particles]}))
+        code = dispatch(cfg)
+        doc = json.loads((out / "run.json").read_text())
+        assert doc["exit_code"] == code and doc["summary"]["degenerate_replicates"] == 0
+        csv[workers] = (out / "run.csv").read_bytes()
+        assert csv[workers].count(b"\n") == 1 + cfg.replicates * sum(k + 1 for k in cfg.grids["n"])
+    assert csv[1] == csv[2]
 
 
 def _package_env():
@@ -743,8 +760,7 @@ def test_run_with_every_replicate_degenerate_is_inconclusive(tmp_path):
     # the initial log density overflows to -inf, so no replicate gives an eta(G~)
     cfg = parse_config(_shipped("drift_monitor", tmp_path, workers=1,
                                 init={"name": "gaussian", "mean": [1e200]}))
-    with np.errstate(over="ignore"):
-        assert dispatch(cfg) == EXIT_INCONCLUSIVE
+    assert dispatch(cfg) == EXIT_INCONCLUSIVE
     assert (tmp_path / "run.csv").read_text().count("\n") == 1
     doc = json.loads((tmp_path / "run.json").read_text())
     assert doc["status"] == "inconclusive" and doc["exit_code"] == EXIT_INCONCLUSIVE
@@ -767,8 +783,7 @@ def test_particles_at_zero_density_do_not_abort_the_replicate(model, code, tmp_p
                               grids={"n": [4], "N": [200]},
                               init={"name": "gaussian", "sigma": [1e154]}))
     raw["model"].update(model)
-    with np.errstate(over="ignore"):
-        assert dispatch(parse_config(json.dumps(raw))) == code
+    assert dispatch(parse_config(json.dumps(raw))) == code
     summary = json.loads((tmp_path / "run.json").read_text())["summary"]
     assert summary["degenerate_replicates"] == 0
     rows = (tmp_path / "run.csv").read_text().splitlines()[1:]
@@ -833,6 +848,28 @@ def test_dispatch_maps_only_config_errors(monkeypatch, tmp_path):
     with pytest.raises(ValueError, match="a bug"):
         dispatch(cfg)
     assert not (tmp_path / "out").exists()
+
+
+CSV_VALUES = (
+    st.booleans() | st.booleans().map(np.bool_)
+    | st.integers() | st.integers(2**63, 2**80) | st.integers(-2**80, -2**63 - 1)
+    | st.integers(-2**63, 2**63 - 1).map(np.int64)
+    | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])
+    | st.floats().map(np.float64) | st.floats(width=32).map(np.float32)
+    | st.text(alphabet="%sdg.,1 x\u00e9", max_size=6) | st.none()
+)
+# list rows and tuple rows; few values per row, so rows often share their types
+CSV_ROWS = st.builds(lambda row, as_tuple: tuple(row) if as_tuple else row,
+                     st.lists(CSV_VALUES, max_size=4), st.booleans())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(rows=st.lists(CSV_ROWS, max_size=8))
+def test_write_csv_writes_each_value_as_fmt(rows, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "fmt.csv"
+    cli.write_csv(str(path), ("a", "b"), rows)
+    lines = path.read_text().split("\n")
+    assert lines == ["a,b", *(",".join(cli._fmt(x) for x in row) for row in rows), ""]
 
 
 JSON_VALUES = st.recursive(

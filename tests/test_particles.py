@@ -12,12 +12,12 @@ from tempersmc import oracle, streams
 from tempersmc.fk_core import FKModel, KernelFamily, PotentialFamily
 from tempersmc.finite import table_model
 from tempersmc.particles import (
+    BLOCK_VALUES,
     Ensemble,
+    StepSummary,
     TotalDegeneracyError,
-    _summary,
     draw_ancestors,
     estimate,
-    ess_from_log_weights,
     init_ensemble,
     run_sampler,
     smc_step,
@@ -370,15 +370,43 @@ def test_horizon_zero_returns_initial_ensemble():
     assert run_sampler(model, 10, seed=3)[1] is None
 
 
+def _ess(lw):
+    """(sum w)^2 / sum w^2 from unnormalized log weights."""
+    lw = np.asarray(lw, dtype=float)
+    top = lw.max()
+    if not np.isfinite(top):
+        return 0.0
+    w = np.exp(lw - top)
+    return float(w.sum() ** 2 / np.sum(w * w))
+
+
+def _reference_summary(model, ens, drift, lw):
+    """Diagnostics of ``ens`` one step at a time; ``lw`` is None at the terminal step."""
+    v = drift(ens.stats)
+    eta_v = float(v.sum() / v.size)
+    if lw is None:
+        return StepSummary(k=ens.k, ess=math.nan, log_w_max=math.nan, log_w_min=math.nan,
+                           eta_v=eta_v, eta_gtilde=math.nan)
+    lw = lw - model.potentials.log_g_max
+    g = np.exp(lw)
+    return StepSummary(k=ens.k, ess=_ess(lw), log_w_max=float(lw.max()),
+                       log_w_min=float(lw.min()), eta_v=eta_v,
+                       eta_gtilde=float(g.sum() / g.size))
+
+
 def _reference_run(model, n_particles, seed, replicate, drift):
-    """``run_sampler`` with each step's generator built afresh by ``streams.stream(seed, r, k)``."""
+    """``run_sampler`` one step at a time.
+
+    Each step's generator is built afresh by ``streams.stream(seed, r, k)``,
+    and each step is summarized on its own by ``_reference_summary``.
+    """
     ens = _init(model, n_particles, seed, replicate)
     summaries = []
     for _ in range(model.horizon):
         nxt, lw = _step(ens, model, seed, replicate)
-        summaries.append(_summary(model, ens, drift, lw))
+        summaries.append(_reference_summary(model, ens, drift, lw))
         ens = nxt
-    summaries.append(_summary(model, ens, drift, None))
+    summaries.append(_reference_summary(model, ens, drift, None))
     return ens.states, summaries
 
 
@@ -434,6 +462,51 @@ def test_run_sampler_draws_each_step_from_its_stream(kind, n, n_particles):
                                       states)
 
 
+def _mixture_with_drift(n):
+    """RWM on a two-bump mixture whose amplitudes sum past 1, so log_g_max > 0."""
+    fam = TemperedFamily(gaussian_mixture_target([[-1.0], [2.0]], [[0.7], [1.2]], [0.8, 0.7]),
+                         linear_schedule(0.7))
+    model = FKModel(
+        horizon=n,
+        kernels=rwm_kernel_family(fam, n, gaussian_increment(1, 1.0)),
+        potentials=build_potentials(fam, n),
+        initial=lambda size, rng: 2.0 * rng.standard_normal((size, 1)),
+    )
+    return model, drift_function(fam.target.sup_log_unnorm, fam.schedule.gamma_floor, 0.5)
+
+
+@pytest.mark.parametrize("n_particles", [37, BLOCK_VALUES + 808])
+def test_block_monitor_is_the_per_step_monitor(n_particles):
+    # horizons on both sides of one block of steps, and of none; above
+    # BLOCK_VALUES particles a block is one step
+    block = max(1, BLOCK_VALUES // n_particles)
+    for n in sorted({0, 1, block - 1, block, block + 1}):
+        model, drift = _mixture_with_drift(max(n, 1))
+        model = replace(model, horizon=n)
+        assert model.potentials.log_g_max > 0.0
+        _, summaries = run_sampler(model, n_particles, 29, 1, drift=drift)
+        _, ref_summaries = _reference_run(model, n_particles, 29, 1, drift)
+        assert [s.k for s in summaries] == list(range(n + 1))
+        assert _bits(summaries) == _bits(ref_summaries)
+
+
+def test_block_monitor_at_one_particle():
+    # one particle makes a block of BLOCK_VALUES steps.  Every step of this
+    # model has the same kernel and potential, so a run to horizon n is the
+    # first n steps of the longest run, then its terminal row
+    longest = BLOCK_VALUES + 1
+    drift = lambda s: np.array([1.0, 2.5])[s]
+    model = table_model([M2] * longest, np.tile(np.log([2.0, 0.7]), (longest, 1)),
+                        np.array([0.6, 0.4]))
+    assert model.potentials.log_g_max > 0.0
+    _, ref_summaries = _reference_run(model, 1, 29, 1, drift)
+    for n in [0, 1, BLOCK_VALUES - 1, BLOCK_VALUES, longest]:
+        _, summaries = run_sampler(replace(model, horizon=n, finite=None), 1, 29, 1, drift=drift)
+        terminal = replace(ref_summaries[n], ess=math.nan, log_w_max=math.nan,
+                           log_w_min=math.nan, eta_gtilde=math.nan)
+        assert _bits(summaries) == _bits(ref_summaries[:n] + [terminal])
+
+
 def test_terminal_mean_matches_oracle_over_replicates():
     model = two_state_fixture(6)
     f = lambda s: (np.asarray(s) == 1).astype(float)
@@ -474,10 +547,19 @@ def test_summaries_schema():
 
 
 def test_ess_formula():
-    assert ess_from_log_weights(np.zeros(50)) == pytest.approx(50.0)
+    assert _ess(np.zeros(50)) == pytest.approx(50.0)
     lw = np.log(np.array([1.0, 1.0, 2.0]))
-    assert ess_from_log_weights(lw) == pytest.approx(16.0 / 6.0)
-    assert ess_from_log_weights(np.full(4, -np.inf)) == 0.0
+    assert _ess(lw) == pytest.approx(16.0 / 6.0)
+    assert _ess(np.full(4, -np.inf)) == 0.0
+    # the engine's monitor: tied weights, then weights 1 : 1 : 2 whatever the states
+    table = np.stack([np.zeros(3), lw])
+    model = FKModel(horizon=2, kernels=KernelFamily(sample_batch=lambda k, xs, s, rng: (xs, s)),
+                    potentials=PotentialFamily(log_g=lambda k, x: table[k], log_g_max=0.0,
+                                               statistic=lambda xs: xs),
+                    initial=lambda size, rng: np.arange(size))
+    _, summaries = run_sampler(model, 3, seed=1, drift=lambda s: np.ones(len(s)))
+    assert [s.ess for s in summaries[:2]] == pytest.approx([3.0, 16.0 / 6.0])
+    assert summaries[1].log_w_max == pytest.approx(math.log(2.0))
 
 
 # ------------------------------------------------------------- estimators
