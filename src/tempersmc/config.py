@@ -306,13 +306,14 @@ def build_model(cfg, n):
         init = _finite_init_vector(cfg, logw, schedule.gamma_floor)
         with _at("model"):
             return finite.tempered_chain_model(
-                logw, schedule, n, move_prob=spec["move_prob"], init=init
+                logw, schedule.ladder(n), move_prob=spec["move_prob"], init=init
             )
     fam = build_family(cfg.model)
     q = build_increment(cfg.model, fam.target.dim)
     with _at("model"):
-        kernels = rwm.rwm_kernel_family(fam, n, q)
-        potentials = tempering.build_potentials(fam, n)
+        gammas = fam.schedule.ladder(n)
+        kernels = rwm.rwm_kernel_family(fam, gammas, q)
+        potentials = tempering.build_potentials(fam, gammas)
     return FKModel(horizon=n, kernels=kernels, potentials=potentials,
                    initial=_continuous_init(cfg, fam))
 

@@ -140,17 +140,16 @@ def tempered_stationary(log_weights, gamma):
     return w / w.sum()
 
 
-def tempered_chain_model(log_weights, schedule, n, move_prob, init):
-    """Finite tempered chain: per-step weight increments + invariant Metropolis kernels.
+def tempered_chain_model(log_weights, gammas, move_prob, init):
+    """Finite tempered chain along a ladder: weight increments + invariant Metropolis kernels.
 
-    The step-k log weight is (gamma((k+1)/n) - gamma(k/n)) log w, bounded
-    above by max(0, L/n max log w) for the schedule's Lipschitz constant L.
-    ``init`` is the initial probability vector.
+    The step-k log weight is (gamma_{k+1} - gamma_k) log w, bounded above
+    by ``tempering.step_log_weight_bound`` at max log w.  ``init`` is the
+    initial probability vector.
     """
     logw = np.asarray(log_weights, dtype=float)
-    gammas = schedule.ladder(n)
     matrices = metropolis_matrix(logw, gammas[1:], move_prob)
-    log_g_max = max(0.0, schedule.lipschitz_const / n * float(logw.max()))
+    log_g_max = tempering.step_log_weight_bound(gammas, float(logw.max()))
     return table_model(matrices, np.diff(gammas)[:, None] * logw, init, log_g_max=log_g_max)
 
 

@@ -1,13 +1,13 @@
 """Random walk Metropolis kernels targeting the tempered family.
 
-The proposal increment must be symmetric about the origin: that is exactly
-what makes the correction-free acceptance ratio leave the tempered law
-invariant, so asymmetric increments are rejected at construction.
+A proposal increment is a sampler ``q(size, rng)`` of (size, dim) draws.
+It must be symmetric about the origin: that is exactly what makes the
+correction-free acceptance ratio leave the tempered law invariant.  The
+one shipped increment, the centred Gaussian, is symmetric by construction.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -15,7 +15,6 @@ from .fk_core import KernelFamily
 from . import streams
 
 __all__ = [
-    "IncrementDistribution",
     "gaussian_increment",
     "rwm_step_batch",
     "rwm_kernel_family",
@@ -27,48 +26,11 @@ __all__ = [
 _POINTS_PER_SHELL = 8
 
 
-@dataclass(frozen=True)
-class IncrementDistribution:
-    """Proposal increment law: sampler and log density.
-
-    ``sample(size, rng)`` returns (size, dim) increments; ``log_density``
-    is vectorized over the leading axis.
-    """
-
-    dim: int
-    sample: Callable
-    log_density: Callable
-
-    def __post_init__(self):
-        _audit_symmetry(self)
-
-
-def _audit_symmetry(q, n_points=256, tol=1e-9):
-    rng = streams.stream(0xA5, 1)
-    y = rng.standard_normal((n_points, q.dim)) * 3.0
-    fwd = np.asarray(q.log_density(y), dtype=float)
-    bwd = np.asarray(q.log_density(-y), dtype=float)
-    both = np.isfinite(fwd) & np.isfinite(bwd)
-    if np.any(np.isfinite(fwd) != np.isfinite(bwd)) or (
-        both.any() and np.max(np.abs(fwd[both] - bwd[both])) > tol
-    ):
-        raise ValueError("increment distribution is not symmetric about the origin")
-
-
 def gaussian_increment(dim, scale):
+    """Sampler ``q(size, rng)`` of (size, dim) centred Gaussian increments."""
     if not 0 < scale < math.inf:
         raise ValueError("scale must be finite and positive")
-    const = -0.5 * dim * math.log(2.0 * math.pi * scale**2)
-
-    def log_density(y):
-        y = np.asarray(y, dtype=float)
-        return const - 0.5 * np.sum(y * y, axis=-1) / scale**2
-
-    return IncrementDistribution(
-        dim=dim,
-        sample=lambda size, rng: rng.standard_normal((size, dim)) * scale,
-        log_density=log_density,
-    )
+    return lambda size, rng: rng.standard_normal((size, dim)) * scale
 
 
 def rwm_step_batch(fam, gamma, q, xs, cur, rng):
@@ -81,7 +43,7 @@ def rwm_step_batch(fam, gamma, q, xs, cur, rng):
     """
     xs = np.asarray(xs, dtype=float)
     size = xs.shape[0]
-    y = q.sample(size, rng)
+    y = q(size, rng)
     u = rng.random(size)
     # a proposal far out overflows to log density -inf and is rejected
     with np.errstate(over="ignore", invalid="ignore"):
@@ -92,9 +54,8 @@ def rwm_step_batch(fam, gamma, q, xs, cur, rng):
     return np.where(accept[:, None], moved, xs), np.where(accept, prop, cur)
 
 
-def rwm_kernel_family(fam, n, q):
-    """Kernels for horizon n: step k targets the schedule's temperature at k/n."""
-    gammas = fam.schedule.ladder(n)
+def rwm_kernel_family(fam, gammas, q):
+    """Kernels along a ladder: step k targets the tempered law at ``gammas[k]``."""
     return KernelFamily(
         sample_batch=lambda k, xs, ell, rng: rwm_step_batch(fam, gammas[k], q, xs, ell, rng),
     )
@@ -143,7 +104,7 @@ def drift_probe(fam, gamma, q, drift, radii, n_proposals, seed=0):
         for j, direction in enumerate(dirs):
             x = r * direction
             rng = streams.stream(seed, 1, i, j)
-            y = q.sample(n_proposals, rng)
+            y = q(n_proposals, rng)
             cur = float(fam.target.log_unnorm(x))
             prop = np.asarray(fam.target.log_unnorm(x + y), dtype=float)
             with np.errstate(invalid="ignore", over="ignore"):

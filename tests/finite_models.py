@@ -24,8 +24,7 @@ def two_state_fixture(n):
     """The fixture chain at horizon n, started from its floor-tempered law."""
     return tempered_chain_model(
         FIXTURE_LOG_WEIGHTS,
-        linear_schedule(FIXTURE_GAMMA_FLOOR),
-        n,
+        linear_schedule(FIXTURE_GAMMA_FLOOR).ladder(n),
         move_prob=FIXTURE_MOVE_PROB,
         init=tempered_stationary(FIXTURE_LOG_WEIGHTS, FIXTURE_GAMMA_FLOOR),
     )

@@ -59,10 +59,11 @@ def _step(ens, model, seed, replicate=0):
 def gaussian_model(n, init_mean=0.0, floor=0.7):
     fam = TemperedFamily(gaussian_target([0.0], [1.0]), linear_schedule(floor))
     sampler = lambda size, rng: init_mean + rng.standard_normal((size, 1))
+    gammas = fam.schedule.ladder(n)
     return FKModel(
         horizon=n,
-        kernels=rwm_kernel_family(fam, n, gaussian_increment(1, 1.0)),
-        potentials=build_potentials(fam, n),
+        kernels=rwm_kernel_family(fam, gammas, gaussian_increment(1, 1.0)),
+        potentials=build_potentials(fam, gammas),
         initial=sampler,
     ), fam
 
@@ -286,10 +287,11 @@ def test_carried_log_density_is_the_target_density_at_every_step(target, increme
     # have log density -inf
     n = 6
     fam = TemperedFamily(_CARRY_TARGETS[target](), linear_schedule(0.7))
+    gammas = fam.schedule.ladder(n)
     model = FKModel(
         horizon=n,
-        kernels=rwm_kernel_family(fam, n, _CARRY_INCREMENTS[increment]()),
-        potentials=build_potentials(fam, n),
+        kernels=rwm_kernel_family(fam, gammas, _CARRY_INCREMENTS[increment]()),
+        potentials=build_potentials(fam, gammas),
         initial=lambda size, rng: spread * rng.standard_normal((size, 2)),
     )
     with np.errstate(over="ignore"):
@@ -466,10 +468,11 @@ def _mixture_with_drift(n):
     """RWM on a two-bump mixture whose amplitudes sum past 1, so log_g_max > 0."""
     fam = TemperedFamily(gaussian_mixture_target([[-1.0], [2.0]], [[0.7], [1.2]], [0.8, 0.7]),
                          linear_schedule(0.7))
+    gammas = fam.schedule.ladder(n)
     model = FKModel(
         horizon=n,
-        kernels=rwm_kernel_family(fam, n, gaussian_increment(1, 1.0)),
-        potentials=build_potentials(fam, n),
+        kernels=rwm_kernel_family(fam, gammas, gaussian_increment(1, 1.0)),
+        potentials=build_potentials(fam, gammas),
         initial=lambda size, rng: 2.0 * rng.standard_normal((size, 1)),
     )
     return model, drift_function(fam.target.sup_log_unnorm, fam.schedule.gamma_floor, 0.5)

@@ -8,7 +8,6 @@ import scipy.stats
 from tempersmc import streams
 from tempersmc.config import ConfigError, parse_config
 from tempersmc.rwm import (
-    IncrementDistribution,
     drift_probe,
     gaussian_increment,
     rwm_kernel_family,
@@ -34,57 +33,9 @@ def step(fam, gamma, q, xs, rng):
 
 # ------------------------------------------------------------- increments
 
-def test_gaussian_increment_symmetry():
-    q = gaussian_increment(2, scale=1.5)
-    y = np.array([[0.3, -0.4], [2.0, 1.0]])
-    np.testing.assert_allclose(q.log_density(y), q.log_density(-y))
-
-
 def box_increment(dim, half_width):
     """Uniform increment on the cube [-half_width, half_width]^dim: bounded support."""
-    log_volume = dim * math.log(2.0 * half_width)
-
-    def log_density(y):
-        inside = np.all(np.abs(np.asarray(y, dtype=float)) <= half_width, axis=-1)
-        return np.where(inside, -log_volume, -np.inf)
-
-    return IncrementDistribution(
-        dim=dim,
-        sample=lambda size, rng: rng.uniform(-half_width, half_width, (size, dim)),
-        log_density=log_density,
-    )
-
-
-def test_bounded_increment_passes_the_symmetry_audit():
-    # most audit points fall outside the cube, where both log densities are
-    # -inf: the audit must match them as equal, not subtract them
-    q = box_increment(2, 1.5)
-    draws = q.sample(10_000, streams.stream(1, 0))
-    assert np.all(np.abs(draws) <= 1.5)
-    assert np.isfinite(q.log_density(np.array([[0.5, -0.5]]))).all()
-    assert q.log_density(np.array([[2.0, 0.0]]))[0] == -np.inf
-
-
-def test_increment_with_off_centre_support_rejected():
-    # uniform on [-1, 2]: the density is the same wherever y and -y are both
-    # inside, so only the support tells the law from its reflection
-    with pytest.raises(ValueError, match="not symmetric"):
-        IncrementDistribution(
-            dim=1,
-            sample=lambda size, rng: rng.uniform(-1.0, 2.0, (size, 1)),
-            log_density=lambda y: np.where(
-                (np.asarray(y)[..., 0] >= -1.0) & (np.asarray(y)[..., 0] <= 2.0),
-                -math.log(3.0), -np.inf),
-        )
-
-
-def test_asymmetric_increment_rejected():
-    with pytest.raises(ValueError):
-        IncrementDistribution(
-            dim=1,
-            sample=lambda size, rng: rng.standard_normal((size, 1)) + 0.5,
-            log_density=lambda y: -0.5 * np.sum((np.asarray(y) - 0.5) ** 2, axis=-1),
-        )
+    return lambda size, rng: rng.uniform(-half_width, half_width, (size, dim))
 
 
 # ------------------------------------------------------------- single steps
@@ -100,11 +51,7 @@ def test_flat_target_always_accepts():
 
 
 def test_zero_proposal_keeps_state():
-    null_q = IncrementDistribution(
-        dim=1,
-        sample=lambda size, rng: np.zeros((size, 1)),
-        log_density=lambda y: np.zeros(np.asarray(y).shape[:-1]),
-    )
+    null_q = lambda size, rng: np.zeros((size, 1))
     fam = std_family()
     x = np.array([[1.3], [-0.4]])
     out = step(fam, 0.9, null_q, x, streams.stream(3, 0))
@@ -186,7 +133,7 @@ def test_step_returns_the_log_density_of_each_new_state(target, increment, spike
     stayed = np.all(new == xs, axis=1)
     assert stayed.any() and not stayed.all()
     # the step draws its proposals first
-    prop = fam.target.log_unnorm(xs + q.sample(xs.shape[0], streams.stream(14, 1)))
+    prop = fam.target.log_unnorm(xs + q(xs.shape[0], streams.stream(14, 1)))
     assert np.isneginf(prop).any() == np.isneginf(ell).any() == spiked
 
 
@@ -238,9 +185,10 @@ def test_one_step_invariance_two_sample():
     # start exactly at the tempered law, one kernel step, compare to fresh draws
     fam = std_family()
     n_kernel = 6
-    kf = rwm_kernel_family(fam, n_kernel, gaussian_increment(1, 1.0))
+    gammas = fam.schedule.ladder(n_kernel)
+    kf = rwm_kernel_family(fam, gammas, gaussian_increment(1, 1.0))
     for k in (2, n_kernel):
-        gamma = fam.schedule(k / n_kernel)
+        gamma = gammas[k]
         start = fam.target.tempered_sampler(gamma, 10_000, streams.stream(9, k, 0))
         stepped, _ = kf.sample_batch(k, start, fam.target.log_unnorm(start),
                                      streams.stream(9, k, 1))
@@ -272,17 +220,18 @@ def test_detailed_balance_flux():
 def test_kernel_family_targets_terminal_temperature():
     fam = std_family()
     n_kernel = 5
-    kf = rwm_kernel_family(fam, n_kernel, gaussian_increment(1, 1.0))
-    # index bookkeeping: step k uses gamma(k/n); verify by matching a direct step
+    gammas = fam.schedule.ladder(n_kernel)
+    kf = rwm_kernel_family(fam, gammas, gaussian_increment(1, 1.0))
+    # index bookkeeping: step k uses gammas[k]; verify by matching a direct step
     x = np.linspace(-1, 1, 32)[:, None]
     for k in (1, 3, n_kernel):
         ell = fam.target.log_unnorm(x)
-        direct = rwm_step_batch(fam, fam.schedule(k / n_kernel), gaussian_increment(1, 1.0), x,
+        direct = rwm_step_batch(fam, gammas[k], gaussian_increment(1, 1.0), x,
                                 ell, streams.stream(12, k))
         via_family = kf.sample_batch(k, x, ell, streams.stream(12, k))
         np.testing.assert_array_equal(direct[0], via_family[0])
         np.testing.assert_array_equal(direct[1], via_family[1])
-    assert fam.schedule(1.0) == 1.0
+    assert gammas[n_kernel] == 1.0
 
 
 # ------------------------------------------------------------- drift probe

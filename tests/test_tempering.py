@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from tempersmc.finite import tempered_chain_model
-from tempersmc.rwm import gaussian_increment, rwm_kernel_family
+from tempersmc import streams
+from tempersmc.finite import metropolis_matrix, tempered_chain_model
+from tempersmc.rwm import gaussian_increment, rwm_kernel_family, rwm_step_batch
 from tempersmc.tempering import (
     TemperedFamily,
     TemperingSchedule,
@@ -12,62 +14,77 @@ from tempersmc.tempering import (
     gaussian_target,
     linear_schedule,
     smoothstep_schedule,
+    step_log_weight_bound,
 )
 
-GRID = np.linspace(0.0, 1.0, 10_001)
+_ULP_BELOW_HALF = np.nextafter(0.5, 0.0)
 
 
-@pytest.mark.parametrize(
-    "schedule",
-    [
-        linear_schedule(0.7),
-        smoothstep_schedule(0.5),
-        # a caller-supplied schedule with a kink at each knot
-        TemperingSchedule(
-            gamma_floor=0.6,
-            fn=lambda u: np.interp(u, [0.0, 0.3, 0.8, 1.0], [0.6, 0.7, 0.95, 1.0]),
-            lipschitz_const=0.5,
-        ),
-    ],
-    ids=["linear", "smoothstep", "interpolated"],
-)
-def test_schedule_invariants_on_grid(schedule, request):
-    g = np.asarray(schedule(GRID), dtype=float)
-    assert g[0] == pytest.approx(schedule.gamma_floor, abs=1e-12)
-    assert g[-1] == pytest.approx(1.0, abs=1e-12)
-    assert np.all(np.diff(g) >= -1e-12)
-    slopes = np.abs(np.diff(g)) / (GRID[1] - GRID[0])
-    assert slopes.max() <= schedule.lipschitz_const * 1.01
+@pytest.mark.parametrize("make, n, message", [
+    (lambda: linear_schedule(0.5), 0, "^horizon must be >= 1, got 0$"),
+    (lambda: TemperingSchedule(0.5, lambda u: np.where(u == 0.5, np.nan, 0.5 + 0.5 * u)), 2,
+     "non-finite"),
+    (lambda: TemperingSchedule(_ULP_BELOW_HALF, lambda u: 0.5 + 0.5 * u), 2, "endpoints"),
+    (lambda: TemperingSchedule(0.5, lambda u: np.minimum(np.nextafter(1.0, 0.0), 0.5 + 0.5 * u)),
+     2, "endpoints"),
+    (lambda: TemperingSchedule(0.5, lambda u: np.where(u == 0.5, _ULP_BELOW_HALF, 0.5 + 0.5 * u)),
+     2, "not non-decreasing"),
+    (lambda: linear_schedule(0.0), 1, "gamma_floor must lie in"),
+    (lambda: linear_schedule(1.5), 1, "gamma_floor must lie in"),
+], ids=["horizon", "non-finite", "first", "last", "decreasing", "floor-zero", "floor-above-one"])
+def test_ladder_rejections(make, n, message):
+    # each ladder check is exact: one ulp off the floor, off 1 or downwards is rejected
+    with pytest.raises(ValueError, match=message):
+        make().ladder(n)
 
 
-def test_bad_schedules_rejected():
-    with pytest.raises(ValueError):
-        TemperingSchedule(gamma_floor=0.5, fn=lambda u: 0.5 + 0.4 * u, lipschitz_const=1.0)
-    with pytest.raises(ValueError):
-        TemperingSchedule(gamma_floor=0.5, fn=lambda u: 1.0 - 0.5 * u, lipschitz_const=1.0)
-    with pytest.raises(ValueError):
-        # declared constant too small for the actual slope
-        TemperingSchedule(gamma_floor=0.5, fn=lambda u: 0.5 + 0.5 * u, lipschitz_const=0.1)
-    with pytest.raises(ValueError):
-        linear_schedule(0.0)
+def _assert_exact_ladder(gammas, floor, n):
+    assert gammas.shape == (n + 1,)
+    assert gammas[0] == floor and gammas[-1] == 1.0
+    assert np.all(np.diff(gammas) >= 0)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.floats(0.0, 1.0, exclude_min=True), st.integers(1, 10_000),
+       st.sampled_from([linear_schedule, smoothstep_schedule]))
+@example(floor=1.0, n=1, generator=smoothstep_schedule)
+@example(floor=1e-3, n=10_000, generator=smoothstep_schedule)
+def test_shipped_generators_give_exact_ladders(floor, n, generator):
+    _assert_exact_ladder(generator(floor).ladder(n), floor, n)
+
+
+@pytest.mark.parametrize("generator", [linear_schedule, smoothstep_schedule])
+def test_shipped_generators_give_exact_ladders_at_a_million_steps(generator):
+    _assert_exact_ladder(generator(0.7).ladder(10**6), 0.7, 10**6)
 
 
 def test_one_temperature_ladder_per_horizon():
-    # potentials, RWM kernels and the finite chain read one ladder, which
-    # also holds their one horizon check
-    schedule = smoothstep_schedule(0.5)
-    assert np.array_equal(schedule.ladder(4), schedule(np.arange(5) / 4))
-    fam = TemperedFamily(gaussian_target([0.0], [1.0]), schedule)
-    for build in (schedule.ladder, lambda n: build_potentials(fam, n),
-                  lambda n: rwm_kernel_family(fam, n, gaussian_increment(1, 1.0)),
-                  lambda n: tempered_chain_model([0.0, -1.0], schedule, n, 0.5, [0.5, 0.5])):
-        with pytest.raises(ValueError, match="^horizon must be >= 1, got 0$"):
-            build(0)
+    # potentials, RWM kernels and the finite chain all read the ladder they are given
+    n, logw = 4, np.array([0.0, -1.0])
+    fam = TemperedFamily(gaussian_target([0.0], [1.0]), smoothstep_schedule(0.5))
+    gammas = fam.schedule.ladder(n)
+    np.testing.assert_array_equal(gammas, fam.schedule.fn(np.arange(n + 1) / n))
+    pf = build_potentials(fam, gammas)
+    q = gaussian_increment(1, 1.0)
+    kf = rwm_kernel_family(fam, gammas, q)
+    chain = tempered_chain_model(logw, gammas, 0.5, [0.5, 0.5])
+    assert chain.horizon == n
+    ell = np.array([-2.0, -0.5, 0.0])
+    x = np.linspace(-1.0, 1.0, 8)[:, None]
+    for k in range(n):
+        np.testing.assert_array_equal(pf.log_g(k, ell), (gammas[k + 1] - gammas[k]) * ell)
+        np.testing.assert_array_equal(chain.finite.log_g[k], (gammas[k + 1] - gammas[k]) * logw)
+        np.testing.assert_array_equal(chain.finite.kernels[k],
+                                      metropolis_matrix(logw, gammas[k + 1], 0.5))
+        direct = rwm_step_batch(fam, gammas[k + 1], q, x, fam.target.log_unnorm(x),
+                                streams.stream(4, k))
+        via_family = kf.sample_batch(k + 1, x, fam.target.log_unnorm(x), streams.stream(4, k))
+        np.testing.assert_array_equal(direct[0], via_family[0])
 
 
 def test_build_potentials_linear_schedule_constant_increments():
     fam = TemperedFamily(gaussian_target([0.0], [1.0]), linear_schedule(0.5))
-    pf = build_potentials(fam, 10)
+    pf = build_potentials(fam, fam.schedule.ladder(10))
     ell = pf.statistic(np.array([2.0]))
     vals = [float(pf.log_g(k, ell)) for k in range(10)]
     np.testing.assert_allclose(vals, -0.1, atol=1e-14)
@@ -80,11 +97,43 @@ def test_build_potentials_flattening():
     max_log_pi = float(np.abs(fam.target.log_unnorm(grid)).max())
     prev = np.inf
     for n in (10, 100, 1000):
-        pf = build_potentials(fam, n)
+        gammas = fam.schedule.ladder(n)
+        pf = build_potentials(fam, gammas)
         worst = max(float(np.abs(pf.log_g(k, pf.statistic(grid))).max()) for k in range(n))
-        assert worst <= fam.schedule.lipschitz_const / n * max_log_pi + 1e-12
+        assert worst <= np.diff(gammas).max() * max_log_pi
         assert worst < prev
         prev = worst
+
+
+def _mixture_bound_case(gammas):
+    """(bound, sup log, step log weights) of the mixture with amplitudes 0.8 + 0.7: sup log > 0."""
+    fam = TemperedFamily(gaussian_mixture_target([[-1.0], [2.0]], [[0.7], [1.2]], [0.8, 0.7]),
+                         smoothstep_schedule(0.7))
+    pf = build_potentials(fam, gammas)
+    ell = pf.statistic(np.linspace(-6.0, 8.0, 4001)[:, None])
+    return (pf.log_g_max, fam.target.sup_log_unnorm,
+            np.array([pf.log_g(k, ell) for k in range(gammas.size - 1)]))
+
+
+def _chain_bound_case(logw):
+    def case(gammas):
+        model = tempered_chain_model(logw, gammas, 0.5, np.full(len(logw), 1.0 / len(logw)))
+        return model.potentials.log_g_max, max(logw), model.finite.log_g
+    return case
+
+
+@pytest.mark.parametrize("case", [_mixture_bound_case, _chain_bound_case([0.5, -1.0]),
+                                  _chain_bound_case([-0.2, -1.0])],
+                         ids=["mixture", "chain-positive", "chain-negative"])
+def test_step_log_weight_bound(case):
+    # one bound, max(0, max step * sup log), bounds every step log weight of every model
+    for n in (1, 3, 7, 40):
+        gammas = smoothstep_schedule(0.7).ladder(n)
+        bound, sup_log, steps = case(gammas)
+        assert bound == step_log_weight_bound(gammas, sup_log)
+        assert bound == max(0.0, np.diff(gammas).max() * sup_log)
+        assert np.max(steps) <= bound
+        assert (bound > 0) == (sup_log > 0)
 
 
 def test_drift_function_values():
@@ -102,7 +151,7 @@ def test_drift_function_values():
 def test_negative_association_of_potentials_and_drift():
     # one-step weight differences and drift differences never share a sign
     fam = TemperedFamily(gaussian_target([0.0], [1.0]), linear_schedule(0.7))
-    pf = build_potentials(fam, 7)
+    pf = build_potentials(fam, fam.schedule.ladder(7))
     drift = drift_function(fam.target.sup_log_unnorm, fam.schedule.gamma_floor, 0.5)
     ell = pf.statistic(np.linspace(-5.0, 5.0, 101)[:, None])
     v = drift(ell)
@@ -119,7 +168,7 @@ def test_energy_norm_uniformly_bounded():
     v = drift(ell)
     worst = []
     for n in (10, 100, 1000):
-        pf = build_potentials(fam, n)
+        pf = build_potentials(fam, fam.schedule.ladder(n))
         ratios = [
             float(np.max(-n * (pf.log_g(k, ell) - pf.log_g_max) / v)) for k in range(0, n, max(1, n // 10))
         ]
@@ -141,10 +190,10 @@ def test_zero_increment_weighs_every_particle_one():
     # also where the density underflowed, and 0 * (negative) stays -0.0
     flat_then_linear = TemperingSchedule(
         gamma_floor=0.7, fn=lambda u: np.interp(u, [0.0, 0.5, 1.0], [0.7, 0.7, 1.0]),
-        lipschitz_const=0.6,
     )
     fam = TemperedFamily(gaussian_target([0.0], [1.0]), flat_then_linear)
-    pf = build_potentials(fam, 4)
+    gammas = flat_then_linear.ladder(4)
+    pf = build_potentials(fam, gammas)
     ell = np.array([-np.inf, -3.0, -0.0, 0.0, -1e308])
     for k in (0, 1):
         lw = pf.log_g(k, ell)
@@ -152,7 +201,7 @@ def test_zero_increment_weighs_every_particle_one():
         np.testing.assert_array_equal(np.signbit(lw), [False, True, True, False, True])
     lw = pf.log_g(2, ell)
     assert lw[0] == -np.inf and np.all(np.isfinite(lw[1:]))
-    delta = np.diff(fam.schedule(np.arange(5) / 4))[2]
+    delta = np.diff(gammas)[2]
     assert delta > 0
     np.testing.assert_array_equal(lw[1:], delta * ell[1:])
 
