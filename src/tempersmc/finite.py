@@ -144,8 +144,9 @@ def tempered_chain_model(log_weights, gammas, move_prob, init):
     """Finite tempered chain along a ladder: weight increments + invariant Metropolis kernels.
 
     The step-k log weight is (gamma_{k+1} - gamma_k) log w, bounded above
-    by ``tempering.step_log_weight_bound`` at max log w.  ``init`` is the
-    initial probability vector.
+    by ``tempering.step_log_weight_bound`` at max log w, for a ladder that
+    passed ``tempering.check_ladder``.  ``init`` is the initial probability
+    vector.
     """
     logw = np.asarray(log_weights, dtype=float)
     matrices = metropolis_matrix(logw, gammas[1:], move_prob)

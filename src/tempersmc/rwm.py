@@ -55,7 +55,7 @@ def rwm_step_batch(fam, gamma, q, xs, cur, rng):
 
 
 def rwm_kernel_family(fam, gammas, q):
-    """Kernels along a ladder: step k targets the tempered law at ``gammas[k]``."""
+    """Kernels along a checked ladder: step k targets the tempered law at ``gammas[k]``."""
     return KernelFamily(
         sample_batch=lambda k, xs, ell, rng: rwm_step_batch(fam, gammas[k], q, xs, ell, rng),
     )

@@ -1,8 +1,8 @@
 """Tempered target families: schedules, log targets, and the induced potentials.
 
 A schedule generates, for each horizon n, a ladder of inverse temperatures
-gamma_0 = gamma_floor <= ... <= gamma_n = 1: an array, checked exactly
-where it is made, that the potentials and kernels read.  A tempered family
+gamma_0 = gamma_floor <= ... <= gamma_n = 1: an array, checked exactly by
+``check_ladder``, that the potentials and kernels read.  A tempered family
 raises an unnormalized density to the ladder's powers; the per-step
 potentials are the resulting density ratios, which flatten as the horizon
 grows because the total temperature change is fixed.  Potentials and drift
@@ -22,6 +22,7 @@ from .fk_core import PotentialFamily
 
 __all__ = [
     "TemperingSchedule",
+    "check_ladder",
     "LogTarget",
     "TemperedFamily",
     "linear_schedule",
@@ -45,24 +46,31 @@ class TemperingSchedule:
             raise ValueError(f"gamma_floor must lie in (0, 1], got {self.gamma_floor}")
 
     def ladder(self, n):
-        """The temperatures gamma_0..gamma_n = fn(k/n) of a horizon-n run, checked exactly.
-
-        Every entry is finite, gamma_0 is the floor, gamma_n is 1 and no step
-        decreases, all with no tolerance, so the step log-weight bound read
-        from the ladder holds exactly.
-        """
+        """The temperatures gamma_0..gamma_n = fn(k/n) of a horizon-n run, checked exactly."""
         if n < 1:
             raise ValueError(f"horizon must be >= 1, got {n}")
-        gammas = np.asarray(self.fn(np.arange(n + 1) / n), dtype=float)
-        if not np.all(np.isfinite(gammas)):
-            raise ValueError("ladder has a non-finite temperature")
-        if gammas[0] != self.gamma_floor or gammas[-1] != 1.0:
-            raise ValueError(
-                f"ladder endpoints ({gammas[0]!r}, {gammas[-1]!r}) != ({self.gamma_floor}, 1.0)"
-            )
-        if np.any(np.diff(gammas) < 0):
-            raise ValueError("ladder is not non-decreasing")
-        return gammas
+        return check_ladder(self.fn(np.arange(n + 1) / n), self.gamma_floor)
+
+
+def check_ladder(gammas, gamma_floor):
+    """The ladder ``gammas`` as a float array, checked exactly: the one check of every ladder.
+
+    It has at least two entries, all finite, gamma_0 is the floor, gamma_n
+    is 1 and no step decreases, all with no tolerance, so the step
+    log-weight bound read from the ladder holds exactly.
+    """
+    gammas = np.asarray(gammas, dtype=float)
+    if gammas.ndim != 1 or gammas.size < 2:
+        raise ValueError(f"ladder needs shape (n + 1,) with n >= 1, got {gammas.shape}")
+    if not np.all(np.isfinite(gammas)):
+        raise ValueError("ladder has a non-finite temperature")
+    if gammas[0] != gamma_floor or gammas[-1] != 1.0:
+        raise ValueError(
+            f"ladder endpoints ({gammas[0]!r}, {gammas[-1]!r}) != ({gamma_floor}, 1.0)"
+        )
+    if np.any(np.diff(gammas) < 0):
+        raise ValueError("ladder is not non-decreasing")
+    return gammas
 
 
 def linear_schedule(gamma_floor):
@@ -184,7 +192,8 @@ def build_potentials(fam, gammas):
     log G[k](x) = (gamma_{k+1} - gamma_k) * log density(x), read from the
     statistic ``ell`` = log density(x).  A zero increment gives log weight 0
     everywhere, also where the density underflowed to 0, since pi^0 = 1.
-    The family upper bound is ``step_log_weight_bound`` of the ladder.
+    The family upper bound is ``step_log_weight_bound`` of the ladder, which
+    holds for a ladder that passed ``check_ladder`` (no step decreases).
     """
     deltas = np.diff(gammas)
     target = fam.target

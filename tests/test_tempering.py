@@ -9,6 +9,7 @@ from tempersmc.tempering import (
     TemperedFamily,
     TemperingSchedule,
     build_potentials,
+    check_ladder,
     drift_function,
     gaussian_mixture_target,
     gaussian_target,
@@ -56,6 +57,26 @@ def test_shipped_generators_give_exact_ladders(floor, n, generator):
 @pytest.mark.parametrize("generator", [linear_schedule, smoothstep_schedule])
 def test_shipped_generators_give_exact_ladders_at_a_million_steps(generator):
     _assert_exact_ladder(generator(0.7).ladder(10**6), 0.7, 10**6)
+
+
+@pytest.mark.parametrize("n", [1, 3, 10, 10**4])
+def test_caller_supplied_schedule_with_kinks_gives_exact_ladders(n):
+    interpolated = TemperingSchedule(
+        gamma_floor=0.6, fn=lambda u: np.interp(u, [0.0, 0.3, 0.8, 1.0], [0.6, 0.7, 0.95, 1.0]),
+    )
+    _assert_exact_ladder(interpolated.ladder(n), 0.6, n)
+
+
+def test_check_ladder_takes_hand_given_arrays():
+    # a ladder that no schedule generated passes the same exact check
+    gammas = check_ladder([0.25, 0.25, 0.5, 1.0], 0.25)
+    assert gammas.dtype == float
+    _assert_exact_ladder(gammas, 0.25, 3)
+    for bad in ([1.0], [[0.5, 1.0]]):
+        with pytest.raises(ValueError, match="^ladder needs shape"):
+            check_ladder(bad, 1.0)
+    with pytest.raises(ValueError, match="not non-decreasing"):
+        check_ladder([0.5, 0.75, 0.625, 1.0], 0.5)
 
 
 def test_one_temperature_ladder_per_horizon():
