@@ -23,7 +23,10 @@ A finite model also carries its exact arrays, one ``FiniteArrays`` record:
 the (n, m, m) kernel stack, the (n, m) log-weight table and the initial
 vector.  The samplers and potentials of a finite model are closures over
 those same arrays; the exact oracle reads the record alone, and with it a
-``DriftSpec``, the certified drift inputs over the same m states.
+``DriftSpec``, the certified drift inputs over the same m states.  The
+particle engine runs a finite model as a count vector over its m states,
+so the samplers of a finite model draw count vectors: its initial sampler
+and kernels take and return the counts of N particles, not N states.
 
 All potential arithmetic is carried out in the log domain; the family's
 upper bound is supplied as a log constant by the model builder.
@@ -70,8 +73,10 @@ class KernelFamily:
     ``sample_batch(k, xs, stats, rng)`` advances a whole batch of states one
     transition of ``M[k]`` with a fixed draw layout and returns the new
     states with their statistics (see ``PotentialFamily``); ``stats`` are
-    the statistics of ``xs``.  It is the only sampler the particle engine
-    calls.
+    the statistics of ``xs``.  On a finite model the batch is a count
+    vector over the m states: ``sample_batch(k, counts, rng)`` returns the
+    counts after each of the N particles made one independent transition
+    of ``M[k]``.  It is the only kernel sampler the particle engine calls.
     """
 
     sample_batch: Callable
@@ -97,8 +102,9 @@ class FKModel:
     """One model instance: horizon, kernels, potentials, initial sampler.
 
     ``initial(size, rng)`` returns a batch of ``size`` independent draws
-    from the initial law.  ``finite`` holds the exact arrays of a finite
-    model and is None on other spaces.
+    from the initial law; on a finite model it returns their counts over
+    the m states, a draw of Multinomial(size, mu).  ``finite`` holds the
+    exact arrays of a finite model and is None on other spaces.
     """
 
     horizon: int

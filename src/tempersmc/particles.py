@@ -1,9 +1,14 @@
 """Interacting particle system: init, reweight-resample-mutate steps, estimators.
 
-A particle population is its states array, the uniformly weighted
-empirical measure on those states; an ``Ensemble`` adds each state's
-statistic (see ``fk_core.PotentialFamily``) and the step index k, and the
-horizon is read from the model.
+A particle population is the uniformly weighted empirical measure of N
+particles, held in one of two forms.  On a model with a continuous or
+otherwise per-particle state space it is the states array of the N
+particles.  On a finite model (``model.is_finite``) it is a count vector
+over the m state labels: the empirical measure of N particles on m points
+is exactly the vector of their counts, so no N-element array is held.  An
+``Ensemble`` holds the states (the m labels, for a count population), each
+state's statistic (see ``fk_core.PotentialFamily``), the counts (None for
+a states array) and the step index k; the horizon is read from the model.
 
 The statistic is evaluated once per particle at initialization and then
 carried: the step-k log weights read it, each resampled particle takes its
@@ -13,49 +18,67 @@ evaluates the density only at its proposals, and the drift monitor reads
 eta(V) from the same values: the monitored V is a plain callable over a
 batch of statistics.  Carrying it changes no draw.
 
-The transition draws, for each new particle independently, an ancestor
-index proportional to the current weights and then mutates it through the
-next Markov kernel: the reweight and mutate are one fused mixture draw, and
-resampling is always multinomial.  Each ancestor is the plain inverse-CDF
-index of its uniform: the first index whose cumulative weight exceeds it.
-``draw_ancestors`` finds it with a guide table (Chen & Asau 1974) in place
-of a binary search: the range of the cumulative weights is cut into N equal
-buckets, and each scaled uniform starts at the first cumulative weight of
-its own bucket and steps forward over the entries of that bucket that do
-not exceed it.  The bucket of a value is its product with a positive
-constant, truncated, so it is monotone in the value: every cumulative
-weight in a lower bucket is at most the scaled uniform and every one in a
-higher bucket exceeds it, and the steps, over a nondecreasing array, stop
-at the first entry that exceeds it.  The index is therefore exactly the
-one the binary search finds, and no draw changes.  Weight normalization
-happens in the log domain with max-subtraction; a step aborts only when
-every weight underflows to zero.
+On a states array the transition draws, for each new particle
+independently, an ancestor index proportional to the current weights and
+then mutates it through the next Markov kernel: the reweight and mutate
+are one fused mixture draw, and resampling is always multinomial.  Each
+ancestor is the plain inverse-CDF index of its uniform: the first index
+whose cumulative weight exceeds it.  ``draw_ancestors`` finds it with a
+guide table (Chen & Asau 1974) in place of a binary search: the range of
+the cumulative weights is cut into N equal buckets, and each scaled
+uniform starts at the first cumulative weight of its own bucket and steps
+forward over the entries of that bucket that do not exceed it.  The bucket
+of a value is its product with a positive constant, truncated, so it is
+monotone in the value: every cumulative weight in a lower bucket is at
+most the scaled uniform and every one in a higher bucket exceeds it, and
+the steps, over a nondecreasing array, stop at the first entry that
+exceeds it.  The index is therefore exactly the one the binary search
+finds, and no draw changes.  Weight normalization happens in the log
+domain with max-subtraction; a step aborts only when every weight
+underflows to zero.
+
+A count population c takes the same transition in law.  The N new
+particles of the fused draw are independent, each an ancestor label j with
+probability c_j G_k(j) / sum_i c_i G_k(i) moved by row j of M_{k+1}, so the
+next counts are exactly Multinomial(N, normalize((c * G_k) M_{k+1})).  The
+count step draws them in two stages: the ancestor counts
+a ~ Multinomial(N, normalize(c * G_k)), then, given a, the a_j moves from
+label j are independent draws from row j, so the finite kernel returns
+the sum over occupied labels j of Multinomial(a_j, M_{k+1}[j]).  Summed
+over labels, the two stages are the fused draw.  The weights are taken
+relative to the largest log weight of an occupied label; a label whose
+count is 0 carries no weight, so its log weight neither sets that maximum
+nor enters the monitor's log-weight range.  A step costs O(m^2) draws and
+arithmetic, whatever N is.
 
 Randomness for step k of replicate r comes from the stream keyed by
 (seed, r, k): ancestor uniforms are drawn first, then the mutation draws,
-with particle i consuming the i-th slot of each vector, so results do not
-depend on how replicates are scheduled across workers.  ``run_sampler`` is
-the one place that maps (seed, r, k) to a stream: it takes the keys of
-every step of the replicate from ``streams.step_keys`` in one pass and
-re-keys one Philox generator before each step, which then draws exactly
-what ``streams.stream(seed, r, k)`` draws.  ``init_ensemble`` and
-``smc_step`` take that step's generator; it is valid only during its step,
-since the next step re-keys it.
+with particle i consuming the i-th slot of each vector (a count step draws
+its ancestor counts, then one multinomial per occupied label in label
+order), so results do not depend on how replicates are scheduled across
+workers.  ``run_sampler`` is the one place that maps (seed, r, k) to a
+stream: it takes the keys of every step of the replicate from
+``streams.step_keys`` in one pass and re-keys one Philox generator before
+each step, which then draws exactly what ``streams.stream(seed, r, k)``
+draws.  ``init_ensemble`` and ``smc_step`` take that step's generator;
+it is valid only during its step, since the next step re-keys it.
 
 Given a drift function V, ``run_sampler`` also summarizes each step: ESS,
-the log-weight range, eta(V) and eta(G~).  It holds the statistics and
-step log weights of the last ``max(1, BLOCK_VALUES // N)`` steps and
-summarizes them at once: one stack per array, V called on the concatenated
-statistics, and each reduction taken along the rows.  A row reduction runs
-the same inner loop over the same contiguous values as the reduction of
-that step's own array, V acts value by value, and the ESS squares its sum
-by the scalar ``** 2`` of one step at a time, so every summary has the bits
-it would have step by step.  The budget keeps each block's temporaries
-(64 KiB per array) below the size at which the allocator maps fresh pages.
+the log-weight range, eta(V) and eta(G~), each weighted by the counts of a
+count population.  It holds the populations and step log weights of the
+last ``max(1, BLOCK_VALUES // size)`` steps, where size is the number of
+states a population holds (N particles or m labels), and summarizes them
+at once: one stack per array, V called on the concatenated statistics, and
+each reduction taken along the rows.  A row reduction runs the same inner
+loop over the same contiguous values as the reduction of that step's own
+array, V acts value by value, and the ESS squares its sum by the scalar
+``** 2`` of one step at a time, so every summary has the bits it would
+have step by step.  The budget keeps each block's temporaries (64 KiB
+per array) below the size at which the allocator maps fresh pages.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -80,21 +103,30 @@ class TotalDegeneracyError(RuntimeError):
 
 @dataclass
 class Ensemble:
-    """N particle states and their statistics at one step of one replicate's flow."""
+    """One replicate's population at step k: states, their statistics and counts.
+
+    With ``counts`` None the population is the N particle states themselves;
+    otherwise ``states`` are labels and ``counts[i]`` particles sit at
+    ``states[i]``.  ``n_particles`` is N, read off at construction.
+    """
 
     states: np.ndarray
     stats: np.ndarray
     k: int
+    counts: Optional[np.ndarray] = None
+    n_particles: int = field(init=False)
 
     def __post_init__(self):
-        if len(self.states) < 1:
-            raise ValueError("ensemble must hold at least one particle")
         if len(self.stats) != len(self.states):
             raise ValueError("need one statistic per particle")
-
-    @property
-    def n_particles(self):
-        return len(self.states)
+        if self.counts is None:
+            self.n_particles = len(self.states)
+        elif len(self.counts) != len(self.states):
+            raise ValueError("need one count per label")
+        else:
+            self.n_particles = int(self.counts.sum())
+        if self.n_particles < 1:
+            raise ValueError("ensemble must hold at least one particle")
 
 
 @dataclass
@@ -112,9 +144,18 @@ class StepSummary:
 def init_ensemble(model, n_particles, rng):
     """Independent draws from the model's initial law by ``rng``, and their statistics.
 
-    A draw or statistic that overflows reads inf, without a warning: its
+    On a finite model the population is the count vector the model's
+    initial sampler draws, Multinomial(N, mu), on the labels 0..m-1.  A
+    draw or statistic that overflows reads inf, without a warning: its
     particle then has weight 0, or the replicate degenerates.
     """
+    if model.is_finite:
+        counts = np.asarray(model.initial(n_particles, rng))
+        labels = np.arange(model.finite.mu.size)
+        if counts.shape != labels.shape or counts.sum() != n_particles:
+            raise ValueError("initial sampler returned the wrong counts")
+        return Ensemble(states=labels, stats=np.asarray(model.potentials.statistic(labels)),
+                        k=0, counts=counts)
     with np.errstate(over="ignore"):
         states = np.asarray(model.initial(n_particles, rng))
         if len(states) != n_particles:
@@ -161,6 +202,18 @@ def draw_ancestors(cw, u):
     return np.minimum(ancestors, n - 1, out=ancestors)
 
 
+def _count_step(ens, model, lw, rng):
+    """The next count population of ``ens``: ancestor counts, then the finite kernel."""
+    occupied = ens.counts > 0
+    top = lw[occupied].max()
+    if not np.isfinite(top):
+        raise TotalDegeneracyError(f"all particle weights vanished at step {ens.k}")
+    w = np.exp(lw - top, out=np.zeros(lw.size), where=occupied) * ens.counts
+    ancestors = rng.multinomial(ens.n_particles, w / w.sum())
+    counts = np.asarray(model.kernels.sample_batch(ens.k + 1, ancestors, rng))
+    return Ensemble(states=ens.states, stats=ens.stats, k=ens.k + 1, counts=counts)
+
+
 def smc_step(ens, model, rng):
     """One transition: multinomial ancestor draw by weight, then mutation, by ``rng``.
 
@@ -170,15 +223,15 @@ def smc_step(ens, model, rng):
     if k >= model.horizon:
         raise ValueError(f"flow already at terminal step k={k}")
     lw = np.asarray(model.potentials.log_g(k, ens.stats), dtype=float)
+    if ens.counts is not None:
+        return _count_step(ens, model, lw, rng), lw
     top = lw.max()
     if not np.isfinite(top):
         raise TotalDegeneracyError(f"all particle weights vanished at step {k}")
     cw = np.cumsum(np.exp(lw - top))
     ancestors = draw_ancestors(cw, rng.random(ens.n_particles))
-    states = ens.states[ancestors]
-    # on finite models the statistic is the state array itself: gather it once
-    stats = states if ens.stats is ens.states else ens.stats[ancestors]
-    states, stats = model.kernels.sample_batch(k + 1, states, stats, rng)
+    states, stats = model.kernels.sample_batch(k + 1, ens.states[ancestors],
+                                               ens.stats[ancestors], rng)
     return Ensemble(states=np.asarray(states), stats=np.asarray(stats), k=k + 1), lw
 
 
@@ -186,39 +239,71 @@ def smc_step(ens, model, rng):
 BLOCK_VALUES = 2**13
 
 
-def _summaries(model, drift, k0, stats, lws):
-    """Diagnostics of the held steps k0, k0 + 1, ...: one per statistic array in ``stats``.
+def _particle_reductions(model, drift, pops, lws):
+    """eta(V) of the held populations, and the weight sums and range of their log weights."""
+    stats = [p.stats for p in pops]
+    eta_v = (drift(np.concatenate(stats)).reshape(len(stats), -1).sum(axis=1)
+             / len(stats[0])).tolist()
+    if not lws:
+        return eta_v, [], [], [], [], []
+    lw = np.stack(lws) - model.potentials.log_g_max
+    top = lw.max(axis=1)
+    w = np.exp(lw - top[:, None])
+    sums = w.sum(axis=1).tolist()
+    squares = (w * w).sum(axis=1).tolist()
+    eta_g = (np.exp(lw).sum(axis=1) / lw.shape[1]).tolist()
+    return eta_v, sums, squares, eta_g, top.tolist(), lw.min(axis=1).tolist()
+
+
+def _count_reductions(model, drift, pops, lws):
+    """``_particle_reductions`` of count populations: each label weighs by its count.
+
+    A label whose count is 0 adds nothing, and its log weight sets neither
+    end of the range.
+    """
+    c = np.stack([p.counts for p in pops])
+    n = c.sum(axis=1)
+    held = c > 0
+    v = drift(np.concatenate([p.stats for p in pops])).reshape(c.shape)
+    eta_v = ((np.where(held, v, 0.0) * c).sum(axis=1) / n).tolist()
+    if not lws:
+        return eta_v, [], [], [], [], []
+    c, n, held = c[:len(lws)], n[:len(lws)], held[:len(lws)]
+    lw = np.stack(lws) - model.potentials.log_g_max
+    top = np.where(held, lw, -np.inf).max(axis=1)
+    bottom = np.where(held, lw, np.inf).min(axis=1)
+    w = np.where(held, np.exp(lw - top[:, None]), 0.0)
+    sums = (w * c).sum(axis=1).tolist()
+    squares = (w * w * c).sum(axis=1).tolist()
+    eta_g = ((np.where(held, np.exp(lw), 0.0) * c).sum(axis=1) / n).tolist()
+    return eta_v, sums, squares, eta_g, top.tolist(), bottom.tolist()
+
+
+def _summaries(model, drift, pops, lws):
+    """Diagnostics of the held populations, one per entry of ``pops``.
 
     ``lws`` are the step log weights of the first ``len(lws)`` of them; one
-    more statistic array, without log weights, is the terminal step.
+    more population, without log weights, is the terminal step.
     """
-    steps = len(stats)
+    reductions = _particle_reductions if pops[0].counts is None else _count_reductions
     # V overflows to inf far out; a row shifted past the float range has ESS 0
     with np.errstate(over="ignore", invalid="ignore"):
-        eta_v = (drift(np.concatenate(stats)).reshape(steps, -1).sum(axis=1)
-                 / len(stats[0])).tolist()
-        if lws:
-            lw = np.stack(lws) - model.potentials.log_g_max
-            top = lw.max(axis=1)
-            w = np.exp(lw - top[:, None])
-            sums = w.sum(axis=1).tolist()
-            squares = (w * w).sum(axis=1).tolist()
-            eta_g = (np.exp(lw).sum(axis=1) / lw.shape[1]).tolist()
-            top, bottom = top.tolist(), lw.min(axis=1).tolist()
+        eta_v, sums, squares, eta_g, top, bottom = reductions(model, drift, pops, lws)
+    k0 = pops[0].k
     out = []
     for i in range(len(lws)):
         # a Python float ** 2 is the C pow of the scalar formula, not the product w * w
         ess = sums[i] ** 2 / squares[i] if math.isfinite(top[i]) else 0.0
         out.append(StepSummary(k=k0 + i, ess=ess, log_w_max=top[i], log_w_min=bottom[i],
                                eta_v=eta_v[i], eta_gtilde=eta_g[i]))
-    if steps > len(lws):
-        out.append(StepSummary(k=k0 + steps - 1, ess=math.nan, log_w_max=math.nan,
+    if len(pops) > len(lws):
+        out.append(StepSummary(k=pops[-1].k, ess=math.nan, log_w_max=math.nan,
                                log_w_min=math.nan, eta_v=eta_v[-1], eta_gtilde=math.nan))
     return out
 
 
 def run_sampler(model, n_particles, seed, replicate=0, drift=None):
-    """Run the full flow; returns the terminal states, and summaries when given a drift V.
+    """Run the full flow; returns the terminal population, and summaries when given a drift V.
 
     Step k draws from the stream keyed by (seed, replicate, k).
     """
@@ -229,26 +314,35 @@ def run_sampler(model, n_particles, seed, replicate=0, drift=None):
     fresh = bitgen.state
     ens = init_ensemble(model, n_particles, rng)
     summaries: Optional[List[StepSummary]] = None if drift is None else []
-    block = max(1, BLOCK_VALUES // n_particles)
-    stats, lws = [], []
+    block = max(1, BLOCK_VALUES // len(ens.states))
+    pops, lws = [], []
     for key in keys[1:]:
         fresh["state"]["key"] = key
         bitgen.state = fresh
         nxt, lw = smc_step(ens, model, rng)
         if summaries is not None:
-            stats.append(ens.stats)
+            pops.append(ens)
             lws.append(lw)
             if len(lws) == block:
-                summaries.extend(_summaries(model, drift, nxt.k - block, stats, lws))
-                stats, lws = [], []
+                summaries.extend(_summaries(model, drift, pops, lws))
+                pops, lws = [], []
         ens = nxt
     if summaries is not None:
-        stats.append(ens.stats)
-        summaries.extend(_summaries(model, drift, ens.k - len(lws), stats, lws))
-    return ens.states, summaries
+        pops.append(ens)
+        summaries.extend(_summaries(model, drift, pops, lws))
+    return ens, summaries
 
 
-def estimate(states, f):
-    """Plain average of f over the particle states; NaN unless every value is finite."""
-    vals = np.asarray(f(states), dtype=float)
-    return float(vals.mean()) if np.isfinite(vals).all() else math.nan
+def estimate(pop, f):
+    """Average of f over the population; NaN unless every value is finite.
+
+    A count population weighs f at each occupied label by its count.
+    """
+    vals = np.asarray(f(pop.states), dtype=float)
+    if pop.counts is None:
+        return float(vals.mean()) if np.isfinite(vals).all() else math.nan
+    held = pop.counts > 0
+    vals = vals[held]
+    if not np.isfinite(vals).all():
+        return math.nan
+    return float(vals @ pop.counts[held] / pop.n_particles)

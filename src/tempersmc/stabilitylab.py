@@ -10,10 +10,12 @@ delta < 1, and the Lemma 1 audit of the tilted drift/minorization data.
 
 Each grid cell is cut into contiguous blocks of replicates, sized so that a
 task holds about ``_TASK_STEPS`` particle-steps (one replicate of cell
-(n, N) costs n*N).  The blocks are a function of the config alone, and
-every replicate draws from its own stream keyed by (cell seed, replicate,
-step), so the block layout changes no draw.  Results are merged in task
-order by a single reducer, so output is identical for any worker count.
+(n, N) costs n*N on a continuous model; a finite replicate steps a count
+vector and costs O(n m^2) whatever N is, but keeps the same layout).  The
+blocks are a function of the config alone, and every replicate draws from
+its own stream keyed by (cell seed, replicate, step), so the block layout
+changes no draw.  Results are merged in task order by a single reducer, so
+output is identical for any worker count.
 
 The cells of a grid are distinct: parsing rejects a repeated entry of
 grids.n or grids.N, whose cells would share a seed and pool the same
@@ -101,8 +103,8 @@ def _estimate_task(args):
     out = np.empty(len(rep_ids))
     for i, r in enumerate(rep_ids):
         try:
-            states, _ = run_sampler(model, n_particles, cell_seed, replicate=r)
-            out[i] = estimate(states, f)
+            pop, _ = run_sampler(model, n_particles, cell_seed, replicate=r)
+            out[i] = estimate(pop, f)
         except TotalDegeneracyError:
             out[i] = np.nan
     return out

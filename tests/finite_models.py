@@ -1,7 +1,8 @@
-"""Finite models shared by the tests: the two-state fixture and random table models."""
+"""Finite models shared by the tests: the two-state fixture, random table and label models."""
 
 import numpy as np
 
+from tempersmc.fk_core import FKModel, KernelFamily
 from tempersmc.finite import (
     drift_inputs_for_chain,
     table_model,
@@ -48,3 +49,26 @@ def random_finite_model(rng, m=5, n=10):
     table = rng.uniform(np.log(0.2), np.log(2.0), size=(n, m))
     mu = rng.dirichlet(np.ones(m))
     return table_model(list(matrices), table, mu)
+
+
+def label_model(model):
+    """The finite ``model`` as a per-particle model: N label states, not a count vector.
+
+    ``finite`` is None, so the particle engine steps a states array, as it
+    does on a continuous space.  The test kernel and initial sampler draw
+    one uniform per particle and return the number of cumulative weights
+    below it, among all but the last, of the particle's row (or of mu).
+    """
+    cum_rows = np.cumsum(model.finite.kernels, axis=2)[:, :, :-1]
+    cum_mu = np.cumsum(model.finite.mu)[:-1]
+
+    def search(u, cum):
+        return (u[:, None] > cum).sum(axis=1)
+
+    def sample_batch(k, xs, stats, rng):
+        new = search(rng.random(len(xs)), cum_rows[k - 1][xs])
+        return new, new
+
+    return FKModel(horizon=model.horizon, kernels=KernelFamily(sample_batch=sample_batch),
+                   potentials=model.potentials,
+                   initial=lambda size, rng: search(rng.random(size), cum_mu))

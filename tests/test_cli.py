@@ -43,7 +43,10 @@ SHIPPED = {
 # proves by test that the law holds, may record them again (ROADMAP aim 2).
 # The counterexample pair was recorded again when its log margin became the
 # closed form (its `rhs` and `log_margin` moved in the last digits; see
-# `test_counterexample_log_margin_closed_form_accuracy`).
+# `test_counterexample_log_margin_closed_form_accuracy`).  The two n-scaling
+# pairs were recorded again when finite models began to step count vectors,
+# which draws new values from the same law (see
+# `test_particles.test_count_step_law_is_the_exact_multinomial`).
 GOLDEN = {
     "bias_finite": ("767ad88dddad37a2ef88dc5e48b30bd4b2d5cf939bb254120a7f79ec0004ecc4",
                     "44a6007fdb7f775844c86df7576a2c363d9f09c40d5644238876c65dd7c4d2cc"),
@@ -57,10 +60,10 @@ GOLDEN = {
                       "51c422f863fc904b1ae2e2a0f6781ec4493420fe9c0cdc826948bbb7b91050a3"),
     "lemma1_audit": ("5634f9415799fb60cc1df47affd9ff3dcbfe358db3e7dbd4a481f0ca9908f22a",
                      "77a034df3eaf50305c42a5f8c63849bcd0ada2fdd168cd6607f883d511739b27"),
-    "scaling_sqrt_n": ("298e3894599407b384fb99761961f377f29ca468f7c63639390597960721c9af",
-                       "02c89c2a93ed364a6527db69bc13e542f808a3f6bb70b9d67f9c06bafe7360fa"),
-    "scaling_uniform_n": ("5b8f0a25f5ee194c30098de940d7c2642d6f891154ed66c05c30246006a1a93e",
-                          "9e733b8b9f767439f114303e7bcd25fc40730a26351307d4eddbb49a3e3dd8b5"),
+    "scaling_sqrt_n": ("4048cb070cf7ff0bc0d453f7f4a7dc8ee61229e5c50816517284726d51e8f00a",
+                       "395e4ff490798ca04babb8d296cbbcc7eca96c9595b62156938bcac791d75c65"),
+    "scaling_uniform_n": ("6027832e4778a284f45aa736ea99617a74b4dad7d9cfa301e3cd9927a38e459c",
+                          "ac14ecc575652a86f571cdabbaada01403a320dde4b4d16f3363c5cb98af0694"),
 }
 
 
@@ -93,13 +96,13 @@ def test_shipped_config_runs_shrunk(name, tmp_path):
 
 def test_finite_bias_decay_with_particles_keeps_its_digest(tmp_path):
     # one CSV holds the exact rows, then the particle rows at N = 50; recorded
-    # (like GOLDEN) before the particle reductions were rewritten
+    # (like GOLDEN) when finite models began to step count vectors
     cfg = parse_config(_shipped("bias_finite", tmp_path, workers=1, replicates=3,
                                 grids={"n": [3, 4, 6, 8], "N": [50]}))
-    assert dispatch(cfg) == EXIT_INCONCLUSIVE  # one particle cell clears its noise floor
+    assert dispatch(cfg) == EXIT_OK  # two particle cells clear their noise floor
     assert _digests(tmp_path, cfg.experiment) == (
-        "88a8380f9e17a0bb75f8f997042c5154d1f4d8d5297be6b07afe28de918df53f",
-        "c80e0707bef5cc557df1b1a9fe8915a4e512b3762e8a0cd5f418959e93aa0da5")
+        "005a493901c1656478844a521d605d1d06cbf1f2a47400cb08b779d06b10d09d",
+        "0486e87c5a42d1eb4d1195e37bc8edc14b9282acff67ced0cfe9741628d64fd0")
 
 
 @pytest.mark.parametrize("init, used", [
@@ -637,13 +640,13 @@ def test_run_and_audit_read_one_drift_function(tmp_path):
 
 def test_finite_run_keeps_its_digest(tmp_path):
     # no GOLDEN pair is a finite run, the one particle path that monitors V by
-    # state; recorded (like GOLDEN) before the monitored V and its certificate split
+    # state; recorded (like GOLDEN) when finite models began to step count vectors
     cfg = parse_config(json.dumps({**_finite_run(tmp_path), "workers": 1}))
     assert len(stabilitylab._replicate_tasks(cfg, [(3, 20), (5, 20)])) == 2
     assert dispatch(cfg) == EXIT_OK
     assert _digests(tmp_path, cfg.experiment) == (
-        "ec8bb78a7afdb798058376e10d9d1c5a3b0e90fb5e23dbf999a059337137c1a0",
-        "5121bb57e233ecaf040fc2078a2481d1f99b9cbfb1b5f8dc898c5a16a4f53f76")
+        "9395956c35196df816907af9c78f2dd2ddb9d9ae8a5d1b36cefa99f9ce182870",
+        "1509ddad7d70619c2fc65e9cfe8db63deecfd12f60704997e009953d35eb1e8b")
 
 
 def test_drift_check_on_a_mixture_target(tmp_path):

@@ -6,12 +6,7 @@ import pytest
 import scipy.stats
 
 from tempersmc import streams
-from tempersmc.finite import (
-    _inverse_cdf,
-    drift_inputs_for_chain,
-    metropolis_matrix,
-    table_model,
-)
+from tempersmc.finite import drift_inputs_for_chain, metropolis_matrix, table_model
 
 
 def _kernels(mats):
@@ -23,74 +18,31 @@ def _kernels(mats):
 def test_sample_batch_deterministic_given_stream():
     mats = [np.array([[0.3, 0.7], [0.6, 0.4]])] * 2
     kf = _kernels(mats)
-    xs = np.array([0, 1, 0, 1, 1])
-    a = [kf.sample_batch(1, xs, xs, streams.stream(11, i)) for i in range(20)]
-    b = [kf.sample_batch(1, xs, xs, streams.stream(11, i)) for i in range(20)]
+    counts = np.array([2, 3])
+    a = [kf.sample_batch(1, counts, streams.stream(11, i)) for i in range(20)]
+    b = [kf.sample_batch(1, counts, streams.stream(11, i)) for i in range(20)]
     np.testing.assert_array_equal(a, b)
-    # a finite state is its own statistic
-    assert all(new is stats for new, stats in a)
+    # each draw moves every one of the five particles once, and the streams differ
+    assert all(c.shape == (2,) and c.sum() == 5 for c in a)
+    assert len({tuple(c) for c in a}) > 1
 
 
-def test_sample_batch_frequencies_match_matrix_row():
+@pytest.mark.parametrize("row", range(3))
+def test_sample_batch_frequencies_match_matrix_row(row):
     mats = [np.array([[0.15, 0.25, 0.6], [0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])]
     kf = _kernels(mats)
     n_draws = 100_000
-    rng = streams.stream(5, 0)
-    start = np.zeros(n_draws, dtype=int)
-    draws, _ = kf.sample_batch(1, start, start, rng)
-    counts = np.bincount(draws, minlength=3)
-    row = mats[0][0]
+    start = np.zeros(3, dtype=int)
+    start[row] = n_draws
+    counts = kf.sample_batch(1, start, streams.stream(5, row))
+    p = mats[0][row]
     # 4-sigma binomial bands per destination state
     for j in range(3):
-        sd = np.sqrt(n_draws * row[j] * (1 - row[j]))
-        assert abs(counts[j] - n_draws * row[j]) < 4 * sd
+        sd = np.sqrt(n_draws * p[j] * (1 - p[j]))
+        assert abs(counts[j] - n_draws * p[j]) < 4 * sd
     # chi-square goodness of fit must not reject at the 1e-4 level
-    _, pval = scipy.stats.chisquare(counts, n_draws * row)
+    _, pval = scipy.stats.chisquare(counts, n_draws * p)
     assert pval > 1e-4
-
-
-def _row_search(u, cum):
-    """The row form of the inverse CDF: compare each uniform with its whole cumulative row."""
-    return np.minimum((u[:, None] > cum).sum(axis=1), cum.shape[-1] - 1)
-
-
-def _edge_kernel(rng, m):
-    """Random kernel with zero entries and a row whose cumsum ends just below 1."""
-    a = rng.dirichlet(np.ones(m), size=m)
-    a[rng.random((m, m)) < 0.3] = 0.0
-    a[:, 0] += 1e-3  # no empty row
-    a /= a.sum(axis=1, keepdims=True)
-    a[0] = 0.0
-    a[0, m // 2] = 1.0 - 5e-13
-    return a
-
-
-@pytest.mark.parametrize("m", range(2, 7))
-def test_column_sampler_equals_row_sampler(m):
-    rng = np.random.default_rng(m)
-    a = _edge_kernel(rng, m)
-    cum = np.cumsum(a, axis=1)
-    assert 0 < 1.0 - cum[0, -1] < 1e-12 and np.any(a == 0.0)
-    xs = rng.integers(0, m, size=20_000)
-    xs[:m * m] = np.repeat(np.arange(m), m)
-    u = rng.random(xs.size)
-    # uniforms exactly on each cumulative weight, and past the short row's end
-    u[:m * m] = cum.ravel()
-    u[m * m:m * m + m] = np.nextafter(1.0, 0.0)
-    expected = _row_search(u, cum[xs])
-    np.testing.assert_array_equal(_inverse_cdf(u, (c[xs] for c in cum[:, :-1].T)), expected)
-    kf = _kernels([a])
-    drawn, _ = kf.sample_batch(1, xs, xs, streams.stream(13, m))
-    u_stream = streams.stream(13, m).random(xs.size)
-    np.testing.assert_array_equal(drawn, _row_search(u_stream, cum[xs]))
-    # the 1-d cumsum of an initial law, through the sampler of a finite model
-    mu = a[0]
-    np.testing.assert_array_equal(_inverse_cdf(u, np.cumsum(mu)[:-1]),
-                                  _row_search(u, np.cumsum(mu)))
-    initial = table_model([a], np.zeros((1, m)), mu).initial
-    np.testing.assert_array_equal(initial(xs.size, streams.stream(17, m)),
-                                  _row_search(streams.stream(17, m).random(xs.size),
-                                              np.cumsum(mu)))
 
 
 def _valid_arrays():

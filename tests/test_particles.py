@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -6,11 +8,16 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from finite_models import fixture_drift_inputs, random_finite_model, two_state_fixture
+from finite_models import (
+    fixture_drift_inputs,
+    label_model,
+    random_finite_model,
+    two_state_fixture,
+)
 from test_rwm import box_increment
 from tempersmc import oracle, streams
 from tempersmc.fk_core import FKModel, KernelFamily, PotentialFamily
-from tempersmc.finite import table_model
+from tempersmc.finite import table_model, tempered_chain_model
 from tempersmc.particles import (
     BLOCK_VALUES,
     Ensemble,
@@ -71,9 +78,12 @@ def gaussian_model(n, init_mean=0.0, floor=0.7):
 # ------------------------------------------------------------- initialization
 
 def test_init_dirac_all_equal():
-    ens = _init(_started(two_state_model(), lambda size, rng: np.full(size, 1)), 100, seed=1)
-    assert np.all(ens.states == 1) and np.all(ens.stats == 1)
-    assert ens.k == 0
+    # a finite population is the count vector over the labels 0..m-1
+    ens = _init(_started(two_state_model(), lambda size, rng: np.array([0, size])), 100, seed=1)
+    np.testing.assert_array_equal(ens.counts, [0, 100])
+    np.testing.assert_array_equal(ens.states, [0, 1])
+    np.testing.assert_array_equal(ens.stats, [0, 1])
+    assert ens.n_particles == 100 and ens.k == 0
 
 
 def test_init_bit_reproducible():
@@ -90,13 +100,20 @@ def test_init_bit_reproducible():
 def test_ensemble_needs_one_statistic_per_particle():
     with pytest.raises(ValueError, match="one statistic per particle"):
         Ensemble(states=np.arange(4), stats=np.arange(3), k=0)
+    with pytest.raises(ValueError, match="one count per label"):
+        Ensemble(states=np.arange(3), stats=np.arange(3), k=0, counts=np.array([1, 2]))
+    with pytest.raises(ValueError, match="at least one particle"):
+        Ensemble(states=np.arange(3), stats=np.arange(3), k=0, counts=np.zeros(3, dtype=int))
+    with pytest.raises(ValueError, match="wrong counts"):
+        _init(_started(two_state_model(), lambda size, rng: np.array([size, 1])), 5, seed=1)
 
 
 def test_init_finite_frequencies():
     model = two_state_model()
     n_particles = 100_000
     ens = _init(model, n_particles, seed=9)
-    counts = np.bincount(ens.states, minlength=2)
+    counts = ens.counts
+    assert counts.sum() == n_particles
     for j, p in enumerate(model.finite.mu):
         sd = math.sqrt(n_particles * p * (1 - p))
         assert abs(counts[j] - n_particles * p) < 4 * sd
@@ -105,45 +122,109 @@ def test_init_finite_frequencies():
 # ------------------------------------------------------------- transitions
 
 def test_flat_weights_resample_uniformly():
-    # constant potential: each new particle's law is the kernel-propagated
-    # empirical measure
+    # constant potential: the new counts are multinomial on the
+    # kernel-propagated empirical measure
     n, m = 2, 3
     mats = [np.array([[0.2, 0.5, 0.3], [0.6, 0.2, 0.2], [0.1, 0.1, 0.8]])] * n
     model = table_model(mats, np.full((n, m), np.log(2.7)), np.full(m, 1 / 3))
-    pattern = np.array([0, 0, 1, 2, 2, 2], dtype=int)
+    pattern = np.array([2, 1, 3])
     n_copies = 20_000
-    ens = _init(_started(model, lambda size, rng: np.tile(pattern, size // pattern.size)),
-                pattern.size * n_copies, seed=5)
+    ens = _init(_started(model, lambda size, rng: pattern * (size // pattern.sum())),
+                pattern.sum() * n_copies, seed=5)
     stepped, _ = _step(ens, model, seed=5)
-    freq = np.bincount(pattern, minlength=m) / pattern.size
-    expected = freq @ mats[0]
-    counts = np.bincount(stepped.states, minlength=m)
-    _, pval = scipy.stats.chisquare(counts, expected * stepped.n_particles)
+    expected = pattern / pattern.sum() @ mats[0]
+    _, pval = scipy.stats.chisquare(stepped.counts, expected * stepped.n_particles)
     assert pval > 1e-4
 
 
 def test_single_particle_always_mutates():
     model = two_state_model()
-    ens = _init(_started(model, lambda size, rng: np.ones(size, dtype=int)), 1, seed=2)
+    ens = _init(_started(model, lambda size, rng: np.array([0, size])), 1, seed=2)
     stepped, _ = _step(ens, model, seed=2)
     assert stepped.n_particles == 1
     assert stepped.k == 1
+    # its one ancestor is itself, so it moves by row 1 of the kernel: over
+    # replicates the new label is 0 with probability M2[1, 0]
+    moved = sum(int(_step(ens, model, seed=2, replicate=r)[0].counts[0]) for r in range(4000))
+    sd = math.sqrt(4000 * M2[1, 0] * M2[1, 1])
+    assert abs(moved - 4000 * M2[1, 0]) < 4 * sd
 
 
 def test_one_step_law_matches_exact_mixture():
-    # a tiled fixed ensemble: each new particle is an independent draw from
-    # the reweight-then-mutate mixture of the pattern measure
+    # a fixed count population: the new counts are multinomial on the
+    # reweight-then-mutate mixture of its empirical measure
     model = two_state_model()
-    pattern = np.array([0, 0, 0, 1, 1], dtype=int)
+    pattern = np.array([3, 2])
     n_copies = 20_000
-    ens = _init(_started(model, lambda size, rng: np.tile(pattern, size // pattern.size)),
-                pattern.size * n_copies, seed=31)
+    ens = _init(_started(model, lambda size, rng: pattern * (size // pattern.sum())),
+                pattern.sum() * n_copies, seed=31)
     stepped, _ = _step(ens, model, seed=31)
-    eta_pattern = np.bincount(pattern, minlength=2) / pattern.size
-    expected = oracle.flow_map(model, eta_pattern, 0, 1)
-    counts = np.bincount(stepped.states, minlength=2)
-    _, pval = scipy.stats.chisquare(counts, expected * stepped.n_particles)
+    expected = oracle.flow_map(model, pattern / pattern.sum(), 0, 1)
+    _, pval = scipy.stats.chisquare(stepped.counts, expected * stepped.n_particles)
     assert pval > 1e-4
+
+
+def _compositions(n, m):
+    """Every count vector of n particles over m labels."""
+    if m == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _compositions(n - first, m - 1):
+            yield (first, *rest)
+
+
+def _pooled(observed, expected, least=5.0):
+    """``observed`` and ``expected`` with the cells expecting under ``least`` draws pooled.
+
+    The pool joins the smallest other cell if it still expects fewer.
+    """
+    small = expected < least
+    obs, exp = list(observed[~small]), list(expected[~small])
+    if small.any():
+        pool_obs, pool_exp = observed[small].sum(), expected[small].sum()
+        if pool_exp < least:
+            i = int(np.argmin(exp))
+            obs[i] += pool_obs
+            exp[i] += pool_exp
+        else:
+            obs.append(pool_obs)
+            exp.append(pool_exp)
+    return np.array(obs), np.array(exp)
+
+
+# The count-law gate: each case compares _LAW_DRAWS one-step draws from a
+# fixed count vector with the exact multinomial law by a chi-square test at
+# level _LAW_ALPHA, every pooled cell expecting at least 5 draws.  With 10
+# cases a correct engine fails the gate with probability at most
+# 10 * 1e-5 = 1e-4.
+_LAW_CASES = 10
+_LAW_DRAWS = 5000
+_LAW_ALPHA = 1e-5
+
+
+@pytest.mark.parametrize("case", range(_LAW_CASES))
+def test_count_step_law_is_the_exact_multinomial(case):
+    # from counts c, the next counts are Multinomial(N, normalize((c * G_0) M_1))
+    rng = np.random.default_rng(900 + case)
+    m, n_particles = int(rng.integers(2, 6)), int(rng.integers(1, 7))
+    model = random_finite_model(rng, m=m, n=2)
+    counts = rng.multinomial(n_particles, rng.dirichlet(np.ones(m)))
+    ens = Ensemble(states=np.arange(m), stats=np.arange(m), k=0, counts=counts)
+    law = (counts * np.exp(model.finite.log_g[0])) @ model.finite.kernels[0]
+    law /= law.sum()
+    outcomes = list(_compositions(n_particles, m))
+    index = {c: i for i, c in enumerate(outcomes)}
+    observed = np.zeros(len(outcomes))
+    step_rng = streams.stream(77, case)
+    for _ in range(_LAW_DRAWS):
+        stepped, _ = smc_step(ens, model, step_rng)
+        observed[index[tuple(stepped.counts.tolist())]] += 1
+    expected = _LAW_DRAWS * scipy.stats.multinomial.pmf(np.array(outcomes), n_particles, law)
+    obs, exp = _pooled(observed, expected)
+    assert obs.size >= 2
+    _, pval = scipy.stats.chisquare(obs, exp)
+    assert pval > _LAW_ALPHA
 
 
 def test_step_returns_the_log_weights_it_resampled_by():
@@ -151,7 +232,7 @@ def test_step_returns_the_log_weights_it_resampled_by():
     ens = _init(model, 50, seed=4)
     stepped, lw = _step(ens, model, seed=4)
     np.testing.assert_array_equal(lw, model.potentials.log_g(0, ens.states))
-    assert stepped.k == 1
+    assert stepped.k == 1 and stepped.n_particles == 50
 
 
 def test_total_degeneracy_raises():
@@ -250,9 +331,10 @@ class _Pinned:
         return np.array(self.u, dtype=float)
 
 
+# the finite models run as label states, so their steps take the per-particle path
 _SEARCH_MODELS = {
-    "finite": lambda: random_finite_model(np.random.default_rng(3), m=5, n=3),
-    "tied": lambda: table_model([M2] * 3, np.zeros((3, 2)), np.array([0.6, 0.4])),
+    "finite": lambda: label_model(random_finite_model(np.random.default_rng(3), m=5, n=3)),
+    "tied": lambda: label_model(table_model([M2] * 3, np.zeros((3, 2)), np.array([0.6, 0.4]))),
     "gaussian": lambda: gaussian_model(3)[0],
 }
 
@@ -266,8 +348,7 @@ def test_step_draws_what_the_plain_search_draws(kind, n_particles):
         expected = _plain_search_step(ens, model, streams.stream(71, 2, ens.k + 1))
         ens, _ = _step(ens, model, seed=71, replicate=2)
         np.testing.assert_array_equal(ens.states, expected)
-        # a finite model's statistic is the state array itself, gathered once
-        assert (ens.stats is ens.states) == model.is_finite
+        np.testing.assert_array_equal(ens.stats, model.potentials.statistic(ens.states))
 
 
 _CARRY_TARGETS = {
@@ -356,6 +437,92 @@ def test_single_surviving_particle_is_every_ancestor(survivor):
     np.testing.assert_array_equal(stepped.states, np.full(n_particles, survivor))
 
 
+def _empty_label_model(n=4):
+    """Three labels; label 2, 800 above the others in log weight, is never occupied.
+
+    No row of the kernels moves mass to label 2, and the initial law holds none there.
+    """
+    mats = [np.array([[0.6, 0.4, 0.0], [0.3, 0.7, 0.0], [0.2, 0.3, 0.5]])] * n
+    return table_model(mats, np.tile([0.0, -1.0, 800.0], (n, 1)), np.array([0.5, 0.5, 0.0]))
+
+
+def test_empty_label_sets_neither_the_max_nor_the_range():
+    # were label 2's log weight the max, every occupied weight would underflow to 0
+    model = _empty_label_model()
+    assert model.potentials.log_g_max == 800.0
+    drift = lambda s: np.array([1.0, 2.0, np.inf])[s]
+    pop, summaries = run_sampler(model, 50, seed=13, drift=drift)
+    assert pop.counts[2] == 0 and pop.n_particles == 50
+    for s in summaries[:-1]:
+        assert (s.log_w_max, s.log_w_min) in [(-800.0, -801.0), (-800.0, -800.0),
+                                              (-801.0, -801.0)]
+        assert 1.0 <= s.ess <= 50.0
+    assert all(1.0 <= s.eta_v <= 2.0 for s in summaries)
+    # the occupied labels alone weigh: a population on them whose weights all
+    # vanish degenerates, whatever the weight of the empty label
+    vanished = replace(model, potentials=replace(
+        model.potentials, log_g=lambda k, x: np.array([-np.inf, -np.inf, 0.0])[x]))
+    ens = _init(vanished, 10, seed=13)
+    with pytest.raises(TotalDegeneracyError):
+        _step(ens, vanished, seed=13)
+
+
+def test_count_path_at_one_particle_and_one_step():
+    # one particle is its own ancestor, so its terminal label has law mu M_1
+    model = two_state_model(n=1)
+    drift = lambda s: np.array([1.0, 2.5])[s]
+    at_one = 0
+    for r in range(2000):
+        pop, (first, last) = run_sampler(model, 1, seed=3, replicate=r, drift=drift)
+        assert pop.n_particles == 1 and pop.k == 1
+        assert first.ess == 1.0 and first.log_w_max == first.log_w_min
+        assert first.eta_gtilde == math.exp(first.log_w_max)
+        assert last.eta_v == drift(np.argmax(pop.counts))
+        at_one += int(pop.counts[1])
+    p = float(model.finite.mu @ M2[:, 1])
+    assert abs(at_one - 2000 * p) < 4 * math.sqrt(2000 * p * (1 - p))
+
+
+def test_zero_entry_kernel_moves_no_count_where_its_row_is_zero():
+    # at move_prob 1 a particle at the lighter state always moves to the heavier:
+    # that row of every kernel is [1, 0]
+    n = 5
+    model = tempered_chain_model(np.array([0.0, -1.0]), linear_schedule(0.7).ladder(n),
+                                 move_prob=1.0, init=np.array([0.0, 1.0]))
+    assert np.all(model.finite.kernels[:, 1] == [1.0, 0.0])
+    for r in range(20):
+        ens = _init(model, 1000, seed=8, replicate=r)
+        np.testing.assert_array_equal(ens.counts, [0, 1000])
+        ens, _ = _step(ens, model, seed=8, replicate=r)
+        np.testing.assert_array_equal(ens.counts, [1000, 0])
+        pop, _ = run_sampler(model, 1000, seed=8, replicate=r)
+        assert pop.n_particles == 1000 and pop.k == n
+
+
+def test_run_without_particles_rejected():
+    for model in (two_state_model(), gaussian_model(2)[0]):
+        with pytest.raises(ValueError, match="at least one particle"):
+            run_sampler(model, 0, seed=1)
+
+
+def test_count_replicate_at_a_billion_particles():
+    # a count population holds m counts, never N states
+    model = two_state_fixture(20)
+    v = fixture_drift_inputs()[0].v
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        pop, summaries = run_sampler(model, 10**9, seed=7, drift=lambda s: v[s])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pop.n_particles == 10**9 and len(summaries) == 21
+    assert 0.0 < estimate(pop, lambda s: np.asarray(s, dtype=float)) < 1.0
+    assert elapsed < 1.0
+    assert peak < 2**20
+
+
 # ------------------------------------------------------------- full runs
 
 def test_horizon_zero_returns_initial_ensemble():
@@ -364,8 +531,8 @@ def test_horizon_zero_returns_initial_ensemble():
     kf = KernelFamily(sample_batch=lambda k, xs, stats, rng: (xs, stats))
     model = FKModel(horizon=0, kernels=kf, potentials=pf,
                     initial=lambda size, rng: np.arange(size) % m)
-    states, summaries = run_sampler(model, 10, seed=3, drift=lambda s: np.ones(len(s)))
-    np.testing.assert_array_equal(states, np.arange(10) % m)
+    pop, summaries = run_sampler(model, 10, seed=3, drift=lambda s: np.ones(len(s)))
+    np.testing.assert_array_equal(pop.states, np.arange(10) % m)
     assert len(summaries) == 1 and math.isnan(summaries[0].ess)
     assert summaries[0].eta_v == 1.0
     # summaries are taken exactly when a drift function is given
@@ -383,17 +550,32 @@ def _ess(lw):
 
 
 def _reference_summary(model, ens, drift, lw):
-    """Diagnostics of ``ens`` one step at a time; ``lw`` is None at the terminal step."""
+    """Diagnostics of ``ens`` one step at a time; ``lw`` is None at the terminal step.
+
+    A count population reads its occupied labels alone, each weighed by its count.
+    """
     v = drift(ens.stats)
-    eta_v = float(v.sum() / v.size)
+    if ens.counts is None:
+        c = None
+        eta_v = float(v.sum() / v.size)
+    else:
+        held = ens.counts > 0
+        c = ens.counts[held]
+        eta_v = float((v[held] * c).sum() / c.sum())
     if lw is None:
         return StepSummary(k=ens.k, ess=math.nan, log_w_max=math.nan, log_w_min=math.nan,
                            eta_v=eta_v, eta_gtilde=math.nan)
     lw = lw - model.potentials.log_g_max
-    g = np.exp(lw)
-    return StepSummary(k=ens.k, ess=_ess(lw), log_w_max=float(lw.max()),
-                       log_w_min=float(lw.min()), eta_v=eta_v,
-                       eta_gtilde=float(g.sum() / g.size))
+    if c is None:
+        g = np.exp(lw)
+        return StepSummary(k=ens.k, ess=_ess(lw), log_w_max=float(lw.max()),
+                           log_w_min=float(lw.min()), eta_v=eta_v,
+                           eta_gtilde=float(g.sum() / g.size))
+    lw = lw[held]
+    w = np.exp(lw - lw.max())
+    ess = float((w * c).sum()) ** 2 / float((w * w * c).sum())
+    return StepSummary(k=ens.k, ess=ess, log_w_max=float(lw.max()), log_w_min=float(lw.min()),
+                       eta_v=eta_v, eta_gtilde=float((np.exp(lw) * c).sum() / c.sum()))
 
 
 def _reference_run(model, n_particles, seed, replicate, drift):
@@ -409,7 +591,7 @@ def _reference_run(model, n_particles, seed, replicate, drift):
         summaries.append(_reference_summary(model, ens, drift, lw))
         ens = nxt
     summaries.append(_reference_summary(model, ens, drift, None))
-    return ens.states, summaries
+    return ens, summaries
 
 
 def _odd_draw_model(n):
@@ -438,6 +620,14 @@ def _bits(summaries):
     return np.array([astuple(s) for s in summaries], dtype=float).view(np.uint64).tolist()
 
 
+def _assert_same_population(a, b):
+    """``a`` and ``b`` hold the same bytes: states, and counts where they hold counts."""
+    np.testing.assert_array_equal(a.states.view(np.uint8), b.states.view(np.uint8))
+    assert a.k == b.k and (a.counts is None) == (b.counts is None)
+    if a.counts is not None:
+        np.testing.assert_array_equal(a.counts, b.counts)
+
+
 _REFERENCE_MODELS = {
     "two-state": lambda n: (two_state_model(n), lambda s: np.array([1.0, 2.5])[s]),
     "random-finite": lambda n: (random_finite_model(np.random.default_rng(7), m=5, n=n),
@@ -453,15 +643,17 @@ _REFERENCE_MODELS = {
 def test_run_sampler_draws_each_step_from_its_stream(kind, n, n_particles):
     # one Philox re-keyed per step draws what a fresh generator per step draws:
     # N ancestor uniforms leave part of a Philox block buffered whenever N is
-    # not a multiple of 4, and the odd-draw kernel leaves half a word
+    # not a multiple of 4, and the odd-draw kernel leaves half a word.  The
+    # finite models step count populations, whose binomial draws take a
+    # varying number of words, against a count reference
     model, drift = _REFERENCE_MODELS[kind](n)
     for seed, replicate in [(3, 0), (2**64 - 1, 2**32 + 5)]:
-        states, summaries = run_sampler(model, n_particles, seed, replicate, drift=drift)
-        ref_states, ref_summaries = _reference_run(model, n_particles, seed, replicate, drift)
-        np.testing.assert_array_equal(states.view(np.uint8), ref_states.view(np.uint8))
+        pop, summaries = run_sampler(model, n_particles, seed, replicate, drift=drift)
+        assert (pop.counts is not None) == model.is_finite
+        ref, ref_summaries = _reference_run(model, n_particles, seed, replicate, drift)
+        _assert_same_population(pop, ref)
         assert _bits(summaries) == _bits(ref_summaries)
-        np.testing.assert_array_equal(run_sampler(model, n_particles, seed, replicate)[0],
-                                      states)
+        _assert_same_population(run_sampler(model, n_particles, seed, replicate)[0], pop)
 
 
 def _mixture_with_drift(n):
@@ -493,18 +685,63 @@ def test_block_monitor_is_the_per_step_monitor(n_particles):
         assert _bits(summaries) == _bits(ref_summaries)
 
 
+_COUNT_MONITOR_MODELS = {
+    "random-finite": lambda: (random_finite_model(np.random.default_rng(11), m=5, n=6),
+                              lambda s: 1.0 + np.asarray(s, dtype=float) ** 2),
+    "empty-label": lambda: (_empty_label_model(6), lambda s: np.array([1.0, 3.0, np.inf])[s]),
+}
+
+
+@pytest.mark.parametrize("n_particles", [1, 3, 17])
+@pytest.mark.parametrize("kind", sorted(_COUNT_MONITOR_MODELS))
+def test_count_monitor_is_the_particle_monitor_of_the_repeated_labels(kind, n_particles):
+    # each count population, written out as np.repeat(labels, counts) and
+    # summarized by the per-particle formulas
+    model, drift = _COUNT_MONITOR_MODELS[kind]()
+    _, summaries = run_sampler(model, n_particles, 5, 2, drift=drift)
+    ens, expected = _init(model, n_particles, 5, 2), []
+    while True:
+        particles = np.repeat(ens.states, ens.counts)
+        lw = None if ens.k == model.horizon else model.potentials.log_g(ens.k, particles)
+        expected.append(_reference_summary(
+            model, Ensemble(states=particles, stats=particles, k=ens.k), drift, lw))
+        if lw is None:
+            break
+        ens, _ = _step(ens, model, 5, 2)
+    np.testing.assert_allclose(np.array([astuple(s) for s in summaries]),
+                               np.array([astuple(s) for s in expected]), rtol=1e-12, atol=0)
+
+
+def test_count_block_monitor_across_blocks():
+    # a two-label population holds two values per step, so a block is
+    # BLOCK_VALUES // 2 steps; every step of this model is the same, so a run
+    # to horizon n is the first n steps of the longest run, then its terminal row
+    block = BLOCK_VALUES // 2
+    longest = block + 1
+    drift = lambda s: np.array([1.0, 2.5])[s]
+    model = table_model([M2] * longest, np.tile(np.log([2.0, 0.7]), (longest, 1)),
+                        np.array([0.6, 0.4]))
+    _, ref_summaries = _reference_run(model, 9, 29, 1, drift)
+    for n in [block - 1, block, longest]:
+        short = table_model([M2] * n, np.tile(np.log([2.0, 0.7]), (n, 1)), np.array([0.6, 0.4]))
+        _, summaries = run_sampler(short, 9, 29, 1, drift=drift)
+        terminal = replace(ref_summaries[n], ess=math.nan, log_w_max=math.nan,
+                           log_w_min=math.nan, eta_gtilde=math.nan)
+        assert _bits(summaries) == _bits(ref_summaries[:n] + [terminal])
+
+
 def test_block_monitor_at_one_particle():
     # one particle makes a block of BLOCK_VALUES steps.  Every step of this
     # model has the same kernel and potential, so a run to horizon n is the
     # first n steps of the longest run, then its terminal row
     longest = BLOCK_VALUES + 1
     drift = lambda s: np.array([1.0, 2.5])[s]
-    model = table_model([M2] * longest, np.tile(np.log([2.0, 0.7]), (longest, 1)),
-                        np.array([0.6, 0.4]))
+    model = label_model(table_model([M2] * longest, np.tile(np.log([2.0, 0.7]), (longest, 1)),
+                                    np.array([0.6, 0.4])))
     assert model.potentials.log_g_max > 0.0
     _, ref_summaries = _reference_run(model, 1, 29, 1, drift)
     for n in [0, 1, BLOCK_VALUES - 1, BLOCK_VALUES, longest]:
-        _, summaries = run_sampler(replace(model, horizon=n, finite=None), 1, 29, 1, drift=drift)
+        _, summaries = run_sampler(replace(model, horizon=n), 1, 29, 1, drift=drift)
         terminal = replace(ref_summaries[n], ess=math.nan, log_w_max=math.nan,
                            log_w_min=math.nan, eta_gtilde=math.nan)
         assert _bits(summaries) == _bits(ref_summaries[:n] + [terminal])
@@ -516,8 +753,8 @@ def test_terminal_mean_matches_oracle_over_replicates():
     exact = float(oracle.eta_exact(model, 6) @ np.array([0.0, 1.0]))
     vals = []
     for r in range(200):
-        states, _ = run_sampler(model, 400, seed=17, replicate=r)
-        vals.append(estimate(states, f))
+        pop, _ = run_sampler(model, 400, seed=17, replicate=r)
+        vals.append(estimate(pop, f))
     vals = np.asarray(vals)
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - exact) < 4 * se
@@ -527,8 +764,8 @@ def test_gaussian_symmetry_of_terminal_mean():
     model, _ = gaussian_model(8, init_mean=0.0)
     vals = []
     for r in range(60):
-        states, _ = run_sampler(model, 500, seed=23, replicate=r)
-        vals.append(estimate(states, lambda x: np.asarray(x)[:, 0]))
+        pop, _ = run_sampler(model, 500, seed=23, replicate=r)
+        vals.append(estimate(pop, lambda x: np.asarray(x)[:, 0]))
     vals = np.asarray(vals)
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean()) < 4 * se
@@ -568,21 +805,28 @@ def test_ess_formula():
 # ------------------------------------------------------------- estimators
 
 def test_estimate_basics():
-    states = np.full(10, 3, dtype=int)
-    assert estimate(states, lambda s: np.ones(len(s))) == 1.0
-    assert estimate(states, lambda s: np.asarray(s, dtype=float)) == 3.0
+    pop = Ensemble(states=np.full(10, 3, dtype=int), stats=np.full(10, 3), k=0)
+    assert estimate(pop, lambda s: np.ones(len(s))) == 1.0
+    assert estimate(pop, lambda s: np.asarray(s, dtype=float)) == 3.0
     # a non-finite value anywhere leaves the replicate without a finite estimate
-    assert math.isnan(estimate(states, lambda s: np.where(np.arange(len(s)) == 4, np.inf, 1.0)))
-    assert math.isnan(estimate(states, lambda s: np.full(len(s), np.nan)))
+    assert math.isnan(estimate(pop, lambda s: np.where(np.arange(len(s)) == 4, np.inf, 1.0)))
+    assert math.isnan(estimate(pop, lambda s: np.full(len(s), np.nan)))
+    # a count population weighs f at each occupied label by its count; an
+    # empty label weighs nothing, not even a non-finite value
+    pop = Ensemble(states=np.arange(3), stats=np.arange(3), k=0, counts=np.array([1, 0, 3]))
+    assert estimate(pop, lambda s: np.asarray(s, dtype=float)) == 1.5
+    assert estimate(pop, lambda s: np.where(s == 1, np.inf, 1.0)) == 1.0
+    assert math.isnan(estimate(pop, lambda s: np.where(s == 2, np.nan, 1.0)))
 
 
 def test_exchangeability_of_particle_indices():
-    model = two_state_fixture(3)
+    # particle indices exist on the per-particle path only
+    model = label_model(two_state_fixture(3))
     picks = {0: [], 3: []}
     for r in range(400):
-        states, _ = run_sampler(model, 8, seed=41, replicate=r)
-        picks[0].append(int(states[0]))
-        picks[3].append(int(states[3]))
+        pop, _ = run_sampler(model, 8, seed=41, replicate=r)
+        picks[0].append(int(pop.states[0]))
+        picks[3].append(int(pop.states[3]))
     table = np.stack([np.bincount(picks[0], minlength=2), np.bincount(picks[3], minlength=2)])
     _, pval, _, _ = scipy.stats.chi2_contingency(table)
     assert pval > 1e-3
