@@ -13,12 +13,12 @@ law.
 
 The particle engine runs a finite model as a count vector over its m
 states (see ``particles``), so its samplers draw counts, not particles:
-the initial sampler draws Multinomial(N, mu), and the kernel moves a
-vector a of ancestor counts to the sum over occupied states j of
-Multinomial(a_j, M[k][j]).  A finite model's statistic is the state label
-itself, so its potentials and drift vectors are indexed by state.  A
-chain's drift vector is ``tempering.drift_function`` evaluated at its log
-weights.
+the initial sampler draws Multinomial(N, mu), and the kernel, given
+weights w over the states, draws the next N counts as
+Multinomial(N, normalize(w M[k])).  A finite model's statistic is the
+state label itself, so its potentials and drift vectors are indexed by
+state.  A chain's drift vector is ``tempering.drift_function`` evaluated
+at its log weights.
 """
 
 import numpy as np
@@ -95,8 +95,8 @@ def table_model(matrices, log_g_table, mu, log_g_max=None):
     m entries.  The family bound defaults to the exact table maximum.  The
     checked arrays become the model's ``FiniteArrays``.  The samplers work
     on count vectors over the m states: ``initial(N, rng)`` draws
-    Multinomial(N, mu), and ``sample_batch(k, a, rng)`` moves the counts
-    ``a`` one transition of M[k].
+    Multinomial(N, mu), and ``sample_batch(k, w, N, rng)`` draws
+    Multinomial(N, normalize(w M[k])) for weights ``w`` over the states.
     """
     table = np.asarray(log_g_table, dtype=float)
     if not np.all(np.isfinite(table)):
@@ -110,14 +110,9 @@ def table_model(matrices, log_g_table, mu, log_g_max=None):
         raise ValueError("potential table exceeds the declared upper bound")
     w = _probability_vector(mu, m)
 
-    def sample_batch(k, counts, rng):
-        rows = mats[k - 1]
-        new = np.zeros(m, dtype=np.int64)
-        # one 1-d draw per occupied state is several times cheaper than one 2-d draw
-        for j, a in enumerate(counts.tolist()):
-            if a:
-                new += rng.multinomial(a, rows[j])
-        return new
+    def sample_batch(k, weights, size, rng):
+        p = weights @ mats[k - 1]
+        return rng.multinomial(size, p / p.sum())
 
     return FKModel(
         horizon=n,

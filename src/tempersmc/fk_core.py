@@ -26,7 +26,7 @@ those same arrays; the exact oracle reads the record alone, and with it a
 ``DriftSpec``, the certified drift inputs over the same m states.  The
 particle engine runs a finite model as a count vector over its m states,
 so the samplers of a finite model draw count vectors: its initial sampler
-and kernels take and return the counts of N particles, not N states.
+and kernels return the counts of N particles, not N states.
 
 All potential arithmetic is carried out in the log domain; the family's
 upper bound is supplied as a log constant by the model builder.
@@ -74,9 +74,12 @@ class KernelFamily:
     transition of ``M[k]`` with a fixed draw layout and returns the new
     states with their statistics (see ``PotentialFamily``); ``stats`` are
     the statistics of ``xs``.  On a finite model the batch is a count
-    vector over the m states: ``sample_batch(k, counts, rng)`` returns the
-    counts after each of the N particles made one independent transition
-    of ``M[k]``.  It is the only kernel sampler the particle engine calls.
+    vector over the m states: ``sample_batch(k, w, size, rng)`` takes
+    nonnegative weights ``w`` over the states and returns the counts of
+    ``size`` particles, each drawn independently from the state law
+    normalize(w) and moved one transition of ``M[k]``, that is, a draw of
+    Multinomial(size, normalize(w M[k])).  It is the only kernel sampler
+    the particle engine calls.
     """
 
     sample_batch: Callable
@@ -103,8 +106,9 @@ class FKModel:
 
     ``initial(size, rng)`` returns a batch of ``size`` independent draws
     from the initial law; on a finite model it returns their counts over
-    the m states, a draw of Multinomial(size, mu).  ``finite`` holds the
-    exact arrays of a finite model and is None on other spaces.
+    the m states, a draw of Multinomial(size, mu), and each step weighs
+    those counts and passes the weights to the kernels.  ``finite`` holds
+    the exact arrays of a finite model and is None on other spaces.
     """
 
     horizon: int

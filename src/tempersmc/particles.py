@@ -41,27 +41,27 @@ A count population c takes the same transition in law.  The N new
 particles of the fused draw are independent, each an ancestor label j with
 probability c_j G_k(j) / sum_i c_i G_k(i) moved by row j of M_{k+1}, so the
 next counts are exactly Multinomial(N, normalize((c * G_k) M_{k+1})).  The
-count step draws them in two stages: the ancestor counts
-a ~ Multinomial(N, normalize(c * G_k)), then, given a, the a_j moves from
-label j are independent draws from row j, so the finite kernel returns
-the sum over occupied labels j of Multinomial(a_j, M_{k+1}[j]).  Summed
-over labels, the two stages are the fused draw.  The weights are taken
-relative to the largest log weight of an occupied label; a label whose
-count is 0 carries no weight, so its log weight neither sets that maximum
-nor enters the monitor's log-weight range.  A step costs O(m^2) draws and
-arithmetic, whatever N is.
+count step draws that multinomial at once: it hands the weights
+w = c * G_k to the finite kernel, which returns
+Multinomial(N, normalize(w M_{k+1})).  The weights are taken relative to
+the largest log weight of an occupied label; a label whose count is 0
+carries no weight, so its log weight neither sets that maximum nor enters
+the monitor's log-weight range.  A step costs O(m^2) arithmetic and one
+multinomial draw, whatever N is.
 
-Randomness for step k of replicate r comes from the stream keyed by
-(seed, r, k): ancestor uniforms are drawn first, then the mutation draws,
-with particle i consuming the i-th slot of each vector (a count step draws
-its ancestor counts, then one multinomial per occupied label in label
-order), so results do not depend on how replicates are scheduled across
-workers.  ``run_sampler`` is the one place that maps (seed, r, k) to a
-stream: it takes the keys of every step of the replicate from
-``streams.step_keys`` in one pass and re-keys one Philox generator before
-each step, which then draws exactly what ``streams.stream(seed, r, k)``
-draws.  ``init_ensemble`` and ``smc_step`` take that step's generator;
-it is valid only during its step, since the next step re-keys it.
+Replicate r draws from the one stream ``streams.stream(seed, r)``: the
+initial population first, then every step in order, each step its
+ancestor uniforms and then its mutation draws, with particle i consuming
+the i-th slot of each vector.  A replicate's draws depend on (seed, r)
+alone, so results do not depend on how replicates are scheduled across
+workers.  One stream serves the whole replicate without changing the law.
+Its words are i.i.d. uniform, and a step reads a number of them that
+depends on what it draws (``rng.multinomial`` consumes a data-dependent
+number of words), so the count of words read by the end of a step is a
+stopping time of the sequence.  What is left of an i.i.d. sequence after
+a stopping time is again i.i.d. and independent of everything read before
+it, so each step, given the past, draws from fresh uniforms, as it would
+from a stream of its own.
 
 Given a drift function V, ``run_sampler`` also summarizes each step: ESS,
 the log-weight range, eta(V) and eta(G~), each weighted by the counts of a
@@ -203,14 +203,13 @@ def draw_ancestors(cw, u):
 
 
 def _count_step(ens, model, lw, rng):
-    """The next count population of ``ens``: ancestor counts, then the finite kernel."""
+    """The next count population of ``ens``: one draw of the finite kernel from its weights."""
     occupied = ens.counts > 0
     top = lw[occupied].max()
     if not np.isfinite(top):
         raise TotalDegeneracyError(f"all particle weights vanished at step {ens.k}")
     w = np.exp(lw - top, out=np.zeros(lw.size), where=occupied) * ens.counts
-    ancestors = rng.multinomial(ens.n_particles, w / w.sum())
-    counts = np.asarray(model.kernels.sample_batch(ens.k + 1, ancestors, rng))
+    counts = np.asarray(model.kernels.sample_batch(ens.k + 1, w, ens.n_particles, rng))
     return Ensemble(states=ens.states, stats=ens.stats, k=ens.k + 1, counts=counts)
 
 
@@ -305,20 +304,15 @@ def _summaries(model, drift, pops, lws):
 def run_sampler(model, n_particles, seed, replicate=0, drift=None):
     """Run the full flow; returns the terminal population, and summaries when given a drift V.
 
-    Step k draws from the stream keyed by (seed, replicate, k).
+    The initial population and then every step draw, in order, from the
+    stream keyed by (seed, replicate).
     """
-    keys = streams.step_keys(seed, replicate, model.horizon)
-    bitgen = np.random.Philox(key=keys[0])
-    rng = np.random.Generator(bitgen)
-    # a fresh Philox: counter zero and no buffered output
-    fresh = bitgen.state
+    rng = streams.stream(seed, replicate)
     ens = init_ensemble(model, n_particles, rng)
     summaries: Optional[List[StepSummary]] = None if drift is None else []
     block = max(1, BLOCK_VALUES // len(ens.states))
     pops, lws = [], []
-    for key in keys[1:]:
-        fresh["state"]["key"] = key
-        bitgen.state = fresh
+    for _ in range(model.horizon):
         nxt, lw = smc_step(ens, model, rng)
         if summaries is not None:
             pops.append(ens)

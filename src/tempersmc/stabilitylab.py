@@ -13,7 +13,7 @@ task holds about ``_TASK_STEPS`` particle-steps (one replicate of cell
 (n, N) costs n*N on a continuous model; a finite replicate steps a count
 vector and costs O(n m^2) whatever N is, but keeps the same layout).  The
 blocks are a function of the config alone, and every replicate draws from
-its own stream keyed by (cell seed, replicate, step), so the block layout
+its own stream keyed by (cell seed, replicate), so the block layout
 changes no draw.  Results are merged in task order by a single reducer, so
 output is identical for any worker count.
 

@@ -18,11 +18,11 @@ def _kernels(mats):
 def test_sample_batch_deterministic_given_stream():
     mats = [np.array([[0.3, 0.7], [0.6, 0.4]])] * 2
     kf = _kernels(mats)
-    counts = np.array([2, 3])
-    a = [kf.sample_batch(1, counts, streams.stream(11, i)) for i in range(20)]
-    b = [kf.sample_batch(1, counts, streams.stream(11, i)) for i in range(20)]
+    w = np.array([2.0, 3.0])
+    a = [kf.sample_batch(1, w, 5, streams.stream(11, i)) for i in range(20)]
+    b = [kf.sample_batch(1, w, 5, streams.stream(11, i)) for i in range(20)]
     np.testing.assert_array_equal(a, b)
-    # each draw moves every one of the five particles once, and the streams differ
+    # each draw places all five particles, and the streams differ
     assert all(c.shape == (2,) and c.sum() == 5 for c in a)
     assert len({tuple(c) for c in a}) > 1
 
@@ -32,9 +32,10 @@ def test_sample_batch_frequencies_match_matrix_row(row):
     mats = [np.array([[0.15, 0.25, 0.6], [0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])]
     kf = _kernels(mats)
     n_draws = 100_000
-    start = np.zeros(3, dtype=int)
-    start[row] = n_draws
-    counts = kf.sample_batch(1, start, streams.stream(5, row))
+    # weight on one state alone: every particle moves by that state's row
+    w = np.zeros(3)
+    w[row] = 1.0
+    counts = kf.sample_batch(1, w, n_draws, streams.stream(5, row))
     p = mats[0][row]
     # 4-sigma binomial bands per destination state
     for j in range(3):

@@ -54,12 +54,12 @@ def _started(model, sampler):
 
 
 def _init(model, n_particles, seed, replicate=0):
-    """The initial ensemble of replicate ``replicate``, drawn from its step-0 stream."""
+    """An initial ensemble drawn from the stream keyed by (seed, replicate, 0)."""
     return init_ensemble(model, n_particles, streams.stream(seed, replicate, 0))
 
 
 def _step(ens, model, seed, replicate=0):
-    """``smc_step`` of ``ens`` by the stream of its replicate's next step."""
+    """``smc_step`` of ``ens`` by the stream keyed by (seed, replicate, ens.k + 1)."""
     return smc_step(ens, model, streams.stream(seed, replicate, ens.k + 1))
 
 
@@ -225,6 +225,46 @@ def test_count_step_law_is_the_exact_multinomial(case):
     assert obs.size >= 2
     _, pval = scipy.stats.chisquare(obs, exp)
     assert pval > _LAW_ALPHA
+
+
+def _two_label_count_chain(arrays, n_particles):
+    """The exact law of the count at label 1 after every step of a two-label model from delta_0.
+
+    Given j of the N particles at label 1, each new particle picks an
+    ancestor at label 1 with probability j g_1 / ((N - j) g_0 + j g_1) and
+    then moves to label 1 with its ancestor's kernel entry, independently
+    of the others, so the next count is Binomial(N, q_j).
+    """
+    j = np.arange(n_particles + 1)
+    law = (j == 0).astype(float)
+    for log_g, kernel in zip(arrays.log_g, arrays.kernels):
+        g0, g1 = np.exp(log_g)
+        q = (((n_particles - j) * g0 * kernel[0, 1] + j * g1 * kernel[1, 1])
+             / ((n_particles - j) * g0 + j * g1))
+        law = law @ scipy.stats.binom.pmf(j[None, :], n_particles, q[:, None])
+    return law
+
+
+# The multi-step count-law gate: the terminal counts of _CHAIN_REPLICATES
+# replicates compared with the exact count chain by one chi-square test at
+# level _CHAIN_ALPHA, so a correct engine fails it with probability 1e-4.
+_CHAIN_REPLICATES = 20_000
+_CHAIN_ALPHA = 1e-4
+
+
+def test_terminal_counts_follow_the_exact_count_chain():
+    # N = 2 particles over n = 5 steps of the two-state fixture's arrays, all
+    # started at label 0; each replicate draws its steps in order from one stream
+    n, n_particles = 5, 2
+    arrays = two_state_fixture(n).finite
+    model = table_model(arrays.kernels, arrays.log_g, np.array([1.0, 0.0]))
+    at_one = [int(run_sampler(model, n_particles, seed=2401, replicate=r)[0].counts[1])
+              for r in range(_CHAIN_REPLICATES)]
+    observed = np.bincount(at_one, minlength=n_particles + 1)
+    expected = _CHAIN_REPLICATES * _two_label_count_chain(arrays, n_particles)
+    assert expected.min() >= 5.0
+    _, pval = scipy.stats.chisquare(observed, expected)
+    assert pval > _CHAIN_ALPHA
 
 
 def test_step_returns_the_log_weights_it_resampled_by():
@@ -581,13 +621,15 @@ def _reference_summary(model, ens, drift, lw):
 def _reference_run(model, n_particles, seed, replicate, drift):
     """``run_sampler`` one step at a time.
 
-    Each step's generator is built afresh by ``streams.stream(seed, r, k)``,
-    and each step is summarized on its own by ``_reference_summary``.
+    One generator, ``streams.stream(seed, replicate)``, draws the initial
+    population and then every step in order, and each step is summarized
+    on its own by ``_reference_summary``.
     """
-    ens = _init(model, n_particles, seed, replicate)
+    rng = streams.stream(seed, replicate)
+    ens = init_ensemble(model, n_particles, rng)
     summaries = []
     for _ in range(model.horizon):
-        nxt, lw = _step(ens, model, seed, replicate)
+        nxt, lw = smc_step(ens, model, rng)
         summaries.append(_reference_summary(model, ens, drift, lw))
         ens = nxt
     summaries.append(_reference_summary(model, ens, drift, None))
@@ -640,12 +682,12 @@ _REFERENCE_MODELS = {
 @pytest.mark.parametrize("n_particles", [1, 5, 64])
 @pytest.mark.parametrize("n", [1, 6])
 @pytest.mark.parametrize("kind", sorted(_REFERENCE_MODELS))
-def test_run_sampler_draws_each_step_from_its_stream(kind, n, n_particles):
-    # one Philox re-keyed per step draws what a fresh generator per step draws:
-    # N ancestor uniforms leave part of a Philox block buffered whenever N is
-    # not a multiple of 4, and the odd-draw kernel leaves half a word.  The
-    # finite models step count populations, whose binomial draws take a
-    # varying number of words, against a count reference
+def test_run_sampler_draws_the_replicate_from_one_stream_in_order(kind, n, n_particles):
+    # the initial draw and then each step read on from where the last one
+    # stopped: N ancestor uniforms leave part of a Philox block buffered
+    # whenever N is not a multiple of 4, and the odd-draw kernel leaves half a
+    # word.  The finite models step count populations, whose multinomial draws
+    # take a varying number of words, against a count reference
     model, drift = _REFERENCE_MODELS[kind](n)
     for seed, replicate in [(3, 0), (2**64 - 1, 2**32 + 5)]:
         pop, summaries = run_sampler(model, n_particles, seed, replicate, drift=drift)
@@ -699,7 +741,8 @@ def test_count_monitor_is_the_particle_monitor_of_the_repeated_labels(kind, n_pa
     # summarized by the per-particle formulas
     model, drift = _COUNT_MONITOR_MODELS[kind]()
     _, summaries = run_sampler(model, n_particles, 5, 2, drift=drift)
-    ens, expected = _init(model, n_particles, 5, 2), []
+    rng = streams.stream(5, 2)
+    ens, expected = init_ensemble(model, n_particles, rng), []
     while True:
         particles = np.repeat(ens.states, ens.counts)
         lw = None if ens.k == model.horizon else model.potentials.log_g(ens.k, particles)
@@ -707,7 +750,7 @@ def test_count_monitor_is_the_particle_monitor_of_the_repeated_labels(kind, n_pa
             model, Ensemble(states=particles, stats=particles, k=ens.k), drift, lw))
         if lw is None:
             break
-        ens, _ = _step(ens, model, 5, 2)
+        ens, _ = smc_step(ens, model, rng)
     np.testing.assert_allclose(np.array([astuple(s) for s in summaries]),
                                np.array([astuple(s) for s in expected]), rtol=1e-12, atol=0)
 
