@@ -1,4 +1,5 @@
 import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from tempersmc import streams
 
@@ -37,3 +38,17 @@ def test_derived_child_independent_of_parent_streams():
     parent = streams.stream(7, 0, 0).random(8)
     assert not np.array_equal(child, parent)
 
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.integers(0, 2**64 - 1),
+       st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**96)))
+@example(seed=0, replicate=0)
+@example(seed=2**64 - 1, replicate=2**32)
+# a seed of five words: longer than the four-word pool
+@example(seed=2**130 + 12345, replicate=7)
+def test_replicate_stream_is_numpy_seed_sequence_philox(seed, replicate):
+    # a replicate's draws can be reproduced with numpy alone, from its
+    # (seed, replicate) key, for seeds and replicate ids past one word
+    ss = np.random.SeedSequence(seed, spawn_key=(replicate,))
+    expected = np.random.Generator(np.random.Philox(ss)).random(9)
+    np.testing.assert_array_equal(streams.stream(seed, replicate).random(9), expected)
