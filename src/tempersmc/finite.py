@@ -11,11 +11,15 @@ through it, with lazy Metropolis kernels over a uniform proposal on the
 other states, which are exactly invariant (reversible) for each tempered
 law.
 
-The particle engine runs a finite model as a count vector over its m
+The particle engine runs a finite model as count vectors over its m
 states (see ``particles``), so its samplers draw counts, not particles:
-the initial sampler draws Multinomial(N, mu), and the kernel, given
-weights w over the states, draws the next N counts as
-Multinomial(N, normalize(w M[k])).  A finite model's statistic is the
+the initial sampler draws Multinomial(N, mu), and the kernel, given an
+(R, m) array of weights and one generator per row, draws row i's next N
+counts as Multinomial(N, normalize(w_i M[k])) from generator i.  It forms
+each row's mixture w_i M[k] by numpy's vector-matrix product of that row
+alone (``weights[:, None] @ M``, one gemv per row), so a row has the bits
+of a batch of one; the matrix-matrix product ``weights @ M`` would round
+a row differently depending on the rows around it.  A finite model's statistic is the
 state label itself, so its potentials and drift vectors are indexed by
 state.  A chain's drift vector is ``tempering.drift_function`` evaluated
 at its log weights.
@@ -95,8 +99,9 @@ def table_model(matrices, log_g_table, mu, log_g_max=None):
     m entries.  The family bound defaults to the exact table maximum.  The
     checked arrays become the model's ``FiniteArrays``.  The samplers work
     on count vectors over the m states: ``initial(N, rng)`` draws
-    Multinomial(N, mu), and ``sample_batch(k, w, N, rng)`` draws
-    Multinomial(N, normalize(w M[k])) for weights ``w`` over the states.
+    Multinomial(N, mu), and ``sample_batch(k, w, N, rngs)`` draws row i of
+    its (R, m) result as Multinomial(N, normalize(w[i] M[k])) by
+    ``rngs[i]``, for an (R, m) array ``w`` of weights over the states.
     """
     table = np.asarray(log_g_table, dtype=float)
     if not np.all(np.isfinite(table)):
@@ -110,9 +115,13 @@ def table_model(matrices, log_g_table, mu, log_g_max=None):
         raise ValueError("potential table exceeds the declared upper bound")
     w = _probability_vector(mu, m)
 
-    def sample_batch(k, weights, size, rng):
-        p = weights @ mats[k - 1]
-        return rng.multinomial(size, p / p.sum())
+    def sample_batch(k, weights, size, rngs):
+        p = (weights[:, None] @ mats[k - 1])[:, 0]
+        p /= p.sum(axis=1, keepdims=True)
+        counts = np.empty(p.shape, dtype=np.int64)
+        for i, rng in enumerate(rngs):
+            counts[i] = rng.multinomial(size, p[i])
+        return counts
 
     return FKModel(
         horizon=n,

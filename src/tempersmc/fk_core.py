@@ -24,7 +24,7 @@ the (n, m, m) kernel stack, the (n, m) log-weight table and the initial
 vector.  The samplers and potentials of a finite model are closures over
 those same arrays; the exact oracle reads the record alone, and with it a
 ``DriftSpec``, the certified drift inputs over the same m states.  The
-particle engine runs a finite model as a count vector over its m states,
+particle engine runs a finite model as count vectors over its m states,
 so the samplers of a finite model draw count vectors: its initial sampler
 and kernels return the counts of N particles, not N states.
 
@@ -73,13 +73,14 @@ class KernelFamily:
     ``sample_batch(k, xs, stats, rng)`` advances a whole batch of states one
     transition of ``M[k]`` with a fixed draw layout and returns the new
     states with their statistics (see ``PotentialFamily``); ``stats`` are
-    the statistics of ``xs``.  On a finite model the batch is a count
-    vector over the m states: ``sample_batch(k, w, size, rng)`` takes
-    nonnegative weights ``w`` over the states and returns the counts of
-    ``size`` particles, each drawn independently from the state law
-    normalize(w) and moved one transition of ``M[k]``, that is, a draw of
-    Multinomial(size, normalize(w M[k])).  It is the only kernel sampler
-    the particle engine calls.
+    the statistics of ``xs``.  On a finite model the batch is R count
+    vectors over the m states: ``sample_batch(k, w, size, rngs)`` takes an
+    (R, m) array of nonnegative weights and one generator per row, and
+    returns the (R, m) counts whose row i holds ``size`` particles, each
+    drawn independently from the state law normalize(w[i]) and moved one
+    transition of ``M[k]``, that is, a draw of
+    Multinomial(size, normalize(w[i] M[k])) by ``rngs[i]``.  It is the only
+    kernel sampler the particle engine calls.
     """
 
     sample_batch: Callable

@@ -49,37 +49,55 @@ carries no weight, so its log weight neither sets that maximum nor enters
 the monitor's log-weight range.  A step costs O(m^2) arithmetic and one
 multinomial draw, whatever N is.
 
+A count population holds R replicates at once, as an (R, m) array whose
+row i is replicate i's count vector, drawn from its own generator; a
+single count vector is a batch of one.  A step weighs every row, hands
+the (R, m) weights and the R generators to one call of the finite kernel,
+and that call draws row i's multinomial from generator i.  Each row's
+arithmetic is the single replicate's, so a replicate's draws and results
+do not depend on the batch it runs in: the weighting and the row
+normalization are elementwise or reduce each contiguous row on its own,
+and the kernel forms each row's mixture by numpy's vector-matrix product
+of that row alone, the one-row product of a single replicate (a
+matrix-matrix product of the batch would round a row differently
+depending on the rows around it).  Both the monitor and ``estimate``
+reduce each row as they reduce a single replicate.
+
 Replicate r draws from the one stream ``streams.stream(seed, r)``: the
 initial population first, then every step in order, each step its
 ancestor uniforms and then its mutation draws, with particle i consuming
 the i-th slot of each vector.  A replicate's draws depend on (seed, r)
 alone, so results do not depend on how replicates are scheduled across
-workers.  One stream serves the whole replicate without changing the law.
-Its words are i.i.d. uniform, and a step reads a number of them that
-depends on what it draws (``rng.multinomial`` consumes a data-dependent
-number of words), so the count of words read by the end of a step is a
-stopping time of the sequence.  What is left of an i.i.d. sequence after
-a stopping time is again i.i.d. and independent of everything read before
-it, so each step, given the past, draws from fresh uniforms, as it would
-from a stream of its own.
+workers or batched together.  One stream serves the whole replicate
+without changing the law.  Its words are i.i.d. uniform, and a step reads
+a number of them that depends on what it draws (``rng.multinomial``
+consumes a data-dependent number of words), so the count of words read by
+the end of a step is a stopping time of the sequence.  What is left of an
+i.i.d. sequence after a stopping time is again i.i.d. and independent of
+everything read before it, so each step, given the past, draws from fresh
+uniforms, as it would from a stream of its own.
 
-Given a drift function V, ``run_sampler`` also summarizes each step: ESS,
-the log-weight range, eta(V) and eta(G~), each weighted by the counts of a
-count population.  It holds the populations and step log weights of the
-last ``max(1, BLOCK_VALUES // size)`` steps, where size is the number of
-states a population holds (N particles or m labels), and summarizes them
-at once: one stack per array, V called on the concatenated statistics, and
-each reduction taken along the rows.  A row reduction runs the same inner
-loop over the same contiguous values as the reduction of that step's own
-array, V acts value by value, and the ESS squares its sum by the scalar
-``** 2`` of one step at a time, so every summary has the bits it would
-have step by step.  The budget keeps each block's temporaries (64 KiB
-per array) below the size at which the allocator maps fresh pages.
+``run_sampler`` runs the replicates of a finite model as one count batch,
+and those of any other model one at a time.  A replicate whose weights
+all vanish stops there, and the rest of its batch steps on.  Given a
+drift function V, it also summarizes each step: ESS, the log-weight
+range, eta(V) and eta(G~), each weighted by the counts of a count
+population.  It holds the populations and step log weights of the last
+``max(1, BLOCK_VALUES // size)`` steps, where size is the number of
+values a population holds (N particles, or R rows of m counts), and
+summarizes them at once: one stack per array, V called on the
+concatenated statistics, and each reduction taken along the rows.  A row
+reduction runs the same inner loop over the same contiguous values as the
+reduction of that step's own array, V acts value by value, and the ESS
+squares its sum by the scalar ``** 2`` of one step at a time, so every
+summary has the bits it would have step by step.  The budget keeps each
+block's temporaries (64 KiB per array) below the size at which the
+allocator maps fresh pages.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
@@ -98,16 +116,26 @@ __all__ = [
 
 
 class TotalDegeneracyError(RuntimeError):
-    """Every particle weight underflowed to zero; the replicate is aborted."""
+    """Every particle weight underflowed to zero; the replicate is aborted.
+
+    ``rows`` are the rows of a count batch whose weights all vanished; a
+    single population is row 0.
+    """
+
+    def __init__(self, message, rows=(0,)):
+        super().__init__(message)
+        self.rows = list(rows)
 
 
 @dataclass
 class Ensemble:
-    """One replicate's population at step k: states, their statistics and counts.
+    """Populations at step k: states, their statistics and counts.
 
-    With ``counts`` None the population is the N particle states themselves;
-    otherwise ``states`` are labels and ``counts[i]`` particles sit at
-    ``states[i]``.  ``n_particles`` is N, read off at construction.
+    With ``counts`` None the population is one replicate's N particle
+    states themselves.  Otherwise ``states`` are labels and ``counts`` holds
+    one replicate's count vector, ``counts[i]`` particles at ``states[i]``,
+    or an (R, m) batch whose row r is replicate r's.  ``n_particles`` is N,
+    read off at construction; every row of a batch holds N particles.
     """
 
     states: np.ndarray
@@ -121,10 +149,13 @@ class Ensemble:
             raise ValueError("need one statistic per particle")
         if self.counts is None:
             self.n_particles = len(self.states)
-        elif len(self.counts) != len(self.states):
+        elif self.counts.shape[-1] != len(self.states):
             raise ValueError("need one count per label")
         else:
-            self.n_particles = int(self.counts.sum())
+            sums = self.counts.sum(axis=-1).reshape(-1)
+            if self.counts.ndim > 2 or (sums != sums[:1]).any():
+                raise ValueError("every row must hold the same number of particles")
+            self.n_particles = int(sums[0]) if sums.size else 0
         if self.n_particles < 1:
             raise ValueError("ensemble must hold at least one particle")
 
@@ -145,17 +176,19 @@ def init_ensemble(model, n_particles, rng):
     """Independent draws from the model's initial law by ``rng``, and their statistics.
 
     On a finite model the population is the count vector the model's
-    initial sampler draws, Multinomial(N, mu), on the labels 0..m-1.  A
-    draw or statistic that overflows reads inf, without a warning: its
-    particle then has weight 0, or the replicate degenerates.
+    initial sampler draws, Multinomial(N, mu), on the labels 0..m-1; given a
+    list of generators, it is the (R, m) batch whose row i generator i
+    draws.  A draw or statistic that overflows reads inf, without a
+    warning: its particle then has weight 0, or the replicate degenerates.
     """
     if model.is_finite:
-        counts = np.asarray(model.initial(n_particles, rng))
+        rows = rng if isinstance(rng, list) else [rng]
+        counts = np.array([model.initial(n_particles, g) for g in rows])
         labels = np.arange(model.finite.mu.size)
-        if counts.shape != labels.shape or counts.sum() != n_particles:
+        if counts.shape != (len(rows), labels.size) or (counts.sum(axis=1) != n_particles).any():
             raise ValueError("initial sampler returned the wrong counts")
         return Ensemble(states=labels, stats=np.asarray(model.potentials.statistic(labels)),
-                        k=0, counts=counts)
+                        k=0, counts=counts if isinstance(rng, list) else counts[0])
     with np.errstate(over="ignore"):
         states = np.asarray(model.initial(n_particles, rng))
         if len(states) != n_particles:
@@ -203,20 +236,31 @@ def draw_ancestors(cw, u):
 
 
 def _count_step(ens, model, lw, rng):
-    """The next count population of ``ens``: one draw of the finite kernel from its weights."""
-    occupied = ens.counts > 0
-    top = lw[occupied].max()
-    if not np.isfinite(top):
-        raise TotalDegeneracyError(f"all particle weights vanished at step {ens.k}")
-    w = np.exp(lw - top, out=np.zeros(lw.size), where=occupied) * ens.counts
-    counts = np.asarray(model.kernels.sample_batch(ens.k + 1, w, ens.n_particles, rng))
-    return Ensemble(states=ens.states, stats=ens.stats, k=ens.k + 1, counts=counts)
+    """The next count population of ``ens``: one draw of the finite kernel for all its rows.
+
+    Every row whose occupied labels all have weight 0 is named by the
+    ``TotalDegeneracyError`` raised before anything is drawn.
+    """
+    counts = ens.counts.reshape(-1, lw.size)
+    occupied = counts > 0
+    top = np.where(occupied, lw, -np.inf).max(axis=1)
+    vanished = np.flatnonzero(~np.isfinite(top))
+    if vanished.size:
+        raise TotalDegeneracyError(f"all particle weights vanished at step {ens.k}",
+                                   rows=vanished.tolist())
+    w = np.exp(lw - top[:, None], out=np.zeros(counts.shape), where=occupied) * counts
+    rngs = rng if ens.counts.ndim == 2 else [rng]
+    counts = np.asarray(model.kernels.sample_batch(ens.k + 1, w, ens.n_particles, rngs))
+    return Ensemble(states=ens.states, stats=ens.stats, k=ens.k + 1,
+                    counts=counts.reshape(ens.counts.shape))
 
 
 def smc_step(ens, model, rng):
     """One transition: multinomial ancestor draw by weight, then mutation, by ``rng``.
 
-    Returns the next ensemble and the step-k log weights of ``ens.states``.
+    ``rng`` is the replicate's generator, or for a count batch one
+    generator per row.  Returns the next ensemble and the step-k log
+    weights of ``ens.states``.
     """
     k = ens.k
     if k >= model.horizon:
@@ -239,47 +283,50 @@ BLOCK_VALUES = 2**13
 
 
 def _particle_reductions(model, drift, pops, lws):
-    """eta(V) of the held populations, and the weight sums and range of their log weights."""
+    """eta(V) of the held populations, and the weight sums and range of their log weights.
+
+    Each value has shape (steps, 1): a states array is one row.
+    """
     stats = [p.stats for p in pops]
-    eta_v = (drift(np.concatenate(stats)).reshape(len(stats), -1).sum(axis=1)
+    eta_v = (drift(np.concatenate(stats)).reshape(len(stats), -1).sum(axis=1, keepdims=True)
              / len(stats[0])).tolist()
     if not lws:
         return eta_v, [], [], [], [], []
     lw = np.stack(lws) - model.potentials.log_g_max
-    top = lw.max(axis=1)
-    w = np.exp(lw - top[:, None])
-    sums = w.sum(axis=1).tolist()
-    squares = (w * w).sum(axis=1).tolist()
-    eta_g = (np.exp(lw).sum(axis=1) / lw.shape[1]).tolist()
-    return eta_v, sums, squares, eta_g, top.tolist(), lw.min(axis=1).tolist()
+    top = lw.max(axis=1, keepdims=True)
+    w = np.exp(lw - top)
+    sums = w.sum(axis=1, keepdims=True).tolist()
+    squares = (w * w).sum(axis=1, keepdims=True).tolist()
+    eta_g = (np.exp(lw).sum(axis=1, keepdims=True) / lw.shape[1]).tolist()
+    return eta_v, sums, squares, eta_g, top.tolist(), lw.min(axis=1, keepdims=True).tolist()
 
 
 def _count_reductions(model, drift, pops, lws):
-    """``_particle_reductions`` of count populations: each label weighs by its count.
+    """``_particle_reductions`` of count batches, of shape (steps, rows): each label weighs by its count.
 
     A label whose count is 0 adds nothing, and its log weight sets neither
     end of the range.
     """
     c = np.stack([p.counts for p in pops])
-    n = c.sum(axis=1)
+    n = c.sum(axis=2)
     held = c > 0
-    v = drift(np.concatenate([p.stats for p in pops])).reshape(c.shape)
-    eta_v = ((np.where(held, v, 0.0) * c).sum(axis=1) / n).tolist()
+    v = drift(np.concatenate([p.stats for p in pops])).reshape(len(pops), 1, -1)
+    eta_v = ((np.where(held, v, 0.0) * c).sum(axis=2) / n).tolist()
     if not lws:
         return eta_v, [], [], [], [], []
     c, n, held = c[:len(lws)], n[:len(lws)], held[:len(lws)]
-    lw = np.stack(lws) - model.potentials.log_g_max
-    top = np.where(held, lw, -np.inf).max(axis=1)
-    bottom = np.where(held, lw, np.inf).min(axis=1)
-    w = np.where(held, np.exp(lw - top[:, None]), 0.0)
-    sums = (w * c).sum(axis=1).tolist()
-    squares = (w * w * c).sum(axis=1).tolist()
-    eta_g = ((np.where(held, np.exp(lw), 0.0) * c).sum(axis=1) / n).tolist()
+    lw = (np.stack(lws) - model.potentials.log_g_max)[:, None]
+    top = np.where(held, lw, -np.inf).max(axis=2)
+    bottom = np.where(held, lw, np.inf).min(axis=2)
+    w = np.where(held, np.exp(lw - top[:, :, None]), 0.0)
+    sums = (w * c).sum(axis=2).tolist()
+    squares = (w * w * c).sum(axis=2).tolist()
+    eta_g = ((np.where(held, np.exp(lw), 0.0) * c).sum(axis=2) / n).tolist()
     return eta_v, sums, squares, eta_g, top.tolist(), bottom.tolist()
 
 
 def _summaries(model, drift, pops, lws):
-    """Diagnostics of the held populations, one per entry of ``pops``.
+    """Diagnostics of the held populations: for each row, one per entry of ``pops``.
 
     ``lws`` are the step log weights of the first ``len(lws)`` of them; one
     more population, without log weights, is the terminal step.
@@ -289,42 +336,78 @@ def _summaries(model, drift, pops, lws):
     with np.errstate(over="ignore", invalid="ignore"):
         eta_v, sums, squares, eta_g, top, bottom = reductions(model, drift, pops, lws)
     k0 = pops[0].k
-    out = []
+    out = [[] for _ in eta_v[0]]
     for i in range(len(lws)):
-        # a Python float ** 2 is the C pow of the scalar formula, not the product w * w
-        ess = sums[i] ** 2 / squares[i] if math.isfinite(top[i]) else 0.0
-        out.append(StepSummary(k=k0 + i, ess=ess, log_w_max=top[i], log_w_min=bottom[i],
-                               eta_v=eta_v[i], eta_gtilde=eta_g[i]))
+        for r, rows in enumerate(out):
+            # a Python float ** 2 is the C pow of the scalar formula, not the product w * w
+            ess = sums[i][r] ** 2 / squares[i][r] if math.isfinite(top[i][r]) else 0.0
+            rows.append(StepSummary(k=k0 + i, ess=ess, log_w_max=top[i][r],
+                                    log_w_min=bottom[i][r], eta_v=eta_v[i][r],
+                                    eta_gtilde=eta_g[i][r]))
     if len(pops) > len(lws):
-        out.append(StepSummary(k=pops[-1].k, ess=math.nan, log_w_max=math.nan,
-                               log_w_min=math.nan, eta_v=eta_v[-1], eta_gtilde=math.nan))
+        for r, rows in enumerate(out):
+            rows.append(StepSummary(k=pops[-1].k, ess=math.nan, log_w_max=math.nan,
+                                    log_w_min=math.nan, eta_v=eta_v[-1][r],
+                                    eta_gtilde=math.nan))
     return out
 
 
-def run_sampler(model, n_particles, seed, replicate=0, drift=None):
-    """Run the full flow; returns the terminal population, and summaries when given a drift V.
+def _run(model, ens, rng, drift):
+    """Step ``ens`` to the horizon by ``rng``; one (population, summaries) pair per row.
 
-    The initial population and then every step draw, in order, from the
-    stream keyed by (seed, replicate).
+    A states array is one row, drawn by the generator ``rng``; a count batch
+    has R rows, row i drawn by ``rng[i]``.  A row whose weights all vanish
+    ends as (None, None), and the other rows step on.
     """
-    rng = streams.stream(seed, replicate)
-    ens = init_ensemble(model, n_particles, rng)
-    summaries: Optional[List[StepSummary]] = None if drift is None else []
-    block = max(1, BLOCK_VALUES // len(ens.states))
+    rows = list(range(1 if ens.counts is None else len(ens.counts)))
+    out = [(None, None)] * len(rows)
+    summaries = None if drift is None else [[] for _ in rows]
+    block = max(1, BLOCK_VALUES // (len(ens.states) if ens.counts is None else ens.counts.size))
     pops, lws = [], []
     for _ in range(model.horizon):
-        nxt, lw = smc_step(ens, model, rng)
+        try:
+            nxt, lw = smc_step(ens, model, rng)
+        except TotalDegeneracyError as exc:
+            keep = [i for i in range(len(rows)) if i not in exc.rows]
+            if not keep:
+                return out
+            rows, rng = [rows[i] for i in keep], [rng[i] for i in keep]
+            ens = replace(ens, counts=ens.counts[keep])
+            pops = [replace(p, counts=p.counts[keep]) for p in pops]
+            nxt, lw = smc_step(ens, model, rng)
         if summaries is not None:
             pops.append(ens)
             lws.append(lw)
             if len(lws) == block:
-                summaries.extend(_summaries(model, drift, pops, lws))
+                for r, steps in zip(rows, _summaries(model, drift, pops, lws)):
+                    summaries[r].extend(steps)
                 pops, lws = [], []
         ens = nxt
     if summaries is not None:
         pops.append(ens)
-        summaries.extend(_summaries(model, drift, pops, lws))
-    return ens, summaries
+        for r, steps in zip(rows, _summaries(model, drift, pops, lws)):
+            summaries[r].extend(steps)
+    for i, r in enumerate(rows):
+        pop = ens if ens.counts is None else Ensemble(ens.states, ens.stats, ens.k, ens.counts[i])
+        out[r] = (pop, None if summaries is None else summaries[r])
+    return out
+
+
+def run_sampler(model, n_particles, seed, replicates, drift=None):
+    """Run the full flow of each replicate id in ``replicates``.
+
+    Returns one (population, summaries) pair per replicate, in order: its
+    terminal population, and its step summaries when given a drift V (None
+    otherwise); a replicate whose weights all vanish gives (None, None).
+    Replicate r draws its initial population and then every step, in
+    order, from the stream keyed by (seed, r).  On a finite model the
+    replicates step together as one count batch, elsewhere one at a time.
+    """
+    rngs = [streams.stream(seed, r) for r in replicates]
+    if model.is_finite:
+        return _run(model, init_ensemble(model, n_particles, rngs), rngs, drift) if rngs else []
+    return [pair for rng in rngs
+            for pair in _run(model, init_ensemble(model, n_particles, rng), rng, drift)]
 
 
 def estimate(pop, f):

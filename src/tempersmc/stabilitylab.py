@@ -9,13 +9,15 @@ reweighting inequality eta(GV) <= (1+delta) eta(G) eta(V) for any
 delta < 1, and the Lemma 1 audit of the tilted drift/minorization data.
 
 Each grid cell is cut into contiguous blocks of replicates, sized so that a
-task holds about ``_TASK_STEPS`` particle-steps (one replicate of cell
-(n, N) costs n*N on a continuous model; a finite replicate steps a count
-vector and costs O(n m^2) whatever N is, but keeps the same layout).  The
-blocks are a function of the config alone, and every replicate draws from
-its own stream keyed by (cell seed, replicate), so the block layout
-changes no draw.  Results are merged in task order by a single reducer, so
-output is identical for any worker count.
+task costs about ``_TASK_STEPS`` units: one replicate of cell (n, N) costs
+n*N particle-steps on a continuous model, and n*m^2 on a finite model with
+m states, whose replicate steps a count vector whatever N is.  A task runs
+its block with one ``run_sampler`` call, which steps a finite block as one
+count batch.  The blocks are a function of the config alone, and every
+replicate draws from its own stream keyed by (cell seed, replicate), with
+arithmetic that ignores its batch, so the block layout changes no draw.
+Results are merged in task order by a single reducer, so output is
+identical for any worker count.
 
 The cells of a grid are distinct: parsing rejects a repeated entry of
 grids.n or grids.N, whose cells would share a seed and pool the same
@@ -48,7 +50,7 @@ from .config import (
     finite_f_vector,
     reference_value,
 )
-from .particles import TotalDegeneracyError, estimate, run_sampler
+from .particles import estimate, run_sampler
 
 __all__ = [
     "Table",
@@ -63,7 +65,7 @@ __all__ = [
     "lemma1_audit_experiment",
 ]
 
-# particle-steps per task: enough work to cover a task's IPC and model build
+# cost units per task (see _replicate_tasks): enough work to cover a task's IPC and model build
 _TASK_STEPS = 1_000_000
 _EXACT_FLOOR = 1e-13
 
@@ -84,10 +86,20 @@ class Table:
 
 
 def _replicate_tasks(cfg, cells):
-    """Cells cut into contiguous replicate blocks of about ``_TASK_STEPS`` particle-steps."""
+    """Cells cut into contiguous replicate blocks costing about ``_TASK_STEPS`` each.
+
+    A replicate of cell (n, N) costs n*N particle-steps on a continuous
+    model, and n*m^2 on a finite model of m states: a count step is O(m^2)
+    arithmetic whatever N is.
+    """
+    if cfg.model["kind"] == "finite-tempered":
+        m = len(cfg.model["log_weights"])
+        cost = lambda n, n_particles: n * m * m
+    else:
+        cost = lambda n, n_particles: n * n_particles
     tasks = []
     for n, n_particles in cells:
-        size = max(1, _TASK_STEPS // (n * n_particles))
+        size = max(1, _TASK_STEPS // cost(n, n_particles))
         for lo in range(0, cfg.replicates, size):
             hi = min(lo + size, cfg.replicates)
             tasks.append((cfg, n, n_particles, tuple(range(lo, hi))))
@@ -100,14 +112,8 @@ def _estimate_task(args):
     model = build_model(cfg, n)
     f = build_f(cfg)
     cell_seed = streams.derive_seed(cfg.seed, n, n_particles)
-    out = np.empty(len(rep_ids))
-    for i, r in enumerate(rep_ids):
-        try:
-            pop, _ = run_sampler(model, n_particles, cell_seed, replicate=r)
-            out[i] = estimate(pop, f)
-        except TotalDegeneracyError:
-            out[i] = np.nan
-    return out
+    return np.array([math.nan if pop is None else estimate(pop, f)
+                     for pop, _ in run_sampler(model, n_particles, cell_seed, rep_ids)])
 
 
 def _exact_value(cfg, n):
@@ -265,10 +271,9 @@ def _trajectory_task(args):
     drift = build_drift(cfg)
     cell_seed = streams.derive_seed(cfg.seed, n, n_particles)
     rows, degenerate = [], 0
-    for r in rep_ids:
-        try:
-            _, summaries = run_sampler(model, n_particles, cell_seed, replicate=r, drift=drift)
-        except TotalDegeneracyError:
+    results = run_sampler(model, n_particles, cell_seed, rep_ids, drift=drift)
+    for r, (_, summaries) in zip(rep_ids, results):
+        if summaries is None:
             degenerate += 1
             continue
         for s in summaries:

@@ -155,19 +155,22 @@ def test_bias_decay_counts_a_non_finite_average_as_degenerate(tmp_path):
         ("2", "0", "2"), ("3", "0", "2")]
 
 
-def test_csv_identical_for_any_worker_count(tmp_path):
-    # a cell of 250,000 particle-steps per replicate splits its 6 replicates
-    # into blocks of 4 and 2; with the one-task cell, three uneven tasks to spread
+def test_csv_identical_for_any_worker_count(monkeypatch, tmp_path):
+    # a two-state replicate at n = 50 costs 50 * 2^2 = 200, so a budget of 800
+    # splits each cell's 6 replicates into batches of 4 and 2: four uneven
+    # tasks to spread
     raw = json.loads(_shipped("scaling_sqrt_n", tmp_path))
     raw.update(replicates=6, grids={"n": [50], "N": [10, 5000]})
     cfg = parse_config(json.dumps(raw))
-    tasks = stabilitylab._replicate_tasks(cfg, [(50, 10), (50, 5000)])
-    assert [len(reps) for *_, reps in tasks] == [6, 4, 2]
     csv = {}
-    for workers in (1, 2):
-        out = tmp_path / f"w{workers}"
-        assert dispatch(replace(cfg, workers=workers, out_dir=str(out))) == EXIT_OK
-        csv[workers] = (out / "n-scaling.csv").read_bytes()
+    with monkeypatch.context() as patched:
+        patched.setattr(stabilitylab, "_TASK_STEPS", 800)
+        tasks = stabilitylab._replicate_tasks(cfg, [(50, 10), (50, 5000)])
+        assert [len(reps) for *_, reps in tasks] == [4, 2, 4, 2]
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            assert dispatch(replace(cfg, workers=workers, out_dir=str(out))) == EXIT_OK
+            csv[workers] = (out / "n-scaling.csv").read_bytes()
     assert csv[1] == csv[2]
     # the continuous path: two tasks per run, each drawing its replicates from their streams
     for name in ("bias_gaussian", "drift_monitor"):
@@ -180,21 +183,25 @@ def test_csv_identical_for_any_worker_count(tmp_path):
         assert csv[1] == csv[2]
 
 
-@pytest.mark.parametrize("name, overrides", [
-    ("scaling_sqrt_n", {"replicates": 5, "grids": {"n": [2, 5], "N": [10, 40]}}),
-    ("bias_gaussian", {"replicates": 5, "grids": {"n": [3, 6], "N": [30]}}),
-    ("drift_monitor", {"replicates": 5, "grids": {"n": [3, 5], "N": [20]}}),
+@pytest.mark.parametrize("name, overrides, cuts", [
+    # a two-state replicate costs 4n: a budget of 40 runs the n = 2 cell as
+    # one batch of 5 and cuts the n = 5 cell into batches of 2, 2 and 1
+    ("scaling_sqrt_n", {"replicates": 5, "grids": {"n": [2, 5], "N": [10, 40]}},
+     {40: [5, 5, 2, 2, 1, 2, 2, 1]}),
+    ("bias_gaussian", SHIPPED["bias_gaussian"], {}),
+    ("drift_monitor", {"replicates": 5, "grids": {"n": [3, 5], "N": [20]}}, {}),
 ])
-def test_outputs_identical_for_any_task_size(name, overrides, monkeypatch, tmp_path):
-    # one replicate per task, the default budget, and one task per cell
-    task_counts, outputs = [], []
+def test_outputs_identical_for_any_task_size(name, overrides, cuts, monkeypatch, tmp_path):
+    # one replicate per task, any uneven cuts, the default budget, and one task per cell
+    batches, outputs = [], []
 
     def serial(fn, items):
-        task_counts.append(len(items))
+        batches.append([len(reps) for *_, reps in items])
         return [fn(x) for x in items]
 
     monkeypatch.setattr(cli, "make_mapper", lambda workers: serial)
-    for budget in (1, stabilitylab._TASK_STEPS, 10**12):
+    budgets = (1, *cuts, stabilitylab._TASK_STEPS, 10**12)
+    for budget in budgets:
         monkeypatch.setattr(stabilitylab, "_TASK_STEPS", budget)
         out = tmp_path / str(budget)
         cfg = parse_config(_shipped(name, out, **overrides))
@@ -202,8 +209,9 @@ def test_outputs_identical_for_any_task_size(name, overrides, monkeypatch, tmp_p
         doc = json.loads((out / f"{cfg.experiment}.json").read_text())
         outputs.append(((out / f"{cfg.experiment}.csv").read_bytes(), doc["summary"]))
     cells = len(cfg.grids["n"]) * len(cfg.grids["N"])
-    assert task_counts[0] == cells * cfg.replicates and task_counts[-1] == cells
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(batches[0]) == cells * cfg.replicates and len(batches[-1]) == cells
+    assert [batches[budgets.index(b)] for b in cuts] == list(cuts.values())
+    assert all(output == outputs[0] for output in outputs)
 
 
 @pytest.mark.parametrize("n, n_particles", [(1, 1), (10_000, 2)])

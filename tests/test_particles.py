@@ -63,6 +63,12 @@ def _step(ens, model, seed, replicate=0):
     return smc_step(ens, model, streams.stream(seed, replicate, ens.k + 1))
 
 
+def _run_one(model, n_particles, seed, replicate=0, drift=None):
+    """``run_sampler`` of the one replicate ``replicate``: its population and summaries."""
+    (pair,) = run_sampler(model, n_particles, seed, [replicate], drift=drift)
+    return pair
+
+
 def gaussian_model(n, init_mean=0.0, floor=0.7):
     fam = TemperedFamily(gaussian_target([0.0], [1.0]), linear_schedule(floor))
     sampler = lambda size, rng: init_mean + rng.standard_normal((size, 1))
@@ -104,6 +110,8 @@ def test_ensemble_needs_one_statistic_per_particle():
         Ensemble(states=np.arange(3), stats=np.arange(3), k=0, counts=np.array([1, 2]))
     with pytest.raises(ValueError, match="at least one particle"):
         Ensemble(states=np.arange(3), stats=np.arange(3), k=0, counts=np.zeros(3, dtype=int))
+    with pytest.raises(ValueError, match="same number of particles"):
+        Ensemble(states=np.arange(2), stats=np.arange(2), k=0, counts=np.array([[1, 2], [2, 2]]))
     with pytest.raises(ValueError, match="wrong counts"):
         _init(_started(two_state_model(), lambda size, rng: np.array([size, 1])), 5, seed=1)
 
@@ -258,8 +266,8 @@ def test_terminal_counts_follow_the_exact_count_chain():
     n, n_particles = 5, 2
     arrays = two_state_fixture(n).finite
     model = table_model(arrays.kernels, arrays.log_g, np.array([1.0, 0.0]))
-    at_one = [int(run_sampler(model, n_particles, seed=2401, replicate=r)[0].counts[1])
-              for r in range(_CHAIN_REPLICATES)]
+    at_one = [int(pop.counts[1])
+              for pop, _ in run_sampler(model, n_particles, 2401, range(_CHAIN_REPLICATES))]
     observed = np.bincount(at_one, minlength=n_particles + 1)
     expected = _CHAIN_REPLICATES * _two_label_count_chain(arrays, n_particles)
     assert expected.min() >= 5.0
@@ -491,7 +499,7 @@ def test_empty_label_sets_neither_the_max_nor_the_range():
     model = _empty_label_model()
     assert model.potentials.log_g_max == 800.0
     drift = lambda s: np.array([1.0, 2.0, np.inf])[s]
-    pop, summaries = run_sampler(model, 50, seed=13, drift=drift)
+    pop, summaries = _run_one(model, 50, seed=13, drift=drift)
     assert pop.counts[2] == 0 and pop.n_particles == 50
     for s in summaries[:-1]:
         assert (s.log_w_max, s.log_w_min) in [(-800.0, -801.0), (-800.0, -800.0),
@@ -512,8 +520,7 @@ def test_count_path_at_one_particle_and_one_step():
     model = two_state_model(n=1)
     drift = lambda s: np.array([1.0, 2.5])[s]
     at_one = 0
-    for r in range(2000):
-        pop, (first, last) = run_sampler(model, 1, seed=3, replicate=r, drift=drift)
+    for pop, (first, last) in run_sampler(model, 1, 3, range(2000), drift=drift):
         assert pop.n_particles == 1 and pop.k == 1
         assert first.ess == 1.0 and first.log_w_max == first.log_w_min
         assert first.eta_gtilde == math.exp(first.log_w_max)
@@ -535,14 +542,14 @@ def test_zero_entry_kernel_moves_no_count_where_its_row_is_zero():
         np.testing.assert_array_equal(ens.counts, [0, 1000])
         ens, _ = _step(ens, model, seed=8, replicate=r)
         np.testing.assert_array_equal(ens.counts, [1000, 0])
-        pop, _ = run_sampler(model, 1000, seed=8, replicate=r)
+        pop, _ = _run_one(model, 1000, seed=8, replicate=r)
         assert pop.n_particles == 1000 and pop.k == n
 
 
 def test_run_without_particles_rejected():
     for model in (two_state_model(), gaussian_model(2)[0]):
         with pytest.raises(ValueError, match="at least one particle"):
-            run_sampler(model, 0, seed=1)
+            run_sampler(model, 0, 1, [0])
 
 
 def test_count_replicate_at_a_billion_particles():
@@ -552,7 +559,7 @@ def test_count_replicate_at_a_billion_particles():
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        pop, summaries = run_sampler(model, 10**9, seed=7, drift=lambda s: v[s])
+        pop, summaries = _run_one(model, 10**9, seed=7, drift=lambda s: v[s])
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -571,12 +578,12 @@ def test_horizon_zero_returns_initial_ensemble():
     kf = KernelFamily(sample_batch=lambda k, xs, stats, rng: (xs, stats))
     model = FKModel(horizon=0, kernels=kf, potentials=pf,
                     initial=lambda size, rng: np.arange(size) % m)
-    pop, summaries = run_sampler(model, 10, seed=3, drift=lambda s: np.ones(len(s)))
+    pop, summaries = _run_one(model, 10, seed=3, drift=lambda s: np.ones(len(s)))
     np.testing.assert_array_equal(pop.states, np.arange(10) % m)
     assert len(summaries) == 1 and math.isnan(summaries[0].ess)
     assert summaries[0].eta_v == 1.0
     # summaries are taken exactly when a drift function is given
-    assert run_sampler(model, 10, seed=3)[1] is None
+    assert _run_one(model, 10, seed=3)[1] is None
 
 
 def _ess(lw):
@@ -690,12 +697,86 @@ def test_run_sampler_draws_the_replicate_from_one_stream_in_order(kind, n, n_par
     # take a varying number of words, against a count reference
     model, drift = _REFERENCE_MODELS[kind](n)
     for seed, replicate in [(3, 0), (2**64 - 1, 2**32 + 5)]:
-        pop, summaries = run_sampler(model, n_particles, seed, replicate, drift=drift)
+        pop, summaries = _run_one(model, n_particles, seed, replicate, drift=drift)
         assert (pop.counts is not None) == model.is_finite
         ref, ref_summaries = _reference_run(model, n_particles, seed, replicate, drift)
         _assert_same_population(pop, ref)
         assert _bits(summaries) == _bits(ref_summaries)
-        _assert_same_population(run_sampler(model, n_particles, seed, replicate)[0], pop)
+        _assert_same_population(_run_one(model, n_particles, seed, replicate)[0], pop)
+
+
+class _Recording:
+    """A stand-in stream whose ``multinomial`` records its probabilities.
+
+    The counts it returns are fixed by the replicate and the call alone and
+    never read the probabilities, so a replicate takes the same path in any
+    batch, and every probability vector it hands over can be compared bit
+    for bit: a rounding change in them would almost never move a real draw.
+    """
+
+    def __init__(self, replicate):
+        self.fixed = np.random.default_rng(replicate)
+        self.seen = []
+
+    def multinomial(self, n, pvals):
+        self.seen.append(np.array(pvals, dtype=float))
+        return self.fixed.multinomial(n, self.fixed.dirichlet(np.full(len(pvals), 0.3)))
+
+
+@pytest.mark.parametrize("case", range(21))
+def test_replicate_arithmetic_ignores_its_batch(case, monkeypatch):
+    # every m in 2..8 with every N in {1, 2, 10^9}; each of 7 replicates runs
+    # alone, then at each position of a batch of 7
+    rng = np.random.default_rng(500 + case)
+    m, n_particles = 2 + case % 7, [1, 2, 10**9][case % 3]
+    n = int(rng.integers(1, 31))
+    model = random_finite_model(rng, m=m, n=n)
+    v, f_vals = 1.0 + 10.0 * rng.random(m), rng.normal(size=m)
+    recorders = {}
+
+    def stream(seed, replicate):
+        recorders[replicate] = _Recording(replicate)
+        return recorders[replicate]
+
+    monkeypatch.setattr(streams, "stream", stream)
+
+    def run(ids):
+        results = run_sampler(model, n_particles, 0, ids, drift=lambda s: v[s])
+        return {r: ([p.tobytes() for p in recorders[r].seen], pop.counts.tolist(),
+                    np.float64(estimate(pop, lambda s: f_vals[s])).tobytes(), _bits(summaries))
+                for r, (pop, summaries) in zip(ids, results)}
+
+    alone = {r: run([r])[r] for r in range(7)}
+    assert all(len(seen) == n + 1 for seen, *_ in alone.values())
+    for shift in range(7):
+        ids = [(r + shift) % 7 for r in range(7)]
+        assert run(ids) == alone
+
+
+def test_a_degenerate_row_leaves_its_batch_stepping():
+    # label 1 weighs 0, so a replicate whose one particle sits there degenerates
+    # at that step; the rest of its batch draws and summarizes what it would alone
+    model = two_state_model(n=6)
+    model = replace(model, potentials=replace(
+        model.potentials, log_g=lambda k, x: np.array([0.0, -np.inf])[x]))
+    drift = lambda s: np.array([1.0, 2.5])[s]
+    degenerate_at = []
+    for r, (pop, summaries) in enumerate(run_sampler(model, 1, 5, range(60), drift=drift)):
+        alone, alone_summaries = _run_one(model, 1, 5, r, drift=drift)
+        if alone is None:
+            assert pop is None and summaries is None
+            rng = streams.stream(5, r)
+            ens = init_ensemble(model, 1, rng)
+            while ens.counts[0]:
+                ens, _ = smc_step(ens, model, rng)
+            degenerate_at.append(ens.k)
+            with pytest.raises(TotalDegeneracyError):
+                smc_step(ens, model, rng)
+        else:
+            _assert_same_population(pop, alone)
+            assert _bits(summaries) == _bits(alone_summaries)
+    # replicates degenerate at the start and part way through, and others survive
+    assert 0 in degenerate_at and max(degenerate_at) > 0 and len(degenerate_at) < 60
 
 
 def _mixture_with_drift(n):
@@ -721,7 +802,7 @@ def test_block_monitor_is_the_per_step_monitor(n_particles):
         model, drift = _mixture_with_drift(max(n, 1))
         model = replace(model, horizon=n)
         assert model.potentials.log_g_max > 0.0
-        _, summaries = run_sampler(model, n_particles, 29, 1, drift=drift)
+        _, summaries = _run_one(model, n_particles, 29, 1, drift=drift)
         _, ref_summaries = _reference_run(model, n_particles, 29, 1, drift)
         assert [s.k for s in summaries] == list(range(n + 1))
         assert _bits(summaries) == _bits(ref_summaries)
@@ -740,7 +821,7 @@ def test_count_monitor_is_the_particle_monitor_of_the_repeated_labels(kind, n_pa
     # each count population, written out as np.repeat(labels, counts) and
     # summarized by the per-particle formulas
     model, drift = _COUNT_MONITOR_MODELS[kind]()
-    _, summaries = run_sampler(model, n_particles, 5, 2, drift=drift)
+    _, summaries = _run_one(model, n_particles, 5, 2, drift=drift)
     rng = streams.stream(5, 2)
     ens, expected = init_ensemble(model, n_particles, rng), []
     while True:
@@ -767,7 +848,7 @@ def test_count_block_monitor_across_blocks():
     _, ref_summaries = _reference_run(model, 9, 29, 1, drift)
     for n in [block - 1, block, longest]:
         short = table_model([M2] * n, np.tile(np.log([2.0, 0.7]), (n, 1)), np.array([0.6, 0.4]))
-        _, summaries = run_sampler(short, 9, 29, 1, drift=drift)
+        _, summaries = _run_one(short, 9, 29, 1, drift=drift)
         terminal = replace(ref_summaries[n], ess=math.nan, log_w_max=math.nan,
                            log_w_min=math.nan, eta_gtilde=math.nan)
         assert _bits(summaries) == _bits(ref_summaries[:n] + [terminal])
@@ -784,7 +865,7 @@ def test_block_monitor_at_one_particle():
     assert model.potentials.log_g_max > 0.0
     _, ref_summaries = _reference_run(model, 1, 29, 1, drift)
     for n in [0, 1, BLOCK_VALUES - 1, BLOCK_VALUES, longest]:
-        _, summaries = run_sampler(replace(model, horizon=n), 1, 29, 1, drift=drift)
+        _, summaries = _run_one(replace(model, horizon=n), 1, 29, 1, drift=drift)
         terminal = replace(ref_summaries[n], ess=math.nan, log_w_max=math.nan,
                            log_w_min=math.nan, eta_gtilde=math.nan)
         assert _bits(summaries) == _bits(ref_summaries[:n] + [terminal])
@@ -794,22 +875,15 @@ def test_terminal_mean_matches_oracle_over_replicates():
     model = two_state_fixture(6)
     f = lambda s: (np.asarray(s) == 1).astype(float)
     exact = float(oracle.eta_exact(model, 6) @ np.array([0.0, 1.0]))
-    vals = []
-    for r in range(200):
-        pop, _ = run_sampler(model, 400, seed=17, replicate=r)
-        vals.append(estimate(pop, f))
-    vals = np.asarray(vals)
+    vals = np.array([estimate(pop, f) for pop, _ in run_sampler(model, 400, 17, range(200))])
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - exact) < 4 * se
 
 
 def test_gaussian_symmetry_of_terminal_mean():
     model, _ = gaussian_model(8, init_mean=0.0)
-    vals = []
-    for r in range(60):
-        pop, _ = run_sampler(model, 500, seed=23, replicate=r)
-        vals.append(estimate(pop, lambda x: np.asarray(x)[:, 0]))
-    vals = np.asarray(vals)
+    vals = np.array([estimate(pop, lambda x: np.asarray(x)[:, 0])
+                     for pop, _ in run_sampler(model, 500, 23, range(60))])
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean()) < 4 * se
 
@@ -817,7 +891,7 @@ def test_gaussian_symmetry_of_terminal_mean():
 def test_summaries_schema():
     model = two_state_fixture(4)
     v = fixture_drift_inputs()[0].v
-    _, summaries = run_sampler(model, 300, seed=5, drift=lambda states: v[states])
+    _, summaries = _run_one(model, 300, seed=5, drift=lambda states: v[states])
     assert [s.k for s in summaries] == [0, 1, 2, 3, 4]
     for s in summaries[:-1]:
         assert 0 < s.ess <= 300
@@ -840,7 +914,7 @@ def test_ess_formula():
                     potentials=PotentialFamily(log_g=lambda k, x: table[k], log_g_max=0.0,
                                                statistic=lambda xs: xs),
                     initial=lambda size, rng: np.arange(size))
-    _, summaries = run_sampler(model, 3, seed=1, drift=lambda s: np.ones(len(s)))
+    _, summaries = _run_one(model, 3, seed=1, drift=lambda s: np.ones(len(s)))
     assert [s.ess for s in summaries[:2]] == pytest.approx([3.0, 16.0 / 6.0])
     assert summaries[1].log_w_max == pytest.approx(math.log(2.0))
 
@@ -866,8 +940,7 @@ def test_exchangeability_of_particle_indices():
     # particle indices exist on the per-particle path only
     model = label_model(two_state_fixture(3))
     picks = {0: [], 3: []}
-    for r in range(400):
-        pop, _ = run_sampler(model, 8, seed=41, replicate=r)
+    for pop, _ in run_sampler(model, 8, 41, range(400)):
         picks[0].append(int(pop.states[0]))
         picks[3].append(int(pop.states[3]))
     table = np.stack([np.bincount(picks[0], minlength=2), np.bincount(picks[3], minlength=2)])
@@ -885,8 +958,7 @@ def test_particle_drift_regression_and_boundedness():
     for n in (10, 30):
         model_n, _ = gaussian_model(n, init_mean=3.0)
         per_k = []
-        for r in range(40):
-            _, summaries = run_sampler(model_n, 400, seed=53, replicate=r, drift=drift)
+        for _, summaries in run_sampler(model_n, 400, 53, range(40), drift=drift):
             etav = [s.eta_v for s in summaries]
             per_k.append(etav)
             pairs.extend(zip(etav[:-1], etav[1:]))
@@ -906,7 +978,6 @@ def test_normalizer_diagnostic_bounded_away_from_zero():
     model, fam = gaussian_model(20, init_mean=3.0)
     drift = drift_function(fam.target.sup_log_unnorm, fam.schedule.gamma_floor, 0.5)
     worst = math.inf
-    for r in range(20):
-        _, summaries = run_sampler(model, 500, seed=61, replicate=r, drift=drift)
+    for _, summaries in run_sampler(model, 500, 61, range(20), drift=drift):
         worst = min(worst, min(s.eta_gtilde for s in summaries[:-1]))
     assert worst > 0.5

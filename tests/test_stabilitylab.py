@@ -48,10 +48,24 @@ def test_replicate_tasks_cover_each_replicate_once_in_order(budget, monkeypatch)
     tasks = stabilitylab._replicate_tasks(cfg, cells)
     pairs = [((n, n_particles), r) for _, n, n_particles, reps in tasks for r in reps]
     assert pairs == [(cell, r) for cell in cells for r in range(13)]
+    # a finite replicate costs n m^2, whatever N is
+    m = len(cfg.model["log_weights"])
     for _, n, n_particles, reps in tasks:
-        assert len(reps) == 1 or len(reps) * n * n_particles <= budget
-    if budget == 10**12:
+        assert len(reps) == 1 or len(reps) * n * m * m <= budget
+    if budget >= 10**6:
         assert len(tasks) == len(cells)
+
+
+def test_finite_nscale_sized_run_makes_one_task_per_cell():
+    # each cell's 25 replicates cost at most 25 * 20 * 2^2 = 2000, one batch
+    raw = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "scaling_sqrt_n.json").read_text())
+    raw.update(replicates=25, grids={"n": [5, 20], "N": [100, 1000, 10000]})
+    cfg = parse_config(json.dumps(raw))
+    cells = [(n, N) for n in cfg.grids["n"] for N in cfg.grids["N"]]
+    tasks = stabilitylab._replicate_tasks(cfg, cells)
+    assert [(n, N, reps) for _, n, N, reps in tasks] == [(*cell, tuple(range(25)))
+                                                         for cell in cells]
 
 
 def test_gauss_trace_sized_run_makes_three_tasks():
