@@ -302,10 +302,10 @@ def _particle_reductions(model, drift, pops, lws):
 
 
 def _count_reductions(model, drift, pops, lws):
-    """``_particle_reductions`` of count batches, of shape (steps, rows): each label weighs by its count.
+    """``_particle_reductions`` of count batches: each label weighs by its count.
 
-    A label whose count is 0 adds nothing, and its log weight sets neither
-    end of the range.
+    Each value has shape (steps, rows).  A label whose count is 0 adds
+    nothing, and its log weight sets neither end of the range.
     """
     c = np.stack([p.counts for p in pops])
     n = c.sum(axis=2)
@@ -338,17 +338,17 @@ def _summaries(model, drift, pops, lws):
     k0 = pops[0].k
     out = [[] for _ in eta_v[0]]
     for i in range(len(lws)):
-        for r, rows in enumerate(out):
+        for r, row in enumerate(out):
             # a Python float ** 2 is the C pow of the scalar formula, not the product w * w
             ess = sums[i][r] ** 2 / squares[i][r] if math.isfinite(top[i][r]) else 0.0
-            rows.append(StepSummary(k=k0 + i, ess=ess, log_w_max=top[i][r],
-                                    log_w_min=bottom[i][r], eta_v=eta_v[i][r],
-                                    eta_gtilde=eta_g[i][r]))
+            row.append(StepSummary(k=k0 + i, ess=ess, log_w_max=top[i][r],
+                                   log_w_min=bottom[i][r], eta_v=eta_v[i][r],
+                                   eta_gtilde=eta_g[i][r]))
     if len(pops) > len(lws):
-        for r, rows in enumerate(out):
-            rows.append(StepSummary(k=pops[-1].k, ess=math.nan, log_w_max=math.nan,
-                                    log_w_min=math.nan, eta_v=eta_v[-1][r],
-                                    eta_gtilde=math.nan))
+        for r, row in enumerate(out):
+            row.append(StepSummary(k=pops[-1].k, ess=math.nan, log_w_max=math.nan,
+                                   log_w_min=math.nan, eta_v=eta_v[-1][r],
+                                   eta_gtilde=math.nan))
     return out
 
 
