@@ -19,10 +19,10 @@ counts as Multinomial(N, normalize(w_i M[k])) from generator i.  It forms
 each row's mixture w_i M[k] by numpy's vector-matrix product of that row
 alone (``weights[:, None] @ M``, one gemv per row), so a row has the bits
 of a batch of one; the matrix-matrix product ``weights @ M`` would round
-a row differently depending on the rows around it.  A finite model's statistic is the
-state label itself, so its potentials and drift vectors are indexed by
-state.  A chain's drift vector is ``tempering.drift_function`` evaluated
-at its log weights.
+a row differently depending on the rows around it.  A finite model's
+statistic is the state label itself, so its potentials and drift vectors
+are indexed by state.  A chain's drift vector is
+``tempering.drift_function`` evaluated at its log weights.
 """
 
 import numpy as np

@@ -92,14 +92,10 @@ def _replicate_tasks(cfg, cells):
     model, and n*m^2 on a finite model of m states: a count step is O(m^2)
     arithmetic whatever N is.
     """
-    if cfg.model["kind"] == "finite-tempered":
-        m = len(cfg.model["log_weights"])
-        cost = lambda n, n_particles: n * m * m
-    else:
-        cost = lambda n, n_particles: n * n_particles
+    m = len(cfg.model["log_weights"]) if cfg.model["kind"] == "finite-tempered" else None
     tasks = []
     for n, n_particles in cells:
-        size = max(1, _TASK_STEPS // cost(n, n_particles))
+        size = max(1, _TASK_STEPS // (n * n_particles if m is None else n * m * m))
         for lo in range(0, cfg.replicates, size):
             hi = min(lo + size, cfg.replicates)
             tasks.append((cfg, n, n_particles, tuple(range(lo, hi))))
