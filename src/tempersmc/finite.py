@@ -13,9 +13,9 @@ law.
 
 The particle engine runs a finite model as count vectors over its m
 states (see ``particles``), so its samplers draw counts, not particles:
-the initial sampler draws Multinomial(N, mu), and the kernel, given an
-(R, m) array of weights and one generator per row, draws row i's next N
-counts as Multinomial(N, normalize(w_i M[k])) from generator i.  It forms
+the initial sampler draws rows of Multinomial(N, mu), and the kernel
+draws row i of its next (R, m) counts as Multinomial(N, normalize(w_i
+M[k])) from weights w, all rows in one broadcast call.  It forms
 each row's mixture w_i M[k] by numpy's vector-matrix product of that row
 alone (``weights[:, None] @ M``, one gemv per row), so a row has the bits
 of a batch of one; the matrix-matrix product ``weights @ M`` would round
@@ -98,10 +98,10 @@ def table_model(matrices, log_g_table, mu, log_g_max=None):
     strictly positive by construction).  ``mu`` is a probability vector of
     m entries.  The family bound defaults to the exact table maximum.  The
     checked arrays become the model's ``FiniteArrays``.  The samplers work
-    on count vectors over the m states: ``initial(N, rng)`` draws
-    Multinomial(N, mu), and ``sample_batch(k, w, N, rngs)`` draws row i of
-    its (R, m) result as Multinomial(N, normalize(w[i] M[k])) by
-    ``rngs[i]``, for an (R, m) array ``w`` of weights over the states.
+    on count vectors over the m states, each by one call of ``rng``:
+    ``initial(N, rng, rows)`` draws ``rows`` vectors of Multinomial(N, mu),
+    and ``sample_batch(k, w, N, rng)`` draws row i of its (R, m) result as
+    Multinomial(N, normalize(w[i] M[k])) for (R, m) weights ``w``.
     """
     table = np.asarray(log_g_table, dtype=float)
     if not np.all(np.isfinite(table)):
@@ -115,20 +115,17 @@ def table_model(matrices, log_g_table, mu, log_g_max=None):
         raise ValueError("potential table exceeds the declared upper bound")
     w = _probability_vector(mu, m)
 
-    def sample_batch(k, weights, size, rngs):
+    def sample_batch(k, weights, size, rng):
         p = (weights[:, None] @ mats[k - 1])[:, 0]
         p /= p.sum(axis=1, keepdims=True)
-        counts = np.empty(p.shape, dtype=np.int64)
-        for i, rng in enumerate(rngs):
-            counts[i] = rng.multinomial(size, p[i])
-        return counts
+        return rng.multinomial(size, p)
 
     return FKModel(
         horizon=n,
         kernels=KernelFamily(sample_batch=sample_batch),
         potentials=PotentialFamily(log_g=lambda k, x: table[k][np.asarray(x, dtype=int)],
                                    log_g_max=bound, statistic=lambda xs: xs),
-        initial=lambda size, rng: rng.multinomial(size, w),
+        initial=lambda size, rng, rows: rng.multinomial(size, w, size=rows),
         finite=FiniteArrays(kernels=mats, log_g=table, mu=w),
     )
 

@@ -74,12 +74,12 @@ class KernelFamily:
     transition of ``M[k]`` with a fixed draw layout and returns the new
     states with their statistics (see ``PotentialFamily``); ``stats`` are
     the statistics of ``xs``.  On a finite model the batch is R count
-    vectors over the m states: ``sample_batch(k, w, size, rngs)`` takes an
-    (R, m) array of nonnegative weights and one generator per row, and
-    returns the (R, m) counts whose row i holds ``size`` particles, each
-    drawn independently from the state law normalize(w[i]) and moved one
+    vectors over the m states: ``sample_batch(k, w, size, rng)`` takes an
+    (R, m) array of nonnegative weights and a generator, and returns the
+    (R, m) counts whose row i holds ``size`` particles, each drawn
+    independently from the state law normalize(w[i]) and moved one
     transition of ``M[k]``, that is, a draw of
-    Multinomial(size, normalize(w[i] M[k])) by ``rngs[i]``.  It is the only
+    Multinomial(size, normalize(w[i] M[k])) by ``rng``.  It is the only
     kernel sampler the particle engine calls.
     """
 
@@ -106,10 +106,11 @@ class FKModel:
     """One model instance: horizon, kernels, potentials, initial sampler.
 
     ``initial(size, rng)`` returns a batch of ``size`` independent draws
-    from the initial law; on a finite model it returns their counts over
-    the m states, a draw of Multinomial(size, mu), and each step weighs
-    those counts and passes the weights to the kernels.  ``finite`` holds
-    the exact arrays of a finite model and is None on other spaces.
+    from the initial law; on a finite model ``initial(size, rng, rows)``
+    returns the counts of ``rows`` such batches, (rows, m) draws of
+    Multinomial(size, mu), and each step weighs those counts and passes
+    the weights to the kernels.  ``finite`` holds the exact arrays of a
+    finite model and is None on other spaces.
     """
 
     horizon: int

@@ -50,36 +50,37 @@ the monitor's log-weight range.  A step costs O(m^2) arithmetic and one
 multinomial draw, whatever N is.
 
 A count population holds R replicates at once, as an (R, m) array whose
-row i is replicate i's count vector, drawn from its own generator; a
-single count vector is a batch of one.  A step weighs every row, hands
-the (R, m) weights and the R generators to one call of the finite kernel,
-and that call draws row i's multinomial from generator i.  Each row's
-arithmetic is the single replicate's, so a replicate's draws and results
-do not depend on the batch it runs in: the weighting and the row
-normalization are elementwise or reduce each contiguous row on its own,
-and the kernel forms each row's mixture by numpy's vector-matrix product
-of that row alone, the one-row product of a single replicate (a
-matrix-matrix product of the batch would round a row differently
-depending on the rows around it).  Both the monitor and ``estimate``
-reduce each row as they reduce a single replicate.
+row i is replicate i's count vector; a single count vector is a batch of
+one.  A step weighs every row and draws every row's multinomial in one
+broadcast call of the finite kernel.  Each row's arithmetic is the single
+replicate's, so a row's probability vector does not depend on its batch:
+the weighting and the row normalization are elementwise or reduce each
+contiguous row alone, and the kernel forms each row's mixture by the
+one-row vector-matrix product (a matrix-matrix product of the batch would
+round a row differently depending on the rows around it).  The monitor
+and ``estimate`` reduce each row as they reduce a single replicate.
 
-Replicate r draws from the one stream ``streams.stream(seed, r)``: the
-initial population first, then every step in order, each step its
-ancestor uniforms and then its mutation draws, with particle i consuming
-the i-th slot of each vector.  A replicate's draws depend on (seed, r)
-alone, so results do not depend on how replicates are scheduled across
-workers or batched together.  One stream serves the whole replicate
-without changing the law.  Its words are i.i.d. uniform, and a step reads
-a number of them that depends on what it draws (``rng.multinomial``
-consumes a data-dependent number of words), so the count of words read by
-the end of a step is a stopping time of the sequence.  What is left of an
-i.i.d. sequence after a stopping time is again i.i.d. and independent of
-everything read before it, so each step, given the past, draws from fresh
-uniforms, as it would from a stream of its own.
+Replicate r of a states-array model draws from ``streams.stream(seed, r)``:
+its initial population, then every step in order, each step its ancestor
+uniforms and then its mutation draws, particle i consuming the i-th slot
+of each vector.  On a finite model block b, the ``BLOCK_REPLICATES``
+replicates r with r // BLOCK_REPLICATES = b, draws from
+``streams.stream(seed, b)``: its initial counts, then each step's
+multinomials, every call row after row.  So no draw depends on how
+replicates, or whole blocks, are scheduled across workers or tasks.  One
+stream serves a replicate or a block without changing the law.  Its words
+are i.i.d. uniform and a multinomial reads a data-dependent number of
+them, a broadcast call one row after another, so the count of words read
+by the end of each row's draw is a stopping time of the sequence.  What
+follows a stopping time in an i.i.d. sequence is again i.i.d. and
+independent of everything read before it, so each row of each step draws,
+given the past, from fresh uniforms, as from a stream of its own: the rows
+of a block are independent given their probability vectors.
 
-``run_sampler`` runs the replicates of a finite model as one count batch,
-and those of any other model one at a time.  A replicate whose weights
-all vanish stops there, and the rest of its batch steps on.  Given a
+``run_sampler`` runs each block of a finite model as one count batch, and
+the replicates of any other model one at a time; a replicate whose
+weights all vanish stops there (a finite model's cannot: a count step
+needs every log weight finite, and raises for its whole batch).  Given a
 drift function V, it also summarizes each step: ESS, the log-weight
 range, eta(V) and eta(G~), each weighted by the counts of a count
 population.  It holds the populations and step log weights of the last
@@ -91,12 +92,13 @@ reduction runs the same inner loop over the same contiguous values as the
 reduction of that step's own array, V acts value by value, and the ESS
 squares its sum by the scalar ``** 2`` of one step at a time, so every
 summary has the bits it would have step by step.  The budget keeps each
-block's temporaries (64 KiB per array) below the size at which the
+summary's temporaries (64 KiB per array) below the size at which the
 allocator maps fresh pages.
 """
 
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -116,15 +118,7 @@ __all__ = [
 
 
 class TotalDegeneracyError(RuntimeError):
-    """Every particle weight underflowed to zero; the replicate is aborted.
-
-    ``rows`` are the rows of a count batch whose weights all vanished; a
-    single population is row 0.
-    """
-
-    def __init__(self, message, rows=(0,)):
-        super().__init__(message)
-        self.rows = list(rows)
+    """Every weight vanished, or a count step met a non-finite log weight: the run aborts."""
 
 
 @dataclass
@@ -172,23 +166,24 @@ class StepSummary:
     eta_gtilde: float
 
 
-def init_ensemble(model, n_particles, rng):
+def init_ensemble(model, n_particles, rng, rows):
     """Independent draws from the model's initial law by ``rng``, and their statistics.
 
     On a finite model the population is the count vector the model's
-    initial sampler draws, Multinomial(N, mu), on the labels 0..m-1; given a
-    list of generators, it is the (R, m) batch whose row i generator i
-    draws.  A draw or statistic that overflows reads inf, without a
-    warning: its particle then has weight 0, or the replicate degenerates.
+    initial sampler draws, Multinomial(N, mu), on the labels 0..m-1 when
+    ``rows`` is None, and otherwise the (rows, m) batch of such vectors
+    that one call of the sampler draws; other models take ``rows`` None.
+    A draw or statistic that overflows reads inf, without a warning: its
+    particle then has weight 0, or the replicate degenerates.
     """
     if model.is_finite:
-        rows = rng if isinstance(rng, list) else [rng]
-        counts = np.array([model.initial(n_particles, g) for g in rows])
+        size = 1 if rows is None else rows
+        counts = np.asarray(model.initial(n_particles, rng, size))
         labels = np.arange(model.finite.mu.size)
-        if counts.shape != (len(rows), labels.size) or (counts.sum(axis=1) != n_particles).any():
+        if counts.shape != (size, labels.size) or (counts.sum(axis=1) != n_particles).any():
             raise ValueError("initial sampler returned the wrong counts")
         return Ensemble(states=labels, stats=np.asarray(model.potentials.statistic(labels)),
-                        k=0, counts=counts if isinstance(rng, list) else counts[0])
+                        k=0, counts=counts[0] if rows is None else counts)
     with np.errstate(over="ignore"):
         states = np.asarray(model.initial(n_particles, rng))
         if len(states) != n_particles:
@@ -238,19 +233,17 @@ def draw_ancestors(cw, u):
 def _count_step(ens, model, lw, rng):
     """The next count population of ``ens``: one draw of the finite kernel for all its rows.
 
-    Every row whose occupied labels all have weight 0 is named by the
-    ``TotalDegeneracyError`` raised before anything is drawn.
+    Raises ``TotalDegeneracyError`` for the whole batch, before anything is
+    drawn, unless every label's log weight is finite.
     """
+    if not np.isfinite(lw).all():
+        raise TotalDegeneracyError(f"a log weight is not finite at step {ens.k}")
     counts = ens.counts.reshape(-1, lw.size)
     occupied = counts > 0
-    top = np.where(occupied, lw, -np.inf).max(axis=1)
-    vanished = np.flatnonzero(~np.isfinite(top))
-    if vanished.size:
-        raise TotalDegeneracyError(f"all particle weights vanished at step {ens.k}",
-                                   rows=vanished.tolist())
-    w = np.exp(lw - top[:, None], out=np.zeros(counts.shape), where=occupied) * counts
-    rngs = rng if ens.counts.ndim == 2 else [rng]
-    counts = np.asarray(model.kernels.sample_batch(ens.k + 1, w, ens.n_particles, rngs))
+    # each row's max, down a contiguous transpose: numpy reduces a short last axis row by row
+    top = np.ascontiguousarray(np.where(occupied, lw, -np.inf).T).max(axis=0)[:, None]
+    w = np.exp(lw - top, out=np.zeros(counts.shape), where=occupied) * counts
+    counts = np.asarray(model.kernels.sample_batch(ens.k + 1, w, ens.n_particles, rng))
     return Ensemble(states=ens.states, stats=ens.stats, k=ens.k + 1,
                     counts=counts.reshape(ens.counts.shape))
 
@@ -258,8 +251,8 @@ def _count_step(ens, model, lw, rng):
 def smc_step(ens, model, rng):
     """One transition: multinomial ancestor draw by weight, then mutation, by ``rng``.
 
-    ``rng`` is the replicate's generator, or for a count batch one
-    generator per row.  Returns the next ensemble and the step-k log
+    ``rng`` is the replicate's generator, or the batch's for a count
+    batch.  Returns the next ensemble and the step-k log
     weights of ``ens.states``.
     """
     k = ens.k
@@ -355,42 +348,37 @@ def _summaries(model, drift, pops, lws):
 def _run(model, ens, rng, drift):
     """Step ``ens`` to the horizon by ``rng``; one (population, summaries) pair per row.
 
-    A states array is one row, drawn by the generator ``rng``; a count batch
-    has R rows, row i drawn by ``rng[i]``.  A row whose weights all vanish
-    ends as (None, None), and the other rows step on.
+    A states array is one row, and a count batch has one row per
+    replicate.  If the weights vanish, every row ends as (None, None).
     """
-    rows = list(range(1 if ens.counts is None else len(ens.counts)))
-    out = [(None, None)] * len(rows)
-    summaries = None if drift is None else [[] for _ in rows]
+    rows = 1 if ens.counts is None else len(ens.counts)
+    summaries = [None] * rows if drift is None else [[] for _ in range(rows)]
     block = max(1, BLOCK_VALUES // (len(ens.states) if ens.counts is None else ens.counts.size))
     pops, lws = [], []
-    for _ in range(model.horizon):
-        try:
+    try:
+        for _ in range(model.horizon):
             nxt, lw = smc_step(ens, model, rng)
-        except TotalDegeneracyError as exc:
-            keep = [i for i in range(len(rows)) if i not in exc.rows]
-            if not keep:
-                return out
-            rows, rng = [rows[i] for i in keep], [rng[i] for i in keep]
-            ens = replace(ens, counts=ens.counts[keep])
-            pops = [replace(p, counts=p.counts[keep]) for p in pops]
-            nxt, lw = smc_step(ens, model, rng)
-        if summaries is not None:
-            pops.append(ens)
-            lws.append(lw)
-            if len(lws) == block:
-                for r, steps in zip(rows, _summaries(model, drift, pops, lws)):
-                    summaries[r].extend(steps)
-                pops, lws = [], []
-        ens = nxt
-    if summaries is not None:
+            if drift is not None:
+                pops.append(ens)
+                lws.append(lw)
+                if len(lws) == block:
+                    for row, steps in zip(summaries, _summaries(model, drift, pops, lws)):
+                        row.extend(steps)
+                    pops, lws = [], []
+            ens = nxt
+    except TotalDegeneracyError:
+        return [(None, None)] * rows
+    if drift is not None:
         pops.append(ens)
-        for r, steps in zip(rows, _summaries(model, drift, pops, lws)):
-            summaries[r].extend(steps)
-    for i, r in enumerate(rows):
-        pop = ens if ens.counts is None else Ensemble(ens.states, ens.stats, ens.k, ens.counts[i])
-        out[r] = (pop, None if summaries is None else summaries[r])
-    return out
+        for row, steps in zip(summaries, _summaries(model, drift, pops, lws)):
+            row.extend(steps)
+    pops = [ens] if ens.counts is None else [Ensemble(ens.states, ens.stats, ens.k, c)
+                                             for c in ens.counts]
+    return list(zip(pops, summaries))
+
+
+# the replicates of a block, the unit of randomness of a finite model
+BLOCK_REPLICATES = 1000
 
 
 def run_sampler(model, n_particles, seed, replicates, drift=None):
@@ -399,27 +387,39 @@ def run_sampler(model, n_particles, seed, replicates, drift=None):
     Returns one (population, summaries) pair per replicate, in order: its
     terminal population, and its step summaries when given a drift V (None
     otherwise); a replicate whose weights all vanish gives (None, None).
-    Replicate r draws its initial population and then every step, in
-    order, from the stream keyed by (seed, r).  On a finite model the
-    replicates step together as one count batch, elsewhere one at a time.
+    On a finite model each run of consecutive ids in one block, b = r //
+    BLOCK_REPLICATES for each id r, steps as one count batch drawn from the
+    stream keyed by (seed, b); a caller passes whole blocks.  Elsewhere
+    replicate r steps alone, drawn from the stream keyed by (seed, r).
     """
-    rngs = [streams.stream(seed, r) for r in replicates]
     if model.is_finite:
-        return _run(model, init_ensemble(model, n_particles, rngs), rngs, drift) if rngs else []
-    return [pair for rng in rngs
-            for pair in _run(model, init_ensemble(model, n_particles, rng), rng, drift)]
+        units = [(b, len(list(ids)))
+                 for b, ids in itertools.groupby(replicates, lambda r: r // BLOCK_REPLICATES)]
+    else:
+        units = [(r, None) for r in replicates]
+    out = []
+    for key, rows in units:
+        rng = streams.stream(seed, key)
+        out += _run(model, init_ensemble(model, n_particles, rng, rows), rng, drift)
+    return out
 
 
-def estimate(pop, f):
-    """Average of f over the population; NaN unless every value is finite.
+def estimate(pops, f):
+    """The average of f over each population of ``pops``, as an array; NaN for None.
 
-    A count population weighs f at each occupied label by its count.
+    A states array averages f over its particles, NaN unless every value
+    is finite.  Count populations, the rows of one finite run, share their
+    labels: f is evaluated once, on the labels, and each row weighs it by
+    its counts.
     """
-    vals = np.asarray(f(pop.states), dtype=float)
-    if pop.counts is None:
-        return float(vals.mean()) if np.isfinite(vals).all() else math.nan
-    held = pop.counts > 0
-    vals = vals[held]
-    if not np.isfinite(vals).all():
-        return math.nan
-    return float(vals @ pop.counts[held] / pop.n_particles)
+    out = np.full(len(pops), math.nan)
+    live = [i for i, pop in enumerate(pops) if pop is not None]
+    if live and pops[live[0]].counts is not None:
+        first = pops[live[0]]
+        vals = np.asarray(f(first.states), dtype=float)
+        out[live] = (np.stack([pops[i].counts for i in live]) * vals).sum(axis=1)
+        return out / first.n_particles
+    for i in live:
+        vals = np.asarray(f(pops[i].states), dtype=float)
+        out[i] = vals.mean() if np.isfinite(vals).all() else math.nan
+    return out

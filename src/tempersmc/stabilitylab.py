@@ -8,15 +8,15 @@ closed-form planar construction of a two-point measure that violates the
 reweighting inequality eta(GV) <= (1+delta) eta(G) eta(V) for any
 delta < 1, and the Lemma 1 audit of the tilted drift/minorization data.
 
-Each grid cell is cut into contiguous blocks of replicates, sized so that a
-task costs about ``_TASK_STEPS`` units: one replicate of cell (n, N) costs
-n*N particle-steps on a continuous model, and n*m^2 on a finite model with
-m states, whose replicate steps a count vector whatever N is.  A task runs
-its block with one ``run_sampler`` call, which steps a finite block as one
-count batch.  The blocks are a function of the config alone, and every
-replicate draws from its own stream keyed by (cell seed, replicate), with
-arithmetic that ignores its batch, so the block layout changes no draw.
-Results are merged in task order by a single reducer, so output is
+Each grid cell is cut into tasks of contiguous replicates costing about
+``_TASK_STEPS`` units: a replicate of cell (n, N) costs n*N particle-steps
+on a continuous model and n*m^2 on a finite model with m states, whose
+replicate steps a count vector whatever N is.  A task runs with one
+``run_sampler`` call.  A continuous replicate draws from its own stream,
+keyed by (cell seed, replicate); a finite task is a run of whole blocks of
+``BLOCK_REPLICATES``, each one count batch drawn from one stream keyed by
+(cell seed, block).  So the cut, a function of the config alone, changes
+no draw, and the results, merged in task order by a single reducer, are
 identical for any worker count.
 
 The cells of a grid are distinct: parsing rejects a repeated entry of
@@ -50,7 +50,7 @@ from .config import (
     finite_f_vector,
     reference_value,
 )
-from .particles import estimate, run_sampler
+from .particles import BLOCK_REPLICATES, estimate, run_sampler
 
 __all__ = [
     "Table",
@@ -86,16 +86,17 @@ class Table:
 
 
 def _replicate_tasks(cfg, cells):
-    """Cells cut into contiguous replicate blocks costing about ``_TASK_STEPS`` each.
+    """Cells cut into runs of contiguous replicates costing about ``_TASK_STEPS`` each.
 
     A replicate of cell (n, N) costs n*N particle-steps on a continuous
     model, and n*m^2 on a finite model of m states: a count step is O(m^2)
-    arithmetic whatever N is.
+    arithmetic whatever N is.  A finite task is a run of whole blocks.
     """
     m = len(cfg.model["log_weights"]) if cfg.model["kind"] == "finite-tempered" else None
+    unit = 1 if m is None else BLOCK_REPLICATES
     tasks = []
     for n, n_particles in cells:
-        size = max(1, _TASK_STEPS // (n * n_particles if m is None else n * m * m))
+        size = unit * max(1, _TASK_STEPS // (unit * n * (n_particles if m is None else m * m)))
         for lo in range(0, cfg.replicates, size):
             hi = min(lo + size, cfg.replicates)
             tasks.append((cfg, n, n_particles, tuple(range(lo, hi))))
@@ -103,13 +104,11 @@ def _replicate_tasks(cfg, cells):
 
 
 def _estimate_task(args):
-    """One block of replicates of one grid cell; returns per-replicate estimates."""
+    """One run of replicates of one grid cell; returns per-replicate estimates."""
     cfg, n, n_particles, rep_ids = args
-    model = build_model(cfg, n)
-    f = build_f(cfg)
     cell_seed = streams.derive_seed(cfg.seed, n, n_particles)
-    return np.array([math.nan if pop is None else estimate(pop, f)
-                     for pop, _ in run_sampler(model, n_particles, cell_seed, rep_ids)])
+    results = run_sampler(build_model(cfg, n), n_particles, cell_seed, rep_ids)
+    return estimate([pop for pop, _ in results], build_f(cfg))
 
 
 def _exact_value(cfg, n):

@@ -6,9 +6,10 @@ replicate id, ...).  Streams for distinct paths are independent and a
 stream's output depends only on (seed, path), never on scheduling order,
 which is what makes worker-pool runs byte-identical to serial runs.
 
-The particle engine draws replicate r of a run from ``stream(seed, r)``:
-its initial population and then every step, in order, from that one
-generator.
+The particle engine draws replicate r of a run from ``stream(seed, r)``,
+and on a finite model each block b of replicates from ``stream(seed, b)``:
+the initial populations and then every step, in order, from that one
+generator (see ``particles``).
 """
 
 import numpy as np

@@ -18,6 +18,7 @@ from tempersmc.cli import (
     EXIT_INCONCLUSIVE, EXIT_OK, EXIT_PRECONDITION, dispatch, main, make_mapper,
 )
 from tempersmc.config import ConfigError, parse_config
+from tempersmc.particles import BLOCK_REPLICATES
 from tempersmc.stabilitylab import Table
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -53,7 +54,10 @@ SHIPPED = {
 # pairs were recorded again when a replicate began to draw its initial
 # population and every step from one stream, and a count step became one
 # multinomial draw: new values, same law (see
-# `test_particles.test_terminal_counts_follow_the_exact_count_chain`).
+# `test_particles.test_terminal_counts_follow_the_exact_count_chain`).  The
+# two n-scaling pairs were recorded again when a block of finite replicates
+# began to draw from one stream, one broadcast multinomial per step: new
+# values, same law (see `test_particles.test_rows_of_a_block_are_independent`).
 GOLDEN = {
     "bias_finite": ("767ad88dddad37a2ef88dc5e48b30bd4b2d5cf939bb254120a7f79ec0004ecc4",
                     "44a6007fdb7f775844c86df7576a2c363d9f09c40d5644238876c65dd7c4d2cc"),
@@ -67,10 +71,10 @@ GOLDEN = {
                       "55828b2c170c8790f6f4f5b8af4b97ae8403c9ff91bf39e78770447d76534ca3"),
     "lemma1_audit": ("5634f9415799fb60cc1df47affd9ff3dcbfe358db3e7dbd4a481f0ca9908f22a",
                      "77a034df3eaf50305c42a5f8c63849bcd0ada2fdd168cd6607f883d511739b27"),
-    "scaling_sqrt_n": ("3384fcbdaecb57a88c215c6e37f080aae2115c546e896f6a07fd57dddce32bdb",
-                       "f04184fa2b818c9dc3cb66fed9af3ed6da218c96c3befd80683f6dd0b82a7116"),
-    "scaling_uniform_n": ("7ee73de7aa5c5e56f58b87b7c8fa00b524739c41d4d2afcb70ab2c7362000813",
-                          "4254258105786e055ccc581e719d4027618bfb47718f0ddad555a51f2a49d979"),
+    "scaling_sqrt_n": ("fc9087830936ad5f81a0972aaea8282bf9abd63f87787f948947566c0594b05f",
+                       "12ac67494cae4223abb3dda0709b22c5470fb7013510f8ba365fb5be5c27dfc2"),
+    "scaling_uniform_n": ("ef88a8f8074cbfcb8b70c866c743c4e31407881f012eda51b616baf8b70a0c0f",
+                          "9a2e5ea9174d4d9d865f0368b2346220dae516a10dc06a916e8cc45d47acdb87"),
 }
 
 
@@ -103,16 +107,16 @@ def test_shipped_config_runs_shrunk(name, tmp_path):
 
 def test_finite_bias_decay_with_particles_keeps_its_digest(tmp_path):
     # one CSV holds the exact rows, then the particle rows at N = 1000; recorded
-    # (like GOLDEN) when a replicate began to draw from one stream.  Every
-    # particle cell clears its noise floor by design: this size exits 0 for
-    # 200 of seeds 1-200, both with a stream per step and with one stream
-    # per replicate
+    # (like GOLDEN) when a block of replicates began to draw from one stream.
+    # Every particle cell clears its noise floor by design: this size exits 0
+    # for 200 of seeds 1-200 with a stream per step, with one stream per
+    # replicate, and with one stream per block
     cfg = parse_config(_shipped("bias_finite", tmp_path, workers=1, replicates=4,
                                 grids={"n": [1, 2, 3], "N": [1000]}))
     assert dispatch(cfg) == EXIT_OK
     assert _digests(tmp_path, cfg.experiment) == (
-        "06c537b9b7f3e39ddd592d1263195771fed1138268ba30e615662152cd4b2f69",
-        "390143b6ec86834246d4cab2f96869fb3926bf6ea96980b8f47b87432e01f4a4")
+        "2d07ffea3290343e5d813fa647afd921d37f552d5a7650eb962fcbad9e6003f0",
+        "ec46648022dc0723bbef54dc83a4646693857277034cbb16794d19c32a1cef7f")
 
 
 @pytest.mark.parametrize("init, used", [
@@ -156,17 +160,17 @@ def test_bias_decay_counts_a_non_finite_average_as_degenerate(tmp_path):
 
 
 def test_csv_identical_for_any_worker_count(monkeypatch, tmp_path):
-    # a two-state replicate at n = 50 costs 50 * 2^2 = 200, so a budget of 800
-    # splits each cell's 6 replicates into batches of 4 and 2: four uneven
-    # tasks to spread
+    # a block of two-state replicates at n = 50 costs B * 50 * 2^2, so a budget
+    # of twice that splits each cell's two blocks and a partial one into runs
+    # of two blocks and of the partial one: four uneven tasks to spread
     raw = json.loads(_shipped("scaling_sqrt_n", tmp_path))
-    raw.update(replicates=6, grids={"n": [50], "N": [10, 5000]})
+    raw.update(replicates=2 * BLOCK_REPLICATES + 100, grids={"n": [50], "N": [10, 5000]})
     cfg = parse_config(json.dumps(raw))
     csv = {}
     with monkeypatch.context() as patched:
-        patched.setattr(stabilitylab, "_TASK_STEPS", 800)
+        patched.setattr(stabilitylab, "_TASK_STEPS", 2 * BLOCK_REPLICATES * 50 * 4)
         tasks = stabilitylab._replicate_tasks(cfg, [(50, 10), (50, 5000)])
-        assert [len(reps) for *_, reps in tasks] == [4, 2, 4, 2]
+        assert [len(reps) for *_, reps in tasks] == [2 * BLOCK_REPLICATES, 100] * 2
         for workers in (1, 2):
             out = tmp_path / f"w{workers}"
             assert dispatch(replace(cfg, workers=workers, out_dir=str(out))) == EXIT_OK
@@ -184,15 +188,19 @@ def test_csv_identical_for_any_worker_count(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("name, overrides, cuts", [
-    # a two-state replicate costs 4n: a budget of 40 runs the n = 2 cell as
-    # one batch of 5 and cuts the n = 5 cell into batches of 2, 2 and 1
-    ("scaling_sqrt_n", {"replicates": 5, "grids": {"n": [2, 5], "N": [10, 40]}},
-     {40: [5, 5, 2, 2, 1, 2, 2, 1]}),
+    # a block of two-state replicates costs 4nB: a budget of 24B runs each
+    # n = 2 cell (two blocks and one replicate) as one task and cuts each
+    # n = 5 cell into its three blocks
+    ("scaling_sqrt_n",
+     {"replicates": 2 * BLOCK_REPLICATES + 1, "grids": {"n": [2, 5], "N": [10, 40]}},
+     {24 * BLOCK_REPLICATES: [2 * BLOCK_REPLICATES + 1] * 2
+      + [BLOCK_REPLICATES, BLOCK_REPLICATES, 1] * 2}),
     ("bias_gaussian", SHIPPED["bias_gaussian"], {}),
     ("drift_monitor", {"replicates": 5, "grids": {"n": [3, 5], "N": [20]}}, {}),
 ])
 def test_outputs_identical_for_any_task_size(name, overrides, cuts, monkeypatch, tmp_path):
-    # one replicate per task, any uneven cuts, the default budget, and one task per cell
+    # one unit per task (a replicate, or a block of a finite model), any uneven
+    # cuts, the default budget, and one task per cell
     batches, outputs = [], []
 
     def serial(fn, items):
@@ -209,7 +217,9 @@ def test_outputs_identical_for_any_task_size(name, overrides, cuts, monkeypatch,
         doc = json.loads((out / f"{cfg.experiment}.json").read_text())
         outputs.append(((out / f"{cfg.experiment}.csv").read_bytes(), doc["summary"]))
     cells = len(cfg.grids["n"]) * len(cfg.grids["N"])
-    assert len(batches[0]) == cells * cfg.replicates and len(batches[-1]) == cells
+    unit = BLOCK_REPLICATES if cfg.model["kind"] == "finite-tempered" else 1
+    assert len(batches[0]) == cells * math.ceil(cfg.replicates / unit)
+    assert len(batches[-1]) == cells
     assert [batches[budgets.index(b)] for b in cuts] == list(cuts.values())
     assert all(output == outputs[0] for output in outputs)
 
@@ -658,13 +668,14 @@ def test_run_and_audit_read_one_drift_function(tmp_path):
 
 def test_finite_run_keeps_its_digest(tmp_path):
     # no GOLDEN pair is a finite run, the one particle path that monitors V by
-    # state; recorded (like GOLDEN) when a replicate began to draw from one stream
+    # state; recorded (like GOLDEN) when a block of replicates began to draw
+    # from one stream
     cfg = parse_config(json.dumps({**_finite_run(tmp_path), "workers": 1}))
     assert len(stabilitylab._replicate_tasks(cfg, [(3, 20), (5, 20)])) == 2
     assert dispatch(cfg) == EXIT_OK
     assert _digests(tmp_path, cfg.experiment) == (
-        "faace9c1df95d2b549d546497037dde6a0d9e1e8f78b5c45d8db9c95f3b47716",
-        "d625824d996f364c851af3148b487a8fd66ddda0589c6559f876e538ccfe3208")
+        "2624a1a8dad484d56b6254e4bf2143ed46bfaf16ac92b2a77efdb2a7808b2ed2",
+        "46e603dafe87522dc0d5d5cdfb1365d6b8c2a3d4ff03247fc48b615d0c7de82b")
 
 
 def test_drift_check_on_a_mixture_target(tmp_path):

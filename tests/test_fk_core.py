@@ -19,13 +19,15 @@ def test_sample_batch_deterministic_given_stream():
     mats = [np.array([[0.3, 0.7], [0.6, 0.4]])] * 2
     kf = _kernels(mats)
     w = np.tile([2.0, 3.0], (20, 1))
-    a = kf.sample_batch(1, w, 5, [streams.stream(11, i) for i in range(20)])
-    b = kf.sample_batch(1, w, 5, [streams.stream(11, i) for i in range(20)])
+    a = kf.sample_batch(1, w, 5, streams.stream(11, 0))
+    b = kf.sample_batch(1, w, 5, streams.stream(11, 0))
     np.testing.assert_array_equal(a, b)
-    # each row draws from its own stream: alone, it draws what it draws in the batch
-    alone = [kf.sample_batch(1, w[:1], 5, [streams.stream(11, i)])[0] for i in range(20)]
+    # one call reads the stream row after row: it draws what the rows, drawn
+    # one at a time from that stream, draw
+    rng = streams.stream(11, 0)
+    alone = [kf.sample_batch(1, w[i:i + 1], 5, rng)[0] for i in range(20)]
     np.testing.assert_array_equal(alone, a)
-    # each row places all five particles, and the streams differ
+    # each row places all five particles, and the rows differ
     assert a.shape == (20, 2) and np.all(a.sum(axis=1) == 5)
     assert len({tuple(c) for c in a}) > 1
 
@@ -38,7 +40,7 @@ def test_sample_batch_frequencies_match_matrix_row(row):
     # weight on one state alone: every particle moves by that state's row
     w = np.zeros(3)
     w[row] = 1.0
-    counts = kf.sample_batch(1, w[None], n_draws, [streams.stream(5, row)])[0]
+    counts = kf.sample_batch(1, w[None], n_draws, streams.stream(5, row))[0]
     p = mats[0][row]
     # 4-sigma binomial bands per destination state
     for j in range(3):

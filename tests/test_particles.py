@@ -19,6 +19,7 @@ from tempersmc import oracle, streams
 from tempersmc.fk_core import FKModel, KernelFamily, PotentialFamily
 from tempersmc.finite import table_model, tempered_chain_model
 from tempersmc.particles import (
+    BLOCK_REPLICATES,
     BLOCK_VALUES,
     Ensemble,
     StepSummary,
@@ -49,13 +50,16 @@ def two_state_model(n=3, mu=(0.6, 0.4)):
 
 
 def _started(model, sampler):
-    """``model`` with its initial law replaced by ``sampler``."""
+    """``model`` with its initial law replaced by ``sampler``; a finite model draws each row by it."""
+    if model.is_finite:
+        return replace(model, initial=lambda size, rng, rows: np.array(
+            [sampler(size, rng) for _ in range(rows)]))
     return replace(model, initial=sampler)
 
 
 def _init(model, n_particles, seed, replicate=0):
     """An initial ensemble drawn from the stream keyed by (seed, replicate, 0)."""
-    return init_ensemble(model, n_particles, streams.stream(seed, replicate, 0))
+    return init_ensemble(model, n_particles, streams.stream(seed, replicate, 0), None)
 
 
 def _step(ens, model, seed, replicate=0):
@@ -67,6 +71,14 @@ def _run_one(model, n_particles, seed, replicate=0, drift=None):
     """``run_sampler`` of the one replicate ``replicate``: its population and summaries."""
     (pair,) = run_sampler(model, n_particles, seed, [replicate], drift=drift)
     return pair
+
+
+def _lone_stream(model, seed, replicate):
+    """The stream ``run_sampler`` draws ``replicate`` from when it runs alone.
+
+    A finite replicate run alone is the one row of its block.
+    """
+    return streams.stream(seed, replicate // BLOCK_REPLICATES if model.is_finite else replicate)
 
 
 def gaussian_model(n, init_mean=0.0, floor=0.7):
@@ -273,6 +285,32 @@ def test_terminal_counts_follow_the_exact_count_chain():
     assert expected.min() >= 5.0
     _, pval = scipy.stats.chisquare(observed, expected)
     assert pval > _CHAIN_ALPHA
+
+
+# The row-independence gate: over _PAIR_REPLICATES replicates, many blocks,
+# the terminal counts at label 1 of rows 2j and 2j + 1 of each block, pairs
+# that share a stream, compared with the product of two exact count-chain
+# marginals by one chi-square test at level _PAIR_ALPHA, so a correct engine
+# fails it with probability 5e-5.
+_PAIR_REPLICATES = 20_000
+_PAIR_ALPHA = 5e-5
+
+
+def test_rows_of_a_block_are_independent():
+    # the chain gate's model and size: 10,000 pairs of neighbouring rows
+    n, n_particles = 5, 2
+    arrays = two_state_fixture(n).finite
+    model = table_model(arrays.kernels, arrays.log_g, np.array([1.0, 0.0]))
+    assert BLOCK_REPLICATES % 2 == 0 and _PAIR_REPLICATES >= 10 * BLOCK_REPLICATES
+    at_one = np.array([pop.counts[1] for pop, _ in run_sampler(
+        model, n_particles, 2402, range(_PAIR_REPLICATES))])
+    first, second = at_one.reshape(-1, 2).T
+    observed = np.bincount(first * (n_particles + 1) + second, minlength=(n_particles + 1) ** 2)
+    law = _two_label_count_chain(arrays, n_particles)
+    expected = first.size * np.outer(law, law).ravel()
+    assert expected.min() >= 5.0
+    _, pval = scipy.stats.chisquare(observed, expected)
+    assert pval > _PAIR_ALPHA
 
 
 def test_step_returns_the_log_weights_it_resampled_by():
@@ -565,7 +603,7 @@ def test_count_replicate_at_a_billion_particles():
     finally:
         tracemalloc.stop()
     assert pop.n_particles == 10**9 and len(summaries) == 21
-    assert 0.0 < estimate(pop, lambda s: np.asarray(s, dtype=float)) < 1.0
+    assert 0.0 < estimate([pop], lambda s: np.asarray(s, dtype=float))[0] < 1.0
     assert elapsed < 1.0
     assert peak < 2**20
 
@@ -625,22 +663,24 @@ def _reference_summary(model, ens, drift, lw):
                        eta_v=eta_v, eta_gtilde=float((np.exp(lw) * c).sum() / c.sum()))
 
 
-def _reference_run(model, n_particles, seed, replicate, drift):
-    """``run_sampler`` one step at a time.
+def _reference_run(model, n_particles, seed, replicate, drift, rows=1):
+    """``run_sampler`` one step and one row at a time: a (population, summaries) pair per row.
 
-    One generator, ``streams.stream(seed, replicate)``, draws the initial
-    population and then every step in order, and each step is summarized
-    on its own by ``_reference_summary``.
+    One generator, the stream ``replicate`` draws from alone, draws the
+    initial population of each row in turn, and then every step, each
+    step's rows in turn; each step of a row is summarized on its own by
+    ``_reference_summary``.
     """
-    rng = streams.stream(seed, replicate)
-    ens = init_ensemble(model, n_particles, rng)
-    summaries = []
+    rng = _lone_stream(model, seed, replicate)
+    pops = [init_ensemble(model, n_particles, rng, None) for _ in range(rows)]
+    summaries = [[] for _ in range(rows)]
     for _ in range(model.horizon):
-        nxt, lw = smc_step(ens, model, rng)
-        summaries.append(_reference_summary(model, ens, drift, lw))
-        ens = nxt
-    summaries.append(_reference_summary(model, ens, drift, None))
-    return ens, summaries
+        for i, ens in enumerate(pops):
+            pops[i], lw = smc_step(ens, model, rng)
+            summaries[i].append(_reference_summary(model, ens, drift, lw))
+    for ens, row in zip(pops, summaries):
+        row.append(_reference_summary(model, ens, drift, None))
+    return list(zip(pops, summaries))
 
 
 def _odd_draw_model(n):
@@ -694,89 +734,96 @@ def test_run_sampler_draws_the_replicate_from_one_stream_in_order(kind, n, n_par
     # stopped: N ancestor uniforms leave part of a Philox block buffered
     # whenever N is not a multiple of 4, and the odd-draw kernel leaves half a
     # word.  The finite models step count populations, whose multinomial draws
-    # take a varying number of words, against a count reference
+    # take a varying number of words: three rows of block b read the stream
+    # keyed by (seed, b), their initial counts row after row and then each
+    # step's rows in turn, against a count reference
     model, drift = _REFERENCE_MODELS[kind](n)
-    for seed, replicate in [(3, 0), (2**64 - 1, 2**32 + 5)]:
-        pop, summaries = _run_one(model, n_particles, seed, replicate, drift=drift)
-        assert (pop.counts is not None) == model.is_finite
-        ref, ref_summaries = _reference_run(model, n_particles, seed, replicate, drift)
-        _assert_same_population(pop, ref)
-        assert _bits(summaries) == _bits(ref_summaries)
-        _assert_same_population(_run_one(model, n_particles, seed, replicate)[0], pop)
+    rows = 3 if model.is_finite else 1
+    for seed, unit in [(3, 0), (2**64 - 1, 2**32 + 5)]:
+        first = unit * BLOCK_REPLICATES if model.is_finite else unit
+        assert _lone_stream(model, seed, first).random() == streams.stream(seed, unit).random()
+        ids = range(first, first + rows)
+        results = run_sampler(model, n_particles, seed, ids, drift=drift)
+        refs = _reference_run(model, n_particles, seed, first, drift, rows)
+        assert len(results) == len(refs) == rows
+        for (pop, summaries), (ref, ref_summaries) in zip(results, refs):
+            assert (pop.counts is not None) == model.is_finite
+            _assert_same_population(pop, ref)
+            assert _bits(summaries) == _bits(ref_summaries)
+        for (pop, _), (ref, _) in zip(run_sampler(model, n_particles, seed, ids), refs):
+            _assert_same_population(pop, ref)
 
 
 class _Recording:
-    """A stand-in stream whose ``multinomial`` records its probabilities.
+    """A stand-in stream whose ``multinomial`` records the probabilities of each row.
 
-    The counts it returns are fixed by the replicate and the call alone and
-    never read the probabilities, so a replicate takes the same path in any
-    batch, and every probability vector it hands over can be compared bit
-    for bit: a rounding change in them would almost never move a real draw.
+    Row i's counts are fixed by the replicate ``replicates[i]`` and the call
+    alone and never read the probabilities, so a replicate takes the same
+    path in any batch, and every probability vector it hands over can be
+    compared bit for bit: a rounding change in them would almost never move
+    a real draw.
     """
 
-    def __init__(self, replicate):
-        self.fixed = np.random.default_rng(replicate)
-        self.seen = []
+    def __init__(self, replicates):
+        self.fixed = [np.random.default_rng(r) for r in replicates]
+        self.seen = [[] for _ in replicates]
 
-    def multinomial(self, n, pvals):
-        self.seen.append(np.array(pvals, dtype=float))
-        return self.fixed.multinomial(n, self.fixed.dirichlet(np.full(len(pvals), 0.3)))
+    def multinomial(self, n, pvals, size=None):
+        pvals = np.broadcast_to(pvals, (len(self.fixed), np.shape(pvals)[-1]))
+        for seen, p in zip(self.seen, pvals):
+            seen.append(np.array(p, dtype=float))
+        return np.array([g.multinomial(n, g.dirichlet(np.full(pvals.shape[1], 0.3)))
+                         for g in self.fixed])
 
 
 @pytest.mark.parametrize("case", range(21))
 def test_replicate_arithmetic_ignores_its_batch(case, monkeypatch):
     # every m in 2..8 with every N in {1, 2, 10^9}; each of 7 replicates runs
-    # alone, then at each position of a batch of 7
+    # as a block of its own, then at each position of a block of 7
     rng = np.random.default_rng(500 + case)
     m, n_particles = 2 + case % 7, [1, 2, 10**9][case % 3]
     n = int(rng.integers(1, 31))
     model = random_finite_model(rng, m=m, n=n)
     v, f_vals = 1.0 + 10.0 * rng.random(m), rng.normal(size=m)
-    recorders = {}
+    recorder = None
 
-    def stream(seed, replicate):
-        recorders[replicate] = _Recording(replicate)
-        return recorders[replicate]
+    def stream(seed, block):
+        return recorder
 
     monkeypatch.setattr(streams, "stream", stream)
 
-    def run(ids):
-        results = run_sampler(model, n_particles, 0, ids, drift=lambda s: v[s])
-        return {r: ([p.tobytes() for p in recorders[r].seen], pop.counts.tolist(),
-                    np.float64(estimate(pop, lambda s: f_vals[s])).tobytes(), _bits(summaries))
-                for r, (pop, summaries) in zip(ids, results)}
+    def run(replicates):
+        nonlocal recorder
+        recorder = _Recording(replicates)
+        results = run_sampler(model, n_particles, 0, range(len(replicates)),
+                              drift=lambda s: v[s])
+        values = estimate([pop for pop, _ in results], lambda s: f_vals[s])
+        return {r: ([p.tobytes() for p in seen], pop.counts.tolist(), value.tobytes(),
+                    _bits(summaries))
+                for r, seen, value, (pop, summaries)
+                in zip(replicates, recorder.seen, values, results)}
 
     alone = {r: run([r])[r] for r in range(7)}
     assert all(len(seen) == n + 1 for seen, *_ in alone.values())
     for shift in range(7):
-        ids = [(r + shift) % 7 for r in range(7)]
-        assert run(ids) == alone
+        assert run([(r + shift) % 7 for r in range(7)]) == alone
 
 
-def test_a_degenerate_row_leaves_its_batch_stepping():
-    # label 1 weighs 0, so a replicate whose one particle sits there degenerates
-    # at that step; the rest of its batch draws and summarizes what it would alone
+def test_a_count_step_with_a_non_finite_log_weight_raises_for_its_batch():
+    # a finite model's log weights are finite; were one not, the whole batch
+    # would raise before drawing, even a row with no particle at that label,
+    # and every replicate of the block would end as (None, None)
     model = two_state_model(n=6)
-    model = replace(model, potentials=replace(
-        model.potentials, log_g=lambda k, x: np.array([0.0, -np.inf])[x]))
-    drift = lambda s: np.array([1.0, 2.5])[s]
-    degenerate_at = []
-    for r, (pop, summaries) in enumerate(run_sampler(model, 1, 5, range(60), drift=drift)):
-        alone, alone_summaries = _run_one(model, 1, 5, r, drift=drift)
-        if alone is None:
-            assert pop is None and summaries is None
-            rng = streams.stream(5, r)
-            ens = init_ensemble(model, 1, rng)
-            while ens.counts[0]:
-                ens, _ = smc_step(ens, model, rng)
-            degenerate_at.append(ens.k)
-            with pytest.raises(TotalDegeneracyError):
-                smc_step(ens, model, rng)
-        else:
-            _assert_same_population(pop, alone)
-            assert _bits(summaries) == _bits(alone_summaries)
-    # replicates degenerate at the start and part way through, and others survive
-    assert 0 in degenerate_at and max(degenerate_at) > 0 and len(degenerate_at) < 60
+    for bad in (-np.inf, np.inf, np.nan):
+        patched = replace(model, potentials=replace(
+            model.potentials, log_g=lambda k, x, bad=bad: np.array([0.0, bad])[x]))
+        ens = Ensemble(states=np.arange(2), stats=np.arange(2), k=0,
+                       counts=np.array([[3, 0], [1, 2]]))
+        rng = streams.stream(5, 0)
+        with pytest.raises(TotalDegeneracyError, match="not finite at step 0"):
+            smc_step(ens, patched, rng)
+        assert rng.random() == streams.stream(5, 0).random()
+        assert run_sampler(patched, 3, 5, range(4)) == [(None, None)] * 4
 
 
 def _mixture_with_drift(n):
@@ -803,7 +850,7 @@ def test_block_monitor_is_the_per_step_monitor(n_particles):
         model = replace(model, horizon=n)
         assert model.potentials.log_g_max > 0.0
         _, summaries = _run_one(model, n_particles, 29, 1, drift=drift)
-        _, ref_summaries = _reference_run(model, n_particles, 29, 1, drift)
+        ((_, ref_summaries),) = _reference_run(model, n_particles, 29, 1, drift)
         assert [s.k for s in summaries] == list(range(n + 1))
         assert _bits(summaries) == _bits(ref_summaries)
 
@@ -822,8 +869,8 @@ def test_count_monitor_is_the_particle_monitor_of_the_repeated_labels(kind, n_pa
     # summarized by the per-particle formulas
     model, drift = _COUNT_MONITOR_MODELS[kind]()
     _, summaries = _run_one(model, n_particles, 5, 2, drift=drift)
-    rng = streams.stream(5, 2)
-    ens, expected = init_ensemble(model, n_particles, rng), []
+    rng = _lone_stream(model, 5, 2)
+    ens, expected = init_ensemble(model, n_particles, rng, None), []
     while True:
         particles = np.repeat(ens.states, ens.counts)
         lw = None if ens.k == model.horizon else model.potentials.log_g(ens.k, particles)
@@ -845,7 +892,7 @@ def test_count_block_monitor_across_blocks():
     drift = lambda s: np.array([1.0, 2.5])[s]
     model = table_model([M2] * longest, np.tile(np.log([2.0, 0.7]), (longest, 1)),
                         np.array([0.6, 0.4]))
-    _, ref_summaries = _reference_run(model, 9, 29, 1, drift)
+    ((_, ref_summaries),) = _reference_run(model, 9, 29, 1, drift)
     for n in [block - 1, block, longest]:
         short = table_model([M2] * n, np.tile(np.log([2.0, 0.7]), (n, 1)), np.array([0.6, 0.4]))
         _, summaries = _run_one(short, 9, 29, 1, drift=drift)
@@ -863,7 +910,7 @@ def test_block_monitor_at_one_particle():
     model = label_model(table_model([M2] * longest, np.tile(np.log([2.0, 0.7]), (longest, 1)),
                                     np.array([0.6, 0.4])))
     assert model.potentials.log_g_max > 0.0
-    _, ref_summaries = _reference_run(model, 1, 29, 1, drift)
+    ((_, ref_summaries),) = _reference_run(model, 1, 29, 1, drift)
     for n in [0, 1, BLOCK_VALUES - 1, BLOCK_VALUES, longest]:
         _, summaries = _run_one(replace(model, horizon=n), 1, 29, 1, drift=drift)
         terminal = replace(ref_summaries[n], ess=math.nan, log_w_max=math.nan,
@@ -875,15 +922,15 @@ def test_terminal_mean_matches_oracle_over_replicates():
     model = two_state_fixture(6)
     f = lambda s: (np.asarray(s) == 1).astype(float)
     exact = float(oracle.eta_exact(model, 6) @ np.array([0.0, 1.0]))
-    vals = np.array([estimate(pop, f) for pop, _ in run_sampler(model, 400, 17, range(200))])
+    vals = estimate([pop for pop, _ in run_sampler(model, 400, 17, range(200))], f)
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - exact) < 4 * se
 
 
 def test_gaussian_symmetry_of_terminal_mean():
     model, _ = gaussian_model(8, init_mean=0.0)
-    vals = np.array([estimate(pop, lambda x: np.asarray(x)[:, 0])
-                     for pop, _ in run_sampler(model, 500, 23, range(60))])
+    vals = estimate([pop for pop, _ in run_sampler(model, 500, 23, range(60))],
+                    lambda x: np.asarray(x)[:, 0])
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean()) < 4 * se
 
@@ -923,17 +970,27 @@ def test_ess_formula():
 
 def test_estimate_basics():
     pop = Ensemble(states=np.full(10, 3, dtype=int), stats=np.full(10, 3), k=0)
-    assert estimate(pop, lambda s: np.ones(len(s))) == 1.0
-    assert estimate(pop, lambda s: np.asarray(s, dtype=float)) == 3.0
-    # a non-finite value anywhere leaves the replicate without a finite estimate
-    assert math.isnan(estimate(pop, lambda s: np.where(np.arange(len(s)) == 4, np.inf, 1.0)))
-    assert math.isnan(estimate(pop, lambda s: np.full(len(s), np.nan)))
-    # a count population weighs f at each occupied label by its count; an
-    # empty label weighs nothing, not even a non-finite value
-    pop = Ensemble(states=np.arange(3), stats=np.arange(3), k=0, counts=np.array([1, 0, 3]))
-    assert estimate(pop, lambda s: np.asarray(s, dtype=float)) == 1.5
-    assert estimate(pop, lambda s: np.where(s == 1, np.inf, 1.0)) == 1.0
-    assert math.isnan(estimate(pop, lambda s: np.where(s == 2, np.nan, 1.0)))
+    assert estimate([pop], lambda s: np.ones(len(s))).tolist() == [1.0]
+    assert estimate([pop], lambda s: np.asarray(s, dtype=float)).tolist() == [3.0]
+    # a non-finite value anywhere, or no population, leaves a replicate without a
+    # finite estimate
+    assert np.isnan(estimate([pop], lambda s: np.where(np.arange(len(s)) == 4, np.inf, 1.0)))
+    assert np.isnan(estimate([pop], lambda s: np.full(len(s), np.nan)))
+    assert np.isnan(estimate([None], lambda s: np.ones(len(s)))).all()
+    # count populations weigh f at each label by its count, and f is
+    # evaluated once, on the labels they share
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return np.asarray(s, dtype=float)
+
+    rows = [Ensemble(states=np.arange(3), stats=np.arange(3), k=0, counts=np.array(c))
+            for c in ([1, 0, 3], [0, 4, 0], [2, 2, 0])]
+    np.testing.assert_array_equal(estimate([rows[0], None, *rows[1:]], f),
+                                  [1.5, np.nan, 1.0, 0.5])
+    assert len(calls) == 1
+    assert np.isnan(estimate(rows[:1], lambda s: np.where(s == 2, np.nan, 1.0)))
 
 
 def test_exchangeability_of_particle_indices():

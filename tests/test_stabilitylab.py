@@ -11,6 +11,7 @@ from tempersmc.cli import make_mapper
 from tempersmc.config import parse_config
 from tempersmc.finite import table_model
 from tempersmc.fk_core import DriftSpec
+from tempersmc.particles import BLOCK_REPLICATES
 from tempersmc.stabilitylab import (
     bias_decay_experiment,
     lemma1_audit,
@@ -40,18 +41,27 @@ def _cfg(**overrides):
 
 # ------------------------------------------------------------- task layout
 
-@pytest.mark.parametrize("budget", [1, 50, 10**6, 10**12])
+@pytest.mark.parametrize("budget", [1, 50, 24 * BLOCK_REPLICATES, 10**6, 10**12])
 def test_replicate_tasks_cover_each_replicate_once_in_order(budget, monkeypatch):
+    # each cell's replicates are two whole blocks and part of a third; a
+    # budget of 24B runs two blocks of an n = 3 cell in one task
     monkeypatch.setattr(stabilitylab, "_TASK_STEPS", budget)
-    cfg = _cfg(experiment="n-scaling", grids={"n": [3, 40], "N": [7, 1000]}, replicates=13)
+    replicates = 2 * BLOCK_REPLICATES + 13
+    cfg = _cfg(experiment="n-scaling", grids={"n": [3, 40], "N": [7, 1000]},
+               replicates=replicates)
     cells = [(3, 7), (3, 1000), (40, 7), (40, 1000)]
     tasks = stabilitylab._replicate_tasks(cfg, cells)
     pairs = [((n, n_particles), r) for _, n, n_particles, reps in tasks for r in reps]
-    assert pairs == [(cell, r) for cell in cells for r in range(13)]
-    # a finite replicate costs n m^2, whatever N is
+    assert pairs == [(cell, r) for cell in cells for r in range(replicates)]
+    # a finite task is a run of whole blocks, and a block costs B n m^2, whatever N is
     m = len(cfg.model["log_weights"])
     for _, n, n_particles, reps in tasks:
-        assert len(reps) == 1 or len(reps) * n * m * m <= budget
+        assert reps[0] % BLOCK_REPLICATES == 0
+        assert len(reps) % BLOCK_REPLICATES == 0 or reps[-1] == replicates - 1
+        blocks = math.ceil(len(reps) / BLOCK_REPLICATES)
+        assert blocks == 1 or blocks * BLOCK_REPLICATES * n * m * m <= budget
+    if budget == 24 * BLOCK_REPLICATES:
+        assert [len(reps) for _, n, _, reps in tasks if n == 3] == [2 * BLOCK_REPLICATES, 13] * 2
     if budget >= 10**6:
         assert len(tasks) == len(cells)
 
