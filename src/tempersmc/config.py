@@ -165,7 +165,7 @@ def _int_at_least(val, path, lo, size=None):
     return val
 
 
-def _number(val, path, what="", ok=lambda x: True):
+def _number(val, path, what, ok):
     """``val`` if it is a finite JSON number (bools are not) and ``ok(val)``."""
     if (isinstance(val, bool) or not isinstance(val, (int, float))
             or not abs(val) <= sys.float_info.max or not ok(val)):

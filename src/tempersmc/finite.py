@@ -11,18 +11,18 @@ through it, with lazy Metropolis kernels over a uniform proposal on the
 other states, which are exactly invariant (reversible) for each tempered
 law.
 
-The particle engine runs a finite model as count vectors over its m
-states (see ``particles``), so its samplers draw counts, not particles:
-the initial sampler draws rows of Multinomial(N, mu), and the kernel
-draws row i of its next (R, m) counts as Multinomial(N, normalize(w_i
-M[k])) from weights w, all rows in one broadcast call.  It forms
-each row's mixture w_i M[k] by numpy's vector-matrix product of that row
-alone (``weights[:, None] @ M``, one gemv per row), so a row has the bits
-of a batch of one; the matrix-matrix product ``weights @ M`` would round
-a row differently depending on the rows around it.  A finite model's
-statistic is the state label itself, so its potentials and drift vectors
-are indexed by state.  A chain's drift vector is
-``tempering.drift_function`` evaluated at its log weights.
+The particle engine runs a finite model as (R, m) batches of count
+vectors over its m states (see ``particles``), drawing the initial batch
+from mu itself, so the model has no initial sampler.  Its kernel draws
+counts, not particles: row i of the next (R, m) counts is
+Multinomial(N, normalize(w_i M[k])) from weights w, all rows in one
+broadcast call.  It forms each row's mixture w_i M[k] by numpy's
+vector-matrix product of that row alone (``weights[:, None] @ M``, one
+gemv per row), so a row has the bits of a batch of one; the matrix-matrix
+product ``weights @ M`` would round a row differently depending on the
+rows around it.  A finite model's statistic is the state label itself, so
+its potentials and drift vectors are indexed by state.  A chain's drift
+vector is ``tempering.drift_function`` evaluated at its log weights.
 """
 
 import numpy as np
@@ -96,12 +96,12 @@ def table_model(matrices, log_g_table, mu, log_g_max=None):
     ``matrices`` is the (n, m, m) stack of kernels, row k-1 for step k, and
     ``log_g_table`` has shape (n, m); entries must be finite (weights are
     strictly positive by construction).  ``mu`` is a probability vector of
-    m entries.  The family bound defaults to the exact table maximum.  The
-    checked arrays become the model's ``FiniteArrays``.  The samplers work
-    on count vectors over the m states, each by one call of ``rng``:
-    ``initial(N, rng, rows)`` draws ``rows`` vectors of Multinomial(N, mu),
-    and ``sample_batch(k, w, N, rng)`` draws row i of its (R, m) result as
-    Multinomial(N, normalize(w[i] M[k])) for (R, m) weights ``w``.
+    m entries, the initial law.  The family bound defaults to the exact
+    table maximum.  The checked arrays become the model's
+    ``FiniteArrays``.  The kernel sampler works on count batches, by one
+    call of ``rng``: ``sample_batch(k, w, N, rng)`` draws row i of its
+    (R, m) result as Multinomial(N, normalize(w[i] M[k])) for (R, m)
+    weights ``w``.
     """
     table = np.asarray(log_g_table, dtype=float)
     if not np.all(np.isfinite(table)):
@@ -113,7 +113,7 @@ def table_model(matrices, log_g_table, mu, log_g_max=None):
     bound = float(table.max()) if log_g_max is None else float(log_g_max)
     if table.max() > bound + 1e-12:
         raise ValueError("potential table exceeds the declared upper bound")
-    w = _probability_vector(mu, m)
+    mu = _probability_vector(mu, m)
 
     def sample_batch(k, weights, size, rng):
         p = (weights[:, None] @ mats[k - 1])[:, 0]
@@ -125,8 +125,7 @@ def table_model(matrices, log_g_table, mu, log_g_max=None):
         kernels=KernelFamily(sample_batch=sample_batch),
         potentials=PotentialFamily(log_g=lambda k, x: table[k][np.asarray(x, dtype=int)],
                                    log_g_max=bound, statistic=lambda xs: xs),
-        initial=lambda size, rng, rows: rng.multinomial(size, w, size=rows),
-        finite=FiniteArrays(kernels=mats, log_g=table, mu=w),
+        finite=FiniteArrays(kernels=mats, log_g=table, mu=mu),
     )
 
 

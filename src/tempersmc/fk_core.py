@@ -2,13 +2,13 @@
 
 A model couples, for one fixed horizon ``n``, a family of Markov kernels
 ``M[k]`` (k = 1..n), a family of strictly positive weight functions
-``G[k]`` (k = 0..n-1) bounded above by a known constant, and a sampler for
-the initial law.  A step index is a plain ``int`` k; the model's
-``horizon`` is the one horizon, and each function taking k checks it
-against its own range.  States are opaque: finite spaces use integer
-labels, vector spaces use float arrays with the leading axis indexing a
-batch of states.  Kernels and potentials are always evaluated on such a
-batch.
+``G[k]`` (k = 0..n-1) bounded above by a known constant, and the initial
+law: a sampler, or a finite model's initial vector.  A step index is a
+plain ``int`` k; the model's ``horizon`` is the one horizon, and each
+function taking k checks it against its own range.  States are opaque:
+finite spaces use integer labels, vector spaces use float arrays with the
+leading axis indexing a batch of states.  Kernels and potentials are
+always evaluated on such a batch.
 
 The potentials read each state through a per-particle statistic, which the
 particle engine carries beside the state: the family's ``statistic(xs)`` is
@@ -19,14 +19,14 @@ accept and the drift monitor share one density evaluation per particle and
 step; on finite spaces it is the state label itself.  A monitored drift
 function V is a plain callable over a batch of those statistics.
 
-A finite model also carries its exact arrays, one ``FiniteArrays`` record:
-the (n, m, m) kernel stack, the (n, m) log-weight table and the initial
-vector.  The samplers and potentials of a finite model are closures over
-those same arrays; the exact oracle reads the record alone, and with it a
-``DriftSpec``, the certified drift inputs over the same m states.  The
-particle engine runs a finite model as count vectors over its m states,
-so the samplers of a finite model draw count vectors: its initial sampler
-and kernels return the counts of N particles, not N states.
+A finite model carries its exact arrays, one ``FiniteArrays`` record: the
+(n, m, m) kernel stack, the (n, m) log-weight table and the initial
+vector mu.  Its kernel sampler and potentials are closures over those
+same arrays, and its initial law is mu itself, with no sampler; the exact
+oracle reads the record alone, and with it a ``DriftSpec``, the certified
+drift inputs over the same m states.  The particle engine runs a finite
+model as (R, m) batches of count vectors over its m states, so its kernel
+sampler returns the counts of N particles per row, not N states.
 
 All potential arithmetic is carried out in the log domain; the family's
 upper bound is supplied as a log constant by the model builder.
@@ -73,14 +73,14 @@ class KernelFamily:
     ``sample_batch(k, xs, stats, rng)`` advances a whole batch of states one
     transition of ``M[k]`` with a fixed draw layout and returns the new
     states with their statistics (see ``PotentialFamily``); ``stats`` are
-    the statistics of ``xs``.  On a finite model the batch is R count
-    vectors over the m states: ``sample_batch(k, w, size, rng)`` takes an
-    (R, m) array of nonnegative weights and a generator, and returns the
-    (R, m) counts whose row i holds ``size`` particles, each drawn
-    independently from the state law normalize(w[i]) and moved one
-    transition of ``M[k]``, that is, a draw of
-    Multinomial(size, normalize(w[i] M[k])) by ``rng``.  It is the only
-    kernel sampler the particle engine calls.
+    the statistics of ``xs``.  On a finite model the batch is an (R, m)
+    count batch: ``sample_batch(k, w, size, rng)`` takes its (R, m)
+    nonnegative weights and a generator, and returns the next (R, m)
+    counts, row i holding ``size`` particles, each drawn independently
+    from the state law normalize(w[i]) and moved one transition of
+    ``M[k]``, that is, a draw of Multinomial(size, normalize(w[i] M[k]))
+    by ``rng``, all rows in one call.  It is the only kernel sampler the
+    particle engine calls.
     """
 
     sample_batch: Callable
@@ -103,23 +103,23 @@ class FiniteArrays:
 
 @dataclass(frozen=True)
 class FKModel:
-    """One model instance: horizon, kernels, potentials, initial sampler.
+    """One model instance: horizon, kernels, potentials and one initial law.
 
-    ``initial(size, rng)`` returns a batch of ``size`` independent draws
-    from the initial law; on a finite model ``initial(size, rng, rows)``
-    returns the counts of ``rows`` such batches, (rows, m) draws of
-    Multinomial(size, mu), and each step weighs those counts and passes
-    the weights to the kernels.  ``finite`` holds the exact arrays of a
-    finite model and is None on other spaces.
+    On a finite model ``finite`` holds the exact arrays, whose ``mu`` is
+    the initial law, and ``initial`` is None.  On any other space
+    ``finite`` is None and ``initial(size, rng)`` returns a batch of
+    ``size`` independent draws from the initial law.
     """
 
     horizon: int
     kernels: KernelFamily
     potentials: PotentialFamily
-    initial: Callable
+    initial: Optional[Callable] = None
     finite: Optional[FiniteArrays] = None
 
     def __post_init__(self):
+        if (self.initial is None) == (self.finite is None):
+            raise ValueError("a model needs one initial law: an initial sampler or finite arrays")
         if self.finite is not None and len(self.finite.kernels) != self.horizon:
             raise ValueError("finite arrays do not match the model horizon")
 

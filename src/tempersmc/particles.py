@@ -3,10 +3,11 @@
 A particle population is the uniformly weighted empirical measure of N
 particles, held in one of two forms.  On a model with a continuous or
 otherwise per-particle state space it is the states array of the N
-particles.  On a finite model (``model.is_finite``) it is a count vector
-over the m state labels: the empirical measure of N particles on m points
-is exactly the vector of their counts, so no N-element array is held.  An
-``Ensemble`` holds the states (the m labels, for a count population), each
+particles, one replicate.  On a finite model (``model.is_finite``) it is
+an (R, m) batch of count vectors over the m state labels, row r holding
+replicate r's: the empirical measure of N particles on m points is
+exactly the vector of their counts, so no N-element array is held.  An
+``Ensemble`` holds the states (the m labels, for a count batch), each
 state's statistic (see ``fk_core.PotentialFamily``), the counts (None for
 a states array) and the step index k; the horizon is read from the model.
 
@@ -37,35 +38,31 @@ finds, and no draw changes.  Weight normalization happens in the log
 domain with max-subtraction; a step aborts only when every weight
 underflows to zero.
 
-A count population c takes the same transition in law.  The N new
-particles of the fused draw are independent, each an ancestor label j with
-probability c_j G_k(j) / sum_i c_i G_k(i) moved by row j of M_{k+1}, so the
-next counts are exactly Multinomial(N, normalize((c * G_k) M_{k+1})).  The
-count step draws that multinomial at once: it hands the weights
-w = c * G_k to the finite kernel, which returns
-Multinomial(N, normalize(w M_{k+1})).  The weights are taken relative to
-the largest log weight of an occupied label; a label whose count is 0
-carries no weight, so its log weight neither sets that maximum nor enters
-the monitor's log-weight range.  A step costs O(m^2) arithmetic and one
-multinomial draw, whatever N is.
-
-A count population holds R replicates at once, as an (R, m) array whose
-row i is replicate i's count vector; a single count vector is a batch of
-one.  A step weighs every row and draws every row's multinomial in one
-broadcast call of the finite kernel.  Each row's arithmetic is the single
-replicate's, so a row's probability vector does not depend on its batch:
-the weighting and the row normalization are elementwise or reduce each
-contiguous row alone, and the kernel forms each row's mixture by the
-one-row vector-matrix product (a matrix-matrix product of the batch would
-round a row differently depending on the rows around it).  The monitor
-and ``estimate`` reduce each row as they reduce a single replicate.
+A count row c takes the same transition in law.  The N new particles of
+the fused draw are independent, each an ancestor label j with probability
+c_j G_k(j) / sum_i c_i G_k(i) moved by row j of M_{k+1}, so the next
+counts are exactly Multinomial(N, normalize((c * G_k) M_{k+1})).  A count
+step weighs every row of the batch, w = c * G_k, and hands the (R, m)
+weights to the finite kernel, which draws each row's
+Multinomial(N, normalize(w M_{k+1})) in one broadcast call.  Each row's
+weights are taken relative to the largest log weight of a label it
+occupies; a label whose count is 0 carries no weight, so its log weight
+neither sets that maximum nor enters the monitor's log-weight range.  A
+step costs O(R m^2) arithmetic and one multinomial call, whatever N is.
+Each row's arithmetic is that of a batch of one, so a row's probability
+vector does not depend on its batch: the weighting and the row
+normalization are elementwise or reduce each contiguous row alone, and
+the kernel forms each row's mixture by the one-row vector-matrix product
+(a matrix-matrix product of the batch would round a row differently
+depending on the rows around it).
 
 Replicate r of a states-array model draws from ``streams.stream(seed, r)``:
 its initial population, then every step in order, each step its ancestor
 uniforms and then its mutation draws, particle i consuming the i-th slot
 of each vector.  On a finite model block b, the ``BLOCK_REPLICATES``
 replicates r with r // BLOCK_REPLICATES = b, draws from
-``streams.stream(seed, b)``: its initial counts, then each step's
+``streams.stream(seed, b)``: its initial counts, the one call
+``rng.multinomial(N, model.finite.mu, size=R)``, then each step's
 multinomials, every call row after row.  So no draw depends on how
 replicates, or whole blocks, are scheduled across workers or tasks.  One
 stream serves a replicate or a block without changing the law.  Its words
@@ -77,13 +74,17 @@ independent of everything read before it, so each row of each step draws,
 given the past, from fresh uniforms, as from a stream of its own: the rows
 of a block are independent given their probability vectors.
 
-``run_sampler`` runs each block of a finite model as one count batch, and
-the replicates of any other model one at a time; a replicate whose
-weights all vanish stops there (a finite model's cannot: a count step
-needs every log weight finite, and raises for its whole batch).  Given a
-drift function V, it also summarizes each step: ESS, the log-weight
-range, eta(V) and eta(G~), each weighted by the counts of a count
-population.  It holds the populations and step log weights of the last
+A run is what one stream draws: a replicate of a states-array model, or
+the consecutive replicates of one finite block, one count batch.
+``run_sampler`` steps each run to the horizon and returns its terminal
+population whole, and ``estimate`` reads a batch's rows directly.  A
+replicate whose weights all vanish stops there (a finite model's cannot:
+a count step needs every log weight finite, and raises for its whole
+batch).  Given a drift function V, a run also summarizes each step of
+each row: ESS, the log-weight range, eta(V) and eta(G~).  One reduction
+serves both forms: a states array is one row whose values each hold one
+particle, and a count batch weighs each label of a row by its count.  It
+holds the populations and step log weights of the last
 ``max(1, BLOCK_VALUES // size)`` steps, where size is the number of
 values a population holds (N particles, or R rows of m counts), and
 summarizes them at once: one stack per array, V called on the
@@ -126,10 +127,10 @@ class Ensemble:
     """Populations at step k: states, their statistics and counts.
 
     With ``counts`` None the population is one replicate's N particle
-    states themselves.  Otherwise ``states`` are labels and ``counts`` holds
-    one replicate's count vector, ``counts[i]`` particles at ``states[i]``,
-    or an (R, m) batch whose row r is replicate r's.  ``n_particles`` is N,
-    read off at construction; every row of a batch holds N particles.
+    states themselves.  Otherwise ``states`` are the m labels and
+    ``counts`` is an (R, m) batch whose row r is replicate r's count vector,
+    ``counts[r, i]`` particles at ``states[i]``.  ``n_particles`` is N, read
+    off at construction; every row holds N particles.
     """
 
     states: np.ndarray
@@ -146,8 +147,8 @@ class Ensemble:
         elif self.counts.shape[-1] != len(self.states):
             raise ValueError("need one count per label")
         else:
-            sums = self.counts.sum(axis=-1).reshape(-1)
-            if self.counts.ndim > 2 or (sums != sums[:1]).any():
+            sums = self.counts.sum(axis=1)
+            if (sums != sums[:1]).any():
                 raise ValueError("every row must hold the same number of particles")
             self.n_particles = int(sums[0]) if sums.size else 0
         if self.n_particles < 1:
@@ -169,21 +170,17 @@ class StepSummary:
 def init_ensemble(model, n_particles, rng, rows):
     """Independent draws from the model's initial law by ``rng``, and their statistics.
 
-    On a finite model the population is the count vector the model's
-    initial sampler draws, Multinomial(N, mu), on the labels 0..m-1 when
-    ``rows`` is None, and otherwise the (rows, m) batch of such vectors
-    that one call of the sampler draws; other models take ``rows`` None.
-    A draw or statistic that overflows reads inf, without a warning: its
-    particle then has weight 0, or the replicate degenerates.
+    On a finite model the population is the (rows, m) count batch on the
+    labels 0..m-1 drawn by ``rng.multinomial(N, model.finite.mu,
+    size=rows)``.  Any other model draws one row, the N states of
+    ``model.initial``.  A draw or statistic that overflows reads inf,
+    without a warning: its particle then has weight 0, or the replicate
+    degenerates.
     """
     if model.is_finite:
-        size = 1 if rows is None else rows
-        counts = np.asarray(model.initial(n_particles, rng, size))
         labels = np.arange(model.finite.mu.size)
-        if counts.shape != (size, labels.size) or (counts.sum(axis=1) != n_particles).any():
-            raise ValueError("initial sampler returned the wrong counts")
-        return Ensemble(states=labels, stats=np.asarray(model.potentials.statistic(labels)),
-                        k=0, counts=counts[0] if rows is None else counts)
+        return Ensemble(states=labels, stats=np.asarray(model.potentials.statistic(labels)), k=0,
+                        counts=rng.multinomial(n_particles, model.finite.mu, size=rows))
     with np.errstate(over="ignore"):
         states = np.asarray(model.initial(n_particles, rng))
         if len(states) != n_particles:
@@ -231,21 +228,19 @@ def draw_ancestors(cw, u):
 
 
 def _count_step(ens, model, lw, rng):
-    """The next count population of ``ens``: one draw of the finite kernel for all its rows.
+    """The next count batch of ``ens``: one draw of the finite kernel for all its rows.
 
     Raises ``TotalDegeneracyError`` for the whole batch, before anything is
     drawn, unless every label's log weight is finite.
     """
     if not np.isfinite(lw).all():
         raise TotalDegeneracyError(f"a log weight is not finite at step {ens.k}")
-    counts = ens.counts.reshape(-1, lw.size)
-    occupied = counts > 0
+    occupied = ens.counts > 0
     # each row's max, down a contiguous transpose: numpy reduces a short last axis row by row
     top = np.ascontiguousarray(np.where(occupied, lw, -np.inf).T).max(axis=0)[:, None]
-    w = np.exp(lw - top, out=np.zeros(counts.shape), where=occupied) * counts
-    counts = np.asarray(model.kernels.sample_batch(ens.k + 1, w, ens.n_particles, rng))
-    return Ensemble(states=ens.states, stats=ens.stats, k=ens.k + 1,
-                    counts=counts.reshape(ens.counts.shape))
+    w = np.exp(lw - top, out=np.zeros(ens.counts.shape), where=occupied) * ens.counts
+    counts = model.kernels.sample_batch(ens.k + 1, w, ens.n_particles, rng)
+    return Ensemble(states=ens.states, stats=ens.stats, k=ens.k + 1, counts=np.asarray(counts))
 
 
 def smc_step(ens, model, rng):
@@ -275,47 +270,41 @@ def smc_step(ens, model, rng):
 BLOCK_VALUES = 2**13
 
 
-def _particle_reductions(model, drift, pops, lws):
+def _reductions(model, drift, pops, lws):
     """eta(V) of the held populations, and the weight sums and range of their log weights.
 
-    Each value has shape (steps, 1): a states array is one row.
+    Each value has shape (steps, rows).  A states array is one row whose
+    values each hold one particle.  A count batch has a row per replicate
+    whose value at a label holds its count of particles: a label whose
+    count is 0 adds nothing, and its log weight sets neither end of the
+    range.
     """
-    stats = [p.stats for p in pops]
-    eta_v = (drift(np.concatenate(stats)).reshape(len(stats), -1).sum(axis=1, keepdims=True)
-             / len(stats[0])).tolist()
-    if not lws:
-        return eta_v, [], [], [], [], []
-    lw = np.stack(lws) - model.potentials.log_g_max
-    top = lw.max(axis=1, keepdims=True)
-    w = np.exp(lw - top)
-    sums = w.sum(axis=1, keepdims=True).tolist()
-    squares = (w * w).sum(axis=1, keepdims=True).tolist()
-    eta_g = (np.exp(lw).sum(axis=1, keepdims=True) / lw.shape[1]).tolist()
-    return eta_v, sums, squares, eta_g, top.tolist(), lw.min(axis=1, keepdims=True).tolist()
-
-
-def _count_reductions(model, drift, pops, lws):
-    """``_particle_reductions`` of count batches: each label weighs by its count.
-
-    Each value has shape (steps, rows).  A label whose count is 0 adds
-    nothing, and its log weight sets neither end of the range.
-    """
-    c = np.stack([p.counts for p in pops])
-    n = c.sum(axis=2)
-    held = c > 0
     v = drift(np.concatenate([p.stats for p in pops])).reshape(len(pops), 1, -1)
-    eta_v = ((np.where(held, v, 0.0) * c).sum(axis=2) / n).tolist()
+    counts = held = n = None
+    if pops[0].counts is not None:
+        counts = np.stack([p.counts for p in pops])
+        held, n = counts > 0, counts.sum(axis=2)
+
+    def only_held(x, fill):
+        """``x`` over its steps, with ``fill`` at each label its row does not hold."""
+        return x if held is None else np.where(held[:len(x)], x, fill)
+
+    def total(x):
+        """Each row's sum of ``x`` over its particles."""
+        return (x if counts is None else only_held(x, 0.0) * counts[:len(x)]).sum(axis=2)
+
+    def mean(x):
+        """Each row's mean of ``x`` over its particles."""
+        return total(x) / (x.shape[2] if n is None else n[:len(x)])
+
+    eta_v = mean(v).tolist()
     if not lws:
         return eta_v, [], [], [], [], []
-    c, n, held = c[:len(lws)], n[:len(lws)], held[:len(lws)]
     lw = (np.stack(lws) - model.potentials.log_g_max)[:, None]
-    top = np.where(held, lw, -np.inf).max(axis=2)
-    bottom = np.where(held, lw, np.inf).min(axis=2)
-    w = np.where(held, np.exp(lw - top[:, :, None]), 0.0)
-    sums = (w * c).sum(axis=2).tolist()
-    squares = (w * w * c).sum(axis=2).tolist()
-    eta_g = ((np.where(held, np.exp(lw), 0.0) * c).sum(axis=2) / n).tolist()
-    return eta_v, sums, squares, eta_g, top.tolist(), bottom.tolist()
+    top = only_held(lw, -np.inf).max(axis=2)
+    w = np.exp(lw - top[:, :, None])
+    return (eta_v, total(w).tolist(), total(w * w).tolist(), mean(np.exp(lw)).tolist(),
+            top.tolist(), only_held(lw, np.inf).min(axis=2).tolist())
 
 
 def _summaries(model, drift, pops, lws):
@@ -324,10 +313,9 @@ def _summaries(model, drift, pops, lws):
     ``lws`` are the step log weights of the first ``len(lws)`` of them; one
     more population, without log weights, is the terminal step.
     """
-    reductions = _particle_reductions if pops[0].counts is None else _count_reductions
     # V overflows to inf far out; a row shifted past the float range has ESS 0
     with np.errstate(over="ignore", invalid="ignore"):
-        eta_v, sums, squares, eta_g, top, bottom = reductions(model, drift, pops, lws)
+        eta_v, sums, squares, eta_g, top, bottom = _reductions(model, drift, pops, lws)
     k0 = pops[0].k
     out = [[] for _ in eta_v[0]]
     for i in range(len(lws)):
@@ -346,10 +334,11 @@ def _summaries(model, drift, pops, lws):
 
 
 def _run(model, ens, rng, drift):
-    """Step ``ens`` to the horizon by ``rng``; one (population, summaries) pair per row.
+    """Step ``ens`` to the horizon by ``rng``: its terminal population and each row's summaries.
 
     A states array is one row, and a count batch has one row per
-    replicate.  If the weights vanish, every row ends as (None, None).
+    replicate.  If the weights vanish, the population and every row's
+    summaries are None.
     """
     rows = 1 if ens.counts is None else len(ens.counts)
     summaries = [None] * rows if drift is None else [[] for _ in range(rows)]
@@ -367,14 +356,12 @@ def _run(model, ens, rng, drift):
                     pops, lws = [], []
             ens = nxt
     except TotalDegeneracyError:
-        return [(None, None)] * rows
+        return None, [None] * rows
     if drift is not None:
         pops.append(ens)
         for row, steps in zip(summaries, _summaries(model, drift, pops, lws)):
             row.extend(steps)
-    pops = [ens] if ens.counts is None else [Ensemble(ens.states, ens.stats, ens.k, c)
-                                             for c in ens.counts]
-    return list(zip(pops, summaries))
+    return ens, summaries
 
 
 # the replicates of a block, the unit of randomness of a finite model
@@ -382,44 +369,45 @@ BLOCK_REPLICATES = 1000
 
 
 def run_sampler(model, n_particles, seed, replicates, drift=None):
-    """Run the full flow of each replicate id in ``replicates``.
+    """Run the full flow of the replicate ids ``replicates``, one run per stream, in order.
 
-    Returns one (population, summaries) pair per replicate, in order: its
-    terminal population, and its step summaries when given a drift V (None
-    otherwise); a replicate whose weights all vanish gives (None, None).
-    On a finite model each run of consecutive ids in one block, b = r //
-    BLOCK_REPLICATES for each id r, steps as one count batch drawn from the
-    stream keyed by (seed, b); a caller passes whole blocks.  Elsewhere
-    replicate r steps alone, drawn from the stream keyed by (seed, r).
+    On a finite model a run is each run of consecutive ids in one block,
+    b = r // BLOCK_REPLICATES for each id r, stepped as one count batch
+    drawn from the stream keyed by (seed, b); a caller passes whole blocks.
+    Elsewhere a run is replicate r alone, drawn from the stream keyed by
+    (seed, r).  Returns one (population, summaries) pair per run: its
+    terminal population, None if its weights all vanish, and a list with
+    one entry per replicate of the run, that replicate's step summaries
+    when given a drift V (None otherwise, or when the weights vanish).
     """
     if model.is_finite:
         units = [(b, len(list(ids)))
                  for b, ids in itertools.groupby(replicates, lambda r: r // BLOCK_REPLICATES)]
     else:
-        units = [(r, None) for r in replicates]
+        units = [(r, 1) for r in replicates]
     out = []
     for key, rows in units:
         rng = streams.stream(seed, key)
-        out += _run(model, init_ensemble(model, n_particles, rng, rows), rng, drift)
+        out.append(_run(model, init_ensemble(model, n_particles, rng, rows), rng, drift))
     return out
 
 
-def estimate(pops, f):
-    """The average of f over each population of ``pops``, as an array; NaN for None.
+def estimate(runs, f):
+    """The average of f over each replicate of ``run_sampler``'s ``runs``, as an array in id order.
 
     A states array averages f over its particles, NaN unless every value
-    is finite.  Count populations, the rows of one finite run, share their
-    labels: f is evaluated once, on the labels, and each row weighs it by
-    its counts.
+    is finite.  A count batch evaluates f once, on its labels, and each row
+    weighs it by its counts.  Every replicate of a run whose weights
+    vanished reads NaN.
     """
-    out = np.full(len(pops), math.nan)
-    live = [i for i, pop in enumerate(pops) if pop is not None]
-    if live and pops[live[0]].counts is not None:
-        first = pops[live[0]]
-        vals = np.asarray(f(first.states), dtype=float)
-        out[live] = (np.stack([pops[i].counts for i in live]) * vals).sum(axis=1)
-        return out / first.n_particles
-    for i in live:
-        vals = np.asarray(f(pops[i].states), dtype=float)
-        out[i] = vals.mean() if np.isfinite(vals).all() else math.nan
-    return out
+    out = []
+    for pop, summaries in runs:
+        if pop is None:
+            out.append(np.full(len(summaries), math.nan))
+            continue
+        vals = np.asarray(f(pop.states), dtype=float)
+        if pop.counts is not None:
+            out.append((pop.counts * vals).sum(axis=1) / pop.n_particles)
+        else:
+            out.append([vals.mean() if np.isfinite(vals).all() else math.nan])
+    return np.concatenate(out)

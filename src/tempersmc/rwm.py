@@ -77,7 +77,7 @@ class DriftProbeReport:
     safe_radius: float | None
 
 
-def drift_probe(fam, gamma, q, drift, radii, n_proposals, seed=0):
+def drift_probe(fam, gamma, q, drift, radii, n_proposals, seed):
     """Estimate max over each shell of E[V(next)] / V(current).
 
     Each probe point uses ``n_proposals`` Rao-Blackwellized proposals (the

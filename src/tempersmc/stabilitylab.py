@@ -11,13 +11,15 @@ delta < 1, and the Lemma 1 audit of the tilted drift/minorization data.
 Each grid cell is cut into tasks of contiguous replicates costing about
 ``_TASK_STEPS`` units: a replicate of cell (n, N) costs n*N particle-steps
 on a continuous model and n*m^2 on a finite model with m states, whose
-replicate steps a count vector whatever N is.  A task runs with one
-``run_sampler`` call.  A continuous replicate draws from its own stream,
-keyed by (cell seed, replicate); a finite task is a run of whole blocks of
-``BLOCK_REPLICATES``, each one count batch drawn from one stream keyed by
-(cell seed, block).  So the cut, a function of the config alone, changes
-no draw, and the results, merged in task order by a single reducer, are
-identical for any worker count.
+replicate steps a count row whatever N is.  A task runs with one
+``run_sampler`` call, which returns one result per run: a continuous
+replicate, drawn from its own stream keyed by (cell seed, replicate), or a
+finite block of ``BLOCK_REPLICATES``, one count batch drawn from one
+stream keyed by (cell seed, block); a finite task is a run of whole
+blocks.  ``estimate`` turns a task's runs into one estimate per
+replicate, in id order.  So the cut, a function of the config alone,
+changes no draw, and the results, merged in task order by a single
+reducer, are identical for any worker count.
 
 The cells of a grid are distinct: parsing rejects a repeated entry of
 grids.n or grids.N, whose cells would share a seed and pool the same
@@ -107,8 +109,8 @@ def _estimate_task(args):
     """One run of replicates of one grid cell; returns per-replicate estimates."""
     cfg, n, n_particles, rep_ids = args
     cell_seed = streams.derive_seed(cfg.seed, n, n_particles)
-    results = run_sampler(build_model(cfg, n), n_particles, cell_seed, rep_ids)
-    return estimate([pop for pop, _ in results], build_f(cfg))
+    return estimate(run_sampler(build_model(cfg, n), n_particles, cell_seed, rep_ids),
+                    build_f(cfg))
 
 
 def _exact_value(cfg, n):
@@ -266,8 +268,8 @@ def _trajectory_task(args):
     drift = build_drift(cfg)
     cell_seed = streams.derive_seed(cfg.seed, n, n_particles)
     rows, degenerate = [], 0
-    results = run_sampler(model, n_particles, cell_seed, rep_ids, drift=drift)
-    for r, (_, summaries) in zip(rep_ids, results):
+    runs = run_sampler(model, n_particles, cell_seed, rep_ids, drift=drift)
+    for r, summaries in zip(rep_ids, [row for _, per_row in runs for row in per_row]):
         if summaries is None:
             degenerate += 1
             continue
@@ -319,7 +321,7 @@ class CounterexampleProbe:
     radial gap between the two circles through the probe point is maximal
     on the negative first axis, where it equals 2 epsilon in closed form.
 
-    ``log_margin`` decides ``success``.  ``lhs`` and ``rhs`` are rounded
+    ``log_margin > 0`` decides a violation.  ``lhs`` and ``rhs`` are rounded
     linear-scale values, so they cannot show a relative margin below about
     1e-16: at epsilon = 1 and delta = 1 - 2**-53 both read
     2.291749156844082e+186 while ``log_margin`` is 3.2e-17.
@@ -336,10 +338,6 @@ class CounterexampleProbe:
     v_vals: tuple
     probe_point: tuple
     branch: str
-
-    @property
-    def success(self):
-        return self.log_margin > 0.0
 
 
 def _exp_or_inf(x):

@@ -7,6 +7,7 @@ import scipy.stats
 
 from tempersmc import streams
 from tempersmc.finite import drift_inputs_for_chain, metropolis_matrix, table_model
+from tempersmc.fk_core import FKModel
 
 
 def _kernels(mats):
@@ -118,6 +119,17 @@ def test_finite_arrays_must_match_the_model_horizon():
     model = table_model(*_valid_arrays()[:3])
     with pytest.raises(ValueError, match="^finite arrays do not match the model horizon$"):
         replace(model, horizon=4)
+
+
+def test_a_model_has_exactly_one_initial_law():
+    # a finite model's initial law is its mu; any other model's is its sampler
+    model = table_model(*_valid_arrays()[:3])
+    assert model.initial is None
+    one = "^a model needs one initial law: an initial sampler or finite arrays$"
+    with pytest.raises(ValueError, match=one):
+        replace(model, initial=lambda size, rng: np.zeros(size, dtype=int))
+    with pytest.raises(ValueError, match=one):
+        FKModel(horizon=model.horizon, kernels=model.kernels, potentials=model.potentials)
 
 
 def _metropolis_reference(logw, gamma, move_prob):

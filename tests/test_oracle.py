@@ -352,7 +352,6 @@ def test_oracle_reads_only_the_finite_arrays():
         intact,
         kernels=replace(intact.kernels, sample_batch=_raises),
         potentials=replace(intact.potentials, log_g=_raises, statistic=_raises),
-        initial=_raises,
     )
     drift, minorizer = fixture_drift_inputs()
     eta = np.array([0.3, 0.7])

@@ -49,17 +49,15 @@ def two_state_model(n=3, mu=(0.6, 0.4)):
     return table_model([M2] * n, table, np.array(mu))
 
 
-def _started(model, sampler):
-    """``model`` with its initial law replaced by ``sampler``; a finite model draws each row by it."""
-    if model.is_finite:
-        return replace(model, initial=lambda size, rng, rows: np.array(
-            [sampler(size, rng) for _ in range(rows)]))
-    return replace(model, initial=sampler)
+def _counts(pattern):
+    """A count batch of one row holding ``pattern``, on the labels 0..m-1."""
+    labels = np.arange(len(pattern))
+    return Ensemble(states=labels, stats=labels, k=0, counts=np.array([pattern]))
 
 
 def _init(model, n_particles, seed, replicate=0):
-    """An initial ensemble drawn from the stream keyed by (seed, replicate, 0)."""
-    return init_ensemble(model, n_particles, streams.stream(seed, replicate, 0), None)
+    """An initial ensemble of one row drawn from the stream keyed by (seed, replicate, 0)."""
+    return init_ensemble(model, n_particles, streams.stream(seed, replicate, 0), 1)
 
 
 def _step(ens, model, seed, replicate=0):
@@ -68,9 +66,9 @@ def _step(ens, model, seed, replicate=0):
 
 
 def _run_one(model, n_particles, seed, replicate=0, drift=None):
-    """``run_sampler`` of the one replicate ``replicate``: its population and summaries."""
-    (pair,) = run_sampler(model, n_particles, seed, [replicate], drift=drift)
-    return pair
+    """``run_sampler`` of the one replicate ``replicate``: its run's population, its summaries."""
+    ((pop, (summaries,)),) = run_sampler(model, n_particles, seed, [replicate], drift=drift)
+    return pop, summaries
 
 
 def _lone_stream(model, seed, replicate):
@@ -96,9 +94,9 @@ def gaussian_model(n, init_mean=0.0, floor=0.7):
 # ------------------------------------------------------------- initialization
 
 def test_init_dirac_all_equal():
-    # a finite population is the count vector over the labels 0..m-1
-    ens = _init(_started(two_state_model(), lambda size, rng: np.array([0, size])), 100, seed=1)
-    np.testing.assert_array_equal(ens.counts, [0, 100])
+    # a finite population is a batch of count vectors over the labels 0..m-1
+    ens = _init(two_state_model(mu=(0.0, 1.0)), 100, seed=1)
+    np.testing.assert_array_equal(ens.counts, [[0, 100]])
     np.testing.assert_array_equal(ens.states, [0, 1])
     np.testing.assert_array_equal(ens.stats, [0, 1])
     assert ens.n_particles == 100 and ens.k == 0
@@ -106,7 +104,7 @@ def test_init_dirac_all_equal():
 
 def test_init_bit_reproducible():
     model, fam = gaussian_model(3)
-    model = _started(model, lambda size, rng: rng.standard_normal((size, 1)))
+    model = replace(model, initial=lambda size, rng: rng.standard_normal((size, 1)))
     a = _init(model, 64, seed=42, replicate=3)
     b = _init(model, 64, seed=42, replicate=3)
     np.testing.assert_array_equal(a.states, b.states)
@@ -121,22 +119,32 @@ def test_ensemble_needs_one_statistic_per_particle():
     with pytest.raises(ValueError, match="one count per label"):
         Ensemble(states=np.arange(3), stats=np.arange(3), k=0, counts=np.array([1, 2]))
     with pytest.raises(ValueError, match="at least one particle"):
-        Ensemble(states=np.arange(3), stats=np.arange(3), k=0, counts=np.zeros(3, dtype=int))
+        Ensemble(states=np.arange(3), stats=np.arange(3), k=0, counts=np.zeros((1, 3), dtype=int))
     with pytest.raises(ValueError, match="same number of particles"):
         Ensemble(states=np.arange(2), stats=np.arange(2), k=0, counts=np.array([[1, 2], [2, 2]]))
-    with pytest.raises(ValueError, match="wrong counts"):
-        _init(_started(two_state_model(), lambda size, rng: np.array([size, 1])), 5, seed=1)
 
 
 def test_init_finite_frequencies():
     model = two_state_model()
     n_particles = 100_000
     ens = _init(model, n_particles, seed=9)
-    counts = ens.counts
+    (counts,) = ens.counts
     assert counts.sum() == n_particles
     for j, p in enumerate(model.finite.mu):
         sd = math.sqrt(n_particles * p * (1 - p))
         assert abs(counts[j] - n_particles * p) < 4 * sd
+
+
+def test_a_finite_population_is_drawn_from_mu():
+    # the block's stream draws the whole batch by one multinomial call on mu
+    model = random_finite_model(np.random.default_rng(12), m=4, n=2)
+    rng = streams.stream(9, 3)
+    ens = init_ensemble(model, 37, rng, 6)
+    want = streams.stream(9, 3)
+    np.testing.assert_array_equal(ens.counts, want.multinomial(37, model.finite.mu, size=6))
+    assert rng.random() == want.random()
+    np.testing.assert_array_equal(ens.states, np.arange(4))
+    assert ens.n_particles == 37 and ens.k == 0
 
 
 # ------------------------------------------------------------- transitions
@@ -149,23 +157,22 @@ def test_flat_weights_resample_uniformly():
     model = table_model(mats, np.full((n, m), np.log(2.7)), np.full(m, 1 / 3))
     pattern = np.array([2, 1, 3])
     n_copies = 20_000
-    ens = _init(_started(model, lambda size, rng: pattern * (size // pattern.sum())),
-                pattern.sum() * n_copies, seed=5)
+    ens = _counts(pattern * n_copies)
     stepped, _ = _step(ens, model, seed=5)
     expected = pattern / pattern.sum() @ mats[0]
-    _, pval = scipy.stats.chisquare(stepped.counts, expected * stepped.n_particles)
+    _, pval = scipy.stats.chisquare(stepped.counts[0], expected * stepped.n_particles)
     assert pval > 1e-4
 
 
 def test_single_particle_always_mutates():
     model = two_state_model()
-    ens = _init(_started(model, lambda size, rng: np.array([0, size])), 1, seed=2)
+    ens = _counts([0, 1])
     stepped, _ = _step(ens, model, seed=2)
     assert stepped.n_particles == 1
     assert stepped.k == 1
     # its one ancestor is itself, so it moves by row 1 of the kernel: over
     # replicates the new label is 0 with probability M2[1, 0]
-    moved = sum(int(_step(ens, model, seed=2, replicate=r)[0].counts[0]) for r in range(4000))
+    moved = sum(int(_step(ens, model, seed=2, replicate=r)[0].counts[0, 0]) for r in range(4000))
     sd = math.sqrt(4000 * M2[1, 0] * M2[1, 1])
     assert abs(moved - 4000 * M2[1, 0]) < 4 * sd
 
@@ -176,11 +183,10 @@ def test_one_step_law_matches_exact_mixture():
     model = two_state_model()
     pattern = np.array([3, 2])
     n_copies = 20_000
-    ens = _init(_started(model, lambda size, rng: pattern * (size // pattern.sum())),
-                pattern.sum() * n_copies, seed=31)
+    ens = _counts(pattern * n_copies)
     stepped, _ = _step(ens, model, seed=31)
     expected = oracle.flow_map(model, pattern / pattern.sum(), 0, 1)
-    _, pval = scipy.stats.chisquare(stepped.counts, expected * stepped.n_particles)
+    _, pval = scipy.stats.chisquare(stepped.counts[0], expected * stepped.n_particles)
     assert pval > 1e-4
 
 
@@ -230,7 +236,7 @@ def test_count_step_law_is_the_exact_multinomial(case):
     m, n_particles = int(rng.integers(2, 6)), int(rng.integers(1, 7))
     model = random_finite_model(rng, m=m, n=2)
     counts = rng.multinomial(n_particles, rng.dirichlet(np.ones(m)))
-    ens = Ensemble(states=np.arange(m), stats=np.arange(m), k=0, counts=counts)
+    ens = _counts(counts)
     law = (counts * np.exp(model.finite.log_g[0])) @ model.finite.kernels[0]
     law /= law.sum()
     outcomes = list(_compositions(n_particles, m))
@@ -239,7 +245,7 @@ def test_count_step_law_is_the_exact_multinomial(case):
     step_rng = streams.stream(77, case)
     for _ in range(_LAW_DRAWS):
         stepped, _ = smc_step(ens, model, step_rng)
-        observed[index[tuple(stepped.counts.tolist())]] += 1
+        observed[index[tuple(stepped.counts[0].tolist())]] += 1
     expected = _LAW_DRAWS * scipy.stats.multinomial.pmf(np.array(outcomes), n_particles, law)
     obs, exp = _pooled(observed, expected)
     assert obs.size >= 2
@@ -278,8 +284,8 @@ def test_terminal_counts_follow_the_exact_count_chain():
     n, n_particles = 5, 2
     arrays = two_state_fixture(n).finite
     model = table_model(arrays.kernels, arrays.log_g, np.array([1.0, 0.0]))
-    at_one = [int(pop.counts[1])
-              for pop, _ in run_sampler(model, n_particles, 2401, range(_CHAIN_REPLICATES))]
+    at_one = np.concatenate([pop.counts[:, 1] for pop, _ in run_sampler(
+        model, n_particles, 2401, range(_CHAIN_REPLICATES))])
     observed = np.bincount(at_one, minlength=n_particles + 1)
     expected = _CHAIN_REPLICATES * _two_label_count_chain(arrays, n_particles)
     assert expected.min() >= 5.0
@@ -302,7 +308,7 @@ def test_rows_of_a_block_are_independent():
     arrays = two_state_fixture(n).finite
     model = table_model(arrays.kernels, arrays.log_g, np.array([1.0, 0.0]))
     assert BLOCK_REPLICATES % 2 == 0 and _PAIR_REPLICATES >= 10 * BLOCK_REPLICATES
-    at_one = np.array([pop.counts[1] for pop, _ in run_sampler(
+    at_one = np.concatenate([pop.counts[:, 1] for pop, _ in run_sampler(
         model, n_particles, 2402, range(_PAIR_REPLICATES))])
     first, second = at_one.reshape(-1, 2).T
     observed = np.bincount(first * (n_particles + 1) + second, minlength=(n_particles + 1) ** 2)
@@ -538,7 +544,7 @@ def test_empty_label_sets_neither_the_max_nor_the_range():
     assert model.potentials.log_g_max == 800.0
     drift = lambda s: np.array([1.0, 2.0, np.inf])[s]
     pop, summaries = _run_one(model, 50, seed=13, drift=drift)
-    assert pop.counts[2] == 0 and pop.n_particles == 50
+    assert pop.counts[0, 2] == 0 and pop.n_particles == 50
     for s in summaries[:-1]:
         assert (s.log_w_max, s.log_w_min) in [(-800.0, -801.0), (-800.0, -800.0),
                                               (-801.0, -801.0)]
@@ -558,12 +564,13 @@ def test_count_path_at_one_particle_and_one_step():
     model = two_state_model(n=1)
     drift = lambda s: np.array([1.0, 2.5])[s]
     at_one = 0
-    for pop, (first, last) in run_sampler(model, 1, 3, range(2000), drift=drift):
+    for pop, summaries in run_sampler(model, 1, 3, range(2000), drift=drift):
         assert pop.n_particles == 1 and pop.k == 1
-        assert first.ess == 1.0 and first.log_w_max == first.log_w_min
-        assert first.eta_gtilde == math.exp(first.log_w_max)
-        assert last.eta_v == drift(np.argmax(pop.counts))
-        at_one += int(pop.counts[1])
+        for counts, (first, last) in zip(pop.counts, summaries, strict=True):
+            assert first.ess == 1.0 and first.log_w_max == first.log_w_min
+            assert first.eta_gtilde == math.exp(first.log_w_max)
+            assert last.eta_v == drift(np.argmax(counts))
+            at_one += int(counts[1])
     p = float(model.finite.mu @ M2[:, 1])
     assert abs(at_one - 2000 * p) < 4 * math.sqrt(2000 * p * (1 - p))
 
@@ -577,9 +584,9 @@ def test_zero_entry_kernel_moves_no_count_where_its_row_is_zero():
     assert np.all(model.finite.kernels[:, 1] == [1.0, 0.0])
     for r in range(20):
         ens = _init(model, 1000, seed=8, replicate=r)
-        np.testing.assert_array_equal(ens.counts, [0, 1000])
+        np.testing.assert_array_equal(ens.counts, [[0, 1000]])
         ens, _ = _step(ens, model, seed=8, replicate=r)
-        np.testing.assert_array_equal(ens.counts, [1000, 0])
+        np.testing.assert_array_equal(ens.counts, [[1000, 0]])
         pop, _ = _run_one(model, 1000, seed=8, replicate=r)
         assert pop.n_particles == 1000 and pop.k == n
 
@@ -597,13 +604,14 @@ def test_count_replicate_at_a_billion_particles():
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        pop, summaries = _run_one(model, 10**9, seed=7, drift=lambda s: v[s])
+        runs = run_sampler(model, 10**9, 7, [0], drift=lambda s: v[s])
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    ((pop, (summaries,)),) = runs
     assert pop.n_particles == 10**9 and len(summaries) == 21
-    assert 0.0 < estimate([pop], lambda s: np.asarray(s, dtype=float))[0] < 1.0
+    assert 0.0 < estimate(runs, lambda s: np.asarray(s, dtype=float))[0] < 1.0
     assert elapsed < 1.0
     assert peak < 2**20
 
@@ -637,15 +645,15 @@ def _ess(lw):
 def _reference_summary(model, ens, drift, lw):
     """Diagnostics of ``ens`` one step at a time; ``lw`` is None at the terminal step.
 
-    A count population reads its occupied labels alone, each weighed by its count.
+    A count batch of one row reads its occupied labels alone, each weighed by its count.
     """
     v = drift(ens.stats)
     if ens.counts is None:
         c = None
         eta_v = float(v.sum() / v.size)
     else:
-        held = ens.counts > 0
-        c = ens.counts[held]
+        held = ens.counts[0] > 0
+        c = ens.counts[0, held]
         eta_v = float((v[held] * c).sum() / c.sum())
     if lw is None:
         return StepSummary(k=ens.k, ess=math.nan, log_w_max=math.nan, log_w_min=math.nan,
@@ -664,15 +672,16 @@ def _reference_summary(model, ens, drift, lw):
 
 
 def _reference_run(model, n_particles, seed, replicate, drift, rows=1):
-    """``run_sampler`` one step and one row at a time: a (population, summaries) pair per row.
+    """``run_sampler`` one step and one row at a time: the run's population and row summaries.
 
     One generator, the stream ``replicate`` draws from alone, draws the
     initial population of each row in turn, and then every step, each
     step's rows in turn; each step of a row is summarized on its own by
-    ``_reference_summary``.
+    ``_reference_summary``.  A finite model's rows are then joined into one
+    count batch.
     """
     rng = _lone_stream(model, seed, replicate)
-    pops = [init_ensemble(model, n_particles, rng, None) for _ in range(rows)]
+    pops = [init_ensemble(model, n_particles, rng, 1) for _ in range(rows)]
     summaries = [[] for _ in range(rows)]
     for _ in range(model.horizon):
         for i, ens in enumerate(pops):
@@ -680,7 +689,11 @@ def _reference_run(model, n_particles, seed, replicate, drift, rows=1):
             summaries[i].append(_reference_summary(model, ens, drift, lw))
     for ens, row in zip(pops, summaries):
         row.append(_reference_summary(model, ens, drift, None))
-    return list(zip(pops, summaries))
+    if not model.is_finite:
+        return pops[0], summaries
+    first = pops[0]
+    return Ensemble(first.states, first.stats, first.k,
+                    np.concatenate([p.counts for p in pops])), summaries
 
 
 def _odd_draw_model(n):
@@ -743,15 +756,15 @@ def test_run_sampler_draws_the_replicate_from_one_stream_in_order(kind, n, n_par
         first = unit * BLOCK_REPLICATES if model.is_finite else unit
         assert _lone_stream(model, seed, first).random() == streams.stream(seed, unit).random()
         ids = range(first, first + rows)
-        results = run_sampler(model, n_particles, seed, ids, drift=drift)
-        refs = _reference_run(model, n_particles, seed, first, drift, rows)
-        assert len(results) == len(refs) == rows
-        for (pop, summaries), (ref, ref_summaries) in zip(results, refs):
-            assert (pop.counts is not None) == model.is_finite
-            _assert_same_population(pop, ref)
-            assert _bits(summaries) == _bits(ref_summaries)
-        for (pop, _), (ref, _) in zip(run_sampler(model, n_particles, seed, ids), refs):
-            _assert_same_population(pop, ref)
+        ((pop, summaries),) = run_sampler(model, n_particles, seed, ids, drift=drift)
+        ref, ref_summaries = _reference_run(model, n_particles, seed, first, drift, rows)
+        assert (pop.counts is not None) == model.is_finite
+        _assert_same_population(pop, ref)
+        assert len(summaries) == len(ref_summaries) == rows
+        for row, ref_row in zip(summaries, ref_summaries):
+            assert _bits(row) == _bits(ref_row)
+        ((pop, _),) = run_sampler(model, n_particles, seed, ids)
+        _assert_same_population(pop, ref)
 
 
 class _Recording:
@@ -795,13 +808,14 @@ def test_replicate_arithmetic_ignores_its_batch(case, monkeypatch):
     def run(replicates):
         nonlocal recorder
         recorder = _Recording(replicates)
-        results = run_sampler(model, n_particles, 0, range(len(replicates)),
-                              drift=lambda s: v[s])
-        values = estimate([pop for pop, _ in results], lambda s: f_vals[s])
-        return {r: ([p.tobytes() for p in seen], pop.counts.tolist(), value.tobytes(),
-                    _bits(summaries))
-                for r, seen, value, (pop, summaries)
-                in zip(replicates, recorder.seen, values, results)}
+        runs = run_sampler(model, n_particles, 0, range(len(replicates)),
+                           drift=lambda s: v[s])
+        values = estimate(runs, lambda s: f_vals[s])
+        ((pop, summaries),) = runs
+        return {r: ([p.tobytes() for p in seen], counts.tolist(), value.tobytes(),
+                    _bits(row))
+                for r, seen, value, counts, row
+                in zip(replicates, recorder.seen, values, pop.counts, summaries)}
 
     alone = {r: run([r])[r] for r in range(7)}
     assert all(len(seen) == n + 1 for seen, *_ in alone.values())
@@ -812,7 +826,7 @@ def test_replicate_arithmetic_ignores_its_batch(case, monkeypatch):
 def test_a_count_step_with_a_non_finite_log_weight_raises_for_its_batch():
     # a finite model's log weights are finite; were one not, the whole batch
     # would raise before drawing, even a row with no particle at that label,
-    # and every replicate of the block would end as (None, None)
+    # and the block would end without a population, every replicate degenerate
     model = two_state_model(n=6)
     for bad in (-np.inf, np.inf, np.nan):
         patched = replace(model, potentials=replace(
@@ -823,7 +837,26 @@ def test_a_count_step_with_a_non_finite_log_weight_raises_for_its_batch():
         with pytest.raises(TotalDegeneracyError, match="not finite at step 0"):
             smc_step(ens, patched, rng)
         assert rng.random() == streams.stream(5, 0).random()
-        assert run_sampler(patched, 3, 5, range(4)) == [(None, None)] * 4
+        for drift in (None, lambda s: 1.0 + s):
+            runs = run_sampler(patched, 3, 5, range(4), drift=drift)
+            assert runs == [(None, [None] * 4)]
+            assert np.isnan(estimate(runs, lambda s: np.ones(len(s)))).tolist() == [True] * 4
+
+
+@pytest.mark.parametrize("drift", [None, lambda s: 1.0 + s], ids=["plain", "monitored"])
+def test_a_block_builds_one_population_per_step(drift, monkeypatch):
+    # the initial batch and one per step; the terminal batch is returned whole
+    n, built = 4, []
+    post_init = Ensemble.__post_init__
+
+    def counted(self):
+        built.append(self.k)
+        post_init(self)
+
+    monkeypatch.setattr(Ensemble, "__post_init__", counted)
+    runs = run_sampler(two_state_model(n), 50, 3, range(300), drift=drift)
+    assert len(runs) == 1 and runs[0][0].counts.shape == (300, 2)
+    assert len(built) <= n + 1
 
 
 def _mixture_with_drift(n):
@@ -850,7 +883,7 @@ def test_block_monitor_is_the_per_step_monitor(n_particles):
         model = replace(model, horizon=n)
         assert model.potentials.log_g_max > 0.0
         _, summaries = _run_one(model, n_particles, 29, 1, drift=drift)
-        ((_, ref_summaries),) = _reference_run(model, n_particles, 29, 1, drift)
+        _, (ref_summaries,) = _reference_run(model, n_particles, 29, 1, drift)
         assert [s.k for s in summaries] == list(range(n + 1))
         assert _bits(summaries) == _bits(ref_summaries)
 
@@ -870,9 +903,9 @@ def test_count_monitor_is_the_particle_monitor_of_the_repeated_labels(kind, n_pa
     model, drift = _COUNT_MONITOR_MODELS[kind]()
     _, summaries = _run_one(model, n_particles, 5, 2, drift=drift)
     rng = _lone_stream(model, 5, 2)
-    ens, expected = init_ensemble(model, n_particles, rng, None), []
+    ens, expected = init_ensemble(model, n_particles, rng, 1), []
     while True:
-        particles = np.repeat(ens.states, ens.counts)
+        particles = np.repeat(ens.states, ens.counts[0])
         lw = None if ens.k == model.horizon else model.potentials.log_g(ens.k, particles)
         expected.append(_reference_summary(
             model, Ensemble(states=particles, stats=particles, k=ens.k), drift, lw))
@@ -892,7 +925,7 @@ def test_count_block_monitor_across_blocks():
     drift = lambda s: np.array([1.0, 2.5])[s]
     model = table_model([M2] * longest, np.tile(np.log([2.0, 0.7]), (longest, 1)),
                         np.array([0.6, 0.4]))
-    ((_, ref_summaries),) = _reference_run(model, 9, 29, 1, drift)
+    _, (ref_summaries,) = _reference_run(model, 9, 29, 1, drift)
     for n in [block - 1, block, longest]:
         short = table_model([M2] * n, np.tile(np.log([2.0, 0.7]), (n, 1)), np.array([0.6, 0.4]))
         _, summaries = _run_one(short, 9, 29, 1, drift=drift)
@@ -910,7 +943,7 @@ def test_block_monitor_at_one_particle():
     model = label_model(table_model([M2] * longest, np.tile(np.log([2.0, 0.7]), (longest, 1)),
                                     np.array([0.6, 0.4])))
     assert model.potentials.log_g_max > 0.0
-    ((_, ref_summaries),) = _reference_run(model, 1, 29, 1, drift)
+    _, (ref_summaries,) = _reference_run(model, 1, 29, 1, drift)
     for n in [0, 1, BLOCK_VALUES - 1, BLOCK_VALUES, longest]:
         _, summaries = _run_one(replace(model, horizon=n), 1, 29, 1, drift=drift)
         terminal = replace(ref_summaries[n], ess=math.nan, log_w_max=math.nan,
@@ -922,15 +955,14 @@ def test_terminal_mean_matches_oracle_over_replicates():
     model = two_state_fixture(6)
     f = lambda s: (np.asarray(s) == 1).astype(float)
     exact = float(oracle.eta_exact(model, 6) @ np.array([0.0, 1.0]))
-    vals = estimate([pop for pop, _ in run_sampler(model, 400, 17, range(200))], f)
+    vals = estimate(run_sampler(model, 400, 17, range(200)), f)
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - exact) < 4 * se
 
 
 def test_gaussian_symmetry_of_terminal_mean():
     model, _ = gaussian_model(8, init_mean=0.0)
-    vals = estimate([pop for pop, _ in run_sampler(model, 500, 23, range(60))],
-                    lambda x: np.asarray(x)[:, 0])
+    vals = estimate(run_sampler(model, 500, 23, range(60)), lambda x: np.asarray(x)[:, 0])
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean()) < 4 * se
 
@@ -969,28 +1001,29 @@ def test_ess_formula():
 # ------------------------------------------------------------- estimators
 
 def test_estimate_basics():
-    pop = Ensemble(states=np.full(10, 3, dtype=int), stats=np.full(10, 3), k=0)
-    assert estimate([pop], lambda s: np.ones(len(s))).tolist() == [1.0]
-    assert estimate([pop], lambda s: np.asarray(s, dtype=float)).tolist() == [3.0]
+    run = (Ensemble(states=np.full(10, 3, dtype=int), stats=np.full(10, 3), k=0), [None])
+    assert estimate([run], lambda s: np.ones(len(s))).tolist() == [1.0]
+    assert estimate([run], lambda s: np.asarray(s, dtype=float)).tolist() == [3.0]
     # a non-finite value anywhere, or no population, leaves a replicate without a
     # finite estimate
-    assert np.isnan(estimate([pop], lambda s: np.where(np.arange(len(s)) == 4, np.inf, 1.0)))
-    assert np.isnan(estimate([pop], lambda s: np.full(len(s), np.nan)))
-    assert np.isnan(estimate([None], lambda s: np.ones(len(s)))).all()
-    # count populations weigh f at each label by its count, and f is
-    # evaluated once, on the labels they share
+    assert np.isnan(estimate([run], lambda s: np.where(np.arange(len(s)) == 4, np.inf, 1.0)))
+    assert np.isnan(estimate([run], lambda s: np.full(len(s), np.nan)))
+    assert np.isnan(estimate([(None, [None])], lambda s: np.ones(len(s)))).all()
+    # a count batch weighs f at each label by each row's count, and f is
+    # evaluated once, on the labels its rows share; a run without a
+    # population gives each of its replicates NaN, in id order
     calls = []
 
     def f(s):
         calls.append(s)
         return np.asarray(s, dtype=float)
 
-    rows = [Ensemble(states=np.arange(3), stats=np.arange(3), k=0, counts=np.array(c))
-            for c in ([1, 0, 3], [0, 4, 0], [2, 2, 0])]
-    np.testing.assert_array_equal(estimate([rows[0], None, *rows[1:]], f),
-                                  [1.5, np.nan, 1.0, 0.5])
-    assert len(calls) == 1
-    assert np.isnan(estimate(rows[:1], lambda s: np.where(s == 2, np.nan, 1.0)))
+    batch = Ensemble(states=np.arange(3), stats=np.arange(3), k=0,
+                     counts=np.array([[1, 0, 3], [0, 4, 0], [2, 2, 0]]))
+    np.testing.assert_array_equal(estimate([(batch, [None] * 3), (None, [None] * 2), run], f),
+                                  [1.5, 1.0, 0.5, np.nan, np.nan, 3.0])
+    assert len(calls) == 2
+    assert np.isnan(estimate([(batch, [None] * 3)], lambda s: np.where(s == 2, np.nan, 1.0))[0])
 
 
 def test_exchangeability_of_particle_indices():
@@ -1015,7 +1048,7 @@ def test_particle_drift_regression_and_boundedness():
     for n in (10, 30):
         model_n, _ = gaussian_model(n, init_mean=3.0)
         per_k = []
-        for _, summaries in run_sampler(model_n, 400, 53, range(40), drift=drift):
+        for _, (summaries,) in run_sampler(model_n, 400, 53, range(40), drift=drift):
             etav = [s.eta_v for s in summaries]
             per_k.append(etav)
             pairs.extend(zip(etav[:-1], etav[1:]))
@@ -1035,6 +1068,6 @@ def test_normalizer_diagnostic_bounded_away_from_zero():
     model, fam = gaussian_model(20, init_mean=3.0)
     drift = drift_function(fam.target.sup_log_unnorm, fam.schedule.gamma_floor, 0.5)
     worst = math.inf
-    for _, summaries in run_sampler(model, 500, 61, range(20), drift=drift):
+    for _, (summaries,) in run_sampler(model, 500, 61, range(20), drift=drift):
         worst = min(worst, min(s.eta_gtilde for s in summaries[:-1]))
     assert worst > 0.5

@@ -10,6 +10,8 @@ The same holds for dataclass fields: a field that nothing in the package
 reads as an attribute is state that only tests look at.  Classes written
 out whole through ``asdict`` are exempt, since every field reaches the
 output; the oracle's report fields that only its tests read are allowlisted.
+And it holds for the public methods and properties of every class, which
+``asdict`` does not write out.
 """
 
 import ast
@@ -80,19 +82,37 @@ def _is_dataclass(node):
     return False
 
 
-def unread_fields():
-    """(class, field) for every dataclass field that no attribute read in the package names."""
+def _classes_and_reads():
+    """Every top-level class of the package, and every attribute name it reads."""
     trees = [ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))]
     reads = {node.attr for tree in trees for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    return [(cls.name, stmt.target.id) for tree in trees for cls in tree.body
-            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls) and cls.name not in SERIALIZED
+    return [cls for tree in trees for cls in tree.body if isinstance(cls, ast.ClassDef)], reads
+
+
+def unread_fields():
+    """(class, field) for every dataclass field that no attribute read in the package names."""
+    classes, reads = _classes_and_reads()
+    return [(cls.name, stmt.target.id) for cls in classes
+            if _is_dataclass(cls) and cls.name not in SERIALIZED
             for stmt in cls.body
             if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in reads]
 
 
 def test_dataclass_fields_are_read_by_the_package():
     assert sorted(unread_fields()) == sorted(ALLOWED_FIELDS)
+
+
+def unread_methods():
+    """(class, name) for every public method or property that no package attribute read names."""
+    classes, reads = _classes_and_reads()
+    return [(cls.name, fn.name) for cls in classes for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+            and fn.name not in reads]
+
+
+def test_methods_and_properties_are_read_by_the_package():
+    assert unread_methods() == []
 
 
 def _modules():
