@@ -422,7 +422,7 @@ def parse_config(text):
         raise ConfigError("grids", "must be an object")
     _check_keys(grids, ("n", "N"), "grids")
     parsed_grids = {
-        key: _nonempty_list(grids[key], f"grids.{key}", lambda x, at: _int_at_least(x, at, 1))
+        key: _nonempty_list(grids[key], f"grids.{key}", lambda x, at: _int_at_least(x, at, 1, 2**63))
         for key in ("n", "N") if key in grids
     }
 

@@ -144,10 +144,11 @@ class Ensemble:
             raise ValueError("need one statistic per particle")
         if self.counts is None:
             self.n_particles = len(self.states)
-        elif self.counts.shape[-1] != len(self.states):
+        elif self.counts.ndim != 2 or self.counts.shape[1] != len(self.states):
             raise ValueError("need one count per label")
         else:
-            sums = self.counts.sum(axis=1)
+            # down a contiguous transpose: numpy reduces a short last axis row by row
+            sums = np.ascontiguousarray(self.counts.T).sum(axis=0)
             if (sums != sums[:1]).any():
                 raise ValueError("every row must hold the same number of particles")
             self.n_particles = int(sums[0]) if sums.size else 0
@@ -280,10 +281,10 @@ def _reductions(model, drift, pops, lws):
     range.
     """
     v = drift(np.concatenate([p.stats for p in pops])).reshape(len(pops), 1, -1)
-    counts = held = n = None
+    counts = held = None
     if pops[0].counts is not None:
         counts = np.stack([p.counts for p in pops])
-        held, n = counts > 0, counts.sum(axis=2)
+        held = counts > 0
 
     def only_held(x, fill):
         """``x`` over its steps, with ``fill`` at each label its row does not hold."""
@@ -295,7 +296,7 @@ def _reductions(model, drift, pops, lws):
 
     def mean(x):
         """Each row's mean of ``x`` over its particles."""
-        return total(x) / (x.shape[2] if n is None else n[:len(x)])
+        return total(x) / pops[0].n_particles
 
     eta_v = mean(v).tolist()
     if not lws:

@@ -32,15 +32,19 @@ whose initial draw overflowed).  bias-decay and
 n-scaling build their rows and summaries from these alone.
 
 Every experiment returns a ``Table``: its CSV header and rows, its status
-and its JSON summary body, built next to the numbers they report.
+and its JSON summary body, built next to the numbers they report.  The
+drift check, the counterexample and the Lemma 1 audit each take explicit
+inputs to their ``Table`` in one function (``drift_probe``,
+``r2_counterexample``, ``lemma1_audit``); their ``*_experiment(cfg)``
+only reads the config into those inputs.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracle, rwm, streams
+from . import oracle, streams
 from .config import (
     ConfigError,
     build_drift,
@@ -56,9 +60,9 @@ from .particles import BLOCK_REPLICATES, estimate, run_sampler
 
 __all__ = [
     "Table",
-    "CounterexampleProbe",
     "bias_decay_experiment",
     "n_scaling_experiment",
+    "drift_probe",
     "drift_check_experiment",
     "run_trajectories",
     "r2_counterexample",
@@ -70,6 +74,8 @@ __all__ = [
 # cost units per task (see _replicate_tasks): enough work to cover a task's IPC and model build
 _TASK_STEPS = 1_000_000
 _EXACT_FLOOR = 1e-13
+# probe directions per shell in two or more dimensions
+_POINTS_PER_SHELL = 8
 
 
 @dataclass(frozen=True)
@@ -246,20 +252,66 @@ def n_scaling_experiment(cfg, mapper):
     )
 
 
+def drift_probe(fam, gamma, q, drift, radii, n_proposals, seed):
+    """Estimate max over each shell of E[V(next)] / V(current).
+
+    One ``(radius, point_index, ratio, std_err)`` row per probe point, shell
+    by shell in increasing radius, with ``point_index`` counting the points
+    of its shell from 0.  Each probe point uses ``n_proposals``
+    Rao-Blackwellized proposals (the acceptance probability is integrated
+    analytically, no accept draws).  The per-shell band is 4 standard
+    errors of the worst point; the safe radius is the smallest shell where
+    estimate + band < 1.  A shell with a non-finite ratio, as where V
+    overflows, has no estimate: its ``lambda_hat`` and band are NaN, and it
+    is never the safe radius.  ``drift`` is V as a plain callable over a
+    batch of log target densities, as ``tempering.drift_function`` returns it.
+    """
+    d = fam.target.dim
+    radii = np.asarray(sorted(radii), dtype=float)
+    rows = []
+    lam_hat = np.empty(radii.size)
+    band = np.empty(radii.size)
+    for i, r in enumerate(radii):
+        if d == 1:
+            dirs = np.array([[1.0], [-1.0]])
+        else:
+            g = streams.stream(seed, 0, i).standard_normal((_POINTS_PER_SHELL, d))
+            dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
+        worst, worst_se = -np.inf, 0.0
+        for j, direction in enumerate(dirs):
+            x = r * direction
+            rng = streams.stream(seed, 1, i, j)
+            y = q(n_proposals, rng)
+            cur = float(fam.target.log_unnorm(x))
+            prop = np.asarray(fam.target.log_unnorm(x + y), dtype=float)
+            with np.errstate(invalid="ignore", over="ignore"):
+                a = np.exp(np.minimum(0.0, gamma * (prop - cur)))
+                a = np.where(np.isfinite(prop), a, 0.0)
+                vx = float(drift(np.array([cur]))[0])
+                vals = (a * drift(prop) + (1.0 - a) * vx) / vx
+                est = float(vals.mean())
+                se = float(vals.std(ddof=1) / math.sqrt(n_proposals))
+            rows.append((float(r), j, est, se))
+            if not math.isfinite(est):
+                worst = worst_se = math.nan
+            elif est > worst:
+                worst, worst_se = est, se
+        lam_hat[i] = worst
+        band[i] = 4.0 * worst_se
+    safe = next(
+        (float(r) for r, l, b in zip(radii, lam_hat, band) if l + b < 1.0), None
+    )
+    return Table(header=("radius", "point_index", "ratio", "std_err"), rows=rows, status="ok",
+                 body={"radii": radii, "lambda_hat": lam_hat, "band": band,
+                       "safe_radius": safe})
+
+
 def drift_check_experiment(cfg):
     """Monte Carlo drift ratios on shells of the configured radii, numbered per radius."""
     fam = build_family(cfg.model)
-    q = build_increment(cfg.model, fam.target.dim)
-    drift = build_drift(cfg)
     gamma = cfg.gamma if cfg.gamma is not None else fam.schedule.gamma_floor
-    report = rwm.drift_probe(
-        fam, gamma, q, drift, cfg.radii, n_proposals=cfg.n_proposals, seed=cfg.seed
-    )
-    return Table(
-        header=("radius", "point_index", "ratio", "std_err"), rows=report.points, status="ok",
-        body={"radii": report.radii, "lambda_hat": report.lambda_hat, "band": report.band,
-              "safe_radius": report.safe_radius},
-    )
+    return drift_probe(fam, gamma, build_increment(cfg.model, fam.target.dim),
+                       build_drift(cfg), cfg.radii, cfg.n_proposals, cfg.seed)
 
 
 def _trajectory_task(args):
@@ -312,34 +364,6 @@ def run_trajectories(cfg, mapper):
     )
 
 
-@dataclass
-class CounterexampleProbe:
-    """Two-point measure violating the product inequality for offset Gaussian bumps.
-
-    The construction lives in the plane: V grows along circles centered at
-    (+epsilon, 0), G decays along circles centered at (-epsilon, 0).  The
-    radial gap between the two circles through the probe point is maximal
-    on the negative first axis, where it equals 2 epsilon in closed form.
-
-    ``log_margin > 0`` decides a violation.  ``lhs`` and ``rhs`` are rounded
-    linear-scale values, so they cannot show a relative margin below about
-    1e-16: at epsilon = 1 and delta = 1 - 2**-53 both read
-    2.291749156844082e+186 while ``log_margin`` is 3.2e-17.
-    """
-
-    epsilon: float
-    delta: float
-    witness: tuple
-    lhs: float
-    rhs: float
-    psi_value: float
-    log_margin: float
-    g_vals: tuple
-    v_vals: tuple
-    probe_point: tuple
-    branch: str
-
-
 def _exp_or_inf(x):
     """math.exp, reading inf where the value leaves the float range."""
     try:
@@ -349,7 +373,13 @@ def _exp_or_inf(x):
 
 
 def r2_counterexample(epsilon, delta):
-    """Construct the violating two-point measure for given offset and delta.
+    """The two-point measure violating the product inequality, as one row.
+
+    The construction lives in the plane: V grows along circles centered at
+    (+epsilon, 0), G decays along circles centered at (-epsilon, 0).  The
+    radial gap between the two circles through the probe point is maximal
+    on the negative first axis, where it equals 2 epsilon in closed form
+    (``psi_value``).
 
     The witness pair is y = (0, sqrt(r^2 - epsilon^2)) and y' = (-r, 0).
     log G + log V is -4 x_1 epsilon at a point x: 0 at y and 4 r epsilon at
@@ -368,6 +398,11 @@ def r2_counterexample(epsilon, delta):
     grown until it is (branch = "searched").  Linear-scale values beyond
     the float range read inf (or 0).  Raises ``ValueError`` when the radius
     leaves the float range.
+
+    ``log_margin > 0`` decides a violation.  ``lhs`` and ``rhs`` are rounded
+    linear-scale values, so they cannot show a relative margin below about
+    1e-16: at epsilon = 1 and delta = 1 - 2**-53 both read
+    2.291749156844082e+186 while ``log_margin`` is 3.2e-17.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -396,33 +431,27 @@ def r2_counterexample(epsilon, delta):
     lgm, lvm = -((r - epsilon) * (r - epsilon)), (r + epsilon) * (r + epsilon)
     log_lhs = np.logaddexp(0.0, 4.0 * r * epsilon) - np.logaddexp(lg, lgm)
     log_rhs = math.log1p(delta) + np.logaddexp(lv, lvm) - math.log(2.0)
-    return CounterexampleProbe(
-        epsilon=epsilon, delta=delta, witness=(y, y_mid),
-        lhs=_exp_or_inf(float(log_lhs)), rhs=_exp_or_inf(float(log_rhs)),
-        psi_value=2.0 * epsilon, log_margin=log_margin,
-        g_vals=(_exp_or_inf(lg), _exp_or_inf(lgm)),
-        v_vals=(_exp_or_inf(lv), _exp_or_inf(lvm)),
-        probe_point=y, branch=branch,
+    lhs, rhs = _exp_or_inf(float(log_lhs)), _exp_or_inf(float(log_rhs))
+    g_vals, v_vals = (_exp_or_inf(lg), _exp_or_inf(lgm)), (_exp_or_inf(lv), _exp_or_inf(lvm))
+    return Table(
+        header=("epsilon", "delta", "lhs", "rhs", "psi", "log_margin", "y1", "y2", "yprime1",
+                "yprime2", "g_y", "g_yprime", "v_y", "v_yprime", "branch"),
+        rows=[(epsilon, delta, lhs, rhs, 2.0 * epsilon, log_margin, *y, *y_mid, *g_vals,
+               *v_vals, branch)],
+        status="ok",
+        body={"epsilon": epsilon, "delta": delta, "witness": (y, y_mid), "lhs": lhs,
+              "rhs": rhs, "psi_value": 2.0 * epsilon, "log_margin": log_margin,
+              "g_vals": g_vals, "v_vals": v_vals, "probe_point": y, "branch": branch},
     )
 
 
 def counterexample_experiment(cfg):
     """The violating two-point measure at the configured (epsilon, delta), as one row."""
     try:
-        probe = r2_counterexample(cfg.epsilon, cfg.delta)
+        return r2_counterexample(cfg.epsilon, cfg.delta)
     except ValueError as exc:
         # delta is range-checked at parse time, so only epsilon can be out of reach here
         raise ConfigError("epsilon", str(exc)) from exc
-    (y1, y2), (yp1, yp2) = probe.witness
-    return Table(
-        header=("epsilon", "delta", "lhs", "rhs", "psi", "log_margin", "y1", "y2", "yprime1",
-                "yprime2", "g_y", "g_yprime", "v_y", "v_yprime", "branch"),
-        rows=[(probe.epsilon, probe.delta, probe.lhs, probe.rhs, probe.psi_value,
-               probe.log_margin, y1, y2, yp1, yp2, *probe.g_vals, *probe.v_vals,
-               probe.branch)],
-        status="ok",
-        body=asdict(probe),
-    )
 
 
 def lemma1_audit(models, drift, minorizer):

@@ -441,6 +441,10 @@ COMPONENT_CASES = [
     ("bias_finite", ("grids", "n"), [5, 5], "grids.n[1]"),
     ("scaling_sqrt_n", ("grids", "N"), [20, 40, 20], "grids.N[2]"),
     ("drift_check", ("radii",), [2, 4, 2.0], "radii[2]"),
+    # numpy's samplers take sizes and counts below 2**63
+    ("scaling_sqrt_n", ("grids", "N"), [10, 2**63], "grids.N[1]"),
+    ("bias_gaussian", ("grids", "N"), [2**63], "grids.N[0]"),
+    ("bias_finite", ("grids", "n"), [3, 2**63], "grids.n[1]"),
 ]
 
 
@@ -464,6 +468,12 @@ def test_component_keys_validated_at_parse_time(name, keys, value, where, tmp_pa
     assert main(["run", str(path)]) == EXIT_PRECONDITION
     assert capsys.readouterr().err.startswith(f"error: {where}: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_largest_grid_entry_parses(tmp_path):
+    raw = json.loads(_shipped("scaling_sqrt_n", tmp_path))
+    raw["grids"]["N"] = [2**63 - 1]
+    assert parse_config(json.dumps(raw)).grids["N"] == (2**63 - 1,)
 
 
 def test_mixture_of_the_component_cases_parses(tmp_path):

@@ -118,6 +118,9 @@ def test_ensemble_needs_one_statistic_per_particle():
         Ensemble(states=np.arange(4), stats=np.arange(3), k=0)
     with pytest.raises(ValueError, match="one count per label"):
         Ensemble(states=np.arange(3), stats=np.arange(3), k=0, counts=np.array([1, 2]))
+    for counts in (np.array([1, 2, 3]), np.ones((2, 2, 3), dtype=int)):
+        with pytest.raises(ValueError, match="one count per label"):
+            Ensemble(states=np.arange(3), stats=np.arange(3), k=0, counts=counts)
     with pytest.raises(ValueError, match="at least one particle"):
         Ensemble(states=np.arange(3), stats=np.arange(3), k=0, counts=np.zeros((1, 3), dtype=int))
     with pytest.raises(ValueError, match="same number of particles"):

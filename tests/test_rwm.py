@@ -8,14 +8,12 @@ import scipy.stats
 from tempersmc import streams
 from tempersmc.config import ConfigError, parse_config
 from tempersmc.rwm import (
-    drift_probe,
     gaussian_increment,
     rwm_kernel_family,
     rwm_step_batch,
 )
 from tempersmc.tempering import (
     TemperedFamily,
-    drift_function,
     gaussian_mixture_target,
     gaussian_target,
     linear_schedule,
@@ -233,27 +231,3 @@ def test_kernel_family_targets_terminal_temperature():
         np.testing.assert_array_equal(direct[1], via_family[1])
     assert gammas[n_kernel] == 1.0
 
-
-# ------------------------------------------------------------- drift probe
-
-def test_drift_probe_flat_v():
-    fam = std_family()
-    drift = lambda ell: np.ones(np.asarray(ell).shape[0])
-    rep = drift_probe(fam, 0.7, gaussian_increment(1, 1.0), drift, [2.0, 4.0],
-                      n_proposals=2_000, seed=0)
-    np.testing.assert_allclose(rep.lambda_hat, 1.0, atol=1e-12)
-    # one (radius, point_index, ratio, std_err) row per point, numbered per shell
-    assert [row[:2] for row in rep.points] == [(2.0, 0), (2.0, 1), (4.0, 0), (4.0, 1)]
-
-
-def test_drift_probe_gaussian_contracts():
-    fam = std_family()
-    drift = drift_function(fam.target.sup_log_unnorm, fam.schedule.gamma_floor, 0.5)
-    rep = drift_probe(fam, 0.7, gaussian_increment(1, 1.0), drift, [2.0, 4.0, 6.0],
-                      n_proposals=100_000, seed=3)
-    assert np.all(np.diff(rep.lambda_hat) < 0)
-    assert rep.lambda_hat[-1] + rep.band[-1] < 1.0
-    assert rep.safe_radius is not None
-    again = drift_probe(fam, 0.7, gaussian_increment(1, 1.0), drift, [2.0, 4.0, 6.0],
-                        n_proposals=100_000, seed=3)
-    np.testing.assert_array_equal(rep.lambda_hat, again.lambda_hat)

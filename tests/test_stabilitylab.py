@@ -12,12 +12,15 @@ from tempersmc.config import parse_config
 from tempersmc.finite import table_model
 from tempersmc.fk_core import DriftSpec
 from tempersmc.particles import BLOCK_REPLICATES
+from tempersmc.rwm import gaussian_increment
 from tempersmc.stabilitylab import (
     bias_decay_experiment,
+    drift_probe,
     lemma1_audit,
     lemma1_audit_experiment,
     r2_counterexample,
 )
+from tempersmc.tempering import TemperedFamily, drift_function, gaussian_target, linear_schedule
 
 
 def _cfg(**overrides):
@@ -141,15 +144,40 @@ def test_std_err_is_the_plain_spread_where_it_is_finite():
     assert stabilitylab._std(good) == float(good.std(ddof=1))
 
 
+# ------------------------------------------------------------- drift probe
+
+def test_drift_probe_flat_v():
+    fam = TemperedFamily(gaussian_target([0.0], [1.0]), linear_schedule(0.7))
+    drift = lambda ell: np.ones(np.asarray(ell).shape[0])
+    table = drift_probe(fam, 0.7, gaussian_increment(1, 1.0), drift, [2.0, 4.0],
+                        n_proposals=2_000, seed=0)
+    np.testing.assert_allclose(table.body["lambda_hat"], 1.0, atol=1e-12)
+    # one (radius, point_index, ratio, std_err) row per point, numbered per shell
+    assert [row[:2] for row in table.rows] == [(2.0, 0), (2.0, 1), (4.0, 0), (4.0, 1)]
+
+
+def test_drift_probe_gaussian_contracts():
+    fam = TemperedFamily(gaussian_target([0.0], [1.0]), linear_schedule(0.7))
+    drift = drift_function(fam.target.sup_log_unnorm, fam.schedule.gamma_floor, 0.5)
+    table = drift_probe(fam, 0.7, gaussian_increment(1, 1.0), drift, [2.0, 4.0, 6.0],
+                        n_proposals=100_000, seed=3)
+    assert np.all(np.diff(table.body["lambda_hat"]) < 0)
+    assert table.body["lambda_hat"][-1] + table.body["band"][-1] < 1.0
+    assert table.body["safe_radius"] is not None
+    again = drift_probe(fam, 0.7, gaussian_increment(1, 1.0), drift, [2.0, 4.0, 6.0],
+                        n_proposals=100_000, seed=3)
+    np.testing.assert_array_equal(table.body["lambda_hat"], again.body["lambda_hat"])
+
+
 # ------------------------------------------------------------- counterexample
 
 def test_counterexample_psi_closed_form_matches_contours():
     eps = 1.0
-    probe = r2_counterexample(eps, 0.5)
-    assert probe.psi_value == 2.0 * eps
+    body = r2_counterexample(eps, 0.5).body
+    assert body["psi_value"] == 2.0 * eps
     # unsimplified contour parameterization: the radial gap at angle phi is
     # (-eps cos phi + s) - (eps cos phi + s) with s the shared square root
-    y = np.asarray(probe.probe_point)
+    y = np.asarray(body["probe_point"])
     r = math.sqrt(y[1] ** 2 + eps**2)
     phis = np.linspace(0.0, 2 * math.pi, 3601)
     s = np.sqrt(r**2 - eps**2 * np.sin(phis) ** 2)
@@ -162,16 +190,16 @@ def test_counterexample_psi_closed_form_matches_contours():
 
 @pytest.mark.parametrize("delta", [0.0, 0.5, 0.9])
 def test_counterexample_strict_violation(delta):
-    probe = r2_counterexample(1.0, delta)
-    assert probe.log_margin > 0
-    assert probe.lhs > probe.rhs
+    body = r2_counterexample(1.0, delta).body
+    assert body["log_margin"] > 0
+    assert body["lhs"] > body["rhs"]
     # re-computable in four arithmetic operations from the emitted values
-    g1, g2 = probe.g_vals
-    v1, v2 = probe.v_vals
+    g1, g2 = body["g_vals"]
+    v1, v2 = body["v_vals"]
     lhs = (g1 * v1 + g2 * v2) / (g1 + g2)
     rhs = (1.0 + delta) * (v1 + v2) / 2.0
     assert lhs > rhs
-    assert lhs == pytest.approx(probe.lhs, rel=1e-12)
+    assert lhs == pytest.approx(body["lhs"], rel=1e-12)
 
 
 def test_counterexample_range_errors():
@@ -186,24 +214,24 @@ def test_counterexample_log_margin_closed_form_accuracy():
     # the log margin at the shipped (epsilon, delta) = (1, 0.9), computed
     # with 60-digit arithmetic from the four linear-scale values at the same
     # radius
-    probe = r2_counterexample(1.0, 0.9)
-    assert abs(probe.log_margin - 0.0438603207693032403052984) < 1e-16
+    body = r2_counterexample(1.0, 0.9).body
+    assert abs(body["log_margin"] - 0.0438603207693032403052984) < 1e-16
 
 
 @pytest.mark.parametrize("epsilon", [1e-8, 1.0, 1e8])
 def test_counterexample_largest_delta_below_one_resolves(epsilon):
     # log 2 - log1p(delta) rounds to 0 here; log1p((1 - delta)/(1 + delta)) does not
-    probe = r2_counterexample(epsilon, 1.0 - 2.0**-53)
-    assert probe.log_margin > 0
+    body = r2_counterexample(epsilon, 1.0 - 2.0**-53).body
+    assert body["log_margin"] > 0
 
 
 @pytest.mark.parametrize("d", [-160, -100, -20, -8, 0, 8, 20, 100, 160])
 @pytest.mark.parametrize("delta", [0.0, 1e-9, 0.5, 0.999999])
 def test_counterexample_extreme_epsilon_resolves_directly(d, delta):
-    probe = r2_counterexample(10.0**d, delta)
-    assert probe.branch == "direct" and probe.log_margin > 0
-    values = (probe.lhs, probe.rhs, probe.log_margin, *probe.witness[0], *probe.witness[1],
-              *probe.g_vals, *probe.v_vals)
+    body = r2_counterexample(10.0**d, delta).body
+    assert body["branch"] == "direct" and body["log_margin"] > 0
+    values = (body["lhs"], body["rhs"], body["log_margin"], *body["witness"][0],
+              *body["witness"][1], *body["g_vals"], *body["v_vals"])
     assert not any(math.isnan(x) for x in values)
 
 
@@ -214,10 +242,10 @@ def test_counterexample_extreme_epsilon_resolves_directly(d, delta):
 )
 def test_counterexample_beyond_float_range_decided_in_log_domain(epsilon, delta):
     # exp((r + epsilon)^2) overflows; the witness is still found in the log domain
-    probe = r2_counterexample(epsilon, delta)
-    assert probe.log_margin > 0
-    assert max(probe.v_vals) == math.inf
-    assert all(0.0 <= g < math.inf for g in probe.g_vals)
+    body = r2_counterexample(epsilon, delta).body
+    assert body["log_margin"] > 0
+    assert max(body["v_vals"]) == math.inf
+    assert all(0.0 <= g < math.inf for g in body["g_vals"])
 
 
 # ------------------------------------------------------------- lemma-1 audit
