@@ -7,8 +7,10 @@ law: a sampler, or a finite model's initial vector.  A step index is a
 plain ``int`` k; the model's ``horizon`` is the one horizon, and each
 function taking k checks it against its own range.  States are opaque:
 finite spaces use integer labels, vector spaces use float arrays with the
-leading axis indexing a batch of states.  Kernels and potentials are
-always evaluated on such a batch.
+leading axes indexing a batch of states.  The initial sampler draws one
+replicate's N states; the kernels advance the populations of R replicates
+at once, as the rows of a batch (see ``KernelFamily``), and the
+potentials act state by state on any such batch.
 
 The potentials read each state through a per-particle statistic, which the
 particle engine carries beside the state: the family's ``statistic(xs)`` is
@@ -70,17 +72,22 @@ class PotentialFamily:
 class KernelFamily:
     """Markov kernels ``M[k]`` for k = 1..n.
 
-    ``sample_batch(k, xs, stats, rng)`` advances a whole batch of states one
-    transition of ``M[k]`` with a fixed draw layout and returns the new
-    states with their statistics (see ``PotentialFamily``); ``stats`` are
-    the statistics of ``xs``.  On a finite model the batch is an (R, m)
-    count batch: ``sample_batch(k, w, size, rng)`` takes its (R, m)
-    nonnegative weights and a generator, and returns the next (R, m)
-    counts, row i holding ``size`` particles, each drawn independently
-    from the state law normalize(w[i]) and moved one transition of
-    ``M[k]``, that is, a draw of Multinomial(size, normalize(w[i] M[k]))
-    by ``rng``, all rows in one call.  It is the only kernel sampler the
-    particle engine calls.
+    ``sample_batch(k, batch, arg, rng)`` advances a batch of R rows, each
+    row one replicate's population, one transition of ``M[k]`` with a
+    fixed draw layout, and returns the next R rows.  It is the only kernel
+    sampler the particle engine calls, in one of two forms:
+
+    - states: ``sample_batch(k, xs, stats, rng)`` takes the (R, N, ...)
+      states ``xs``, their (R, N) statistics (see ``PotentialFamily``) and
+      one generator per row, and returns the new states with their
+      statistics; row r draws from ``rng[r]`` alone.
+    - counts, on a finite model: ``sample_batch(k, w, size, rng)`` takes
+      the (R, m) nonnegative weights of a count batch and one generator,
+      and returns the next (R, m) counts, row i holding ``size``
+      particles, each drawn independently from the state law
+      normalize(w[i]) and moved one transition of ``M[k]``, that is, a
+      draw of Multinomial(size, normalize(w[i] M[k])) by ``rng``, all rows
+      in one call.
     """
 
     sample_batch: Callable

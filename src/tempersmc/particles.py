@@ -1,15 +1,17 @@
 """Interacting particle system: init, reweight-resample-mutate steps, estimators.
 
 A particle population is the uniformly weighted empirical measure of N
-particles, held in one of two forms.  On a model with a continuous or
-otherwise per-particle state space it is the states array of the N
-particles, one replicate.  On a finite model (``model.is_finite``) it is
-an (R, m) batch of count vectors over the m state labels, row r holding
-replicate r's: the empirical measure of N particles on m points is
-exactly the vector of their counts, so no N-element array is held.  An
-``Ensemble`` holds the states (the m labels, for a count batch), each
-state's statistic (see ``fk_core.PotentialFamily``), the counts (None for
-a states array) and the step index k; the horizon is read from the model.
+particles, and the engine steps the populations of R replicates together
+as the rows of one batch, held in one of two forms.  On a model with a
+continuous or otherwise per-particle state space it is a states batch:
+the (R, N, ...) states whose row r holds the N particle states of one
+replicate.  On a finite model (``model.is_finite``) it is an (R, m) batch
+of count vectors over the m state labels, row r holding replicate r's:
+the empirical measure of N particles on m points is exactly the vector of
+their counts, so no N-element array is held.  An ``Ensemble`` holds the
+states (the m labels, for a count batch), each state's statistic (see
+``fk_core.PotentialFamily``), the counts (None for a states batch) and the
+step index k; the horizon is read from the model.
 
 The statistic is evaluated once per particle at initialization and then
 carried: the step-k log weights read it, each resampled particle takes its
@@ -19,24 +21,34 @@ evaluates the density only at its proposals, and the drift monitor reads
 eta(V) from the same values: the monitored V is a plain callable over a
 batch of statistics.  Carrying it changes no draw.
 
-On a states array the transition draws, for each new particle
-independently, an ancestor index proportional to the current weights and
-then mutates it through the next Markov kernel: the reweight and mutate
-are one fused mixture draw, and resampling is always multinomial.  Each
-ancestor is the plain inverse-CDF index of its uniform: the first index
-whose cumulative weight exceeds it.  ``draw_ancestors`` finds it with a
-guide table (Chen & Asau 1974) in place of a binary search: the range of
-the cumulative weights is cut into N equal buckets, and each scaled
-uniform starts at the first cumulative weight of its own bucket and steps
-forward over the entries of that bucket that do not exceed it.  The bucket
-of a value is its product with a positive constant, truncated, so it is
-monotone in the value: every cumulative weight in a lower bucket is at
-most the scaled uniform and every one in a higher bucket exceeds it, and
-the steps, over a nondecreasing array, stop at the first entry that
-exceeds it.  The index is therefore exactly the one the binary search
-finds, and no draw changes.  Weight normalization happens in the log
-domain with max-subtraction; a step aborts only when every weight
-underflows to zero.
+On a states batch the transition draws, for each new particle of each row
+independently, an ancestor index in its row proportional to the current
+weights and then mutates it through the next Markov kernel: the reweight
+and mutate are one fused mixture draw, and resampling is always
+multinomial.  Each ancestor is the plain inverse-CDF index of its uniform:
+the first index whose cumulative weight exceeds it.  ``draw_ancestors``
+finds it with a guide table (Chen & Asau 1974) in place of a binary
+search: the range of each row's cumulative weights is cut into N equal
+buckets, and each scaled uniform starts at the first cumulative weight of
+its own bucket and steps forward over the entries of that bucket that do
+not exceed it.  The bucket of a value is its product with a positive
+constant of its row, truncated, so it is monotone in the value: every
+cumulative weight of the row in a lower bucket is at most the scaled
+uniform and every one in a higher bucket exceeds it, and the steps, over a
+nondecreasing array, stop at the first entry that exceeds it.  The index
+is therefore exactly the one the binary search finds, and no draw changes.
+Weight normalization happens in the log domain with max-subtraction.
+
+A step works on the whole batch at once: the reweight, each row's max and
+cumulative sum, one guide-table draw over all rows (a single ``bincount``
+with row offsets), the gathers and the kernel's work on the batch, as the
+Metropolis proposal, density and accept.  Every value is the same
+elementwise operation, or the same reduction of one contiguous row, as in
+a batch of one, so a row's bits do not depend on its batch.  A batch
+pays the fixed cost of each numpy call once for its R rows.  It holds at
+most ``BLOCK_VALUES`` particle values unless one row alone holds more
+(see ``run_sampler``), so batching adds no temporary above the size at
+which the allocator maps fresh pages.
 
 A count row c takes the same transition in law.  The N new particles of
 the fused draw are independent, each an ancestor label j with probability
@@ -56,37 +68,38 @@ the kernel forms each row's mixture by the one-row vector-matrix product
 (a matrix-matrix product of the batch would round a row differently
 depending on the rows around it).
 
-Replicate r of a states-array model draws from ``streams.stream(seed, r)``:
-its initial population, then every step in order, each step its ancestor
-uniforms and then its mutation draws, particle i consuming the i-th slot
-of each vector.  On a finite model block b, the ``BLOCK_REPLICATES``
-replicates r with r // BLOCK_REPLICATES = b, draws from
-``streams.stream(seed, b)``: its initial counts, the one call
-``rng.multinomial(N, model.finite.mu, size=R)``, then each step's
-multinomials, every call row after row.  So no draw depends on how
-replicates, or whole blocks, are scheduled across workers or tasks.  One
-stream serves a replicate or a block without changing the law.  Its words
-are i.i.d. uniform and a multinomial reads a data-dependent number of
-them, a broadcast call one row after another, so the count of words read
-by the end of each row's draw is a stopping time of the sequence.  What
-follows a stopping time in an i.i.d. sequence is again i.i.d. and
-independent of everything read before it, so each row of each step draws,
-given the past, from fresh uniforms, as from a stream of its own: the rows
-of a block are independent given their probability vectors.
+Replicate r of a states model draws from ``streams.stream(seed, r)``,
+whatever batch it is stepped in: its initial population, then every step
+in order, each step its ancestor uniforms and then its mutation draws,
+particle i consuming the i-th slot of each vector.  A states batch holds
+one generator per row, and each row draws from its own.  On a finite
+model block b, the ``BLOCK_REPLICATES`` replicates r with
+r // BLOCK_REPLICATES = b, draws from ``streams.stream(seed, b)``: its
+initial counts, the one call ``rng.multinomial(N, model.finite.mu,
+size=R)``, then each step's multinomials, every call row after row.  So no
+draw depends on how replicates, or whole blocks, are scheduled across
+workers, tasks or batches.  One stream serves a finite block without
+changing the law.  Its words are i.i.d. uniform and a multinomial reads a
+data-dependent number of them, a broadcast call one row after another, so
+the count of words read by the end of each row's draw is a stopping time
+of the sequence.  What follows a stopping time in an i.i.d. sequence is
+again i.i.d. and independent of everything read before it, so each row of
+each step draws, given the past, from fresh uniforms, as from a stream of
+its own: the rows of a block are independent given their probability
+vectors.
 
-A run is what one stream draws: a replicate of a states-array model, or
-the consecutive replicates of one finite block, one count batch.
-``run_sampler`` steps each run to the horizon and returns its terminal
-population whole, and ``estimate`` reads a batch's rows directly.  A
-replicate whose weights all vanish stops there (a finite model's cannot:
-a count step needs every log weight finite, and raises for its whole
-batch).  Given a drift function V, a run also summarizes each step of
-each row: ESS, the log-weight range, eta(V) and eta(G~).  One reduction
-serves both forms: a states array is one row whose values each hold one
-particle, and a count batch weighs each label of a row by its count.  It
-holds the populations and step log weights of the last
-``max(1, BLOCK_VALUES // size)`` steps, where size is the number of
-values a population holds (N particles, or R rows of m counts), and
+``run_sampler`` steps each batch to the horizon and returns its terminal
+population whole, and ``estimate`` reads a batch's rows directly.  A row
+of a states batch whose weights all vanish leaves its batch at that step,
+before anything is drawn, and the other rows step on unchanged; a finite
+model's rows cannot (a count step needs every log weight finite, and
+raises for its whole batch).  Given a drift function V, a run also
+summarizes each step of each row: ESS, the log-weight range, eta(V) and
+eta(G~).  One reduction serves both forms: a row of a states batch holds
+one value per particle, and a count batch weighs each label of a row by
+its count.  It holds the populations and step log weights of the last
+``max(1, BLOCK_VALUES // size)`` steps, where size is the number of values
+a population holds (R rows of N particles, or of m counts), and
 summarizes them at once: one stack per array, V called on the
 concatenated statistics, and each reduction taken along the rows.  A row
 reduction runs the same inner loop over the same contiguous values as the
@@ -119,18 +132,28 @@ __all__ = [
 
 
 class TotalDegeneracyError(RuntimeError):
-    """Every weight vanished, or a count step met a non-finite log weight: the run aborts."""
+    """Every weight of a row vanished, or a count step met a non-finite log weight.
+
+    ``rows`` marks the rows of the batch that abort: on a states batch each
+    row whose weights all vanished, on a count batch every row.
+    """
+
+    def __init__(self, message, rows):
+        super().__init__(message)
+        self.rows = rows
 
 
 @dataclass
 class Ensemble:
-    """Populations at step k: states, their statistics and counts.
+    """A batch of populations at step k: states, their statistics and counts.
 
-    With ``counts`` None the population is one replicate's N particle
-    states themselves.  Otherwise ``states`` are the m labels and
-    ``counts`` is an (R, m) batch whose row r is replicate r's count vector,
-    ``counts[r, i]`` particles at ``states[i]``.  ``n_particles`` is N, read
-    off at construction; every row holds N particles.
+    With ``counts`` None, ``states`` has shape (R, N, ...): row r holds the
+    N particle states of one replicate, and ``stats`` the (R, N) statistics
+    of those states.  Otherwise ``states`` are the m labels, ``stats``
+    theirs, and ``counts`` is an (R, m) batch whose row r is a replicate's
+    count vector, ``counts[r, i]`` particles at ``states[i]``.
+    ``n_particles`` is N, read off at construction; every row holds N
+    particles.
     """
 
     states: np.ndarray
@@ -140,10 +163,12 @@ class Ensemble:
     n_particles: int = field(init=False)
 
     def __post_init__(self):
-        if len(self.stats) != len(self.states):
-            raise ValueError("need one statistic per particle")
         if self.counts is None:
-            self.n_particles = len(self.states)
+            if np.ndim(self.states) < 2 or np.shape(self.stats) != np.shape(self.states)[:2]:
+                raise ValueError("need one statistic per particle")
+            self.n_particles = self.states.shape[1]
+        elif len(self.stats) != len(self.states):
+            raise ValueError("need one statistic per particle")
         elif self.counts.ndim != 2 or self.counts.shape[1] != len(self.states):
             raise ValueError("need one count per label")
         else:
@@ -174,17 +199,17 @@ def init_ensemble(model, n_particles, rng, rows):
     On a finite model the population is the (rows, m) count batch on the
     labels 0..m-1 drawn by ``rng.multinomial(N, model.finite.mu,
     size=rows)``.  Any other model draws one row, the N states of
-    ``model.initial``.  A draw or statistic that overflows reads inf,
-    without a warning: its particle then has weight 0, or the replicate
-    degenerates.
+    ``model.initial``, a batch of shape (1, N, ...).  A draw or statistic
+    that overflows reads inf, without a warning: its particle then has
+    weight 0, or the replicate degenerates.
     """
     if model.is_finite:
         labels = np.arange(model.finite.mu.size)
         return Ensemble(states=labels, stats=np.asarray(model.potentials.statistic(labels)), k=0,
                         counts=rng.multinomial(n_particles, model.finite.mu, size=rows))
     with np.errstate(over="ignore"):
-        states = np.asarray(model.initial(n_particles, rng))
-        if len(states) != n_particles:
+        states = np.asarray(model.initial(n_particles, rng))[None]
+        if states.shape[1] != n_particles:
             raise ValueError("initial sampler returned the wrong number of states")
         stats = np.asarray(model.potentials.statistic(states))
     return Ensemble(states=states, stats=stats, k=0)
@@ -195,37 +220,50 @@ SPILL = 8
 
 
 def draw_ancestors(cw, u):
-    """Inverse-CDF indices of the uniforms ``u`` in the cumulative weights ``cw``.
+    """Inverse-CDF indices of the uniforms ``u`` in each row of the cumulative weights ``cw``.
 
-    For each uniform, the first index whose entry of ``cw`` exceeds
-    ``u * cw[-1]``, capped at ``len(cw) - 1``: exactly
-    ``np.minimum(np.searchsorted(cw, u * cw[-1], side="right"), len(cw) - 1)``.
-    ``cw`` is nondecreasing and nonnegative, with ``cw[-1] > 0``.
+    ``cw`` has shape (R, N), or (N,) for one row, and ``u`` holds the same
+    number of rows of uniforms.  For each uniform of row r, the first index
+    i whose entry ``cw[r, i]`` exceeds ``u * cw[r, -1]``, capped at N - 1:
+    exactly ``np.minimum(np.searchsorted(cw[r], u * cw[r, -1],
+    side="right"), N - 1)``, returned as the flat index ``r * N + i`` into
+    the R * N entries of ``cw``, in the shape of ``u``.  Each row of ``cw``
+    is nondecreasing and nonnegative, with a positive last entry.
 
-    The guide table (see the module docstring) cuts [0, cw[-1]] into
-    N = len(cw) equal buckets; each scaled uniform starts at the first entry
-    of its own bucket and takes one step per entry of that bucket that is at
-    most the scaled uniform.  On near-flat weights a bucket holds O(1)
-    entries, so the cost is O(N) expected with no sort.  Uniforms that fall
-    in a bucket holding more than ``SPILL`` entries, as when one particle
-    carries almost all the weight, take a binary search instead, which
-    bounds the worst case at O(N log N).
+    The guide table (see the module docstring) cuts each row's
+    [0, cw[r, -1]] into N equal buckets, all rows' buckets counted by one
+    ``bincount`` with row offsets; each scaled uniform starts at the first
+    entry of its own bucket and takes one step per entry of that bucket
+    that is at most the scaled uniform.  On near-flat weights a bucket holds
+    O(1) entries, so the cost is O(N) expected per row with no sort.
+    Uniforms that fall in a bucket holding more than ``SPILL`` entries, as
+    when one particle carries almost all the weight, take a binary search in
+    their row instead, which bounds the worst case at O(N log N).
     """
-    n = cw.size
-    x = u * cw[-1]
-    scale = n / cw[-1]
-    counts = np.bincount((cw * scale).astype(np.intp), minlength=n + 1)
+    n = cw.shape[-1]
+    cw = cw.reshape(-1, n)
+    # row r's buckets are numbered from r * (n + 1) + 1, so the running count up
+    # to a uniform's bucket number less one is the first flat index of its bucket
+    first = np.arange(0, cw.size + len(cw), n + 1)[:, None]
+    x = u.reshape(len(cw), -1) * cw[:, -1:]
+    scale = n / cw[:, -1:]
+    buckets = (cw * scale).astype(np.intp)
+    buckets += first + 1
+    counts = np.bincount(buckets.ravel(), minlength=first.size * (n + 1) + 1)
     start = (x * scale).astype(np.intp)
-    ancestors = (np.cumsum(counts) - counts)[start]
+    start += first
+    ancestors = np.cumsum(counts)[start]
     fullest = int(counts.max())
-    # a uniform at or above every entry steps past the end; the clip reads the
-    # last entry there, and the cap below returns it to N - 1
+    # a uniform at or above every entry of its row steps past the row's end;
+    # the cap below returns it to the row's last entry
     for _ in range(min(fullest, SPILL)):
         ancestors += np.take(cw, ancestors, mode="clip") <= x
     if fullest > SPILL:
-        spill = counts[start] > SPILL
-        ancestors[spill] = np.searchsorted(cw, x[spill], side="right")
-    return np.minimum(ancestors, n - 1, out=ancestors)
+        spill = counts[start + 1] > SPILL
+        for r in np.flatnonzero(spill.any(axis=1)):
+            ancestors[r, spill[r]] = r * n + np.searchsorted(cw[r], x[r, spill[r]], side="right")
+    last = np.arange(n - 1, cw.size, n)[:, None]
+    return np.minimum(ancestors, last, out=ancestors).reshape(np.shape(u))
 
 
 def _count_step(ens, model, lw, rng):
@@ -235,7 +273,8 @@ def _count_step(ens, model, lw, rng):
     drawn, unless every label's log weight is finite.
     """
     if not np.isfinite(lw).all():
-        raise TotalDegeneracyError(f"a log weight is not finite at step {ens.k}")
+        raise TotalDegeneracyError(f"a log weight is not finite at step {ens.k}",
+                                   np.ones(len(ens.counts), dtype=bool))
     occupied = ens.counts > 0
     # each row's max, down a contiguous transpose: numpy reduces a short last axis row by row
     top = np.ascontiguousarray(np.where(occupied, lw, -np.inf).T).max(axis=0)[:, None]
@@ -245,11 +284,13 @@ def _count_step(ens, model, lw, rng):
 
 
 def smc_step(ens, model, rng):
-    """One transition: multinomial ancestor draw by weight, then mutation, by ``rng``.
+    """One transition of every row: multinomial ancestor draw by weight, then mutation.
 
-    ``rng`` is the replicate's generator, or the batch's for a count
-    batch.  Returns the next ensemble and the step-k log
-    weights of ``ens.states``.
+    ``rng`` is the batch's randomness: one generator for a count batch,
+    and for a states batch a sequence of generators, row r drawing from
+    ``rng[r]``.  Returns the next ensemble and the step-k log weights of
+    ``ens.stats``.  Raises ``TotalDegeneracyError``, before anything is
+    drawn, if the weights of a states row all vanish, marking those rows.
     """
     k = ens.k
     if k >= model.horizon:
@@ -257,30 +298,37 @@ def smc_step(ens, model, rng):
     lw = np.asarray(model.potentials.log_g(k, ens.stats), dtype=float)
     if ens.counts is not None:
         return _count_step(ens, model, lw, rng), lw
-    top = lw.max()
-    if not np.isfinite(top):
-        raise TotalDegeneracyError(f"all particle weights vanished at step {k}")
-    cw = np.cumsum(np.exp(lw - top))
-    ancestors = draw_ancestors(cw, rng.random(ens.n_particles))
-    states, stats = model.kernels.sample_batch(k + 1, ens.states[ancestors],
-                                               ens.stats[ancestors], rng)
+    top = lw.max(axis=1, keepdims=True)
+    if not np.isfinite(top).all():
+        raise TotalDegeneracyError(f"all particle weights vanished at step {k}",
+                                   ~np.isfinite(top[:, 0]))
+    cw = np.cumsum(np.exp(lw - top), axis=1)
+    u = np.empty(cw.shape)
+    for g, row in zip(rng, u):
+        g.random(out=row)
+    ancestors = draw_ancestors(cw, u).ravel()
+    xs = np.take(ens.states.reshape(-1, *ens.states.shape[2:]), ancestors, axis=0)
+    states, stats = model.kernels.sample_batch(k + 1, xs.reshape(ens.states.shape),
+                                               ens.stats.take(ancestors).reshape(lw.shape), rng)
     return Ensemble(states=np.asarray(states), stats=np.asarray(stats), k=k + 1), lw
 
 
-# the monitor holds at most this many values of each array before it summarizes them
+# the monitor holds at most this many values of each array before it summarizes
+# them, and a states batch at most this many particle values
 BLOCK_VALUES = 2**13
 
 
 def _reductions(model, drift, pops, lws):
     """eta(V) of the held populations, and the weight sums and range of their log weights.
 
-    Each value has shape (steps, rows).  A states array is one row whose
-    values each hold one particle.  A count batch has a row per replicate
-    whose value at a label holds its count of particles: a label whose
-    count is 0 adds nothing, and its log weight sets neither end of the
-    range.
+    Each value has shape (steps, rows).  A states batch has a row per
+    replicate whose values each hold one particle.  A count batch has a
+    row per replicate whose value at a label holds its count of particles:
+    a label whose count is 0 adds nothing, and its log weight sets neither
+    end of the range.
     """
-    v = drift(np.concatenate([p.stats for p in pops])).reshape(len(pops), 1, -1)
+    shape = (len(pops), -1, pops[0].stats.shape[-1])
+    v = drift(np.concatenate([p.stats.ravel() for p in pops])).reshape(shape)
     counts = held = None
     if pops[0].counts is not None:
         counts = np.stack([p.counts for p in pops])
@@ -301,7 +349,7 @@ def _reductions(model, drift, pops, lws):
     eta_v = mean(v).tolist()
     if not lws:
         return eta_v, [], [], [], [], []
-    lw = (np.stack(lws) - model.potentials.log_g_max)[:, None]
+    lw = np.stack(lws).reshape(len(lws), *shape[1:]) - model.potentials.log_g_max
     top = only_held(lw, -np.inf).max(axis=2)
     w = np.exp(lw - top[:, :, None])
     return (eta_v, total(w).tolist(), total(w * w).tolist(), mean(np.exp(lw)).tolist(),
@@ -335,33 +383,48 @@ def _summaries(model, drift, pops, lws):
 
 
 def _run(model, ens, rng, drift):
-    """Step ``ens`` to the horizon by ``rng``: its terminal population and each row's summaries.
+    """Step the batch ``ens`` to the horizon by ``rng``: its terminal population and row summaries.
 
-    A states array is one row, and a count batch has one row per
-    replicate.  If the weights vanish, the population and every row's
-    summaries are None.
+    Each row's entry is its list of step summaries, empty without a drift
+    V, or None once its weights vanish.  A row whose weights vanish leaves
+    the batch before the step draws anything, and the rest step on; the
+    terminal population holds the rows that reach the horizon, in order,
+    or is None if none does.
     """
-    rows = 1 if ens.counts is None else len(ens.counts)
-    summaries = [None] * rows if drift is None else [[] for _ in range(rows)]
-    block = max(1, BLOCK_VALUES // (len(ens.states) if ens.counts is None else ens.counts.size))
+    summaries = [[] for _ in range(len(ens.stats if ens.counts is None else ens.counts))]
+    live = list(range(len(summaries)))  # the entry of summaries that each row of ens fills
+    block = max(1, BLOCK_VALUES // (ens.stats.size if ens.counts is None else ens.counts.size))
     pops, lws = [], []
-    try:
-        for _ in range(model.horizon):
+
+    def summarize():
+        for i, steps in zip(live, _summaries(model, drift, pops, lws)):
+            summaries[i].extend(steps)
+        pops.clear()
+        lws.clear()
+
+    while ens.k < model.horizon:
+        try:
             nxt, lw = smc_step(ens, model, rng)
-            if drift is not None:
-                pops.append(ens)
-                lws.append(lw)
-                if len(lws) == block:
-                    for row, steps in zip(summaries, _summaries(model, drift, pops, lws)):
-                        row.extend(steps)
-                    pops, lws = [], []
-            ens = nxt
-    except TotalDegeneracyError:
-        return None, [None] * rows
+        except TotalDegeneracyError as exc:
+            if exc.rows.all():
+                return None, [None] * len(summaries)
+            if pops:
+                summarize()
+            for i in itertools.compress(live, exc.rows):
+                summaries[i] = None
+            keep = ~exc.rows
+            live, rng = list(itertools.compress(live, keep)), list(itertools.compress(rng, keep))
+            ens = Ensemble(states=ens.states[keep], stats=ens.stats[keep], k=ens.k)
+            continue
+        if drift is not None:
+            pops.append(ens)
+            lws.append(lw)
+            if len(lws) == block:
+                summarize()
+        ens = nxt
     if drift is not None:
         pops.append(ens)
-        for row, steps in zip(summaries, _summaries(model, drift, pops, lws)):
-            row.extend(steps)
+        summarize()
     return ens, summaries
 
 
@@ -369,46 +432,65 @@ def _run(model, ens, rng, drift):
 BLOCK_REPLICATES = 1000
 
 
-def run_sampler(model, n_particles, seed, replicates, drift=None):
-    """Run the full flow of the replicate ids ``replicates``, one run per stream, in order.
+def _joined(pops):
+    """One states batch whose rows are the rows of the states batches ``pops``, in order."""
+    return Ensemble(states=np.concatenate([p.states for p in pops]),
+                    stats=np.concatenate([p.stats for p in pops]), k=pops[0].k)
 
-    On a finite model a run is each run of consecutive ids in one block,
+
+def run_sampler(model, n_particles, seed, replicates, drift=None):
+    """Run the full flow of the replicate ids ``replicates`` as batches of rows, in order.
+
+    On a finite model a batch is each run of consecutive ids in one block,
     b = r // BLOCK_REPLICATES for each id r, stepped as one count batch
     drawn from the stream keyed by (seed, b); a caller passes whole blocks.
-    Elsewhere a run is replicate r alone, drawn from the stream keyed by
-    (seed, r).  Returns one (population, summaries) pair per run: its
-    terminal population, None if its weights all vanish, and a list with
-    one entry per replicate of the run, that replicate's step summaries
-    when given a drift V (None otherwise, or when the weights vanish).
+    Elsewhere a batch is R = max(1, BLOCK_VALUES // (N * d)) consecutive
+    ids, d the number of values in a state (the last batch may hold fewer),
+    row r drawn from the stream keyed by (seed, r).  Returns one
+    (population, summaries) pair per batch: its terminal population, the
+    rows whose weights never vanished, or None if there are none; and a
+    list with one entry per replicate of the batch, that replicate's step
+    summaries (empty without a drift V), or None once its weights vanish.
     """
-    if model.is_finite:
-        units = [(b, len(list(ids)))
-                 for b, ids in itertools.groupby(replicates, lambda r: r // BLOCK_REPLICATES)]
-    else:
-        units = [(r, 1) for r in replicates]
     out = []
-    for key, rows in units:
-        rng = streams.stream(seed, key)
-        out.append(_run(model, init_ensemble(model, n_particles, rng, rows), rng, drift))
+    if model.is_finite:
+        for b, ids in itertools.groupby(replicates, lambda r: r // BLOCK_REPLICATES):
+            rng = streams.stream(seed, b)
+            rows = len(list(ids))
+            out.append(_run(model, init_ensemble(model, n_particles, rng, rows), rng, drift))
+        return out
+    rngs, pops = [], []
+    for r in replicates:
+        rngs.append(streams.stream(seed, r))
+        pops.append(init_ensemble(model, n_particles, rngs[-1], 1))
+        if len(pops) == max(1, BLOCK_VALUES // pops[0].states.size):
+            out.append(_run(model, _joined(pops), rngs, drift))
+            rngs, pops = [], []
+    if pops:
+        out.append(_run(model, _joined(pops), rngs, drift))
     return out
 
 
 def estimate(runs, f):
     """The average of f over each replicate of ``run_sampler``'s ``runs``, as an array in id order.
 
-    A states array averages f over its particles, NaN unless every value
-    is finite.  A count batch evaluates f once, on its labels, and each row
-    weighs it by its counts.  Every replicate of a run whose weights
-    vanished reads NaN.
+    A states batch evaluates f once, on the states of all its rows, and
+    averages each row's values, NaN unless they are all finite.  A count
+    batch evaluates f once, on its labels, and each row weighs it by its
+    counts.  A replicate whose weights vanished reads NaN.
     """
     out = []
     for pop, summaries in runs:
-        if pop is None:
-            out.append(np.full(len(summaries), math.nan))
-            continue
-        vals = np.asarray(f(pop.states), dtype=float)
-        if pop.counts is not None:
-            out.append((pop.counts * vals).sum(axis=1) / pop.n_particles)
-        else:
-            out.append([vals.mean() if np.isfinite(vals).all() else math.nan])
+        vals = np.full(len(summaries), math.nan)
+        if pop is not None:
+            alive = [s is not None for s in summaries]
+            if pop.counts is not None:
+                sums = (pop.counts * np.asarray(f(pop.states), dtype=float)).sum(axis=1)
+                vals[alive] = sums / pop.n_particles
+            else:
+                x = np.asarray(f(pop.states.reshape(-1, *pop.states.shape[2:])), dtype=float)
+                x = x.reshape(pop.stats.shape)
+                finite = np.isfinite(x).all(axis=1)
+                vals[np.flatnonzero(alive)[finite]] = x[finite].mean(axis=1)
+        out.append(vals)
     return np.concatenate(out)

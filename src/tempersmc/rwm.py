@@ -23,24 +23,27 @@ def gaussian_increment(dim, scale):
 
 
 def rwm_step_batch(fam, gamma, q, xs, cur, rng):
-    """Advance a batch of chains one Metropolis step at inverse temperature gamma.
+    """Advance a batch of rows of chains one Metropolis step at inverse temperature gamma.
 
-    ``cur`` is the log target density at ``xs``; only the proposals are
-    evaluated.  Returns the new states and their log densities.  Draw layout
-    per call: proposals first, then one acceptance uniform per chain.
-    Proposals with non-finite log density are rejected.
+    ``xs`` holds R rows of N states, shape (R, N, d), ``cur`` their (R, N)
+    log target densities, and ``rng`` one generator per row; only the
+    proposals are evaluated.  Returns the new states and their log
+    densities.  Draw layout per row r: its N proposals ``q(N, rng[r])``
+    first, then one acceptance uniform per chain.  The proposal, density
+    and accept act on the whole batch at once.  Proposals with non-finite
+    log density are rejected.
     """
     xs = np.asarray(xs, dtype=float)
-    size = xs.shape[0]
-    y = q(size, rng)
-    u = rng.random(size)
+    moved, u = np.empty(xs.shape), np.empty(xs.shape[:2])
     # a proposal far out overflows to log density -inf and is rejected
     with np.errstate(over="ignore", invalid="ignore"):
-        moved = xs + y
+        for g, x, row, u_row in zip(rng, xs, moved, u):
+            np.add(x, q(len(x), g), out=row)
+            g.random(out=u_row)
         prop = np.asarray(fam.target.log_unnorm(moved), dtype=float)
         log_ratio = gamma * (prop - cur)
     accept = np.isfinite(prop) & (np.log(u) < log_ratio)
-    return np.where(accept[:, None], moved, xs), np.where(accept, prop, cur)
+    return np.where(accept[..., None], moved, xs), np.where(accept, prop, cur)
 
 
 def rwm_kernel_family(fam, gammas, q):

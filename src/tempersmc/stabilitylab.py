@@ -11,15 +11,18 @@ delta < 1, and the Lemma 1 audit of the tilted drift/minorization data.
 Each grid cell is cut into tasks of contiguous replicates costing about
 ``_TASK_STEPS`` units: a replicate of cell (n, N) costs n*N particle-steps
 on a continuous model and n*m^2 on a finite model with m states, whose
-replicate steps a count row whatever N is.  A task runs with one
-``run_sampler`` call, which returns one result per run: a continuous
-replicate, drawn from its own stream keyed by (cell seed, replicate), or a
-finite block of ``BLOCK_REPLICATES``, one count batch drawn from one
-stream keyed by (cell seed, block); a finite task is a run of whole
-blocks.  ``estimate`` turns a task's runs into one estimate per
-replicate, in id order.  So the cut, a function of the config alone,
-changes no draw, and the results, merged in task order by a single
-reducer, are identical for any worker count.
+replicate steps a count row whatever N is.  A unit counts the work of a
+replicate, not the numpy calls that carry it: a continuous task steps its
+replicates as batches of rows, and a batch's fixed cost is shared by its
+rows.  A task runs with one ``run_sampler`` call, which returns one result
+per batch: consecutive continuous replicates, each row drawn from its own
+stream keyed by (cell seed, replicate), or a finite block of
+``BLOCK_REPLICATES``, one count batch drawn from one stream keyed by (cell
+seed, block); a finite task is a run of whole blocks.  ``estimate`` turns
+a task's batches into one estimate per replicate, in id order.  So the
+cut, a function of the config alone, changes no draw, and the results,
+merged in task order by a single reducer, are identical for any worker
+count.
 
 The cells of a grid are distinct: parsing rejects a repeated entry of
 grids.n or grids.N, whose cells would share a seed and pool the same

@@ -6,10 +6,12 @@ replicate id, ...).  Streams for distinct paths are independent and a
 stream's output depends only on (seed, path), never on scheduling order,
 which is what makes worker-pool runs byte-identical to serial runs.
 
-The particle engine draws replicate r of a run from ``stream(seed, r)``,
-and on a finite model each block b of replicates from ``stream(seed, b)``:
-the initial populations and then every step, in order, from that one
-generator (see ``particles``).
+The particle engine draws replicate r of a continuous model from
+``stream(seed, r)``, whatever batch of rows it is stepped in: a batch
+holds one generator per row.  On a finite model each block b of
+replicates, one count batch, draws from ``stream(seed, b)``.  Either way a
+generator draws the initial population and then every step, in order
+(see ``particles``).
 """
 
 import numpy as np

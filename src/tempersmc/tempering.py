@@ -12,6 +12,7 @@ over those log densities; it is the one formula for V, and a finite chain
 evaluates it at its log weights.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -160,16 +161,24 @@ def gaussian_mixture_target(means, sigmas, weights):
     if weights.shape != (n_comp,) or not np.all((weights > 0) & (weights < np.inf)):
         raise ValueError("need one finite positive amplitude per component")
 
+    log_w = np.log(weights)
+
     def log_unnorm(x):
         x = np.asarray(x, dtype=float)
-        z = (x[..., None, :] - means) / sigmas
-        comp = -0.5 * np.sum(z * z, axis=-1) + np.log(weights)
-        m = comp.max(axis=-1)
+        # one component at a time: the max and the sum over components are
+        # elementwise, and no temporary holds more values than x, which the
+        # particle engine keeps below the size at which the allocator maps pages
+        comp = []
+        for mean, sigma, lw in zip(means, sigmas, log_w):
+            z = (x - mean) / sigma
+            comp.append(-0.5 * np.sum(z * z, axis=-1) + lw)
+        m = functools.reduce(np.maximum, comp)
         # far from every component each term is -inf: shift by 0, not by -inf,
         # so the sum is 0 and the result -inf rather than -inf - (-inf) = NaN
         shift = np.where(m > -np.inf, m, 0.0)
+        total = functools.reduce(np.add, [np.exp(c - shift) for c in comp])
         with np.errstate(divide="ignore"):
-            return m + np.log(np.sum(np.exp(comp - shift[..., None]), axis=-1))
+            return m + np.log(total)
 
     return LogTarget(
         dim=d,

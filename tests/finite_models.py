@@ -54,19 +54,20 @@ def random_finite_model(rng, m=5, n=10):
 def label_model(model):
     """The finite ``model`` as a per-particle model: N label states, not a count vector.
 
-    ``finite`` is None, so the particle engine steps a states array, as it
+    ``finite`` is None, so the particle engine steps a states batch, as it
     does on a continuous space.  The test kernel and initial sampler draw
-    one uniform per particle and return the number of cumulative weights
-    below it, among all but the last, of the particle's row (or of mu).
+    one uniform per particle, each row of a batch from its own generator,
+    and return the number of cumulative weights below it, among all but
+    the last, of the particle's row (or of mu).
     """
     cum_rows = np.cumsum(model.finite.kernels, axis=2)[:, :, :-1]
     cum_mu = np.cumsum(model.finite.mu)[:-1]
 
     def search(u, cum):
-        return (u[:, None] > cum).sum(axis=1)
+        return (u[..., None] > cum).sum(axis=-1)
 
     def sample_batch(k, xs, stats, rng):
-        new = search(rng.random(len(xs)), cum_rows[k - 1][xs])
+        new = search(np.array([g.random(xs.shape[1]) for g in rng]), cum_rows[k - 1][xs])
         return new, new
 
     return FKModel(horizon=model.horizon, kernels=KernelFamily(sample_batch=sample_batch),

@@ -18,7 +18,7 @@ from tempersmc.cli import (
     EXIT_INCONCLUSIVE, EXIT_OK, EXIT_PRECONDITION, dispatch, main, make_mapper,
 )
 from tempersmc.config import ConfigError, parse_config
-from tempersmc.particles import BLOCK_REPLICATES
+from tempersmc.particles import BLOCK_REPLICATES, BLOCK_VALUES
 from tempersmc.stabilitylab import Table
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -185,6 +185,35 @@ def test_csv_identical_for_any_worker_count(monkeypatch, tmp_path):
             assert dispatch(cfg) == EXIT_OK
             csv[workers] = (out / f"{cfg.experiment}.csv").read_bytes()
         assert csv[1] == csv[2]
+
+
+def test_continuous_csv_identical_for_any_worker_count_across_batches(monkeypatch, tmp_path):
+    # at N = 2000 a batch is BLOCK_VALUES // 2000 = 4 rows, so each cell's one
+    # task of 9 replicates steps two full batches and a partial one holding a
+    # single replicate; two cells make two tasks, one per worker
+    n_particles = 2000
+    rows = BLOCK_VALUES // n_particles
+    raw = json.loads(_shipped("bias_gaussian", tmp_path))
+    raw.update(replicates=2 * rows + 1, grids={"n": [2, 3], "N": [n_particles]})
+    cfg = parse_config(json.dumps(raw))
+    tasks = stabilitylab._replicate_tasks(cfg, [(2, n_particles), (3, n_particles)])
+    assert [len(reps) for *_, reps in tasks] == [2 * rows + 1] * 2
+    run_sampler, batches = stabilitylab.run_sampler, []
+
+    def recorded(*args, **kwargs):
+        runs = run_sampler(*args, **kwargs)
+        batches.append([len(summaries) for _, summaries in runs])
+        return runs
+
+    csv = {}
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        with monkeypatch.context() as patched:
+            patched.setattr(stabilitylab, "run_sampler", recorded)
+            assert dispatch(replace(cfg, workers=workers, out_dir=str(out))) == EXIT_OK
+        csv[workers] = (out / "bias-decay.csv").read_bytes()
+    assert batches[:2] == [[rows, rows, 1]] * 2
+    assert csv[1] == csv[2]
 
 
 @pytest.mark.parametrize("name, overrides, cuts", [
@@ -836,7 +865,8 @@ def test_particles_at_zero_density_do_not_abort_the_replicate(model, code, tmp_p
 
 
 def test_one_density_evaluation_per_particle_step(monkeypatch, tmp_path):
-    # N evaluations per replicate at init, then N per particle-step: the proposals
+    # N evaluations per replicate at init, then N per particle-step: the
+    # proposals, every row of a task's one batch in one call
     evals = []
     build_family = config.build_family
 
@@ -857,8 +887,8 @@ def test_one_density_evaluation_per_particle_step(monkeypatch, tmp_path):
         cfg = parse_config(_shipped(name, tmp_path, workers=1, replicates=reps,
                                     grids={"n": ns, "N": [n_particles]}))
         assert dispatch(cfg) == EXIT_OK
-        assert set(evals) == {n_particles}
-        assert len(evals) == reps * sum(n + 1 for n in ns)
+        assert set(evals) == {n_particles, reps * n_particles}
+        assert sum(evals) == reps * n_particles * sum(n + 1 for n in ns)
 
 
 @pytest.mark.parametrize("failing", ["render_summary", "write_csv"])

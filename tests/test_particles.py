@@ -15,7 +15,7 @@ from finite_models import (
     two_state_fixture,
 )
 from test_rwm import box_increment
-from tempersmc import oracle, streams
+from tempersmc import oracle, particles, streams
 from tempersmc.fk_core import FKModel, KernelFamily, PotentialFamily
 from tempersmc.finite import table_model, tempered_chain_model
 from tempersmc.particles import (
@@ -61,8 +61,12 @@ def _init(model, n_particles, seed, replicate=0):
 
 
 def _step(ens, model, seed, replicate=0):
-    """``smc_step`` of ``ens`` by the stream keyed by (seed, replicate, ens.k + 1)."""
-    return smc_step(ens, model, streams.stream(seed, replicate, ens.k + 1))
+    """``smc_step`` of ``ens`` by the stream keyed by (seed, replicate, ens.k + 1).
+
+    A states batch of one row takes it as the generator of its row.
+    """
+    rng = streams.stream(seed, replicate, ens.k + 1)
+    return smc_step(ens, model, rng if ens.counts is not None else [rng])
 
 
 def _run_one(model, n_particles, seed, replicate=0, drift=None):
@@ -114,8 +118,9 @@ def test_init_bit_reproducible():
 
 
 def test_ensemble_needs_one_statistic_per_particle():
-    with pytest.raises(ValueError, match="one statistic per particle"):
-        Ensemble(states=np.arange(4), stats=np.arange(3), k=0)
+    for states in (np.arange(4), np.zeros((2, 4)), np.zeros((1, 4, 2))):
+        with pytest.raises(ValueError, match="one statistic per particle"):
+            Ensemble(states=states, stats=np.zeros((2, 3)), k=0)
     with pytest.raises(ValueError, match="one count per label"):
         Ensemble(states=np.arange(3), stats=np.arange(3), k=0, counts=np.array([1, 2]))
     for counts in (np.array([1, 2, 3]), np.ones((2, 2, 3), dtype=int)):
@@ -349,11 +354,12 @@ def _plain_search_step(ens, model, rng):
     """
     k = ens.k
     stats = np.asarray(model.potentials.statistic(ens.states))
-    lw = np.asarray(model.potentials.log_g(k, stats), dtype=float)
+    lw = np.asarray(model.potentials.log_g(k, stats), dtype=float)[0]
     cw = np.cumsum(np.exp(lw - lw.max()))
     u = rng.random(ens.n_particles)
     ancestors = np.minimum(np.searchsorted(cw, u * cw[-1], side="right"), ens.n_particles - 1)
-    return model.kernels.sample_batch(k + 1, ens.states[ancestors], stats[ancestors], rng)[0]
+    return model.kernels.sample_batch(k + 1, ens.states[:, ancestors], stats[:, ancestors],
+                                      [rng])[0]
 
 
 def _plain_search(cw, u):
@@ -375,16 +381,25 @@ _WEIGHT_SHAPES = {
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
-@given(st.integers(1, 3000), st.sampled_from(sorted(_WEIGHT_SHAPES)), st.integers(0, 2**32 - 1))
-def test_draw_ancestors_is_the_plain_search(n, shape, seed):
+@given(st.integers(1, 3000), st.lists(st.sampled_from(sorted(_WEIGHT_SHAPES)), min_size=1,
+                                      max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_draw_ancestors_is_the_plain_search(n, shapes, seed):
+    # a batch of rows, each with its own weight shape, and each row alone;
+    # row r's indices are offset by r * n into the flattened batch
     rng = np.random.default_rng(seed)
-    lw = _WEIGHT_SHAPES[shape](rng, n)
-    cw = np.cumsum(np.exp(lw - lw.max()))
+    lw = np.array([_WEIGHT_SHAPES[shape](rng, n) for shape in shapes])
+    cw = np.cumsum(np.exp(lw - lw.max(axis=1, keepdims=True)), axis=1)
     # uniforms on the two ends of [0, 1) and on cumulative weights themselves
-    on_weights = cw[rng.integers(n, size=min(n, 50))] / cw[-1]
-    u = np.concatenate([rng.random(n), [0.0, np.nextafter(1.0, 0.0)],
-                        on_weights[on_weights < 1.0]])
-    np.testing.assert_array_equal(draw_ancestors(cw, u), _plain_search(cw, u))
+    picks = rng.integers(n, size=(len(shapes), 50))
+    on_weights = np.minimum(np.take_along_axis(cw, picks, axis=1) / cw[:, -1:],
+                            np.nextafter(1.0, 0.0))
+    ends = np.tile([0.0, np.nextafter(1.0, 0.0)], (len(shapes), 1))
+    u = np.concatenate([rng.random((len(shapes), n)), ends, on_weights], axis=1)
+    want = np.array([_plain_search(c, v) for c, v in zip(cw, u)])
+    offsets = n * np.arange(len(shapes))[:, None]
+    np.testing.assert_array_equal(draw_ancestors(cw, u), want + offsets)
+    np.testing.assert_array_equal(draw_ancestors(cw[-1], u[-1]), want[-1])
 
 
 def test_draw_ancestors_with_one_dominant_particle_at_large_n():
@@ -421,9 +436,10 @@ class _Pinned:
     def __init__(self, u):
         self.u = u
 
-    def random(self, size):
-        assert size == len(self.u)
-        return np.array(self.u, dtype=float)
+    def random(self, size=None, out=None):
+        if out is None:
+            return np.array(self.u, dtype=float)
+        out[...] = self.u
 
 
 # the finite models run as label states, so their steps take the per-particle path
@@ -486,9 +502,9 @@ def test_uniform_on_a_cumulative_weight_draws_the_next_particle():
     n_particles = 8
     u = np.array([0.125, 0.25, 0.5, 0.0, np.nextafter(1.0, 0.0), 0.375, 0.875, 0.625])
     model = _identity_model(np.zeros((1, n_particles)))
-    ens = Ensemble(states=np.arange(n_particles), stats=np.arange(n_particles), k=0)
-    stepped, _ = smc_step(ens, model, _Pinned(u))
-    np.testing.assert_array_equal(stepped.states, [1, 2, 4, 0, 7, 3, 7, 5])
+    ens = Ensemble(states=np.arange(n_particles)[None], stats=np.arange(n_particles)[None], k=0)
+    stepped, _ = smc_step(ens, model, [_Pinned(u)])
+    np.testing.assert_array_equal(stepped.states, [[1, 2, 4, 0, 7, 3, 7, 5]])
     np.testing.assert_array_equal(stepped.states, _plain_search_step(ens, model, _Pinned(u)))
 
 
@@ -527,9 +543,10 @@ def test_single_surviving_particle_is_every_ancestor(survivor):
     table[0, survivor] = 0.0
     u = np.linspace(0.0, 1.0, n_particles, endpoint=False)
     u[-1] = np.nextafter(1.0, 0.0)
-    stepped, _ = smc_step(Ensemble(states=np.arange(n_particles), stats=np.arange(n_particles),
-                                   k=0), _identity_model(table), _Pinned(u))
-    np.testing.assert_array_equal(stepped.states, np.full(n_particles, survivor))
+    stepped, _ = smc_step(Ensemble(states=np.arange(n_particles)[None],
+                                   stats=np.arange(n_particles)[None], k=0),
+                          _identity_model(table), [_Pinned(u)])
+    np.testing.assert_array_equal(stepped.states, np.full((1, n_particles), survivor))
 
 
 def _empty_label_model(n=4):
@@ -628,11 +645,11 @@ def test_horizon_zero_returns_initial_ensemble():
     model = FKModel(horizon=0, kernels=kf, potentials=pf,
                     initial=lambda size, rng: np.arange(size) % m)
     pop, summaries = _run_one(model, 10, seed=3, drift=lambda s: np.ones(len(s)))
-    np.testing.assert_array_equal(pop.states, np.arange(10) % m)
+    np.testing.assert_array_equal(pop.states, [np.arange(10) % m])
     assert len(summaries) == 1 and math.isnan(summaries[0].ess)
     assert summaries[0].eta_v == 1.0
     # summaries are taken exactly when a drift function is given
-    assert _run_one(model, 10, seed=3)[1] is None
+    assert _run_one(model, 10, seed=3)[1] == []
 
 
 def _ess(lw):
@@ -688,7 +705,7 @@ def _reference_run(model, n_particles, seed, replicate, drift, rows=1):
     summaries = [[] for _ in range(rows)]
     for _ in range(model.horizon):
         for i, ens in enumerate(pops):
-            pops[i], lw = smc_step(ens, model, rng)
+            pops[i], lw = smc_step(ens, model, rng if model.is_finite else [rng])
             summaries[i].append(_reference_summary(model, ens, drift, lw))
     for ens, row in zip(pops, summaries):
         row.append(_reference_summary(model, ens, drift, None))
@@ -703,9 +720,11 @@ def _odd_draw_model(n):
     """Three states; each step's kernel draws 2N + 1 uint32s, so half a Philox word is left over."""
 
     def sample_batch(k, xs, stats, rng):
-        u = rng.integers(0, 2**32, size=2 * len(xs) + 1, dtype=np.uint32)
-        new = (xs + u[: len(xs)] % 3 + u[-1] % 2) % 3
-        return new, new
+        new = []
+        for x, g in zip(xs, rng):
+            u = g.integers(0, 2**32, size=2 * len(x) + 1, dtype=np.uint32)
+            new.append((x + u[: len(x)] % 3 + u[-1] % 2) % 3)
+        return np.array(new), np.array(new)
 
     return FKModel(
         horizon=n,
@@ -862,6 +881,147 @@ def test_a_block_builds_one_population_per_step(drift, monkeypatch):
     assert len(built) <= n + 1
 
 
+def _rwm_with_drift(d, n):
+    """RWM on a d-dimensional Gaussian from far off its mode, with the family's drift V."""
+    fam = TemperedFamily(gaussian_target(np.zeros(d), np.ones(d)), linear_schedule(0.7))
+    gammas = fam.schedule.ladder(n)
+    model = FKModel(
+        horizon=n,
+        kernels=rwm_kernel_family(fam, gammas, gaussian_increment(d, 0.8)),
+        potentials=build_potentials(fam, gammas),
+        initial=lambda size, rng: 2.0 + rng.standard_normal((size, d)),
+    )
+    return model, drift_function(fam.target.sup_log_unnorm, fam.schedule.gamma_floor, 0.5)
+
+
+def _marked_model(n, doomed):
+    """Rows whose particles share a marker, the first uniform of their stream.
+
+    A state is (marker, x); the statistic is the marker, and each step moves
+    x by Gaussian noise from the row's generator.  Every weight of a row
+    whose marker is in ``doomed`` vanishes at step 2.
+    """
+
+    def initial(size, rng):
+        marker = rng.random()
+        return np.column_stack([np.full(size, marker), rng.standard_normal(size)])
+
+    def log_g(k, s):
+        return np.where(np.isin(s, doomed) & (k == 2), -np.inf, -0.5 * s)
+
+    def sample_batch(k, xs, stats, rng):
+        new = xs.copy()
+        for row, g in zip(new, rng):
+            row[:, 1] += g.standard_normal(len(row))
+        return new, stats
+
+    return FKModel(horizon=n, kernels=KernelFamily(sample_batch=sample_batch),
+                   potentials=PotentialFamily(log_g=log_g, log_g_max=0.0,
+                                              statistic=lambda xs: xs[..., 0]),
+                   initial=initial)
+
+
+def _recorded_steps(monkeypatch):
+    """Patch ``smc_step`` to record the step log weights of every step it returns."""
+    seen, step = [], particles.smc_step
+
+    def recording(ens, model, rng):
+        nxt, lw = step(ens, model, rng)
+        seen.append(lw)
+        return nxt, lw
+
+    monkeypatch.setattr(particles, "smc_step", recording)
+    return seen
+
+
+def _assert_rows_are_lone_runs(model, n_particles, seed, ids, drift, monkeypatch):
+    """``ids`` in one ``run_sampler`` call give, row by row, the bits of each id run alone.
+
+    The batches are R = max(1, BLOCK_VALUES // (N * d)) consecutive ids.
+    Compared bit for bit: each row's terminal states and statistics, its
+    step log weights, its summaries and its estimate; a row whose weights
+    vanish leaves its batch at that step.  Returns the batched runs.
+    """
+    seen = _recorded_steps(monkeypatch)
+    runs = run_sampler(model, n_particles, seed, ids, drift=drift)
+    batched = list(seen)
+    lone = {}
+    for r in ids:
+        seen.clear()
+        ((pop, (summaries,)),) = run_sampler(model, n_particles, seed, [r], drift=drift)
+        lone[r] = (pop, summaries, [lw[0] for lw in seen])
+    size = init_ensemble(model, n_particles, streams.stream(seed, ids[0]), 1).states.size
+    rows = max(1, BLOCK_VALUES // size)
+    assert [len(summaries) for _, summaries in runs] == [
+        len(ids[i:i + rows]) for i in range(0, len(ids), rows)]
+    expected = []
+    for i, (pop, summaries) in zip(range(0, len(ids), rows), runs):
+        batch = ids[i:i + rows]
+        for k in range(model.horizon):
+            alive = [lone[r][2][k] for r in batch if len(lone[r][2]) > k]
+            if alive:
+                expected.append(np.array(alive))
+        survivors = [r for r in batch if lone[r][0] is not None]
+        assert [s is not None for s in summaries] == [lone[r][0] is not None for r in batch]
+        if pop is None:
+            assert not survivors
+            continue
+        assert len(pop.states) == len(survivors)
+        for j, r in enumerate(survivors):
+            lone_pop = lone[r][0]
+            np.testing.assert_array_equal(pop.states[j].view(np.uint64),
+                                          lone_pop.states[0].view(np.uint64))
+            np.testing.assert_array_equal(pop.stats[j].view(np.uint64),
+                                          lone_pop.stats[0].view(np.uint64))
+        for r, row in zip(batch, summaries):
+            if row is not None and drift is not None:
+                assert _bits(row) == _bits(lone[r][1])
+    assert len(batched) == len(expected)
+    for got, want in zip(batched, expected):
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    f = lambda x: np.asarray(x, dtype=float).reshape(len(x), -1)[:, -1]
+    alone = np.concatenate([estimate([(lone[r][0], [lone[r][1]])], f) for r in ids])
+    np.testing.assert_array_equal(estimate(runs, f).view(np.uint64), alone.view(np.uint64))
+    return runs
+
+
+@pytest.mark.parametrize("monitored", [False, True], ids=["plain", "monitored"])
+@pytest.mark.parametrize("d, n_particles, n_ids", [
+    (1, 37, 9), (3, 500, 7), (1, 1, 9), (3, 1, 4),
+    (1, BLOCK_VALUES + 5, 3), (3, BLOCK_VALUES // 3 + 1, 2)])
+def test_each_row_of_a_batch_has_the_bits_of_its_lone_run(d, n_particles, n_ids, monitored,
+                                                          monkeypatch):
+    # N * d below BLOCK_VALUES batches rows (500 * 3 takes 5: a batch of 5 and
+    # a partial one of 2), at or above it each row is a batch of its own
+    model, drift = _rwm_with_drift(d, 3)
+    ids = list(range(11, 11 + n_ids))
+    runs = _assert_rows_are_lone_runs(model, n_particles, 5, ids, drift if monitored else None,
+                                      monkeypatch)
+    rows = max(1, BLOCK_VALUES // (n_particles * d))
+    assert len(runs) == math.ceil(n_ids / rows)
+    assert (rows > 1) == (n_particles * d < BLOCK_VALUES)
+
+
+@pytest.mark.parametrize("monitored", [False, True], ids=["plain", "monitored"])
+def test_a_row_whose_weights_vanish_leaves_its_batch(monitored, monkeypatch):
+    # the middle row of five dies at step 2 of 4: it reads NaN and None, and
+    # the rows after it step on with the bits of their lone runs
+    seed, ids = 3, list(range(20, 25))
+    markers = [streams.stream(seed, r).random() for r in ids]
+    model = _marked_model(4, doomed=[markers[2]])
+    drift = (lambda s: 1.0 + s) if monitored else None
+    ((pop, summaries),) = _assert_rows_are_lone_runs(model, 6, seed, ids, drift, monkeypatch)
+    assert [s is None for s in summaries] == [False, False, True, False, False]
+    assert len(pop.states) == 4 and pop.k == 4
+    np.testing.assert_array_equal(pop.stats[:, 0], np.delete(markers, 2))
+    values = estimate([(pop, summaries)], lambda x: x[:, 1])
+    assert np.isnan(values).tolist() == [False, False, True, False, False]
+    # every row dies: no population, every replicate NaN
+    model = _marked_model(4, doomed=markers)
+    runs = run_sampler(model, 6, seed, ids, drift=drift)
+    assert runs == [(None, [None] * 5)]
+
+
 def _mixture_with_drift(n):
     """RWM on a two-bump mixture whose amplitudes sum past 1, so log_g_max > 0."""
     fam = TemperedFamily(gaussian_mixture_target([[-1.0], [2.0]], [[0.7], [1.2]], [0.8, 0.7]),
@@ -911,7 +1071,7 @@ def test_count_monitor_is_the_particle_monitor_of_the_repeated_labels(kind, n_pa
         particles = np.repeat(ens.states, ens.counts[0])
         lw = None if ens.k == model.horizon else model.potentials.log_g(ens.k, particles)
         expected.append(_reference_summary(
-            model, Ensemble(states=particles, stats=particles, k=ens.k), drift, lw))
+            model, Ensemble(states=particles[None], stats=particles[None], k=ens.k), drift, lw))
         if lw is None:
             break
         ens, _ = smc_step(ens, model, rng)
@@ -993,7 +1153,7 @@ def test_ess_formula():
     # the engine's monitor: tied weights, then weights 1 : 1 : 2 whatever the states
     table = np.stack([np.zeros(3), lw])
     model = FKModel(horizon=2, kernels=KernelFamily(sample_batch=lambda k, xs, s, rng: (xs, s)),
-                    potentials=PotentialFamily(log_g=lambda k, x: table[k], log_g_max=0.0,
+                    potentials=PotentialFamily(log_g=lambda k, x: table[k][None], log_g_max=0.0,
                                                statistic=lambda xs: xs),
                     initial=lambda size, rng: np.arange(size))
     _, summaries = _run_one(model, 3, seed=1, drift=lambda s: np.ones(len(s)))
@@ -1004,7 +1164,7 @@ def test_ess_formula():
 # ------------------------------------------------------------- estimators
 
 def test_estimate_basics():
-    run = (Ensemble(states=np.full(10, 3, dtype=int), stats=np.full(10, 3), k=0), [None])
+    run = (Ensemble(states=np.full((1, 10), 3, dtype=int), stats=np.full((1, 10), 3), k=0), [[]])
     assert estimate([run], lambda s: np.ones(len(s))).tolist() == [1.0]
     assert estimate([run], lambda s: np.asarray(s, dtype=float)).tolist() == [3.0]
     # a non-finite value anywhere, or no population, leaves a replicate without a
@@ -1023,10 +1183,10 @@ def test_estimate_basics():
 
     batch = Ensemble(states=np.arange(3), stats=np.arange(3), k=0,
                      counts=np.array([[1, 0, 3], [0, 4, 0], [2, 2, 0]]))
-    np.testing.assert_array_equal(estimate([(batch, [None] * 3), (None, [None] * 2), run], f),
+    np.testing.assert_array_equal(estimate([(batch, [[]] * 3), (None, [None] * 2), run], f),
                                   [1.5, 1.0, 0.5, np.nan, np.nan, 3.0])
     assert len(calls) == 2
-    assert np.isnan(estimate([(batch, [None] * 3)], lambda s: np.where(s == 2, np.nan, 1.0))[0])
+    assert np.isnan(estimate([(batch, [[]] * 3)], lambda s: np.where(s == 2, np.nan, 1.0))[0])
 
 
 def test_exchangeability_of_particle_indices():
@@ -1034,8 +1194,8 @@ def test_exchangeability_of_particle_indices():
     model = label_model(two_state_fixture(3))
     picks = {0: [], 3: []}
     for pop, _ in run_sampler(model, 8, 41, range(400)):
-        picks[0].append(int(pop.states[0]))
-        picks[3].append(int(pop.states[3]))
+        picks[0].extend(pop.states[:, 0].tolist())
+        picks[3].extend(pop.states[:, 3].tolist())
     table = np.stack([np.bincount(picks[0], minlength=2), np.bincount(picks[3], minlength=2)])
     _, pval, _, _ = scipy.stats.chi2_contingency(table)
     assert pval > 1e-3
@@ -1051,10 +1211,11 @@ def test_particle_drift_regression_and_boundedness():
     for n in (10, 30):
         model_n, _ = gaussian_model(n, init_mean=3.0)
         per_k = []
-        for _, (summaries,) in run_sampler(model_n, 400, 53, range(40), drift=drift):
-            etav = [s.eta_v for s in summaries]
-            per_k.append(etav)
-            pairs.extend(zip(etav[:-1], etav[1:]))
+        for _, rows in run_sampler(model_n, 400, 53, range(40), drift=drift):
+            for summaries in rows:
+                etav = [s.eta_v for s in summaries]
+                per_k.append(etav)
+                pairs.extend(zip(etav[:-1], etav[1:]))
         sup_by_n[n] = float(np.max(np.mean(np.asarray(per_k), axis=0)))
     x = np.array([p[0] for p in pairs])
     y = np.array([p[1] for p in pairs])
@@ -1071,6 +1232,7 @@ def test_normalizer_diagnostic_bounded_away_from_zero():
     model, fam = gaussian_model(20, init_mean=3.0)
     drift = drift_function(fam.target.sup_log_unnorm, fam.schedule.gamma_floor, 0.5)
     worst = math.inf
-    for _, (summaries,) in run_sampler(model, 500, 61, range(20), drift=drift):
-        worst = min(worst, min(s.eta_gtilde for s in summaries[:-1]))
+    for _, rows in run_sampler(model, 500, 61, range(20), drift=drift):
+        for summaries in rows:
+            worst = min(worst, min(s.eta_gtilde for s in summaries[:-1]))
     assert worst > 0.5

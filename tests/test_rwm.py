@@ -25,8 +25,11 @@ def std_family(floor=0.7):
 
 
 def step(fam, gamma, q, xs, rng):
-    """One Metropolis step from ``xs``, evaluating their log density first; the new states."""
-    return rwm_step_batch(fam, gamma, q, xs, fam.target.log_unnorm(xs), rng)[0]
+    """One Metropolis step from ``xs``, a batch of one row drawn by ``rng``; the new states.
+
+    Their log density is evaluated first.
+    """
+    return rwm_step_batch(fam, gamma, q, xs[None], fam.target.log_unnorm(xs)[None], [rng])[0][0]
 
 
 # ------------------------------------------------------------- increments
@@ -125,7 +128,7 @@ def test_step_returns_the_log_density_of_each_new_state(target, increment, spike
     q = _INCREMENTS_2D[increment]()
     xs = 1.5 * streams.stream(14, 0).standard_normal((2000, 2))
     ell = fam.target.log_unnorm(xs)
-    new, new_ell = rwm_step_batch(fam, 0.85, q, xs, ell, streams.stream(14, 1))
+    (new,), (new_ell,) = rwm_step_batch(fam, 0.85, q, xs[None], ell[None], [streams.stream(14, 1)])
     np.testing.assert_array_equal(new_ell.view(np.uint64),
                                   fam.target.log_unnorm(new).view(np.uint64))
     stayed = np.all(new == xs, axis=1)
@@ -188,8 +191,8 @@ def test_one_step_invariance_two_sample():
     for k in (2, n_kernel):
         gamma = gammas[k]
         start = fam.target.tempered_sampler(gamma, 10_000, streams.stream(9, k, 0))
-        stepped, _ = kf.sample_batch(k, start, fam.target.log_unnorm(start),
-                                     streams.stream(9, k, 1))
+        (stepped,), _ = kf.sample_batch(k, start[None], fam.target.log_unnorm(start)[None],
+                                        [streams.stream(9, k, 1)])
         fresh = fam.target.tempered_sampler(gamma, 10_000, streams.stream(9, k, 2))
         stat = scipy.stats.ks_2samp(stepped[:, 0], fresh[:, 0])
         assert stat.pvalue > 1e-3
@@ -224,9 +227,9 @@ def test_kernel_family_targets_terminal_temperature():
     x = np.linspace(-1, 1, 32)[:, None]
     for k in (1, 3, n_kernel):
         ell = fam.target.log_unnorm(x)
-        direct = rwm_step_batch(fam, gammas[k], gaussian_increment(1, 1.0), x,
-                                ell, streams.stream(12, k))
-        via_family = kf.sample_batch(k, x, ell, streams.stream(12, k))
+        direct = rwm_step_batch(fam, gammas[k], gaussian_increment(1, 1.0), x[None],
+                                ell[None], [streams.stream(12, k)])
+        via_family = kf.sample_batch(k, x[None], ell[None], [streams.stream(12, k)])
         np.testing.assert_array_equal(direct[0], via_family[0])
         np.testing.assert_array_equal(direct[1], via_family[1])
     assert gammas[n_kernel] == 1.0

@@ -97,9 +97,9 @@ def test_one_temperature_ladder_per_horizon():
         np.testing.assert_array_equal(chain.finite.log_g[k], (gammas[k + 1] - gammas[k]) * logw)
         np.testing.assert_array_equal(chain.finite.kernels[k],
                                       metropolis_matrix(logw, gammas[k + 1], 0.5))
-        direct = rwm_step_batch(fam, gammas[k + 1], q, x, fam.target.log_unnorm(x),
-                                streams.stream(4, k))
-        via_family = kf.sample_batch(k + 1, x, fam.target.log_unnorm(x), streams.stream(4, k))
+        ell = fam.target.log_unnorm(x)[None]
+        direct = rwm_step_batch(fam, gammas[k + 1], q, x[None], ell, [streams.stream(4, k)])
+        via_family = kf.sample_batch(k + 1, x[None], ell, [streams.stream(4, k)])
         np.testing.assert_array_equal(direct[0], via_family[0])
 
 
@@ -247,3 +247,35 @@ def test_mixture_target_is_minus_inf_far_from_every_component():
     grid = np.linspace(-40.0, 40.0, 8001)[:, None]
     np.testing.assert_array_equal(target.log_unnorm(grid).view(np.uint64),
                                   _mixture_lse(means, sigmas, weights, grid).view(np.uint64))
+
+
+def _mixture_along_last_axis(means, sigmas, weights, x):
+    """The mixture log density with the components on the last axis, guard included."""
+    z = (x[..., None, :] - means) / sigmas
+    comp = -0.5 * np.sum(z * z, axis=-1) + np.log(weights)
+    m = comp.max(axis=-1)
+    shift = np.where(m > -np.inf, m, 0.0)
+    with np.errstate(divide="ignore"):
+        return m + np.log(np.sum(np.exp(comp - shift[..., None]), axis=-1))
+
+
+@pytest.mark.parametrize("n_comp", range(1, 8))
+@pytest.mark.parametrize("d", [1, 3])
+def test_mixture_target_has_the_bits_of_the_last_axis_formula(n_comp, d):
+    # below 8 terms numpy sums a short last axis in order, as the target sums
+    # its components one at a time; the far-out states read -inf
+    rng = np.random.default_rng(100 * n_comp + d)
+    means = rng.normal(0.0, 3.0, (n_comp, d))
+    sigmas = rng.uniform(0.2, 2.0, (n_comp, d))
+    weights = rng.uniform(0.1, 3.0, n_comp)
+    target = gaussian_mixture_target(means, sigmas, weights)
+    x = rng.normal(0.0, 4.0, (3, 200, d))
+    x[1, ::7] = 1e160
+    with np.errstate(over="ignore"):
+        for batch in (x, x[0], x[1, 0], x[1, 7]):
+            got = target.log_unnorm(batch)
+            want = _mixture_along_last_axis(means, sigmas, weights, batch)
+            assert np.shape(got) == np.shape(want) == batch.shape[:-1]
+            np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
+                                          np.asarray(want).view(np.uint64))
+        assert np.isneginf(target.log_unnorm(x[1, ::7])).all()
