@@ -13,7 +13,7 @@ from .fk_core import (
     KernelFamily,
     PotentialFamily,
 )
-from .particles import Ensemble, TotalDegeneracyError, run_sampler
+from .particles import Ensemble, run_sampler
 from .streams import stream
 from .tempering import TemperedFamily, TemperingSchedule, LogTarget
 
@@ -26,7 +26,6 @@ __all__ = [
     "KernelFamily",
     "PotentialFamily",
     "Ensemble",
-    "TotalDegeneracyError",
     "run_sampler",
     "stream",
     "TemperedFamily",

@@ -86,28 +86,38 @@ of the sequence.  What follows a stopping time in an i.i.d. sequence is
 again i.i.d. and independent of everything read before it, so each row of
 each step draws, given the past, from fresh uniforms, as from a stream of
 its own: the rows of a block are independent given their probability
-vectors.
+vectors.  A vanished row (below) draws on from the block's stream by its
+flat weights; its draw is a multinomial like any other, so the count of
+words it reads is again a stopping time and the rows after it keep their
+law.
 
 ``run_sampler`` steps each batch to the horizon and returns its terminal
-population whole, and ``estimate`` reads a batch's rows directly.  A row
-of a states batch whose weights all vanish leaves its batch at that step,
-before anything is drawn, and the other rows step on unchanged; a finite
-model's rows cannot (a count step needs every log weight finite, and
-raises for its whole batch).  Given a drift function V, a run also
-summarizes each step of each row: ESS, the log-weight range, eta(V) and
-eta(G~).  One reduction serves both forms: a row of a states batch holds
-one value per particle, and a count batch weighs each label of a row by
-its count.  It holds the populations and step log weights of the last
-``max(1, BLOCK_VALUES // size)`` steps, where size is the number of values
-a population holds (R rows of N particles, or of m counts), and
-summarizes them at once: one stack per array, V called on the
-concatenated statistics, and each reduction taken along the rows.  A row
-reduction runs the same inner loop over the same contiguous values as the
-reduction of that step's own array, V acts value by value, and the ESS
-squares its sum by the scalar ``** 2`` of one step at a time, so every
-summary has the bits it would have step by step.  The budget keeps each
-summary's temporaries (64 KiB per array) below the size at which the
-allocator maps fresh pages.
+population whole, and ``estimate`` reads a batch's rows directly.  Every
+row stays in its batch to the horizon, on both paths.  At each step a row
+whose largest log weight is not finite (a states replicate, or a count
+row over the labels it occupies) has vanished: it draws that step by flat
+weights, log weight 0 at every particle, and is marked in the ensemble's
+``vanished`` mask.  A vanished row reads as degenerate: its summaries are
+None and its estimate NaN, the paper's bounds concerning replicates whose
+weights never all vanish.  The flat weights replace that row's values
+alone, and a states row draws only from its own generator, so every other
+row keeps its bits.  No shipped model reaches a vanished count row, since
+``finite.table_model`` takes only a finite table.
+
+Given a drift function V, a run also summarizes each step of each row:
+ESS, the log-weight range, eta(V) and eta(G~).  One reduction serves both
+forms: a row of a states batch holds one value per particle, and a count
+batch weighs each label of a row by its count.  It holds the populations
+and step log weights of the last ``max(1, BLOCK_VALUES // size)`` steps,
+where size is the number of values a population holds (R rows of N
+particles, or of m counts), and summarizes them at once: one stack per
+array, V called on the concatenated statistics, and each reduction taken
+along the rows.  A row reduction runs the same inner loop over the same
+contiguous values as the reduction of that step's own array, V acts value
+by value, and the ESS squares its sum by the scalar ``** 2`` of one step
+at a time, so every summary has the bits it would have step by step.  The
+budget keeps each summary's temporaries (64 KiB per array) below the size
+at which the allocator maps fresh pages.
 """
 
 import itertools
@@ -122,25 +132,12 @@ from . import streams
 __all__ = [
     "Ensemble",
     "StepSummary",
-    "TotalDegeneracyError",
     "init_ensemble",
     "draw_ancestors",
     "smc_step",
     "run_sampler",
     "estimate",
 ]
-
-
-class TotalDegeneracyError(RuntimeError):
-    """Every weight of a row vanished, or a count step met a non-finite log weight.
-
-    ``rows`` marks the rows of the batch that abort: on a states batch each
-    row whose weights all vanished, on a count batch every row.
-    """
-
-    def __init__(self, message, rows):
-        super().__init__(message)
-        self.rows = rows
 
 
 @dataclass
@@ -153,13 +150,16 @@ class Ensemble:
     theirs, and ``counts`` is an (R, m) batch whose row r is a replicate's
     count vector, ``counts[r, i]`` particles at ``states[i]``.
     ``n_particles`` is N, read off at construction; every row holds N
-    particles.
+    particles.  ``vanished`` is None while no row's weights have vanished,
+    and otherwise the (R,) mask of the rows whose weights vanished at some
+    step before k.
     """
 
     states: np.ndarray
     stats: np.ndarray
     k: int
     counts: Optional[np.ndarray] = None
+    vanished: Optional[np.ndarray] = None
     n_particles: int = field(init=False)
 
     def __post_init__(self):
@@ -266,21 +266,31 @@ def draw_ancestors(cw, u):
     return np.minimum(ancestors, last, out=ancestors).reshape(np.shape(u))
 
 
-def _count_step(ens, model, lw, rng):
-    """The next count batch of ``ens``: one draw of the finite kernel for all its rows.
+def _flat_where_vanished(ens, lw, top):
+    """The log weights ``lw`` and row maxima ``top`` a step weighs by, and the vanished rows.
 
-    Raises ``TotalDegeneracyError`` for the whole batch, before anything is
-    drawn, unless every label's log weight is finite.
+    A row whose max ``top`` is not finite has vanished: it takes log weight
+    0 everywhere, flat weights, and joins the mask of ``ens.vanished``.
+    The other rows keep their values.
     """
-    if not np.isfinite(lw).all():
-        raise TotalDegeneracyError(f"a log weight is not finite at step {ens.k}",
-                                   np.ones(len(ens.counts), dtype=bool))
+    ok = np.isfinite(top)
+    if ok.all():
+        return lw, top, ens.vanished
+    bad = ~ok[:, 0]
+    return (np.where(ok, lw, 0.0), np.where(ok, top, 0.0),
+            bad if ens.vanished is None else ens.vanished | bad)
+
+
+def _count_step(ens, model, lw, rng):
+    """The next count batch of ``ens``: one draw of the finite kernel for all its rows."""
     occupied = ens.counts > 0
     # each row's max, down a contiguous transpose: numpy reduces a short last axis row by row
     top = np.ascontiguousarray(np.where(occupied, lw, -np.inf).T).max(axis=0)[:, None]
-    w = np.exp(lw - top, out=np.zeros(ens.counts.shape), where=occupied) * ens.counts
+    used, top, vanished = _flat_where_vanished(ens, lw, top)
+    w = np.exp(used - top, out=np.zeros(ens.counts.shape), where=occupied) * ens.counts
     counts = model.kernels.sample_batch(ens.k + 1, w, ens.n_particles, rng)
-    return Ensemble(states=ens.states, stats=ens.stats, k=ens.k + 1, counts=np.asarray(counts))
+    return Ensemble(states=ens.states, stats=ens.stats, k=ens.k + 1, counts=np.asarray(counts),
+                    vanished=vanished)
 
 
 def smc_step(ens, model, rng):
@@ -289,8 +299,9 @@ def smc_step(ens, model, rng):
     ``rng`` is the batch's randomness: one generator for a count batch,
     and for a states batch a sequence of generators, row r drawing from
     ``rng[r]``.  Returns the next ensemble and the step-k log weights of
-    ``ens.stats``.  Raises ``TotalDegeneracyError``, before anything is
-    drawn, if the weights of a states row all vanish, marking those rows.
+    ``ens.stats``.  A row whose largest log weight is not finite (over the
+    labels it holds, on a count batch) has vanished: it draws by flat
+    weights and is marked in the next ensemble's ``vanished``.
     """
     k = ens.k
     if k >= model.horizon:
@@ -298,11 +309,8 @@ def smc_step(ens, model, rng):
     lw = np.asarray(model.potentials.log_g(k, ens.stats), dtype=float)
     if ens.counts is not None:
         return _count_step(ens, model, lw, rng), lw
-    top = lw.max(axis=1, keepdims=True)
-    if not np.isfinite(top).all():
-        raise TotalDegeneracyError(f"all particle weights vanished at step {k}",
-                                   ~np.isfinite(top[:, 0]))
-    cw = np.cumsum(np.exp(lw - top), axis=1)
+    used, top, vanished = _flat_where_vanished(ens, lw, lw.max(axis=1, keepdims=True))
+    cw = np.cumsum(np.exp(used - top), axis=1)
     u = np.empty(cw.shape)
     for g, row in zip(rng, u):
         g.random(out=row)
@@ -310,7 +318,8 @@ def smc_step(ens, model, rng):
     xs = np.take(ens.states.reshape(-1, *ens.states.shape[2:]), ancestors, axis=0)
     states, stats = model.kernels.sample_batch(k + 1, xs.reshape(ens.states.shape),
                                                ens.stats.take(ancestors).reshape(lw.shape), rng)
-    return Ensemble(states=np.asarray(states), stats=np.asarray(stats), k=k + 1), lw
+    return Ensemble(states=np.asarray(states), stats=np.asarray(stats), k=k + 1,
+                    vanished=vanished), lw
 
 
 # the monitor holds at most this many values of each array before it summarizes
@@ -386,36 +395,20 @@ def _run(model, ens, rng, drift):
     """Step the batch ``ens`` to the horizon by ``rng``: its terminal population and row summaries.
 
     Each row's entry is its list of step summaries, empty without a drift
-    V, or None once its weights vanish.  A row whose weights vanish leaves
-    the batch before the step draws anything, and the rest step on; the
-    terminal population holds the rows that reach the horizon, in order,
-    or is None if none does.
+    V, or None if its weights vanished at some step.
     """
     summaries = [[] for _ in range(len(ens.stats if ens.counts is None else ens.counts))]
-    live = list(range(len(summaries)))  # the entry of summaries that each row of ens fills
     block = max(1, BLOCK_VALUES // (ens.stats.size if ens.counts is None else ens.counts.size))
     pops, lws = [], []
 
     def summarize():
-        for i, steps in zip(live, _summaries(model, drift, pops, lws)):
-            summaries[i].extend(steps)
+        for row, steps in zip(summaries, _summaries(model, drift, pops, lws)):
+            row.extend(steps)
         pops.clear()
         lws.clear()
 
     while ens.k < model.horizon:
-        try:
-            nxt, lw = smc_step(ens, model, rng)
-        except TotalDegeneracyError as exc:
-            if exc.rows.all():
-                return None, [None] * len(summaries)
-            if pops:
-                summarize()
-            for i in itertools.compress(live, exc.rows):
-                summaries[i] = None
-            keep = ~exc.rows
-            live, rng = list(itertools.compress(live, keep)), list(itertools.compress(rng, keep))
-            ens = Ensemble(states=ens.states[keep], stats=ens.stats[keep], k=ens.k)
-            continue
+        nxt, lw = smc_step(ens, model, rng)
         if drift is not None:
             pops.append(ens)
             lws.append(lw)
@@ -425,6 +418,8 @@ def _run(model, ens, rng, drift):
     if drift is not None:
         pops.append(ens)
         summarize()
+    if ens.vanished is not None:
+        summaries = [None if gone else row for row, gone in zip(summaries, ens.vanished)]
     return ens, summaries
 
 
@@ -447,10 +442,10 @@ def run_sampler(model, n_particles, seed, replicates, drift=None):
     Elsewhere a batch is R = max(1, BLOCK_VALUES // (N * d)) consecutive
     ids, d the number of values in a state (the last batch may hold fewer),
     row r drawn from the stream keyed by (seed, r).  Returns one
-    (population, summaries) pair per batch: its terminal population, the
-    rows whose weights never vanished, or None if there are none; and a
-    list with one entry per replicate of the batch, that replicate's step
-    summaries (empty without a drift V), or None once its weights vanish.
+    (population, summaries) pair per batch: its terminal population, every
+    row of the batch, and a list with one entry per replicate of the
+    batch, that replicate's step summaries (empty without a drift V), or
+    None if its weights vanished.
     """
     out = []
     if model.is_finite:
@@ -477,20 +472,19 @@ def estimate(runs, f):
     A states batch evaluates f once, on the states of all its rows, and
     averages each row's values, NaN unless they are all finite.  A count
     batch evaluates f once, on its labels, and each row weighs it by its
-    counts.  A replicate whose weights vanished reads NaN.
+    counts.  A replicate whose weights vanished, its summaries None, reads NaN.
     """
     out = []
     for pop, summaries in runs:
         vals = np.full(len(summaries), math.nan)
-        if pop is not None:
-            alive = [s is not None for s in summaries]
-            if pop.counts is not None:
-                sums = (pop.counts * np.asarray(f(pop.states), dtype=float)).sum(axis=1)
-                vals[alive] = sums / pop.n_particles
-            else:
-                x = np.asarray(f(pop.states.reshape(-1, *pop.states.shape[2:])), dtype=float)
-                x = x.reshape(pop.stats.shape)
-                finite = np.isfinite(x).all(axis=1)
-                vals[np.flatnonzero(alive)[finite]] = x[finite].mean(axis=1)
+        alive = np.array([s is not None for s in summaries])
+        if pop.counts is not None:
+            sums = (pop.counts * np.asarray(f(pop.states), dtype=float)).sum(axis=1)
+            vals[alive] = sums[alive] / pop.n_particles
+        else:
+            x = np.asarray(f(pop.states.reshape(-1, *pop.states.shape[2:])), dtype=float)
+            x = x.reshape(pop.stats.shape)
+            used = alive & np.isfinite(x).all(axis=1)
+            vals[used] = x[used].mean(axis=1)
         out.append(vals)
     return np.concatenate(out)

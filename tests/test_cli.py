@@ -119,15 +119,23 @@ def test_finite_bias_decay_with_particles_keeps_its_digest(tmp_path):
         "ec46648022dc0723bbef54dc83a4646693857277034cbb16794d19c32a1cef7f")
 
 
-@pytest.mark.parametrize("init, used", [
-    ({"name": "gaussian", "sigma": [1e154]}, ["17", "16"]),
-    ({"name": "gaussian", "mean": [1e200]}, ["0", "0"]),
+# SHA-256 pairs (as GOLDEN) of the degenerate runs below.  No shipped config
+# reaches a vanished row, so `tools/same_outputs.py` cannot see these paths;
+# a change to how a vanished row is stepped must keep them
+@pytest.mark.parametrize("init, used, digests", [
+    ({"name": "gaussian", "sigma": [1e154]}, ["17", "16"],
+     ("82da247703caac899675b5619685d715e689608588e0f6d98b61e62e1a689b33",
+      "59b82dceb894d5ce5fa1dca68501fc9c2ec8116b293d2ed52152f6420c68de3a")),
+    ({"name": "gaussian", "mean": [1e200]}, ["0", "0"],
+     ("efdc53c4526cf131df9c7cc9b392e46415dbc05ae49897f4714c2d9f89877261",
+      "c20cc0ee2411a03334faba9f352087bed32b30d6a47d00bfb910228e2b4cab93")),
 ], ids=["some", "all"])
-def test_bias_decay_counts_degenerate_replicates(init, used, tmp_path):
+def test_bias_decay_counts_degenerate_replicates(init, used, digests, tmp_path):
     # with one particle, a replicate whose initial log density overflows to -inf degenerates
     cfg = parse_config(_shipped("bias_gaussian", tmp_path, workers=1, replicates=20,
                                 grids={"n": [3, 6], "N": [1]}, init=init))
     assert dispatch(cfg) == EXIT_INCONCLUSIVE
+    assert _digests(tmp_path, cfg.experiment) == digests
     header, *lines = (tmp_path / "bias-decay.csv").read_text().splitlines()
     rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
     assert [row["replicates_used"] for row in rows] == used
@@ -838,6 +846,27 @@ def test_run_with_every_replicate_degenerate_is_inconclusive(tmp_path):
     summary = doc["summary"]
     assert summary["floor_ok"] is False and summary["min_eta_gtilde"] == "inf"
     assert summary["degenerate_replicates"] == 4
+    assert _digests(tmp_path, cfg.experiment) == (
+        "11750468644d166e10f6d75b4cfad7a4ee78a99676caa020094cb9942f12fe14",
+        "71c69ce0bf14676b732e1fd988ba60647f02048cbd7f279e84c52a3d3f74c49c")
+
+
+def test_run_with_some_replicates_degenerate_keeps_its_digest(tmp_path):
+    # with one particle, a replicate whose initial log density overflows to
+    # -inf degenerates, and the others are monitored to the horizon beside it
+    # in their batch; the smallest eta(G~) of the rest is below the floor
+    cfg = parse_config(_shipped("drift_monitor", tmp_path, workers=1, replicates=20,
+                                grids={"n": [3, 6], "N": [1]},
+                                init={"name": "gaussian", "sigma": [1e154]}))
+    assert dispatch(cfg) == EXIT_PRECONDITION
+    summary = json.loads((tmp_path / "run.json").read_text())["summary"]
+    assert summary["degenerate_replicates"] == 6
+    rows = [line.split(",") for line in (tmp_path / "run.csv").read_text().splitlines()[1:]]
+    runs = {(r[0], int(r[1])) for r in rows}
+    assert len(runs) == 40 - 6 and len(rows) == sum(n + 1 for _, n in runs)
+    assert _digests(tmp_path, cfg.experiment) == (
+        "a0e97793120c2425b0afeeb962adc81c43daf71fca4d8bedc96b9a80af6dcaaa",
+        "2343761a0eccf3a4862a7c69b6550f82c64a78295c81b364fdcf08d58912eebf")
 
 
 @pytest.mark.parametrize("model, code", [

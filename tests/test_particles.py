@@ -23,7 +23,6 @@ from tempersmc.particles import (
     BLOCK_VALUES,
     Ensemble,
     StepSummary,
-    TotalDegeneracyError,
     draw_ancestors,
     estimate,
     init_ensemble,
@@ -335,16 +334,27 @@ def test_step_returns_the_log_weights_it_resampled_by():
     assert stepped.k == 1 and stepped.n_particles == 50
 
 
-def test_total_degeneracy_raises():
-    n, m = 2, 2
-    pf = PotentialFamily(log_g=lambda k, x: np.full(np.asarray(x).shape, -np.inf),
-                         log_g_max=0.0, statistic=lambda xs: xs)
+def test_total_degeneracy_steps_on_by_flat_weights():
+    # a row whose weights all vanish is marked, draws its ancestors as flat
+    # weights would, steps on to the horizon and reads as degenerate
+    n = 2
+    flat = PotentialFamily(log_g=lambda k, x: np.zeros(np.shape(x)), log_g_max=0.0,
+                           statistic=lambda xs: xs)
     kf = KernelFamily(sample_batch=lambda k, xs, stats, rng: (xs, stats))
-    model = FKModel(horizon=n, kernels=kf, potentials=pf,
-                    initial=lambda size, rng: np.zeros(size, dtype=int))
+    model = FKModel(horizon=n, kernels=kf, potentials=flat,
+                    initial=lambda size, rng: np.arange(size))
+    vanished = replace(model, potentials=replace(
+        flat, log_g=lambda k, x: np.full(np.shape(x), -np.inf)))
     ens = _init(model, 16, seed=1)
-    with pytest.raises(TotalDegeneracyError):
-        _step(ens, model, seed=1)
+    stepped, lw = _step(ens, vanished, seed=1)
+    assert stepped.vanished.tolist() == [True] and np.isneginf(lw).all()
+    plain, _ = _step(ens, model, seed=1)
+    assert plain.vanished is None
+    np.testing.assert_array_equal(stepped.states, plain.states)
+    for drift in (None, lambda s: np.ones(len(s))):
+        pop, summaries = _run_one(vanished, 16, seed=1, drift=drift)
+        assert pop.k == n and pop.vanished.tolist() == [True] and summaries is None
+        assert np.isnan(estimate([(pop, [summaries])], lambda s: np.ones(len(s)))).all()
 
 
 def _plain_search_step(ens, model, rng):
@@ -570,13 +580,22 @@ def test_empty_label_sets_neither_the_max_nor_the_range():
                                               (-801.0, -801.0)]
         assert 1.0 <= s.ess <= 50.0
     assert all(1.0 <= s.eta_v <= 2.0 for s in summaries)
-    # the occupied labels alone weigh: a population on them whose weights all
-    # vanish degenerates, whatever the weight of the empty label
+    # the occupied labels alone weigh: a non-finite weight at the empty label
+    # leaves the run's bits as they are, and a row whose weights at the labels
+    # it holds all vanish is marked vanished, whatever the weight of the empty
+    # label, and steps on to the horizon
+    for bad in (-np.inf, np.inf, np.nan):
+        patched = replace(model, potentials=replace(
+            model.potentials, log_g=lambda k, x, bad=bad: np.array([0.0, -1.0, bad])[x]))
+        got, got_summaries = _run_one(patched, 50, seed=13, drift=drift)
+        _assert_same_population(got, pop)
+        assert got.vanished is None and _bits(got_summaries) == _bits(summaries)
     vanished = replace(model, potentials=replace(
         model.potentials, log_g=lambda k, x: np.array([-np.inf, -np.inf, 0.0])[x]))
-    ens = _init(vanished, 10, seed=13)
-    with pytest.raises(TotalDegeneracyError):
-        _step(ens, vanished, seed=13)
+    stepped, _ = _step(_init(vanished, 10, seed=13), vanished, seed=13)
+    assert stepped.vanished.tolist() == [True]
+    pop, summaries = _run_one(vanished, 10, seed=13, drift=drift)
+    assert summaries is None and pop.k == 4 and pop.n_particles == 10
 
 
 def test_count_path_at_one_particle_and_one_step():
@@ -845,24 +864,38 @@ def test_replicate_arithmetic_ignores_its_batch(case, monkeypatch):
         assert run([(r + shift) % 7 for r in range(7)]) == alone
 
 
-def test_a_count_step_with_a_non_finite_log_weight_raises_for_its_batch():
-    # a finite model's log weights are finite; were one not, the whole batch
-    # would raise before drawing, even a row with no particle at that label,
-    # and the block would end without a population, every replicate degenerate
+def test_a_count_row_vanishes_by_the_labels_it_holds():
+    # a finite model's log weights are finite; were one not, it would vanish a
+    # row only at a label the row holds: -inf at every label it holds, or +inf
+    # or NaN at one.  A vanished row weighs each label by its count (flat
+    # weights), the others keep theirs, and the block still returns a
+    # population of every row, its vanished rows degenerate
     model = two_state_model(n=6)
-    for bad in (-np.inf, np.inf, np.nan):
-        patched = replace(model, potentials=replace(
-            model.potentials, log_g=lambda k, x, bad=bad: np.array([0.0, bad])[x]))
-        ens = Ensemble(states=np.arange(2), stats=np.arange(2), k=0,
-                       counts=np.array([[3, 0], [1, 2]]))
-        rng = streams.stream(5, 0)
-        with pytest.raises(TotalDegeneracyError, match="not finite at step 0"):
-            smc_step(ens, patched, rng)
-        assert rng.random() == streams.stream(5, 0).random()
+    counts = np.array([[3, 0], [1, 2], [0, 3]])
+    for bad, gone in [(-np.inf, [False, False, True]), (np.inf, [False, True, True]),
+                      (np.nan, [False, True, True])]:
+        weights = []
+
+        def sample_batch(k, w, size, rng):
+            weights.append(w)
+            return model.kernels.sample_batch(k, w, size, rng)
+
+        patched = replace(model, kernels=KernelFamily(sample_batch=sample_batch),
+                          potentials=replace(model.potentials,
+                                             log_g=lambda k, x, bad=bad: np.array([0.0, bad])[x]))
+        ens = Ensemble(states=np.arange(2), stats=np.arange(2), k=0, counts=counts)
+        stepped, _ = smc_step(ens, patched, streams.stream(5, 0))
+        assert stepped.vanished.tolist() == gone and stepped.counts.sum(axis=1).tolist() == [3] * 3
+        np.testing.assert_array_equal(
+            weights[0], np.where(np.array(gone)[:, None], counts, counts * [1.0, 0.0]))
         for drift in (None, lambda s: 1.0 + s):
-            runs = run_sampler(patched, 3, 5, range(4), drift=drift)
-            assert runs == [(None, [None] * 4)]
-            assert np.isnan(estimate(runs, lambda s: np.ones(len(s)))).tolist() == [True] * 4
+            runs = run_sampler(patched, 3, 5, range(40), drift=drift)
+            ((pop, summaries),) = runs
+            assert pop.k == 6 and pop.counts.shape == (40, 2)
+            assert 0 < pop.vanished.sum() < 40
+            assert [s is None for s in summaries] == pop.vanished.tolist()
+            values = estimate(runs, lambda s: np.ones(len(s)))
+            assert np.isnan(values).tolist() == pop.vanished.tolist()
 
 
 @pytest.mark.parametrize("drift", [None, lambda s: 1.0 + s], ids=["plain", "monitored"])
@@ -898,8 +931,8 @@ def _marked_model(n, doomed):
     """Rows whose particles share a marker, the first uniform of their stream.
 
     A state is (marker, x); the statistic is the marker, and each step moves
-    x by Gaussian noise from the row's generator.  Every weight of a row
-    whose marker is in ``doomed`` vanishes at step 2.
+    x by Gaussian noise from the row's generator.  ``doomed`` maps markers
+    to steps: every weight of a row with a marker in it vanishes at its step.
     """
 
     def initial(size, rng):
@@ -907,7 +940,8 @@ def _marked_model(n, doomed):
         return np.column_stack([np.full(size, marker), rng.standard_normal(size)])
 
     def log_g(k, s):
-        return np.where(np.isin(s, doomed) & (k == 2), -np.inf, -0.5 * s)
+        dying = [marker for marker, at in doomed.items() if at == k]
+        return np.where(np.isin(s, dying), -np.inf, -0.5 * s)
 
     def sample_batch(k, xs, stats, rng):
         new = xs.copy()
@@ -937,10 +971,12 @@ def _recorded_steps(monkeypatch):
 def _assert_rows_are_lone_runs(model, n_particles, seed, ids, drift, monkeypatch):
     """``ids`` in one ``run_sampler`` call give, row by row, the bits of each id run alone.
 
-    The batches are R = max(1, BLOCK_VALUES // (N * d)) consecutive ids.
-    Compared bit for bit: each row's terminal states and statistics, its
-    step log weights, its summaries and its estimate; a row whose weights
-    vanish leaves its batch at that step.  Returns the batched runs.
+    The batches are R = max(1, BLOCK_VALUES // (N * d)) consecutive ids,
+    and every row of a batch steps to the horizon in it.  A row whose
+    weights vanish reads as degenerate in its batch as in its lone run.
+    Compared bit for bit for every other row: its terminal states and
+    statistics, its step log weights, its summaries and its estimate.
+    Returns the batched runs.
     """
     seen = _recorded_steps(monkeypatch)
     runs = run_sampler(model, n_particles, seed, ids, drift=drift)
@@ -954,31 +990,25 @@ def _assert_rows_are_lone_runs(model, n_particles, seed, ids, drift, monkeypatch
     rows = max(1, BLOCK_VALUES // size)
     assert [len(summaries) for _, summaries in runs] == [
         len(ids[i:i + rows]) for i in range(0, len(ids), rows)]
-    expected = []
+    assert len(batched) == len(runs) * model.horizon
+    steps = iter(batched)
     for i, (pop, summaries) in zip(range(0, len(ids), rows), runs):
         batch = ids[i:i + rows]
+        assert len(pop.states) == len(batch) and pop.k == model.horizon
+        assert [s is None for s in summaries] == [lone[r][1] is None for r in batch]
+        survivors = [(j, r) for j, r in enumerate(batch) if lone[r][1] is not None]
         for k in range(model.horizon):
-            alive = [lone[r][2][k] for r in batch if len(lone[r][2]) > k]
-            if alive:
-                expected.append(np.array(alive))
-        survivors = [r for r in batch if lone[r][0] is not None]
-        assert [s is not None for s in summaries] == [lone[r][0] is not None for r in batch]
-        if pop is None:
-            assert not survivors
-            continue
-        assert len(pop.states) == len(survivors)
-        for j, r in enumerate(survivors):
+            lw = next(steps)
+            for j, r in survivors:
+                np.testing.assert_array_equal(lw[j].view(np.uint64),
+                                              lone[r][2][k].view(np.uint64))
+        for j, r in survivors:
             lone_pop = lone[r][0]
             np.testing.assert_array_equal(pop.states[j].view(np.uint64),
                                           lone_pop.states[0].view(np.uint64))
             np.testing.assert_array_equal(pop.stats[j].view(np.uint64),
                                           lone_pop.stats[0].view(np.uint64))
-        for r, row in zip(batch, summaries):
-            if row is not None and drift is not None:
-                assert _bits(row) == _bits(lone[r][1])
-    assert len(batched) == len(expected)
-    for got, want in zip(batched, expected):
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert _bits(summaries[j]) == _bits(lone[r][1])
     f = lambda x: np.asarray(x, dtype=float).reshape(len(x), -1)[:, -1]
     alone = np.concatenate([estimate([(lone[r][0], [lone[r][1]])], f) for r in ids])
     np.testing.assert_array_equal(estimate(runs, f).view(np.uint64), alone.view(np.uint64))
@@ -1003,23 +1033,37 @@ def test_each_row_of_a_batch_has_the_bits_of_its_lone_run(d, n_particles, n_ids,
 
 
 @pytest.mark.parametrize("monitored", [False, True], ids=["plain", "monitored"])
-def test_a_row_whose_weights_vanish_leaves_its_batch(monitored, monkeypatch):
-    # the middle row of five dies at step 2 of 4: it reads NaN and None, and
-    # the rows after it step on with the bits of their lone runs
+@pytest.mark.parametrize("at", [0, 2, 3])
+@pytest.mark.parametrize("doomed", [[0], [2], [4], [0, 1, 3, 4], [0, 1, 2, 3, 4]],
+                         ids=["first", "middle", "last", "all-but-one", "all"])
+def test_a_row_whose_weights_vanish_stays_in_its_batch(doomed, at, monitored, monkeypatch):
+    # the doomed rows of five die at step ``at`` of 4 and step on to the
+    # horizon in the batch, reading NaN and None; every other row keeps the
+    # bits of its lone run
     seed, ids = 3, list(range(20, 25))
     markers = [streams.stream(seed, r).random() for r in ids]
-    model = _marked_model(4, doomed=[markers[2]])
+    model = _marked_model(4, doomed={markers[i]: at for i in doomed})
     drift = (lambda s: 1.0 + s) if monitored else None
     ((pop, summaries),) = _assert_rows_are_lone_runs(model, 6, seed, ids, drift, monkeypatch)
-    assert [s is None for s in summaries] == [False, False, True, False, False]
-    assert len(pop.states) == 4 and pop.k == 4
-    np.testing.assert_array_equal(pop.stats[:, 0], np.delete(markers, 2))
+    gone = [i in doomed for i in range(len(ids))]
+    assert [s is None for s in summaries] == pop.vanished.tolist() == gone
+    assert len(pop.states) == 5 and pop.k == 4
+    np.testing.assert_array_equal(pop.stats[:, 0], markers)
     values = estimate([(pop, summaries)], lambda x: x[:, 1])
-    assert np.isnan(values).tolist() == [False, False, True, False, False]
-    # every row dies: no population, every replicate NaN
-    model = _marked_model(4, doomed=markers)
-    runs = run_sampler(model, 6, seed, ids, drift=drift)
-    assert runs == [(None, [None] * 5)]
+    assert np.isnan(values).tolist() == gone
+
+
+@pytest.mark.parametrize("monitored", [False, True], ids=["plain", "monitored"])
+def test_a_row_stays_vanished_when_another_vanishes_later(monitored, monkeypatch):
+    # the second row dies at step 0 and the fourth at step 2, after which the
+    # weights of both are finite again: both stay marked to the horizon
+    seed, ids = 4, list(range(30, 35))
+    markers = [streams.stream(seed, r).random() for r in ids]
+    model = _marked_model(4, doomed={markers[1]: 0, markers[3]: 2})
+    drift = (lambda s: 1.0 + s) if monitored else None
+    ((pop, summaries),) = _assert_rows_are_lone_runs(model, 6, seed, ids, drift, monkeypatch)
+    gone = [False, True, False, True, False]
+    assert [s is None for s in summaries] == pop.vanished.tolist() == gone
 
 
 def _mixture_with_drift(n):
@@ -1167,14 +1211,16 @@ def test_estimate_basics():
     run = (Ensemble(states=np.full((1, 10), 3, dtype=int), stats=np.full((1, 10), 3), k=0), [[]])
     assert estimate([run], lambda s: np.ones(len(s))).tolist() == [1.0]
     assert estimate([run], lambda s: np.asarray(s, dtype=float)).tolist() == [3.0]
-    # a non-finite value anywhere, or no population, leaves a replicate without a
-    # finite estimate
+    # a non-finite value anywhere, or vanished weights (summaries None), leave
+    # a replicate without a finite estimate
     assert np.isnan(estimate([run], lambda s: np.where(np.arange(len(s)) == 4, np.inf, 1.0)))
     assert np.isnan(estimate([run], lambda s: np.full(len(s), np.nan)))
-    assert np.isnan(estimate([(None, [None])], lambda s: np.ones(len(s)))).all()
+    assert np.isnan(estimate([(run[0], [None])], lambda s: np.ones(len(s)))).all()
+    pair = Ensemble(states=np.array([[np.inf, np.inf], [2.0, 4.0]]), stats=np.zeros((2, 2)), k=0)
+    assert np.isnan(estimate([(pair, [None, []])], lambda s: s)).tolist() == [True, False]
     # a count batch weighs f at each label by each row's count, and f is
-    # evaluated once, on the labels its rows share; a run without a
-    # population gives each of its replicates NaN, in id order
+    # evaluated once, on the labels its rows share; a row whose weights
+    # vanished reads NaN, in id order
     calls = []
 
     def f(s):
@@ -1183,8 +1229,8 @@ def test_estimate_basics():
 
     batch = Ensemble(states=np.arange(3), stats=np.arange(3), k=0,
                      counts=np.array([[1, 0, 3], [0, 4, 0], [2, 2, 0]]))
-    np.testing.assert_array_equal(estimate([(batch, [[]] * 3), (None, [None] * 2), run], f),
-                                  [1.5, 1.0, 0.5, np.nan, np.nan, 3.0])
+    np.testing.assert_array_equal(estimate([(batch, [[], None, []]), run], f),
+                                  [1.5, np.nan, 0.5, 3.0])
     assert len(calls) == 2
     assert np.isnan(estimate([(batch, [[]] * 3)], lambda s: np.where(s == 2, np.nan, 1.0))[0])
 
