@@ -17,9 +17,10 @@ value), built once per tuple; ``"%.17g" % x`` is the same conversion as
 ``"1"``, so every byte is the one ``_fmt`` writes value by value.  A row
 holding any other type is written by ``_fmt``.  Each experiment returns its own
 table (see ``stabilitylab.Table``); the exit code follows from its status:
-0 when "ok", 1 when "failed" (an audit, or a run below its floor) or on a
-config error (at parse time or from a builder), 2 when "inconclusive".  Any
-other exception is a bug and propagates.
+0 when "ok", 1 when "failed" (an audit, or a run below its floor), on a
+config error (at parse time or from a builder) or on a usage error in the
+command line, 2 when "inconclusive".  Any other exception is a bug and
+propagates.
 """
 
 import argparse
@@ -47,7 +48,9 @@ def make_mapper(workers):
     """Order-preserving map over tasks.
 
     A pool never holds more processes than there are CPUs or tasks, and a
-    map that would get a single process runs in-process instead.
+    map that would get a single process runs in-process instead.  The
+    experiments hand it only maps that cost at least one task's budget;
+    cheaper ones run in-process without it (see ``stabilitylab``).
     """
     cpus = os.cpu_count() or 1
     if workers is None:
@@ -201,7 +204,11 @@ def main(argv=None):
     run_p.add_argument("--workers", type=int, default=None, help="worker pool size")
     val_p = sub.add_parser("validate", help="parse and validate a config file")
     val_p.add_argument("config")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which here reads as an inconclusive run
+        return EXIT_PRECONDITION if exc.code == 2 else exc.code
 
     try:
         if args.command == "validate":

@@ -9,20 +9,23 @@ reweighting inequality eta(GV) <= (1+delta) eta(G) eta(V) for any
 delta < 1, and the Lemma 1 audit of the tilted drift/minorization data.
 
 Each grid cell is cut into tasks of contiguous replicates costing about
-``_TASK_STEPS`` units: a replicate of cell (n, N) costs n*N particle-steps
-on a continuous model and n*m^2 on a finite model with m states, whose
-replicate steps a count row whatever N is.  A unit counts the work of a
-replicate, not the numpy calls that carry it: a continuous task steps its
-replicates as batches of rows, and a batch's fixed cost is shared by its
-rows.  A task runs with one ``run_sampler`` call, which returns one result
-per batch: consecutive continuous replicates, each row drawn from its own
+``_TASK_STEPS`` units (``_replicate_cost``): a replicate of cell (n, N)
+costs n*N*d value-steps on a continuous model whose target has d
+dimensions, and n*m^2 on a finite model with m states, whose replicate
+steps a count row whatever N is.  A unit counts the work of a replicate,
+not the numpy calls that carry it: a continuous task steps its replicates
+as batches of rows, and a batch's fixed cost is shared by its rows.  A
+task runs with one ``run_sampler`` call, which returns one result per
+batch: consecutive continuous replicates, each row drawn from its own
 stream keyed by (cell seed, replicate), or a finite block of
 ``BLOCK_REPLICATES``, one count batch drawn from one stream keyed by (cell
 seed, block); a finite task is a run of whole blocks.  ``estimate`` turns
 a task's batches into one estimate per replicate, in id order.  So the
 cut, a function of the config alone, changes no draw, and the results,
 merged in task order by a single reducer, are identical for any worker
-count.
+count.  A map whose tasks together cost less than ``_TASK_STEPS`` runs
+them in order in-process (``_map_tasks``), since a worker pool costs more
+to start than such a map costs to run; any other map goes to the mapper.
 
 The cells of a grid are distinct: parsing rejects a repeated entry of
 grids.n or grids.N, whose cells would share a seed and pool the same
@@ -74,7 +77,8 @@ __all__ = [
     "lemma1_audit_experiment",
 ]
 
-# cost units per task (see _replicate_tasks): enough work to cover a task's IPC and model build
+# cost units per task (see _replicate_cost): enough work to cover a task's IPC and model
+# build; a map of less runs in-process (see _map_tasks)
 _TASK_STEPS = 1_000_000
 _EXACT_FLOOR = 1e-13
 # probe directions per shell in two or more dimensions
@@ -96,22 +100,43 @@ class Table:
     body: dict
 
 
+def _replicate_cost(cfg):
+    """Cost units of one replicate, as a function of its cell (n, N).
+
+    A replicate costs n*N*d value-steps on a continuous model whose target
+    has d dimensions, the width ``run_sampler`` sizes its batches by, and
+    n*m^2 on a finite model of m states: a count step is O(m^2) arithmetic
+    whatever N is.
+    """
+    if cfg.model["kind"] == "finite-tempered":
+        m = len(cfg.model["log_weights"])
+        return lambda n, n_particles: n * m * m
+    d = build_family(cfg.model).target.dim
+    return lambda n, n_particles: n * n_particles * d
+
+
 def _replicate_tasks(cfg, cells):
     """Cells cut into runs of contiguous replicates costing about ``_TASK_STEPS`` each.
 
-    A replicate of cell (n, N) costs n*N particle-steps on a continuous
-    model, and n*m^2 on a finite model of m states: a count step is O(m^2)
-    arithmetic whatever N is.  A finite task is a run of whole blocks.
+    A finite task is a run of whole blocks.
     """
-    m = len(cfg.model["log_weights"]) if cfg.model["kind"] == "finite-tempered" else None
-    unit = 1 if m is None else BLOCK_REPLICATES
+    cost = _replicate_cost(cfg)
+    unit = BLOCK_REPLICATES if cfg.model["kind"] == "finite-tempered" else 1
     tasks = []
     for n, n_particles in cells:
-        size = unit * max(1, _TASK_STEPS // (unit * n * (n_particles if m is None else m * m)))
+        size = unit * max(1, _TASK_STEPS // (unit * cost(n, n_particles)))
         for lo in range(0, cfg.replicates, size):
             hi = min(lo + size, cfg.replicates)
             tasks.append((cfg, n, n_particles, tuple(range(lo, hi))))
     return tasks
+
+
+def _map_tasks(fn, cfg, tasks, mapper):
+    """``fn`` over the tasks, in order: in-process when together they cost less than one task."""
+    cost = _replicate_cost(cfg)
+    if sum(len(reps) * cost(n, n_particles) for _, n, n_particles, reps in tasks) < _TASK_STEPS:
+        return [fn(task) for task in tasks]
+    return mapper(fn, tasks)
 
 
 def _estimate_task(args):
@@ -131,7 +156,7 @@ def _exact_value(cfg, n):
 def _gather_cells(cfg, cells, mapper):
     """Map tasks; per cell, in grid order, its finite estimates and degenerate count."""
     tasks = _replicate_tasks(cfg, cells)
-    results = mapper(_estimate_task, tasks)
+    results = _map_tasks(_estimate_task, cfg, tasks, mapper)
     per_cell = {cell: [] for cell in cells}
     for (_, n, n_particles, _), block in zip(tasks, results):
         per_cell[(n, n_particles)].append(block)
@@ -341,7 +366,7 @@ def run_trajectories(cfg, mapper):
     """
     n_particles = cfg.grids["N"][0]
     cells = [(n, n_particles) for n in cfg.grids["n"]]
-    results = mapper(_trajectory_task, _replicate_tasks(cfg, cells))
+    results = _map_tasks(_trajectory_task, cfg, _replicate_tasks(cfg, cells), mapper)
     rows, degenerate = [], 0
     for block, deg in results:
         rows.extend(block)

@@ -93,6 +93,24 @@ def _digests(out, experiment):
     return tuple(hashlib.sha256(data).hexdigest() for data in (csv, summary))
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The size of each process pool started during the test, on a machine of two CPUs.
+
+    Each pool is a real one: its tasks run in worker processes.
+    """
+    sizes = []
+
+    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    return sizes
+
+
 def test_shipped_config_table_is_complete():
     assert sorted(p.stem for p in CONFIGS.glob("*.json")) == sorted(SHIPPED) == sorted(GOLDEN)
 
@@ -167,7 +185,7 @@ def test_bias_decay_counts_a_non_finite_average_as_degenerate(tmp_path):
         ("2", "0", "2"), ("3", "0", "2")]
 
 
-def test_csv_identical_for_any_worker_count(monkeypatch, tmp_path):
+def test_csv_identical_for_any_worker_count(pools, monkeypatch, tmp_path):
     # a block of two-state replicates at n = 50 costs B * 50 * 2^2, so a budget
     # of twice that splits each cell's two blocks and a partial one into runs
     # of two blocks and of the partial one: four uneven tasks to spread
@@ -184,26 +202,37 @@ def test_csv_identical_for_any_worker_count(monkeypatch, tmp_path):
             assert dispatch(replace(cfg, workers=workers, out_dir=str(out))) == EXIT_OK
             csv[workers] = (out / "n-scaling.csv").read_bytes()
     assert csv[1] == csv[2]
-    # the continuous path: two tasks per run, each drawing its replicates from their streams
+    assert pools == [2]
+    # the continuous path: two tasks per run, each drawing its replicates from
+    # their streams; a budget of the costlier cell's cost keeps each cell one
+    # task, and the map of both costs more than one budget, so it has a pool
     for name in ("bias_gaussian", "drift_monitor"):
         csv = {}
         for workers in (1, 2):
             out = tmp_path / f"{name}-w{workers}"
             cfg = parse_config(_shipped(name, out, workers=workers, replicates=4))
+            budget = cfg.replicates * max(cfg.grids["n"]) * cfg.grids["N"][0]
+            monkeypatch.setattr(stabilitylab, "_TASK_STEPS", budget)
+            cells = [(n, cfg.grids["N"][0]) for n in cfg.grids["n"]]
+            assert len(stabilitylab._replicate_tasks(cfg, cells)) == 2
             assert dispatch(cfg) == EXIT_OK
             csv[workers] = (out / f"{cfg.experiment}.csv").read_bytes()
         assert csv[1] == csv[2]
+    assert pools == [2] * 3
 
 
-def test_continuous_csv_identical_for_any_worker_count_across_batches(monkeypatch, tmp_path):
+def test_continuous_csv_identical_for_any_worker_count_across_batches(pools, monkeypatch,
+                                                                      tmp_path):
     # at N = 2000 a batch is BLOCK_VALUES // 2000 = 4 rows, so each cell's one
     # task of 9 replicates steps two full batches and a partial one holding a
-    # single replicate; two cells make two tasks, one per worker
+    # single replicate; two cells make two tasks, one per worker.  A budget of
+    # the n = 3 cell's cost keeps each cell one task and gives the map a pool
     n_particles = 2000
     rows = BLOCK_VALUES // n_particles
     raw = json.loads(_shipped("bias_gaussian", tmp_path))
     raw.update(replicates=2 * rows + 1, grids={"n": [2, 3], "N": [n_particles]})
     cfg = parse_config(json.dumps(raw))
+    monkeypatch.setattr(stabilitylab, "_TASK_STEPS", cfg.replicates * 3 * n_particles)
     tasks = stabilitylab._replicate_tasks(cfg, [(2, n_particles), (3, n_particles)])
     assert [len(reps) for *_, reps in tasks] == [2 * rows + 1] * 2
     run_sampler, batches = stabilitylab.run_sampler, []
@@ -222,6 +251,7 @@ def test_continuous_csv_identical_for_any_worker_count_across_batches(monkeypatc
         csv[workers] = (out / "bias-decay.csv").read_bytes()
     assert batches[:2] == [[rows, rows, 1]] * 2
     assert csv[1] == csv[2]
+    assert pools == [2]
 
 
 @pytest.mark.parametrize("name, overrides, cuts", [
@@ -237,14 +267,17 @@ def test_continuous_csv_identical_for_any_worker_count_across_batches(monkeypatc
 ])
 def test_outputs_identical_for_any_task_size(name, overrides, cuts, monkeypatch, tmp_path):
     # one unit per task (a replicate, or a block of a finite model), any uneven
-    # cuts, the default budget, and one task per cell
+    # cuts, the default budget, and one task per cell; the tasks are recorded
+    # as mapped, whether they run in-process or go to the mapper
     batches, outputs = [], []
+    map_tasks = stabilitylab._map_tasks
 
-    def serial(fn, items):
-        batches.append([len(reps) for *_, reps in items])
-        return [fn(x) for x in items]
+    def recorded(fn, cfg, tasks, mapper):
+        batches.append([len(reps) for *_, reps in tasks])
+        return map_tasks(fn, cfg, tasks, mapper)
 
-    monkeypatch.setattr(cli, "make_mapper", lambda workers: serial)
+    monkeypatch.setattr(stabilitylab, "_map_tasks", recorded)
+    monkeypatch.setattr(cli, "make_mapper", lambda workers: lambda fn, items: list(map(fn, items)))
     budgets = (1, *cuts, stabilitylab._TASK_STEPS, 10**12)
     for budget in budgets:
         monkeypatch.setattr(stabilitylab, "_TASK_STEPS", budget)
@@ -262,7 +295,7 @@ def test_outputs_identical_for_any_task_size(name, overrides, cuts, monkeypatch,
 
 
 @pytest.mark.parametrize("n, n_particles", [(1, 1), (10_000, 2)])
-def test_run_rows_at_the_monitor_block_edges(n, n_particles, monkeypatch, tmp_path):
+def test_run_rows_at_the_monitor_block_edges(n, n_particles, pools, monkeypatch, tmp_path):
     # one particle, one step: a block of one row and the terminal row; two
     # particles over 10^4 steps: two full blocks of 4096 steps and a partial
     # one.  One task per replicate, so two workers both take one
@@ -278,6 +311,49 @@ def test_run_rows_at_the_monitor_block_edges(n, n_particles, monkeypatch, tmp_pa
         csv[workers] = (out / "run.csv").read_bytes()
         assert csv[workers].count(b"\n") == 1 + cfg.replicates * sum(k + 1 for k in cfg.grids["n"])
     assert csv[1] == csv[2]
+    assert pools == [2]
+
+
+@pytest.mark.parametrize("name, overrides", [
+    # finite-nscale's size: each of six cells costs 25 replicates of n * 2^2
+    ("scaling_sqrt_n", {"replicates": 25, "grids": {"n": [5, 20], "N": [100, 1000, 10000]}}),
+    ("drift_monitor", SHIPPED["drift_monitor"]),
+])
+def test_cheap_map_starts_no_pool(name, overrides, monkeypatch, tmp_path):
+    # the map costs less than one task's budget, so two workers run it in-process
+    def no_pool(max_workers):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    csv = {}
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        cfg = parse_config(_shipped(name, out, workers=workers, **overrides))
+        cells = [(n, N) for n in cfg.grids["n"] for N in cfg.grids["N"]]
+        assert len(stabilitylab._replicate_tasks(cfg, cells)) >= 2
+        assert dispatch(cfg) == EXIT_OK
+        csv[workers] = (out / f"{cfg.experiment}.csv").read_bytes()
+    assert csv[1] == csv[2]
+
+
+def test_task_cost_counts_the_state_dimension(pools, tmp_path):
+    # a 4-d target: the map's n*N sum (400,000) is under the budget and its
+    # n*N*d sum (1.6e6) over it, so two workers take its two tasks in a pool
+    raw = json.loads(_shipped("bias_gaussian", tmp_path, replicates=40,
+                              grids={"n": [2, 3], "N": [2000]}))
+    raw["model"]["target"].update(mean=[0.0] * 4, sigma=[1.0] * 4)
+    raw["init"]["mean"] = [3.0] * 4
+    csv = {}
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        cfg = parse_config(json.dumps({**raw, "workers": workers, "out_dir": str(out)}))
+        assert cfg.replicates * sum(n * 2000 for n in cfg.grids["n"]) < stabilitylab._TASK_STEPS
+        assert len(stabilitylab._replicate_tasks(cfg, [(2, 2000), (3, 2000)])) == 2
+        assert dispatch(cfg) == EXIT_OK
+        csv[workers] = (out / "bias-decay.csv").read_bytes()
+    assert csv[1] == csv[2]
+    assert pools == [2]
 
 
 def _package_env():
@@ -649,13 +725,16 @@ def test_audit_offsets_overflow_to_inf_quietly(tmp_path):
 
 
 @ZERO_ENTRY_ARGV
-def test_zero_entry_run_is_not_certified(argv, tmp_path):
+def test_zero_entry_run_is_not_certified(argv, pools, monkeypatch, tmp_path):
     # a run monitors V and certifies nothing, so kernels with zero entries run
-    # as usual and pass their floor; only the audit rejects them
+    # as usual and pass their floor; only the audit rejects them.  A budget of
+    # the n = 5 cell's cost gives the two-worker runs a pool
+    monkeypatch.setattr(stabilitylab, "_TASK_STEPS", 4 * 5 * 2**2)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_zero_entry_run(tmp_path / "out")))
     command, *flags = argv
     assert main([command, str(path), *flags]) == EXIT_OK
+    assert pools == ([2] if argv in (["run", "--workers", "2"], ["run"]) else [])
     if command == "validate":
         return
     assert (tmp_path / "out" / "run.csv").is_file()
@@ -669,11 +748,12 @@ def test_config_error_survives_pickling():
     assert (err.path, str(err)) == ("model", "model: bad")
 
 
-def test_config_error_in_a_worker_exits_1(monkeypatch, tmp_path, capsys):
+def test_config_error_in_a_worker_exits_1(pools, monkeypatch, tmp_path, capsys):
     # a run whose move probability is out of range, with its parse bypassed:
     # each of its two tasks raises ConfigError building its model in a
-    # worker, and the pool hands it back intact
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    # worker, and the pool hands it back intact.  A budget of the n = 5
+    # cell's cost gives the map a pool
+    monkeypatch.setattr(stabilitylab, "_TASK_STEPS", 4 * 5 * 2**2)
     raw = _finite_run(tmp_path / "out")
     cfg = replace(parse_config(json.dumps(raw)), model={**raw["model"], "move_prob": 1.5},
                   workers=2)
@@ -681,6 +761,7 @@ def test_config_error_in_a_worker_exits_1(monkeypatch, tmp_path, capsys):
     assert dispatch(cfg) == EXIT_PRECONDITION
     assert capsys.readouterr().err.startswith("error: model: move_prob must lie in (0, 1]")
     assert not (tmp_path / "out").exists()
+    assert pools == [2]
 
 
 def test_finite_run_builds_no_certificate(monkeypatch, tmp_path):
@@ -779,6 +860,18 @@ def test_unreadable_config_exits_1(content, tmp_path, capsys):
     path.write_bytes(content)
     assert main(["validate", str(path)]) == EXIT_PRECONDITION
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [[], ["run"], ["run", "CFG", "--workers", "abc"]],
+                         ids=["no-command", "no-config", "workers-not-int"])
+def test_usage_error_exits_1(argv, tmp_path, capsys):
+    # argparse exits 2 on a usage error, which here would read as an inconclusive run
+    path = tmp_path / "cfg.json"
+    path.write_text(_shipped("counterexample", tmp_path / "out"))
+    assert main([str(path) if arg == "CFG" else arg for arg in argv]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tempersmc") and "error: " in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])

@@ -92,6 +92,23 @@ def test_gauss_trace_sized_run_makes_three_tasks():
         (10, tuple(range(10))), (200, tuple(range(5))), (200, tuple(range(5, 10)))]
 
 
+def test_continuous_task_cost_counts_the_state_dimension():
+    # a replicate of a 4-d target costs n * N * 4: 40,000 units at n = 5 and
+    # 80,000 at n = 10, so 25 and 12 replicates to a task of the default budget
+    raw = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "bias_gaussian.json").read_text())
+    raw["model"]["target"].update(mean=[0.0] * 4, sigma=[1.0] * 4)
+    raw["init"]["mean"] = [3.0] * 4
+    raw.update(replicates=30, grids={"n": [5, 10], "N": [2000]})
+    cfg = parse_config(json.dumps(raw))
+    tasks = stabilitylab._replicate_tasks(cfg, [(5, 2000), (10, 2000)])
+    sizes = {n: stabilitylab._TASK_STEPS // (n * 2000 * 4) for n in (5, 10)}
+    assert sizes == {5: 25, 10: 12}
+    assert [(n, reps) for _, n, _, reps in tasks] == [
+        (n, tuple(range(lo, min(lo + sizes[n], 30)))) for n in (5, 10)
+        for lo in range(0, 30, sizes[n])]
+
+
 # ------------------------------------------------------------- bias decay
 
 def _columns(table, mode=None):
