@@ -473,6 +473,8 @@ def estimate(runs, f):
     averages each row's values, NaN unless they are all finite.  A count
     batch evaluates f once, on its labels, and each row weighs it by its
     counts.  A replicate whose weights vanished, its summaries None, reads NaN.
+    A states row of finite values whose sum overflows is averaged after
+    division by its largest magnitude, which keeps the mean finite.
     """
     out = []
     for pop, summaries in runs:
@@ -485,6 +487,10 @@ def estimate(runs, f):
             x = np.asarray(f(pop.states.reshape(-1, *pop.states.shape[2:])), dtype=float)
             x = x.reshape(pop.stats.shape)
             used = alive & np.isfinite(x).all(axis=1)
-            vals[used] = x[used].mean(axis=1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals[used] = x[used].mean(axis=1)
+            for r in np.flatnonzero(used & ~np.isfinite(vals)):
+                top = np.abs(x[r]).max()
+                vals[r] = (x[r] / top).mean() * top
         out.append(vals)
     return np.concatenate(out)

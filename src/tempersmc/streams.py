@@ -1,10 +1,20 @@
-"""Counter-based random number streams.
+"""Keyed random number streams.
 
-Every piece of randomness in the package is drawn from a Philox generator
-keyed by a master seed plus a tuple of integer path components (a
-replicate id, ...).  Streams for distinct paths are independent and a
-stream's output depends only on (seed, path), never on scheduling order,
-which is what makes worker-pool runs byte-identical to serial runs.
+Every piece of randomness in the package is drawn from an SFC64 generator
+(numpy's Small Fast Chaotic generator) seeded by the ``SeedSequence`` of a
+master seed and a tuple of integer path components (a replicate id, ...).
+Streams for distinct paths are independent and a stream's output depends
+only on (seed, path), never on scheduling order, which is what makes
+worker-pool runs byte-identical to serial runs.
+
+The generator fixes the draws, not their law.  Each draw is a fixed
+function of the stream's words, the same function whichever generator
+supplies them: an ancestor is the inverse-CDF index of a uniform, a normal
+comes from numpy's ziggurat and a multinomial from numpy's sampler.  So a
+run's law is the law of those functions of i.i.d. uniform words, which is
+the multinomial-resampling-then-invariant-move law the paper's bounds
+concern.  SFC64 supplies such words with no counter or key of its own; the
+``SeedSequence`` hash of (seed, path) is what separates the streams.
 
 The particle engine draws replicate r of a continuous model from
 ``stream(seed, r)``, whatever batch of rows it is stepped in: a batch
@@ -26,7 +36,7 @@ def stream(seed, *path):
     identical output.
     """
     ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def derive_seed(seed, *path):

@@ -27,7 +27,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # Every shipped config with the overrides that shrink it to a sub-second run.
 # Adding or removing a file under configs/ must update this table.  Shrunk
 # bias_gaussian exits 0 by design: it did for 300 of seeds 1-300, both with
-# a stream per step and with one stream per replicate.
+# a stream per step and with one stream per replicate, and with SFC64 streams.
 SHIPPED = {
     "bias_finite": {"grids": {"n": [3, 4, 6, 8]}},
     "bias_gaussian": {"replicates": 4, "grids": {"n": [2, 3], "N": [200]}},
@@ -58,23 +58,28 @@ SHIPPED = {
 # two n-scaling pairs were recorded again when a block of finite replicates
 # began to draw from one stream, one broadcast multinomial per step: new
 # values, same law (see `test_particles.test_rows_of_a_block_are_independent`).
+# Every pair whose run draws (bias_gaussian, drift_check, drift_monitor and
+# the two n-scaling pairs) was recorded again when the streams changed from
+# Philox to SFC64 words: the same draw functions of i.i.d. uniform words, so
+# new values, same law (see the `streams` docstring and
+# `test_streams.test_neighbouring_streams_are_independent`).
 GOLDEN = {
     "bias_finite": ("767ad88dddad37a2ef88dc5e48b30bd4b2d5cf939bb254120a7f79ec0004ecc4",
                     "44a6007fdb7f775844c86df7576a2c363d9f09c40d5644238876c65dd7c4d2cc"),
-    "bias_gaussian": ("fe67ea2caf97ba8ea83a31e4b1f7c6aa713222037503fd363076a0c76e35ae37",
-                      "30378370936a52713be8646cd4c768e4e72a57d5e788afa961cffa8475f15813"),
+    "bias_gaussian": ("93c257297409e27e6402e2fde4f376e5a976538a3a8e7780e80426a9972f81c4",
+                      "c3518d6d32a358924501c8a15db11910f89256aead0b8ead87f37cfb3de8b882"),
     "counterexample": ("9f2c239dbb64f5ec0a64df0932e55643e65fa2ca01af477b9a1011a71aedf405",
                        "93223e8fba0628de88adfa6cf1d13a294709e1ca7707a2da0e6e984dabf685df"),
-    "drift_check": ("972c3c5dc84fe14b8e71873fdeb4fba74b3c192bd709e8073b689f67740b193f",
-                    "11799c3ef98c4a78686597c1fa24f02b9beb465f84a42238f026278ad5c41999"),
-    "drift_monitor": ("dbb645ee8b92cb5bc8135ea80ad3d957231884500fa494f75bab7bd4fe2a943d",
-                      "55828b2c170c8790f6f4f5b8af4b97ae8403c9ff91bf39e78770447d76534ca3"),
+    "drift_check": ("c19f88257dd332d7b633301b7656609940f48a8165dd79da70af761e642f80d2",
+                    "e7d8186d8b4c137539d96acb91fae0e3508869b30b8587274eaa0dc9bde028d7"),
+    "drift_monitor": ("ec8577bbd7471ac90c6f3f9d1391410cdd5f9dc55db92c01aae3851220214189",
+                      "797c1aee9db0b82e9928fe6b98815182ba7a1fc709e4efdfd9f7c67151f874dd"),
     "lemma1_audit": ("5634f9415799fb60cc1df47affd9ff3dcbfe358db3e7dbd4a481f0ca9908f22a",
                      "77a034df3eaf50305c42a5f8c63849bcd0ada2fdd168cd6607f883d511739b27"),
-    "scaling_sqrt_n": ("fc9087830936ad5f81a0972aaea8282bf9abd63f87787f948947566c0594b05f",
-                       "12ac67494cae4223abb3dda0709b22c5470fb7013510f8ba365fb5be5c27dfc2"),
-    "scaling_uniform_n": ("ef88a8f8074cbfcb8b70c866c743c4e31407881f012eda51b616baf8b70a0c0f",
-                          "9a2e5ea9174d4d9d865f0368b2346220dae516a10dc06a916e8cc45d47acdb87"),
+    "scaling_sqrt_n": ("9903cb0fa09997ed546c54ee2400bf7591923a0ac5f55d18366d03922ea6fafc",
+                       "319dd920c639451856a95edb932f797f0f2a430bc2c39419897eee336e540162"),
+    "scaling_uniform_n": ("4a536a157582078431a7c643b9bb548814b249fc0ce517cac87dec98e97c8763",
+                          "eb2e552f8df80fc6d465cba69b23ece0b149d2ff8f32c624a986b7e4c1ba92f5"),
 }
 
 
@@ -125,24 +130,26 @@ def test_shipped_config_runs_shrunk(name, tmp_path):
 
 def test_finite_bias_decay_with_particles_keeps_its_digest(tmp_path):
     # one CSV holds the exact rows, then the particle rows at N = 1000; recorded
-    # (like GOLDEN) when a block of replicates began to draw from one stream.
-    # Every particle cell clears its noise floor by design: this size exits 0
-    # for 200 of seeds 1-200 with a stream per step, with one stream per
-    # replicate, and with one stream per block
+    # (like GOLDEN) when a block of replicates began to draw from one stream,
+    # and again with SFC64 streams.  Every particle cell clears its noise
+    # floor by design: this size exits 0 for 200 of seeds 1-200 with a stream
+    # per step, with one stream per replicate, with one stream per block, and
+    # with SFC64 streams
     cfg = parse_config(_shipped("bias_finite", tmp_path, workers=1, replicates=4,
                                 grids={"n": [1, 2, 3], "N": [1000]}))
     assert dispatch(cfg) == EXIT_OK
     assert _digests(tmp_path, cfg.experiment) == (
-        "2d07ffea3290343e5d813fa647afd921d37f552d5a7650eb962fcbad9e6003f0",
-        "ec46648022dc0723bbef54dc83a4646693857277034cbb16794d19c32a1cef7f")
+        "b285efaec9583ae09bf4eef1abe14d5afa4295127c9251f9f0b96fe6f200f9df",
+        "5eeb96daf656c4ac9492abeb1d48afee945e99ed78058a6d5aa3cf0e382363a6")
 
 
 # SHA-256 pairs (as GOLDEN) of the degenerate runs below.  No shipped config
 # reaches a vanished row, so `tools/same_outputs.py` cannot see these paths;
-# a change to how a vanished row is stepped must keep them
+# a change to how a vanished row is stepped must keep them.  The "some" CSV
+# and its used counts were recorded again with SFC64 streams
 @pytest.mark.parametrize("init, used, digests", [
-    ({"name": "gaussian", "sigma": [1e154]}, ["17", "16"],
-     ("82da247703caac899675b5619685d715e689608588e0f6d98b61e62e1a689b33",
+    ({"name": "gaussian", "sigma": [1e154]}, ["16", "15"],
+     ("3b34af3a78c7c3afdcc5f992705821788819648a814f1129b775cf2332bc675b",
       "59b82dceb894d5ce5fa1dca68501fc9c2ec8116b293d2ed52152f6420c68de3a")),
     ({"name": "gaussian", "mean": [1e200]}, ["0", "0"],
      ("efdc53c4526cf131df9c7cc9b392e46415dbc05ae49897f4714c2d9f89877261",
@@ -170,10 +177,15 @@ def test_bias_decay_counts_degenerate_replicates(init, used, digests, tmp_path):
 
 
 def test_bias_decay_counts_a_non_finite_average_as_degenerate(tmp_path):
-    # the initial draws overflow to +-inf; flat steps (gamma_floor 1) weigh them
-    # 1 and keep them, so every terminal average is non-finite
+    # a quarter of the N(1e308, 1e308) initial draws overflow to +-inf (those
+    # with z > 0.797 or z < -1.797).  Flat steps (gamma_floor 1) weigh every
+    # particle 1 and no move is accepted, so a row's terminal values are its
+    # initial ones resampled, all finite only if each of its distinct initial
+    # ancestors is.  Three uniform multinomial steps of N = 1000 leave about
+    # 375 of them (sd 9.5), all finite with probability about 0.75^375, 1e-47:
+    # for any stream, every terminal average is non-finite
     raw = json.loads(_shipped("bias_gaussian", tmp_path, workers=1, replicates=2,
-                              grids={"n": [2, 3], "N": [20]},
+                              grids={"n": [2, 3], "N": [1000]},
                               init={"name": "gaussian", "mean": [1e308], "sigma": [1e308]}))
     raw["model"]["schedule"]["gamma_floor"] = 1.0
     code = dispatch(parse_config(json.dumps(raw)))
@@ -797,21 +809,61 @@ def test_run_and_audit_read_one_drift_function(tmp_path):
 def test_finite_run_keeps_its_digest(tmp_path):
     # no GOLDEN pair is a finite run, the one particle path that monitors V by
     # state; recorded (like GOLDEN) when a block of replicates began to draw
-    # from one stream
+    # from one stream, and again with SFC64 streams
     cfg = parse_config(json.dumps({**_finite_run(tmp_path), "workers": 1}))
     assert len(stabilitylab._replicate_tasks(cfg, [(3, 20), (5, 20)])) == 2
     assert dispatch(cfg) == EXIT_OK
     assert _digests(tmp_path, cfg.experiment) == (
-        "2624a1a8dad484d56b6254e4bf2143ed46bfaf16ac92b2a77efdb2a7808b2ed2",
-        "46e603dafe87522dc0d5d5cdfb1365d6b8c2a3d4ff03247fc48b615d0c7de82b")
+        "e22cee00905517cea9f29ce7e1bfff4a8c5fde3521ad814e2a08b6326a96313f",
+        "665a098fd5d439b88e88b003b65b9ec3c2d0e7b3e8fca8c00736f1e5a4f4c8b7")
+
+
+def _mixture_drift_ratio(x, gamma, beta):
+    """E[V(next)] / V(x) of one RWM step from x, and the sd of one proposal's term.
+
+    By trapezoid quadrature over the N(0, 1) increment, for the 1-d mixture
+    of ``test_drift_check_on_a_mixture_target`` (sup of the density 1), with
+    the acceptance integrated as ``drift_probe`` integrates it.
+    """
+    def log_density(y):
+        return np.log(0.5 * np.exp(-0.5 * y**2) + 0.5 * np.exp(-0.5 * ((y - 3.0) / 0.5) ** 2))
+
+    y = np.linspace(-12.0, 12.0, 48001)
+    weight = np.exp(-0.5 * y**2) / math.sqrt(2 * math.pi) * (y[1] - y[0])
+    step = log_density(x + y) - log_density(x)
+    accept = np.exp(np.minimum(0.0, gamma * step))
+    term = accept * np.exp(-beta * gamma * step) + 1.0 - accept
+    mean = float(np.sum(weight * term))
+    return mean, math.sqrt(float(np.sum(weight * term**2)) - mean**2)
 
 
 def test_drift_check_on_a_mixture_target(tmp_path):
-    # drift-check reads no init, so the mixture's missing tempered sampler does not matter
-    raw = json.loads(_shipped("drift_check", tmp_path, workers=1))
+    # drift-check reads no init, so the mixture's missing tempered sampler does
+    # not matter.  A term of the ratio lies in [0, 2].  By quadrature the worst
+    # point of shell 2 is x = -2, ratio 0.9373 with a term sd of 0.2668, and
+    # of shell 4 it is x = 4, 0.8881 and 0.2752.  At 200 proposals the probe's
+    # band is 4 se = 0.0755 and 0.0778: shell 2 sits 0.7 se inside it and
+    # shell 4 1.8 se clear of it, so neither is pinned at that size.  At 2000
+    # proposals shell 2 sits 6.5 se clear of its band (se 0.0060), and the
+    # probe calls it safe unless its estimate errs by 6.5 se, a chance below
+    # 1e-9 (normal approximation of the mean of 2000 bounded terms)
+    raw = json.loads(_shipped("drift_check", tmp_path, workers=1, n_proposals=2000))
     raw["model"]["target"] = {"name": "gaussian-mixture", "means": [[0.0], [3.0]],
                               "sigmas": [[1.0], [0.5]], "weights": [0.5, 0.5]}
-    assert dispatch(parse_config(json.dumps(raw))) == EXIT_OK
+    cfg = parse_config(json.dumps(raw))
+    gamma, beta = raw["model"]["schedule"]["gamma_floor"], raw["model"]["beta"]
+    assert dispatch(cfg) == EXIT_OK
+    exact = {x: _mixture_drift_ratio(x, gamma, beta) for x in (-2.0, 2.0, -4.0, 4.0)}
+    ratio, sd = exact[-2.0]
+    assert ratio == max(exact[-2.0][0], exact[2.0][0])
+    margin = (1.0 - ratio) / (sd / math.sqrt(cfg.n_proposals)) - 4.0
+    assert 6.4 < margin < 6.6
+    # every probe point's estimate is within 6 se of its quadrature value
+    header, *lines = (tmp_path / "drift-check.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    for row in rows[:4]:
+        x = float(row["radius"]) * (1.0 if row["point_index"] == "0" else -1.0)
+        assert abs(float(row["ratio"]) - exact[x][0]) < 6 * float(row["std_err"])
     summary = json.loads((tmp_path / "drift-check.json").read_text())["summary"]
     assert summary["safe_radius"] == 2.0
 
@@ -947,19 +999,21 @@ def test_run_with_every_replicate_degenerate_is_inconclusive(tmp_path):
 def test_run_with_some_replicates_degenerate_keeps_its_digest(tmp_path):
     # with one particle, a replicate whose initial log density overflows to
     # -inf degenerates, and the others are monitored to the horizon beside it
-    # in their batch; the smallest eta(G~) of the rest is below the floor
+    # in their batch; the smallest eta(G~) of the rest is below the floor.
+    # About 18% of the N(0, 1e154^2) draws overflow (|z| > 1.34); the count
+    # and digests were recorded again with SFC64 streams
     cfg = parse_config(_shipped("drift_monitor", tmp_path, workers=1, replicates=20,
                                 grids={"n": [3, 6], "N": [1]},
                                 init={"name": "gaussian", "sigma": [1e154]}))
     assert dispatch(cfg) == EXIT_PRECONDITION
     summary = json.loads((tmp_path / "run.json").read_text())["summary"]
-    assert summary["degenerate_replicates"] == 6
+    assert summary["degenerate_replicates"] == 7
     rows = [line.split(",") for line in (tmp_path / "run.csv").read_text().splitlines()[1:]]
     runs = {(r[0], int(r[1])) for r in rows}
-    assert len(runs) == 40 - 6 and len(rows) == sum(n + 1 for _, n in runs)
+    assert len(runs) == 40 - 7 and len(rows) == sum(n + 1 for _, n in runs)
     assert _digests(tmp_path, cfg.experiment) == (
-        "a0e97793120c2425b0afeeb962adc81c43daf71fca4d8bedc96b9a80af6dcaaa",
-        "2343761a0eccf3a4862a7c69b6550f82c64a78295c81b364fdcf08d58912eebf")
+        "eb3ee5d01de49dd543c266a373e4163a30d0504424460dfd77061a11504da3f8",
+        "20976f64de1788ff2dee22851111a2fe9b365ff2387e7a7c50df42781762635b")
 
 
 @pytest.mark.parametrize("model, code", [

@@ -736,7 +736,7 @@ def _reference_run(model, n_particles, seed, replicate, drift, rows=1):
 
 
 def _odd_draw_model(n):
-    """Three states; each step's kernel draws 2N + 1 uint32s, so half a Philox word is left over."""
+    """Three states; each step's kernel draws 2N + 1 uint32s, so half a 64-bit word is left over."""
 
     def sample_batch(k, xs, stats, rng):
         new = []
@@ -785,12 +785,12 @@ _REFERENCE_MODELS = {
 @pytest.mark.parametrize("kind", sorted(_REFERENCE_MODELS))
 def test_run_sampler_draws_the_replicate_from_one_stream_in_order(kind, n, n_particles):
     # the initial draw and then each step read on from where the last one
-    # stopped: N ancestor uniforms leave part of a Philox block buffered
-    # whenever N is not a multiple of 4, and the odd-draw kernel leaves half a
-    # word.  The finite models step count populations, whose multinomial draws
-    # take a varying number of words: three rows of block b read the stream
-    # keyed by (seed, b), their initial counts row after row and then each
-    # step's rows in turn, against a count reference
+    # stopped: SFC64 buffers only the unused half of a word after a uint32
+    # draw (``has_uint32``), which the odd-draw kernel's 2N + 1 uint32s
+    # leave behind at every step.  The finite models step count populations,
+    # whose multinomial draws take a varying number of words: three rows of
+    # block b read the stream keyed by (seed, b), their initial counts row
+    # after row and then each step's rows in turn, against a count reference
     model, drift = _REFERENCE_MODELS[kind](n)
     rows = 3 if model.is_finite else 1
     for seed, unit in [(3, 0), (2**64 - 1, 2**32 + 5)]:
@@ -1233,6 +1233,21 @@ def test_estimate_basics():
                                   [1.5, np.nan, 0.5, 3.0])
     assert len(calls) == 2
     assert np.isnan(estimate([(batch, [[]] * 3)], lambda s: np.where(s == 2, np.nan, 1.0))[0])
+
+
+def test_estimate_of_finite_values_whose_sum_overflows_is_finite():
+    # with no RuntimeWarning (an error in this suite): the first rows' sums
+    # overflow to inf, and to inf - inf = NaN in the pairwise partial sums of
+    # the third; the last row's sum does not overflow and keeps its bits
+    rng = np.random.default_rng(5)
+    plain = rng.standard_normal(20) * 1e300
+    states = np.stack([np.full(20, 1e308), np.linspace(1.7e308, 1e307, 20),
+                       np.repeat([1e308, -1e308], 10), plain])
+    pop = Ensemble(states=states, stats=np.zeros(states.shape), k=0)
+    got = estimate([(pop, [[]] * 4)], lambda s: s)
+    top = 1.7e308
+    np.testing.assert_array_equal(got[:3], [1e308, (states[1] / top).mean() * top, 0.0])
+    assert got[3] == plain.mean() and np.isfinite(got).all()
 
 
 def test_exchangeability_of_particle_indices():
