@@ -28,7 +28,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -80,8 +79,12 @@ def _fmt(x):
 
 
 def _write_temp(path, text):
-    """Write ``text`` to a new temp file beside ``path``; returns the temp file's path."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
+    """Write ``text`` to a new temp file beside ``path``; returns the temp file's path.
+
+    The file takes the mode ``open(path, "w")`` would give it: 0o666 less the umask.
+    """
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

@@ -107,17 +107,12 @@ row keeps its bits.  No shipped model reaches a vanished count row, since
 Given a drift function V, a run also summarizes each step of each row:
 ESS, the log-weight range, eta(V) and eta(G~).  One reduction serves both
 forms: a row of a states batch holds one value per particle, and a count
-batch weighs each label of a row by its count.  It holds the populations
-and step log weights of the last ``max(1, BLOCK_VALUES // size)`` steps,
-where size is the number of values a population holds (R rows of N
-particles, or of m counts), and summarizes them at once: one stack per
-array, V called on the concatenated statistics, and each reduction taken
-along the rows.  A row reduction runs the same inner loop over the same
-contiguous values as the reduction of that step's own array, V acts value
-by value, and the ESS squares its sum by the scalar ``** 2`` of one step
-at a time, so every summary has the bits it would have step by step.  The
-budget keeps each summary's temporaries (64 KiB per array) below the size
-at which the allocator maps fresh pages.
+batch weighs each label of a row by its count.  Each step's batch is
+summarized once, as the step is taken, from its population and the step's
+log weights, and the terminal batch once more at the horizon; no
+population or log weights are kept past their step.  Each reduction takes
+one contiguous row, V acts value by value, and the ESS squares its sum by
+the scalar ``** 2``, so a row's summaries have the bits of its lone run.
 """
 
 import itertools
@@ -322,102 +317,66 @@ def smc_step(ens, model, rng):
                     vanished=vanished), lw
 
 
-# the monitor holds at most this many values of each array before it summarizes
-# them, and a states batch at most this many particle values
+# the most particle values a states batch holds, unless one row alone holds more
 BLOCK_VALUES = 2**13
 
 
-def _reductions(model, drift, pops, lws):
-    """eta(V) of the held populations, and the weight sums and range of their log weights.
+def _summaries(model, drift, ens, lw):
+    """One step's diagnostics of each row of ``ens``, by the step's log weights ``lw``.
 
-    Each value has shape (steps, rows).  A states batch has a row per
-    replicate whose values each hold one particle.  A count batch has a
-    row per replicate whose value at a label holds its count of particles:
-    a label whose count is 0 adds nothing, and its log weight sets neither
-    end of the range.
+    ``lw`` is None at the terminal step, whose weight fields are NaN.  A
+    states batch has a row per replicate whose values each hold one
+    particle.  A count batch has a row per replicate whose value at a label
+    holds its count of particles: a label whose count is 0 adds nothing,
+    and its log weight sets neither end of the range.
     """
-    shape = (len(pops), -1, pops[0].stats.shape[-1])
-    v = drift(np.concatenate([p.stats.ravel() for p in pops])).reshape(shape)
-    counts = held = None
-    if pops[0].counts is not None:
-        counts = np.stack([p.counts for p in pops])
-        held = counts > 0
+    values = ens.stats.shape[-1]
+    held = None if ens.counts is None else ens.counts > 0
 
     def only_held(x, fill):
-        """``x`` over its steps, with ``fill`` at each label its row does not hold."""
-        return x if held is None else np.where(held[:len(x)], x, fill)
+        """``x`` with ``fill`` at each label its row does not hold."""
+        return x if held is None else np.where(held, x, fill)
 
     def total(x):
         """Each row's sum of ``x`` over its particles."""
-        return (x if counts is None else only_held(x, 0.0) * counts[:len(x)]).sum(axis=2)
+        return (x if held is None else only_held(x, 0.0) * ens.counts).sum(axis=1)
 
-    def mean(x):
-        """Each row's mean of ``x`` over its particles."""
-        return total(x) / pops[0].n_particles
-
-    eta_v = mean(v).tolist()
-    if not lws:
-        return eta_v, [], [], [], [], []
-    lw = np.stack(lws).reshape(len(lws), *shape[1:]) - model.potentials.log_g_max
-    top = only_held(lw, -np.inf).max(axis=2)
-    w = np.exp(lw - top[:, :, None])
-    return (eta_v, total(w).tolist(), total(w * w).tolist(), mean(np.exp(lw)).tolist(),
-            top.tolist(), only_held(lw, np.inf).min(axis=2).tolist())
-
-
-def _summaries(model, drift, pops, lws):
-    """Diagnostics of the held populations: for each row, one per entry of ``pops``.
-
-    ``lws`` are the step log weights of the first ``len(lws)`` of them; one
-    more population, without log weights, is the terminal step.
-    """
     # V overflows to inf far out; a row shifted past the float range has ESS 0
     with np.errstate(over="ignore", invalid="ignore"):
-        eta_v, sums, squares, eta_g, top, bottom = _reductions(model, drift, pops, lws)
-    k0 = pops[0].k
-    out = [[] for _ in eta_v[0]]
-    for i in range(len(lws)):
-        for r, row in enumerate(out):
-            # a Python float ** 2 is the C pow of the scalar formula, not the product w * w
-            ess = sums[i][r] ** 2 / squares[i][r] if math.isfinite(top[i][r]) else 0.0
-            row.append(StepSummary(k=k0 + i, ess=ess, log_w_max=top[i][r],
-                                   log_w_min=bottom[i][r], eta_v=eta_v[i][r],
-                                   eta_gtilde=eta_g[i][r]))
-    if len(pops) > len(lws):
-        for r, row in enumerate(out):
-            row.append(StepSummary(k=pops[-1].k, ess=math.nan, log_w_max=math.nan,
-                                   log_w_min=math.nan, eta_v=eta_v[-1][r],
-                                   eta_gtilde=math.nan))
-    return out
+        eta_v = (total(drift(ens.stats.ravel()).reshape(-1, values)) / ens.n_particles).tolist()
+        if lw is None:
+            return [StepSummary(k=ens.k, ess=math.nan, log_w_max=math.nan, log_w_min=math.nan,
+                                eta_v=v, eta_gtilde=math.nan) for v in eta_v]
+        lw = lw.reshape(-1, values) - model.potentials.log_g_max
+        top = only_held(lw, -np.inf).max(axis=1)
+        w = np.exp(lw - top[:, None])
+        sums, squares = total(w).tolist(), total(w * w).tolist()
+        eta_g = (total(np.exp(lw)) / ens.n_particles).tolist()
+        bottom = only_held(lw, np.inf).min(axis=1).tolist()
+    # a Python float ** 2 is the C pow of the scalar formula, not the product w * w
+    return [StepSummary(k=ens.k, ess=s ** 2 / q if math.isfinite(t) else 0.0, log_w_max=t,
+                        log_w_min=b, eta_v=v, eta_gtilde=g)
+            for s, q, t, b, v, g in zip(sums, squares, top.tolist(), bottom, eta_v, eta_g)]
 
 
 def _run(model, ens, rng, drift):
     """Step the batch ``ens`` to the horizon by ``rng``: its terminal population and row summaries.
 
-    Each row's entry is its list of step summaries, empty without a drift
-    V, or None if its weights vanished at some step.
+    Given a drift V, each step's batch is summarized as the step is taken,
+    and the terminal batch once at the horizon.  Each row's entry is its
+    list of step summaries, empty without a drift V, or None if its weights
+    vanished at some step.
     """
-    summaries = [[] for _ in range(len(ens.stats if ens.counts is None else ens.counts))]
-    block = max(1, BLOCK_VALUES // (ens.stats.size if ens.counts is None else ens.counts.size))
-    pops, lws = [], []
-
-    def summarize():
-        for row, steps in zip(summaries, _summaries(model, drift, pops, lws)):
-            row.extend(steps)
-        pops.clear()
-        lws.clear()
-
+    steps = []
     while ens.k < model.horizon:
         nxt, lw = smc_step(ens, model, rng)
         if drift is not None:
-            pops.append(ens)
-            lws.append(lw)
-            if len(lws) == block:
-                summarize()
+            steps.append(_summaries(model, drift, ens, lw))
         ens = nxt
+    summaries = [[] for _ in range(len(ens.stats if ens.counts is None else ens.counts))]
     if drift is not None:
-        pops.append(ens)
-        summarize()
+        steps.append(_summaries(model, drift, ens, None))
+        summaries = [list(row) for row in zip(*steps)]
     if ens.vanished is not None:
         summaries = [None if gone else row for row, gone in zip(summaries, ens.vanished)]
     return ens, summaries

@@ -310,9 +310,9 @@ def drift_probe(fam, gamma, q, drift, radii, n_proposals, seed):
             x = r * direction
             rng = streams.stream(seed, 1, i, j)
             y = q(n_proposals, rng)
-            cur = float(fam.target.log_unnorm(x))
-            prop = np.asarray(fam.target.log_unnorm(x + y), dtype=float)
             with np.errstate(invalid="ignore", over="ignore"):
+                cur = float(fam.target.log_unnorm(x))
+                prop = np.asarray(fam.target.log_unnorm(x + y), dtype=float)
                 a = np.exp(np.minimum(0.0, gamma * (prop - cur)))
                 a = np.where(np.isfinite(prop), a, 0.0)
                 vx = float(drift(np.array([cur]))[0])

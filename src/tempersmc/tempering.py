@@ -160,6 +160,10 @@ def gaussian_mixture_target(means, sigmas, weights):
         raise ValueError("sigmas must be finite and positive")
     if weights.shape != (n_comp,) or not np.all((weights > 0) & (weights < np.inf)):
         raise ValueError("need one finite positive amplitude per component")
+    with np.errstate(over="ignore"):
+        total_weight = weights.sum()
+    if not np.isfinite(total_weight):
+        raise ValueError("the amplitudes must have a finite sum")
 
     log_w = np.log(weights)
 
@@ -183,7 +187,7 @@ def gaussian_mixture_target(means, sigmas, weights):
     return LogTarget(
         dim=d,
         log_unnorm=log_unnorm,
-        sup_log_unnorm=float(np.log(weights.sum())),
+        sup_log_unnorm=float(np.log(total_weight)),
     )
 
 

@@ -307,10 +307,10 @@ def test_outputs_identical_for_any_task_size(name, overrides, cuts, monkeypatch,
 
 
 @pytest.mark.parametrize("n, n_particles", [(1, 1), (10_000, 2)])
-def test_run_rows_at_the_monitor_block_edges(n, n_particles, pools, monkeypatch, tmp_path):
-    # one particle, one step: a block of one row and the terminal row; two
-    # particles over 10^4 steps: two full blocks of 4096 steps and a partial
-    # one.  One task per replicate, so two workers both take one
+def test_run_rows_at_one_particle_and_at_ten_thousand_steps(n, n_particles, pools, monkeypatch,
+                                                            tmp_path):
+    # one particle, one step: one summarized step and the terminal row; two
+    # particles over 10^4 steps.  One task per replicate, so two workers both take one
     monkeypatch.setattr(stabilitylab, "_TASK_STEPS", n * n_particles)
     csv = {}
     for workers in (1, 2):
@@ -559,6 +559,10 @@ COMPONENT_CASES = [
     ("drift_monitor", ("model", "target"), {**MIXTURE, "sigmas": [[-1.0]]}, "model.target"),
     ("drift_monitor", ("model", "target"), {**MIXTURE, "means": [[math.nan]]}, "model.target"),
     ("drift_monitor", ("model", "target"), {**MIXTURE, "weights": [math.nan]}, "model.target"),
+    # each amplitude is finite, but their sum is not
+    ("drift_monitor", ("model", "target"),
+     {**MIXTURE, "means": [[0.0], [3.0]], "sigmas": [[1.0], [1.0]], "weights": [1e308, 1e308]},
+     "model.target"),
     ("drift_check", ("model", "schedule"), [], "model.schedule"),
     ("drift_check", ("radii",), [2, -1], "radii[1]"),
     ("bias_finite", ("grids",), {"n": [2], "M": [3]}, "grids.M"),
@@ -870,13 +874,14 @@ def test_drift_check_on_a_mixture_target(tmp_path):
 
 def test_drift_check_never_names_an_unmeasured_shell_safe(tmp_path):
     # on the shipped model V overflows past r = 63.7, so every ratio on these
-    # shells is nan: they have no estimate, and none is the safe radius
-    cfg = parse_config(_shipped("drift_check", tmp_path, workers=1, radii=[70, 100]))
+    # shells is nan: they have no estimate, and none is the safe radius.  At
+    # r = 1e200 the target's squared radius overflows too, without a warning
+    cfg = parse_config(_shipped("drift_check", tmp_path, workers=1, radii=[70, 100, 1e200]))
     assert dispatch(cfg) == EXIT_OK
     header, *lines = (tmp_path / "drift-check.csv").read_text().splitlines()
-    assert [line.split(",")[2] for line in lines] == ["nan"] * 4
+    assert [line.split(",")[2] for line in lines] == ["nan"] * 6
     summary = json.loads((tmp_path / "drift-check.json").read_text())["summary"]
-    assert summary["lambda_hat"] == summary["band"] == ["nan", "nan"]
+    assert summary["lambda_hat"] == summary["band"] == ["nan"] * 3
     assert summary["safe_radius"] is None
 
 
@@ -1080,6 +1085,20 @@ def test_failed_write_leaves_previous_pair(failing, monkeypatch, tmp_path):
     with pytest.raises(RuntimeError, match=failing):
         dispatch(replace(cfg, epsilon=2.0))
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_outputs_take_the_mode_of_a_plain_open(umask, mode, tmp_path):
+    # the mode open(path, "w") gives a new file: 0o666 less the umask
+    cfg = parse_config(_shipped("counterexample", tmp_path))
+    previous = os.umask(umask)
+    try:
+        assert dispatch(cfg) == EXIT_OK
+    finally:
+        os.umask(previous)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes == {"counterexample.csv": mode, "counterexample.json": mode}
 
 
 def test_dispatch_maps_only_config_errors(monkeypatch, tmp_path):

@@ -1081,11 +1081,10 @@ def _mixture_with_drift(n):
 
 
 @pytest.mark.parametrize("n_particles", [37, BLOCK_VALUES + 808])
-def test_block_monitor_is_the_per_step_monitor(n_particles):
-    # horizons on both sides of one block of steps, and of none; above
-    # BLOCK_VALUES particles a block is one step
-    block = max(1, BLOCK_VALUES // n_particles)
-    for n in sorted({0, 1, block - 1, block, block + 1}):
+def test_monitor_is_the_per_step_monitor_on_a_mixture(n_particles):
+    # no step, one step and two, with log_g_max > 0; above BLOCK_VALUES
+    # particles a lone row is a batch of its own
+    for n in [0, 1, 2]:
         model, drift = _mixture_with_drift(max(n, 1))
         model = replace(model, horizon=n)
         assert model.potentials.log_g_max > 0.0
@@ -1123,17 +1122,15 @@ def test_count_monitor_is_the_particle_monitor_of_the_repeated_labels(kind, n_pa
                                np.array([astuple(s) for s in expected]), rtol=1e-12, atol=0)
 
 
-def test_count_block_monitor_across_blocks():
-    # a two-label population holds two values per step, so a block is
-    # BLOCK_VALUES // 2 steps; every step of this model is the same, so a run
-    # to horizon n is the first n steps of the longest run, then its terminal row
-    block = BLOCK_VALUES // 2
-    longest = block + 1
+def test_count_monitor_at_each_horizon_is_the_per_step_monitor():
+    # every step of this model is the same, so a run to horizon n is the
+    # first n steps of the longest run, then its terminal row
+    longest = 50
     drift = lambda s: np.array([1.0, 2.5])[s]
     model = table_model([M2] * longest, np.tile(np.log([2.0, 0.7]), (longest, 1)),
                         np.array([0.6, 0.4]))
     _, (ref_summaries,) = _reference_run(model, 9, 29, 1, drift)
-    for n in [block - 1, block, longest]:
+    for n in [1, 2, longest]:
         short = table_model([M2] * n, np.tile(np.log([2.0, 0.7]), (n, 1)), np.array([0.6, 0.4]))
         _, summaries = _run_one(short, 9, 29, 1, drift=drift)
         terminal = replace(ref_summaries[n], ess=math.nan, log_w_max=math.nan,
@@ -1141,17 +1138,16 @@ def test_count_block_monitor_across_blocks():
         assert _bits(summaries) == _bits(ref_summaries[:n] + [terminal])
 
 
-def test_block_monitor_at_one_particle():
-    # one particle makes a block of BLOCK_VALUES steps.  Every step of this
-    # model has the same kernel and potential, so a run to horizon n is the
-    # first n steps of the longest run, then its terminal row
-    longest = BLOCK_VALUES + 1
+def test_monitor_at_one_particle():
+    # every step of this model has the same kernel and potential, so a run
+    # to horizon n is the first n steps of the longest run, then its terminal row
+    longest = 50
     drift = lambda s: np.array([1.0, 2.5])[s]
     model = label_model(table_model([M2] * longest, np.tile(np.log([2.0, 0.7]), (longest, 1)),
                                     np.array([0.6, 0.4])))
     assert model.potentials.log_g_max > 0.0
     _, (ref_summaries,) = _reference_run(model, 1, 29, 1, drift)
-    for n in [0, 1, BLOCK_VALUES - 1, BLOCK_VALUES, longest]:
+    for n in [0, 1, 2, longest]:
         _, summaries = _run_one(replace(model, horizon=n), 1, 29, 1, drift=drift)
         terminal = replace(ref_summaries[n], ess=math.nan, log_w_max=math.nan,
                            log_w_min=math.nan, eta_gtilde=math.nan)
