@@ -43,15 +43,22 @@ EXIT_INCONCLUSIVE = 2
 _EXIT_CODES = {"ok": EXIT_OK, "failed": EXIT_PRECONDITION, "inconclusive": EXIT_INCONCLUSIVE}
 
 
+def _usable_cpus():
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def make_mapper(workers):
     """Order-preserving map over tasks.
 
-    A pool never holds more processes than there are CPUs or tasks, and a
-    map that would get a single process runs in-process instead.  The
+    A pool never holds more processes than there are usable CPUs or tasks,
+    and a map that would get a single process runs in-process instead.  The
     experiments hand it only maps that cost at least one task's budget;
     cheaper ones run in-process without it (see ``stabilitylab``).
     """
-    cpus = os.cpu_count() or 1
+    cpus = _usable_cpus()
     if workers is None:
         workers = cpus
 

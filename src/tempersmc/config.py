@@ -87,7 +87,6 @@ KINDS = tuple(COMPONENTS[""][2])
 _SCHEDULES = {"linear": tempering.linear_schedule, "smoothstep": tempering.smoothstep_schedule}
 _TARGETS = {"gaussian": tempering.gaussian_target,
             "gaussian-mixture": tempering.gaussian_mixture_target}
-_INCREMENTS = {"gaussian": rwm.gaussian_increment}
 
 
 class ConfigError(ValueError):
@@ -251,11 +250,11 @@ def build_family(model_spec):
     return tempering.TemperedFamily(target=target, schedule=build_schedule(spec["schedule"]))
 
 
-def build_increment(model_spec, dim):
+def build_increment(model_spec):
+    """The scale of the random-walk proposal's centred Gaussian increment."""
     _, spec = _model(model_spec)
-    name, params = _read("model.increment", spec["increment"])
-    with _at("model.increment"):
-        return _INCREMENTS[name](dim, **params)
+    _, params = _read("model.increment", spec["increment"])
+    return float(_positive(params["scale"], "model.increment"))
 
 
 def _finite_init_vector(cfg, logw, gamma_floor):
@@ -309,10 +308,10 @@ def build_model(cfg, n):
                 logw, schedule.ladder(n), move_prob=spec["move_prob"], init=init
             )
     fam = build_family(cfg.model)
-    q = build_increment(cfg.model, fam.target.dim)
+    scale = build_increment(cfg.model)
     with _at("model"):
         gammas = fam.schedule.ladder(n)
-        kernels = rwm.rwm_kernel_family(fam, gammas, q)
+        kernels = rwm.rwm_kernel_family(fam, gammas, scale)
         potentials = tempering.build_potentials(fam, gammas)
     return FKModel(horizon=n, kernels=kernels, potentials=potentials,
                    initial=_continuous_init(cfg, fam))
@@ -484,7 +483,8 @@ def parse_config(text):
     # build once what the experiment builds, and only that, so bad names, keys,
     # dimensions and kernels fail here and not in a worker
     if kind == "drift-check":
-        build_increment(model, build_family(model).target.dim)
+        build_family(model)
+        build_increment(model)
     elif model is not None:
         build_model(cfg, n=2)
     if "f" in taken:

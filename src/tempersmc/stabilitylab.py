@@ -280,13 +280,14 @@ def n_scaling_experiment(cfg, mapper):
     )
 
 
-def drift_probe(fam, gamma, q, drift, radii, n_proposals, seed):
+def drift_probe(fam, gamma, scale, drift, radii, n_proposals, seed):
     """Estimate max over each shell of E[V(next)] / V(current).
 
     One ``(radius, point_index, ratio, std_err)`` row per probe point, shell
     by shell in increasing radius, with ``point_index`` counting the points
     of its shell from 0.  Each probe point uses ``n_proposals``
-    Rao-Blackwellized proposals (the acceptance probability is integrated
+    Rao-Blackwellized random-walk proposals, centred Gaussian increments of
+    standard deviation ``scale`` (the acceptance probability is integrated
     analytically, no accept draws).  The per-shell band is 4 standard
     errors of the worst point; the safe radius is the smallest shell where
     estimate + band < 1.  A shell with a non-finite ratio, as where V
@@ -309,7 +310,7 @@ def drift_probe(fam, gamma, q, drift, radii, n_proposals, seed):
         for j, direction in enumerate(dirs):
             x = r * direction
             rng = streams.stream(seed, 1, i, j)
-            y = q(n_proposals, rng)
+            y = rng.standard_normal((n_proposals, d)) * scale
             with np.errstate(invalid="ignore", over="ignore"):
                 cur = float(fam.target.log_unnorm(x))
                 prop = np.asarray(fam.target.log_unnorm(x + y), dtype=float)
@@ -338,8 +339,8 @@ def drift_check_experiment(cfg):
     """Monte Carlo drift ratios on shells of the configured radii, numbered per radius."""
     fam = build_family(cfg.model)
     gamma = cfg.gamma if cfg.gamma is not None else fam.schedule.gamma_floor
-    return drift_probe(fam, gamma, build_increment(cfg.model, fam.target.dim),
-                       build_drift(cfg), cfg.radii, cfg.n_proposals, cfg.seed)
+    return drift_probe(fam, gamma, build_increment(cfg.model), build_drift(cfg), cfg.radii,
+                       cfg.n_proposals, cfg.seed)
 
 
 def _trajectory_task(args):

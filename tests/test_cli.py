@@ -100,7 +100,7 @@ def _digests(out, experiment):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The size of each process pool started during the test, on a machine of two CPUs.
+    """The size of each process pool started during the test, with two usable CPUs.
 
     Each pool is a real one: its tasks run in worker processes.
     """
@@ -112,7 +112,7 @@ def pools(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     return sizes
 
 
@@ -336,7 +336,7 @@ def test_cheap_map_starts_no_pool(name, overrides, monkeypatch, tmp_path):
     def no_pool(max_workers):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     csv = {}
     for workers in (1, 2):
@@ -551,6 +551,9 @@ COMPONENT_CASES = [
     ("bias_gaussian", ("model", "increment", "scale"), "x", "model.increment"),
     ("bias_gaussian", ("model", "increment", "scale"), math.nan, "model.increment"),
     ("bias_gaussian", ("model", "increment", "scale"), math.inf, "model.increment"),
+    ("bias_gaussian", ("model", "increment", "scale"), 0.0, "model.increment"),
+    ("drift_check", ("model", "increment", "scale"), -1.0, "model.increment"),
+    ("drift_check", ("model", "increment", "scale"), True, "model.increment"),
     ("bias_gaussian", ("model", "increment", "name"), "x", "model.increment.name"),
     ("bias_gaussian", ("grids", "N"), [50, 5000], "grids.N"),
     ("bias_gaussian", ("grids",), {"n": [5, 10]}, "grids.N"),
@@ -910,6 +913,15 @@ def test_counterexample_overflow_written_as_inf(tmp_path):
     assert float(values["log_margin"]) > 0
 
 
+def test_counterexample_searched_branch_is_written(tmp_path):
+    cfg = parse_config(_shipped("counterexample", tmp_path, epsilon=1e-299, delta=1 - 2**-53))
+    assert dispatch(cfg) == EXIT_OK
+    header, row = (tmp_path / "counterexample.csv").read_text().splitlines()
+    values = dict(zip(header.split(","), row.split(",")))
+    assert values["branch"] == "searched"
+    assert float(values["log_margin"]) > 0
+
+
 @pytest.mark.parametrize("content", [b"{\"experiment\": \"\xff\"}", b"[" * 100_000],
                          ids=["not-utf8", "nested-too-deep"])
 def test_unreadable_config_exits_1(content, tmp_path, capsys):
@@ -957,7 +969,7 @@ def test_pool_capped_at_cpus_and_tasks(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
     assert make_mapper(64)(abs, [-1, -2, -3, -4, -5]) == [1, 2, 3, 4, 5]
     assert make_mapper(64)(abs, [-1, -2]) == [1, 2]
     assert make_mapper(None)(abs, [-1, -2, -3, -4]) == [1, 2, 3, 4]
@@ -966,9 +978,23 @@ def test_pool_capped_at_cpus_and_tasks(monkeypatch):
     assert make_mapper(64)(abs, [-7]) == [7]
     assert make_mapper(64)(abs, []) == []
     assert make_mapper(1)(abs, [-1, -2, -3]) == [1, 2, 3]
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     assert make_mapper(None)(abs, [-1, -2]) == [1, 2]
     assert sizes == [3, 2, 3]
+
+
+def test_pool_sized_by_the_affinity_mask(monkeypatch):
+    # a mask of one CPU on a machine of two: workers unset, the map runs in-process
+    def no_pool(max_workers):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert make_mapper(None)(abs, [-1, -2, -3]) == [1, 2, 3]
+    # without an affinity call the machine's count is the cap
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    assert cli._usable_cpus() == 2
 
 
 def test_run_below_its_degeneracy_floor_fails(tmp_path):

@@ -14,7 +14,6 @@ from finite_models import (
     random_finite_model,
     two_state_fixture,
 )
-from test_rwm import box_increment
 from tempersmc import oracle, particles, streams
 from tempersmc.fk_core import FKModel, KernelFamily, PotentialFamily
 from tempersmc.finite import table_model, tempered_chain_model
@@ -29,7 +28,7 @@ from tempersmc.particles import (
     run_sampler,
     smc_step,
 )
-from tempersmc.rwm import gaussian_increment, rwm_kernel_family
+from tempersmc.rwm import rwm_kernel_family
 from tempersmc.tempering import (
     TemperedFamily,
     build_potentials,
@@ -88,7 +87,7 @@ def gaussian_model(n, init_mean=0.0, floor=0.7):
     gammas = fam.schedule.ladder(n)
     return FKModel(
         horizon=n,
-        kernels=rwm_kernel_family(fam, gammas, gaussian_increment(1, 1.0)),
+        kernels=rwm_kernel_family(fam, gammas, 1.0),
         potentials=build_potentials(fam, gammas),
         initial=sampler,
     ), fam
@@ -477,14 +476,11 @@ _CARRY_TARGETS = {
     "mixture": lambda: gaussian_mixture_target([[-1.0, 0.0], [2.0, 1.0]],
                                                [[0.7, 1.0], [1.2, 0.4]], [0.4, 0.6]),
 }
-_CARRY_INCREMENTS = {"gaussian": lambda: gaussian_increment(2, 1.5),
-                     "box": lambda: box_increment(2, 2.0)}
 
 
 @pytest.mark.parametrize("spread", [2.0, 1e154], ids=["near", "overflowing"])
-@pytest.mark.parametrize("increment", sorted(_CARRY_INCREMENTS))
 @pytest.mark.parametrize("target", sorted(_CARRY_TARGETS))
-def test_carried_log_density_is_the_target_density_at_every_step(target, increment, spread):
+def test_carried_log_density_is_the_target_density_at_every_step(target, spread):
     # from the overflowing start some particles, and all of their proposals,
     # have log density -inf
     n = 6
@@ -492,7 +488,7 @@ def test_carried_log_density_is_the_target_density_at_every_step(target, increme
     gammas = fam.schedule.ladder(n)
     model = FKModel(
         horizon=n,
-        kernels=rwm_kernel_family(fam, gammas, _CARRY_INCREMENTS[increment]()),
+        kernels=rwm_kernel_family(fam, gammas, 1.5),
         potentials=build_potentials(fam, gammas),
         initial=lambda size, rng: spread * rng.standard_normal((size, 2)),
     )
@@ -920,7 +916,7 @@ def _rwm_with_drift(d, n):
     gammas = fam.schedule.ladder(n)
     model = FKModel(
         horizon=n,
-        kernels=rwm_kernel_family(fam, gammas, gaussian_increment(d, 0.8)),
+        kernels=rwm_kernel_family(fam, gammas, 0.8),
         potentials=build_potentials(fam, gammas),
         initial=lambda size, rng: 2.0 + rng.standard_normal((size, d)),
     )
@@ -1073,7 +1069,7 @@ def _mixture_with_drift(n):
     gammas = fam.schedule.ladder(n)
     model = FKModel(
         horizon=n,
-        kernels=rwm_kernel_family(fam, gammas, gaussian_increment(1, 1.0)),
+        kernels=rwm_kernel_family(fam, gammas, 1.0),
         potentials=build_potentials(fam, gammas),
         initial=lambda size, rng: 2.0 * rng.standard_normal((size, 1)),
     )

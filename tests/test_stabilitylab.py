@@ -12,7 +12,6 @@ from tempersmc.config import parse_config
 from tempersmc.finite import table_model
 from tempersmc.fk_core import DriftSpec
 from tempersmc.particles import BLOCK_REPLICATES
-from tempersmc.rwm import gaussian_increment
 from tempersmc.stabilitylab import (
     bias_decay_experiment,
     drift_probe,
@@ -166,7 +165,7 @@ def test_std_err_is_the_plain_spread_where_it_is_finite():
 def test_drift_probe_flat_v():
     fam = TemperedFamily(gaussian_target([0.0], [1.0]), linear_schedule(0.7))
     drift = lambda ell: np.ones(np.asarray(ell).shape[0])
-    table = drift_probe(fam, 0.7, gaussian_increment(1, 1.0), drift, [2.0, 4.0],
+    table = drift_probe(fam, 0.7, 1.0, drift, [2.0, 4.0],
                         n_proposals=2_000, seed=0)
     np.testing.assert_allclose(table.body["lambda_hat"], 1.0, atol=1e-12)
     # one (radius, point_index, ratio, std_err) row per point, numbered per shell
@@ -176,12 +175,12 @@ def test_drift_probe_flat_v():
 def test_drift_probe_gaussian_contracts():
     fam = TemperedFamily(gaussian_target([0.0], [1.0]), linear_schedule(0.7))
     drift = drift_function(fam.target.sup_log_unnorm, fam.schedule.gamma_floor, 0.5)
-    table = drift_probe(fam, 0.7, gaussian_increment(1, 1.0), drift, [2.0, 4.0, 6.0],
+    table = drift_probe(fam, 0.7, 1.0, drift, [2.0, 4.0, 6.0],
                         n_proposals=100_000, seed=3)
     assert np.all(np.diff(table.body["lambda_hat"]) < 0)
     assert table.body["lambda_hat"][-1] + table.body["band"][-1] < 1.0
     assert table.body["safe_radius"] is not None
-    again = drift_probe(fam, 0.7, gaussian_increment(1, 1.0), drift, [2.0, 4.0, 6.0],
+    again = drift_probe(fam, 0.7, 1.0, drift, [2.0, 4.0, 6.0],
                         n_proposals=100_000, seed=3)
     np.testing.assert_array_equal(table.body["lambda_hat"], again.body["lambda_hat"])
 
@@ -240,6 +239,16 @@ def test_counterexample_largest_delta_below_one_resolves(epsilon):
     # log 2 - log1p(delta) rounds to 0 here; log1p((1 - delta)/(1 + delta)) does not
     body = r2_counterexample(epsilon, 1.0 - 2.0**-53).body
     assert body["log_margin"] > 0
+
+
+@pytest.mark.parametrize("delta, margin", [(1.0 - 2.0**-53, 5.55e-17), (1.0 - 2.0**-52, 1.11e-16)])
+def test_counterexample_searches_when_the_first_radius_has_no_margin(delta, margin):
+    # at the first radius the two exp(-epsilon (2r -+ epsilon)) terms, about
+    # exp(-75), outweigh log1p((1 - delta)/(1 + delta)); the radius grows
+    # until they vanish and the margin is that term alone
+    body = r2_counterexample(1e-299, delta).body
+    assert body["branch"] == "searched"
+    assert body["log_margin"] == pytest.approx(margin, rel=1e-3)
 
 
 @pytest.mark.parametrize("d", [-160, -100, -20, -8, 0, 8, 20, 100, 160])

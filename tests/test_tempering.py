@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tempersmc import streams
 from tempersmc.finite import metropolis_matrix, tempered_chain_model
-from tempersmc.rwm import gaussian_increment, rwm_kernel_family, rwm_step_batch
+from tempersmc.rwm import rwm_kernel_family, rwm_step_batch
 from tempersmc.tempering import (
     TemperedFamily,
     TemperingSchedule,
@@ -86,8 +86,7 @@ def test_one_temperature_ladder_per_horizon():
     gammas = fam.schedule.ladder(n)
     np.testing.assert_array_equal(gammas, fam.schedule.fn(np.arange(n + 1) / n))
     pf = build_potentials(fam, gammas)
-    q = gaussian_increment(1, 1.0)
-    kf = rwm_kernel_family(fam, gammas, q)
+    kf = rwm_kernel_family(fam, gammas, 1.0)
     chain = tempered_chain_model(logw, gammas, 0.5, [0.5, 0.5])
     assert chain.horizon == n
     ell = np.array([-2.0, -0.5, 0.0])
@@ -98,7 +97,7 @@ def test_one_temperature_ladder_per_horizon():
         np.testing.assert_array_equal(chain.finite.kernels[k],
                                       metropolis_matrix(logw, gammas[k + 1], 0.5))
         ell = fam.target.log_unnorm(x)[None]
-        direct = rwm_step_batch(fam, gammas[k + 1], q, x[None], ell, [streams.stream(4, k)])
+        direct = rwm_step_batch(fam, gammas[k + 1], 1.0, x[None], ell, [streams.stream(4, k)])
         via_family = kf.sample_batch(k + 1, x[None], ell, [streams.stream(4, k)])
         np.testing.assert_array_equal(direct[0], via_family[0])
 
