@@ -6,30 +6,6 @@ experiment harness measuring initialization-bias forgetting, 1/sqrt(N)
 error scaling, and uniform-in-horizon error.
 """
 
-from .fk_core import (
-    DriftSpec,
-    FiniteArrays,
-    FKModel,
-    KernelFamily,
-    PotentialFamily,
-)
-from .particles import Ensemble, run_sampler
-from .streams import stream
-from .tempering import TemperedFamily, TemperingSchedule, LogTarget
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "DriftSpec",
-    "FiniteArrays",
-    "FKModel",
-    "KernelFamily",
-    "PotentialFamily",
-    "Ensemble",
-    "run_sampler",
-    "stream",
-    "TemperedFamily",
-    "TemperingSchedule",
-    "LogTarget",
-    "__version__",
-]
+__all__ = ["__version__"]

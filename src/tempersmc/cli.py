@@ -21,9 +21,14 @@ table (see ``stabilitylab.Table``); the exit code follows from its status:
 config error (at parse time or from a builder) or on a usage error in the
 command line, 2 when "inconclusive".  Any other exception is a bug and
 propagates.
+
+Importing this module loads only what parsing builds, the config and model
+layers: ``stabilitylab`` (with the engine and oracle) is imported when a run
+first needs it (``_lab``), ``argparse`` in ``main`` and the pool where one is
+made, so ``validate`` and a parse-only start never load them.
 """
 
-import argparse
+import errno
 import json
 import math
 import os
@@ -33,7 +38,6 @@ import time
 import numpy as np
 
 from .config import ConfigError, parse_config
-from . import stabilitylab
 
 __all__ = ["main", "dispatch", "make_mapper", "write_csv", "render_summary"]
 
@@ -160,19 +164,38 @@ def render_summary(cfg, status, exit_code, body):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _lab():
+    """The experiment layer, imported on a run's first use of it."""
+    from . import stabilitylab
+    return stabilitylab
+
+
 _RUNNERS = {
-    "bias-decay": stabilitylab.bias_decay_experiment,
-    "n-scaling": stabilitylab.n_scaling_experiment,
-    "run": stabilitylab.run_trajectories,
+    "bias-decay": lambda cfg, mapper: _lab().bias_decay_experiment(cfg, mapper),
+    "n-scaling": lambda cfg, mapper: _lab().n_scaling_experiment(cfg, mapper),
+    "run": lambda cfg, mapper: _lab().run_trajectories(cfg, mapper),
     # these three map no tasks
-    "drift-check": lambda cfg, mapper: stabilitylab.drift_check_experiment(cfg),
-    "counterexample": lambda cfg, mapper: stabilitylab.counterexample_experiment(cfg),
-    "lemma1-audit": lambda cfg, mapper: stabilitylab.lemma1_audit_experiment(cfg),
+    "drift-check": lambda cfg, mapper: _lab().drift_check_experiment(cfg),
+    "counterexample": lambda cfg, mapper: _lab().counterexample_experiment(cfg),
+    "lemma1-audit": lambda cfg, mapper: _lab().lemma1_audit_experiment(cfg),
 }
 
 
+def _check_out_dir(path):
+    """Raise the ``OSError`` that making ``path`` and writing in it would raise; creates nothing."""
+    child = ancestor = os.path.abspath(path)
+    while not os.path.exists(ancestor):
+        child, ancestor = ancestor, os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):  # a file at ``path`` itself, or on the way to it
+        code = errno.EEXIST if child == ancestor else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), child)
+    if not os.access(ancestor, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), child)
+
+
 def dispatch(cfg):
-    """Run the configured experiment and write its CSV + JSON outputs."""
+    """Check the output directory, run the configured experiment, write its CSV + JSON."""
+    _check_out_dir(cfg.out_dir)
     mapper = make_mapper(cfg.workers)
     try:
         table = _RUNNERS[cfg.experiment](cfg, mapper)
@@ -206,6 +229,8 @@ def _load_config(path, out=None, workers=None):
 
 
 def main(argv=None):
+    import argparse
+
     parser = argparse.ArgumentParser(prog="tempersmc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run an experiment from a config file")
@@ -221,16 +246,14 @@ def main(argv=None):
         return EXIT_PRECONDITION if exc.code == 2 else exc.code
 
     try:
-        if args.command == "validate":
-            cfg = _load_config(args.config)
-            for warning in cfg.warnings:
-                print(f"warning: {warning}", file=sys.stderr)
-            print(f"ok: {cfg.experiment} (seed {cfg.seed})")
-            return EXIT_OK
-        cfg = _load_config(args.config, out=args.out, workers=args.workers)
+        overrides = {"out": args.out, "workers": args.workers} if args.command == "run" else {}
+        cfg = _load_config(args.config, **overrides)
         for warning in cfg.warnings:
             print(f"warning: {warning}", file=sys.stderr)
-        return dispatch(cfg)
+        if args.command == "run":
+            return dispatch(cfg)
+        print(f"ok: {cfg.experiment} (seed {cfg.seed})")
+        return EXIT_OK
     except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -25,7 +25,9 @@ cut, a function of the config alone, changes no draw, and the results,
 merged in task order by a single reducer, are identical for any worker
 count.  A map whose tasks together cost less than ``_TASK_STEPS`` runs
 them in order in-process (``_map_tasks``), since a worker pool costs more
-to start than such a map costs to run; any other map goes to the mapper.
+to start than such a map costs to run; any other map goes to the mapper
+costliest task first, ties in task order, so a pool starts its longest
+tasks earliest.
 
 The cells of a grid are distinct: parsing rejects a repeated entry of
 grids.n or grids.N, whose cells would share a seed and pool the same
@@ -132,11 +134,14 @@ def _replicate_tasks(cfg, cells):
 
 
 def _map_tasks(fn, cfg, tasks, mapper):
-    """``fn`` over the tasks, in order: in-process when together they cost less than one task."""
+    """``fn`` over the tasks, results in task order (see the module docstring)."""
     cost = _replicate_cost(cfg)
-    if sum(len(reps) * cost(n, n_particles) for _, n, n_particles, reps in tasks) < _TASK_STEPS:
+    costs = [len(reps) * cost(n, n_particles) for _, n, n_particles, reps in tasks]
+    if sum(costs) < _TASK_STEPS:
         return [fn(task) for task in tasks]
-    return mapper(fn, tasks)
+    order = sorted(range(len(tasks)), key=lambda i: -costs[i])
+    results = dict(zip(order, mapper(fn, [tasks[i] for i in order])))
+    return [results[i] for i in range(len(tasks))]
 
 
 def _estimate_task(args):
@@ -327,9 +332,7 @@ def drift_probe(fam, gamma, scale, drift, radii, n_proposals, seed):
                 worst, worst_se = est, se
         lam_hat[i] = worst
         band[i] = 4.0 * worst_se
-    safe = next(
-        (float(r) for r, l, b in zip(radii, lam_hat, band) if l + b < 1.0), None
-    )
+    safe = next((float(r) for r, l, b in zip(radii, lam_hat, band) if l + b < 1.0), None)
     return Table(header=("radius", "point_index", "ratio", "std_err"), rows=rows, status="ok",
                  body={"radii": radii, "lambda_hat": lam_hat, "band": band,
                        "safe_radius": safe})
@@ -372,8 +375,7 @@ def run_trajectories(cfg, mapper):
     for block, deg in results:
         rows.extend(block)
         degenerate += deg
-    max_eta_v = {}
-    min_gtilde = math.inf
+    max_eta_v, min_gtilde = {}, math.inf
     for r, n, k, ess, lwmax, lwmin, eta_v, eta_g in rows:
         if math.isfinite(eta_v):
             max_eta_v[n] = max(max_eta_v.get(n, -math.inf), eta_v)
@@ -388,8 +390,7 @@ def run_trajectories(cfg, mapper):
         status="ok" if floor_ok else "failed" if observed else "inconclusive",
         body={"max_eta_v": {str(n): v for n, v in sorted(max_eta_v.items())},
               "min_eta_gtilde": min_gtilde, "degeneracy_floor": cfg.degeneracy_floor,
-              "floor_ok": floor_ok,
-              "degenerate_replicates": degenerate},
+              "floor_ok": floor_ok, "degenerate_replicates": degenerate},
     )
 
 

@@ -266,6 +266,30 @@ def test_continuous_csv_identical_for_any_worker_count_across_batches(pools, mon
     assert pools == [2]
 
 
+def test_a_pooled_map_hands_out_its_costliest_tasks_first(pools, monkeypatch, tmp_path):
+    # a two-state replicate of horizon n costs 4n whatever N is: the n = 5 cells
+    # cost more than the n = 2 cells, and the cells of each horizon tie
+    cfg = parse_config(_shipped("scaling_sqrt_n", tmp_path, grids={"n": [2, 5], "N": [10, 40]}))
+    cells = [(2, 10), (2, 40), (5, 10), (5, 40)]
+    monkeypatch.setattr(stabilitylab, "_TASK_STEPS", 100)
+    tasks = stabilitylab._replicate_tasks(cfg, cells)
+    handed = []
+
+    def mapper(fn, items):
+        handed.extend((n, n_particles) for _, n, n_particles, _ in items)
+        return [fn(x) for x in items]
+
+    assert stabilitylab._map_tasks(lambda task: task[1:3], cfg, tasks, mapper) == cells
+    assert handed == [(5, 10), (5, 40), (2, 10), (2, 40)]
+    csv = {}
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        assert dispatch(replace(cfg, workers=workers, out_dir=str(out))) == EXIT_OK
+        csv[workers] = (out / "n-scaling.csv").read_bytes()
+    assert csv[1] == csv[2]
+    assert pools == [2]
+
+
 @pytest.mark.parametrize("name, overrides, cuts", [
     # a block of two-state replicates costs 4nB: a budget of 24B runs each
     # n = 2 cell (two blocks and one replicate) as one task and cuts each
@@ -395,6 +419,34 @@ def test_importing_the_cli_loads_no_multiprocessing():
     proc = subprocess.run([sys.executable, "-c", script], env=_package_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# what a start that only parses a config must not load: the experiment layer,
+# the engine and oracle under it, the command line parser and numpy's random
+# module, which only the streams need
+NOT_FOR_PARSING = ("tempersmc.stabilitylab", "tempersmc.oracle", "tempersmc.particles",
+                   "tempersmc.streams", "argparse", "numpy.random")
+
+
+def _loaded_after(script, *args):
+    """The modules of ``NOT_FOR_PARSING`` that a fresh interpreter running ``script`` loaded."""
+    script += f"\nprint(*sorted(set({NOT_FOR_PARSING!r}) & set(sys.modules)))\n"
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=_package_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_parsing_a_config_loads_no_experiment_layer():
+    script = ("import sys\nimport tempersmc.cli\nfrom tempersmc.config import parse_config\n"
+              "for path in sys.argv[1:]:\n    parse_config(open(path).read())")
+    assert _loaded_after(script, *sorted(CONFIGS.glob("*.json"))) == []
+
+
+def test_validate_loads_no_experiment_layer():
+    script = ("import sys\nfrom tempersmc.cli import main\n"
+              "assert main(['validate', sys.argv[1]]) == 0")
+    assert "tempersmc.stabilitylab" not in _loaded_after(script, CONFIGS / "bias_gaussian.json")
 
 
 # (shipped config whose kind reads the key, key, value)
@@ -1125,6 +1177,41 @@ def test_outputs_take_the_mode_of_a_plain_open(umask, mode, tmp_path):
         os.umask(previous)
     modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
     assert modes == {"counterexample.csv": mode, "counterexample.json": mode}
+
+
+def _run_to(out, monkeypatch, tmp_path):
+    """``main`` on a counterexample config with ``--out out``; the runner must not be called."""
+    path = tmp_path / "counterexample.json"
+    path.write_text(_shipped("counterexample", tmp_path / "unused"))
+    monkeypatch.setitem(cli._RUNNERS, "counterexample",
+                        lambda cfg, mapper: pytest.fail("the experiment ran"))
+    return main(["run", str(path), "--out", str(out)])
+
+
+@pytest.mark.parametrize("below, error", [("sub", "[Errno 20] Not a directory"),
+                                          ("", "[Errno 17] File exists")])
+def test_an_out_dir_at_a_file_fails_before_the_run(below, error, monkeypatch, tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert _run_to(afile / below, monkeypatch, tmp_path) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}: ") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "counterexample.json"]
+    assert afile.read_text() == ""
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write in any directory")
+@pytest.mark.parametrize("below", ["sub", ""])
+def test_an_out_dir_without_write_permission_fails_before_the_run(below, monkeypatch, tmp_path,
+                                                                   capsys):
+    locked = tmp_path / "locked"
+    locked.mkdir(mode=0o500)
+    try:
+        assert _run_to(locked / below, monkeypatch, tmp_path) == EXIT_PRECONDITION
+        assert capsys.readouterr().err.startswith("error: [Errno 13] Permission denied: ")
+        assert list(locked.iterdir()) == []
+    finally:
+        locked.chmod(0o700)
 
 
 def test_dispatch_maps_only_config_errors(monkeypatch, tmp_path):
