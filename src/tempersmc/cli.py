@@ -25,7 +25,8 @@ propagates.
 Importing this module loads only what parsing builds, the config and model
 layers: ``stabilitylab`` (with the engine and oracle) is imported when a run
 first needs it (``_lab``), ``argparse`` in ``main`` and the pool where one is
-made, so ``validate`` and a parse-only start never load them.
+made.  Only a start that parses without running gains from this, such as
+``validate``; a run loads the same modules as before, later.
 """
 
 import errno
@@ -182,8 +183,15 @@ _RUNNERS = {
 
 
 def _check_out_dir(path):
-    """Raise the ``OSError`` that making ``path`` and writing in it would raise; creates nothing."""
-    child = ancestor = os.path.abspath(path)
+    """Raise early the ``OSError`` that making ``path`` and writing in it would raise.
+
+    A best-effort check that creates nothing, so a run does not compute only to
+    find it cannot write: it approximates the OS (``os.access`` asks about the
+    real uid, a read-only filesystem reads as EACCES), and the ``os.makedirs``
+    and writes after the run remain the authority.
+    """
+    # joined, not normalized: "afile/../x" fails here as it does in makedirs
+    child = ancestor = os.path.join(os.getcwd(), path)
     while not os.path.exists(ancestor):
         child, ancestor = ancestor, os.path.dirname(ancestor)
     if not os.path.isdir(ancestor):  # a file at ``path`` itself, or on the way to it
@@ -246,14 +254,16 @@ def main(argv=None):
         return EXIT_PRECONDITION if exc.code == 2 else exc.code
 
     try:
-        overrides = {"out": args.out, "workers": args.workers} if args.command == "run" else {}
-        cfg = _load_config(args.config, **overrides)
+        if args.command == "validate":
+            cfg = _load_config(args.config)
+            for warning in cfg.warnings:
+                print(f"warning: {warning}", file=sys.stderr)
+            print(f"ok: {cfg.experiment} (seed {cfg.seed})")
+            return EXIT_OK
+        cfg = _load_config(args.config, out=args.out, workers=args.workers)
         for warning in cfg.warnings:
             print(f"warning: {warning}", file=sys.stderr)
-        if args.command == "run":
-            return dispatch(cfg)
-        print(f"ok: {cfg.experiment} (seed {cfg.seed})")
-        return EXIT_OK
+        return dispatch(cfg)
     except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

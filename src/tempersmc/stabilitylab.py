@@ -332,7 +332,9 @@ def drift_probe(fam, gamma, scale, drift, radii, n_proposals, seed):
                 worst, worst_se = est, se
         lam_hat[i] = worst
         band[i] = 4.0 * worst_se
-    safe = next((float(r) for r, l, b in zip(radii, lam_hat, band) if l + b < 1.0), None)
+    safe = next(
+        (float(r) for r, l, b in zip(radii, lam_hat, band) if l + b < 1.0), None
+    )
     return Table(header=("radius", "point_index", "ratio", "std_err"), rows=rows, status="ok",
                  body={"radii": radii, "lambda_hat": lam_hat, "band": band,
                        "safe_radius": safe})
@@ -375,7 +377,8 @@ def run_trajectories(cfg, mapper):
     for block, deg in results:
         rows.extend(block)
         degenerate += deg
-    max_eta_v, min_gtilde = {}, math.inf
+    max_eta_v = {}
+    min_gtilde = math.inf
     for r, n, k, ess, lwmax, lwmin, eta_v, eta_g in rows:
         if math.isfinite(eta_v):
             max_eta_v[n] = max(max_eta_v.get(n, -math.inf), eta_v)
@@ -390,7 +393,8 @@ def run_trajectories(cfg, mapper):
         status="ok" if floor_ok else "failed" if observed else "inconclusive",
         body={"max_eta_v": {str(n): v for n, v in sorted(max_eta_v.items())},
               "min_eta_gtilde": min_gtilde, "degeneracy_floor": cfg.degeneracy_floor,
-              "floor_ok": floor_ok, "degenerate_replicates": degenerate},
+              "floor_ok": floor_ok,
+              "degenerate_replicates": degenerate},
     )
 
 

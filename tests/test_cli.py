@@ -1189,6 +1189,7 @@ def _run_to(out, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("below, error", [("sub", "[Errno 20] Not a directory"),
+                                          ("../sub", "[Errno 20] Not a directory"),
                                           ("", "[Errno 17] File exists")])
 def test_an_out_dir_at_a_file_fails_before_the_run(below, error, monkeypatch, tmp_path, capsys):
     afile = tmp_path / "afile"
