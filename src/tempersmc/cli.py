@@ -4,8 +4,9 @@ Usage:
     tempersmc run CONFIG [--out DIR] [--workers K]
     tempersmc validate CONFIG
 
-Each run writes <out>/<experiment>.csv and <out>/<experiment>.json.  The
-JSON is rendered and written to a temp file first, then the CSV is written
+Each run writes <out>/<experiment>.csv and <out>/<experiment>.json; a
+directory at either path fails before the run, with exit 1.  The JSON is
+rendered and written to a temp file first, then the CSV is written
 to a temp file and renamed into place, then the JSON is renamed, so a
 failure in the experiment, the rendering or the CSV write leaves the
 previous pair untouched.  All floats are
@@ -182,13 +183,14 @@ _RUNNERS = {
 }
 
 
-def _check_out_dir(path):
-    """Raise early the ``OSError`` that making ``path`` and writing in it would raise.
+def _check_out_dir(path, names):
+    """Raise early the ``OSError`` that making ``path`` and writing ``names`` in it would raise.
 
     A best-effort check that creates nothing, so a run does not compute only to
     find it cannot write: it approximates the OS (``os.access`` asks about the
     real uid, a read-only filesystem reads as EACCES), and the ``os.makedirs``
-    and writes after the run remain the authority.
+    and writes after the run remain the authority.  A directory at one of the
+    output paths fails as the rename onto it would.
     """
     # joined, not normalized: "afile/../x" fails here as it does in makedirs
     child = ancestor = os.path.join(os.getcwd(), path)
@@ -199,11 +201,16 @@ def _check_out_dir(path):
         raise OSError(code, os.strerror(code), child)
     if not os.access(ancestor, os.W_OK | os.X_OK):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), child)
+    for name in names:
+        target = os.path.join(path, name)
+        # a rename replaces a symbolic link, wherever it points
+        if os.path.isdir(target) and not os.path.islink(target):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
 
 
 def dispatch(cfg):
     """Check the output directory, run the configured experiment, write its CSV + JSON."""
-    _check_out_dir(cfg.out_dir)
+    _check_out_dir(cfg.out_dir, [cfg.experiment + ".csv", cfg.experiment + ".json"])
     mapper = make_mapper(cfg.workers)
     try:
         table = _RUNNERS[cfg.experiment](cfg, mapper)

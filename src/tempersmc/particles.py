@@ -97,22 +97,25 @@ row stays in its batch to the horizon, on both paths.  At each step a row
 whose largest log weight is not finite (a states replicate, or a count
 row over the labels it occupies) has vanished: it draws that step by flat
 weights, log weight 0 at every particle, and is marked in the ensemble's
-``vanished`` mask.  A vanished row reads as degenerate: its summaries are
-None and its estimate NaN, the paper's bounds concerning replicates whose
-weights never all vanish.  The flat weights replace that row's values
-alone, and a states row draws only from its own generator, so every other
-row keeps its bits.  No shipped model reaches a vanished count row, since
-``finite.table_model`` takes only a finite table.
+``vanished`` mask.  That mask is the one record of a vanished row: a
+caller reads the row as degenerate from it (``estimate`` gives it NaN),
+the paper's bounds concerning replicates whose weights never all vanish.
+The flat weights replace that row's values alone, and a states row draws
+only from its own generator, so every other row keeps its bits.  No
+shipped model reaches a vanished count row, since ``finite.table_model``
+takes only a finite table.
 
-Given a drift function V, a run also summarizes each step of each row:
-ESS, the log-weight range, eta(V) and eta(G~).  One reduction serves both
-forms: a row of a states batch holds one value per particle, and a count
-batch weighs each label of a row by its count.  Each step's batch is
-summarized once, as the step is taken, from its population and the step's
-log weights, and the terminal batch once more at the horizon; no
-population or log weights are kept past their step.  Each reduction takes
-one contiguous row, V acts value by value, and the ESS squares its sum by
-the scalar ``** 2``, so a row's summaries have the bits of its lone run.
+Given a drift function V, a run also records the steps of its batch: for
+each step, and the terminal batch, one tuple per row of (k, ESS, the
+log-weight range, eta(V), eta(G~)), a vanished row's included.  One
+reduction serves both forms: a row of a states batch holds one value per
+particle, and a count batch weighs each label of a row by its count.
+Each step's batch is summarized once, as the step is taken, from its
+population and the step's log weights, and the terminal batch once more
+at the horizon; no population or log weights are kept past their step.
+Each reduction takes one contiguous row, V acts value by value, and the
+ESS squares its sum by the scalar ``** 2``, so a row's tuples have the
+bits of its lone run.
 """
 
 import itertools
@@ -126,7 +129,6 @@ from . import streams
 
 __all__ = [
     "Ensemble",
-    "StepSummary",
     "init_ensemble",
     "draw_ancestors",
     "smc_step",
@@ -174,18 +176,6 @@ class Ensemble:
             self.n_particles = int(sums[0]) if sums.size else 0
         if self.n_particles < 1:
             raise ValueError("ensemble must hold at least one particle")
-
-
-@dataclass
-class StepSummary:
-    """Per-step diagnostics; weight fields are NaN at the terminal step."""
-
-    k: int
-    ess: float
-    log_w_max: float
-    log_w_min: float
-    eta_v: float
-    eta_gtilde: float
 
 
 def init_ensemble(model, n_particles, rng, rows):
@@ -324,6 +314,7 @@ BLOCK_VALUES = 2**13
 def _summaries(model, drift, ens, lw):
     """One step's diagnostics of each row of ``ens``, by the step's log weights ``lw``.
 
+    One tuple per row, (k, ess, log_w_max, log_w_min, eta_V, eta_Gtilde);
     ``lw`` is None at the terminal step, whose weight fields are NaN.  A
     states batch has a row per replicate whose values each hold one
     particle.  A count batch has a row per replicate whose value at a label
@@ -345,8 +336,7 @@ def _summaries(model, drift, ens, lw):
     with np.errstate(over="ignore", invalid="ignore"):
         eta_v = (total(drift(ens.stats.ravel()).reshape(-1, values)) / ens.n_particles).tolist()
         if lw is None:
-            return [StepSummary(k=ens.k, ess=math.nan, log_w_max=math.nan, log_w_min=math.nan,
-                                eta_v=v, eta_gtilde=math.nan) for v in eta_v]
+            return [(ens.k, math.nan, math.nan, math.nan, v, math.nan) for v in eta_v]
         lw = lw.reshape(-1, values) - model.potentials.log_g_max
         top = only_held(lw, -np.inf).max(axis=1)
         w = np.exp(lw - top[:, None])
@@ -354,32 +344,26 @@ def _summaries(model, drift, ens, lw):
         eta_g = (total(np.exp(lw)) / ens.n_particles).tolist()
         bottom = only_held(lw, np.inf).min(axis=1).tolist()
     # a Python float ** 2 is the C pow of the scalar formula, not the product w * w
-    return [StepSummary(k=ens.k, ess=s ** 2 / q if math.isfinite(t) else 0.0, log_w_max=t,
-                        log_w_min=b, eta_v=v, eta_gtilde=g)
+    return [(ens.k, s ** 2 / q if math.isfinite(t) else 0.0, t, b, v, g)
             for s, q, t, b, v, g in zip(sums, squares, top.tolist(), bottom, eta_v, eta_g)]
 
 
 def _run(model, ens, rng, drift):
-    """Step the batch ``ens`` to the horizon by ``rng``: its terminal population and row summaries.
+    """Step the batch ``ens`` to the horizon by ``rng``: its terminal population and steps.
 
-    Given a drift V, each step's batch is summarized as the step is taken,
-    and the terminal batch once at the horizon.  Each row's entry is its
-    list of step summaries, empty without a drift V, or None if its weights
-    vanished at some step.
+    The steps are None without a drift V.  Given one, each step's batch is
+    summarized as the step is taken, and the terminal batch once at the
+    horizon: n + 1 lists of one tuple per row (see ``_summaries``).
     """
-    steps = []
+    steps = None if drift is None else []
     while ens.k < model.horizon:
         nxt, lw = smc_step(ens, model, rng)
-        if drift is not None:
+        if steps is not None:
             steps.append(_summaries(model, drift, ens, lw))
         ens = nxt
-    summaries = [[] for _ in range(len(ens.stats if ens.counts is None else ens.counts))]
-    if drift is not None:
+    if steps is not None:
         steps.append(_summaries(model, drift, ens, None))
-        summaries = [list(row) for row in zip(*steps)]
-    if ens.vanished is not None:
-        summaries = [None if gone else row for row, gone in zip(summaries, ens.vanished)]
-    return ens, summaries
+    return ens, steps
 
 
 # the replicates of a block, the unit of randomness of a finite model
@@ -401,10 +385,8 @@ def run_sampler(model, n_particles, seed, replicates, drift=None):
     Elsewhere a batch is R = max(1, BLOCK_VALUES // (N * d)) consecutive
     ids, d the number of values in a state (the last batch may hold fewer),
     row r drawn from the stream keyed by (seed, r).  Returns one
-    (population, summaries) pair per batch: its terminal population, every
-    row of the batch, and a list with one entry per replicate of the
-    batch, that replicate's step summaries (empty without a drift V), or
-    None if its weights vanished.
+    (population, steps) pair per batch: its terminal population, every row
+    of the batch, and its steps (see ``_run``), None without a drift V.
     """
     out = []
     if model.is_finite:
@@ -425,31 +407,32 @@ def run_sampler(model, n_particles, seed, replicates, drift=None):
     return out
 
 
-def estimate(runs, f):
-    """The average of f over each replicate of ``run_sampler``'s ``runs``, as an array in id order.
+def estimate(pops, f):
+    """The average of f over each row of the populations ``pops``, as an array in row order.
 
     A states batch evaluates f once, on the states of all its rows, and
     averages each row's values, NaN unless they are all finite.  A count
     batch evaluates f once, on its labels, and each row weighs it by its
-    counts.  A replicate whose weights vanished, its summaries None, reads NaN.
-    A states row of finite values whose sum overflows is averaged after
-    division by its largest magnitude, which keeps the mean finite.
+    counts.  A row marked in ``vanished`` reads NaN.  A states row of
+    finite values whose sum overflows is averaged after division by its
+    largest magnitude, which keeps the mean finite.
     """
     out = []
-    for pop, summaries in runs:
-        vals = np.full(len(summaries), math.nan)
-        alive = np.array([s is not None for s in summaries])
+    for pop in pops:
         if pop.counts is not None:
-            sums = (pop.counts * np.asarray(f(pop.states), dtype=float)).sum(axis=1)
-            vals[alive] = sums[alive] / pop.n_particles
+            vals = (pop.counts * np.asarray(f(pop.states), dtype=float)).sum(axis=1)
+            vals /= pop.n_particles
         else:
             x = np.asarray(f(pop.states.reshape(-1, *pop.states.shape[2:])), dtype=float)
             x = x.reshape(pop.stats.shape)
-            used = alive & np.isfinite(x).all(axis=1)
+            vals = np.full(len(x), math.nan)
+            used = np.isfinite(x).all(axis=1)
             with np.errstate(over="ignore", invalid="ignore"):
                 vals[used] = x[used].mean(axis=1)
             for r in np.flatnonzero(used & ~np.isfinite(vals)):
                 top = np.abs(x[r]).max()
                 vals[r] = (x[r] / top).mean() * top
+        if pop.vanished is not None:
+            vals[pop.vanished] = math.nan
         out.append(vals)
     return np.concatenate(out)

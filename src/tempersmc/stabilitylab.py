@@ -20,7 +20,8 @@ batch: consecutive continuous replicates, each row drawn from its own
 stream keyed by (cell seed, replicate), or a finite block of
 ``BLOCK_REPLICATES``, one count batch drawn from one stream keyed by (cell
 seed, block); a finite task is a run of whole blocks.  ``estimate`` turns
-a task's batches into one estimate per replicate, in id order.  So the
+a task's terminal populations into one estimate per replicate, in id
+order, NaN for a replicate its batch marks as vanished.  So the
 cut, a function of the config alone, changes no draw, and the results,
 merged in task order by a single reducer, are identical for any worker
 count.  A map whose tasks together cost less than ``_TASK_STEPS`` runs
@@ -148,8 +149,8 @@ def _estimate_task(args):
     """One run of replicates of one grid cell; returns per-replicate estimates."""
     cfg, n, n_particles, rep_ids = args
     cell_seed = streams.derive_seed(cfg.seed, n, n_particles)
-    return estimate(run_sampler(build_model(cfg, n), n_particles, cell_seed, rep_ids),
-                    build_f(cfg))
+    runs = run_sampler(build_model(cfg, n), n_particles, cell_seed, rep_ids)
+    return estimate([pop for pop, _ in runs], build_f(cfg))
 
 
 def _exact_value(cfg, n):
@@ -349,18 +350,23 @@ def drift_check_experiment(cfg):
 
 
 def _trajectory_task(args):
+    """One run of replicates of one grid cell; returns its CSV rows and degenerate count.
+
+    A replicate its batch marks as vanished is degenerate and gives no rows;
+    each other gives one row per step, in id order.
+    """
     cfg, n, n_particles, rep_ids = args
-    model = build_model(cfg, n)
-    drift = build_drift(cfg)
     cell_seed = streams.derive_seed(cfg.seed, n, n_particles)
-    rows, degenerate = [], 0
-    runs = run_sampler(model, n_particles, cell_seed, rep_ids, drift=drift)
-    for r, summaries in zip(rep_ids, [row for _, per_row in runs for row in per_row]):
-        if summaries is None:
-            degenerate += 1
-            continue
-        for s in summaries:
-            rows.append((r, n, s.k, s.ess, s.log_w_max, s.log_w_min, s.eta_v, s.eta_gtilde))
+    rows, degenerate, ids = [], 0, iter(rep_ids)
+    for pop, steps in run_sampler(build_model(cfg, n), n_particles, cell_seed, rep_ids,
+                                  drift=build_drift(cfg)):
+        gone = [False] * len(steps[0]) if pop.vanished is None else pop.vanished.tolist()
+        # zip reads ``gone`` first, so it stops at the batch's end without taking an id
+        for i, (vanished, r) in enumerate(zip(gone, ids)):
+            if vanished:
+                degenerate += 1
+            else:
+                rows.extend((r, n, *step[i]) for step in steps)
     return rows, degenerate
 
 

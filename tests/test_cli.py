@@ -251,7 +251,7 @@ def test_continuous_csv_identical_for_any_worker_count_across_batches(pools, mon
 
     def recorded(*args, **kwargs):
         runs = run_sampler(*args, **kwargs)
-        batches.append([len(summaries) for _, summaries in runs])
+        batches.append([len(pop.states) for pop, _ in runs])
         return runs
 
     csv = {}
@@ -1213,6 +1213,45 @@ def test_an_out_dir_without_write_permission_fails_before_the_run(below, monkeyp
         assert list(locked.iterdir()) == []
     finally:
         locked.chmod(0o700)
+
+
+@pytest.mark.parametrize("below", ["sub", ""])
+def test_an_out_dir_the_os_denies_fails_before_the_run(below, monkeypatch, tmp_path, capsys):
+    # the check above, under any uid: ``os.access`` denies the locked directory
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    access = os.access
+
+    def denying(path, mode, **kwargs):
+        return os.path.realpath(path) != os.path.realpath(locked) and access(path, mode, **kwargs)
+
+    monkeypatch.setattr(os, "access", denying)
+    assert _run_to(locked / below, monkeypatch, tmp_path) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 13] Permission denied: ") and "Traceback" not in err
+    assert list(locked.iterdir()) == []
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_a_directory_at_an_output_path_fails_before_the_run(suffix, monkeypatch, tmp_path,
+                                                            capsys):
+    # the rename onto it would fail after the run, and after the CSV was written
+    out = tmp_path / "out"
+    taken = out / f"counterexample{suffix}"
+    taken.mkdir(parents=True)
+    assert _run_to(out, monkeypatch, tmp_path) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{taken}'\n"
+    assert [p.name for p in out.iterdir()] == [taken.name] and list(taken.iterdir()) == []
+
+
+def test_a_link_to_a_directory_at_an_output_path_is_replaced(tmp_path):
+    # the rename replaces the link itself, so the check lets the run go on
+    out, target = tmp_path / "out", tmp_path / "target"
+    out.mkdir()
+    target.mkdir()
+    (out / "counterexample.csv").symlink_to(target)
+    assert dispatch(parse_config(_shipped("counterexample", out))) == EXIT_OK
+    assert not (out / "counterexample.csv").is_symlink() and list(target.iterdir()) == []
 
 
 def test_dispatch_maps_only_config_errors(monkeypatch, tmp_path):

@@ -1,7 +1,9 @@
 import math
 import time
 import tracemalloc
-from dataclasses import astuple, replace
+from collections import namedtuple
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,14 +16,13 @@ from finite_models import (
     random_finite_model,
     two_state_fixture,
 )
-from tempersmc import oracle, particles, streams
+from tempersmc import oracle, particles, stabilitylab, streams
 from tempersmc.fk_core import FKModel, KernelFamily, PotentialFamily
 from tempersmc.finite import table_model, tempered_chain_model
 from tempersmc.particles import (
     BLOCK_REPLICATES,
     BLOCK_VALUES,
     Ensemble,
-    StepSummary,
     draw_ancestors,
     estimate,
     init_ensemble,
@@ -67,10 +68,28 @@ def _step(ens, model, seed, replicate=0):
     return smc_step(ens, model, rng if ens.counts is not None else [rng])
 
 
+# a monitored step of one row, its fields in the order of the ``run`` CSV's columns
+Step = namedtuple("Step", ["k", "ess", "log_w_max", "log_w_min", "eta_v", "eta_gtilde"])
+
+
+def _by_row(steps):
+    """A batch's monitored ``steps``, as each row's list of its ``Step``s."""
+    return [[Step(*step[i]) for step in steps] for i in range(len(steps[0]))]
+
+
+def _gone(pop):
+    """Each row of ``pop``: whether its weights vanished."""
+    rows = len(pop.states) if pop.counts is None else len(pop.counts)
+    return [False] * rows if pop.vanished is None else pop.vanished.tolist()
+
+
 def _run_one(model, n_particles, seed, replicate=0, drift=None):
-    """``run_sampler`` of the one replicate ``replicate``: its run's population, its summaries."""
-    ((pop, (summaries,)),) = run_sampler(model, n_particles, seed, [replicate], drift=drift)
-    return pop, summaries
+    """``run_sampler`` of the one replicate ``replicate``: its population, its ``Step``s.
+
+    The steps are None without a drift V.
+    """
+    ((pop, steps),) = run_sampler(model, n_particles, seed, [replicate], drift=drift)
+    return pop, None if steps is None else _by_row(steps)[0]
 
 
 def _lone_stream(model, seed, replicate):
@@ -351,9 +370,10 @@ def test_total_degeneracy_steps_on_by_flat_weights():
     assert plain.vanished is None
     np.testing.assert_array_equal(stepped.states, plain.states)
     for drift in (None, lambda s: np.ones(len(s))):
-        pop, summaries = _run_one(vanished, 16, seed=1, drift=drift)
-        assert pop.k == n and pop.vanished.tolist() == [True] and summaries is None
-        assert np.isnan(estimate([(pop, [summaries])], lambda s: np.ones(len(s)))).all()
+        pop, steps = _run_one(vanished, 16, seed=1, drift=drift)
+        assert pop.k == n and pop.vanished.tolist() == [True]
+        assert (steps is None) == (drift is None)
+        assert np.isnan(estimate([pop], lambda s: np.ones(len(s)))).all()
 
 
 def _plain_search_step(ens, model, rng):
@@ -590,8 +610,8 @@ def test_empty_label_sets_neither_the_max_nor_the_range():
         model.potentials, log_g=lambda k, x: np.array([-np.inf, -np.inf, 0.0])[x]))
     stepped, _ = _step(_init(vanished, 10, seed=13), vanished, seed=13)
     assert stepped.vanished.tolist() == [True]
-    pop, summaries = _run_one(vanished, 10, seed=13, drift=drift)
-    assert summaries is None and pop.k == 4 and pop.n_particles == 10
+    pop, _ = _run_one(vanished, 10, seed=13, drift=drift)
+    assert pop.vanished.tolist() == [True] and pop.k == 4 and pop.n_particles == 10
 
 
 def test_count_path_at_one_particle_and_one_step():
@@ -599,9 +619,9 @@ def test_count_path_at_one_particle_and_one_step():
     model = two_state_model(n=1)
     drift = lambda s: np.array([1.0, 2.5])[s]
     at_one = 0
-    for pop, summaries in run_sampler(model, 1, 3, range(2000), drift=drift):
+    for pop, steps in run_sampler(model, 1, 3, range(2000), drift=drift):
         assert pop.n_particles == 1 and pop.k == 1
-        for counts, (first, last) in zip(pop.counts, summaries, strict=True):
+        for counts, (first, last) in zip(pop.counts, _by_row(steps), strict=True):
             assert first.ess == 1.0 and first.log_w_max == first.log_w_min
             assert first.eta_gtilde == math.exp(first.log_w_max)
             assert last.eta_v == drift(np.argmax(counts))
@@ -644,9 +664,9 @@ def test_count_replicate_at_a_billion_particles():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    ((pop, (summaries,)),) = runs
-    assert pop.n_particles == 10**9 and len(summaries) == 21
-    assert 0.0 < estimate(runs, lambda s: np.asarray(s, dtype=float))[0] < 1.0
+    ((pop, steps),) = runs
+    assert pop.n_particles == 10**9 and len(steps) == 21
+    assert 0.0 < estimate([pop], lambda s: np.asarray(s, dtype=float))[0] < 1.0
     assert elapsed < 1.0
     assert peak < 2**20
 
@@ -663,8 +683,8 @@ def test_horizon_zero_returns_initial_ensemble():
     np.testing.assert_array_equal(pop.states, [np.arange(10) % m])
     assert len(summaries) == 1 and math.isnan(summaries[0].ess)
     assert summaries[0].eta_v == 1.0
-    # summaries are taken exactly when a drift function is given
-    assert _run_one(model, 10, seed=3)[1] == []
+    # steps are monitored exactly when a drift function is given
+    assert _run_one(model, 10, seed=3)[1] is None
 
 
 def _ess(lw):
@@ -691,23 +711,22 @@ def _reference_summary(model, ens, drift, lw):
         c = ens.counts[0, held]
         eta_v = float((v[held] * c).sum() / c.sum())
     if lw is None:
-        return StepSummary(k=ens.k, ess=math.nan, log_w_max=math.nan, log_w_min=math.nan,
-                           eta_v=eta_v, eta_gtilde=math.nan)
+        return Step(k=ens.k, ess=math.nan, log_w_max=math.nan, log_w_min=math.nan,
+                    eta_v=eta_v, eta_gtilde=math.nan)
     lw = lw - model.potentials.log_g_max
     if c is None:
         g = np.exp(lw)
-        return StepSummary(k=ens.k, ess=_ess(lw), log_w_max=float(lw.max()),
-                           log_w_min=float(lw.min()), eta_v=eta_v,
-                           eta_gtilde=float(g.sum() / g.size))
+        return Step(k=ens.k, ess=_ess(lw), log_w_max=float(lw.max()), log_w_min=float(lw.min()),
+                    eta_v=eta_v, eta_gtilde=float(g.sum() / g.size))
     lw = lw[held]
     w = np.exp(lw - lw.max())
     ess = float((w * c).sum()) ** 2 / float((w * w * c).sum())
-    return StepSummary(k=ens.k, ess=ess, log_w_max=float(lw.max()), log_w_min=float(lw.min()),
-                       eta_v=eta_v, eta_gtilde=float((np.exp(lw) * c).sum() / c.sum()))
+    return Step(k=ens.k, ess=ess, log_w_max=float(lw.max()), log_w_min=float(lw.min()),
+                eta_v=eta_v, eta_gtilde=float((np.exp(lw) * c).sum() / c.sum()))
 
 
 def _reference_run(model, n_particles, seed, replicate, drift, rows=1):
-    """``run_sampler`` one step and one row at a time: the run's population and row summaries.
+    """``run_sampler`` one step and one row at a time: the run's population and rows' ``Step``s.
 
     One generator, the stream ``replicate`` draws from alone, draws the
     initial population of each row in turn, and then every step, each
@@ -755,8 +774,8 @@ def _gaussian_with_drift(n):
     return model, drift_function(fam.target.sup_log_unnorm, fam.schedule.gamma_floor, 0.5)
 
 
-def _bits(summaries):
-    return np.array([astuple(s) for s in summaries], dtype=float).view(np.uint64).tolist()
+def _bits(steps):
+    return np.array(steps, dtype=float).view(np.uint64).tolist()
 
 
 def _assert_same_population(a, b):
@@ -793,10 +812,12 @@ def test_run_sampler_draws_the_replicate_from_one_stream_in_order(kind, n, n_par
         first = unit * BLOCK_REPLICATES if model.is_finite else unit
         assert _lone_stream(model, seed, first).random() == streams.stream(seed, unit).random()
         ids = range(first, first + rows)
-        ((pop, summaries),) = run_sampler(model, n_particles, seed, ids, drift=drift)
+        ((pop, steps),) = run_sampler(model, n_particles, seed, ids, drift=drift)
         ref, ref_summaries = _reference_run(model, n_particles, seed, first, drift, rows)
         assert (pop.counts is not None) == model.is_finite
         _assert_same_population(pop, ref)
+        assert len(steps) == model.horizon + 1
+        summaries = _by_row(steps)
         assert len(summaries) == len(ref_summaries) == rows
         for row, ref_row in zip(summaries, ref_summaries):
             assert _bits(row) == _bits(ref_row)
@@ -847,12 +868,12 @@ def test_replicate_arithmetic_ignores_its_batch(case, monkeypatch):
         recorder = _Recording(replicates)
         runs = run_sampler(model, n_particles, 0, range(len(replicates)),
                            drift=lambda s: v[s])
-        values = estimate(runs, lambda s: f_vals[s])
-        ((pop, summaries),) = runs
+        ((pop, steps),) = runs
+        values = estimate([pop], lambda s: f_vals[s])
         return {r: ([p.tobytes() for p in seen], counts.tolist(), value.tobytes(),
                     _bits(row))
                 for r, seen, value, counts, row
-                in zip(replicates, recorder.seen, values, pop.counts, summaries)}
+                in zip(replicates, recorder.seen, values, pop.counts, _by_row(steps))}
 
     alone = {r: run([r])[r] for r in range(7)}
     assert all(len(seen) == n + 1 for seen, *_ in alone.values())
@@ -885,12 +906,11 @@ def test_a_count_row_vanishes_by_the_labels_it_holds():
         np.testing.assert_array_equal(
             weights[0], np.where(np.array(gone)[:, None], counts, counts * [1.0, 0.0]))
         for drift in (None, lambda s: 1.0 + s):
-            runs = run_sampler(patched, 3, 5, range(40), drift=drift)
-            ((pop, summaries),) = runs
+            ((pop, steps),) = run_sampler(patched, 3, 5, range(40), drift=drift)
             assert pop.k == 6 and pop.counts.shape == (40, 2)
             assert 0 < pop.vanished.sum() < 40
-            assert [s is None for s in summaries] == pop.vanished.tolist()
-            values = estimate(runs, lambda s: np.ones(len(s)))
+            assert drift is None or [len(step) for step in steps] == [40] * 7
+            values = estimate([pop], lambda s: np.ones(len(s)))
             assert np.isnan(values).tolist() == pop.vanished.tolist()
 
 
@@ -971,7 +991,7 @@ def _assert_rows_are_lone_runs(model, n_particles, seed, ids, drift, monkeypatch
     and every row of a batch steps to the horizon in it.  A row whose
     weights vanish reads as degenerate in its batch as in its lone run.
     Compared bit for bit for every other row: its terminal states and
-    statistics, its step log weights, its summaries and its estimate.
+    statistics, its step log weights, its monitored steps and its estimate.
     Returns the batched runs.
     """
     seen = _recorded_steps(monkeypatch)
@@ -980,21 +1000,22 @@ def _assert_rows_are_lone_runs(model, n_particles, seed, ids, drift, monkeypatch
     lone = {}
     for r in ids:
         seen.clear()
-        ((pop, (summaries,)),) = run_sampler(model, n_particles, seed, [r], drift=drift)
-        lone[r] = (pop, summaries, [lw[0] for lw in seen])
+        pop, steps = _run_one(model, n_particles, seed, r, drift)
+        lone[r] = (pop, steps, [lw[0] for lw in seen], _gone(pop)[0])
     size = init_ensemble(model, n_particles, streams.stream(seed, ids[0]), 1).states.size
     rows = max(1, BLOCK_VALUES // size)
-    assert [len(summaries) for _, summaries in runs] == [
+    assert [len(pop.states) for pop, _ in runs] == [
         len(ids[i:i + rows]) for i in range(0, len(ids), rows)]
     assert len(batched) == len(runs) * model.horizon
-    steps = iter(batched)
-    for i, (pop, summaries) in zip(range(0, len(ids), rows), runs):
+    logs = iter(batched)
+    for i, (pop, steps) in zip(range(0, len(ids), rows), runs):
         batch = ids[i:i + rows]
         assert len(pop.states) == len(batch) and pop.k == model.horizon
-        assert [s is None for s in summaries] == [lone[r][1] is None for r in batch]
-        survivors = [(j, r) for j, r in enumerate(batch) if lone[r][1] is not None]
+        assert _gone(pop) == [lone[r][3] for r in batch]
+        assert (steps is None) == (drift is None)
+        survivors = [(j, r) for j, r in enumerate(batch) if not lone[r][3]]
         for k in range(model.horizon):
-            lw = next(steps)
+            lw = next(logs)
             for j, r in survivors:
                 np.testing.assert_array_equal(lw[j].view(np.uint64),
                                               lone[r][2][k].view(np.uint64))
@@ -1004,10 +1025,12 @@ def _assert_rows_are_lone_runs(model, n_particles, seed, ids, drift, monkeypatch
                                           lone_pop.states[0].view(np.uint64))
             np.testing.assert_array_equal(pop.stats[j].view(np.uint64),
                                           lone_pop.stats[0].view(np.uint64))
-            assert _bits(summaries[j]) == _bits(lone[r][1])
+            if steps is not None:
+                assert _bits(_by_row(steps)[j]) == _bits(lone[r][1])
     f = lambda x: np.asarray(x, dtype=float).reshape(len(x), -1)[:, -1]
-    alone = np.concatenate([estimate([(lone[r][0], [lone[r][1]])], f) for r in ids])
-    np.testing.assert_array_equal(estimate(runs, f).view(np.uint64), alone.view(np.uint64))
+    alone = np.concatenate([estimate([lone[r][0]], f) for r in ids])
+    np.testing.assert_array_equal(estimate([pop for pop, _ in runs], f).view(np.uint64),
+                                  alone.view(np.uint64))
     return runs
 
 
@@ -1040,12 +1063,12 @@ def test_a_row_whose_weights_vanish_stays_in_its_batch(doomed, at, monitored, mo
     markers = [streams.stream(seed, r).random() for r in ids]
     model = _marked_model(4, doomed={markers[i]: at for i in doomed})
     drift = (lambda s: 1.0 + s) if monitored else None
-    ((pop, summaries),) = _assert_rows_are_lone_runs(model, 6, seed, ids, drift, monkeypatch)
+    ((pop, _),) = _assert_rows_are_lone_runs(model, 6, seed, ids, drift, monkeypatch)
     gone = [i in doomed for i in range(len(ids))]
-    assert [s is None for s in summaries] == pop.vanished.tolist() == gone
+    assert pop.vanished.tolist() == gone
     assert len(pop.states) == 5 and pop.k == 4
     np.testing.assert_array_equal(pop.stats[:, 0], markers)
-    values = estimate([(pop, summaries)], lambda x: x[:, 1])
+    values = estimate([pop], lambda x: x[:, 1])
     assert np.isnan(values).tolist() == gone
 
 
@@ -1057,9 +1080,56 @@ def test_a_row_stays_vanished_when_another_vanishes_later(monitored, monkeypatch
     markers = [streams.stream(seed, r).random() for r in ids]
     model = _marked_model(4, doomed={markers[1]: 0, markers[3]: 2})
     drift = (lambda s: 1.0 + s) if monitored else None
-    ((pop, summaries),) = _assert_rows_are_lone_runs(model, 6, seed, ids, drift, monkeypatch)
+    ((pop, _),) = _assert_rows_are_lone_runs(model, 6, seed, ids, drift, monkeypatch)
     gone = [False, True, False, True, False]
-    assert [s is None for s in summaries] == pop.vanished.tolist() == gone
+    assert pop.vanished.tolist() == gone
+
+
+def _vanishing_batches(kind, seed, n):
+    """A model some of whose rows vanish, its N, and ids that span two or more batches.
+
+    The rows draw from the cell seed of (seed, n, N).  A count batch is the
+    two-state model with -inf weight at label 1: a row that holds only
+    label 1 vanishes.  A states batch is two rows of marked particles (see
+    ``_marked_model``), whose rows 0, 3 and 4 vanish.
+    """
+    if kind == "count":
+        model = two_state_model(n)
+        model = replace(model, potentials=replace(
+            model.potentials, log_g=lambda k, x: np.array([0.0, -np.inf])[x]))
+        return model, 3, tuple(range(BLOCK_REPLICATES - 20, BLOCK_REPLICATES + 20))
+    ids, n_particles = tuple(range(7)), BLOCK_VALUES // 4
+    cell_seed = streams.derive_seed(seed, n, n_particles)
+    markers = [streams.stream(cell_seed, r).random() for r in ids]
+    model = _marked_model(n, doomed={markers[i]: i % n for i in (0, 3, 4)})
+    return model, n_particles, ids
+
+
+@pytest.mark.parametrize("kind", ["states", "count"])
+def test_a_vanished_row_is_read_from_its_population_alone(kind, monkeypatch):
+    # the population's mask is the one record of a vanished row: estimate
+    # reads NaN there, and the run experiment counts it degenerate and writes
+    # no rows for it, each other replicate one row per monitored step
+    seed, n = 9, 4
+    model, n_particles, ids = _vanishing_batches(kind, seed, n)
+    cell_seed = streams.derive_seed(seed, n, n_particles)
+    drift = lambda s: 1.0 + s
+    runs = run_sampler(model, n_particles, cell_seed, ids, drift=drift)
+    assert len(runs) >= 2
+    gone = [g for pop, _ in runs for g in _gone(pop)]
+    assert 0 < sum(gone) < len(ids)
+    values = estimate([pop for pop, _ in runs], lambda s: np.ones(len(s)))
+    assert np.isnan(values).tolist() == gone
+    monkeypatch.setattr(stabilitylab, "build_model", lambda cfg, horizon: model)
+    monkeypatch.setattr(stabilitylab, "build_drift", lambda cfg: drift)
+    rows, degenerate = stabilitylab._trajectory_task((SimpleNamespace(seed=seed), n,
+                                                      n_particles, ids))
+    assert degenerate == sum(gone)
+    monitored = [row for _, steps in runs for row in _by_row(steps)]
+    assert _bits([row[2:] for row in rows]) == _bits(
+        [s for row, g in zip(monitored, gone) if not g for s in row])
+    assert [row[:2] for row in rows] == [(r, n) for r, g in zip(ids, gone) if not g
+                                         for _ in range(n + 1)]
 
 
 def _mixture_with_drift(n):
@@ -1114,8 +1184,7 @@ def test_count_monitor_is_the_particle_monitor_of_the_repeated_labels(kind, n_pa
         if lw is None:
             break
         ens, _ = smc_step(ens, model, rng)
-    np.testing.assert_allclose(np.array([astuple(s) for s in summaries]),
-                               np.array([astuple(s) for s in expected]), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(np.array(summaries), np.array(expected), rtol=1e-12, atol=0)
 
 
 def test_count_monitor_at_each_horizon_is_the_per_step_monitor():
@@ -1129,8 +1198,8 @@ def test_count_monitor_at_each_horizon_is_the_per_step_monitor():
     for n in [1, 2, longest]:
         short = table_model([M2] * n, np.tile(np.log([2.0, 0.7]), (n, 1)), np.array([0.6, 0.4]))
         _, summaries = _run_one(short, 9, 29, 1, drift=drift)
-        terminal = replace(ref_summaries[n], ess=math.nan, log_w_max=math.nan,
-                           log_w_min=math.nan, eta_gtilde=math.nan)
+        terminal = ref_summaries[n]._replace(ess=math.nan, log_w_max=math.nan,
+                                             log_w_min=math.nan, eta_gtilde=math.nan)
         assert _bits(summaries) == _bits(ref_summaries[:n] + [terminal])
 
 
@@ -1145,8 +1214,8 @@ def test_monitor_at_one_particle():
     _, (ref_summaries,) = _reference_run(model, 1, 29, 1, drift)
     for n in [0, 1, 2, longest]:
         _, summaries = _run_one(replace(model, horizon=n), 1, 29, 1, drift=drift)
-        terminal = replace(ref_summaries[n], ess=math.nan, log_w_max=math.nan,
-                           log_w_min=math.nan, eta_gtilde=math.nan)
+        terminal = ref_summaries[n]._replace(ess=math.nan, log_w_max=math.nan,
+                                             log_w_min=math.nan, eta_gtilde=math.nan)
         assert _bits(summaries) == _bits(ref_summaries[:n] + [terminal])
 
 
@@ -1154,14 +1223,15 @@ def test_terminal_mean_matches_oracle_over_replicates():
     model = two_state_fixture(6)
     f = lambda s: (np.asarray(s) == 1).astype(float)
     exact = float(oracle.eta_exact(model, 6) @ np.array([0.0, 1.0]))
-    vals = estimate(run_sampler(model, 400, 17, range(200)), f)
+    vals = estimate([pop for pop, _ in run_sampler(model, 400, 17, range(200))], f)
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - exact) < 4 * se
 
 
 def test_gaussian_symmetry_of_terminal_mean():
     model, _ = gaussian_model(8, init_mean=0.0)
-    vals = estimate(run_sampler(model, 500, 23, range(60)), lambda x: np.asarray(x)[:, 0])
+    vals = estimate([pop for pop, _ in run_sampler(model, 500, 23, range(60))],
+                    lambda x: np.asarray(x)[:, 0])
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean()) < 4 * se
 
@@ -1200,16 +1270,18 @@ def test_ess_formula():
 # ------------------------------------------------------------- estimators
 
 def test_estimate_basics():
-    run = (Ensemble(states=np.full((1, 10), 3, dtype=int), stats=np.full((1, 10), 3), k=0), [[]])
-    assert estimate([run], lambda s: np.ones(len(s))).tolist() == [1.0]
-    assert estimate([run], lambda s: np.asarray(s, dtype=float)).tolist() == [3.0]
-    # a non-finite value anywhere, or vanished weights (summaries None), leave
-    # a replicate without a finite estimate
-    assert np.isnan(estimate([run], lambda s: np.where(np.arange(len(s)) == 4, np.inf, 1.0)))
-    assert np.isnan(estimate([run], lambda s: np.full(len(s), np.nan)))
-    assert np.isnan(estimate([(run[0], [None])], lambda s: np.ones(len(s)))).all()
-    pair = Ensemble(states=np.array([[np.inf, np.inf], [2.0, 4.0]]), stats=np.zeros((2, 2)), k=0)
-    assert np.isnan(estimate([(pair, [None, []])], lambda s: s)).tolist() == [True, False]
+    pop = Ensemble(states=np.full((1, 10), 3, dtype=int), stats=np.full((1, 10), 3), k=0)
+    assert estimate([pop], lambda s: np.ones(len(s))).tolist() == [1.0]
+    assert estimate([pop], lambda s: np.asarray(s, dtype=float)).tolist() == [3.0]
+    # a non-finite value anywhere, or vanished weights (marked in ``vanished``),
+    # leave a replicate without a finite estimate
+    assert np.isnan(estimate([pop], lambda s: np.where(np.arange(len(s)) == 4, np.inf, 1.0)))
+    assert np.isnan(estimate([pop], lambda s: np.full(len(s), np.nan)))
+    gone = replace(pop, vanished=np.array([True]))
+    assert np.isnan(estimate([gone], lambda s: np.ones(len(s)))).all()
+    pair = Ensemble(states=np.array([[np.inf, np.inf], [2.0, 4.0]]), stats=np.zeros((2, 2)), k=0,
+                    vanished=np.array([True, False]))
+    assert np.isnan(estimate([pair], lambda s: s)).tolist() == [True, False]
     # a count batch weighs f at each label by each row's count, and f is
     # evaluated once, on the labels its rows share; a row whose weights
     # vanished reads NaN, in id order
@@ -1221,10 +1293,11 @@ def test_estimate_basics():
 
     batch = Ensemble(states=np.arange(3), stats=np.arange(3), k=0,
                      counts=np.array([[1, 0, 3], [0, 4, 0], [2, 2, 0]]))
-    np.testing.assert_array_equal(estimate([(batch, [[], None, []]), run], f),
-                                  [1.5, np.nan, 0.5, 3.0])
+    np.testing.assert_array_equal(
+        estimate([replace(batch, vanished=np.array([False, True, False])), pop], f),
+        [1.5, np.nan, 0.5, 3.0])
     assert len(calls) == 2
-    assert np.isnan(estimate([(batch, [[]] * 3)], lambda s: np.where(s == 2, np.nan, 1.0))[0])
+    assert np.isnan(estimate([batch], lambda s: np.where(s == 2, np.nan, 1.0))[0])
 
 
 def test_estimate_of_finite_values_whose_sum_overflows_is_finite():
@@ -1236,7 +1309,7 @@ def test_estimate_of_finite_values_whose_sum_overflows_is_finite():
     states = np.stack([np.full(20, 1e308), np.linspace(1.7e308, 1e307, 20),
                        np.repeat([1e308, -1e308], 10), plain])
     pop = Ensemble(states=states, stats=np.zeros(states.shape), k=0)
-    got = estimate([(pop, [[]] * 4)], lambda s: s)
+    got = estimate([pop], lambda s: s)
     top = 1.7e308
     np.testing.assert_array_equal(got[:3], [1e308, (states[1] / top).mean() * top, 0.0])
     assert got[3] == plain.mean() and np.isfinite(got).all()
@@ -1264,8 +1337,8 @@ def test_particle_drift_regression_and_boundedness():
     for n in (10, 30):
         model_n, _ = gaussian_model(n, init_mean=3.0)
         per_k = []
-        for _, rows in run_sampler(model_n, 400, 53, range(40), drift=drift):
-            for summaries in rows:
+        for _, steps in run_sampler(model_n, 400, 53, range(40), drift=drift):
+            for summaries in _by_row(steps):
                 etav = [s.eta_v for s in summaries]
                 per_k.append(etav)
                 pairs.extend(zip(etav[:-1], etav[1:]))
@@ -1285,7 +1358,7 @@ def test_normalizer_diagnostic_bounded_away_from_zero():
     model, fam = gaussian_model(20, init_mean=3.0)
     drift = drift_function(fam.target.sup_log_unnorm, fam.schedule.gamma_floor, 0.5)
     worst = math.inf
-    for _, rows in run_sampler(model, 500, 61, range(20), drift=drift):
-        for summaries in rows:
+    for _, steps in run_sampler(model, 500, 61, range(20), drift=drift):
+        for summaries in _by_row(steps):
             worst = min(worst, min(s.eta_gtilde for s in summaries[:-1]))
     assert worst > 0.5
