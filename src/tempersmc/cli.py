@@ -183,8 +183,8 @@ _RUNNERS = {
 }
 
 
-def _check_out_dir(path, names):
-    """Raise early the ``OSError`` that making ``path`` and writing ``names`` in it would raise.
+def _check_out_dir(path, targets):
+    """Raise early the ``OSError`` that making ``path`` and writing the paths ``targets`` would.
 
     A best-effort check that creates nothing, so a run does not compute only to
     find it cannot write: it approximates the OS (``os.access`` asks about the
@@ -201,8 +201,7 @@ def _check_out_dir(path, names):
         raise OSError(code, os.strerror(code), child)
     if not os.access(ancestor, os.W_OK | os.X_OK):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), child)
-    for name in names:
-        target = os.path.join(path, name)
+    for target in targets:
         # a rename replaces a symbolic link, wherever it points
         if os.path.isdir(target) and not os.path.islink(target):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
@@ -210,7 +209,8 @@ def _check_out_dir(path, names):
 
 def dispatch(cfg):
     """Check the output directory, run the configured experiment, write its CSV + JSON."""
-    _check_out_dir(cfg.out_dir, [cfg.experiment + ".csv", cfg.experiment + ".json"])
+    stem = os.path.join(cfg.out_dir, cfg.experiment)
+    _check_out_dir(cfg.out_dir, [stem + ".csv", stem + ".json"])
     mapper = make_mapper(cfg.workers)
     try:
         table = _RUNNERS[cfg.experiment](cfg, mapper)
@@ -220,7 +220,6 @@ def dispatch(cfg):
     code = _EXIT_CODES[table.status]
     summary = render_summary(cfg, table.status, code, table.body)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    stem = os.path.join(cfg.out_dir, cfg.experiment)
     summary_tmp = _write_temp(stem + ".json", summary)
     try:
         write_csv(stem + ".csv", table.header, table.rows)

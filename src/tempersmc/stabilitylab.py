@@ -357,13 +357,13 @@ def _trajectory_task(args):
     """
     cfg, n, n_particles, rep_ids = args
     cell_seed = streams.derive_seed(cfg.seed, n, n_particles)
-    rows, degenerate, ids = [], 0, iter(rep_ids)
+    rows, degenerate, start = [], 0, 0
     for pop, steps in run_sampler(build_model(cfg, n), n_particles, cell_seed, rep_ids,
                                   drift=build_drift(cfg)):
-        gone = [False] * len(steps[0]) if pop.vanished is None else pop.vanished.tolist()
-        # zip reads ``gone`` first, so it stops at the batch's end without taking an id
-        for i, (vanished, r) in enumerate(zip(gone, ids)):
-            if vanished:
+        batch = rep_ids[start:start + len(steps[0])]
+        start += len(batch)
+        for i, r in enumerate(batch):
+            if pop.vanished is not None and pop.vanished[i]:
                 degenerate += 1
             else:
                 rows.extend((r, n, *step[i]) for step in steps)
