@@ -12,12 +12,11 @@ failure in the experiment, the rendering or the CSV write leaves the
 previous pair untouched.  All floats are
 serialized with 17 significant digits; the only run-dependent field is the
 timestamp, confined to the JSON summary.  The CSV writer formats a row with
-one ``%`` string per tuple of value types (``%d``, ``%.17g`` or ``%s`` per
-value), built once per tuple; ``"%.17g" % x`` is the same conversion as
-``format(x, ".17g")``, nan and infinities included, and ``"%d" % True`` is
-``"1"``, so every byte is the one ``_fmt`` writes value by value.  A row
-holding any other type is written by ``_fmt``.  Each experiment returns its own
-table (see ``stabilitylab.Table``); the exit code follows from its status:
+one ``%`` string per tuple of value types, built once per tuple by one
+rule: an integer, a bool included, is written by ``%d`` (``True`` as 1), a
+float, NumPy's included, by ``%.17g`` (nan, inf and -inf as such), and any
+other value, a NumPy bool among them, by ``%s``.  Each experiment returns
+its own table (see ``stabilitylab.Table``); the exit code follows from its status:
 0 when "ok", 1 when "failed" (an audit, or a run below its floor), on a
 config error (at parse time or from a builder) or on a usage error in the
 command line, 2 when "inconclusive".  Any other exception is a bug and
@@ -81,16 +80,6 @@ def make_mapper(workers):
     return mapper
 
 
-def _fmt(x):
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
-    return str(x)
-
-
 def _write_temp(path, text):
     """Write ``text`` to a new temp file beside ``path``; returns the temp file's path.
 
@@ -115,22 +104,23 @@ def _rename(tmp, path):
         raise
 
 
-# the %-conversion of each value type that gives exactly its ``_fmt`` text;
-# ``_fmt`` renders a NumPy bool by ``str``, as True or False
-_CONVERSIONS = {bool: "%d", int: "%d", np.int64: "%d", float: "%.17g", np.float64: "%.17g",
-                str: "%s", np.bool_: "%s"}
+def _conversion(t):
+    """The %-conversion that writes a value of type ``t`` (see the module docstring)."""
+    if issubclass(t, (int, np.integer)):
+        return "%d"
+    if issubclass(t, (float, np.floating)):
+        return "%.17g"
+    return "%s"
 
 
 def write_csv(path, header, rows):
     lines = [",".join(header)]
-    formats = {}  # per tuple of value types: its row format, or None to use _fmt
+    formats = {}  # per tuple of value types, its row format
     for row in rows:
         types = tuple(map(type, row))
         if types not in formats:
-            conversions = [_CONVERSIONS.get(t) for t in types]
-            formats[types] = None if None in conversions else ",".join(conversions)
-        fmt = formats[types]
-        lines.append(",".join(_fmt(x) for x in row) if fmt is None else fmt % tuple(row))
+            formats[types] = ",".join(map(_conversion, types))
+        lines.append(formats[types] % tuple(row))
     _rename(_write_temp(path, "\n".join(lines) + "\n"), path)
 
 

@@ -96,10 +96,12 @@ population whole, and ``estimate`` reads a batch's rows directly.  Every
 row stays in its batch to the horizon, on both paths.  At each step a row
 whose largest log weight is not finite (a states replicate, or a count
 row over the labels it occupies) has vanished: it draws that step by flat
-weights, log weight 0 at every particle, and is marked in the ensemble's
-``vanished`` mask.  That mask is the one record of a vanished row: a
-caller reads the row as degenerate from it (``estimate`` gives it NaN),
-the paper's bounds concerning replicates whose weights never all vanish.
+weights, log weight 0 at every particle, and is set in the ensemble's
+``vanished`` mask.  Every batch holds that (R,) bool mask: all False at
+the start, and a row once set stays set to the horizon.  It is the one
+record of a vanished row: a caller reads row r as degenerate where
+``vanished[r]`` is True (``estimate`` gives it NaN), the paper's bounds
+concerning replicates whose weights never all vanish.
 The flat weights replace that row's values alone, and a states row draws
 only from its own generator, so every other row keeps its bits.  No
 shipped model reaches a vanished count row, since ``finite.table_model``
@@ -147,9 +149,8 @@ class Ensemble:
     theirs, and ``counts`` is an (R, m) batch whose row r is a replicate's
     count vector, ``counts[r, i]`` particles at ``states[i]``.
     ``n_particles`` is N, read off at construction; every row holds N
-    particles.  ``vanished`` is None while no row's weights have vanished,
-    and otherwise the (R,) mask of the rows whose weights vanished at some
-    step before k.
+    particles.  ``vanished`` is the (R,) bool mask of the rows whose
+    weights vanished at some step before k, all False when not given.
     """
 
     states: np.ndarray
@@ -176,6 +177,8 @@ class Ensemble:
             self.n_particles = int(sums[0]) if sums.size else 0
         if self.n_particles < 1:
             raise ValueError("ensemble must hold at least one particle")
+        if self.vanished is None:
+            self.vanished = np.zeros(len(self.stats if self.counts is None else self.counts), bool)
 
 
 def init_ensemble(model, n_particles, rng, rows):
@@ -207,8 +210,8 @@ SPILL = 8
 def draw_ancestors(cw, u):
     """Inverse-CDF indices of the uniforms ``u`` in each row of the cumulative weights ``cw``.
 
-    ``cw`` has shape (R, N), or (N,) for one row, and ``u`` holds the same
-    number of rows of uniforms.  For each uniform of row r, the first index
+    ``cw`` has shape (R, N) and ``u`` one row of uniforms per row of
+    ``cw``, N of them in a step.  For each uniform of row r, the first index
     i whose entry ``cw[r, i]`` exceeds ``u * cw[r, -1]``, capped at N - 1:
     exactly ``np.minimum(np.searchsorted(cw[r], u * cw[r, -1],
     side="right"), N - 1)``, returned as the flat index ``r * N + i`` into
@@ -225,12 +228,11 @@ def draw_ancestors(cw, u):
     when one particle carries almost all the weight, take a binary search in
     their row instead, which bounds the worst case at O(N log N).
     """
-    n = cw.shape[-1]
-    cw = cw.reshape(-1, n)
+    n = cw.shape[1]
     # row r's buckets are numbered from r * (n + 1) + 1, so the running count up
     # to a uniform's bucket number less one is the first flat index of its bucket
     first = np.arange(0, cw.size + len(cw), n + 1)[:, None]
-    x = u.reshape(len(cw), -1) * cw[:, -1:]
+    x = u * cw[:, -1:]
     scale = n / cw[:, -1:]
     buckets = (cw * scale).astype(np.intp)
     buckets += first + 1
@@ -248,7 +250,7 @@ def draw_ancestors(cw, u):
         for r in np.flatnonzero(spill.any(axis=1)):
             ancestors[r, spill[r]] = r * n + np.searchsorted(cw[r], x[r, spill[r]], side="right")
     last = np.arange(n - 1, cw.size, n)[:, None]
-    return np.minimum(ancestors, last, out=ancestors).reshape(np.shape(u))
+    return np.minimum(ancestors, last, out=ancestors)
 
 
 def _flat_where_vanished(ens, lw, top):
@@ -261,9 +263,7 @@ def _flat_where_vanished(ens, lw, top):
     ok = np.isfinite(top)
     if ok.all():
         return lw, top, ens.vanished
-    bad = ~ok[:, 0]
-    return (np.where(ok, lw, 0.0), np.where(ok, top, 0.0),
-            bad if ens.vanished is None else ens.vanished | bad)
+    return np.where(ok, lw, 0.0), np.where(ok, top, 0.0), ens.vanished | ~ok[:, 0]
 
 
 def _count_step(ens, model, lw, rng):
@@ -299,10 +299,9 @@ def smc_step(ens, model, rng):
     u = np.empty(cw.shape)
     for g, row in zip(rng, u):
         g.random(out=row)
-    ancestors = draw_ancestors(cw, u).ravel()
+    ancestors = draw_ancestors(cw, u)
     xs = np.take(ens.states.reshape(-1, *ens.states.shape[2:]), ancestors, axis=0)
-    states, stats = model.kernels.sample_batch(k + 1, xs.reshape(ens.states.shape),
-                                               ens.stats.take(ancestors).reshape(lw.shape), rng)
+    states, stats = model.kernels.sample_batch(k + 1, xs, ens.stats.take(ancestors), rng)
     return Ensemble(states=np.asarray(states), stats=np.asarray(stats), k=k + 1,
                     vanished=vanished), lw
 
@@ -432,7 +431,6 @@ def estimate(pops, f):
             for r in np.flatnonzero(used & ~np.isfinite(vals)):
                 top = np.abs(x[r]).max()
                 vals[r] = (x[r] / top).mean() * top
-        if pop.vanished is not None:
-            vals[pop.vanished] = math.nan
+        vals[pop.vanished] = math.nan
         out.append(vals)
     return np.concatenate(out)

@@ -360,10 +360,10 @@ def _trajectory_task(args):
     rows, degenerate, start = [], 0, 0
     for pop, steps in run_sampler(build_model(cfg, n), n_particles, cell_seed, rep_ids,
                                   drift=build_drift(cfg)):
-        batch = rep_ids[start:start + len(steps[0])]
+        batch = rep_ids[start:start + len(pop.vanished)]
         start += len(batch)
         for i, r in enumerate(batch):
-            if pop.vanished is not None and pop.vanished[i]:
+            if pop.vanished[i]:
                 degenerate += 1
             else:
                 rows.extend((r, n, *step[i]) for step in steps)

@@ -1270,6 +1270,17 @@ def test_dispatch_maps_only_config_errors(monkeypatch, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def _fmt(x):
+    """The CSV text of one value: the spec ``cli.write_csv`` writes by."""
+    if isinstance(x, bool):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return format(float(x), ".17g")
+    return str(x)
+
+
 CSV_VALUES = (
     st.booleans() | st.booleans().map(np.bool_)
     | st.integers() | st.integers(2**63, 2**80) | st.integers(-2**80, -2**63 - 1)
@@ -1283,13 +1294,19 @@ CSV_ROWS = st.builds(lambda row, as_tuple: tuple(row) if as_tuple else row,
                      st.lists(CSV_VALUES, max_size=4), st.booleans())
 
 
+# NumPy integer and float types the strategy does not draw, a NumPy bool and None
+CSV_EXTRA_ROWS = [(np.uint64(2**64 - 1), np.float16(0.1)), [np.longdouble(1) / 3, np.bool_(True)],
+                  (None,), (np.int8(-128), np.float16(0.1), np.uint64(2**64 - 1))]
+
+
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(rows=st.lists(CSV_ROWS, max_size=8))
 def test_write_csv_writes_each_value_as_fmt(rows, tmp_path_factory):
+    rows = rows + CSV_EXTRA_ROWS
     path = tmp_path_factory.getbasetemp() / "fmt.csv"
     cli.write_csv(str(path), ("a", "b"), rows)
     lines = path.read_text().split("\n")
-    assert lines == ["a,b", *(",".join(cli._fmt(x) for x in row) for row in rows), ""]
+    assert lines == ["a,b", *(",".join(_fmt(x) for x in row) for row in rows), ""]
 
 
 JSON_VALUES = st.recursive(

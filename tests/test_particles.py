@@ -77,12 +77,6 @@ def _by_row(steps):
     return [[Step(*step[i]) for step in steps] for i in range(len(steps[0]))]
 
 
-def _gone(pop):
-    """Each row of ``pop``: whether its weights vanished."""
-    rows = len(pop.states) if pop.counts is None else len(pop.counts)
-    return [False] * rows if pop.vanished is None else pop.vanished.tolist()
-
-
 def _run_one(model, n_particles, seed, replicate=0, drift=None):
     """``run_sampler`` of the one replicate ``replicate``: its population, its ``Step``s.
 
@@ -132,6 +126,17 @@ def test_init_bit_reproducible():
     np.testing.assert_array_equal(a.stats, fam.target.log_unnorm(a.states))
     c = _init(model, 64, seed=42, replicate=4)
     assert not np.array_equal(a.states, c.states)
+
+
+def test_a_fresh_batch_marks_no_row_vanished():
+    # every batch carries one bool per row, all False until a row vanishes:
+    # a states batch of lone rows joined, a count batch and a direct one
+    model = two_state_model()
+    lone = [init_ensemble(label_model(model), 5, streams.stream(1, r), 1) for r in range(3)]
+    counts = init_ensemble(model, 5, streams.stream(1, 0), 6)
+    direct = Ensemble(states=np.zeros((4, 2, 3)), stats=np.zeros((4, 2)), k=0)
+    for pop, rows in ((lone[0], 1), (particles._joined(lone), 3), (counts, 6), (direct, 4)):
+        assert pop.vanished.dtype == bool and pop.vanished.tolist() == [False] * rows
 
 
 def test_ensemble_needs_one_statistic_per_particle():
@@ -367,7 +372,7 @@ def test_total_degeneracy_steps_on_by_flat_weights():
     stepped, lw = _step(ens, vanished, seed=1)
     assert stepped.vanished.tolist() == [True] and np.isneginf(lw).all()
     plain, _ = _step(ens, model, seed=1)
-    assert plain.vanished is None
+    assert plain.vanished.tolist() == [False]
     np.testing.assert_array_equal(stepped.states, plain.states)
     for drift in (None, lambda s: np.ones(len(s))):
         pop, steps = _run_one(vanished, 16, seed=1, drift=drift)
@@ -414,7 +419,7 @@ _WEIGHT_SHAPES = {
                                       max_size=3),
        st.integers(0, 2**32 - 1))
 def test_draw_ancestors_is_the_plain_search(n, shapes, seed):
-    # a batch of rows, each with its own weight shape, and each row alone;
+    # a batch of rows, each with its own weight shape, and its last row alone;
     # row r's indices are offset by r * n into the flattened batch
     rng = np.random.default_rng(seed)
     lw = np.array([_WEIGHT_SHAPES[shape](rng, n) for shape in shapes])
@@ -428,7 +433,7 @@ def test_draw_ancestors_is_the_plain_search(n, shapes, seed):
     want = np.array([_plain_search(c, v) for c, v in zip(cw, u)])
     offsets = n * np.arange(len(shapes))[:, None]
     np.testing.assert_array_equal(draw_ancestors(cw, u), want + offsets)
-    np.testing.assert_array_equal(draw_ancestors(cw[-1], u[-1]), want[-1])
+    np.testing.assert_array_equal(draw_ancestors(cw[-1:], u[-1:]), want[-1:])
 
 
 def test_draw_ancestors_with_one_dominant_particle_at_large_n():
@@ -442,7 +447,7 @@ def test_draw_ancestors_with_one_dominant_particle_at_large_n():
     cw = np.cumsum(np.exp(lw - lw.max()))
     pinned = [0.0, 1e-9, cw[30_000] / cw[-1], cw[59_999] / cw[-1], np.nextafter(1.0, 0.0)]
     u = np.concatenate([rng.random(n), pinned])
-    np.testing.assert_array_equal(draw_ancestors(cw, u), _plain_search(cw, u))
+    np.testing.assert_array_equal(draw_ancestors(cw[None], u[None]), [_plain_search(cw, u)])
 
 
 def _identity_model(log_g_table):
@@ -605,7 +610,7 @@ def test_empty_label_sets_neither_the_max_nor_the_range():
             model.potentials, log_g=lambda k, x, bad=bad: np.array([0.0, -1.0, bad])[x]))
         got, got_summaries = _run_one(patched, 50, seed=13, drift=drift)
         _assert_same_population(got, pop)
-        assert got.vanished is None and _bits(got_summaries) == _bits(summaries)
+        assert got.vanished.tolist() == [False] and _bits(got_summaries) == _bits(summaries)
     vanished = replace(model, potentials=replace(
         model.potentials, log_g=lambda k, x: np.array([-np.inf, -np.inf, 0.0])[x]))
     stepped, _ = _step(_init(vanished, 10, seed=13), vanished, seed=13)
@@ -1001,7 +1006,7 @@ def _assert_rows_are_lone_runs(model, n_particles, seed, ids, drift, monkeypatch
     for r in ids:
         seen.clear()
         pop, steps = _run_one(model, n_particles, seed, r, drift)
-        lone[r] = (pop, steps, [lw[0] for lw in seen], _gone(pop)[0])
+        lone[r] = (pop, steps, [lw[0] for lw in seen], pop.vanished.tolist()[0])
     size = init_ensemble(model, n_particles, streams.stream(seed, ids[0]), 1).states.size
     rows = max(1, BLOCK_VALUES // size)
     assert [len(pop.states) for pop, _ in runs] == [
@@ -1011,7 +1016,7 @@ def _assert_rows_are_lone_runs(model, n_particles, seed, ids, drift, monkeypatch
     for i, (pop, steps) in zip(range(0, len(ids), rows), runs):
         batch = ids[i:i + rows]
         assert len(pop.states) == len(batch) and pop.k == model.horizon
-        assert _gone(pop) == [lone[r][3] for r in batch]
+        assert pop.vanished.tolist() == [lone[r][3] for r in batch]
         assert (steps is None) == (drift is None)
         survivors = [(j, r) for j, r in enumerate(batch) if not lone[r][3]]
         for k in range(model.horizon):
@@ -1116,7 +1121,7 @@ def test_a_vanished_row_is_read_from_its_population_alone(kind, monkeypatch):
     drift = lambda s: 1.0 + s
     runs = run_sampler(model, n_particles, cell_seed, ids, drift=drift)
     assert len(runs) >= 2
-    gone = [g for pop, _ in runs for g in _gone(pop)]
+    gone = [g for pop, _ in runs for g in pop.vanished.tolist()]
     assert 0 < sum(gone) < len(ids)
     values = estimate([pop for pop, _ in runs], lambda s: np.ones(len(s)))
     assert np.isnan(values).tolist() == gone
