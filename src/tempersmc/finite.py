@@ -153,9 +153,11 @@ def tempered_chain_model(log_weights, gammas, move_prob, init):
 def drift_inputs_for_chain(log_weights, gamma_floor, move_prob, beta, lam):
     """Drift and minorization inputs holding for every kernel of a tempered chain.
 
-    V is ``tempering.drift_function`` at the log weights.  The small set is
-    the whole space, so the offset b dominates the worst one-step growth of
-    V over gamma in [gamma_floor, 1], and eps rests on the smallest entry.
+    V is ``tempering.drift_function`` at the log weights; one that
+    overflows at some state is rejected, as no finite b covers it.  The
+    small set is the whole space, so the offset b dominates the worst
+    one-step growth of V over gamma in [gamma_floor, 1], and eps rests on
+    the smallest entry.
     Both extremes lie at the ends: V falls as the log weight rises, and a
     larger gamma only lowers the chance of a move to lower weight (larger
     V); a move to equal or higher weight keeps move_prob/(m-1).  So every
@@ -166,6 +168,8 @@ def drift_inputs_for_chain(log_weights, gamma_floor, move_prob, beta, lam):
     logw = np.asarray(log_weights, dtype=float)
     m = logw.size
     v = tempering.drift_function(logw.max(), gamma_floor, beta)(logw)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("drift function V overflows at a log weight; cannot certify the drift")
     p_floor, p_one = metropolis_matrix(logw, [gamma_floor, 1.0], move_prob)
     b = max(0.0, float(np.max(p_floor @ v - lam * v)))
     min_entry = min(float(p_floor.min()), float(p_one.min()))

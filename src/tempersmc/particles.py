@@ -39,34 +39,31 @@ nondecreasing array, stop at the first entry that exceeds it.  The index
 is therefore exactly the one the binary search finds, and no draw changes.
 Weight normalization happens in the log domain with max-subtraction.
 
-A step works on the whole batch at once: the reweight, each row's max and
-cumulative sum, one guide-table draw over all rows (a single ``bincount``
-with row offsets), the gathers and the kernel's work on the batch, as the
-Metropolis proposal, density and accept.  Every value is the same
-elementwise operation, or the same reduction of one contiguous row, as in
-a batch of one, so a row's bits do not depend on its batch.  A batch
+One step serves both forms and works on the whole batch at once.  It
+weighs each row relative to the row's largest log weight over the entries
+it holds: every particle of a states row, and the labels of a count row
+whose count is above 0, so an empty label neither sets that maximum nor
+enters the monitor's log-weight range.  A states batch then takes each
+row's cumulative sum, one guide-table draw over all rows (a single
+``bincount`` with row offsets), the gathers and the kernel's work on the
+batch, as the Metropolis proposal, density and accept.  A count row c
+takes the same transition in law: the N new particles of the fused draw
+are independent, each an ancestor label j with probability
+c_j G_k(j) / sum_i c_i G_k(i) moved by row j of M_{k+1}, so the next
+counts are exactly Multinomial(N, normalize((c * G_k) M_{k+1})).  The step
+hands the (R, m) weights w = c * G_k to the finite kernel, which draws
+every row in one broadcast call: O(R m^2) arithmetic, whatever N is.
+
+Every value is the same elementwise operation, or the same reduction of
+one row, as in a batch of one, so a row's bits do not depend on its
+batch: a sum runs along one contiguous row, a max or min, exact in any
+order, may run down the batch's transpose, and the finite kernel forms
+each row's mixture by the one-row vector-matrix product (a matrix-matrix
+product of the batch would round a row by the rows around it).  A batch
 pays the fixed cost of each numpy call once for its R rows.  It holds at
 most ``BLOCK_VALUES`` particle values unless one row alone holds more
 (see ``run_sampler``), so batching adds no temporary above the size at
 which the allocator maps fresh pages.
-
-A count row c takes the same transition in law.  The N new particles of
-the fused draw are independent, each an ancestor label j with probability
-c_j G_k(j) / sum_i c_i G_k(i) moved by row j of M_{k+1}, so the next
-counts are exactly Multinomial(N, normalize((c * G_k) M_{k+1})).  A count
-step weighs every row of the batch, w = c * G_k, and hands the (R, m)
-weights to the finite kernel, which draws each row's
-Multinomial(N, normalize(w M_{k+1})) in one broadcast call.  Each row's
-weights are taken relative to the largest log weight of a label it
-occupies; a label whose count is 0 carries no weight, so its log weight
-neither sets that maximum nor enters the monitor's log-weight range.  A
-step costs O(R m^2) arithmetic and one multinomial call, whatever N is.
-Each row's arithmetic is that of a batch of one, so a row's probability
-vector does not depend on its batch: the weighting and the row
-normalization are elementwise or reduce each contiguous row alone, and
-the kernel forms each row's mixture by the one-row vector-matrix product
-(a matrix-matrix product of the batch would round a row differently
-depending on the rows around it).
 
 Replicate r of a states model draws from ``streams.stream(seed, r)``,
 whatever batch it is stepped in: its initial population, then every step
@@ -115,9 +112,9 @@ particle, and a count batch weighs each label of a row by its count.
 Each step's batch is summarized once, as the step is taken, from its
 population and the step's log weights, and the terminal batch once more
 at the horizon; no population or log weights are kept past their step.
-Each reduction takes one contiguous row, V acts value by value, and the
-ESS squares its sum by the scalar ``** 2``, so a row's tuples have the
-bits of its lone run.
+Its reductions are the step's, V acts value by value, and the ESS squares
+its sum by the scalar ``** 2``, so a row's tuples have the bits of its
+lone run.
 """
 
 import itertools
@@ -266,16 +263,16 @@ def _flat_where_vanished(ens, lw, top):
     return np.where(ok, lw, 0.0), np.where(ok, top, 0.0), ens.vanished | ~ok[:, 0]
 
 
-def _count_step(ens, model, lw, rng):
-    """The next count batch of ``ens``: one draw of the finite kernel for all its rows."""
-    occupied = ens.counts > 0
-    # each row's max, down a contiguous transpose: numpy reduces a short last axis row by row
-    top = np.ascontiguousarray(np.where(occupied, lw, -np.inf).T).max(axis=0)[:, None]
-    used, top, vanished = _flat_where_vanished(ens, lw, top)
-    w = np.exp(used - top, out=np.zeros(ens.counts.shape), where=occupied) * ens.counts
-    counts = model.kernels.sample_batch(ens.k + 1, w, ens.n_particles, rng)
-    return Ensemble(states=ens.states, stats=ens.stats, k=ens.k + 1, counts=np.asarray(counts),
-                    vanished=vanished)
+def _row_reduce(op, x, held, fill):
+    """Each row's ``op`` (max or min) of ``x`` over the entries it holds, all if ``held`` is None.
+
+    Otherwise ``fill`` stands in at each entry a row does not hold, and the
+    rows are reduced down a contiguous transpose (numpy reduces a short last
+    axis row by row); a max or min is exact in any order.
+    """
+    if held is None:
+        return op.reduce(x, axis=1)
+    return op.reduce(np.ascontiguousarray(np.where(held, x, fill).T), axis=0)
 
 
 def smc_step(ens, model, rng):
@@ -284,17 +281,23 @@ def smc_step(ens, model, rng):
     ``rng`` is the batch's randomness: one generator for a count batch,
     and for a states batch a sequence of generators, row r drawing from
     ``rng[r]``.  Returns the next ensemble and the step-k log weights of
-    ``ens.stats``.  A row whose largest log weight is not finite (over the
-    labels it holds, on a count batch) has vanished: it draws by flat
-    weights and is marked in the next ensemble's ``vanished``.
+    ``ens.stats``.  Each row's weights are taken relative to its largest log
+    weight, over the labels it holds on a count batch; a row whose largest
+    log weight is not finite has vanished: it draws by flat weights and is
+    marked in the next ensemble's ``vanished``.
     """
     k = ens.k
     if k >= model.horizon:
         raise ValueError(f"flow already at terminal step k={k}")
     lw = np.asarray(model.potentials.log_g(k, ens.stats), dtype=float)
-    if ens.counts is not None:
-        return _count_step(ens, model, lw, rng), lw
-    used, top, vanished = _flat_where_vanished(ens, lw, lw.max(axis=1, keepdims=True))
+    held = None if ens.counts is None else ens.counts > 0
+    top = _row_reduce(np.maximum, lw, held, -np.inf)[:, None]
+    used, top, vanished = _flat_where_vanished(ens, lw, top)
+    if held is not None:
+        w = np.exp(used - top, out=np.zeros(held.shape), where=held) * ens.counts
+        counts = model.kernels.sample_batch(k + 1, w, ens.n_particles, rng)
+        return Ensemble(states=ens.states, stats=ens.stats, k=k + 1, counts=np.asarray(counts),
+                        vanished=vanished), lw
     cw = np.cumsum(np.exp(used - top), axis=1)
     u = np.empty(cw.shape)
     for g, row in zip(rng, u):
@@ -314,34 +317,29 @@ def _summaries(model, drift, ens, lw):
     """One step's diagnostics of each row of ``ens``, by the step's log weights ``lw``.
 
     One tuple per row, (k, ess, log_w_max, log_w_min, eta_V, eta_Gtilde);
-    ``lw`` is None at the terminal step, whose weight fields are NaN.  A
-    states batch has a row per replicate whose values each hold one
-    particle.  A count batch has a row per replicate whose value at a label
-    holds its count of particles: a label whose count is 0 adds nothing,
-    and its log weight sets neither end of the range.
+    ``lw`` is None at the terminal step, whose weight fields are NaN, and
+    otherwise as ``smc_step`` returns it: on a count batch one per label,
+    shared by its rows, each row weighing a label by its count, so a label
+    whose count is 0 adds nothing and sets neither end of the range.
     """
-    values = ens.stats.shape[-1]
     held = None if ens.counts is None else ens.counts > 0
-
-    def only_held(x, fill):
-        """``x`` with ``fill`` at each label its row does not hold."""
-        return x if held is None else np.where(held, x, fill)
 
     def total(x):
         """Each row's sum of ``x`` over its particles."""
-        return (x if held is None else only_held(x, 0.0) * ens.counts).sum(axis=1)
+        return (x if held is None else np.where(held, x, 0.0) * ens.counts).sum(axis=1)
 
     # V overflows to inf far out; a row shifted past the float range has ESS 0
     with np.errstate(over="ignore", invalid="ignore"):
-        eta_v = (total(drift(ens.stats.ravel()).reshape(-1, values)) / ens.n_particles).tolist()
+        v = drift(ens.stats.ravel()).reshape(ens.stats.shape)
+        eta_v = (total(v) / ens.n_particles).tolist()
         if lw is None:
-            return [(ens.k, math.nan, math.nan, math.nan, v, math.nan) for v in eta_v]
-        lw = lw.reshape(-1, values) - model.potentials.log_g_max
-        top = only_held(lw, -np.inf).max(axis=1)
+            return [(ens.k, math.nan, math.nan, math.nan, e, math.nan) for e in eta_v]
+        lw = lw - model.potentials.log_g_max
+        top = _row_reduce(np.maximum, lw, held, -np.inf)
         w = np.exp(lw - top[:, None])
         sums, squares = total(w).tolist(), total(w * w).tolist()
         eta_g = (total(np.exp(lw)) / ens.n_particles).tolist()
-        bottom = only_held(lw, np.inf).min(axis=1).tolist()
+        bottom = _row_reduce(np.minimum, lw, held, np.inf).tolist()
     # a Python float ** 2 is the C pow of the scalar formula, not the product w * w
     return [(ens.k, s ** 2 / q if math.isfinite(t) else 0.0, t, b, v, g)
             for s, q, t, b, v, g in zip(sums, squares, top.tolist(), bottom, eta_v, eta_g)]

@@ -316,8 +316,8 @@ def drift_probe(fam, gamma, scale, drift, radii, n_proposals, seed):
         for j, direction in enumerate(dirs):
             x = r * direction
             rng = streams.stream(seed, 1, i, j)
-            y = rng.standard_normal((n_proposals, d)) * scale
             with np.errstate(invalid="ignore", over="ignore"):
+                y = rng.standard_normal((n_proposals, d)) * scale
                 cur = float(fam.target.log_unnorm(x))
                 prop = np.asarray(fam.target.log_unnorm(x + y), dtype=float)
                 a = np.exp(np.minimum(0.0, gamma * (prop - cur)))

@@ -226,9 +226,15 @@ def drift_function(sup_log, gamma_floor, beta):
     V(ell) = exp(-beta * gamma_floor * (ell - sup_log)) for a log density
     ``ell`` bounded above by ``sup_log``, normalized to 1 at the supremum,
     hence V >= 1.  The returned callable is vectorized over a batch of log
-    densities, the statistic the particle engine carries.
+    densities, the statistic the particle engine carries.  V reads inf,
+    without a warning, where it overflows.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     bg = beta * gamma_floor
-    return lambda ell: np.exp(-bg * (ell - sup_log))
+
+    def v(ell):
+        with np.errstate(over="ignore"):
+            return np.exp(-bg * (ell - sup_log))
+
+    return v

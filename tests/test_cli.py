@@ -795,6 +795,36 @@ def test_audit_offsets_overflow_to_inf_quietly(tmp_path):
     assert all(line.split(",")[3:5] == ["inf", "inf"] for line in lines)
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_audit_rejects_a_drift_function_that_overflows(command, tmp_path, capsys):
+    # V = exp(beta * floor * 1e308) passes the float range at the second state:
+    # it reads inf there, with no RuntimeWarning, and the audit names V as
+    # what it cannot certify before it reads the kernels
+    raw = json.loads(_shipped("lemma1_audit", tmp_path / "out"))
+    raw["model"]["log_weights"] = [0.0, -1e308]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main([command, str(path)]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err.startswith("error: model: drift function V overflows")
+    assert not (tmp_path / "out").exists()
+
+
+def test_finite_run_reads_inf_where_v_overflows(tmp_path):
+    # the same weights in a run, every particle starting at the state where V
+    # overflows: the run certifies nothing and monitors eta_V = inf there,
+    # with no RuntimeWarning.  Its weights at that state underflow, so the
+    # run fails its floor
+    raw = _finite_run(tmp_path)
+    raw["model"]["log_weights"] = [0.0, -1e308]
+    raw["init"] = {"name": "dirac", "state": 1}
+    assert dispatch(parse_config(json.dumps({**raw, "workers": 1}))) == EXIT_PRECONDITION
+    header, *lines = (tmp_path / "run.csv").read_text().splitlines()
+    assert header.split(",")[2::4] == ["k", "eta_V"]
+    first = [line.split(",")[2::4] for line in lines if line.split(",")[2] == "0"]
+    assert first == [["0", "inf"]] * 8
+    assert json.loads((tmp_path / "run.json").read_text())["summary"]["floor_ok"] is False
+
+
 @ZERO_ENTRY_ARGV
 def test_zero_entry_run_is_not_certified(argv, pools, monkeypatch, tmp_path):
     # a run monitors V and certifies nothing, so kernels with zero entries run

@@ -797,6 +797,7 @@ _REFERENCE_MODELS = {
                                 lambda s: 1.0 + np.asarray(s, dtype=float)),
     "gaussian-drift": _gaussian_with_drift,
     "odd-draws": lambda n: (_odd_draw_model(n), lambda s: np.asarray(s, dtype=float)),
+    "empty-label": lambda n: (_empty_label_model(n), lambda s: np.array([1.0, 3.0, np.inf])[s]),
 }
 
 
@@ -810,9 +811,12 @@ def test_run_sampler_draws_the_replicate_from_one_stream_in_order(kind, n, n_par
     # leave behind at every step.  The finite models step count populations,
     # whose multinomial draws take a varying number of words: three rows of
     # block b read the stream keyed by (seed, b), their initial counts row
-    # after row and then each step's rows in turn, against a count reference
+    # after row and then each step's rows in turn, against a count reference.
+    # The empty-label model steps 200 rows, none holding label 2, which
+    # carries the largest log weight: each row's max and min over the labels
+    # it holds are taken down a transpose of the whole batch
     model, drift = _REFERENCE_MODELS[kind](n)
-    rows = 3 if model.is_finite else 1
+    rows = 200 if kind == "empty-label" else 3 if model.is_finite else 1
     for seed, unit in [(3, 0), (2**64 - 1, 2**32 + 5)]:
         first = unit * BLOCK_REPLICATES if model.is_finite else unit
         assert _lone_stream(model, seed, first).random() == streams.stream(seed, unit).random()

@@ -185,6 +185,16 @@ def test_drift_probe_gaussian_contracts():
     np.testing.assert_array_equal(table.body["lambda_hat"], again.body["lambda_hat"])
 
 
+def test_drift_probe_increments_that_overflow_read_nan_quietly():
+    # increments of scale 1e308 overflow as they are scaled: every shell
+    # reads NaN, with no RuntimeWarning, and none is named safe
+    fam = TemperedFamily(gaussian_target([0.0], [1.0]), linear_schedule(0.7))
+    drift = drift_function(fam.target.sup_log_unnorm, fam.schedule.gamma_floor, 0.5)
+    table = drift_probe(fam, 0.7, 1e308, drift, [2.0, 4.0], n_proposals=200, seed=0)
+    assert all(math.isnan(row[2]) for row in table.rows)
+    assert np.isnan(table.body["lambda_hat"]).all() and table.body["safe_radius"] is None
+
+
 # ------------------------------------------------------------- counterexample
 
 def test_counterexample_psi_closed_form_matches_contours():
