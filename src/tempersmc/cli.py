@@ -221,15 +221,23 @@ def dispatch(cfg):
 
 
 def _load_config(path, out=None, workers=None):
-    """Parse a config file; command-line overrides go through the same checks as its keys."""
+    """Parse a config file once, its command-line overrides merged into its JSON object.
+
+    An override replaces its key before any check, and goes through the same
+    checks; text that is not a JSON object is parsed as it is, and fails as ``<json>``.
+    """
     with open(path) as handle:
         text = handle.read()
-    cfg = parse_config(text)
     updates = {key: value for key, value in (("out_dir", out), ("workers", workers))
                if value is not None}
     if updates:
-        cfg = parse_config(json.dumps({**json.loads(text), **updates}))
-    return cfg
+        try:
+            raw = json.loads(text)
+        except (ValueError, RecursionError):
+            raw = None
+        if isinstance(raw, dict):
+            text = json.dumps({**raw, **updates})
+    return parse_config(text)
 
 
 def main(argv=None):

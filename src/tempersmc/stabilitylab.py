@@ -28,7 +28,11 @@ count.  A map whose tasks together cost less than ``_TASK_STEPS`` runs
 them in order in-process (``_map_tasks``), since a worker pool costs more
 to start than such a map costs to run; any other map goes to the mapper
 costliest task first, ties in task order, so a pool starts its longest
-tasks earliest.
+tasks earliest.  Each task's cost is computed once, where the cells are
+cut.  On a finite model, bias-decay and n-scaling build each horizon's
+model once per run, for its exact value, and an in-process task steps the
+model its experiment built; a task handed to the mapper builds its own,
+since a model holds closures and does not pickle.
 
 The cells of a grid are distinct: parsing rejects a repeated entry of
 grids.n or grids.N, whose cells would share a seed and pool the same
@@ -121,48 +125,62 @@ def _replicate_cost(cfg):
 def _replicate_tasks(cfg, cells):
     """Cells cut into runs of contiguous replicates costing about ``_TASK_STEPS`` each.
 
-    A finite task is a run of whole blocks.
+    Returns the tasks and the cost of each.  A finite task is a run of whole blocks.
     """
     cost = _replicate_cost(cfg)
     unit = BLOCK_REPLICATES if cfg.model["kind"] == "finite-tempered" else 1
-    tasks = []
+    tasks, costs = [], []
     for n, n_particles in cells:
-        size = unit * max(1, _TASK_STEPS // (unit * cost(n, n_particles)))
+        each = cost(n, n_particles)
+        size = unit * max(1, _TASK_STEPS // (unit * each))
         for lo in range(0, cfg.replicates, size):
             hi = min(lo + size, cfg.replicates)
             tasks.append((cfg, n, n_particles, tuple(range(lo, hi))))
-    return tasks
+            costs.append((hi - lo) * each)
+    return tasks, costs
 
 
-def _map_tasks(fn, cfg, tasks, mapper):
-    """``fn`` over the tasks, results in task order (see the module docstring)."""
-    cost = _replicate_cost(cfg)
-    costs = [len(reps) * cost(n, n_particles) for _, n, n_particles, reps in tasks]
+def _map_tasks(fn, tasks, costs, mapper, models=None):
+    """``fn`` over the tasks, results in task order (see the module docstring).
+
+    A map run in-process passes each task the model of its horizon from
+    ``models``, where given; a task handed to the mapper builds its own.
+    """
     if sum(costs) < _TASK_STEPS:
-        return [fn(task) for task in tasks]
+        if models is None:
+            return [fn(task) for task in tasks]
+        return [fn(task, models[task[1]]) for task in tasks]
     order = sorted(range(len(tasks)), key=lambda i: -costs[i])
     results = dict(zip(order, mapper(fn, [tasks[i] for i in order])))
     return [results[i] for i in range(len(tasks))]
 
 
-def _estimate_task(args):
-    """One run of replicates of one grid cell; returns per-replicate estimates."""
+def _estimate_task(args, model=None):
+    """One run of replicates of one grid cell; returns per-replicate estimates.
+
+    Steps ``model`` where given, else the model it builds for the cell's horizon.
+    """
     cfg, n, n_particles, rep_ids = args
+    if model is None:
+        model = build_model(cfg, n)
     cell_seed = streams.derive_seed(cfg.seed, n, n_particles)
-    runs = run_sampler(build_model(cfg, n), n_particles, cell_seed, rep_ids)
+    runs = run_sampler(model, n_particles, cell_seed, rep_ids)
     return estimate([pop for pop, _ in runs], build_f(cfg))
 
 
-def _exact_value(cfg, n):
-    """f under the exact terminal law of the horizon-n finite model."""
-    model = build_model(cfg, n)
-    return float(oracle.eta_exact(model, n) @ finite_f_vector(cfg, model.finite.mu.size))
+def _exact_value(cfg, model):
+    """f under the exact terminal law of a finite model, at the model's horizon."""
+    f = finite_f_vector(cfg, model.finite.mu.size)
+    return float(oracle.eta_exact(model, model.horizon) @ f)
 
 
-def _gather_cells(cfg, cells, mapper):
-    """Map tasks; per cell, in grid order, its finite estimates and degenerate count."""
-    tasks = _replicate_tasks(cfg, cells)
-    results = _map_tasks(_estimate_task, cfg, tasks, mapper)
+def _gather_cells(cfg, cells, mapper, models=None):
+    """Map tasks; per cell, in grid order, its finite estimates and degenerate count.
+
+    ``models``, where given, holds each horizon's model for the tasks run in-process.
+    """
+    tasks, costs = _replicate_tasks(cfg, cells)
+    results = _map_tasks(_estimate_task, tasks, costs, mapper, models)
     per_cell = {cell: [] for cell in cells}
     for (_, n, n_particles, _), block in zip(tasks, results):
         per_cell[(n, n_particles)].append(block)
@@ -208,8 +226,10 @@ def bias_decay_experiment(cfg, mapper):
     ref = reference_value(cfg)
     ns = cfg.grids["n"]
     rows, body = [], {"reference": ref, "exact": None, "particle": None}
+    models = None
     if cfg.model["kind"] == "finite-tempered":
-        biases = [_exact_value(cfg, n) - ref for n in ns]
+        models = {n: build_model(cfg, n) for n in ns}
+        biases = [_exact_value(cfg, models[n]) - ref for n in ns]
         usable = [abs(b) > _EXACT_FLOOR for b in biases]
         rows += [("exact", n, b, abs(b), 0.0, 1, 0, ok) for n, b, ok in zip(ns, biases, usable)]
         body["exact"] = _fit_decay(ns, biases, usable)
@@ -217,7 +237,7 @@ def bias_decay_experiment(cfg, mapper):
     if cfg.replicates > 0:
         cells = [(n, cfg.grids["N"][0]) for n in ns]
         biases, usable = [], []
-        for n, (good, degenerate) in zip(ns, _gather_cells(cfg, cells, mapper)):
+        for n, (good, degenerate) in zip(ns, _gather_cells(cfg, cells, mapper, models)):
             bias = float(good.mean()) - ref if good.size else math.nan
             se = _std(good) / math.sqrt(good.size) if good.size > 1 else math.inf
             # fitting cells at the Monte Carlo noise floor produces garbage slopes
@@ -245,10 +265,11 @@ def n_scaling_experiment(cfg, mapper):
     both are; with neither a slope nor a finite ratio the run is inconclusive.
     """
     ns, n_list = cfg.grids["n"], cfg.grids["N"]
-    refs = {n: _exact_value(cfg, n) for n in ns}
+    models = {n: build_model(cfg, n) for n in ns}
+    refs = {n: _exact_value(cfg, model) for n, model in models.items()}
     cells = [(n, N) for n in ns for N in n_list]
     rows, rmse, std_err = [], {}, {}
-    for (n, N), (good, degenerate) in zip(cells, _gather_cells(cfg, cells, mapper)):
+    for (n, N), (good, degenerate) in zip(cells, _gather_cells(cfg, cells, mapper, models)):
         sq = (good - refs[n]) ** 2
         mse = float(sq.mean()) if good.size else math.nan
         r = math.sqrt(mse)
@@ -378,7 +399,8 @@ def run_trajectories(cfg, mapper):
     """
     n_particles = cfg.grids["N"][0]
     cells = [(n, n_particles) for n in cfg.grids["n"]]
-    results = _map_tasks(_trajectory_task, cfg, _replicate_tasks(cfg, cells), mapper)
+    tasks, costs = _replicate_tasks(cfg, cells)
+    results = _map_tasks(_trajectory_task, tasks, costs, mapper)
     rows, degenerate = [], 0
     for block, deg in results:
         rows.extend(block)

@@ -207,7 +207,7 @@ def test_csv_identical_for_any_worker_count(pools, monkeypatch, tmp_path):
     csv = {}
     with monkeypatch.context() as patched:
         patched.setattr(stabilitylab, "_TASK_STEPS", 2 * BLOCK_REPLICATES * 50 * 4)
-        tasks = stabilitylab._replicate_tasks(cfg, [(50, 10), (50, 5000)])
+        tasks, _ = stabilitylab._replicate_tasks(cfg, [(50, 10), (50, 5000)])
         assert [len(reps) for *_, reps in tasks] == [2 * BLOCK_REPLICATES, 100] * 2
         for workers in (1, 2):
             out = tmp_path / f"w{workers}"
@@ -226,7 +226,7 @@ def test_csv_identical_for_any_worker_count(pools, monkeypatch, tmp_path):
             budget = cfg.replicates * max(cfg.grids["n"]) * cfg.grids["N"][0]
             monkeypatch.setattr(stabilitylab, "_TASK_STEPS", budget)
             cells = [(n, cfg.grids["N"][0]) for n in cfg.grids["n"]]
-            assert len(stabilitylab._replicate_tasks(cfg, cells)) == 2
+            assert len(stabilitylab._replicate_tasks(cfg, cells)[0]) == 2
             assert dispatch(cfg) == EXIT_OK
             csv[workers] = (out / f"{cfg.experiment}.csv").read_bytes()
         assert csv[1] == csv[2]
@@ -245,7 +245,7 @@ def test_continuous_csv_identical_for_any_worker_count_across_batches(pools, mon
     raw.update(replicates=2 * rows + 1, grids={"n": [2, 3], "N": [n_particles]})
     cfg = parse_config(json.dumps(raw))
     monkeypatch.setattr(stabilitylab, "_TASK_STEPS", cfg.replicates * 3 * n_particles)
-    tasks = stabilitylab._replicate_tasks(cfg, [(2, n_particles), (3, n_particles)])
+    tasks, _ = stabilitylab._replicate_tasks(cfg, [(2, n_particles), (3, n_particles)])
     assert [len(reps) for *_, reps in tasks] == [2 * rows + 1] * 2
     run_sampler, batches = stabilitylab.run_sampler, []
 
@@ -272,14 +272,14 @@ def test_a_pooled_map_hands_out_its_costliest_tasks_first(pools, monkeypatch, tm
     cfg = parse_config(_shipped("scaling_sqrt_n", tmp_path, grids={"n": [2, 5], "N": [10, 40]}))
     cells = [(2, 10), (2, 40), (5, 10), (5, 40)]
     monkeypatch.setattr(stabilitylab, "_TASK_STEPS", 100)
-    tasks = stabilitylab._replicate_tasks(cfg, cells)
+    tasks, costs = stabilitylab._replicate_tasks(cfg, cells)
     handed = []
 
     def mapper(fn, items):
         handed.extend((n, n_particles) for _, n, n_particles, _ in items)
         return [fn(x) for x in items]
 
-    assert stabilitylab._map_tasks(lambda task: task[1:3], cfg, tasks, mapper) == cells
+    assert stabilitylab._map_tasks(lambda task: task[1:3], tasks, costs, mapper) == cells
     assert handed == [(5, 10), (5, 40), (2, 10), (2, 40)]
     csv = {}
     for workers in (1, 2):
@@ -308,9 +308,9 @@ def test_outputs_identical_for_any_task_size(name, overrides, cuts, monkeypatch,
     batches, outputs = [], []
     map_tasks = stabilitylab._map_tasks
 
-    def recorded(fn, cfg, tasks, mapper):
+    def recorded(fn, tasks, costs, mapper, models=None):
         batches.append([len(reps) for *_, reps in tasks])
-        return map_tasks(fn, cfg, tasks, mapper)
+        return map_tasks(fn, tasks, costs, mapper, models)
 
     monkeypatch.setattr(stabilitylab, "_map_tasks", recorded)
     monkeypatch.setattr(cli, "make_mapper", lambda workers: lambda fn, items: list(map(fn, items)))
@@ -367,10 +367,48 @@ def test_cheap_map_starts_no_pool(name, overrides, monkeypatch, tmp_path):
         out = tmp_path / f"w{workers}"
         cfg = parse_config(_shipped(name, out, workers=workers, **overrides))
         cells = [(n, N) for n in cfg.grids["n"] for N in cfg.grids["N"]]
-        assert len(stabilitylab._replicate_tasks(cfg, cells)) >= 2
+        assert len(stabilitylab._replicate_tasks(cfg, cells)[0]) >= 2
         assert dispatch(cfg) == EXIT_OK
         csv[workers] = (out / f"{cfg.experiment}.csv").read_bytes()
     assert csv[1] == csv[2]
+
+
+@pytest.mark.parametrize("name, grids", [("scaling_sqrt_n", {"n": [2, 5], "N": [10, 40]}),
+                                         ("bias_finite", {"n": [1, 2, 3], "N": [1000]})])
+def test_a_finite_map_in_process_builds_one_model_per_horizon(name, grids, pools, monkeypatch,
+                                                              tmp_path):
+    # each cell's two blocks cost (B + 1) n 2^2 < 10^6 together: one task per
+    # cell, and the map runs in-process, its tasks stepping the models built for
+    # the exact values.  A budget of one block at the least horizon cuts every
+    # cell into its two blocks and sends them to a pool, whose tasks build their
+    # own: the parent builds only the exact values' models, and the outputs are
+    # the same
+    build_model, built = stabilitylab.build_model, []
+
+    def counted(cfg, n):
+        built.append(n)
+        return build_model(cfg, n)
+
+    monkeypatch.setattr(stabilitylab, "build_model", counted)
+    outputs = {}
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        cfg = parse_config(_shipped(name, out, workers=workers,
+                                    replicates=BLOCK_REPLICATES + 1, grids=grids))
+        if workers == 2:
+            monkeypatch.setattr(stabilitylab, "_TASK_STEPS",
+                                BLOCK_REPLICATES * min(grids["n"]) * 2**2)
+        cells = [(n, N) for n in grids["n"] for N in grids["N"]]
+        tasks, costs = stabilitylab._replicate_tasks(cfg, cells)
+        assert len(tasks) == len(cells) * workers
+        assert (sum(costs) < stabilitylab._TASK_STEPS) == (workers == 1)
+        built.clear()
+        code = dispatch(cfg)
+        assert built == grids["n"]
+        doc = json.loads((out / f"{cfg.experiment}.json").read_text())
+        outputs[workers] = (code, (out / f"{cfg.experiment}.csv").read_bytes(), doc["summary"])
+    assert outputs[1] == outputs[2]
+    assert pools == [2]
 
 
 def test_task_cost_counts_the_state_dimension(pools, tmp_path):
@@ -385,7 +423,7 @@ def test_task_cost_counts_the_state_dimension(pools, tmp_path):
         out = tmp_path / f"w{workers}"
         cfg = parse_config(json.dumps({**raw, "workers": workers, "out_dir": str(out)}))
         assert cfg.replicates * sum(n * 2000 for n in cfg.grids["n"]) < stabilitylab._TASK_STEPS
-        assert len(stabilitylab._replicate_tasks(cfg, [(2, 2000), (3, 2000)])) == 2
+        assert len(stabilitylab._replicate_tasks(cfg, [(2, 2000), (3, 2000)])[0]) == 2
         assert dispatch(cfg) == EXIT_OK
         csv[workers] = (out / "bias-decay.csv").read_bytes()
     assert csv[1] == csv[2]
@@ -858,7 +896,7 @@ def test_config_error_in_a_worker_exits_1(pools, monkeypatch, tmp_path, capsys):
     raw = _finite_run(tmp_path / "out")
     cfg = replace(parse_config(json.dumps(raw)), model={**raw["model"], "move_prob": 1.5},
                   workers=2)
-    assert len(stabilitylab._replicate_tasks(cfg, [(3, 20), (5, 20)])) == 2
+    assert len(stabilitylab._replicate_tasks(cfg, [(3, 20), (5, 20)])[0]) == 2
     assert dispatch(cfg) == EXIT_PRECONDITION
     assert capsys.readouterr().err.startswith("error: model: move_prob must lie in (0, 1]")
     assert not (tmp_path / "out").exists()
@@ -876,7 +914,7 @@ def test_finite_run_builds_no_certificate(monkeypatch, tmp_path):
 
     monkeypatch.setattr(config.finite, "drift_inputs_for_chain", counted)
     cfg = parse_config(json.dumps({**_finite_run(tmp_path / "out"), "workers": 1}))
-    assert len(stabilitylab._replicate_tasks(cfg, [(3, 20), (5, 20)])) == 2
+    assert len(stabilitylab._replicate_tasks(cfg, [(3, 20), (5, 20)])[0]) == 2
     assert dispatch(cfg) == EXIT_OK
     assert calls == []
 
@@ -900,7 +938,7 @@ def test_finite_run_keeps_its_digest(tmp_path):
     # state; recorded (like GOLDEN) when a block of replicates began to draw
     # from one stream, and again with SFC64 streams
     cfg = parse_config(json.dumps({**_finite_run(tmp_path), "workers": 1}))
-    assert len(stabilitylab._replicate_tasks(cfg, [(3, 20), (5, 20)])) == 2
+    assert len(stabilitylab._replicate_tasks(cfg, [(3, 20), (5, 20)])[0]) == 2
     assert dispatch(cfg) == EXIT_OK
     assert _digests(tmp_path, cfg.experiment) == (
         "e22cee00905517cea9f29ce7e1bfff4a8c5fde3521ad814e2a08b6326a96313f",
@@ -1032,6 +1070,34 @@ def test_workers_flag_checked_like_the_key(workers, tmp_path, capsys):
     assert main(["run", str(path), "--workers", workers]) == EXIT_PRECONDITION
     assert capsys.readouterr().err.startswith("error: workers: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, bad, flag", [("workers", 0, ["--workers", "1"]),
+                                             ("out_dir", "", ["--out", "OUT"])])
+def test_a_flag_replaces_the_key_before_it_is_checked(key, bad, flag, monkeypatch, tmp_path,
+                                                      capsys):
+    # the file alone fails on the key; with the flag it is parsed once, and runs
+    out = tmp_path / "out"
+    path = tmp_path / "cfg.json"
+    path.write_text(_shipped("counterexample", out, **{key: bad}))
+    assert main(["run", str(path)]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    parses = []
+    monkeypatch.setattr(cli, "parse_config", lambda text: parses.append(text) or parse_config(text))
+    argv = ["run", str(path), *(str(out) if arg == "OUT" else arg for arg in flag)]
+    assert main(argv) == EXIT_OK
+    assert len(parses) == 1 and (out / "counterexample.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"cfg"', "{bad", "[" * 100_000],
+                         ids=["list", "string", "not-json", "nested-too-deep"])
+@pytest.mark.parametrize("flag", [["--workers", "1"], ["--out", "out"]])
+def test_a_flag_on_text_not_a_json_object_fails_as_json(text, flag, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["run", str(path), *flag]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("error: <json>: ") and "Traceback" not in err
 
 
 def test_pool_capped_at_cpus_and_tasks(monkeypatch):

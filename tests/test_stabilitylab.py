@@ -52,11 +52,12 @@ def test_replicate_tasks_cover_each_replicate_once_in_order(budget, monkeypatch)
     cfg = _cfg(experiment="n-scaling", grids={"n": [3, 40], "N": [7, 1000]},
                replicates=replicates)
     cells = [(3, 7), (3, 1000), (40, 7), (40, 1000)]
-    tasks = stabilitylab._replicate_tasks(cfg, cells)
+    tasks, costs = stabilitylab._replicate_tasks(cfg, cells)
     pairs = [((n, n_particles), r) for _, n, n_particles, reps in tasks for r in reps]
     assert pairs == [(cell, r) for cell in cells for r in range(replicates)]
     # a finite task is a run of whole blocks, and a block costs B n m^2, whatever N is
     m = len(cfg.model["log_weights"])
+    assert costs == [len(reps) * n * m * m for _, n, _, reps in tasks]
     for _, n, n_particles, reps in tasks:
         assert reps[0] % BLOCK_REPLICATES == 0
         assert len(reps) % BLOCK_REPLICATES == 0 or reps[-1] == replicates - 1
@@ -75,9 +76,10 @@ def test_finite_nscale_sized_run_makes_one_task_per_cell():
     raw.update(replicates=25, grids={"n": [5, 20], "N": [100, 1000, 10000]})
     cfg = parse_config(json.dumps(raw))
     cells = [(n, N) for n in cfg.grids["n"] for N in cfg.grids["N"]]
-    tasks = stabilitylab._replicate_tasks(cfg, cells)
+    tasks, costs = stabilitylab._replicate_tasks(cfg, cells)
     assert [(n, N, reps) for _, n, N, reps in tasks] == [(*cell, tuple(range(25)))
                                                          for cell in cells]
+    assert costs == [25 * n * 2**2 for n, _ in cells]
 
 
 def test_gauss_trace_sized_run_makes_three_tasks():
@@ -86,9 +88,10 @@ def test_gauss_trace_sized_run_makes_three_tasks():
     raw["replicates"] = 10
     cfg = parse_config(json.dumps(raw))
     assert cfg.grids["n"] == (10, 200) and cfg.grids["N"] == (1000,)
-    tasks = stabilitylab._replicate_tasks(cfg, [(10, 1000), (200, 1000)])
+    tasks, costs = stabilitylab._replicate_tasks(cfg, [(10, 1000), (200, 1000)])
     assert [(n, reps) for _, n, _, reps in tasks] == [
         (10, tuple(range(10))), (200, tuple(range(5))), (200, tuple(range(5, 10)))]
+    assert costs == [10 * 10 * 1000, 5 * 200 * 1000, 5 * 200 * 1000]
 
 
 def test_continuous_task_cost_counts_the_state_dimension():
@@ -100,12 +103,13 @@ def test_continuous_task_cost_counts_the_state_dimension():
     raw["init"]["mean"] = [3.0] * 4
     raw.update(replicates=30, grids={"n": [5, 10], "N": [2000]})
     cfg = parse_config(json.dumps(raw))
-    tasks = stabilitylab._replicate_tasks(cfg, [(5, 2000), (10, 2000)])
+    tasks, costs = stabilitylab._replicate_tasks(cfg, [(5, 2000), (10, 2000)])
     sizes = {n: stabilitylab._TASK_STEPS // (n * 2000 * 4) for n in (5, 10)}
     assert sizes == {5: 25, 10: 12}
     assert [(n, reps) for _, n, _, reps in tasks] == [
         (n, tuple(range(lo, min(lo + sizes[n], 30)))) for n in (5, 10)
         for lo in range(0, 30, sizes[n])]
+    assert costs == [len(reps) * n * 2000 * 4 for _, n, _, reps in tasks]
 
 
 # ------------------------------------------------------------- bias decay
